@@ -3,7 +3,7 @@
 //! split → EFSM).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ecl_core::Compiler;
+use ecl_core::Source;
 use sim::designs::PROTOCOL_STACK;
 
 fn bench_figures(c: &mut Criterion) {
@@ -16,12 +16,7 @@ fn bench_figures(c: &mut Criterion) {
         ("fig4_toplevel", "toplevel"),
     ] {
         g.bench_function(fig, |bench| {
-            bench.iter(|| {
-                let d = Compiler::default()
-                    .compile_str(PROTOCOL_STACK, module)
-                    .unwrap();
-                d.to_efsm(&Default::default()).unwrap()
-            })
+            bench.iter(|| Source::new(PROTOCOL_STACK).finish(module).unwrap())
         });
     }
     g.finish();

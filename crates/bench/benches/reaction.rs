@@ -1,8 +1,7 @@
-//! Reaction-throughput microbenchmarks: the interned-id fast path
-//! (`instant_ids` via `run_events`) against the legacy string shim
-//! (`instant` via `run_events_names`), on both evaluated designs;
-//! monitor stepping through fused instant programs vs the s-graph
-//! walker; and the whole reaction on `Backend::Compiled`
+//! Reaction-throughput microbenchmarks: whole runs through
+//! `run_events` on both evaluated designs; monitor stepping through
+//! fused instant programs vs the s-graph walker; and the whole
+//! reaction on `Backend::Compiled`
 //! (`data_compiled`: fused rows + bytecode data hooks) vs
 //! `Backend::Walker` (`data_walker`: s-graph walk + tree-walking
 //! interpreter).
@@ -80,11 +79,6 @@ impl MonitorBench {
     }
 }
 
-fn drive_names(design: &Design, events: &[InstantEvents]) {
-    let mut r = runner(design);
-    r.run_events_names(events, |_, _| {}).expect("run succeeds");
-}
-
 /// The whole reaction on one backend knob: fused instant programs +
 /// bytecode data hooks (`Backend::Compiled`) or the s-graph walker +
 /// tree-walking interpreter (`Backend::Walker`).
@@ -105,13 +99,7 @@ fn bench_reaction(c: &mut Criterion) {
     let mut g = c.benchmark_group("reaction");
     g.sample_size(10);
     g.bench_function("stack_ids", |b| b.iter(|| drive_ids(&stack, &stack_ev)));
-    g.bench_function("stack_names_shim", |b| {
-        b.iter(|| drive_names(&stack, &stack_ev))
-    });
     g.bench_function("pager_ids", |b| b.iter(|| drive_ids(&pager, &pager_ev)));
-    g.bench_function("pager_names_shim", |b| {
-        b.iter(|| drive_names(&pager, &pager_ev))
-    });
     g.bench_function("data_compiled", |b| {
         b.iter(|| drive_data(&stack, &stack_ev, Backend::Compiled))
     });

@@ -17,7 +17,7 @@
 //!
 //! Usage: `fleet_bench [--out PATH] [--check BASELINE] [--sessions N] [--rounds N]`
 
-use ecl_core::Compiler;
+use ecl_bench::extract_normalized;
 use ecl_fleet::{FleetConfig, SessionSpec, SessionStatus, Supervisor};
 use sim::runner::{AsyncRunner, Runner};
 use sim::tb::{InstantEvents, PagerTb};
@@ -91,9 +91,7 @@ fn main() {
         .events(),
     );
     let per_session = events.len();
-    let designs = Compiler::default()
-        .partition(sim::designs::VOICE_PAGER, "pager")
-        .expect("pager partitions");
+    let designs = ecl_bench::pager_parts();
     let shards = std::thread::available_parallelism().map_or(4, |n| n.get());
 
     // (label, checkpoint cadence): `nockpt` takes only the initial
@@ -242,18 +240,4 @@ fn merge_runs(path: &str, new_lines: &str, sessions: usize, per_session: usize) 
             )
         }
     }
-}
-
-/// Pull `"normalized": X` out of the baseline line whose config is
-/// `label` (the same tiny parser `gen_bench` uses).
-fn extract_normalized(json: &str, label: &str) -> Option<f64> {
-    let needle = format!("\"config\": \"{label}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let norm = line.split("\"normalized\":").nth(1)?;
-    norm.trim()
-        .trim_end_matches(['}', ',', ']'])
-        .trim_end_matches('}')
-        .trim()
-        .parse()
-        .ok()
 }

@@ -7,29 +7,23 @@
 //! and stepped per instant, `Backend::Walker` forced end to end —
 //! s-graph walk + tree-walking data hooks; compiled: the same
 //! monitored run under `Backend::Compiled` — fused per-task instant
-//! programs, the production default), all on the interned-id fast
-//! path, plus the same monitored runs through the legacy string shim
-//! (`run_events_names` + name-matching monitors) as the reference
-//! every config is normalized against. `speedup_compiled_over_walker`
+//! programs, the production default). `speedup_compiled_over_walker`
 //! is the headline fusion metric: compiled vs monitored on the same
 //! workload, per design configuration. End-to-end compile times ride
 //! along.
 //!
-//! Output is `BENCH_reaction.json`. With `--check BASELINE`, the run
-//! is compared against a checked-in baseline: the *normalized* ratio
-//! of each config against the same-process string-shim reference must
-//! not regress by more than 20% (normalizing makes the check
-//! meaningful across machines of different speeds).
-//!
-//! Note the string shim itself sits on the interned-id core, so the
-//! in-process `speedup_ids_over_names` is the residual shim overhead,
-//! not the headline gain. The headline — ≥2x over the *pre-refactor*
-//! string path — was measured back-to-back against the prior commit
-//! and is recorded as `pre_pr_reference` (see EXPERIMENTS.md).
+//! Output is `BENCH_reaction.json`. Every config is normalized
+//! against its own design's walker-forced `*/mono/monitored` run —
+//! the reference path, measured in the same process. With `--check
+//! BASELINE`, the run is compared against a checked-in baseline: the
+//! *normalized* ratio of each config must not regress by more than
+//! 20% (normalizing makes the check meaningful across machines of
+//! different speeds).
 //!
 //! Usage: `gen_bench [--out PATH] [--check BASELINE] [--instants N]`
 
-use ecl_core::{Compiler, Design};
+use ecl_bench::extract_normalized;
+use ecl_core::Design;
 use ecl_observe::{synthesize_all, Monitor, MonitorSpec};
 use efsm::Backend;
 use sim::runner::{AsyncRunner, Runner};
@@ -42,10 +36,6 @@ use std::time::Instant;
 const DEFAULT_INSTANTS: usize = 10_000;
 /// Allowed normalized-throughput regression against the baseline.
 const TOLERANCE: f64 = 0.20;
-/// The pre-refactor string path's monitored stack/mono throughput
-/// (commit 2c70065, same machine, best of 3) — the reference for the
-/// headline speedup claim.
-const PRE_PR_STACK_MONO_MONITORED: f64 = 200_000.0;
 
 struct Timed<T> {
     value: T,
@@ -104,23 +94,12 @@ fn run_ids(mut r: AsyncRunner, events: &[InstantEvents], monitors: &mut [Monitor
 
 /// A runner forced onto `Backend::Walker` — s-graph walk and
 /// tree-walking data hooks end to end (the `monitored`/`traced`
-/// configs keep measuring the fully walked path so the checked-in
-/// normalized baselines stay comparable, and so the walker keeps
-/// getting exercised as the differential/demotion reference).
+/// configs measure the reference path every config is normalized
+/// against).
 fn walked(designs: Vec<Design>) -> AsyncRunner {
     let mut r = runner(designs);
     r.set_backend(Backend::Walker);
     r
-}
-
-fn run_names(mut r: AsyncRunner, events: &[InstantEvents], monitors: &mut [Monitor]) -> usize {
-    r.run_events_names(events, |instant, present| {
-        for m in monitors.iter_mut() {
-            m.step(instant, present);
-        }
-    })
-    .expect("run succeeds");
-    events.len()
 }
 
 fn run_traced(mut r: AsyncRunner, events: &[InstantEvents]) -> usize {
@@ -193,29 +172,17 @@ fn main() {
     // Compile (timed): four design configurations.
     let stack_src = sim::designs::PROTOCOL_STACK;
     let pager_src = sim::designs::VOICE_PAGER;
-    let stack_mono = timed(|| {
-        Compiler::default()
-            .compile_str(stack_src, "toplevel")
-            .unwrap()
-    });
-    let stack_parts = timed(|| {
-        Compiler::default()
-            .partition(stack_src, "toplevel")
-            .unwrap()
-    });
-    let pager_mono = timed(|| Compiler::default().compile_str(pager_src, "pager").unwrap());
-    let pager_parts = timed(|| Compiler::default().partition(pager_src, "pager").unwrap());
+    let stack_mono = timed(ecl_bench::stack_mono);
+    let stack_parts = timed(ecl_bench::stack_parts);
+    let pager_mono = timed(ecl_bench::pager_mono);
+    let pager_parts = timed(ecl_bench::pager_parts);
     let stack_specs =
         synthesize_all(&ecl_syntax::parse_str(stack_src).unwrap()).expect("stack observers");
     let pager_specs =
         synthesize_all(&ecl_syntax::parse_str(pager_src).unwrap()).expect("pager observers");
 
-    // All configurations, measured in interleaved rounds: the twelve
-    // id-path configs (traced/monitored/compiled × four design
-    // configurations) plus the two string-shim references (monitored
-    // mono runs through the legacy name path — per-instant
-    // Vec<String> + name matching — one per design so every config
-    // normalizes against its own workload).
+    // All configurations, measured in interleaved rounds: traced,
+    // monitored and compiled × four design configurations.
     type Config<'a> = (
         &'a str,
         Vec<Design>,
@@ -299,26 +266,6 @@ fn main() {
             }),
         ));
     }
-    let sm = stack_mono.value.clone();
-    let (sspecs, sev) = (&stack_specs, &stack_ev);
-    jobs.push((
-        "stack/mono/monitored/names-shim".to_string(),
-        Box::new(move || {
-            let r = walked(vec![sm.clone()]);
-            let mut mons = monitors_for(sspecs, &r, Backend::Walker);
-            run_names(r, sev, &mut mons)
-        }),
-    ));
-    let pm = pager_mono.value.clone();
-    let (pspecs, pev) = (&pager_specs, &pager_ev);
-    jobs.push((
-        "pager/mono/monitored/names-shim".to_string(),
-        Box::new(move || {
-            let r = walked(vec![pm.clone()]);
-            let mut mons = monitors_for(pspecs, &r, Backend::Walker);
-            run_names(r, pev, &mut mons)
-        }),
-    ));
     let runs = measure_all(jobs);
     let rate_of = |label: &str| {
         runs.iter()
@@ -326,18 +273,18 @@ fn main() {
             .map(|(_, v)| *v)
             .unwrap()
     };
-    let names_ref = rate_of("stack/mono/monitored/names-shim");
-    let pager_names_ref = rate_of("pager/mono/monitored/names-shim");
+    // The reference path: each design's walker-forced monitored mono
+    // run, so every config normalizes against its own workload.
+    let stack_ref = rate_of("stack/mono/monitored");
+    let pager_ref = rate_of("pager/mono/monitored");
     let ref_of = |label: &str| {
         if label.starts_with("pager") {
-            pager_names_ref
+            pager_ref
         } else {
-            names_ref
+            stack_ref
         }
     };
 
-    let monitored_stack = rate_of("stack/mono/monitored");
-    let speedup = monitored_stack / names_ref;
     // The fusion headline: one compiled backend vs the fully walked
     // path, same monitored workload, per design configuration.
     let compiled_speedup = |label: &str| {
@@ -381,24 +328,14 @@ fn main() {
         );
     }
     let _ = writeln!(json, "  ],");
-    let _ = writeln!(json, "  \"speedup_ids_over_names\": {speedup:.2},");
     let _ = writeln!(
         json,
-        "  \"speedup_compiled_over_walker\": {{{}}},",
+        "  \"speedup_compiled_over_walker\": {{{}}}",
         compiled_speedups
             .iter()
             .map(|(k, v)| format!("\"{k}\": {v:.2}"))
             .collect::<Vec<_>>()
             .join(", ")
-    );
-    let _ = writeln!(
-        json,
-        "  \"pre_pr_reference\": {{\"config\": \"stack/mono/monitored\", \"instants_per_sec\": {PRE_PR_STACK_MONO_MONITORED:.0}, \"note\": \"pre-refactor string path measured on the reference machine (commit 2c70065, best of 3); only meaningful when this file was produced on that machine — cross-machine tracking uses the normalized ratios above\"}},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"speedup_vs_pre_pr_on_ref_machine\": {:.2}",
-        monitored_stack / PRE_PR_STACK_MONO_MONITORED
     );
     json.push_str("}\n");
 
@@ -432,18 +369,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-/// Pull `"normalized": X` out of the baseline line whose config is
-/// `label` (tiny line-oriented parser; the file is our own output).
-fn extract_normalized(json: &str, label: &str) -> Option<f64> {
-    let needle = format!("\"config\": \"{label}\"");
-    let line = json.lines().find(|l| l.contains(&needle))?;
-    let norm = line.split("\"normalized\":").nth(1)?;
-    norm.trim()
-        .trim_end_matches(['}', ',', ']'])
-        .trim_end_matches('}')
-        .trim()
-        .parse()
-        .ok()
 }

@@ -20,7 +20,7 @@
 //!
 //! Usage: `gen_profile [--out PATH] [--instants N]`
 
-use ecl_core::{Compiler, Design};
+use ecl_core::Design;
 use ecl_observe::{synthesize_all, Monitor, MonitorSpec};
 use ecl_telemetry::metrics as tm;
 use ecl_telemetry::Run;
@@ -118,13 +118,12 @@ fn render(p: &Profile, out: &mut String) {
     );
     let _ = writeln!(
         out,
-        "      \"coverage\": {{\"fused_states\": {}, \"states\": {}, \"fused_rows\": {}, \"vm_compiled\": {}, \"vm_total\": {}, \"demoted_sites\": {}, \"pure_states\": {}}},",
+        "      \"coverage\": {{\"fused_states\": {}, \"states\": {}, \"fused_rows\": {}, \"vm_compiled\": {}, \"vm_total\": {}, \"pure_states\": {}}},",
         p.coverage.fused_states(),
         p.coverage.states(),
         p.coverage.fused_rows(),
         p.coverage.vm_compiled(),
         p.coverage.vm_total(),
-        p.coverage.demoted_sites(),
         p.pure_states
     );
     let _ = writeln!(
@@ -228,14 +227,10 @@ fn main() {
 
     let stack_src = sim::designs::PROTOCOL_STACK;
     let pager_src = sim::designs::VOICE_PAGER;
-    let stack_mono = Compiler::default()
-        .compile_str(stack_src, "toplevel")
-        .unwrap();
-    let stack_parts = Compiler::default()
-        .partition(stack_src, "toplevel")
-        .unwrap();
-    let pager_mono = Compiler::default().compile_str(pager_src, "pager").unwrap();
-    let pager_parts = Compiler::default().partition(pager_src, "pager").unwrap();
+    let stack_mono = ecl_bench::stack_mono();
+    let stack_parts = ecl_bench::stack_parts();
+    let pager_mono = ecl_bench::pager_mono();
+    let pager_parts = ecl_bench::pager_parts();
     let stack_specs =
         synthesize_all(&ecl_syntax::parse_str(stack_src).unwrap()).expect("stack observers");
     let pager_specs =

@@ -55,7 +55,7 @@ impl Artifacts {
         Ok(out)
     }
 
-    /// Build artifacts from a legacy `(Design, Efsm)` pair (what a
+    /// Build artifacts from a `(Design, Efsm)` pair (what a
     /// [`Workspace`] caches).
     ///
     /// # Errors

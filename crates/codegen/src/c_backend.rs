@@ -271,7 +271,7 @@ fn sanitize_refs(line: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecl_core::Compiler;
+    use ecl_core::Source;
 
     #[test]
     fn emits_reaction_and_actions() {
@@ -280,9 +280,8 @@ mod tests {
               int n;
               while (1) { await (a); n = n + 1; emit (o); }
             }";
-        let d = Compiler::default().compile_str(src, "m").unwrap();
-        let m = d.to_efsm(&Default::default()).unwrap();
-        let c = emit_c(&m, &d);
+        let m = Source::new(src).finish("m").unwrap();
+        let c = emit_c(m.efsm(), &m.design());
         assert!(c.contains("void m_react"), "{c}");
         assert!(c.contains("switch (state[0])"));
         assert!(c.contains("m_action_0"), "{c}");
@@ -309,9 +308,8 @@ mod tests {
             module m(input byte i, output byte o) {
               while (1) { await (i); emit_v (o, i + 1); }
             }";
-        let d = Compiler::default().compile_str(src, "m").unwrap();
-        let m = d.to_efsm(&Default::default()).unwrap();
-        let c = emit_c(&m, &d);
+        let m = Source::new(src).finish("m").unwrap();
+        let c = emit_c(m.efsm(), &m.design());
         assert!(c.contains("m_emitval_0"), "{c}");
     }
 }

@@ -305,12 +305,14 @@ pub fn rtos_cost(tasks: u32, mailboxes: u32, mailbox_bytes: u32, p: &CostParams)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecl_core::Compiler;
+    use ecl_core::Source;
 
     fn design(src: &str, entry: &str) -> Design {
-        Compiler::default()
-            .compile_str(src, entry)
+        Source::new(src)
+            .parse()
+            .and_then(|p| p.elaborate(entry)?.split())
             .expect("compile")
+            .to_design()
     }
 
     const SIMPLE: &str = "

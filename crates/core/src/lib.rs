@@ -17,16 +17,15 @@
 //!    data part executes through the glue runtime ([`rt`]) backed by the
 //!    C interpreter in `ecl-types`.
 //!
-//! The preferred entry points are the staged [`pipeline`] (typed
-//! artifacts for every phase, re-enterable without rework) and the
-//! batch [`workspace::Workspace`] driver (shared parses, parallel
-//! compilation, memoization). The one-shot [`Compiler`] facade remains
-//! as a thin shim over the pipeline.
+//! The entry points are the staged [`pipeline`] (typed artifacts for
+//! every phase, re-enterable without rework) and the batch
+//! [`workspace::Workspace`] driver (shared parses, parallel
+//! compilation, memoization).
 //!
 //! # Example
 //!
 //! ```
-//! use ecl_core::{Compiler, Options};
+//! use ecl_core::Source;
 //! let src = "
 //!   module counter(input pure tick, input pure reset, output pure full) {
 //!     int n;
@@ -39,21 +38,20 @@
 //!       } abort (reset);
 //!     }
 //!   }";
-//! let design = Compiler::new(Options::default()).compile_str(src, "counter").unwrap();
-//! let efsm = design.to_efsm(&Default::default()).unwrap();
-//! assert!(efsm.states.len() >= 2);
+//! let machine = Source::new(src).finish("counter").unwrap();
+//! assert!(machine.efsm().states.len() >= 2);
+//! // The `Design` a simulator runs shares the same parse and split.
+//! assert_eq!(machine.design().entry, "counter");
 //! ```
 
-pub mod compiler;
 pub mod elab;
 pub mod pipeline;
 pub mod rt;
 pub mod split;
 pub mod workspace;
 
-pub use compiler::{Compiler, Design, Options};
 pub use ecl_syntax::diag::{Diagnostics, EclError, Stage};
-pub use pipeline::Source;
+pub use pipeline::{Design, Source};
 pub use rt::Rt;
 pub use split::{DataTable, SplitStrategy};
 pub use workspace::Workspace;

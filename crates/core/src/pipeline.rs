@@ -10,6 +10,9 @@
 //! Source ──parse()──▶ Parsed ──elaborate(entry)──▶ Elaborated
 //!    ──split()/split_with(strategy)──▶ Split ──ir()──▶ EsterelIr
 //!    ──compile(opts)──▶ Machine ──(codegen::Artifacts)──▶ C/Verilog
+//!
+//! Split ──to_design()──▶ Design   (what the simulator runs)
+//! Parsed ──partition(top)──▶ Vec<Design>   (one per submodule)
 //! ```
 //!
 //! Every stage:
@@ -19,14 +22,11 @@
 //!   and memoize them;
 //! * carries the [`Diagnostics`] accumulated so far (parse warnings
 //!   survive to the EFSM stage);
-//! * has an `advance()` method to the next stage with default
-//!   parameters, and a `finish()` method running everything left;
 //! * can be re-entered: one [`Parsed`] can be elaborated for several
 //!   entry modules, one [`Elaborated`] split under both
 //!   [`SplitStrategy`]s, without re-parsing.
 //!
-//! The legacy [`crate::Compiler`] facade is a thin shim over this
-//! module.
+//! [`Source::finish`] runs every stage with default parameters.
 //!
 //! # Example
 //!
@@ -49,22 +49,21 @@
 //! assert!(machine.efsm().states.len() >= 2);
 //! ```
 
-use crate::compiler::{Design, Options};
-use crate::elab::{self, Elab};
+use crate::elab::{self, Elab, Instantiation};
 use crate::rt::Rt;
 use crate::split::{self, SplitResult, SplitStrategy};
 use ecl_syntax::ast::Program as Ast;
 use ecl_syntax::diag::{Diagnostics, EclError, Stage};
 use ecl_syntax::source::Span;
+use efsm::Efsm;
 use esterel::compile::CompileOptions;
 use std::sync::Arc;
 
-/// Stage 0: raw ECL source text plus compiler options.
+/// Stage 0: raw ECL source text.
 #[derive(Debug, Clone)]
 pub struct Source {
     name: String,
     text: Arc<str>,
-    options: Options,
 }
 
 impl Source {
@@ -78,14 +77,7 @@ impl Source {
         Source {
             name: name.into(),
             text: Arc::from(text.into()),
-            options: Options::default(),
         }
-    }
-
-    /// Replace the compiler options (default strategy for later stages).
-    pub fn with_options(mut self, options: Options) -> Self {
-        self.options = options;
-        self
     }
 
     /// The diagnostic file name.
@@ -96,11 +88,6 @@ impl Source {
     /// The raw text.
     pub fn text(&self) -> &str {
         &self.text
-    }
-
-    /// The options later stages inherit.
-    pub fn options(&self) -> Options {
-        self.options
     }
 
     /// Advance: preprocess, lex and parse.
@@ -122,15 +109,6 @@ impl Source {
             ast: Arc::new(ast),
             diags,
         })
-    }
-
-    /// Same as [`Source::parse`] (uniform stage-walking name).
-    ///
-    /// # Errors
-    ///
-    /// See [`Source::parse`].
-    pub fn advance(&self) -> Result<Parsed, EclError> {
-        self.parse()
     }
 
     /// Run the whole pipeline for `entry` with default parameters.
@@ -156,16 +134,6 @@ pub struct Parsed {
 }
 
 impl Parsed {
-    /// Wrap an already-built AST (no source text available; used by
-    /// the legacy [`crate::Compiler::compile_ast`] shim).
-    pub fn from_ast(ast: Ast, options: Options) -> Self {
-        Parsed {
-            source: Source::named("<ast>", "").with_options(options),
-            ast: Arc::new(ast),
-            diags: Diagnostics::new(),
-        }
-    }
-
     /// The source this was parsed from.
     pub fn source(&self) -> &Source {
         &self.source
@@ -225,15 +193,6 @@ impl Parsed {
         })
     }
 
-    /// Same as [`Parsed::elaborate`] (uniform stage-walking name).
-    ///
-    /// # Errors
-    ///
-    /// See [`Parsed::elaborate`].
-    pub fn advance(&self, entry: &str) -> Result<Elaborated, EclError> {
-        self.elaborate(entry)
-    }
-
     /// Run the remaining stages for `entry` with default parameters.
     ///
     /// # Errors
@@ -241,6 +200,35 @@ impl Parsed {
     /// First failing stage.
     pub fn finish(&self, entry: &str) -> Result<Machine, EclError> {
         self.elaborate(entry)?.finish()
+    }
+
+    /// Partition a top-level module into its direct sub-instantiations
+    /// and split each as an independent design (the paper's
+    /// "asynchronous implementation": one task per source file). Each
+    /// submodule re-enters this parse with its actual-signal binding.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `toplevel` instantiates no submodules, or any submodule
+    /// fails to elaborate or split.
+    pub fn partition(&self, toplevel: &str) -> Result<Vec<Design>, EclError> {
+        let insts = self.instantiations(toplevel);
+        if insts.is_empty() {
+            return Err(EclError::msg(
+                Stage::Elaborate,
+                format!("module `{toplevel}` instantiates no submodules"),
+                Span::dummy(),
+            ));
+        }
+        insts
+            .into_iter()
+            .map(|Instantiation { module, actuals }| {
+                Ok(self
+                    .elaborate_bound(&module, Some(&actuals))?
+                    .split()?
+                    .to_design())
+            })
+            .collect()
     }
 }
 
@@ -310,15 +298,15 @@ impl Elaborated {
         &self.diags
     }
 
-    /// Advance: split reactive from data under the options' default
-    /// strategy.
+    /// Advance: split reactive from data under the default
+    /// [`SplitStrategy`].
     ///
     /// # Errors
     ///
     /// [`EclError`] with stage `split` (unsupported constructs,
     /// instantaneous reactive loops…).
     pub fn split(&self) -> Result<Split, EclError> {
-        self.split_with(self.parsed.source().options().strategy)
+        self.split_with(SplitStrategy::default())
     }
 
     /// Advance with an explicit strategy — call twice to compare the
@@ -336,15 +324,6 @@ impl Elaborated {
             result: Arc::new(result),
             diags: self.diags.clone(),
         })
-    }
-
-    /// Same as [`Elaborated::split`] (uniform stage-walking name).
-    ///
-    /// # Errors
-    ///
-    /// See [`Elaborated::split`].
-    pub fn advance(&self) -> Result<Split, EclError> {
-        self.split()
     }
 
     /// Run the remaining stages with default parameters.
@@ -400,14 +379,9 @@ impl Split {
         }
     }
 
-    /// Same as [`Split::ir`] (uniform stage-walking name).
-    pub fn advance(&self) -> EsterelIr {
-        self.ir()
-    }
-
-    /// Bundle this split as a legacy [`Design`] (cheap: shares the
-    /// underlying `Arc`s). The `Design` is what the simulator and the
-    /// back ends consume.
+    /// Bundle this split as a [`Design`] (cheap: shares the underlying
+    /// `Arc`s). The `Design` is what the simulator and the back ends
+    /// consume.
     pub fn to_design(&self) -> Design {
         Design {
             entry: self.elaborated.entry.clone(),
@@ -415,15 +389,6 @@ impl Split {
             elab: Arc::clone(&self.elaborated.elab),
             split: Arc::clone(&self.result),
         }
-    }
-
-    /// Run the remaining stages with default parameters.
-    ///
-    /// # Errors
-    ///
-    /// First failing stage.
-    pub fn finish(&self) -> Result<Machine, EclError> {
-        self.ir().compile(&CompileOptions::default())
     }
 }
 
@@ -477,25 +442,6 @@ impl EsterelIr {
             diags: self.split.diags.clone(),
         })
     }
-
-    /// Same as [`EsterelIr::compile`] with defaults (uniform
-    /// stage-walking name).
-    ///
-    /// # Errors
-    ///
-    /// See [`EsterelIr::compile`].
-    pub fn advance(&self) -> Result<Machine, EclError> {
-        self.compile(&CompileOptions::default())
-    }
-
-    /// Run the remaining stages with default parameters.
-    ///
-    /// # Errors
-    ///
-    /// See [`EsterelIr::compile`].
-    pub fn finish(&self) -> Result<Machine, EclError> {
-        self.advance()
-    }
 }
 
 /// Stage 5: a compiled EFSM plus everything needed to run or lower it.
@@ -536,7 +482,7 @@ impl Machine {
         &self.diags
     }
 
-    /// Bundle the underlying split as a legacy [`Design`] (cheap).
+    /// Bundle the underlying split as a [`Design`] (cheap).
     pub fn design(&self) -> Design {
         self.ir.split.to_design()
     }
@@ -560,16 +506,61 @@ impl Machine {
     pub fn validate(&self) -> Result<(), EclError> {
         self.efsm.validate_ecl()
     }
+}
 
-    /// Terminal stage: returns itself (uniform stage-walking name).
-    pub fn finish(self) -> Machine {
-        self
+/// A fully split design, ready for simulation or EFSM synthesis: the
+/// pipeline's product for runners, which compile the EFSM themselves.
+///
+/// `Arc`-backed: clones share the parse, elaboration and split
+/// results, which is what makes the [`crate::workspace::Workspace`]
+/// memoization and the simulator's per-task design copies cheap.
+#[derive(Debug, Clone)]
+pub struct Design {
+    /// Entry module name.
+    pub entry: String,
+    /// The parsed translation unit (typedefs + functions + modules).
+    pub ast: Arc<Ast>,
+    /// Elaboration tables.
+    pub elab: Arc<Elab>,
+    /// Reactive program + data tables.
+    pub split: Arc<SplitResult>,
+}
+
+impl Design {
+    /// The reactive (Esterel) program.
+    pub fn program(&self) -> &esterel::Program {
+        &self.split.program
+    }
+
+    /// Compile the reactive part to an EFSM.
+    ///
+    /// # Errors
+    ///
+    /// [`EclError`] with stage `efsm` (state explosion, incoherence…).
+    pub fn to_efsm(&self, opts: &CompileOptions) -> Result<Efsm, EclError> {
+        esterel::compile::compile(&self.split.program, opts).map_err(EclError::from)
+    }
+
+    /// Build a fresh data runtime for this design.
+    ///
+    /// # Errors
+    ///
+    /// [`EclError`] with stage `runtime` (unresolvable types).
+    pub fn new_rt(&self) -> Result<Rt, EclError> {
+        Rt::new(&self.ast, &self.elab, &self.split.data).map_err(EclError::from)
+    }
+
+    /// Signal handle by global name (valid for both the interpreter and
+    /// compiled EFSMs — the tables share indices).
+    pub fn signal(&self, name: &str) -> Option<efsm::Signal> {
+        self.split.program.signal(name)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     const RELAY: &str = "
         module a(input pure i, output pure m) { while (1) { await (i); emit (m); } }
@@ -666,9 +657,163 @@ mod tests {
         }
     }
 
+    const COUNTER: &str = "
+        module counter(input pure tick, input pure reset, output pure full) {
+          int n;
+          while (1) {
+            do {
+              n = 0;
+              while (n < 3) { await (tick); n = n + 1; }
+              emit (full);
+              halt ();
+            } abort (reset);
+          }
+        }";
+
+    fn design(src: &str, entry: &str) -> Design {
+        Source::new(src)
+            .parse()
+            .unwrap()
+            .elaborate(entry)
+            .unwrap()
+            .split()
+            .unwrap()
+            .to_design()
+    }
+
+    #[test]
+    fn counter_compiles_and_runs_interpreted() {
+        let d = design(COUNTER, "counter");
+        let mut rt = d.new_rt().unwrap();
+        let mut m = esterel::Machine::new(d.program());
+        let tick = d.signal("tick").unwrap();
+        let full = d.signal("full").unwrap();
+        let on = HashSet::from([tick]);
+        // Start instant (no tick).
+        let r0 = m.react(&HashSet::new(), &mut rt).unwrap();
+        assert!(!r0.has(full));
+        // Three ticks fill the counter.
+        for i in 0..3 {
+            let r = m.react(&on, &mut rt).unwrap();
+            assert!(rt.take_error().is_none());
+            assert_eq!(r.has(full), i == 2, "tick {i}");
+        }
+        // Halted now.
+        let r = m.react(&on, &mut rt).unwrap();
+        assert!(!r.has(full));
+    }
+
+    #[test]
+    fn counter_efsm_matches_interpreter() {
+        use rand::{Rng, SeedableRng};
+        let machine = Source::new(COUNTER).finish("counter").unwrap();
+        let d = machine.design();
+        let tick = d.signal("tick").unwrap();
+        let reset = d.signal("reset").unwrap();
+        let full = d.signal("full").unwrap();
+        for seed in 0..10u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut rt_i = d.new_rt().unwrap();
+            let mut rt_m = d.new_rt().unwrap();
+            let mut interp = esterel::Machine::new(d.program());
+            let mut st = machine.efsm().init;
+            for step in 0..60 {
+                let mut present = HashSet::new();
+                if rng.gen_bool(0.5) {
+                    present.insert(tick);
+                }
+                if rng.gen_bool(0.15) {
+                    present.insert(reset);
+                }
+                let r1 = interp.react(&present, &mut rt_i).unwrap();
+                let r2 = machine.efsm().step(st, &present, &mut rt_m);
+                st = r2.next;
+                assert_eq!(
+                    r1.has(full),
+                    r2.emitted.contains(&full),
+                    "divergence at seed {seed} step {step}"
+                );
+                assert!(rt_i.take_error().is_none());
+                assert!(rt_m.take_error().is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn valued_signals_flow_through_rt() {
+        let src = "
+            typedef unsigned char byte;
+            module echo(input byte inp, output byte outp) {
+              while (1) { await (inp); emit_v (outp, inp + 1); }
+            }";
+        let d = design(src, "echo");
+        let mut rt = d.new_rt().unwrap();
+        let mut m = esterel::Machine::new(d.program());
+        let inp = d.signal("inp").unwrap();
+        // Start.
+        m.react(&HashSet::new(), &mut rt).unwrap();
+        rt.set_input_i64("inp", 41).unwrap();
+        let r = m.react(&HashSet::from([inp]), &mut rt).unwrap();
+        assert!(rt.take_error().is_none());
+        assert!(!r.emitted.is_empty());
+        let v = rt.signal_value_by_name("outp").unwrap();
+        assert_eq!(v.as_i64(rt.machine().table()), 42);
+    }
+
+    #[test]
+    fn partition_compiles_each_submodule() {
+        let parsed = Source::new(RELAY).parse().unwrap();
+        let parts = parsed.partition("top").unwrap();
+        assert_eq!(parts.len(), 2);
+        assert_eq!(parts[0].entry, "a");
+        // Part a's output is the *global* wire name: `mid` is the
+        // local signal's source name at the instantiation site.
+        let sigs: Vec<&str> = parts[0]
+            .program()
+            .signals()
+            .iter()
+            .map(|s| s.name.as_str())
+            .collect();
+        assert!(sigs.contains(&"mid"), "{sigs:?}");
+        // And the whole thing also compiles monolithically.
+        let whole = parsed.finish("top").unwrap();
+        let locals = whole
+            .design()
+            .program()
+            .signals()
+            .iter()
+            .filter(|s| s.kind == efsm::SigKind::Local)
+            .count();
+        assert_eq!(locals, 1);
+        whole.efsm().validate().unwrap();
+    }
+
+    #[test]
+    fn partition_rejects_a_leaf_module() {
+        let e = Source::new(RELAY)
+            .parse()
+            .unwrap()
+            .partition("a")
+            .unwrap_err();
+        assert_eq!(e.stage(), Stage::Elaborate);
+        assert!(
+            e.first_message()
+                .unwrap()
+                .contains("module `a` instantiates no submodules"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn design_clones_share_storage() {
+        let d = design(COUNTER, "counter");
+        let d2 = d.clone();
+        assert!(Arc::ptr_eq(&d.ast, &d2.ast));
+        assert!(Arc::ptr_eq(&d.split, &d2.split));
+    }
+
     #[test]
     fn interpreter_runs_from_ir_stage() {
-        use std::collections::HashSet;
         let split = Source::new(RELAY)
             .parse()
             .unwrap()

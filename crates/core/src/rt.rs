@@ -63,18 +63,6 @@ struct DataProgs {
     root_len: usize,
 }
 
-/// Degradation latches, one per compiled hook: once a VM program is
-/// demoted (by an injected fault) it walks for the rest of the
-/// runtime's life. Demotion is semantics-preserving — the walker
-/// computes the identical result — so a latched hook only changes
-/// which backend runs, never what it produces.
-#[derive(Debug, Clone, Default)]
-struct Demoted {
-    preds: Vec<bool>,
-    actions: Vec<bool>,
-    emits: Vec<bool>,
-}
-
 /// The data-side runtime for one design instance.
 #[derive(Debug, Clone)]
 pub struct Rt {
@@ -93,8 +81,6 @@ pub struct Rt {
     /// Immutable after lowering; `Arc`-shared so cloning an `Rt` (fleet
     /// sessions, checkpoints) never re-copies the compiled data path.
     progs: Arc<DataProgs>,
-    /// Per-hook walker-demotion latches (fault-injection recovery).
-    demoted: Demoted,
     /// Register-file scratch reused across hook runs (no steady-state
     /// allocation).
     vm_regs: Vec<i64>,
@@ -197,11 +183,6 @@ impl Rt {
                 .collect(),
             root_len: machine.root_len(),
         });
-        let demoted = Demoted {
-            preds: vec![false; progs.preds.len()],
-            actions: vec![false; progs.actions.len()],
-            emits: vec![false; progs.emits.len()],
-        };
         Ok(Rt {
             machine,
             data: data.clone(),
@@ -210,7 +191,6 @@ impl Rt {
             by_name,
             error: None,
             progs,
-            demoted,
             vm_regs: Vec::new(),
             backend: Backend::default(),
             action_runs: 0,
@@ -240,20 +220,6 @@ impl Rt {
     /// The active data-hook backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// How many compiled hooks have been demoted to the walker by the
-    /// fault-injection degradation ladder (0 without a plan).
-    pub fn demoted_hooks(&self) -> u32 {
-        [
-            &self.demoted.preds,
-            &self.demoted.actions,
-            &self.demoted.emits,
-        ]
-        .iter()
-        .flat_map(|v| v.iter())
-        .filter(|d| **d)
-        .count() as u32
     }
 
     /// `(vm-compiled hooks, total hooks)` — how much of the design's
@@ -408,16 +374,7 @@ impl DataHooks for Rt {
         }
         self.pred_evals += 1;
         let i = pred.0 as usize;
-        let mut vm_path = self.progs_valid() && self.progs.preds[i].is_vm();
-        if vm_path && (self.demoted.preds[i] || ecl_faults::enabled()) {
-            if self.demoted.preds[i] {
-                vm_path = false;
-            } else if ecl_faults::vm_fault(ecl_faults::VM_PRED, pred.0) {
-                self.demoted.preds[i] = true;
-                ecl_faults::note_degraded("vm", "pred", u64::from(pred.0));
-                vm_path = false;
-            }
-        }
+        let vm_path = self.progs_valid() && self.progs.preds[i].is_vm();
         // One execution entry point: disjoint-field borrows split the
         // machine (mutable) from the value store and data table (the
         // shared `ValuesReader` view serves the walker and the VM's
@@ -457,16 +414,7 @@ impl DataHooks for Rt {
         }
         self.action_runs += 1;
         let i = action.0 as usize;
-        let mut vm_path = self.progs_valid() && self.progs.actions[i].is_vm();
-        if vm_path && (self.demoted.actions[i] || ecl_faults::enabled()) {
-            if self.demoted.actions[i] {
-                vm_path = false;
-            } else if ecl_faults::vm_fault(ecl_faults::VM_ACTION, action.0) {
-                self.demoted.actions[i] = true;
-                ecl_faults::note_degraded("vm", "action", u64::from(action.0));
-                vm_path = false;
-            }
-        }
+        let vm_path = self.progs_valid() && self.progs.actions[i].is_vm();
         let Rt {
             machine,
             values,
@@ -501,16 +449,7 @@ impl DataHooks for Rt {
         }
         let i = expr.0 as usize;
         let si = sig.0 as usize;
-        let mut vm_path = self.progs_valid() && self.progs.emits[i].is_vm();
-        if vm_path && (self.demoted.emits[i] || ecl_faults::enabled()) {
-            if self.demoted.emits[i] {
-                vm_path = false;
-            } else if ecl_faults::vm_fault(ecl_faults::VM_EMIT, expr.0) {
-                self.demoted.emits[i] = true;
-                ecl_faults::note_degraded("vm", "emit", u64::from(expr.0));
-                vm_path = false;
-            }
-        }
+        let vm_path = self.progs_valid() && self.progs.emits[i].is_vm();
         let Rt {
             machine,
             values,

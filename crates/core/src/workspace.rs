@@ -43,8 +43,7 @@
 //! assert_eq!(ws.cache_stats().parse_misses, 1);
 //! ```
 
-use crate::compiler::{Design, Options};
-use crate::pipeline::{Parsed, Source, Split};
+use crate::pipeline::{Design, Parsed, Source, Split};
 use crate::split::SplitStrategy;
 use ecl_syntax::diag::{EclError, Stage};
 use ecl_syntax::source::Span;
@@ -135,7 +134,6 @@ where
 /// invalidates exactly the affected cache entries.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    options: Options,
     compile_options: CompileOptions,
     sources: HashMap<String, Source>,
     parsed: Mutex<HashMap<String, Slot<Arc<Parsed>>>>,
@@ -152,20 +150,6 @@ impl Workspace {
     /// An empty workspace with default options.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty workspace with explicit compiler options (default
-    /// split strategy for [`Workspace::compile`]).
-    pub fn with_options(options: Options) -> Self {
-        Workspace {
-            options,
-            ..Self::default()
-        }
-    }
-
-    /// The compiler options used when no explicit strategy is given.
-    pub fn options(&self) -> Options {
-        self.options
     }
 
     /// The EFSM-compilation options used by [`Workspace::machine`].
@@ -197,10 +181,8 @@ impl Workspace {
             .lock()
             .expect("lock")
             .retain(|(n, _, _), _| *n != name);
-        self.sources.insert(
-            name.clone(),
-            Source::named(name, text.into()).with_options(self.options),
-        );
+        self.sources
+            .insert(name.clone(), Source::named(name, text.into()));
     }
 
     /// Names of the registered sources.
@@ -306,14 +288,13 @@ impl Workspace {
         self.parsed(name)?.elaborate(entry)?.split_with(strategy)
     }
 
-    /// Compile `(name, entry)` under the workspace's default strategy
-    /// (memoized).
+    /// Compile `(name, entry)` under the default strategy (memoized).
     ///
     /// # Errors
     ///
     /// First failing stage.
     pub fn compile(&self, name: &str, entry: &str) -> Result<Arc<Design>, EclError> {
-        self.compile_with(name, entry, self.options.strategy)
+        self.compile_with(name, entry, SplitStrategy::default())
     }
 
     /// Compile `(name, entry)` under an explicit strategy (memoized by
@@ -347,7 +328,11 @@ impl Workspace {
     ///
     /// First failing stage.
     pub fn machine(&self, name: &str, entry: &str) -> Result<Arc<efsm::Efsm>, EclError> {
-        let key = (name.to_string(), entry.to_string(), self.options.strategy);
+        let key = (
+            name.to_string(),
+            entry.to_string(),
+            SplitStrategy::default(),
+        );
         memoize(
             &self.machines,
             key,

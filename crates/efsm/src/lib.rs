@@ -10,15 +10,13 @@
 //! to reduce size or improve speed", Section 3):
 //!
 //! * [`machine`] — the [`Efsm`] type and its single-instant executor;
-//! * [`table`] — dense compiled transition tables for pure-control
-//!   states (the fast execution backend; mixed states fall back to the
-//!   s-graph walker);
+//! * [`table`] — fused instant programs: per-state mask-scan rows
+//!   falling through into residual data ops (the compiled execution
+//!   backend; row-cap blowouts fall back to the s-graph walker);
 //! * [`sgraph`] — s-graph nodes, path enumeration and structural checks;
 //! * [`opt`] — hash-consing reduction, dead-test elimination,
 //!   unreachable-state pruning, and observational state minimization
 //!   (partition refinement);
-//! * [`network`] — unit-delay composition of several machines (the
-//!   "asynchronous" interconnection of Section 4);
 //! * [`analysis`] — reachability, determinism/liveness checks, and the
 //!   implicit state-exploration hooks the paper mentions;
 //! * [`dot`] — Graphviz export;
@@ -32,7 +30,6 @@ pub mod analysis;
 pub mod bitset;
 pub mod dot;
 pub mod machine;
-pub mod network;
 pub mod opt;
 pub mod sgraph;
 pub mod sig;
@@ -56,8 +53,8 @@ pub use table::CompiledEfsm;
 pub enum Backend {
     /// The reference tree interpreter: per-node s-graph walking for
     /// control, expression-tree evaluation for data. Canonical
-    /// semantics, used for differential testing and as the per-site
-    /// demotion target under injected faults.
+    /// semantics, the reference every differential test compares
+    /// against.
     Walker,
     /// The production backend: each control state fused into mask-scan
     /// rows that fall through into straight-line bytecode for the

@@ -30,7 +30,7 @@ pub enum SigKind {
 /// Declaration of one signal.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SignalInfo {
-    /// Name (globally meaningful: networks wire machines by name).
+    /// Name (globally meaningful: runner tasks are wired by name).
     pub name: String,
     /// Role.
     pub kind: SigKind,

@@ -9,8 +9,8 @@
 //! the edges (testbench input, VCD dump, violation witnesses).
 //!
 //! Interning unifies by *name*: two tasks that declare a signal `ack`
-//! share one id, which is exactly the by-name wiring semantics of the
-//! asynchronous network.
+//! share one id, which is exactly the by-name wiring of the runner's
+//! RTOS tasks.
 
 use ecl_syntax::fxmap::FxHashMap;
 use std::fmt;

@@ -3,7 +3,7 @@
 //!
 //! The kernel, the runners and the `Rt` data path call the site
 //! functions below at well-defined points (event posting, input
-//! setters, backend dispatch, instant boundaries). With no plan
+//! setters, instant boundaries). With no plan
 //! installed every site is one relaxed atomic load and a predicted
 //! branch — the same master-switch contract as
 //! `ecl_telemetry::enabled()`, so the hot path is untouched when
@@ -15,22 +15,23 @@
 //! Every decision is a pure function of the plan seed and the site's
 //! *coordinates*, never of global query order:
 //!
-//! * **keyed sites** (external drop/delay, fuel starvation, VM/table
-//!   demotion, panic) hash `(seed, site salt, coordinates)` — e.g.
-//!   `(instant, signal)` or `(hook kind, index)` — with a SplitMix64
+//! * **keyed sites** (external drop/delay, fuel starvation, session
+//!   kill, shard stall) hash `(seed, site salt, coordinates)` — e.g.
+//!   `(instant, signal)` or `(shard, quantum)` — with a SplitMix64
 //!   finalizer. Two backends that query the same site with the same
 //!   coordinates get the same answer regardless of how many *other*
 //!   sites fired in between.
 //! * **stream sites** (internal drop/delay, input corruption) draw
 //!   from a per-site `rand::rngs::StdRng` seeded from
 //!   `(seed, site salt)`. Their call sequences are identical across
-//!   the walker, table and VM backends (posting order and input
-//!   setter order are backend-invariant), so the streams replay
+//!   the walker and compiled backends (posting order and input setter
+//!   order are backend-invariant), so the streams replay
 //!   bit-identically too.
 //!
 //! Installing a plan resets all per-site state, so the same seed
 //! replays the same faults run after run — the chaos differential
-//! suite relies on byte-identical traces across interp ≡ tables ≡ VM.
+//! suite relies on byte-identical traces across interpreter, walker
+//! and compiled runs.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,13 +80,6 @@ pub struct FaultPlan {
     pub fuel_starve: f64,
     /// The fuel cap applied by a starved instant.
     pub starved_fuel: u64,
-    /// P(demote) per VM hook program, keyed by `(hook kind, index)`:
-    /// the compiled program is latched onto the tree-walker.
-    pub vm_fault: f64,
-    /// P(demote) per `(task, state)` table row, keyed: the compiled
-    /// transition table is latched onto the s-graph walker for that
-    /// state.
-    pub table_fault: f64,
     /// Panic injected at the start of this instant (once per
     /// install) — exercises the session containment boundary.
     pub panic_at: Option<u64>,
@@ -119,8 +113,6 @@ impl Default for FaultPlan {
             corrupt_input: 0.0,
             fuel_starve: 0.0,
             starved_fuel: 64,
-            vm_fault: 0.0,
-            table_fault: 0.0,
             panic_at: None,
             kill_session: 0.0,
             kill_within: 100,
@@ -157,10 +149,6 @@ pub struct InjectionStats {
     pub corrupted_inputs: u64,
     /// Instants that ran under a squeezed fuel budget.
     pub starved_instants: u64,
-    /// VM hook programs demoted to the walker.
-    pub vm_demotions: u64,
-    /// Table states demoted to the walker.
-    pub table_demotions: u64,
     /// Panics injected.
     pub panics: u64,
     /// Fleet sessions killed at an instant boundary.
@@ -179,8 +167,6 @@ impl InjectionStats {
             + self.mailbox_rejections
             + self.corrupted_inputs
             + self.starved_instants
-            + self.vm_demotions
-            + self.table_demotions
             + self.panics
             + self.session_kills
             + self.shard_stalls
@@ -213,8 +199,6 @@ const SALT_DELAY_EXT_N: u64 = 0x3;
 const SALT_DROP_INT: u64 = 0x4;
 const SALT_CORRUPT: u64 = 0x6;
 const SALT_FUEL: u64 = 0x7;
-const SALT_VM: u64 = 0x8;
-const SALT_TABLE: u64 = 0x9;
 const SALT_KILL: u64 = 0x5;
 const SALT_KILL_AT: u64 = 0xA;
 const SALT_STALL: u64 = 0xB;
@@ -246,28 +230,6 @@ fn note_injected(site: &str, a: u64, b: u64) {
     tm::FAULTS_INJECTED.incr();
     if let Some(e) = ecl_telemetry::event("fault_injected") {
         e.str("site", site).u64("a", a).u64("b", b).emit();
-    }
-}
-
-/// Record a graceful degradation: a compiled backend was latched onto
-/// the walker at `site` (`"vm"` or `"table"`). Bumps the degradation
-/// counter and emits both a `degraded` line and an `error` line (the
-/// ladder is an error-class condition even though the run continues).
-pub fn note_degraded(site: &str, key: &str, index: u64) {
-    tm::FAULTS_DEGRADED.incr();
-    if let Some(e) = ecl_telemetry::event("degraded") {
-        e.str("site", site)
-            .str("kind", key)
-            .u64("index", index)
-            .emit();
-    }
-    if let Some(e) = ecl_telemetry::event("error") {
-        e.str("msg", "compiled backend demoted to walker")
-            .u64("session", ecl_telemetry::current_session())
-            .str("site", site)
-            .str("kind", key)
-            .u64("index", index)
-            .emit();
     }
 }
 
@@ -462,57 +424,6 @@ pub fn fuel_cap(instant: u64) -> Option<u64> {
     Some(cap)
 }
 
-/// Hook-kind coordinate of a VM predicate program.
-pub const VM_PRED: u64 = 0;
-/// Hook-kind coordinate of a VM action program.
-pub const VM_ACTION: u64 = 1;
-/// Hook-kind coordinate of a VM valued-emit program.
-pub const VM_EMIT: u64 = 2;
-
-/// Should this compiled VM hook be demoted to the walker? Keyed by
-/// `(hook kind, program index)` — asked once per program; the caller
-/// latches the answer.
-pub fn vm_fault(kind: u64, index: u32) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let mut g = active();
-    let Some(a) = g.as_mut() else { return false };
-    if hit(a.plan.seed, SALT_VM, kind, index as u64, a.plan.vm_fault) {
-        a.stats.vm_demotions += 1;
-        drop(g);
-        note_injected("vm_fault", kind, index as u64);
-        true
-    } else {
-        false
-    }
-}
-
-/// Should this compiled table state be demoted to the walker? Keyed
-/// by `(task, state)` — asked once per pair; the caller latches the
-/// answer.
-pub fn table_fault(task: usize, state: u32) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let mut g = active();
-    let Some(a) = g.as_mut() else { return false };
-    if hit(
-        a.plan.seed,
-        SALT_TABLE,
-        task as u64,
-        state as u64,
-        a.plan.table_fault,
-    ) {
-        a.stats.table_demotions += 1;
-        drop(g);
-        note_injected("table_fault", task as u64, state as u64);
-        true
-    } else {
-        false
-    }
-}
-
 /// Is the injected panic due at this instant? Fires at most once per
 /// `install` (a batch run contains exactly one poisoned session).
 pub fn panic_due(instant: u64) -> bool {
@@ -623,8 +534,6 @@ pub fn init_from_env() -> bool {
             "corrupt_input" => v.parse().map(|x| plan.corrupt_input = x).is_ok(),
             "fuel_starve" => v.parse().map(|x| plan.fuel_starve = x).is_ok(),
             "starved_fuel" => v.parse().map(|x| plan.starved_fuel = x).is_ok(),
-            "vm_fault" => v.parse().map(|x| plan.vm_fault = x).is_ok(),
-            "table_fault" => v.parse().map(|x| plan.table_fault = x).is_ok(),
             "panic_at" => v.parse().map(|x| plan.panic_at = Some(x)).is_ok(),
             "kill_session" => v.parse().map(|x| plan.kill_session = x).is_ok(),
             "kill_within" => v.parse().map(|x| plan.kill_within = x).is_ok(),
@@ -667,8 +576,6 @@ mod tests {
         assert!(mailbox_cap().is_none());
         assert!(corrupt_i64(0, 42).is_none());
         assert!(fuel_cap(5).is_none());
-        assert!(!vm_fault(VM_PRED, 0));
-        assert!(!table_fault(0, 0));
         assert!(!panic_due(0));
         assert!(!kill_due(0, 0));
         assert!(kill_instant(0).is_none());
@@ -733,8 +640,6 @@ mod tests {
         install(FaultPlan {
             drop_external: 0.5,
             fuel_starve: 0.5,
-            vm_fault: 0.5,
-            table_fault: 0.5,
             ..FaultPlan::seeded(42)
         });
         let forward: Vec<bool> = (0..64).map(|i| drop_external(i, (i % 5) as u32)).collect();
@@ -744,14 +649,10 @@ mod tests {
         install(FaultPlan {
             drop_external: 0.5,
             fuel_starve: 0.5,
-            vm_fault: 0.5,
-            table_fault: 0.5,
             ..FaultPlan::seeded(42)
         });
         for i in (0..64).rev() {
             assert_eq!(fuel_cap(i), fuel[i as usize]);
-            let first = vm_fault(VM_PRED, i as u32);
-            assert_eq!(vm_fault(VM_PRED, i as u32), first, "keyed answer moved");
             assert_eq!(
                 drop_external(i, (i % 5) as u32),
                 forward[i as usize],

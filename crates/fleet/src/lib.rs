@@ -810,7 +810,7 @@ fn run_quantum(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecl_core::Compiler;
+    use ecl_core::Source;
     use ecl_observe::synthesize_all;
 
     /// Serialize tests that install a process-global fault plan.
@@ -832,7 +832,14 @@ mod tests {
         }";
 
     fn design() -> Design {
-        Compiler::default().compile_str(SRC, "top").unwrap()
+        Source::new(SRC)
+            .parse()
+            .unwrap()
+            .elaborate("top")
+            .unwrap()
+            .split()
+            .unwrap()
+            .to_design()
     }
 
     fn specs() -> Vec<Arc<MonitorSpec>> {

@@ -160,7 +160,7 @@ pub fn check_async_with(
 mod tests {
     use super::*;
     use crate::synth::synthesize_all;
-    use ecl_core::Compiler;
+    use ecl_core::pipeline::{Design, Parsed, Source};
 
     /// Relay with a monitor: `o` must answer `i` within 2 instants.
     const SRC: &str = "
@@ -177,6 +177,19 @@ mod tests {
           never (o & ~mid);
         }";
 
+    fn parsed() -> Parsed {
+        Source::new(SRC).parse().unwrap()
+    }
+
+    fn mono(parsed: &Parsed) -> Design {
+        parsed
+            .elaborate("top")
+            .unwrap()
+            .split()
+            .unwrap()
+            .to_design()
+    }
+
     fn events(pattern: &[bool]) -> Vec<InstantEvents> {
         pattern
             .iter()
@@ -189,10 +202,10 @@ mod tests {
 
     #[test]
     fn interp_and_async_agree_on_clean_run() {
-        let prog = ecl_syntax::parse_str(SRC).unwrap();
-        let specs = synthesize_all(&prog).unwrap();
+        let parsed = parsed();
+        let specs = synthesize_all(parsed.ast()).unwrap();
         assert_eq!(specs.len(), 2);
-        let d = Compiler::default().compile_str(SRC, "top").unwrap();
+        let d = mono(&parsed);
         // i every other instant: o answers 2 instants later (mid is a
         // delayed hop), inside the window.
         let ev = events(&[false, true, false, true, false, true, false, false, false]);
@@ -201,7 +214,7 @@ mod tests {
         let r2 = check_async(vec![d.clone()], &ev, &specs, 0).unwrap();
         assert!(r2.report.all_pass(), "{}", r2.report);
         // The partitioned implementation satisfies the same observers.
-        let parts = Compiler::default().partition(SRC, "top").unwrap();
+        let parts = parsed.partition("top").unwrap();
         let r3 = check_async(parts, &ev, &specs, 0).unwrap();
         assert!(r3.report.all_pass(), "{}", r3.report);
         // Traces were recorded on all runs.
@@ -211,9 +224,9 @@ mod tests {
 
     #[test]
     fn online_verdict_matches_offline_replay() {
-        let prog = ecl_syntax::parse_str(SRC).unwrap();
-        let specs = synthesize_all(&prog).unwrap();
-        let d = Compiler::default().compile_str(SRC, "top").unwrap();
+        let parsed = parsed();
+        let specs = synthesize_all(parsed.ast()).unwrap();
+        let d = mono(&parsed);
         // A final lone i never gets its o: the run must fail.
         let ev = events(&[false, true, false, false, false, false, true]);
         let run = check_interp(&d, &ev, &specs, 0).unwrap();

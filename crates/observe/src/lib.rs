@@ -27,15 +27,16 @@
 //! # Example
 //!
 //! ```
-//! use ecl_core::Compiler;
+//! use ecl_core::Source;
 //! use ecl_observe::{check_interp, synthesize_all};
 //! use sim::tb::InstantEvents;
 //!
 //! let src = "
 //!   module m(input pure a, output pure o) { while (1) { await (a); emit (o); } }
 //!   observer w(input pure a, input pure o) { whenever (a) expect (o); }";
-//! let specs = synthesize_all(&ecl_syntax::parse_str(src).unwrap()).unwrap();
-//! let design = Compiler::default().compile_str(src, "m").unwrap();
+//! let parsed = Source::new(src).parse().unwrap();
+//! let specs = synthesize_all(parsed.ast()).unwrap();
+//! let design = parsed.elaborate("m").unwrap().split().unwrap().to_design();
 //! let tick = |on: bool| InstantEvents {
 //!     pure: if on { vec!["a".into()] } else { vec![] },
 //!     valued: vec![],

@@ -17,8 +17,8 @@
 //! states table fully up to the row cap — normally one masked row
 //! scan per instant; a state wide enough to blow
 //! [`efsm::table::ROW_CAP`] keeps the identical-semantics s-graph
-//! walk). The name-based [`Monitor::step`] remains as a compatibility
-//! shim with identical verdicts.
+//! walk). The name-based [`Monitor::step`] serves offline trace
+//! replay with identical verdicts.
 
 use crate::synth::MonitorSpec;
 use efsm::{Backend, BitSet, NoHooks, SigTable, Signal, StateId};

@@ -5,10 +5,10 @@
 //! [`SigTable`] at construction and then run the whole reaction hot
 //! path on dense [`SigId`]s and [`BitSet`] presence sets: kernel
 //! mailboxes, task dispatch, emission fan-out and trace recording never
-//! touch a string. The [`Runner`] trait exposes that fast path as
+//! touch a string. The [`Runner`] trait exposes that path as
 //! [`Runner::instant_ids`] (zero heap allocations per instant in steady
-//! state) and keeps the original `&str`-based [`Runner::instant`] as a
-//! thin compatibility shim on top.
+//! state); names are resolved once, at the testbench boundary of
+//! [`Runner::run_events`].
 //!
 //! Both runners can record a [`Trace`] of every signal occurrence
 //! (enable with `enable_trace`), and both implement the [`Runner`]
@@ -191,8 +191,7 @@ impl<'a> Present<'a> {
 }
 
 /// Compiled-backend coverage of one task: how much of its control
-/// and data path executes fused/compiled rather than on the walker,
-/// and how much fault injection has demoted back.
+/// and data path executes fused/compiled rather than on the walker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TaskCoverage {
     /// Task entry-module name.
@@ -207,10 +206,6 @@ pub struct TaskCoverage {
     pub vm_compiled: u32,
     /// Total data hooks (predicates + actions + valued emits).
     pub vm_total: u32,
-    /// States demoted to the walker by the fault-injection ladder.
-    pub demoted_states: u32,
-    /// Data hooks demoted to the walker by the fault-injection ladder.
-    pub demoted_hooks: u32,
 }
 
 /// Compiled-backend coverage over a whole runner, per task — the one
@@ -249,17 +244,9 @@ impl CoverageReport {
         self.tasks.iter().map(|t| t.vm_total).sum()
     }
 
-    /// Total walker-demoted sites (states + hooks).
-    pub fn demoted_sites(&self) -> u32 {
-        self.tasks
-            .iter()
-            .map(|t| t.demoted_states + t.demoted_hooks)
-            .sum()
-    }
-
     /// Does every state and every data hook execute compiled — i.e.
     /// under [`Backend::Compiled`] no s-graph walker step can occur
-    /// inside an instant (absent fault demotions)?
+    /// inside an instant?
     pub fn fully_fused(&self) -> bool {
         self.fused_states() == self.states() && self.vm_compiled() == self.vm_total()
     }
@@ -272,7 +259,6 @@ impl CoverageReport {
             fused_rows: self.fused_rows(),
             vm_compiled: self.vm_compiled(),
             vm_total: self.vm_total(),
-            demoted_sites: self.demoted_sites(),
         }
     }
 }
@@ -365,24 +351,14 @@ pub trait Runner {
     }
 
     /// Run one environment instant with the interned `events` present.
-    /// The emitted ids are written into `out` (cleared first). This is
-    /// the zero-allocation fast path: in steady state neither runner
-    /// touches the heap here (scratch buffers are reused across
-    /// instants).
+    /// The emitted ids are written into `out` (cleared first). In
+    /// steady state neither runner touches the heap here (scratch
+    /// buffers are reused across instants).
     ///
     /// # Errors
     ///
     /// Propagates reaction and data-evaluation failures.
     fn instant_ids(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError>;
-
-    /// Run one environment instant; returns the emitted names in
-    /// delivery order. Compatibility shim over [`Runner::instant_ids`]
-    /// (allocates; unknown event names are ignored).
-    ///
-    /// # Errors
-    ///
-    /// Propagates reaction and data-evaluation failures.
-    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError>;
 
     /// The next environment instant number.
     fn now(&self) -> u64;
@@ -403,8 +379,9 @@ pub trait Runner {
     /// Testbench hook: drive a whole event stream, calling
     /// `on_instant` with the instant number and the [`Present`] set
     /// (stimuli plus emissions) after each instant — the attachment
-    /// point for online monitors. Runs entirely on the id fast path;
-    /// the only per-instant heap traffic is whatever the callback does.
+    /// point for online monitors. Event names resolve to ids once per
+    /// occurrence; the only per-instant heap traffic is whatever the
+    /// callback does. Unknown pure event names are ignored.
     ///
     /// # Errors
     ///
@@ -479,37 +456,6 @@ pub trait Runner {
                     in_window = 0;
                 }
             }
-        }
-        self.emit_losses();
-        Ok(())
-    }
-
-    /// [`Runner::run_events`] with the legacy name-vector callback
-    /// (kept for comparison benchmarks and external callers; clones
-    /// every present name per instant).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Runner::run_events`].
-    fn run_events_names<F>(
-        &mut self,
-        events: &[InstantEvents],
-        mut on_instant: F,
-    ) -> Result<(), SimError>
-    where
-        Self: Sized,
-        F: FnMut(u64, &[String]),
-    {
-        for ev in events {
-            for (name, v) in &ev.valued {
-                self.set_input_i64(name, *v)?;
-            }
-            let names: Vec<&str> = ev.names();
-            let instant = self.now();
-            let emitted = self.instant(&names)?;
-            let mut present: Vec<String> = names.iter().map(|n| n.to_string()).collect();
-            present.extend(emitted);
-            on_instant(instant, &present);
         }
         self.emit_losses();
         Ok(())
@@ -672,17 +618,13 @@ impl SharedProgram {
 }
 
 /// One RTOS task: an `Arc`-shared compiled program plus this
-/// session's private mutable state (runtime, control state,
-/// degradation latches).
+/// session's private mutable state (runtime, control state, fuel
+/// credit).
 struct Task {
     prog: Arc<TaskProgram>,
     rt: Rt,
     state: StateId,
     id: TaskId,
-    /// States whose compiled table row was demoted to the s-graph
-    /// walker by the graceful-degradation ladder (latched; empty
-    /// unless a fault plan demoted something).
-    demoted_states: BitSet,
     /// Fuel withheld from this task by the current instant's
     /// starvation squeeze, restored when the instant ends.
     fuel_credit: u64,
@@ -726,7 +668,6 @@ pub struct AsyncRunner {
     evset_scratch: BitSet,
     local_scratch: BitSet,
     emit_scratch: Vec<Signal>,
-    order_scratch: Vec<SigId>,
     /// Effective-stimulus scratch for fault-adjusted instants (only
     /// touched when a plan is installed).
     fault_scratch: BitSet,
@@ -773,7 +714,6 @@ impl AsyncRunner {
                 state: prog.efsm.init,
                 prog: Arc::clone(prog),
                 id,
-                demoted_states: BitSet::new(),
                 fuel_credit: 0,
             });
         }
@@ -795,7 +735,6 @@ impl AsyncRunner {
             evset_scratch: BitSet::new(),
             local_scratch: BitSet::new(),
             emit_scratch: Vec::new(),
-            order_scratch: Vec::new(),
             fault_scratch: BitSet::new(),
         }
     }
@@ -861,8 +800,6 @@ impl AsyncRunner {
                         fused_rows: t.prog.table.row_count() as u32,
                         vm_compiled,
                         vm_total,
-                        demoted_states: t.demoted_states.len() as u32,
-                        demoted_hooks: t.rt.demoted_hooks(),
                     }
                 })
                 .collect(),
@@ -883,15 +820,6 @@ impl AsyncRunner {
     /// state torn? A poisoned runner refuses further instants.
     pub fn is_poisoned(&self) -> bool {
         self.in_instant
-    }
-
-    /// Table states latched onto the walker by the degradation
-    /// ladder, summed over tasks.
-    pub fn demoted_states(&self) -> u32 {
-        self.tasks
-            .iter()
-            .map(|t| t.demoted_states.len() as u32)
-            .sum()
     }
 
     /// Set the value of a valued *external* input on every task that
@@ -937,8 +865,7 @@ impl AsyncRunner {
     /// external `events`, tick every task once (the paper's footnote:
     /// tasks with pending `await ()` deltas must be rescheduled even
     /// without events), then run event cascades to quiescence. The
-    /// emitted ids land in `out` (cleared first); delivery order is
-    /// retained internally for the name shim. Allocation-free in
+    /// emitted ids land in `out` (cleared first). Allocation-free in
     /// steady state.
     ///
     /// With a fault plan installed, the external drop/delay sites are
@@ -1018,7 +945,6 @@ impl AsyncRunner {
         let mut nodes_spent = 0u64;
         let mut fuel_spent = 0u64;
         out.clear();
-        self.order_scratch.clear();
         self.recorder.begin(self.instant, events);
         for e in events.iter() {
             self.kernel.post_external(e as u32);
@@ -1068,32 +994,10 @@ impl AsyncRunner {
         )
     }
 
-    /// Run one environment instant; returns the names emitted during
-    /// the instant (in delivery order). Compatibility shim over
-    /// [`AsyncRunner::instant_ids`]; unknown event names are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Propagates data-evaluation errors from any task.
-    pub fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        let ev: BitSet = events
-            .iter()
-            .filter_map(|n| self.table.lookup(n))
-            .map(SigId::bit)
-            .collect();
-        let mut out = BitSet::new();
-        self.instant_ids(&ev, &mut out)?;
-        Ok(self
-            .order_scratch
-            .iter()
-            .map(|id| self.table.name(*id).to_string())
-            .collect())
-    }
-
     /// Run one reaction of task `ti` with `evset_scratch` as the
     /// present input snapshot (global ids), accumulating emissions
-    /// into `out` and `order_scratch`. Returns `(nodes visited, fuel
-    /// burned)` for the watchdog accounting.
+    /// into `out`. Returns `(nodes visited, fuel burned)` for the
+    /// watchdog accounting.
     fn react_task(&mut self, ti: usize, out: &mut BitSet) -> Result<(u32, u64), SimError> {
         // Map the global event snapshot into the task's signal space.
         self.local_scratch.clear();
@@ -1110,21 +1014,7 @@ impl AsyncRunner {
         debug_assert_eq!(emit_base, 0);
         let r = {
             let t = &mut self.tasks[ti];
-            let mut compiled = self.backend == Backend::Compiled;
-            // Graceful degradation: a state whose fused rows were
-            // demoted stays on the walker (latched). The extra
-            // branches only run with a plan installed or after a
-            // demotion — the fault-free hot path is untouched.
-            if compiled && (!t.demoted_states.is_empty() || ecl_faults::enabled()) {
-                if t.demoted_states.contains(t.state.0 as usize) {
-                    compiled = false;
-                } else if ecl_faults::table_fault(ti, t.state.0) {
-                    t.demoted_states.insert(t.state.0 as usize);
-                    ecl_faults::note_degraded("table", "state", t.state.0 as u64);
-                    compiled = false;
-                }
-            }
-            let r = if compiled {
+            let r = if self.backend == Backend::Compiled {
                 t.prog.table.step_table(
                     &t.prog.efsm,
                     t.state,
@@ -1189,7 +1079,6 @@ impl AsyncRunner {
             }
             self.kernel.post_internal(tid, gid.0);
             self.counts[gid.bit()] += 1;
-            self.order_scratch.push(gid);
             out.insert(gid.bit());
         }
         self.emit_scratch.clear();
@@ -1202,14 +1091,13 @@ impl AsyncRunner {
 struct TaskSnapshot {
     state: StateId,
     rt: Rt,
-    demoted_states: BitSet,
     fuel_credit: u64,
 }
 
 /// The full mutable reaction state of an [`AsyncRunner`] captured at
 /// an instant boundary: kernel mailboxes and deferred queues, every
 /// task's EFSM control state and data runtime (slot file, signal
-/// values, demotion latches, fuel), emission counters, the trace
+/// values, fuel), emission counters, the trace
 /// ring, pending delayed stimuli, the backend choice and the watchdog
 /// budgets. Restoring it resumes the session bit-identically — VCD
 /// bytes, verdicts, `nodes_visited` and fuel all match a run that was
@@ -1281,7 +1169,6 @@ impl Snapshot for AsyncRunner {
                 .map(|t| TaskSnapshot {
                     state: t.state,
                     rt: t.rt.clone(),
-                    demoted_states: t.demoted_states.clone(),
                     fuel_credit: t.fuel_credit,
                 })
                 .collect(),
@@ -1307,14 +1194,12 @@ impl Snapshot for AsyncRunner {
         for (t, s) in self.tasks.iter_mut().zip(&snap.tasks) {
             t.state = s.state;
             t.rt = s.rt.clone();
-            t.demoted_states = s.demoted_states.clone();
             t.fuel_credit = s.fuel_credit;
         }
         // A restore heals a poisoned runner: the torn state (including
         // any half-filled scratch) is gone.
         self.in_instant = false;
         self.emit_scratch.clear();
-        self.order_scratch.clear();
         Ok(())
     }
 }
@@ -1331,7 +1216,6 @@ pub struct InterpRunner<'d> {
     /// Current environment instant number.
     pub instant: u64,
     recorder: Recorder,
-    order_scratch: Vec<SigId>,
     /// Per-instant resource budgets (None = no watchdog).
     watchdog: Option<WatchdogBudget>,
     /// Panic-poisoning latch, as on [`AsyncRunner`].
@@ -1366,7 +1250,6 @@ impl<'d> InterpRunner<'d> {
             table,
             counts,
             instant: 0,
-            order_scratch: Vec::new(),
             watchdog: None,
             in_instant: false,
             delayed: Vec::new(),
@@ -1477,7 +1360,6 @@ impl<'d> InterpRunner<'d> {
         let fuel_before = self.rt.machine().fuel();
         let passes_before = self.machine.passes;
         out.clear();
-        self.order_scratch.clear();
         self.recorder.begin(self.instant, events);
         let r = self
             .machine
@@ -1496,7 +1378,6 @@ impl<'d> InterpRunner<'d> {
                 self.recorder.emit(gid, traced);
             }
             self.counts[gid.bit()] += 1;
-            self.order_scratch.push(gid);
             out.insert(gid.bit());
         }
         let fuel_spent = fuel_before.saturating_sub(self.rt.machine().fuel());
@@ -1508,27 +1389,6 @@ impl<'d> InterpRunner<'d> {
         self.instant += 1;
         let passes = self.machine.passes - passes_before;
         check_watchdog(self.watchdog, self.instant - 1, passes, fuel_spent, wall_t0)
-    }
-
-    /// Run one instant; returns emitted names. Compatibility shim over
-    /// [`InterpRunner::instant_ids`]; unknown event names are ignored.
-    ///
-    /// # Errors
-    ///
-    /// Non-constructive programs and data errors.
-    pub fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        let ev: BitSet = events
-            .iter()
-            .filter_map(|n| self.table.lookup(n))
-            .map(SigId::bit)
-            .collect();
-        let mut out = BitSet::new();
-        self.instant_ids(&ev, &mut out)?;
-        Ok(self
-            .order_scratch
-            .iter()
-            .map(|id| self.table.name(*id).to_string())
-            .collect())
     }
 
     /// Choose the data-hook backend. The reactive side — the
@@ -1558,8 +1418,6 @@ impl<'d> InterpRunner<'d> {
                 fused_rows: 0,
                 vm_compiled,
                 vm_total,
-                demoted_states: 0,
-                demoted_hooks: self.rt.demoted_hooks(),
             }],
         }
     }
@@ -1632,10 +1490,6 @@ impl Runner for AsyncRunner {
         AsyncRunner::instant_ids(self, events, out)
     }
 
-    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        AsyncRunner::instant(self, events)
-    }
-
     fn now(&self) -> u64 {
         self.instant
     }
@@ -1690,10 +1544,6 @@ impl<'d> Runner for InterpRunner<'d> {
         InterpRunner::instant_ids(self, events, out)
     }
 
-    fn instant(&mut self, events: &[&str]) -> Result<Vec<String>, SimError> {
-        InterpRunner::instant(self, events)
-    }
-
     fn now(&self) -> u64 {
         self.instant
     }
@@ -1717,7 +1567,7 @@ impl From<ecl_syntax::EclError> for SimError {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ecl_core::Compiler;
+    use ecl_core::Source;
 
     const RELAY: &str = "
         module a(input pure i, output pure m) { while (1) { await (i); emit (m); } }
@@ -1727,54 +1577,63 @@ mod tests {
           par { a(i, mid); b(mid, o); }
         }";
 
-    #[test]
-    fn single_task_runner_relays() {
-        let d = Compiler::default().compile_str(RELAY, "top").unwrap();
-        let mut r = AsyncRunner::new(
-            vec![d],
+    fn relay() -> Design {
+        Source::new(RELAY)
+            .parse()
+            .unwrap()
+            .elaborate("top")
+            .unwrap()
+            .split()
+            .unwrap()
+            .to_design()
+    }
+
+    fn runner(designs: Vec<Design>) -> AsyncRunner {
+        AsyncRunner::new(
+            designs,
             &Default::default(),
             CostParams::default(),
             KernelParams::default(),
         )
-        .unwrap();
-        // Warm-up instant (awaits start), then i.
-        r.instant(&[]).unwrap();
-        r.instant(&["i"]).unwrap();
-        // Synchronous whole-program machine: mid and o fire in the same
-        // reaction chain... mid is compiled away as a local; o needs a
-        // second i? No: within one EFSM, await(mid) sees the emission
-        // only in a later instant (delayed await). Drive more instants.
-        let mut got_o = false;
-        for _ in 0..4 {
-            let e = r.instant(&["i"]).unwrap();
-            if e.iter().any(|n| n == "o") {
-                got_o = true;
-            }
-        }
-        assert!(got_o, "o should fire; counts: {:?}", r.counts());
+        .unwrap()
+    }
+
+    /// A warm-up instant (awaits start), then `n` instants with `i`.
+    fn pulses(n: usize) -> Vec<InstantEvents> {
+        let i = InstantEvents {
+            pure: vec!["i".into()],
+            ..Default::default()
+        };
+        std::iter::once(InstantEvents::default())
+            .chain(std::iter::repeat_n(i, n))
+            .collect()
+    }
+
+    #[test]
+    fn single_task_runner_relays() {
+        // Within one EFSM, await (mid) sees the emission only in a
+        // later instant (delayed await), so drive several instants.
+        let mut r = runner(vec![relay()]);
+        r.run_events(&pulses(5), |_, _| {}).unwrap();
+        assert!(
+            r.count_of("o") > 0,
+            "o should fire; counts: {:?}",
+            r.counts()
+        );
         assert!(r.kernel().task_cycles > 0);
         assert!(r.kernel().rtos_cycles > 0);
     }
 
     #[test]
     fn partitioned_runner_relays_via_mailboxes() {
-        let parts = Compiler::default().partition(RELAY, "top").unwrap();
-        let mut r = AsyncRunner::new(
-            parts,
-            &Default::default(),
-            CostParams::default(),
-            KernelParams::default(),
-        )
-        .unwrap();
-        r.instant(&[]).unwrap();
-        let mut got_o = false;
-        for _ in 0..6 {
-            let e = r.instant(&["i"]).unwrap();
-            if e.iter().any(|n| n == "o") {
-                got_o = true;
-            }
-        }
-        assert!(got_o, "counts: {:?}", r.counts());
+        let parts = Source::new(RELAY)
+            .parse()
+            .unwrap()
+            .partition("top")
+            .unwrap();
+        let mut r = runner(parts);
+        r.run_events(&pulses(6), |_, _| {}).unwrap();
+        assert!(r.count_of("o") > 0, "counts: {:?}", r.counts());
         // Internal deliveries happened.
         assert!(r.kernel().deliveries > 0);
     }
@@ -1782,65 +1641,30 @@ mod tests {
     #[test]
     fn interp_runner_matches_async_single_task() {
         use rand::{Rng, SeedableRng};
-        let d = Compiler::default().compile_str(RELAY, "top").unwrap();
-        let mut interp = InterpRunner::new(&d).unwrap();
-        let mut efsm_run = AsyncRunner::new(
-            vec![d.clone()],
-            &Default::default(),
-            CostParams::default(),
-            KernelParams::default(),
-        )
-        .unwrap();
+        let d = relay();
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        for step in 0..120 {
-            let on = rng.gen_bool(0.5);
-            let ev: Vec<&str> = if on { vec!["i"] } else { vec![] };
-            let mut a = interp.instant(&ev).unwrap();
-            let mut b = efsm_run.instant(&ev).unwrap();
-            // Only compare design outputs (locals are reported by the
-            // interpreter too; the compiled machine also reports them —
-            // both should agree on `o`).
-            a.retain(|n| n == "o");
-            b.retain(|n| n == "o");
-            assert_eq!(a, b, "step {step}");
-        }
-    }
-
-    #[test]
-    fn instant_ids_matches_the_name_shim() {
-        let d = Compiler::default().compile_str(RELAY, "top").unwrap();
-        let mut by_name = AsyncRunner::new(
-            vec![d.clone()],
-            &Default::default(),
-            CostParams::default(),
-            KernelParams::default(),
-        )
-        .unwrap();
-        let mut by_id = AsyncRunner::new(
-            vec![d],
-            &Default::default(),
-            CostParams::default(),
-            KernelParams::default(),
-        )
-        .unwrap();
-        let i = by_id.sig_table().lookup("i").unwrap();
-        let mut out = BitSet::new();
-        for step in 0..40 {
-            let on = step % 3 != 0;
-            let names = by_name.instant(if on { &["i"] } else { &[] }).unwrap();
-            let ev: BitSet = if on {
-                [i.bit()].into_iter().collect()
-            } else {
-                BitSet::new()
-            };
-            by_id.instant_ids(&ev, &mut out).unwrap();
-            let mut got: Vec<&str> = by_id.sig_table().names_of(&out).collect();
-            let mut want: Vec<&str> = names.iter().map(String::as_str).collect();
-            got.sort_unstable();
-            want.sort_unstable();
-            want.dedup();
-            assert_eq!(got, want, "step {step}");
-        }
+        let events: Vec<InstantEvents> = (0..120)
+            .map(|_| InstantEvents {
+                pure: if rng.gen_bool(0.5) {
+                    vec!["i".into()]
+                } else {
+                    vec![]
+                },
+                ..Default::default()
+            })
+            .collect();
+        // Only compare the design output: both runners report `o`
+        // by the same global name.
+        let mut interp = Vec::new();
+        InterpRunner::new(&d)
+            .unwrap()
+            .run_events(&events, |_, p| interp.push(p.contains("o")))
+            .unwrap();
+        let mut compiled = Vec::new();
+        runner(vec![d.clone()])
+            .run_events(&events, |_, p| compiled.push(p.contains("o")))
+            .unwrap();
+        assert_eq!(interp, compiled);
     }
 
     #[test]

@@ -11,17 +11,6 @@ pub struct InstantEvents {
     pub valued: Vec<(String, i64)>,
 }
 
-impl InstantEvents {
-    /// All present signal names (pure + valued).
-    pub fn names(&self) -> Vec<&str> {
-        self.pure
-            .iter()
-            .map(String::as_str)
-            .chain(self.valued.iter().map(|(n, _)| n.as_str()))
-            .collect()
-    }
-}
-
 /// The paper's evaluation workload: a stream of packets fed byte by
 /// byte into the protocol stack ("a testbench with 500 packets").
 #[derive(Debug, Clone)]

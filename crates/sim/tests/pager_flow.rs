@@ -1,13 +1,13 @@
 //! Functional test: the voice pager records and plays back audio.
 
 use codegen::cost::CostParams;
-use ecl_core::Compiler;
+use ecl_core::{Design, Source};
 use rtk::KernelParams;
 use sim::designs::VOICE_PAGER;
 use sim::runner::{AsyncRunner, Runner};
 use sim::tb::PagerTb;
 
-fn run(designs: Vec<ecl_core::Design>) -> AsyncRunner {
+fn run(designs: Vec<Design>) -> AsyncRunner {
     let tb = PagerTb {
         rounds: 2,
         frames: 3,
@@ -20,24 +20,15 @@ fn run(designs: Vec<ecl_core::Design>) -> AsyncRunner {
         KernelParams::default(),
     )
     .unwrap();
-    for ev in tb.events() {
-        for (name, v) in &ev.valued {
-            r.set_input_i64(name, *v).unwrap();
-        }
-        let names = ev.names();
-        r.instant(&names).unwrap();
-    }
+    r.run_events(&tb.events(), |_, _| {}).unwrap();
     r
 }
 
 #[test]
 fn single_task_pager_plays_back() {
-    let d = Compiler::default()
-        .compile_str(VOICE_PAGER, "pager")
-        .unwrap();
-    let m = d.to_efsm(&Default::default()).unwrap();
-    println!("pager monolithic: {}", m.stats());
-    let r = run(vec![d]);
+    let m = Source::new(VOICE_PAGER).finish("pager").unwrap();
+    println!("pager monolithic: {}", m.efsm().stats());
+    let r = run(vec![m.design()]);
     println!("counts: {:?}", r.counts());
     let frames = r.counts().get("top::frame").copied().unwrap_or(0);
     assert!(frames >= 4, "frames recorded: {frames}; {:?}", r.counts());
@@ -47,7 +38,11 @@ fn single_task_pager_plays_back() {
 
 #[test]
 fn three_task_pager_plays_back() {
-    let parts = Compiler::default().partition(VOICE_PAGER, "pager").unwrap();
+    let parts = Source::new(VOICE_PAGER)
+        .parse()
+        .unwrap()
+        .partition("pager")
+        .unwrap();
     assert_eq!(parts.len(), 3);
     for p in &parts {
         let m = p.to_efsm(&Default::default()).unwrap();

@@ -1,13 +1,13 @@
 //! End-to-end smoke test: the paper's protocol stack compiles and runs.
 
-use ecl_core::Compiler;
+use ecl_core::Source;
 use sim::designs::PROTOCOL_STACK;
 
 #[test]
 fn stack_modules_compile_individually() {
     for m in ["assemble", "checkcrc", "prochdr"] {
-        let d = Compiler::default().compile_str(PROTOCOL_STACK, m).unwrap();
-        let efsm = d.to_efsm(&Default::default()).unwrap();
+        let machine = Source::new(PROTOCOL_STACK).finish(m).unwrap();
+        let efsm = machine.efsm();
         efsm.validate().unwrap();
         println!("{m}: {}", efsm.stats());
     }
@@ -15,10 +15,8 @@ fn stack_modules_compile_individually() {
 
 #[test]
 fn stack_whole_program_compiles() {
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
-    let efsm = d.to_efsm(&Default::default()).unwrap();
+    let machine = Source::new(PROTOCOL_STACK).finish("toplevel").unwrap();
+    let efsm = machine.efsm();
     efsm.validate().unwrap();
     println!("toplevel: {}", efsm.stats());
     assert!(efsm.states.len() >= 3);

@@ -1,13 +1,13 @@
 //! Functional test: packets flow through the stack in both partitions.
 
 use codegen::cost::CostParams;
-use ecl_core::Compiler;
+use ecl_core::{Design, Source};
 use rtk::KernelParams;
 use sim::designs::PROTOCOL_STACK;
 use sim::runner::{AsyncRunner, Runner};
 use sim::tb::PacketTb;
 
-fn run(designs: Vec<ecl_core::Design>, packets: usize) -> AsyncRunner {
+fn run(designs: Vec<Design>, packets: usize) -> AsyncRunner {
     let tb = PacketTb {
         packets,
         corrupt_every: 4,
@@ -21,21 +21,20 @@ fn run(designs: Vec<ecl_core::Design>, packets: usize) -> AsyncRunner {
         KernelParams::default(),
     )
     .unwrap();
-    for ev in tb.events() {
-        for (name, v) in &ev.valued {
-            r.set_input_i64(name, *v).unwrap();
-        }
-        let names = ev.names();
-        r.instant(&names).unwrap();
-    }
+    r.run_events(&tb.events(), |_, _| {}).unwrap();
     r
 }
 
 #[test]
 fn single_task_stack_emits_packets_and_crc() {
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let d = Source::new(PROTOCOL_STACK)
+        .parse()
+        .unwrap()
+        .elaborate("toplevel")
+        .unwrap()
+        .split()
+        .unwrap()
+        .to_design();
     let r = run(vec![d], 12);
     println!("counts: {:?}", r.counts());
     let pk = r.counts().get("top::packet").copied().unwrap_or(0);
@@ -52,8 +51,10 @@ fn single_task_stack_emits_packets_and_crc() {
 
 #[test]
 fn three_task_stack_emits_packets_and_crc() {
-    let parts = Compiler::default()
-        .partition(PROTOCOL_STACK, "toplevel")
+    let parts = Source::new(PROTOCOL_STACK)
+        .parse()
+        .unwrap()
+        .partition("toplevel")
         .unwrap();
     assert_eq!(parts.len(), 3);
     let r = run(parts, 12);

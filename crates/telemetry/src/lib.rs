@@ -32,7 +32,7 @@ pub mod run;
 pub mod schema;
 pub mod sink;
 
-pub use run::{current_session, event, EventBuilder, Run, RunCoverage};
+pub use run::{event, EventBuilder, Run, RunCoverage};
 pub use sink::{install_sink, uninstall_sink, MemorySink, Sink, WriterSink};
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -51,8 +51,8 @@ pub static TABLE_STEPS: Counter = Counter::new("table.steps");
 pub static TABLE_ROWS_SCANNED: Counter = Counter::new("table.rows_scanned");
 /// Steps answered by the single-row `Always` fast path.
 pub static TABLE_ALWAYS_HITS: Counter = Counter::new("table.always_hits");
-/// Steps that fell back to the s-graph walker (row-cap blowouts,
-/// fault-demoted states, or `Backend::Walker`).
+/// Steps inside `CompiledEfsm::step_table` that fell back to the
+/// s-graph walker (row-cap blowouts).
 pub static TABLE_WALK_FALLBACKS: Counter = Counter::new("table.walk_fallbacks");
 /// Rows that fired a fused residual program (vs a simple emission
 /// slice).
@@ -69,7 +69,7 @@ pub static VM_HOOK_RUNS: Counter = Counter::new("vm.hook_runs");
 /// inside a compiled program).
 pub static VM_FALLBACK_STMTS: Counter = Counter::new("vm.fallback_stmts");
 /// Hook dispatches that bypassed the VM entirely (walker-compiled
-/// hook, a demoted hook, or `Backend::Walker` forced).
+/// hook, or `Backend::Walker` forced).
 pub static VM_WALKER_HOOKS: Counter = Counter::new("vm.walker_hooks");
 
 /// Opcode mnemonics, in the VM's `Op` declaration order.
@@ -135,10 +135,8 @@ pub static MON_VIOLATIONS: Counter = Counter::new("mon.violations");
 // ---- ecl-faults: injection & recovery -----------------------------------
 
 /// Faults injected (all sites: drops, delays, corruption, squeezes,
-/// demotions, panics).
+/// panics, kills, stalls).
 pub static FAULTS_INJECTED: Counter = Counter::new("faults.injected");
-/// Compiled backends demoted to the walker (VM hooks + table states).
-pub static FAULTS_DEGRADED: Counter = Counter::new("faults.degraded");
 /// Runs ended by a per-instant watchdog budget (nodes/fuel/wall).
 pub static SIM_WATCHDOG_TRIPS: Counter = Counter::new("sim.watchdog_trips");
 /// Sessions whose panic was contained at the batch boundary.
@@ -185,7 +183,6 @@ pub fn counters() -> Vec<&'static Counter> {
         &MON_STEPS,
         &MON_VIOLATIONS,
         &FAULTS_INJECTED,
-        &FAULTS_DEGRADED,
         &SIM_WATCHDOG_TRIPS,
         &SIM_POISONED_SESSIONS,
         &FLEET_CHECKPOINTS,

@@ -23,17 +23,6 @@ static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
 /// outside a run carry sequence 0).
 static CURRENT_RUN: AtomicU64 = AtomicU64::new(0);
 
-/// Fleet session id of the run currently open (0 outside a fleet).
-/// Best-effort attribution for emitters that have no session handle
-/// of their own (e.g. the degradation ladder in `ecl-faults`).
-static CURRENT_SESSION: AtomicU64 = AtomicU64::new(0);
-
-/// The fleet session id stamped by the most recent
-/// [`Run::start_session`] (0 outside a fleet).
-pub fn current_session() -> u64 {
-    CURRENT_SESSION.load(Ordering::Relaxed)
-}
-
 /// Process-unique run-id prefix: pid + epoch seconds at first use.
 fn run_prefix() -> &'static str {
     static PREFIX: OnceLock<String> = OnceLock::new();
@@ -144,9 +133,6 @@ pub struct RunCoverage {
     pub vm_compiled: u32,
     /// Total data hooks across all tasks.
     pub vm_total: u32,
-    /// Sites (states + hooks) demoted to the walker by fault
-    /// injection.
-    pub demoted_sites: u32,
 }
 
 /// One bracketed simulation run. Construct with [`Run::start`] (emits
@@ -170,12 +156,10 @@ impl Run {
     }
 
     /// Open a run attributed to fleet session `session`: the
-    /// `run_start`/`run_end` bracket carries the id, and
-    /// [`current_session`] reports it until the run closes.
+    /// `run_start`/`run_end` bracket carries the id.
     pub fn start_session(design: &str, config: &str, session: u64) -> Run {
         let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed) + 1;
         CURRENT_RUN.store(seq, Ordering::Relaxed);
-        CURRENT_SESSION.store(session, Ordering::Relaxed);
         if let Some(e) = event("run_start") {
             e.str("design", design)
                 .str("config", config)
@@ -227,13 +211,11 @@ impl Run {
                     .u64("states", c.states as u64)
                     .u64("fused_rows", c.fused_rows as u64)
                     .u64("vm_compiled", c.vm_compiled as u64)
-                    .u64("vm_total", c.vm_total as u64)
-                    .u64("demoted_sites", c.demoted_sites as u64);
+                    .u64("vm_total", c.vm_total as u64);
             }
             e.emit();
         }
         CURRENT_RUN.store(0, Ordering::Relaxed);
-        CURRENT_SESSION.store(0, Ordering::Relaxed);
         sink::flush();
     }
 }

@@ -14,13 +14,13 @@
 /// Version stamped into every line; bump when the event table or
 /// preamble changes shape. v3 added the `session` field to
 /// `run_start`/`run_end`/`error` (fleet attribution) and the
-/// `fleet_health` kind.
-pub const SCHEMA_VERSION: u64 = 3;
+/// `fleet_health` kind; v4 removed the `degraded` kind.
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Required non-preamble fields per event kind. Unknown event kinds
 /// are rejected; extra fields on known kinds are allowed (consumers
 /// must ignore what they don't know).
-pub const REQUIRED_FIELDS: [(&str, &[&str]); 9] = [
+pub const REQUIRED_FIELDS: [(&str, &[&str]); 8] = [
     ("run_start", &["design", "config", "session"]),
     ("run_end", &["instants", "wall_ns", "session"]),
     ("span", &["from", "to", "window_ns"]),
@@ -28,7 +28,6 @@ pub const REQUIRED_FIELDS: [(&str, &[&str]); 9] = [
     ("error", &["msg", "session"]),
     ("events_lost", &["total"]),
     ("fault_injected", &["site"]),
-    ("degraded", &["site"]),
     ("fleet_health", &["sessions", "pressure"]),
 ];
 
@@ -341,27 +340,28 @@ mod tests {
     #[test]
     fn validates_preamble_and_required_fields() {
         let good =
-            r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"error","msg":"boom","session":0}"#;
+            r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"error","msg":"boom","session":0}"#;
         validate_line(good).unwrap();
         // Missing required field (v3: errors must carry a session).
-        let bad = r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"error","msg":"boom"}"#;
+        let bad = r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"error","msg":"boom"}"#;
         assert!(validate_line(bad).is_err());
         // Unknown kind.
-        let unk = r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"nope"}"#;
+        let unk = r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"nope"}"#;
         assert!(validate_line(unk).is_err());
         // Wrong schema version.
         let ver = r#"{"schema":99,"ts":1.0,"run_id":"r1-1","event":"error","msg":"m","session":0}"#;
         assert!(validate_line(ver).is_err());
         // The fault kinds landed with schema v2.
-        let fi = r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"fault_injected","site":"drop_external","a":3,"b":7}"#;
+        let fi = r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"fault_injected","site":"drop_external","a":3,"b":7}"#;
         validate_line(fi).unwrap();
-        let dg = r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"degraded","site":"vm","kind":"pred","index":0}"#;
-        validate_line(dg).unwrap();
+        // The `degraded` kind left with schema v4.
+        let dg = r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"degraded","site":"vm","kind":"pred","index":0}"#;
+        assert!(validate_line(dg).is_err());
         // The fleet-health snapshot kind landed with schema v3.
-        let fh = r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"fleet_health","sessions":8,"pressure":1,"running":6,"failed":1}"#;
+        let fh = r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"fleet_health","sessions":8,"pressure":1,"running":6,"failed":1}"#;
         validate_line(fh).unwrap();
         // Extra fields on a known kind are fine.
-        let extra = r#"{"schema":3,"ts":1.0,"run_id":"r1-1","event":"span","from":0,"to":1024,"window_ns":5,"p50_ns":1}"#;
+        let extra = r#"{"schema":4,"ts":1.0,"run_id":"r1-1","event":"span","from":0,"to":1024,"window_ns":5,"p50_ns":1}"#;
         validate_line(extra).unwrap();
     }
 }

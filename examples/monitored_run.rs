@@ -15,12 +15,11 @@
 //!
 //! With `ECL_FAULTS=key=value,...` (see `ecl_faults::init_from_env`)
 //! a deterministic fault plan is installed first: events may be
-//! dropped or delayed and compiled backends demoted, so verdicts
-//! other than PASS are an expected outcome of an injected run — the
-//! CI chaos job uses exactly this to put `fault_injected` and
-//! `degraded` lines into a validated stream.
+//! dropped or delayed, so verdicts other than PASS are an expected
+//! outcome of an injected run — the CI chaos job uses exactly this to
+//! put `fault_injected` lines into a validated stream.
 
-use ecl_core::{Compiler, Workspace};
+use ecl_core::Workspace;
 use ecl_observe::{check_async, check_interp, MonitoredRun, WorkspaceObserveExt};
 use ecl_syntax::diag::EclError;
 use ecl_telemetry::Run;
@@ -94,20 +93,22 @@ fn main() {
     }
     .events();
 
-    let mono = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
+    // The runners' designs come from the same cached parse.
+    let mono = ws
+        .compile("protocol_stack.ecl", "toplevel")
         .expect("stack compiles");
-    let parts = Compiler::default()
-        .partition(PROTOCOL_STACK, "toplevel")
+    let parts = ws
+        .parsed("protocol_stack.ecl")
+        .and_then(|p| p.partition("toplevel"))
         .expect("stack partitions");
 
     // Execution backends are one knob: `Backend::Compiled` (fused
     // per-task instant programs — the default) or `Backend::Walker`
-    // (the s-graph reference path that differential tests and fault
-    // demotion fall back onto). `coverage()` reports what the
+    // (the s-graph reference path differential tests compare
+    // against). `coverage()` reports what the
     // compiled backend will actually run.
     let mut probe = AsyncRunner::new(
-        vec![mono.clone()],
+        vec![(*mono).clone()],
         &Default::default(),
         Default::default(),
         Default::default(),

@@ -16,13 +16,7 @@ fn drive(mut r: AsyncRunner, label: &str) {
         reset_every: 0,
         seed: 1999,
     };
-    for ev in tb.events() {
-        for (name, v) in &ev.valued {
-            r.set_input_i64(name, *v).unwrap();
-        }
-        let names = ev.names();
-        r.instant(&names).unwrap();
-    }
+    r.run_events(&tb.events(), |_, _| {}).unwrap();
     println!("== {label} ==");
     let by_name = r.counts();
     let mut counts: Vec<_> = by_name.iter().collect();

@@ -6,6 +6,7 @@
 
 use ecl_repro::prelude::*;
 use sim::runner::InterpRunner;
+use sim::tb::InstantEvents;
 
 fn main() {
     let src = "
@@ -63,8 +64,17 @@ fn main() {
         &["clk", "raw"],
         &["clk", "raw"],
     ];
-    for (t, ev) in pattern.iter().enumerate() {
-        let out = run.instant(ev).expect("instant");
-        println!("t={t} inputs={ev:?} -> {out:?}");
-    }
+    let events: Vec<InstantEvents> = pattern
+        .iter()
+        .map(|ev| InstantEvents {
+            pure: ev.iter().map(|s| s.to_string()).collect(),
+            ..Default::default()
+        })
+        .collect();
+    run.run_events(&events, |t, present| {
+        let inputs = pattern[t as usize];
+        let out: Vec<&str> = present.names().filter(|n| !inputs.contains(n)).collect();
+        println!("t={t} inputs={inputs:?} -> {out:?}");
+    })
+    .expect("run");
 }

@@ -29,13 +29,7 @@ fn main() {
         frames: 4,
         seed: 7,
     };
-    for ev in tb.events() {
-        for (name, v) in &ev.valued {
-            r.set_input_i64(name, *v).unwrap();
-        }
-        let names = ev.names();
-        r.instant(&names).unwrap();
-    }
+    r.run_events(&tb.events(), |_, _| {}).unwrap();
     let by_name = r.counts();
     let mut counts: Vec<_> = by_name.iter().collect();
     counts.sort();

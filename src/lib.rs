@@ -46,19 +46,26 @@
 //! assert_eq!(ws.cache_stats().parse_misses, 1); // parsed once
 //! ```
 //!
-//! ## Legacy facade
+//! ## Designs for simulation
 //!
-//! The original one-shot API still works (now a thin shim over the
-//! pipeline):
+//! Runners take a [`prelude::Design`] — the split stage bundled for
+//! execution — and compile the EFSM themselves; a partitioned top
+//! level yields one design per task:
 //!
 //! ```
 //! use ecl_repro::prelude::*;
 //!
-//! let src = "module m(input pure a, output pure o) {
-//!              while (1) { await (a); emit (o); } }";
-//! let design = Compiler::default().compile_str(src, "m").unwrap();
-//! let efsm = design.to_efsm(&Default::default()).unwrap();
-//! assert!(efsm.validate().is_ok());
+//! let src = "module a(input pure i, output pure m) { while (1) { await (i); emit (m); } }
+//!            module b(input pure m, output pure o) { while (1) { await (m); emit (o); } }
+//!            module top(input pure i, output pure o) {
+//!              signal pure mid; par { a(i, mid); b(mid, o); } }";
+//! let parsed = Source::new(src).parse().unwrap();
+//! let mono = parsed.elaborate("top").unwrap().split().unwrap().to_design();
+//! let parts = parsed.partition("top").unwrap();
+//! assert_eq!(parts.len(), 2);
+//! let runner = AsyncRunner::new(parts, &Default::default(), Default::default(), Default::default());
+//! assert!(runner.is_ok());
+//! assert_eq!(mono.entry, "top");
 //! ```
 
 pub use codegen;
@@ -82,8 +89,7 @@ pub mod prelude {
     pub use ecl_core::workspace::{CacheStats, Workspace};
     pub use ecl_syntax::diag::{Diagnostic, Diagnostics, EclError, Severity, Stage};
 
-    // Legacy one-shot compiler (shim over the pipeline).
-    pub use ecl_core::{Compiler, Design, Options, SplitStrategy};
+    pub use ecl_core::{Design, SplitStrategy};
 
     // Back ends, machines, simulation.
     pub use codegen::cost::{rtos_cost, task_cost, CostParams};

@@ -24,7 +24,7 @@
 //! measures.
 
 use codegen::cost::CostParams;
-use ecl_core::Compiler;
+use ecl_core::{Design, Source};
 use efsm::BitSet;
 use rtk::KernelParams;
 use sim::runner::{AsyncRunner, Runner};
@@ -87,13 +87,23 @@ const RELAY: &str = "
       par { a(i, mid); b(mid, o); }
     }";
 
+fn relay() -> Design {
+    Source::new(RELAY)
+        .parse()
+        .unwrap()
+        .elaborate("top")
+        .unwrap()
+        .split()
+        .unwrap()
+        .to_design()
+}
+
 #[test]
 fn instant_ids_is_allocation_free_in_steady_state() {
     let _g = locked();
     ecl_telemetry::set_enabled(false);
-    let design = Compiler::default().compile_str(RELAY, "top").unwrap();
     let mut runner = AsyncRunner::new(
-        vec![design],
+        vec![relay()],
         &Default::default(),
         CostParams::default(),
         KernelParams::default(),
@@ -137,11 +147,14 @@ fn vm_data_path_is_allocation_free_in_steady_state() {
 
     let _g = locked();
     ecl_telemetry::set_enabled(false);
-    let design = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
-    let prog = ecl_syntax::parse_str(PROTOCOL_STACK).unwrap();
-    let specs = synthesize_all(&prog).expect("observers synthesize");
+    let parsed = Source::new(PROTOCOL_STACK).parse().unwrap();
+    let design = parsed
+        .elaborate("toplevel")
+        .unwrap()
+        .split()
+        .unwrap()
+        .to_design();
+    let specs = synthesize_all(parsed.ast()).expect("observers synthesize");
     let mut runner = AsyncRunner::new(
         vec![design],
         &Default::default(),
@@ -221,9 +234,8 @@ fn telemetry_enabled_steady_state_is_allocation_free() {
     ecl_telemetry::install_sink(Box::new(sink.clone()));
     ecl_telemetry::metrics::reset_all();
 
-    let design = Compiler::default().compile_str(RELAY, "top").unwrap();
     let mut runner = AsyncRunner::new(
-        vec![design],
+        vec![relay()],
         &Default::default(),
         CostParams::default(),
         KernelParams::default(),

@@ -8,7 +8,7 @@
 //! The fault plan is process-global, so every test takes the same
 //! lock — libtest's concurrent threads must not overlap two plans.
 
-use ecl_core::{Compiler, Design};
+use ecl_core::{Design, Source};
 use ecl_faults::FaultPlan;
 use ecl_observe::{run_sessions, Monitor, MonitorReport, SessionOutcome, Verdict};
 use efsm::{Backend, BitSet};
@@ -26,14 +26,17 @@ fn locked() -> MutexGuard<'static, ()> {
 }
 
 fn mono() -> Design {
-    Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
+    Source::new(PROTOCOL_STACK)
+        .parse()
+        .and_then(|p| p.elaborate("toplevel")?.split())
         .expect("protocol stack compiles")
+        .to_design()
 }
 
 fn partitioned() -> Vec<Design> {
-    Compiler::default()
-        .partition(PROTOCOL_STACK, "toplevel")
+    Source::new(PROTOCOL_STACK)
+        .parse()
+        .and_then(|p| p.partition("toplevel"))
         .expect("protocol stack partitions")
 }
 
@@ -68,7 +71,7 @@ fn run_async(
     specs: &[Arc<ecl_observe::MonitorSpec>],
     events: &[InstantEvents],
     backend: Backend,
-) -> (RunOut, u32) {
+) -> RunOut {
     let mut r = AsyncRunner::new(
         designs,
         &Default::default(),
@@ -92,17 +95,13 @@ fn run_async(
         }
     })
     .expect("chaos plans here never make the run fail hard");
-    let demoted = r.demoted_states();
-    (
-        RunOut {
-            vcd: r.take_trace().expect("trace recorded").to_vcd("chaos"),
-            counts: r.counts(),
-            verdicts: MonitorReport::conclude(monitors).verdicts,
-            events_lost: r.kernel().events_lost,
-            lost_by_task: r.kernel().events_lost_by_task(),
-        },
-        demoted,
-    )
+    RunOut {
+        vcd: r.take_trace().expect("trace recorded").to_vcd("chaos"),
+        counts: r.counts(),
+        verdicts: MonitorReport::conclude(monitors).verdicts,
+        events_lost: r.kernel().events_lost,
+        lost_by_task: r.kernel().events_lost_by_task(),
+    }
 }
 
 /// Fixed seed ⇒ byte-identical injected traces, emission counts, loss
@@ -129,7 +128,7 @@ fn same_seed_is_bit_identical_across_backends() {
     let mut stats = Vec::new();
     for backend in [Backend::Walker, Backend::Compiled] {
         ecl_faults::install(plan.clone());
-        outs.push(run_async(partitioned(), &sp, &ev, backend).0);
+        outs.push(run_async(partitioned(), &sp, &ev, backend));
         stats.push(ecl_faults::uninstall().expect("plan installed"));
     }
     assert!(
@@ -142,8 +141,7 @@ fn same_seed_is_bit_identical_across_backends() {
         "walker and compiled diverged under faults"
     );
     // The injection *decisions* replay identically too: every site's
-    // count matches across backends (no vm/table demotion sites are
-    // armed in this plan).
+    // count matches across backends.
     assert_eq!(stats[0], stats[1]);
 }
 
@@ -234,40 +232,6 @@ fn interp_and_async_agree_under_injected_faults() {
     assert_eq!(verdicts[0], verdicts[1], "verdicts diverged");
 }
 
-/// Backend demotion (VM hooks and fused states latched onto the
-/// walker) is semantics-preserving: a `Backend::Compiled` run where
-/// *every* compiled program is demoted is byte-identical to the clean
-/// compiled baseline — and to a clean `Backend::Walker` run, the very
-/// path demotion falls back onto.
-#[test]
-fn demotion_preserves_semantics_bit_for_bit() {
-    let _g = locked();
-    let (sp, ev) = (specs(), events());
-    let (baseline, _) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
-    let (walker_baseline, _) = run_async(partitioned(), &sp, &ev, Backend::Walker);
-    assert_eq!(
-        baseline, walker_baseline,
-        "compiled and walker clean runs diverged"
-    );
-    ecl_faults::install(FaultPlan {
-        vm_fault: 1.0,
-        table_fault: 1.0,
-        ..FaultPlan::seeded(11)
-    });
-    let (demoted_run, demoted_states) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
-    let stats = ecl_faults::uninstall().unwrap();
-    assert!(stats.vm_demotions > 0, "no VM hooks demoted: {stats:?}");
-    assert!(
-        stats.table_demotions > 0,
-        "no fused states demoted: {stats:?}"
-    );
-    assert!(demoted_states > 0, "runner latched no demoted states");
-    assert_eq!(
-        baseline, demoted_run,
-        "demotion changed observable behavior"
-    );
-}
-
 /// An installed-but-all-zero plan injects nothing and perturbs
 /// nothing: byte-identical to a run with the switch off entirely.
 #[test]
@@ -275,13 +239,13 @@ fn switched_off_and_zero_rate_plans_are_inert() {
     let _g = locked();
     let (sp, ev) = (specs(), events());
     assert!(!ecl_faults::enabled(), "no plan should be active");
-    let (off, _) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
+    let off = run_async(partitioned(), &sp, &ev, Backend::Compiled);
     ecl_faults::install(FaultPlan::seeded(99));
-    let (zero, _) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
+    let zero = run_async(partitioned(), &sp, &ev, Backend::Compiled);
     let stats = ecl_faults::uninstall().unwrap();
     assert_eq!(stats.total(), 0, "a zero-rate plan injected: {stats:?}");
     assert_eq!(off, zero, "an inert plan changed the run");
-    let (off2, _) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
+    let off2 = run_async(partitioned(), &sp, &ev, Backend::Compiled);
     assert_eq!(off, off2, "faults-off runs are not reproducible");
 }
 
@@ -298,7 +262,7 @@ fn loss_accounting_stays_exact_under_pressure() {
         drop_internal: 0.25,
         ..FaultPlan::seeded(7)
     });
-    let (out, _) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
+    let out = run_async(partitioned(), &sp, &ev, Backend::Compiled);
     let stats = ecl_faults::uninstall().unwrap();
     let per_task: u64 = out.lost_by_task.iter().map(|(_, n)| n).sum();
     assert_eq!(
@@ -317,7 +281,7 @@ fn loss_accounting_stays_exact_under_pressure() {
         mailbox_cap: Some(1),
         ..FaultPlan::seeded(7)
     });
-    let (cap_only, _) = run_async(partitioned(), &sp, &ev, Backend::Compiled);
+    let cap_only = run_async(partitioned(), &sp, &ev, Backend::Compiled);
     ecl_faults::uninstall();
     assert!(
         cap_only.events_lost >= out.events_lost,

@@ -14,7 +14,7 @@
 //! (the fleet's keyed kill/stall sites are exempt — they are pure
 //! functions of `(seed, session, instant)`).
 
-use ecl_core::{Compiler, Design};
+use ecl_core::{Design, Source};
 use ecl_observe::{Monitor, MonitorReport, Verdict};
 use efsm::{Backend, BitSet};
 use proptest::prelude::*;
@@ -24,8 +24,9 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 fn designs() -> Vec<Design> {
-    Compiler::default()
-        .partition(sim::designs::PROTOCOL_STACK, "toplevel")
+    Source::new(sim::designs::PROTOCOL_STACK)
+        .parse()
+        .and_then(|p| p.partition("toplevel"))
         .expect("protocol stack partitions")
 }
 

@@ -4,14 +4,14 @@
 //! default `Backend::Compiled` run — emitted sets per instant,
 //! emission counts, monitor verdicts and the fuel-derived kernel cycle
 //! charges. CI runs this as a dedicated `compiled-off` pass so the
-//! walker (the demotion/differential reference) stays exercised and
-//! green.
+//! walker (the differential reference) stays exercised and green.
 //!
 //! The suite also pins the fusion acceptance criterion: on both
 //! shipped designs every state fuses and every data hook compiles
 //! (`coverage().fully_fused()`), and a telemetry-counted compiled run
 //! takes *zero* walker fallbacks — no s-graph steps inside an instant.
 
+use ecl_core::{Design, Source};
 use ecl_observe::{synthesize_all, Monitor};
 use efsm::{Backend, BitSet};
 use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
@@ -60,12 +60,17 @@ fn pager_events() -> Vec<sim::tb::InstantEvents> {
     ev
 }
 
+fn design_of(src: &str, entry: &str) -> Design {
+    Source::new(src)
+        .parse()
+        .and_then(|p| p.elaborate(entry)?.split())
+        .expect("design compiles")
+        .to_design()
+}
+
 fn walker_matches_compiled(src: &str, entry: &str, events: &[sim::tb::InstantEvents]) {
-    let design = ecl_core::Compiler::default()
-        .compile_str(src, entry)
-        .expect("design compiles");
-    let prog = ecl_syntax::parse_str(src).expect("source parses");
-    let specs = synthesize_all(&prog).expect("observers synthesize");
+    let design = design_of(src, entry);
+    let specs = synthesize_all(&design.ast).expect("observers synthesize");
 
     let mut compiled = runner(vec![design.clone()]);
     assert_eq!(
@@ -185,9 +190,7 @@ fn compiled_run_takes_zero_walker_steps() {
         (PROTOCOL_STACK, "toplevel", stack_events()),
         (VOICE_PAGER, "pager", pager_events()),
     ] {
-        let design = ecl_core::Compiler::default()
-            .compile_str(src, entry)
-            .expect("design compiles");
+        let design = design_of(src, entry);
         ecl_telemetry::metrics::reset_all();
         let mut r = runner(vec![design]);
         r.run_events(&events, |_, _| {}).expect("run succeeds");

@@ -1,16 +1,46 @@
 //! Property-based implementation verification (paper Section 2: "one
 //! can perform ... implementation verification"): randomly generated
 //! ECL programs must behave identically under the constructive
-//! interpreter and the compiled EFSM, for random input sequences.
+//! interpreter and the compiled EFSM, and under the shipped compiled
+//! path and the reference walker, for random input sequences.
 
-use ecl_core::{Compiler, Options, SplitStrategy};
+use ecl_core::{Design, Source, SplitStrategy};
 use ecl_observe::Monitor;
 use efsm::{Backend, BitSet};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
-use sim::runner::AsyncRunner;
+use sim::runner::{AsyncRunner, InterpRunner, Runner, SharedProgram};
+use sim::tb::InstantEvents;
 use std::collections::HashSet;
 use std::sync::Arc;
+
+/// Split module `m` of a generated program, or `None` when a stage
+/// (correctly) rejects it — consistent behavior, not a divergence.
+fn design(src: &str, strategy: SplitStrategy) -> Option<Design> {
+    let parsed = Source::new(src).parse().ok()?;
+    let split = parsed.elaborate("m").ok()?.split_with(strategy).ok()?;
+    Some(split.to_design())
+}
+
+/// `n` instants of random pure stimuli on `a` (p = 0.5) and `b`
+/// (p = 0.3).
+fn pure_events(rng: &mut impl Rng, n: usize) -> Vec<InstantEvents> {
+    (0..n)
+        .map(|_| {
+            let mut pure = Vec::new();
+            if rng.gen_bool(0.5) {
+                pure.push("a".to_string());
+            }
+            if rng.gen_bool(0.3) {
+                pure.push("b".to_string());
+            }
+            InstantEvents {
+                pure,
+                valued: vec![],
+            }
+        })
+        .collect()
+}
 
 /// Generate a small random (constructive) ECL module over two inputs
 /// and two outputs, built from the reactive statement grammar.
@@ -60,9 +90,7 @@ fn gen_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut u32) 
 }
 
 fn check_equiv(src: &str, strategy: SplitStrategy, seeds: u64) -> Result<(), TestCaseError> {
-    let Ok(design) = Compiler::new(Options { strategy }).compile_str(src, "m") else {
-        // Some generated programs are (correctly) rejected; that is
-        // consistent behavior, not a divergence.
+    let Some(design) = design(src, strategy) else {
         return Ok(());
     };
     let Ok(machine) = design.to_efsm(&Default::default()) else {
@@ -114,8 +142,8 @@ fn check_equiv(src: &str, strategy: SplitStrategy, seeds: u64) -> Result<(), Tes
 /// loops, casts/sizeof/comma, a helper C function (exercising the
 /// VM's statement-level walker fallback), and *deliberate* runtime errors
 /// (divisions whose divisor is input-dependent, occasionally
-/// out-of-bounds indices) — the workload of the `vm_matches_walker`
-/// differential.
+/// out-of-bounds indices) — the data workload of the
+/// `compiled_matches_walker` differential.
 fn gen_data_module(seed: u64) -> String {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut body = String::new();
@@ -148,7 +176,7 @@ fn gen_data_expr(rng: &mut impl Rng, depth: u32) -> String {
     }
     let a = gen_data_expr(rng, depth - 1);
     let b = gen_data_expr(rng, depth - 1);
-    match rng.gen_range(0..19) {
+    match rng.gen_range(0..20) {
         0 => format!("({a} + {b})"),
         1 => format!("({a} - {b})"),
         2 => format!("({a} * {b})"),
@@ -168,6 +196,7 @@ fn gen_data_expr(rng: &mut impl Rng, depth: u32) -> String {
         15 => format!("(sizeof(rec_t) + {a})"),
         16 => format!("(q.d[(u & 3)] + {a})"),
         17 => format!("(v = {a}, v & 31)"),
+        18 => format!("({a} >= {b})"),
         _ => format!("(!{a})"),
     }
 }
@@ -250,159 +279,18 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
     }
 }
 
-/// The bytecode VM ≡ the tree-walker, hook for hook. Two runtimes
-/// drive the same compiled EFSM in lockstep — one on the VM (the
-/// default), one forced onto the walker — and must agree every step on
-/// emissions and next state, the emitted value of `x`, every root-frame
-/// variable, error presence (message *and* span), the
-/// `pred_evals`/`action_runs` counters, and — on error-free steps —
-/// the exact fuel consumed (the kernel's cycle-charge source).
-fn check_vm_vs_walker(src: &str, seeds: u64) -> Result<(), TestCaseError> {
-    let Ok(design) = Compiler::default().compile_str(src, "m") else {
-        return Ok(());
-    };
-    let Ok(machine) = design.to_efsm(&Default::default()) else {
-        return Ok(());
-    };
-    let a = design.signal("a").unwrap();
-    let b = design.signal("b").unwrap();
-    for seed in 0..seeds {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rt_vm = design.new_rt().unwrap();
-        let mut rt_w = design.new_rt().unwrap();
-        prop_assert!(
-            rt_vm.backend() == Backend::Compiled,
-            "compiled is the default backend"
-        );
-        rt_w.set_backend(Backend::Walker);
-        // Small fuel budget: generated programs can loop for real, and
-        // exhaustion is itself a behavior the two backends must share.
-        rt_vm.machine_mut().set_fuel(200_000);
-        rt_w.machine_mut().set_fuel(200_000);
-        let mut st_vm = machine.init;
-        let mut st_w = machine.init;
-        for step in 0..60 {
-            let mut bits = BitSet::new();
-            if rng.gen_bool(0.6) {
-                let val = rng.gen_range(-4i64..12);
-                rt_vm.set_input_i64("a", val).unwrap();
-                rt_w.set_input_i64("a", val).unwrap();
-                bits.insert(a.0 as usize);
-            }
-            if rng.gen_bool(0.3) {
-                bits.insert(b.0 as usize);
-            }
-            let fuel_before = rt_vm.machine().fuel();
-            prop_assert_eq!(fuel_before, rt_w.machine().fuel());
-            let mut e_vm = Vec::new();
-            let mut e_w = Vec::new();
-            let r_vm = machine.step_bits(st_vm, &bits, &mut rt_vm, &mut e_vm);
-            let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
-            st_vm = r_vm.next;
-            st_w = r_w.next;
-            prop_assert_eq!(
-                &e_vm,
-                &e_w,
-                "emissions diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            prop_assert_eq!(
-                r_vm,
-                r_w,
-                "StepOut diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            let err_vm = rt_vm.take_error();
-            let err_w = rt_w.take_error();
-            // Fuel exhaustion reports the span where the counter hit
-            // zero — burn coalescing legitimately shifts it within the
-            // exhausted expression, so compare those by message.
-            let fuel_err = err_vm.as_ref().is_some_and(|e| e.msg.contains("fuel"));
-            if fuel_err {
-                prop_assert_eq!(
-                    err_vm.as_ref().map(|e| &e.msg),
-                    err_w.as_ref().map(|e| &e.msg),
-                    "errors diverged at seed {} step {} in\n{}",
-                    seed,
-                    step,
-                    src
-                );
-            } else {
-                prop_assert_eq!(
-                    &err_vm,
-                    &err_w,
-                    "errors diverged at seed {} step {} in\n{}",
-                    seed,
-                    step,
-                    src
-                );
-            }
-            prop_assert_eq!(rt_vm.pred_evals, rt_w.pred_evals, "pred_evals diverged");
-            prop_assert_eq!(rt_vm.action_runs, rt_w.action_runs, "action_runs diverged");
-            prop_assert_eq!(
-                rt_vm.signal_value_by_name("x"),
-                rt_w.signal_value_by_name("x"),
-                "value of x diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            // Whole-frame comparison: every variable slot byte-equal.
-            for ((n1, v1), (n2, v2)) in rt_vm
-                .machine()
-                .root_entries()
-                .zip(rt_w.machine().root_entries())
-            {
-                prop_assert_eq!(n1, n2);
-                prop_assert_eq!(
-                    v1,
-                    v2,
-                    "variable `{}` diverged at seed {} step {} in\n{}",
-                    n1,
-                    seed,
-                    step,
-                    src
-                );
-            }
-            if err_vm.is_none() {
-                // Error-free steps consume identical fuel (burn
-                // parity); after an error the tails legitimately differ
-                // (coalesced burns stop at the error) — resynchronize.
-                prop_assert_eq!(
-                    rt_vm.machine().fuel(),
-                    rt_w.machine().fuel(),
-                    "fuel diverged at seed {} step {} in\n{}",
-                    seed,
-                    step,
-                    src
-                );
-            } else {
-                let sync = rt_vm.machine().fuel().min(rt_w.machine().fuel());
-                rt_vm.machine_mut().set_fuel(sync);
-                rt_w.machine_mut().set_fuel(sync);
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The fused instant programs ≡ the s-graph walker, on the *data-heavy*
-/// grammar (mixed states: predicates, actions and valued emits
-/// interleaved with presence tests). One runtime steps through
-/// `step_table` — mask scan + per-row residual program — the other
-/// through the reference `step_bits` walk; both keep their data hooks
-/// on the default bytecode VM so the comparison isolates control-path
-/// fusion. They must agree every step on emission order, `StepOut`
-/// (next state *and* `nodes_visited`, the cycle-cost proxy), error
-/// presence, the `pred_evals`/`action_runs` hook counters, the emitted
+/// The shipped path ≡ the reference path, step for step. One runtime
+/// steps through `step_table` — fused mask-scan rows falling through
+/// into residual programs — with its data hooks on the bytecode VM
+/// (`Backend::Compiled`); the other walks the s-graph with `step_bits`
+/// and evaluates data on the tree-walker (`Backend::Walker`). They
+/// must agree every step on emission order, `StepOut` (next state
+/// *and* `nodes_visited`, the cycle-cost proxy), errors (message and
+/// span), the `pred_evals`/`action_runs` hook counters, the emitted
 /// value of `x`, every root-frame variable, and — on error-free steps
-/// — the exact fuel consumed.
-fn check_fused_vs_walker(src: &str, seeds: u64) -> Result<(), TestCaseError> {
-    let Ok(design) = Compiler::default().compile_str(src, "m") else {
+/// — the exact fuel consumed (the kernel's cycle-charge source).
+fn check_compiled_vs_walker(src: &str, seeds: u64) -> Result<(), TestCaseError> {
+    let Some(design) = design(src, SplitStrategy::default()) else {
         return Ok(());
     };
     let Ok(machine) = design.to_efsm(&Default::default()) else {
@@ -411,100 +299,138 @@ fn check_fused_vs_walker(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     let compiled = efsm::CompiledEfsm::compile(&machine);
     let a = design.signal("a").unwrap();
     let b = design.signal("b").unwrap();
+    let a_valued = machine.signal_info(a).valued;
     for seed in 0..seeds {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rt_f = design.new_rt().unwrap();
+        let mut rt_c = design.new_rt().unwrap();
         let mut rt_w = design.new_rt().unwrap();
-        rt_f.machine_mut().set_fuel(200_000);
+        prop_assert!(
+            rt_c.backend() == Backend::Compiled,
+            "compiled is the default backend"
+        );
+        rt_w.set_backend(Backend::Walker);
+        // Small fuel budget: generated programs can loop for real, and
+        // exhaustion is itself a behavior both paths must share.
+        rt_c.machine_mut().set_fuel(200_000);
         rt_w.machine_mut().set_fuel(200_000);
-        let mut st_f = machine.init;
-        let mut st_w = machine.init;
+        let (mut st_c, mut st_w) = (machine.init, machine.init);
         for step in 0..60 {
+            let at = || format!("seed {seed} step {step} in\n{src}");
             let mut bits = BitSet::new();
             if rng.gen_bool(0.6) {
-                let val = rng.gen_range(-4i64..12);
-                rt_f.set_input_i64("a", val).unwrap();
-                rt_w.set_input_i64("a", val).unwrap();
+                if a_valued {
+                    let val = rng.gen_range(-4i64..12);
+                    rt_c.set_input_i64("a", val).unwrap();
+                    rt_w.set_input_i64("a", val).unwrap();
+                }
                 bits.insert(a.0 as usize);
             }
             if rng.gen_bool(0.3) {
                 bits.insert(b.0 as usize);
             }
-            let mut e_f = Vec::new();
-            let mut e_w = Vec::new();
-            let r_f = compiled.step_table(&machine, st_f, &bits, &mut rt_f, &mut e_f);
+            let (mut e_c, mut e_w) = (Vec::new(), Vec::new());
+            let r_c = compiled.step_table(&machine, st_c, &bits, &mut rt_c, &mut e_c);
             let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
-            st_f = r_f.next;
+            st_c = r_c.next;
             st_w = r_w.next;
-            prop_assert_eq!(
-                &e_f,
-                &e_w,
-                "emission order diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            prop_assert_eq!(
-                r_f,
-                r_w,
-                "StepOut diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            // Both sides run the *same* VM data hooks, so errors must
-            // match exactly — message and span included.
-            let err_f = rt_f.take_error();
+            prop_assert_eq!(&e_c, &e_w, "emission order diverged at {}", at());
+            prop_assert_eq!(r_c, r_w, "StepOut diverged at {}", at());
+            let err_c = rt_c.take_error();
             let err_w = rt_w.take_error();
+            // Fuel exhaustion reports the span where the counter hit
+            // zero — burn coalescing legitimately shifts it within the
+            // exhausted expression, so compare those by message.
+            if err_c.as_ref().is_some_and(|e| e.msg.contains("fuel")) {
+                prop_assert_eq!(
+                    err_c.as_ref().map(|e| &e.msg),
+                    err_w.as_ref().map(|e| &e.msg),
+                    "errors diverged at {}",
+                    at()
+                );
+            } else {
+                prop_assert_eq!(&err_c, &err_w, "errors diverged at {}", at());
+            }
+            prop_assert_eq!(rt_c.pred_evals, rt_w.pred_evals, "pred_evals at {}", at());
             prop_assert_eq!(
-                &err_f,
-                &err_w,
-                "errors diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
+                rt_c.action_runs,
+                rt_w.action_runs,
+                "action_runs at {}",
+                at()
             );
-            prop_assert_eq!(rt_f.pred_evals, rt_w.pred_evals, "pred_evals diverged");
-            prop_assert_eq!(rt_f.action_runs, rt_w.action_runs, "action_runs diverged");
             prop_assert_eq!(
-                rt_f.signal_value_by_name("x"),
+                rt_c.signal_value_by_name("x"),
                 rt_w.signal_value_by_name("x"),
-                "value of x diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
+                "value of x diverged at {}",
+                at()
             );
-            for ((n1, v1), (n2, v2)) in rt_f
+            // Whole-frame comparison: every variable slot byte-equal.
+            for ((n1, v1), (n2, v2)) in rt_c
                 .machine()
                 .root_entries()
                 .zip(rt_w.machine().root_entries())
             {
                 prop_assert_eq!(n1, n2);
-                prop_assert_eq!(
-                    v1,
-                    v2,
-                    "variable `{}` diverged at seed {} step {} in\n{}",
-                    n1,
-                    seed,
-                    step,
-                    src
-                );
+                prop_assert_eq!(v1, v2, "variable `{}` diverged at {}", n1, at());
             }
-            if err_f.is_none() {
+            if err_c.is_none() {
                 prop_assert_eq!(
-                    rt_f.machine().fuel(),
+                    rt_c.machine().fuel(),
                     rt_w.machine().fuel(),
-                    "fuel diverged at seed {} step {} in\n{}",
-                    seed,
-                    step,
-                    src
+                    "fuel diverged at {}",
+                    at()
                 );
             } else {
-                let sync = rt_f.machine().fuel().min(rt_w.machine().fuel());
-                rt_f.machine_mut().set_fuel(sync);
+                // After an error the tails legitimately differ
+                // (coalesced burns stop at the error) — resynchronize.
+                let sync = rt_c.machine().fuel().min(rt_w.machine().fuel());
+                rt_c.machine_mut().set_fuel(sync);
                 rt_w.machine_mut().set_fuel(sync);
             }
         }
+    }
+    Ok(())
+}
+
+/// The runner-level half of the compiled ≡ walker differential: an
+/// [`AsyncRunner`] on `Backend::Compiled` and one forced onto
+/// `Backend::Walker` must present identical sets every instant and
+/// drive the pinned observer to identical verdicts.
+fn check_runner_verdicts(src: &str, seeds: u64) -> Result<(), TestCaseError> {
+    let full = format!("{src}\n{PIN_OBSERVER}");
+    let Some(design) = design(&full, SplitStrategy::default()) else {
+        return Ok(());
+    };
+    let Ok(shared) = SharedProgram::compile(vec![design], &Default::default()) else {
+        return Ok(());
+    };
+    let prog = ecl_syntax::parse_str(&full).expect("generated program parses");
+    let spec = Arc::new(
+        ecl_observe::synthesize(prog.observer("pin").expect("observer present"))
+            .expect("observer synthesizes"),
+    );
+    for seed in 0..seeds {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let events = pure_events(&mut rng, 50);
+        let run = |backend| {
+            let mut r = AsyncRunner::from_shared(&shared, Default::default(), Default::default());
+            r.set_backend(backend);
+            let mut mon = Monitor::new(Arc::clone(&spec));
+            mon.bind(r.sig_table());
+            let mut log = Vec::new();
+            r.run_events(&events, |i, p| {
+                mon.step_present(i, p);
+                log.push((p.ids().clone(), mon.verdict().clone()));
+            })
+            .expect("runner runs");
+            (log, mon.finish())
+        };
+        prop_assert_eq!(
+            run(Backend::Walker),
+            run(Backend::Compiled),
+            "present sets or observer verdicts diverged at seed {} in\n{}",
+            seed,
+            src
+        );
     }
     Ok(())
 }
@@ -524,7 +450,7 @@ const PIN_OBSERVER: &str = "
 /// must agree on the verdict at every step.
 fn check_observer_equiv(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     let full = format!("{src}\n{PIN_OBSERVER}");
-    let Ok(design) = Compiler::default().compile_str(&full, "m") else {
+    let Some(design) = design(&full, SplitStrategy::default()) else {
         return Ok(());
     };
     let Ok(machine) = design.to_efsm(&Default::default()) else {
@@ -589,223 +515,6 @@ fn check_observer_equiv(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// The fast path ≡ the compatibility shim: run the same random event
-/// stream through `instant_ids` (bitset path) and the legacy `instant`
-/// (name path) on two identical runners; the emitted *sets* must match
-/// at every instant, and a monitor stepped by ids (pre-bound masks)
-/// must reach the same verdict as one stepped by names.
-fn check_ids_vs_names(src: &str, seeds: u64) -> Result<(), TestCaseError> {
-    let full = format!("{src}\n{PIN_OBSERVER}");
-    let Ok(design) = Compiler::default().compile_str(&full, "m") else {
-        return Ok(());
-    };
-    let prog = ecl_syntax::parse_str(&full).expect("generated program parses");
-    let spec = Arc::new(
-        ecl_observe::synthesize(prog.observer("pin").expect("observer present"))
-            .expect("observer synthesizes"),
-    );
-    let build = || {
-        AsyncRunner::new(
-            vec![design.clone()],
-            &Default::default(),
-            Default::default(),
-            Default::default(),
-        )
-        .expect("runner builds")
-    };
-    for seed in 0..seeds {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut by_name = build();
-        let mut by_id = build();
-        let a = by_id.sig_table().lookup("a").expect("a interned");
-        let b = by_id.sig_table().lookup("b").expect("b interned");
-        let mut mon_names = Monitor::new(Arc::clone(&spec));
-        let mut mon_ids = Monitor::new(Arc::clone(&spec));
-        mon_ids.bind(by_id.sig_table());
-        let mut out = BitSet::new();
-        let mut present = BitSet::new();
-        for step in 0..50u64 {
-            let mut names: Vec<&str> = Vec::new();
-            let mut ev = BitSet::new();
-            if rng.gen_bool(0.5) {
-                names.push("a");
-                ev.insert(a.bit());
-            }
-            if rng.gen_bool(0.3) {
-                names.push("b");
-                ev.insert(b.bit());
-            }
-            let emitted_names = by_name.instant(&names).expect("name path runs");
-            by_id.instant_ids(&ev, &mut out).expect("id path runs");
-            // Identical emitted sets.
-            let mut got: Vec<&str> = by_id.sig_table().names_of(&out).collect();
-            let mut want: Vec<&str> = emitted_names.iter().map(String::as_str).collect();
-            got.sort_unstable();
-            want.sort_unstable();
-            want.dedup();
-            prop_assert_eq!(
-                got,
-                want,
-                "emitted sets diverged at seed {seed} step {step}\n{src}"
-            );
-            // Identical observer verdicts, names vs pre-bound ids.
-            present.clear();
-            present.union_with(&ev);
-            present.union_with(&out);
-            let mut present_names: Vec<String> = by_id
-                .sig_table()
-                .names_of(&present)
-                .map(str::to_string)
-                .collect();
-            present_names.sort_unstable();
-            mon_names.step(step, &present_names);
-            mon_ids.step_ids(step, &present, by_id.sig_table());
-            prop_assert_eq!(
-                mon_names.verdict(),
-                mon_ids.verdict(),
-                "verdicts diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-        }
-        prop_assert_eq!(
-            mon_names.finish(),
-            mon_ids.finish(),
-            "final verdicts in\n{}",
-            src
-        );
-    }
-    Ok(())
-}
-
-/// The compiled-table backend ≡ the s-graph walker, at two levels.
-///
-/// Machine level: from the same state with the same inputs, `step_table`
-/// must produce the *exact* walker result — emissions in walk order,
-/// next state, and `nodes_visited` (the cycle-cost proxy) — for pure
-/// and mixed (fallback) states alike. Runner level: an [`AsyncRunner`]
-/// on tables and one forced onto the walker must emit identical sets
-/// every instant and drive a pinned observer to identical verdicts.
-fn check_table_vs_sgraph(src: &str, seeds: u64) -> Result<(), TestCaseError> {
-    let full = format!("{src}\n{PIN_OBSERVER}");
-    let Ok(design) = Compiler::default().compile_str(&full, "m") else {
-        return Ok(());
-    };
-    let Ok(machine) = design.to_efsm(&Default::default()) else {
-        return Ok(());
-    };
-    let compiled = efsm::CompiledEfsm::compile(&machine);
-    let a = design.signal("a").unwrap();
-    let b = design.signal("b").unwrap();
-    // Machine level: lockstep walk vs table scan.
-    for seed in 0..seeds {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rt_w = design.new_rt().unwrap();
-        let mut rt_t = design.new_rt().unwrap();
-        let mut st_w = machine.init;
-        let mut st_t = machine.init;
-        for step in 0..50 {
-            let mut bits = BitSet::new();
-            if rng.gen_bool(0.5) {
-                bits.insert(a.0 as usize);
-            }
-            if rng.gen_bool(0.3) {
-                bits.insert(b.0 as usize);
-            }
-            let mut e_w = Vec::new();
-            let mut e_t = Vec::new();
-            let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
-            let r_t = compiled.step_table(&machine, st_t, &bits, &mut rt_t, &mut e_t);
-            prop_assert_eq!(
-                e_w,
-                e_t,
-                "emission order diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            prop_assert_eq!(
-                r_w,
-                r_t,
-                "StepOut diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            st_w = r_w.next;
-            st_t = r_t.next;
-        }
-    }
-    // Runner level, with the pinned observer on both backends.
-    let prog = ecl_syntax::parse_str(&full).expect("generated program parses");
-    let spec = Arc::new(
-        ecl_observe::synthesize(prog.observer("pin").expect("observer present"))
-            .expect("observer synthesizes"),
-    );
-    let build = || {
-        AsyncRunner::new(
-            vec![design.clone()],
-            &Default::default(),
-            Default::default(),
-            Default::default(),
-        )
-        .expect("runner builds")
-    };
-    for seed in 0..seeds {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut walked = build();
-        walked.set_backend(Backend::Walker);
-        let mut tabled = build();
-        prop_assert!(
-            tabled.backend() == Backend::Compiled,
-            "compiled is the default backend"
-        );
-        let ga = tabled.sig_table().lookup("a").expect("a interned");
-        let gb = tabled.sig_table().lookup("b").expect("b interned");
-        let mut mon_w = Monitor::new(Arc::clone(&spec));
-        let mut mon_t = Monitor::new(Arc::clone(&spec));
-        mon_w.bind(walked.sig_table());
-        mon_t.bind(tabled.sig_table());
-        let (mut out_w, mut out_t) = (BitSet::new(), BitSet::new());
-        let mut present = BitSet::new();
-        for step in 0..50u64 {
-            let mut ev = BitSet::new();
-            if rng.gen_bool(0.5) {
-                ev.insert(ga.bit());
-            }
-            if rng.gen_bool(0.3) {
-                ev.insert(gb.bit());
-            }
-            walked.instant_ids(&ev, &mut out_w).expect("walker runs");
-            tabled.instant_ids(&ev, &mut out_t).expect("table runs");
-            prop_assert_eq!(
-                &out_w,
-                &out_t,
-                "emitted sets diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-            present.clear();
-            present.union_with(&ev);
-            present.union_with(&out_t);
-            mon_w.step_ids(step, &present, walked.sig_table());
-            mon_t.step_ids(step, &present, tabled.sig_table());
-            prop_assert_eq!(
-                mon_w.verdict(),
-                mon_t.verdict(),
-                "observer verdicts diverged at seed {} step {} in\n{}",
-                seed,
-                step,
-                src
-            );
-        }
-        prop_assert_eq!(mon_w.finish(), mon_t.finish(), "final verdicts in\n{}", src);
-    }
-    Ok(())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -832,67 +541,42 @@ proptest! {
         check_observer_equiv(&src, 3)?;
     }
 
-    /// `instant_ids` ≡ the legacy `instant` shim: identical emitted
-    /// sets and identical observer verdicts on random event streams.
-    #[test]
-    fn instant_ids_matches_name_shim(seed in 0u64..10_000) {
-        let src = gen_module(seed);
-        check_ids_vs_names(&src, 3)?;
-    }
-
-    /// The compiled transition tables ≡ the s-graph walker: exact
-    /// per-step results at the machine level (emission order, next
-    /// state, nodes visited) and identical emitted sets + observer
+    /// The compiled path (fused rows + bytecode VM) ≡ the reference
+    /// path (s-graph walk + tree-walker) on both generators: the
+    /// reactive grammar and the data-heavy one (ints, aggregates,
+    /// signal reads and projections, valued emits, function-call
+    /// fallbacks, deliberate runtime errors). Exact per-step results
+    /// at the machine level, plus identical present sets and observer
     /// verdicts at the runner level.
     #[test]
-    fn table_matches_sgraph(seed in 0u64..10_000) {
+    fn compiled_matches_walker(seed in 0u64..10_000) {
         let src = gen_module(seed);
-        check_table_vs_sgraph(&src, 3)?;
-    }
-
-    /// The bytecode VM ≡ the tree-walker on generated data-heavy
-    /// programs (ints, bools, if/while, signal reads and projections,
-    /// valued emits, function-call fallbacks, deliberate runtime
-    /// errors): identical emissions, frames, signal values, error
-    /// instants, hook counters and fuel.
-    #[test]
-    fn vm_matches_walker(seed in 0u64..10_000) {
-        let src = gen_data_module(seed);
-        check_vm_vs_walker(&src, 3)?;
-    }
-
-    /// The fused instant programs ≡ the s-graph walker on the same
-    /// data-heavy grammar (mixed states with preds, actions and valued
-    /// emits between presence tests): exact emission order, `StepOut`
-    /// including `nodes_visited`, hook counters, frames, signal values
-    /// and fuel, every step.
-    #[test]
-    fn fused_matches_walker(seed in 0u64..10_000) {
-        let src = gen_data_module(seed);
-        check_fused_vs_walker(&src, 3)?;
+        check_compiled_vs_walker(&src, 3)?;
+        check_runner_verdicts(&src, 3)?;
+        check_compiled_vs_walker(&gen_data_module(seed), 3)?;
     }
 
     /// Both strategies agree with each other on outputs.
     #[test]
     fn strategies_agree(seed in 0u64..10_000) {
         let src = gen_module(seed);
-        let d1 = Compiler::new(Options { strategy: SplitStrategy::MaxEsterel })
-            .compile_str(&src, "m");
-        let d2 = Compiler::new(Options { strategy: SplitStrategy::MinEsterel })
-            .compile_str(&src, "m");
-        let (Ok(d1), Ok(d2)) = (d1, d2) else { return Ok(()); };
+        let d1 = design(&src, SplitStrategy::MaxEsterel);
+        let d2 = design(&src, SplitStrategy::MinEsterel);
+        let (Some(d1), Some(d2)) = (d1, d2) else { return Ok(()); };
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut r1 = sim::runner::InterpRunner::new(&d1).unwrap();
-        let mut r2 = sim::runner::InterpRunner::new(&d2).unwrap();
-        for _ in 0..40 {
-            let mut ev: Vec<&str> = Vec::new();
-            if rng.gen_bool(0.5) { ev.push("a"); }
-            if rng.gen_bool(0.3) { ev.push("b"); }
-            let mut o1 = r1.instant(&ev).unwrap();
-            let mut o2 = r2.instant(&ev).unwrap();
-            o1.sort();
-            o2.sort();
-            prop_assert_eq!(o1, o2, "strategy divergence in\n{}", src);
-        }
+        let events = pure_events(&mut rng, 40);
+        let run = |d: &Design| {
+            let mut log = Vec::new();
+            InterpRunner::new(d)
+                .unwrap()
+                .run_events(&events, |_, p| {
+                    let mut names = p.to_names();
+                    names.sort();
+                    log.push(names);
+                })
+                .unwrap();
+            log
+        };
+        prop_assert_eq!(run(&d1), run(&d2), "strategy divergence in\n{}", src);
     }
 }

@@ -2,27 +2,48 @@
 //! DESIGN.md): each module compiles through the full pipeline and
 //! behaves as the paper describes.
 
-use ecl_core::Compiler;
+use ecl_core::{Design, Source};
+use efsm::BitSet;
 use sim::designs::PROTOCOL_STACK;
-use sim::runner::InterpRunner;
-use sim::tb::{crc16, make_packet, HDRSIZE, PKTSIZE};
+use sim::runner::{InterpRunner, Runner};
+use sim::tb::{crc16, make_packet, InstantEvents, HDRSIZE, PKTSIZE};
+
+/// One module of the protocol stack, split for simulation.
+fn design(entry: &str) -> Design {
+    Source::new(PROTOCOL_STACK)
+        .parse()
+        .unwrap()
+        .elaborate(entry)
+        .unwrap()
+        .split()
+        .unwrap()
+        .to_design()
+}
+
+/// An instant with `in_byte` carrying `v`.
+fn byte(v: i64) -> InstantEvents {
+    InstantEvents {
+        valued: vec![("in_byte".into(), v)],
+        ..Default::default()
+    }
+}
 
 /// F1 — Figure 1: `assemble` gathers PKTSIZE bytes and emits the packet.
 #[test]
 fn fig1_assemble_collects_64_bytes() {
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "assemble")
-        .unwrap();
+    let d = design("assemble");
     let mut r = InterpRunner::new(&d).unwrap();
-    r.instant(&[]).unwrap();
+    // A start instant, then one byte per instant.
+    let ev: Vec<InstantEvents> = std::iter::once(InstantEvents::default())
+        .chain((0..PKTSIZE).map(|i| byte((i % 251) as i64)))
+        .collect();
     let mut emitted_at = None;
-    for i in 0..PKTSIZE {
-        r.set_input_i64("in_byte", (i % 251) as i64).unwrap();
-        let out = r.instant(&["in_byte"]).unwrap();
-        if out.iter().any(|n| n == "outpkt") {
-            emitted_at = Some(i);
+    r.run_events(&ev, |t, p| {
+        if p.contains("outpkt") {
+            emitted_at = Some(t as usize - 1);
         }
-    }
+    })
+    .unwrap();
     assert_eq!(emitted_at, Some(PKTSIZE - 1), "packet after 64th byte");
     // The assembled bytes round-trip through the valued signal.
     let v = r.rt().signal_value_by_name("outpkt").unwrap();
@@ -34,24 +55,24 @@ fn fig1_assemble_collects_64_bytes() {
 /// F1 — the `abort (reset)` wrapper restarts packet assembly.
 #[test]
 fn fig1_reset_aborts_assembly() {
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "assemble")
-        .unwrap();
+    let d = design("assemble");
     let mut r = InterpRunner::new(&d).unwrap();
-    r.instant(&[]).unwrap();
     // 10 bytes, then reset, then a full packet.
-    for i in 0..10 {
-        r.set_input_i64("in_byte", i).unwrap();
-        r.instant(&["in_byte"]).unwrap();
-    }
-    r.instant(&["reset"]).unwrap();
-    let mut count = 0;
-    for i in 0..PKTSIZE {
-        r.set_input_i64("in_byte", 100 + (i as i64 % 100)).unwrap();
-        let out = r.instant(&["in_byte"]).unwrap();
-        count += out.iter().filter(|n| *n == "outpkt").count();
-    }
-    assert_eq!(count, 1, "exactly one packet after the reset");
+    let reset = InstantEvents {
+        pure: vec!["reset".into()],
+        ..Default::default()
+    };
+    let ev: Vec<InstantEvents> = std::iter::once(InstantEvents::default())
+        .chain((0..10).map(byte))
+        .chain(std::iter::once(reset))
+        .chain((0..PKTSIZE).map(|i| byte(100 + (i as i64 % 100))))
+        .collect();
+    r.run_events(&ev, |_, _| {}).unwrap();
+    assert_eq!(
+        r.count_of("outpkt"),
+        1,
+        "exactly one packet after the reset"
+    );
     let v = r.rt().signal_value_by_name("outpkt").unwrap();
     assert_eq!(v.bytes[0], 100, "assembly restarted from byte 0");
 }
@@ -62,13 +83,15 @@ fn fig1_reset_aborts_assembly() {
 #[test]
 fn fig2_checkcrc_validates() {
     use rand::SeedableRng;
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let d = design("toplevel");
     let mut rng = rand::rngs::StdRng::seed_from_u64(11);
     for good in [true, false] {
         let mut r = InterpRunner::new(&d).unwrap();
-        r.instant(&[]).unwrap();
+        let in_byte = r.sig_table().lookup("in_byte").unwrap();
+        let crc_ok = r.sig_table().lookup("top::crc_ok").unwrap();
+        let (mut ev, mut out) = (BitSet::new(), BitSet::new());
+        r.instant_ids(&ev, &mut out).unwrap();
+        ev.insert(in_byte.bit());
         let pkt = make_packet(&mut rng, true, good);
         // Generator self-check.
         let expect = crc16(&pkt[..PKTSIZE - 2]);
@@ -77,9 +100,9 @@ fn fig2_checkcrc_validates() {
         // Behavior check through the compiled design.
         let mut saw_crc_ok_event = false;
         for b in pkt {
-            r.set_input_i64("in_byte", b as i64).unwrap();
-            let out = r.instant(&["in_byte"]).unwrap();
-            if out.iter().any(|n| n == "top::crc_ok") {
+            r.set_input_i64_id(in_byte, b as i64).unwrap();
+            r.instant_ids(&ev, &mut out).unwrap();
+            if out.contains(crc_ok.bit()) {
                 saw_crc_ok_event = true;
                 let v = r.rt().signal_value_by_name("top::crc_ok").unwrap();
                 let truthy = v.is_truthy();
@@ -94,10 +117,8 @@ fn fig2_checkcrc_validates() {
 /// compiled away (no presence test on a local survives in the EFSM).
 #[test]
 fn fig3_prochdr_local_signal_compiled_away() {
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "prochdr")
-        .unwrap();
-    let m = d.to_efsm(&Default::default()).unwrap();
+    let machine = Source::new(PROTOCOL_STACK).finish("prochdr").unwrap();
+    let m = machine.efsm();
     for node in &m.nodes {
         if let efsm::sgraph::Node::Test { sig, .. } = node {
             assert_ne!(
@@ -118,25 +139,23 @@ fn fig3_prochdr_local_signal_compiled_away() {
 /// by two internal signals, and compiles to a single product EFSM.
 #[test]
 fn fig4_toplevel_structure_and_product() {
-    let prog = ecl_syntax::parse_str(PROTOCOL_STACK).unwrap();
-    let insts = ecl_core::elab::instantiations(&prog, "toplevel");
+    let parsed = Source::new(PROTOCOL_STACK).parse().unwrap();
+    let insts = parsed.instantiations("toplevel");
     assert_eq!(insts.len(), 3);
     assert_eq!(insts[0].module, "assemble");
     assert_eq!(insts[1].module, "checkcrc");
     assert_eq!(insts[2].module, "prochdr");
 
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
-    let locals = d
+    let machine = parsed.finish("toplevel").unwrap();
+    let locals = machine
+        .design()
         .program()
         .signals()
         .iter()
         .filter(|s| s.kind == efsm::SigKind::Local)
         .count();
     assert_eq!(locals, 3, "packet, crc_ok, kill_check");
-    let m = d.to_efsm(&Default::default()).unwrap();
-    m.validate().unwrap();
+    machine.efsm().validate().unwrap();
 }
 
 /// The EFSM and the constructive interpreter agree on the whole stack
@@ -148,9 +167,7 @@ fn stack_efsm_matches_interpreter() {
     use sim::runner::AsyncRunner;
     use sim::tb::PacketTb;
 
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let d = design("toplevel");
     let mut interp = InterpRunner::new(&d).unwrap();
     let mut efsm_run = AsyncRunner::new(
         vec![d.clone()],
@@ -165,16 +182,13 @@ fn stack_efsm_matches_interpreter() {
         reset_every: 4,
         seed: 5,
     };
-    for ev in tb.events() {
-        for (name, v) in &ev.valued {
-            interp.set_input_i64(name, *v).unwrap();
-            efsm_run.set_input_i64(name, *v).unwrap();
-        }
-        let names = ev.names();
-        let mut a = interp.instant(&names).unwrap();
-        let mut b = efsm_run.instant(&names).unwrap();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b, "trace divergence");
-    }
+    let ev = tb.events();
+    let mut a = Vec::new();
+    interp.run_events(&ev, |_, p| a.push(p.to_names())).unwrap();
+    let mut b = Vec::new();
+    efsm_run
+        .run_events(&ev, |_, p| b.push(p.to_names()))
+        .unwrap();
+    assert_eq!(a, b, "trace divergence");
+    assert_eq!(interp.counts(), efsm_run.counts(), "emission counts");
 }

@@ -23,8 +23,9 @@ fn locked() -> MutexGuard<'static, ()> {
 }
 
 fn supervisor(cfg: FleetConfig) -> Supervisor {
-    let designs = ecl_core::Compiler::default()
-        .partition(sim::designs::PROTOCOL_STACK, "toplevel")
+    let designs = ecl_core::Source::new(sim::designs::PROTOCOL_STACK)
+        .parse()
+        .and_then(|p| p.partition("toplevel"))
         .expect("protocol stack partitions");
     Supervisor::new(designs, &Default::default(), cfg).expect("fleet compiles")
 }

@@ -7,7 +7,7 @@
 //! Regenerate (after an *intentional* change) with:
 //! `UPDATE_GOLDEN=1 cargo test --test golden_trace`.
 
-use ecl_core::Compiler;
+use ecl_core::Source;
 use sim::runner::{InterpRunner, Runner};
 use sim::tb::PacketTb;
 
@@ -17,9 +17,11 @@ const GOLDEN_PATH: &str = "tests/golden/stack_head.vcd";
 const INSTANTS: usize = 75;
 
 fn dump_head() -> String {
-    let design = Compiler::default()
-        .compile_str(sim::designs::PROTOCOL_STACK, "toplevel")
-        .expect("stack compiles");
+    let design = Source::new(sim::designs::PROTOCOL_STACK)
+        .parse()
+        .and_then(|p| p.elaborate("toplevel")?.split())
+        .expect("stack compiles")
+        .to_design();
     let mut runner = InterpRunner::new(&design).expect("runner");
     runner.enable_trace(0);
     let events = PacketTb {

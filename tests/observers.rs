@@ -4,11 +4,32 @@
 //! interpreter-backed and the RTOS-backed runners, monolithic and
 //! partitioned alike.
 
-use ecl_core::Compiler;
+use ecl_core::{Design, Source};
 use ecl_observe::{check_async, check_interp, synthesize_all, MonitorSpec, Verdict};
 use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
 use sim::tb::{InstantEvents, PacketTb, PagerTb};
 use std::sync::Arc;
+
+/// `entry` of `src`, split into one design.
+fn design_of(src: &str, entry: &str) -> Design {
+    Source::new(src)
+        .parse()
+        .unwrap()
+        .elaborate(entry)
+        .unwrap()
+        .split()
+        .unwrap()
+        .to_design()
+}
+
+/// One design per direct instantiation of `toplevel` in `src`.
+fn parts_of(src: &str, toplevel: &str) -> Vec<Design> {
+    Source::new(src)
+        .parse()
+        .unwrap()
+        .partition(toplevel)
+        .unwrap()
+}
 
 fn specs_of(src: &str) -> Vec<Arc<MonitorSpec>> {
     synthesize_all(&ecl_syntax::parse_str(src).expect("design parses")).expect("observers compile")
@@ -46,16 +67,12 @@ fn stack_clean_run_passes_on_all_runners() {
         seed: 1999,
     }
     .events();
-    let mono = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let mono = design_of(PROTOCOL_STACK, "toplevel");
     let r = check_interp(&mono, &ev, &specs, 0).unwrap();
     assert!(r.report.all_pass(), "interp:\n{}", r.report);
     let r = check_async(vec![mono.clone()], &ev, &specs, 0).unwrap();
     assert!(r.report.all_pass(), "async mono:\n{}", r.report);
-    let parts = Compiler::default()
-        .partition(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let parts = parts_of(PROTOCOL_STACK, "toplevel");
     let r = check_async(parts, &ev, &specs, 0).unwrap();
     assert!(r.report.all_pass(), "async 3-task:\n{}", r.report);
 }
@@ -78,12 +95,8 @@ fn stack_seeded_crc_corruption_is_caught_on_all_runners() {
     // 1 gap + 64 bytes); the 8-instant forwarding window closes at 137.
     const EXPECTED_FAIL: u64 = 137;
 
-    let mono = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
-    let parts = Compiler::default()
-        .partition(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let mono = design_of(PROTOCOL_STACK, "toplevel");
+    let parts = parts_of(PROTOCOL_STACK, "toplevel");
     let runs = [
         ("interp", check_interp(&mono, &ev, &specs, 0).unwrap()),
         (
@@ -123,14 +136,12 @@ fn pager_clean_run_passes_on_all_runners() {
         seed: 7,
     }
     .events();
-    let mono = Compiler::default()
-        .compile_str(VOICE_PAGER, "pager")
-        .unwrap();
+    let mono = design_of(VOICE_PAGER, "pager");
     let r = check_interp(&mono, &ev, &specs, 0).unwrap();
     assert!(r.report.all_pass(), "interp:\n{}", r.report);
     let r = check_async(vec![mono.clone()], &ev, &specs, 0).unwrap();
     assert!(r.report.all_pass(), "async mono:\n{}", r.report);
-    let parts = Compiler::default().partition(VOICE_PAGER, "pager").unwrap();
+    let parts = parts_of(VOICE_PAGER, "pager");
     let r = check_async(parts, &ev, &specs, 0).unwrap();
     assert!(r.report.all_pass(), "async 3-task:\n{}", r.report);
 }
@@ -158,10 +169,8 @@ fn pager_truncated_recording_is_caught_on_all_runners() {
     // rec_on at instant 1; window of 6 closes at instant 7.
     const EXPECTED_FAIL: u64 = 7;
 
-    let mono = Compiler::default()
-        .compile_str(VOICE_PAGER, "pager")
-        .unwrap();
-    let parts = Compiler::default().partition(VOICE_PAGER, "pager").unwrap();
+    let mono = design_of(VOICE_PAGER, "pager");
+    let parts = parts_of(VOICE_PAGER, "pager");
     let runs = [
         ("interp", check_interp(&mono, &ev, &specs, 0).unwrap()),
         (
@@ -197,9 +206,7 @@ fn stack_violation_verdicts_survive_trace_replay() {
         seed: 1999,
     }
     .events();
-    let mono = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let mono = design_of(PROTOCOL_STACK, "toplevel");
     let run = check_interp(&mono, &ev, &specs, 0).unwrap();
     for spec in &specs {
         let mut offline = ecl_observe::Monitor::new(Arc::clone(spec));

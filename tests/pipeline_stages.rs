@@ -196,16 +196,3 @@ fn workspace_batch_codegen() {
     // Everything above reused the session's single parse.
     assert_eq!(ws.cache_stats().parse_misses, 1);
 }
-
-/// The legacy facade still works and returns the unified error type.
-#[test]
-fn legacy_compiler_shim_still_works() {
-    let d = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
-    assert_eq!(d.entry, "toplevel");
-    let e = Compiler::default()
-        .compile_str(PROTOCOL_STACK, "nope")
-        .unwrap_err();
-    assert_eq!(e.stage(), Stage::Elaborate);
-}

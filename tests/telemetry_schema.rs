@@ -26,11 +26,14 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     let sink = MemorySink::new();
     install_sink(Box::new(sink.clone()));
 
-    let specs =
-        ecl_observe::synthesize_all(&ecl_syntax::parse_str(PROTOCOL_STACK).unwrap()).unwrap();
-    let design = ecl_core::Compiler::default()
-        .compile_str(PROTOCOL_STACK, "toplevel")
-        .unwrap();
+    let parsed = ecl_core::Source::new(PROTOCOL_STACK).parse().unwrap();
+    let specs = ecl_observe::synthesize_all(parsed.ast()).unwrap();
+    let design = parsed
+        .elaborate("toplevel")
+        .unwrap()
+        .split()
+        .unwrap()
+        .to_design();
 
     // Clean monitored run: run_start/run_end bracket, spans, passing
     // final verdicts.
@@ -76,8 +79,8 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     k.emit_events_lost_event();
 
     // Error instants come from failed simulation; the builder-level
-    // path is the same, so emit one synthetically (schema v3: error
-    // lines must attribute a session — 0 outside a fleet).
+    // path is the same, so emit one synthetically (error lines must
+    // attribute a session — 0 outside a fleet).
     ecl_telemetry::event("error")
         .expect("telemetry on + sink installed")
         .u64("instant", 0)
@@ -85,12 +88,10 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
         .str("msg", "synthetic error for the schema test")
         .emit();
 
-    // Fault-injected run: every external event is dropped and every
-    // VM hook is demoted, so the stream carries `fault_injected` and
-    // `degraded` lines too.
+    // Fault-injected run: every external event is dropped, so the
+    // stream carries `fault_injected` lines too.
     ecl_faults::install(ecl_faults::FaultPlan {
         drop_external: 1.0,
-        vm_fault: 1.0,
         ..ecl_faults::FaultPlan::seeded(42)
     });
     let injected = PacketTb {
@@ -106,7 +107,6 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     run.end(n);
     let stats = ecl_faults::uninstall().expect("plan was installed");
     assert!(stats.dropped_external > 0, "drops must fire: {stats:?}");
-    assert!(stats.vm_demotions > 0, "demotions must fire: {stats:?}");
 
     // A two-session fleet: session-id-keyed run brackets plus the
     // aggregate `fleet_health` snapshot line.
@@ -169,7 +169,6 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
         "error",
         "events_lost",
         "fault_injected",
-        "degraded",
         "fleet_health",
     ] {
         assert!(kinds.contains(kind), "stream carries no `{kind}` line");
