@@ -618,12 +618,13 @@ mod tests {
         assert_eq!(e.stage(), Stage::Elaborate);
     }
 
+    const TWO_WRITERS: &str = "
+        module w(input pure t, output pure s) { while (1) { await(t); emit (s); } }
+        module top(input pure t, output pure s) { par { w(t, s); w(t, s); } }";
+
     #[test]
     fn multiple_writers_detected_at_elaboration() {
-        let src = "
-            module w(input pure t, output pure s) { while (1) { await(t); emit (s); } }
-            module top(input pure t, output pure s) { par { w(t, s); w(t, s); } }";
-        let e = Source::new(src)
+        let e = Source::new(TWO_WRITERS)
             .parse()
             .unwrap()
             .elaborate("top")
@@ -633,6 +634,14 @@ mod tests {
             e.first_message().unwrap().contains("multiple writers"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn multiple_writers_rejected() {
+        // The one-call path from source stops at the same stage.
+        let e = Source::new(TWO_WRITERS).finish("top").unwrap_err();
+        assert_eq!(e.stage(), Stage::Elaborate);
+        assert!(e.to_string().contains("multiple writers"), "{e}");
     }
 
     #[test]
@@ -802,6 +811,30 @@ mod tests {
                 .contains("module `a` instantiates no submodules"),
             "{e}"
         );
+    }
+
+    #[test]
+    fn min_strategy_produces_fewer_actions() {
+        // Each strategy on its own pass from source to `Design`: the
+        // pipeline's product carries the smaller data table.
+        let src = "
+            module m(input pure a, output pure o) {
+              int x; int y;
+              while (1) { await (a); x = 1; y = x + 2; x = y * 3; emit (o); }
+            }";
+        let design = |strategy| {
+            Source::new(src)
+                .parse()
+                .unwrap()
+                .elaborate("m")
+                .unwrap()
+                .split_with(strategy)
+                .unwrap()
+                .to_design()
+        };
+        let max = design(SplitStrategy::MaxEsterel);
+        let min = design(SplitStrategy::MinEsterel);
+        assert!(min.split.data.actions.len() < max.split.data.actions.len());
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //! delay) under an installed plan.
 //!
 //! The plan is process-global, so these checks live in their own test
-//! binary and run in sequence inside one `#[test]`: no other test ever
-//! posts an event while a plan is installed, and the unit tests in
-//! `src/lib.rs` never see one.
+//! binary, where every test installs a plan and holds [`serial`] while
+//! it does: no test ever posts an event under another test's plan, and
+//! the unit tests in `src/lib.rs` never see one.
 
 use ecl_faults::FaultPlan;
 use efsm::BitSet;
 use rtk::{Kernel, TaskId};
+use std::sync::{Mutex, MutexGuard};
 
 const X: u32 = 0;
 const Y: u32 = 1;
@@ -17,14 +18,16 @@ fn set(sigs: &[u32]) -> BitSet {
     sigs.iter().map(|s| *s as usize).collect()
 }
 
-#[test]
-fn fault_sites_inject_and_account_in_sequence() {
-    mailbox_cap_rejects_and_counts_losses();
-    internal_drops_are_seed_deterministic();
-    delayed_internal_events_arrive_after_flush();
+/// Run one plan-installing test at a time. A failed test poisons the
+/// lock; the next one installs its own plan first, so it recovers.
+fn serial() -> MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
+#[test]
 fn mailbox_cap_rejects_and_counts_losses() {
+    let _g = serial();
     ecl_faults::install(FaultPlan {
         mailbox_cap: Some(1),
         ..FaultPlan::seeded(1)
@@ -46,7 +49,9 @@ fn mailbox_cap_rejects_and_counts_losses() {
     assert_eq!(k.events_lost, 1, "no cap without a plan");
 }
 
+#[test]
 fn internal_drops_are_seed_deterministic() {
+    let _g = serial();
     let plan = FaultPlan {
         drop_internal: 0.5,
         ..FaultPlan::seeded(99)
@@ -81,7 +86,9 @@ fn internal_drops_are_seed_deterministic() {
     assert!(!dropped1.iter().all(|d| *d), "rate 0.5 dropped everything");
 }
 
+#[test]
 fn delayed_internal_events_arrive_after_flush() {
+    let _g = serial();
     ecl_faults::install(FaultPlan {
         delay_internal: 1.0,
         ..FaultPlan::seeded(3)

@@ -142,8 +142,8 @@ fn check_equiv(src: &str, strategy: SplitStrategy, seeds: u64) -> Result<(), Tes
 /// loops, casts/sizeof/comma, a helper C function (exercising the
 /// VM's statement-level walker fallback), and *deliberate* runtime errors
 /// (divisions whose divisor is input-dependent, occasionally
-/// out-of-bounds indices) — the data workload of the
-/// `compiled_matches_walker` differential.
+/// out-of-bounds indices) — the data workload of the compiled ≡
+/// walker differential.
 fn gen_data_module(seed: u64) -> String {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut body = String::new();
@@ -279,7 +279,8 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
     }
 }
 
-/// The shipped path ≡ the reference path, step for step. One runtime
+/// The shipped path ≡ the reference path, step for step, on module `m`
+/// of `src` split under `strategy`. One runtime
 /// steps through `step_table` — fused mask-scan rows falling through
 /// into residual programs — with its data hooks on the bytecode VM
 /// (`Backend::Compiled`); the other walks the s-graph with `step_bits`
@@ -289,8 +290,12 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
 /// span), the `pred_evals`/`action_runs` hook counters, the emitted
 /// value of `x`, every root-frame variable, and — on error-free steps
 /// — the exact fuel consumed (the kernel's cycle-charge source).
-fn check_compiled_vs_walker(src: &str, seeds: u64) -> Result<(), TestCaseError> {
-    let Some(design) = design(src, SplitStrategy::default()) else {
+fn check_compiled_vs_walker(
+    src: &str,
+    strategy: SplitStrategy,
+    seeds: u64,
+) -> Result<(), TestCaseError> {
+    let Some(design) = design(src, strategy) else {
         return Ok(());
     };
     let Ok(machine) = design.to_efsm(&Default::default()) else {
@@ -541,19 +546,36 @@ proptest! {
         check_observer_equiv(&src, 3)?;
     }
 
-    /// The compiled path (fused rows + bytecode VM) ≡ the reference
-    /// path (s-graph walk + tree-walker) on both generators: the
-    /// reactive grammar and the data-heavy one (ints, aggregates,
-    /// signal reads and projections, valued emits, function-call
-    /// fallbacks, deliberate runtime errors). Exact per-step results
-    /// at the machine level, plus identical present sets and observer
-    /// verdicts at the runner level.
+    // The compiled path (fused rows + bytecode VM) ≡ the reference
+    // path (s-graph walk + tree-walker): one check,
+    // `check_compiled_vs_walker`, over three workloads.
+
+    /// On the reactive grammar: exact per-step results at the machine
+    /// level, plus identical present sets and observer verdicts at the
+    /// runner level.
     #[test]
-    fn compiled_matches_walker(seed in 0u64..10_000) {
+    fn table_matches_sgraph(seed in 0u64..10_000) {
         let src = gen_module(seed);
-        check_compiled_vs_walker(&src, 3)?;
+        check_compiled_vs_walker(&src, SplitStrategy::MaxEsterel, 3)?;
         check_runner_verdicts(&src, 3)?;
-        check_compiled_vs_walker(&gen_data_module(seed), 3)?;
+    }
+
+    /// On the data-heavy grammar (ints, aggregates, signal reads and
+    /// projections, valued emits, function-call fallbacks, deliberate
+    /// runtime errors) under MaxEsterel: data `if`s become EFSM
+    /// predicates, so fused rows interleave predicates, actions and
+    /// valued emits with presence tests.
+    #[test]
+    fn fused_matches_walker(seed in 0u64..10_000) {
+        check_compiled_vs_walker(&gen_data_module(seed), SplitStrategy::MaxEsterel, 3)?;
+    }
+
+    /// The same grammar under MinEsterel: halting-free regions batch
+    /// into single actions, so the VM runs whole branches and loops
+    /// (jumps, coalesced burns, fallbacks) inside one hook.
+    #[test]
+    fn vm_matches_walker(seed in 0u64..10_000) {
+        check_compiled_vs_walker(&gen_data_module(seed), SplitStrategy::MinEsterel, 3)?;
     }
 
     /// Both strategies agree with each other on outputs.
