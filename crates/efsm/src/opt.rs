@@ -3,8 +3,13 @@
 //! These are the "logic optimization algorithms" the paper says apply to
 //! the EFSM (Section 3): the s-graph analogue of two-level minimization
 //! (node sharing + dead-test elimination) and classical FSM state
-//! minimization by partition refinement. All passes preserve observable
-//! behavior: the sequence of emissions/actions for every input sequence.
+//! minimization by partition refinement. Minimization summarizes each
+//! state once, by the shape of its s-graph and the targets of its
+//! `Goto` holes, and refines with a Hopcroft-style worklist that
+//! re-keys only the predecessors of states whose class changed, so it
+//! is near-linear in the number of holes. All passes preserve
+//! observable behavior: the sequence of emissions/actions for every
+//! input sequence.
 
 use crate::machine::{Efsm, State, StateId};
 use crate::sgraph::{Node, NodeId};
@@ -154,43 +159,32 @@ pub fn prune_unreachable(m: &mut Efsm) {
     reduce(m);
 }
 
-/// Observational state minimization by partition refinement.
+/// Observational state minimization by worklist partition refinement.
 ///
-/// Two states are equivalent when their s-graphs are structurally equal
-/// after replacing `Goto` targets with equivalence-class indices.
-/// Iterates to a fixpoint (Moore-style refinement), then merges each
-/// class into its representative.
+/// Two states are equivalent when their s-graphs unfold to the same
+/// tree once every `Goto` target is replaced by its target's class.
+/// Each state is summarized once, by its *shape* (its s-graph
+/// hash-consed with every `Goto` as a hole) and its hole targets in
+/// expansion order (`then_` before `else_`). Refinement starts from the
+/// partition by shape. A round keys a state by its targets' class ids
+/// as frozen at the start of the round, and re-keys only predecessors
+/// of states whose id changed in the previous round. When a class
+/// splits, its largest part keeps the id (Hopcroft's smaller-half
+/// rule), so a state changes id O(log n) times. The coarsest stable
+/// partition is unique, so the result is the one Moore refinement
+/// reaches; each class then merges into its lowest-numbered member.
 pub fn minimize_states(m: &mut Efsm) {
-    let n = m.states.len();
-    if n <= 1 {
+    if m.states.len() <= 1 {
         return;
     }
-    // Start with a single class.
-    let mut class: Vec<u32> = vec![0; n];
-    loop {
-        // Signature of each state under the current classes.
-        let mut sigs: Vec<String> = Vec::with_capacity(n);
-        for st in &m.states {
-            sigs.push(signature(&m.nodes, st.root, &class));
-        }
-        let mut next_class = vec![0u32; n];
-        let mut index: HashMap<(u32, &str), u32> = HashMap::new();
-        let mut count = 0u32;
-        for i in 0..n {
-            let key = (class[i], sigs[i].as_str());
-            let c = *index.entry(key).or_insert_with(|| {
-                let c = count;
-                count += 1;
-                c
-            });
-            next_class[i] = c;
-        }
-        let stable = next_class == class;
-        class = next_class;
-        if stable {
-            break;
-        }
-    }
+    let class = Holes::of(m).coarsest_partition();
+    merge_classes(m, &class);
+}
+
+/// Merge each class of `class` (dense ids `0..k`) into its
+/// lowest-numbered member, keeping the survivors in state order.
+fn merge_classes(m: &mut Efsm, class: &[u32]) {
+    let n = m.states.len();
     let num_classes = class.iter().copied().max().map(|c| c + 1).unwrap_or(0) as usize;
     if num_classes == n {
         return; // already minimal
@@ -226,41 +220,196 @@ pub fn minimize_states(m: &mut Efsm) {
         .collect();
 }
 
-/// Canonical string signature of an s-graph with state classes
-/// substituted for targets. Memoized per call via an explicit stack.
-fn signature(nodes: &[Node], root: NodeId, class: &[u32]) -> String {
-    fn go(nodes: &[Node], id: NodeId, class: &[u32], memo: &mut HashMap<NodeId, String>) -> String {
-        if let Some(s) = memo.get(&id) {
-            return s.clone();
-        }
-        let s = match nodes[id.0 as usize] {
-            Node::Test { sig, then_, else_ } => format!(
-                "T{}({},{})",
-                sig.0,
-                go(nodes, then_, class, memo),
-                go(nodes, else_, class, memo)
-            ),
-            Node::TestPred { pred, then_, else_ } => format!(
-                "P{}({},{})",
-                pred.0,
-                go(nodes, then_, class, memo),
-                go(nodes, else_, class, memo)
-            ),
-            Node::Do { action, next } => {
-                format!("D{};{}", action.0, go(nodes, next, class, memo))
+/// What refinement needs of a machine: each state's shape class and
+/// its hole targets, plus the reverse edges.
+struct Holes {
+    /// Initial class per state: states share one iff their shapes match.
+    shape_class: Vec<u32>,
+    /// `targets[start[s]..start[s + 1]]`: state `s`'s hole targets in
+    /// expansion order.
+    start: Vec<usize>,
+    targets: Vec<u32>,
+    /// `preds[t]`: the states with a hole targeting `t`, each once.
+    preds: Vec<Vec<u32>>,
+}
+
+impl Holes {
+    fn of(m: &Efsm) -> Holes {
+        const UNSET: u32 = u32::MAX;
+        let n = m.states.len();
+        let nodes = &m.nodes;
+        let mut shape = vec![UNSET; nodes.len()];
+        let mut intern: HashMap<Node, u32> = HashMap::new();
+        let mut shape_class_of: HashMap<u32, u32> = HashMap::new();
+        let mut shape_class = Vec::with_capacity(n);
+        let mut start = Vec::with_capacity(n + 1);
+        let mut targets = Vec::new();
+        let mut post: Vec<(NodeId, bool)> = Vec::new();
+        let mut pre: Vec<NodeId> = Vec::new();
+        for st in &m.states {
+            // Shape: hash-cons bottom-up, every `Goto` the same hole.
+            post.push((st.root, false));
+            while let Some((id, children_done)) = post.pop() {
+                let node = nodes[id.0 as usize];
+                if shape[id.0 as usize] != UNSET {
+                    continue;
+                }
+                if !children_done {
+                    post.push((id, true));
+                    match node {
+                        Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
+                            post.extend([(then_, false), (else_, false)]);
+                        }
+                        Node::Do { next, .. } | Node::Emit { next, .. } => post.push((next, false)),
+                        Node::Goto { .. } => {}
+                    }
+                    continue;
+                }
+                let key = node
+                    .map_successors(|s| NodeId(shape[s.0 as usize]))
+                    .map_target(|_| StateId(0));
+                let next = intern.len() as u32;
+                shape[id.0 as usize] = *intern.entry(key).or_insert(next);
             }
-            Node::Emit { sig, value, next } => format!(
-                "E{}{};{}",
-                sig.0,
-                value.map(|v| format!("v{}", v.0)).unwrap_or_default(),
-                go(nodes, next, class, memo)
-            ),
-            Node::Goto { target } => format!("G{}", class[target.0 as usize]),
-        };
-        memo.insert(id, s.clone());
-        s
+            let next = shape_class_of.len() as u32;
+            shape_class.push(
+                *shape_class_of
+                    .entry(shape[st.root.0 as usize])
+                    .or_insert(next),
+            );
+            // Hole targets in expansion order.
+            start.push(targets.len());
+            pre.push(st.root);
+            while let Some(id) = pre.pop() {
+                match nodes[id.0 as usize] {
+                    Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
+                        pre.push(else_);
+                        pre.push(then_);
+                    }
+                    Node::Do { next, .. } | Node::Emit { next, .. } => pre.push(next),
+                    Node::Goto { target } => targets.push(target.0),
+                }
+            }
+        }
+        start.push(targets.len());
+        let mut preds = vec![Vec::new(); n];
+        for p in 0..n as u32 {
+            for &t in &targets[start[p as usize]..start[p as usize + 1]] {
+                if preds[t as usize].last() != Some(&p) {
+                    preds[t as usize].push(p);
+                }
+            }
+        }
+        Holes {
+            shape_class,
+            start,
+            targets,
+            preds,
+        }
     }
-    go(nodes, root, class, &mut HashMap::new())
+
+    fn targets(&self, s: u32) -> &[u32] {
+        &self.targets[self.start[s as usize]..self.start[s as usize + 1]]
+    }
+
+    /// The coarsest partition refining the shape partition in which
+    /// every class is stable: members' hole targets lie pairwise in the
+    /// same classes. Returns dense class ids.
+    fn coarsest_partition(&self) -> Vec<u32> {
+        let n = self.shape_class.len();
+        let mut class = self.shape_class.clone();
+        let num_shapes = class.iter().copied().max().map_or(0, |c| c + 1) as usize;
+        let mut members: Vec<Vec<u32>> = vec![Vec::new(); num_shapes];
+        let mut pos = vec![0u32; n];
+        for (s, &c) in class.iter().enumerate() {
+            pos[s] = members[c as usize].len() as u32;
+            members[c as usize].push(s as u32);
+        }
+        // `rested[s]`: `s` is not re-keyed this round.
+        let mut rested = vec![true; n];
+        // Round one keys every state.
+        let mut dirty: Vec<u32> = (0..n as u32).collect();
+        let mut keys: Vec<u32> = Vec::new();
+        let mut order: Vec<usize> = Vec::new();
+        let mut moves: Vec<(u32, u32)> = Vec::new();
+        loop {
+            dirty.sort_unstable_by_key(|&s| (class[s as usize], s));
+            dirty.dedup();
+            for &s in &dirty {
+                rested[s as usize] = false;
+            }
+            for group in dirty.chunk_by(|a, b| class[*a as usize] == class[*b as usize]) {
+                let block = class[group[0] as usize] as usize;
+                let size = members[block].len();
+                if size == 1 {
+                    continue;
+                }
+                // Key by the targets' ids, frozen: `class` changes only
+                // after the round. Members share a shape, so their keys
+                // share a width.
+                let width = self.targets(group[0]).len();
+                keys.clear();
+                for &s in group {
+                    keys.extend(self.targets(s).iter().map(|&t| class[t as usize]));
+                }
+                let key_of = |i: usize| &keys[i * width..(i + 1) * width];
+                order.clear();
+                order.extend(0..group.len());
+                order.sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)));
+                let parts: Vec<&[usize]> =
+                    order.chunk_by(|&a, &b| key_of(a) == key_of(b)).collect();
+                // The members not re-keyed form one more part: their keys
+                // did not change, so they still agree, and no re-keyed
+                // key matches them — a re-keyed state has a hole into a
+                // class made last round, which no resting member reaches.
+                let rest = size - group.len();
+                if rest == 0 && parts.len() == 1 {
+                    continue; // no split
+                }
+                // The largest part keeps the id (the rest wins ties);
+                // every other part moves to a fresh one.
+                let largest = parts.iter().map(|part| part.len()).max().unwrap_or(0);
+                let keeper = parts
+                    .iter()
+                    .position(|part| part.len() == largest && largest > rest);
+                for (i, part) in parts.iter().enumerate() {
+                    if keeper != Some(i) {
+                        let fresh = members.len() as u32;
+                        members.push(Vec::new());
+                        moves.extend(part.iter().map(|&i| (group[i], fresh)));
+                    }
+                }
+                if keeper.is_some() && rest > 0 {
+                    let fresh = members.len() as u32;
+                    members.push(Vec::new());
+                    let resting = members[block].iter().filter(|&&s| rested[s as usize]);
+                    moves.extend(resting.map(|&s| (s, fresh)));
+                }
+            }
+            for &s in &dirty {
+                rested[s as usize] = true;
+            }
+            if moves.is_empty() {
+                return class;
+            }
+            // Apply the round's splits; the predecessors of every state
+            // whose id changed are re-keyed next round.
+            dirty.clear();
+            for &(s, fresh) in &moves {
+                let old = class[s as usize] as usize;
+                let p = pos[s as usize] as usize;
+                members[old].swap_remove(p);
+                if let Some(&moved) = members[old].get(p) {
+                    pos[moved as usize] = p as u32;
+                }
+                pos[s as usize] = members[fresh as usize].len() as u32;
+                members[fresh as usize].push(s);
+                class[s as usize] = fresh;
+                dirty.extend_from_slice(&self.preds[s as usize]);
+            }
+            moves.clear();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -485,8 +634,247 @@ mod proptests {
         })
     }
 
+    /// Machines of up to `max_states` states over every node kind, with
+    /// id alphabets small enough that shapes collide and states merge.
+    /// Half are chains: each state steps to the next unless `go` is
+    /// present, so refinement needs one round per state; a periodic
+    /// emission makes states one period apart equivalent when the chain
+    /// closes into a cycle.
+    fn arb_wide_efsm(max_states: u32) -> impl Strategy<Value = Efsm> {
+        (2..=max_states, any::<bool>(), any::<u64>())
+            .prop_map(|(nstates, chain, seed)| wide_efsm(nstates, chain, seed))
+    }
+
+    /// One [`arb_wide_efsm`] machine.
+    fn wide_efsm(nstates: u32, chain: bool, seed: u64) -> Efsm {
+        use crate::{ActionId, ExprId, PredId, StateId};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut m = Efsm::new(if chain { "chain" } else { "wide" });
+        let go = m.add_signal("go", SigKind::Input, false);
+        let hold = m.add_signal("hold", SigKind::Input, false);
+        let out = m.add_signal("out", SigKind::Output, true);
+        let done = m.add_signal("done", SigKind::Output, false);
+        if chain {
+            let period = rng.gen_range(1..=nstates);
+            let closed = rng.gen_bool(0.5);
+            let guarded = rng.gen_bool(0.5);
+            let acting = rng.gen_bool(0.5);
+            for s in 0..nstates {
+                let last = s + 1 == nstates;
+                let next = if !last {
+                    s + 1
+                } else if closed {
+                    0
+                } else {
+                    s
+                };
+                let mut body = m.add_node(Node::Goto {
+                    target: StateId(next),
+                });
+                if last && !closed {
+                    body = m.add_node(Node::Emit {
+                        sig: done,
+                        value: None,
+                        next: body,
+                    });
+                } else if s % period == period - 1 {
+                    body = m.add_node(Node::Emit {
+                        sig: out,
+                        value: Some(ExprId(0)),
+                        next: body,
+                    });
+                }
+                if acting {
+                    body = m.add_node(Node::Do {
+                        action: ActionId(0),
+                        next: body,
+                    });
+                }
+                if guarded {
+                    let stay = m.add_node(Node::Goto { target: StateId(s) });
+                    body = m.add_node(Node::TestPred {
+                        pred: PredId(0),
+                        then_: body,
+                        else_: stay,
+                    });
+                }
+                let restart = m.add_node(Node::Goto { target: StateId(0) });
+                let root = m.add_node(Node::Test {
+                    sig: go,
+                    then_: restart,
+                    else_: body,
+                });
+                m.add_state(format!("c{s}"), root);
+            }
+        } else {
+            let hubs: Vec<u32> = (0..rng.gen_range(1..=4))
+                .map(|_| rng.gen_range(0..nstates))
+                .collect();
+            for s in 0..nstates {
+                let mut pool: Vec<NodeId> = (0..2)
+                    .map(|_| {
+                        let target = if rng.gen_bool(0.8) {
+                            hubs[rng.gen_range(0..hubs.len())]
+                        } else {
+                            rng.gen_range(0..nstates)
+                        };
+                        m.add_node(Node::Goto {
+                            target: StateId(target),
+                        })
+                    })
+                    .collect();
+                for _ in 0..rng.gen_range(0..5) {
+                    let mut pick = || pool[rng.gen_range(0..pool.len())];
+                    let (a, b) = (pick(), pick());
+                    let node = match rng.gen_range(0..5) {
+                        0 => Node::Test {
+                            sig: if rng.gen_bool(0.5) { go } else { hold },
+                            then_: a,
+                            else_: b,
+                        },
+                        1 => Node::TestPred {
+                            pred: PredId(rng.gen_range(0..2)),
+                            then_: a,
+                            else_: b,
+                        },
+                        2 => Node::Do {
+                            action: ActionId(rng.gen_range(0..2)),
+                            next: a,
+                        },
+                        3 => Node::Emit {
+                            sig: out,
+                            value: Some(ExprId(rng.gen_range(0..2))),
+                            next: a,
+                        },
+                        _ => Node::Emit {
+                            sig: done,
+                            value: None,
+                            next: a,
+                        },
+                    };
+                    pool.push(m.add_node(node));
+                }
+                let root = *pool.last().expect("pool nonempty");
+                m.add_state(format!("w{s}"), root);
+            }
+        }
+        m.validate().expect("generator builds valid machines");
+        m
+    }
+
+    /// Reference minimization: Moore refinement over string signatures,
+    /// every state re-signed every round until no class splits.
+    fn minimize_states_reference(m: &mut Efsm) {
+        let n = m.states.len();
+        if n <= 1 {
+            return;
+        }
+        let mut class: Vec<u32> = vec![0; n];
+        loop {
+            let sigs: Vec<String> = m
+                .states
+                .iter()
+                .map(|st| signature(&m.nodes, st.root, &class))
+                .collect();
+            let mut next_class = vec![0u32; n];
+            let mut index: HashMap<(u32, &str), u32> = HashMap::new();
+            for i in 0..n {
+                let count = index.len() as u32;
+                next_class[i] = *index.entry((class[i], sigs[i].as_str())).or_insert(count);
+            }
+            let stable = next_class == class;
+            class = next_class;
+            if stable {
+                break;
+            }
+        }
+        merge_classes(m, &class);
+    }
+
+    /// Canonical string signature of an s-graph with state classes
+    /// substituted for targets.
+    fn signature(nodes: &[Node], root: NodeId, class: &[u32]) -> String {
+        fn go(
+            nodes: &[Node],
+            id: NodeId,
+            class: &[u32],
+            memo: &mut HashMap<NodeId, String>,
+        ) -> String {
+            if let Some(s) = memo.get(&id) {
+                return s.clone();
+            }
+            let s = match nodes[id.0 as usize] {
+                Node::Test { sig, then_, else_ } => format!(
+                    "T{}({},{})",
+                    sig.0,
+                    go(nodes, then_, class, memo),
+                    go(nodes, else_, class, memo)
+                ),
+                Node::TestPred { pred, then_, else_ } => format!(
+                    "P{}({},{})",
+                    pred.0,
+                    go(nodes, then_, class, memo),
+                    go(nodes, else_, class, memo)
+                ),
+                Node::Do { action, next } => {
+                    format!("D{};{}", action.0, go(nodes, next, class, memo))
+                }
+                Node::Emit { sig, value, next } => format!(
+                    "E{}{};{}",
+                    sig.0,
+                    value.map(|v| format!("v{}", v.0)).unwrap_or_default(),
+                    go(nodes, next, class, memo)
+                ),
+                Node::Goto { target } => format!("G{}", class[target.0 as usize]),
+            };
+            memo.insert(id, s.clone());
+            s
+        }
+        go(nodes, root, class, &mut HashMap::new())
+    }
+
+    #[test]
+    fn wide_generator_covers_merges_and_long_chains() {
+        let (mut merged, mut longest) = (0, 0);
+        for seed in 0..64 {
+            let m = wide_efsm(256 - seed as u32, seed % 2 == 0, seed);
+            let mut min = m.clone();
+            minimize_states(&mut min);
+            merged += usize::from(min.states.len() < m.states.len());
+            if m.name == "chain" && min.states.len() == m.states.len() {
+                longest = longest.max(m.states.len());
+            }
+        }
+        assert!(merged >= 8, "only {merged} of 64 machines merge states");
+        assert!(longest >= 64, "longest unmerged chain has {longest} states");
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The worklist refinement builds exactly the machine the
+        /// reference Moore refinement builds: states with names, nodes
+        /// and the initial state.
+        #[test]
+        fn minimize_matches_reference(m in arb_efsm(6, 3)) {
+            let mut fast = m.clone();
+            let mut slow = m;
+            minimize_states(&mut fast);
+            minimize_states_reference(&mut slow);
+            prop_assert_eq!(fast, slow);
+        }
+
+        /// Same, on machines of up to 256 states with every node kind
+        /// and long refinement chains.
+        #[test]
+        fn minimize_matches_reference_wide(m in arb_wide_efsm(256)) {
+            let mut fast = m.clone();
+            let mut slow = m;
+            minimize_states(&mut fast);
+            minimize_states_reference(&mut slow);
+            prop_assert_eq!(fast, slow);
+        }
 
         /// Optimization must preserve the observable trace for random
         /// machines and random input sequences.

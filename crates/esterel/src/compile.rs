@@ -19,7 +19,7 @@
 //! reading a variable written earlier in the same instant sits *below*
 //! the corresponding `Do` node).
 
-use crate::engine::{Engine, ExecOut, Sem};
+use crate::engine::{Engine, ExecOut, Occurrences, Sem};
 use crate::ir::{Program, StmtId, Tri};
 use efsm::sgraph::{Node as ENode, NodeId};
 use efsm::{ActionId, BitSet, Efsm, ExprId, PredId, SigKind, Signal, StateId};
@@ -140,6 +140,8 @@ struct Compiler<'p> {
     ids: HashMap<StateKey, StateId>,
     work: Vec<StateKey>,
     report: CompileReport,
+    /// Visit counters, reused by every pass of every run.
+    occ: Occurrences,
 }
 
 /// One linear event along a symbolic run.
@@ -297,6 +299,7 @@ impl<'p> Compiler<'p> {
             ids: HashMap::new(),
             work: Vec::new(),
             report: CompileReport::default(),
+            occ: Occurrences::default(),
         }
     }
 
@@ -375,7 +378,7 @@ impl<'p> Compiler<'p> {
         let mut last_known = usize::MAX;
         loop {
             sem.needs.clear();
-            let mut engine = Engine::new(self.prog, &sel, &mut sem);
+            let mut engine = Engine::new(self.prog, &sel, &mut self.occ, &mut sem);
             let out = engine.exec(self.prog.root(), start);
             match out {
                 ExecOut::Failed(_) => {

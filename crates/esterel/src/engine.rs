@@ -17,7 +17,6 @@
 
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, ExprId, PredId, Signal};
-use std::collections::HashMap;
 
 /// Resolution callbacks for one instant.
 pub trait Sem {
@@ -66,33 +65,60 @@ pub enum ExecFailure {
     InconsistentEmission(Signal),
 }
 
+/// Per-node visit counters of one pass, indexed by node id.
+///
+/// A driver owns one and lends it to every pass: starting a pass
+/// clears only the counters the previous pass touched, so a pass costs
+/// what it visits, not the program's size.
+#[derive(Debug, Clone, Default)]
+pub struct Occurrences {
+    count: Vec<u32>,
+    touched: Vec<StmtId>,
+}
+
+impl Occurrences {
+    /// Zero every counter for a program of `size` nodes.
+    fn reset(&mut self, size: usize) {
+        for id in self.touched.drain(..) {
+            self.count[id.0 as usize] = 0;
+        }
+        if self.count.len() < size {
+            self.count.resize(size, 0);
+        }
+    }
+
+    /// The occurrence number of this visit of `id`.
+    fn next(&mut self, id: StmtId) -> u32 {
+        let c = &mut self.count[id.0 as usize];
+        if *c == 0 {
+            self.touched.push(id);
+        }
+        *c += 1;
+        *c - 1
+    }
+}
+
 /// One execution pass over the program.
 pub struct Engine<'p, S: Sem> {
     prog: &'p Program,
     /// Selection (active pauses) from the previous instant.
     sel: &'p BitSet,
     /// Per-node visit counters for this pass.
-    occ: HashMap<StmtId, u32>,
+    occ: &'p mut Occurrences,
     /// The driver's resolution strategy.
     pub sem: S,
 }
 
 impl<'p, S: Sem> Engine<'p, S> {
-    /// Create an engine for one pass.
-    pub fn new(prog: &'p Program, sel: &'p BitSet, sem: S) -> Self {
+    /// Create an engine for one pass, counting visits in `occ`.
+    pub fn new(prog: &'p Program, sel: &'p BitSet, occ: &'p mut Occurrences, sem: S) -> Self {
+        occ.reset(prog.size());
         Engine {
             prog,
             sel,
-            occ: HashMap::new(),
+            occ,
             sem,
         }
-    }
-
-    fn next_occ(&mut self, id: StmtId) -> u32 {
-        let c = self.occ.entry(id).or_insert(0);
-        let v = *c;
-        *c += 1;
-        v
     }
 
     /// Evaluate a signal expression three-valued. On Unknown, the first
@@ -119,7 +145,8 @@ impl<'p, S: Sem> Engine<'p, S> {
     /// Execute node `id`; `start` selects start vs. resume mode.
     pub fn exec(&mut self, id: StmtId, start: bool) -> ExecOut {
         use ExecOut::*;
-        match self.prog.node(id).clone() {
+        let prog = self.prog;
+        match prog.node(id) {
             Node::Nothing => Done {
                 code: 0,
                 pauses: BitSet::new(),
@@ -127,7 +154,7 @@ impl<'p, S: Sem> Engine<'p, S> {
             Node::Pause(p) => {
                 if start {
                     let mut b = BitSet::new();
-                    b.insert(p as usize);
+                    b.insert(*p as usize);
                     Done { code: 1, pauses: b }
                 } else {
                     // Resumed ⇒ this pause was selected ⇒ it terminates.
@@ -138,50 +165,50 @@ impl<'p, S: Sem> Engine<'p, S> {
                 }
             }
             Node::Emit(s, value) => {
-                let occ = self.next_occ(id);
-                if self.sem.emit((id, occ), s, value) {
+                let occ = self.occ.next(id);
+                if self.sem.emit((id, occ), *s, *value) {
                     Done {
                         code: 0,
                         pauses: BitSet::new(),
                     }
                 } else {
-                    Failed(ExecFailure::InconsistentEmission(s))
+                    Failed(ExecFailure::InconsistentEmission(*s))
                 }
             }
             Node::Present(cond, t, e) => {
                 if start {
-                    match self.eval_expr(&cond) {
-                        Some(true) => self.exec(t, true),
-                        Some(false) => self.exec(e, true),
+                    match self.eval_expr(cond) {
+                        Some(true) => self.exec(*t, true),
+                        Some(false) => self.exec(*e, true),
                         None => Blocked,
                     }
                 } else {
                     // Resume the branch holding the selection; the test
                     // is not re-evaluated.
-                    if self.prog.selected(t, self.sel) {
-                        self.exec(t, false)
+                    if prog.selected(*t, self.sel) {
+                        self.exec(*t, false)
                     } else {
-                        self.exec(e, false)
+                        self.exec(*e, false)
                     }
                 }
             }
             Node::IfData(p, t, e) => {
                 if start {
-                    let occ = self.next_occ(id);
-                    match self.sem.pred((id, occ), p) {
-                        Some(true) => self.exec(t, true),
-                        Some(false) => self.exec(e, true),
+                    let occ = self.occ.next(id);
+                    match self.sem.pred((id, occ), *p) {
+                        Some(true) => self.exec(*t, true),
+                        Some(false) => self.exec(*e, true),
                         None => Blocked,
                     }
-                } else if self.prog.selected(t, self.sel) {
-                    self.exec(t, false)
+                } else if prog.selected(*t, self.sel) {
+                    self.exec(*t, false)
                 } else {
-                    self.exec(e, false)
+                    self.exec(*e, false)
                 }
             }
             Node::Action(a) => {
-                let occ = self.next_occ(id);
-                self.sem.action((id, occ), a);
+                let occ = self.occ.next(id);
+                self.sem.action((id, occ), *a);
                 Done {
                     code: 0,
                     pauses: BitSet::new(),
@@ -192,10 +219,7 @@ impl<'p, S: Sem> Engine<'p, S> {
                 let mut mode_start = start;
                 if !start {
                     // Find the child holding the selection.
-                    match children
-                        .iter()
-                        .position(|c| self.prog.selected(*c, self.sel))
-                    {
+                    match prog.selected_child(children, self.sel) {
                         Some(i) => idx = i,
                         None => {
                             // Selection vanished (should not happen).
@@ -222,11 +246,11 @@ impl<'p, S: Sem> Engine<'p, S> {
                 }
             }
             Node::Loop(body) => {
-                let first = self.exec(body, start);
+                let first = self.exec(*body, start);
                 match first {
                     Done { code: 0, .. } => {
                         // Body finished within the instant: restart once.
-                        match self.exec(body, true) {
+                        match self.exec(*body, true) {
                             Done { code: 0, .. } => Failed(ExecFailure::InstantaneousLoop),
                             other => other,
                         }
@@ -238,10 +262,10 @@ impl<'p, S: Sem> Engine<'p, S> {
                 let mut blocked = false;
                 let mut code = 0u32;
                 let mut pauses = BitSet::new();
-                for c in children {
+                for &c in children {
                     let child_out = if start {
                         self.exec(c, true)
-                    } else if self.prog.selected(c, self.sel) {
+                    } else if prog.selected(c, self.sel) {
                         self.exec(c, false)
                     } else {
                         // Terminated in an earlier instant.
@@ -268,7 +292,7 @@ impl<'p, S: Sem> Engine<'p, S> {
                     Done { code, pauses }
                 }
             }
-            Node::Trap(body) => match self.exec(body, start) {
+            Node::Trap(body) => match self.exec(*body, start) {
                 Done { code: 2, .. } => Done {
                     // Caught: the whole body is killed, pauses dropped.
                     code: 0,
@@ -287,12 +311,12 @@ impl<'p, S: Sem> Engine<'p, S> {
             Node::Suspend(guard, body) => {
                 if start {
                     // The guard is not tested in the starting instant.
-                    self.exec(body, true)
+                    self.exec(*body, true)
                 } else {
-                    match self.eval_expr(&guard) {
+                    match self.eval_expr(guard) {
                         Some(true) => {
                             // Frozen: keep the body's current selection.
-                            let m = self.prog.meta(body);
+                            let m = prog.meta(*body);
                             let mut kept = BitSet::new();
                             for b in self.sel.iter() {
                                 if b >= m.pause_lo as usize && b < m.pause_hi as usize {
@@ -304,7 +328,7 @@ impl<'p, S: Sem> Engine<'p, S> {
                                 pauses: kept,
                             }
                         }
-                        Some(false) => self.exec(body, false),
+                        Some(false) => self.exec(*body, false),
                         None => Blocked,
                     }
                 }

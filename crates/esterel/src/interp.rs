@@ -17,7 +17,7 @@
 //! and the compiled machine identically — one journal entry per hook
 //! call either way.
 
-use crate::engine::{Engine, ExecFailure, ExecOut, Sem};
+use crate::engine::{Engine, ExecFailure, ExecOut, Occurrences, Sem};
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, DataHooks, ExprId, PredId, SigKind, Signal};
 use std::collections::{HashMap, HashSet};
@@ -92,6 +92,8 @@ pub struct Machine<'p> {
     pub passes: u64,
     /// Unknown-signal count after the previous pass (progress check).
     last_unknowns: usize,
+    /// Visit counters, reused by every pass.
+    occ: Occurrences,
 }
 
 /// Per-pass semantics implementation for the interpreter.
@@ -160,6 +162,7 @@ impl<'p> Machine<'p> {
             dead: false,
             passes: 0,
             last_unknowns: usize::MAX,
+            occ: Occurrences::default(),
         }
     }
 
@@ -239,7 +242,7 @@ impl<'p> Machine<'p> {
                 hooks,
                 violated: &mut violated,
             };
-            let mut engine = Engine::new(self.prog, &self.sel, sem);
+            let mut engine = Engine::new(self.prog, &self.sel, &mut self.occ, sem);
             let out = engine.exec(self.prog.root(), start);
             match out {
                 ExecOut::Done { code, pauses } => {
@@ -337,7 +340,8 @@ impl<'a> CanCtx<'a> {
     }
 
     fn can(&mut self, id: StmtId, start: bool) -> Can {
-        match self.prog.node(id).clone() {
+        let prog = self.prog;
+        match prog.node(id) {
             Node::Nothing => Can::terminated(),
             Node::Pause(p) => {
                 if start {
@@ -345,7 +349,7 @@ impl<'a> CanCtx<'a> {
                         emits: BitSet::new(),
                         codes: 1 << 1,
                     }
-                } else if self.sel.contains(p as usize) {
+                } else if self.sel.contains(*p as usize) {
                     Can::terminated()
                 } else {
                     // Not selected: no behavior; callers avoid this.
@@ -359,15 +363,15 @@ impl<'a> CanCtx<'a> {
             }
             Node::Present(c, t, e) => {
                 if start {
-                    match self.eval3(&c) {
-                        Tri::True => self.can(t, true),
-                        Tri::False => self.can(e, true),
-                        Tri::Unknown => union(self.can(t, true), self.can(e, true)),
+                    match self.eval3(c) {
+                        Tri::True => self.can(*t, true),
+                        Tri::False => self.can(*e, true),
+                        Tri::Unknown => union(self.can(*t, true), self.can(*e, true)),
                     }
-                } else if self.prog.selected(t, self.sel) {
-                    self.can(t, false)
+                } else if prog.selected(*t, self.sel) {
+                    self.can(*t, false)
                 } else {
-                    self.can(e, false)
+                    self.can(*e, false)
                 }
             }
             Node::IfData(_, t, e) => {
@@ -375,13 +379,13 @@ impl<'a> CanCtx<'a> {
                     // If the first occurrence was already decided this
                     // instant, use it; otherwise fork both ways.
                     if let Some(Journal::Pred(v)) = self.journal.get(&(id, 0)) {
-                        return self.can(if *v { t } else { e }, true);
+                        return self.can(if *v { *t } else { *e }, true);
                     }
-                    union(self.can(t, true), self.can(e, true))
-                } else if self.prog.selected(t, self.sel) {
-                    self.can(t, false)
+                    union(self.can(*t, true), self.can(*e, true))
+                } else if prog.selected(*t, self.sel) {
+                    self.can(*t, false)
                 } else {
-                    self.can(e, false)
+                    self.can(*e, false)
                 }
             }
             Node::Action(_) => Can::terminated(),
@@ -389,10 +393,7 @@ impl<'a> CanCtx<'a> {
                 let mut idx = 0;
                 let mut mode_start = start;
                 if !start {
-                    match children
-                        .iter()
-                        .position(|c| self.prog.selected(*c, self.sel))
-                    {
+                    match prog.selected_child(children, self.sel) {
                         Some(i) => idx = i,
                         None => return Can::terminated(),
                     }
@@ -417,11 +418,11 @@ impl<'a> CanCtx<'a> {
                 Can { emits, codes }
             }
             Node::Loop(body) => {
-                let first = self.can(body, start);
+                let first = self.can(*body, start);
                 if first.codes & 1 != 0 {
                     // Body may finish: a second (start-mode) iteration
                     // may also run this instant.
-                    let second = self.can(body, true);
+                    let second = self.can(*body, true);
                     let mut emits = first.emits;
                     emits.union_with(&second.emits);
                     Can {
@@ -435,10 +436,10 @@ impl<'a> CanCtx<'a> {
             Node::Par(children) => {
                 let mut emits = BitSet::new();
                 let mut codes = 1u64; // neutral element {0}
-                for c in children {
+                for &c in children {
                     let child = if start {
                         self.can(c, true)
-                    } else if self.prog.selected(c, self.sel) {
+                    } else if prog.selected(c, self.sel) {
                         self.can(c, false)
                     } else {
                         Can::terminated()
@@ -449,7 +450,7 @@ impl<'a> CanCtx<'a> {
                 Can { emits, codes }
             }
             Node::Trap(body) => {
-                let c = self.can(body, start);
+                let c = self.can(*body, start);
                 let mut codes = c.codes & 0b11;
                 if c.codes & (1 << 2) != 0 {
                     codes |= 1;
@@ -466,20 +467,20 @@ impl<'a> CanCtx<'a> {
             },
             Node::Suspend(guard, body) => {
                 if start {
-                    self.can(body, true)
+                    self.can(*body, true)
                 } else {
-                    match self.eval3(&guard) {
+                    match self.eval3(guard) {
                         Tri::True => Can {
                             emits: BitSet::new(),
                             codes: 1 << 1,
                         },
-                        Tri::False => self.can(body, false),
+                        Tri::False => self.can(*body, false),
                         Tri::Unknown => union(
                             Can {
                                 emits: BitSet::new(),
                                 codes: 1 << 1,
                             },
-                            self.can(body, false),
+                            self.can(*body, false),
                         ),
                     }
                 }

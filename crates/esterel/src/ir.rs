@@ -496,6 +496,17 @@ impl Program {
         sel.any_in_range(m.pause_lo as usize, m.pause_hi as usize)
     }
 
+    /// Index of the first of a `Seq`'s `children` whose subtree holds a
+    /// pause selected in `sel`. DFS numbering gives siblings adjacent,
+    /// increasing pause ranges, so this is a binary search over their
+    /// upper ends.
+    pub fn selected_child(&self, children: &[StmtId], sel: &efsm::BitSet) -> Option<usize> {
+        let lo = self.meta(*children.first()?).pause_lo as usize;
+        let i =
+            children.partition_point(|c| !sel.any_in_range(lo, self.meta(*c).pause_hi as usize));
+        (i < children.len()).then_some(i)
+    }
+
     /// Number of arena nodes (program size metric).
     pub fn size(&self) -> usize {
         self.nodes.len()

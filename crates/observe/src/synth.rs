@@ -266,6 +266,38 @@ mod tests {
         assert!(synthesize(prog.observer("w").unwrap()).is_err());
     }
 
+    /// Windows at the parser's cap synthesize, with a monitor state per
+    /// instant of the window, and fail exactly when the window closes.
+    #[test]
+    fn max_window_properties_synthesize_and_fail_at_the_bound() {
+        use crate::monitor::{Monitor, Verdict};
+        let n = ast::MAX_WINDOW;
+        let eventually = spec(
+            &format!("observer w(input pure e) {{ eventually_within {n} (e); }}"),
+            "w",
+        );
+        let response = spec(
+            &format!(
+                "observer w(input pure t, input pure r) {{ whenever (t) expect (r) within {n}; }}"
+            ),
+            "w",
+        );
+        assert_eq!(eventually.efsm.states.len(), n as usize + 2);
+        assert_eq!(response.efsm.states.len(), n as usize + 1);
+        // `e` and `r` never present; `t` present at instant 0 only.
+        for (spec, first) in [(eventually, &[][..]), (response, &["t"][..])] {
+            let mut m = Monitor::new(Arc::new(spec));
+            for i in 0..u64::from(n) {
+                let present = if i == 0 { first } else { &[] };
+                assert!(m.step(i, present).is_none(), "failed early, at {i}");
+            }
+            let v = m.step(u64::from(n), &[] as &[&str]).cloned();
+            assert_eq!(v.map(|v| v.instant), Some(u64::from(n)));
+            m.step(u64::from(n) + 1, &["e", "r"]);
+            assert!(matches!(m.verdict(), Verdict::Fail(f) if f.instant == u64::from(n)));
+        }
+    }
+
     #[test]
     fn fail_signals_are_outputs() {
         let s = spec("observer w(input pure a) { never (a); always (a); }", "w");
