@@ -4,15 +4,11 @@
 //! synthesis outputs (Section 3, phase 3): the C task implementation,
 //! optionally Verilog RTL (hardware is an option when the machine is
 //! pure control), a gate estimate, and the MIPS-flavoured size model.
-//!
-//! Batch emission over a whole [`ecl_core::workspace::Workspace`] is
-//! provided by [`WorkspaceCodegenExt`].
 
 use crate::c_backend::emit_c;
 use crate::cost::{task_cost, CostParams, TaskCost};
 use crate::verilog::{emit_verilog, estimate_gates, GateEstimate};
 use ecl_core::pipeline::Machine;
-use ecl_core::workspace::Workspace;
 use ecl_core::Design;
 use ecl_syntax::diag::{Diagnostics, EclError, Stage};
 use ecl_syntax::source::Span;
@@ -55,8 +51,8 @@ impl Artifacts {
         Ok(out)
     }
 
-    /// Build artifacts from a `(Design, Efsm)` pair (what a
-    /// [`Workspace`] caches).
+    /// Build artifacts from a `(Design, Efsm)` pair compiled outside the
+    /// pipeline stages.
     ///
     /// # Errors
     ///
@@ -143,56 +139,6 @@ impl Artifacts {
     }
 }
 
-/// Batch code generation over a [`Workspace`] — the codegen side of
-/// the session API. Designs and EFSMs come from the workspace's
-/// memoized caches; machine compilation for a batch runs in parallel
-/// via [`Workspace::machine_all`].
-pub trait WorkspaceCodegenExt {
-    /// Full artifacts per `(source, entry)` job, in job order.
-    fn artifacts_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<Artifacts, EclError>>;
-
-    /// C implementation per job, in job order.
-    fn emit_c_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<String, EclError>>;
-
-    /// Verilog RTL per job, in job order (errors for designs with no
-    /// hardware option).
-    fn emit_verilog_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<String, EclError>>;
-}
-
-impl WorkspaceCodegenExt for Workspace {
-    fn artifacts_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<Artifacts, EclError>> {
-        let machines = self.machine_all(jobs);
-        jobs.iter()
-            .zip(machines)
-            .map(|((name, entry), machine)| {
-                let efsm = machine?;
-                let design = self.compile(name, entry)?;
-                Artifacts::from_parts(&design, &efsm, &CostParams::default())
-            })
-            .collect()
-    }
-
-    fn emit_c_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<String, EclError>> {
-        // C-only path: no Verilog, gate estimation or cost modelling.
-        let machines = self.machine_all(jobs);
-        jobs.iter()
-            .zip(machines)
-            .map(|((name, entry), machine)| {
-                let efsm = machine?;
-                let design = self.compile(name, entry)?;
-                Ok(emit_c(&efsm, &design))
-            })
-            .collect()
-    }
-
-    fn emit_verilog_all(&self, jobs: &[(&str, &str)]) -> Vec<Result<String, EclError>> {
-        self.artifacts_all(jobs)
-            .into_iter()
-            .map(|r| r.and_then(|a| a.require_verilog().map(str::to_owned)))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,20 +173,5 @@ mod tests {
         assert_eq!(e.stage(), Stage::Codegen);
         // The reason is recorded as a note.
         assert!(!a.diagnostics().is_empty());
-    }
-
-    #[test]
-    fn batch_codegen_over_workspace() {
-        let mut ws = Workspace::new();
-        ws.add_source(
-            "two.ecl",
-            "module x(input pure a, output pure o) { while (1) { await (a); emit (o); } }
-             module y(input pure b, output pure p) { while (1) { await (b); emit (p); } }",
-        );
-        let jobs = [("two.ecl", "x"), ("two.ecl", "y")];
-        let cs = ws.emit_c_all(&jobs);
-        assert!(cs.iter().all(Result::is_ok));
-        let vs = ws.emit_verilog_all(&jobs);
-        assert!(vs.iter().all(Result::is_ok));
     }
 }

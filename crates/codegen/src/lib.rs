@@ -23,6 +23,6 @@ pub mod c_backend;
 pub mod cost;
 pub mod verilog;
 
-pub use artifacts::{Artifacts, WorkspaceCodegenExt};
+pub use artifacts::Artifacts;
 pub use c_backend::emit_monitor_c;
 pub use cost::{CostParams, RtosCost, TaskCost};

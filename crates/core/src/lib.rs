@@ -17,10 +17,8 @@
 //!    data part executes through the glue runtime ([`rt`]) backed by the
 //!    C interpreter in `ecl-types`.
 //!
-//! The entry points are the staged [`pipeline`] (typed artifacts for
-//! every phase, re-enterable without rework) and the batch
-//! [`workspace::Workspace`] driver (shared parses, parallel
-//! compilation, memoization).
+//! The entry point is the staged [`pipeline`]: typed artifacts for
+//! every phase, re-enterable without rework.
 //!
 //! # Example
 //!
@@ -48,10 +46,8 @@ pub mod elab;
 pub mod pipeline;
 pub mod rt;
 pub mod split;
-pub mod workspace;
 
 pub use ecl_syntax::diag::{Diagnostics, EclError, Stage};
 pub use pipeline::{Design, Source};
 pub use rt::Rt;
 pub use split::{DataTable, SplitStrategy};
-pub use workspace::Workspace;

@@ -17,9 +17,8 @@
 //!
 //! Every stage:
 //!
-//! * is cheaply cloneable (`Arc`-backed) and `Send + Sync`, so a
-//!   [`crate::workspace::Workspace`] can fan stages out across threads
-//!   and memoize them;
+//! * is cheaply cloneable (`Arc`-backed) and `Send + Sync`, so one
+//!   stage can feed many downstream compilations on any thread;
 //! * carries the [`Diagnostics`] accumulated so far (parse warnings
 //!   survive to the EFSM stage);
 //! * can be re-entered: one [`Parsed`] can be elaborated for several
@@ -472,11 +471,6 @@ impl Machine {
         &self.efsm
     }
 
-    /// Shared handle to the compiled machine.
-    pub fn efsm_arc(&self) -> Arc<efsm::Efsm> {
-        Arc::clone(&self.efsm)
-    }
-
     /// Diagnostics accumulated across all stages.
     pub fn diagnostics(&self) -> &Diagnostics {
         &self.diags
@@ -512,8 +506,8 @@ impl Machine {
 /// pipeline's product for runners, which compile the EFSM themselves.
 ///
 /// `Arc`-backed: clones share the parse, elaboration and split
-/// results, which is what makes the [`crate::workspace::Workspace`]
-/// memoization and the simulator's per-task design copies cheap.
+/// results, which is what makes the simulator's per-task design copies
+/// cheap.
 #[derive(Debug, Clone)]
 pub struct Design {
     /// Entry module name.
@@ -560,7 +554,12 @@ impl Design {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use efsm::BitSet;
+
+    /// The presence set of `signals` (local indices).
+    fn present(signals: &[efsm::Signal]) -> BitSet {
+        signals.iter().map(|s| s.0 as usize).collect()
+    }
 
     const RELAY: &str = "
         module a(input pure i, output pure m) { while (1) { await (i); emit (m); } }
@@ -697,18 +696,18 @@ mod tests {
         let mut m = esterel::Machine::new(d.program());
         let tick = d.signal("tick").unwrap();
         let full = d.signal("full").unwrap();
-        let on = HashSet::from([tick]);
+        let on = present(&[tick]);
         // Start instant (no tick).
-        let r0 = m.react(&HashSet::new(), &mut rt).unwrap();
+        let r0 = m.react_set(&BitSet::new(), &mut rt).unwrap();
         assert!(!r0.has(full));
         // Three ticks fill the counter.
         for i in 0..3 {
-            let r = m.react(&on, &mut rt).unwrap();
+            let r = m.react_set(&on, &mut rt).unwrap();
             assert!(rt.take_error().is_none());
             assert_eq!(r.has(full), i == 2, "tick {i}");
         }
         // Halted now.
-        let r = m.react(&on, &mut rt).unwrap();
+        let r = m.react_set(&on, &mut rt).unwrap();
         assert!(!r.has(full));
     }
 
@@ -726,20 +725,25 @@ mod tests {
             let mut rt_m = d.new_rt().unwrap();
             let mut interp = esterel::Machine::new(d.program());
             let mut st = machine.efsm().init;
+            let mut emitted = Vec::new();
             for step in 0..60 {
-                let mut present = HashSet::new();
+                let mut on = Vec::new();
                 if rng.gen_bool(0.5) {
-                    present.insert(tick);
+                    on.push(tick);
                 }
                 if rng.gen_bool(0.15) {
-                    present.insert(reset);
+                    on.push(reset);
                 }
-                let r1 = interp.react(&present, &mut rt_i).unwrap();
-                let r2 = machine.efsm().step(st, &present, &mut rt_m);
-                st = r2.next;
+                let on = present(&on);
+                let r1 = interp.react_set(&on, &mut rt_i).unwrap();
+                emitted.clear();
+                st = machine
+                    .efsm()
+                    .step_bits(st, &on, &mut rt_m, &mut emitted)
+                    .next;
                 assert_eq!(
                     r1.has(full),
-                    r2.emitted.contains(&full),
+                    emitted.contains(&full),
                     "divergence at seed {seed} step {step}"
                 );
                 assert!(rt_i.take_error().is_none());
@@ -760,9 +764,9 @@ mod tests {
         let mut m = esterel::Machine::new(d.program());
         let inp = d.signal("inp").unwrap();
         // Start.
-        m.react(&HashSet::new(), &mut rt).unwrap();
+        m.react_set(&BitSet::new(), &mut rt).unwrap();
         rt.set_input_i64("inp", 41).unwrap();
-        let r = m.react(&HashSet::from([inp]), &mut rt).unwrap();
+        let r = m.react_set(&present(&[inp]), &mut rt).unwrap();
         assert!(rt.take_error().is_none());
         assert!(!r.emitted.is_empty());
         let v = rt.signal_value_by_name("outp").unwrap();
@@ -858,10 +862,8 @@ mod tests {
         let mut rt = ir.compile(&Default::default()).unwrap().new_rt().unwrap();
         let mut m = ir.interpreter();
         let i = ir.program().signal("i").unwrap();
-        m.react(&HashSet::new(), &mut rt).unwrap();
-        let mut on = HashSet::new();
-        on.insert(i);
-        let r = m.react(&on, &mut rt).unwrap();
+        m.react_set(&BitSet::new(), &mut rt).unwrap();
+        let r = m.react_set(&present(&[i]), &mut rt).unwrap();
         // `a` relays i -> mid in the same instant.
         assert!(!r.emitted.is_empty());
     }

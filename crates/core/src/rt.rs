@@ -297,13 +297,6 @@ impl Rt {
         self.set_input_i64_idx(i, v)
     }
 
-    /// Signal index by global name (the index [`Rt::signal_value`] and
-    /// the `_idx` setters expect; identical to the reactive program's
-    /// signal numbering).
-    pub fn signal_index(&self, name: &str) -> Option<usize> {
-        self.by_name.get(name).copied()
-    }
-
     /// [`Rt::set_input_i64`] by signal index — the runner hot path.
     /// Rewrites the existing value buffer in place (no allocation once
     /// the signal has been set once).
@@ -357,13 +350,6 @@ impl Rt {
         };
         self.values[idx] = Some(conv);
         Ok(())
-    }
-
-    /// Read a design variable (mangled name) as `i64` (tests/benches).
-    pub fn var_i64(&self, mangled: &str) -> Option<i64> {
-        self.machine
-            .get(mangled)
-            .map(|v| v.as_i64(self.machine.table()))
     }
 }
 

@@ -133,16 +133,6 @@ impl DiagSink {
     pub fn is_empty(&self) -> bool {
         self.diags.is_empty()
     }
-
-    /// Render all diagnostics, one per line, against `file`.
-    pub fn render_all(&self, file: &SourceFile) -> String {
-        let mut out = String::new();
-        for d in &self.diags {
-            out.push_str(&d.render(file));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 impl fmt::Display for DiagSink {
@@ -166,7 +156,7 @@ impl IntoIterator for DiagSink {
 ///
 /// This is the shared vocabulary for the whole workspace: every crate
 /// reports failures as an [`EclError`] tagged with the stage that
-/// detected the problem, so drivers (CLI, `Workspace`, servers) can
+/// detected the problem, so drivers (examples, the fleet, benches) can
 /// render and group diagnostics uniformly without knowing each
 /// crate's private error types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -273,14 +263,6 @@ impl Diagnostics {
     /// All entries in emission order.
     pub fn iter(&self) -> impl Iterator<Item = (Stage, &Diagnostic)> {
         self.entries.iter().map(|(s, d)| (*s, d))
-    }
-
-    /// Entries produced by one stage.
-    pub fn for_stage(&self, stage: Stage) -> impl Iterator<Item = &Diagnostic> {
-        self.entries
-            .iter()
-            .filter(move |(s, _)| *s == stage)
-            .map(|(_, d)| d)
     }
 
     /// Number of recorded diagnostics (all severities, all stages).

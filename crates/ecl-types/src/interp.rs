@@ -247,7 +247,7 @@ impl Machine {
     }
 
     /// Charge `n` interpreter steps at once — the bytecode VM's batched
-    /// equivalent of `n` [`Machine::burn`] calls: succeeds iff the
+    /// equivalent of `n` `Machine::burn` calls: succeeds iff the
     /// walker would have survived all `n`, and leaves the fuel at 0 on
     /// exhaustion (exactly where the walker's step-by-step decrement
     /// would have errored).

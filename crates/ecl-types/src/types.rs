@@ -271,11 +271,6 @@ impl TypeTable {
         self.typedefs.get(name).copied()
     }
 
-    /// Register a typedef programmatically (used by tests/builders).
-    pub fn add_typedef(&mut self, name: &str, id: TypeId) {
-        self.typedefs.insert(name.to_string(), id);
-    }
-
     /// Convenience handles for the primitives.
     pub fn prim(&mut self, p: PrimType) -> TypeId {
         let ty = match p {

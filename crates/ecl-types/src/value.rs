@@ -15,7 +15,7 @@ use std::ops::{Deref, DerefMut};
 const INLINE: usize = 16;
 
 /// A small-buffer byte string: the object representation of a
-/// [`Value`]. Buffers up to [`INLINE`] bytes live inline (the common
+/// [`Value`]. Buffers up to `INLINE` bytes live inline (the common
 /// case — every C scalar), larger aggregates (packets, frames) spill
 /// to the heap. Dereferences to `[u8]`, so indexing, slicing and
 /// iteration work as on a `Vec<u8>`.

@@ -139,14 +139,6 @@ impl BitSet {
         self.words.get(i).copied().unwrap_or(0)
     }
 
-    /// The backing words (low bits first). The set's elements may
-    /// occupy fewer words than masks built elsewhere; use
-    /// [`BitSet::word`] for padded access.
-    #[inline]
-    pub fn as_words(&self) -> &[u64] {
-        &self.words
-    }
-
     /// A canonical (trailing-zero-trimmed) copy, suitable as a map key.
     pub fn normalized(&self) -> BitSet {
         let mut words = self.words.clone();

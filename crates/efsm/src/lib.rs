@@ -5,9 +5,9 @@
 //! represents each control state's reaction as an *s-graph* — a decision
 //! DAG of signal-presence tests, data-predicate tests, data actions and
 //! emissions, terminating in the next control state. This crate
-//! implements that representation plus the analyses and optimizations
-//! the paper relies on ("logic synthesis and optimization can be applied
-//! to reduce size or improve speed", Section 3):
+//! implements that representation plus the structural checks and
+//! optimizations the paper relies on ("logic synthesis and optimization
+//! can be applied to reduce size or improve speed", Section 3):
 //!
 //! * [`machine`] — the [`Efsm`] type and its single-instant executor;
 //! * [`table`] — fused instant programs: per-state mask-scan rows
@@ -17,8 +17,6 @@
 //! * [`opt`] — hash-consing reduction, dead-test elimination,
 //!   unreachable-state pruning, and observational state minimization
 //!   (partition refinement);
-//! * [`analysis`] — reachability, determinism/liveness checks, and the
-//!   implicit state-exploration hooks the paper mentions;
 //! * [`dot`] — Graphviz export;
 //! * [`bitset`] — the small fixed bit set used for control points.
 //!
@@ -26,7 +24,6 @@
 //! values are ids resolved by a [`DataHooks`] implementation supplied by
 //! the caller (the ECL compiler's glue layer).
 
-pub mod analysis;
 pub mod bitset;
 pub mod dot;
 pub mod machine;
@@ -36,7 +33,7 @@ pub mod sig;
 pub mod table;
 
 pub use bitset::BitSet;
-pub use machine::{Efsm, SigKind, Signal, SignalInfo, State, StateId, StepOut, StepResult};
+pub use machine::{Efsm, SigKind, Signal, SignalInfo, State, StateId, StepOut};
 pub use sgraph::{Node, NodeId, Path};
 pub use sig::{SigId, SigTable};
 pub use table::CompiledEfsm;

@@ -62,17 +62,6 @@ pub struct Efsm {
     pub nodes: Vec<Node>,
 }
 
-/// Result of one instant of execution.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StepResult {
-    /// Signals emitted this instant, in order.
-    pub emitted: Vec<Signal>,
-    /// Next control state.
-    pub next: StateId,
-    /// Number of s-graph nodes traversed (proxy for reaction latency).
-    pub nodes_visited: u32,
-}
-
 /// Result of one [`Efsm::step_bits`] call (emissions go to the caller's
 /// buffer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -154,44 +143,20 @@ impl Efsm {
             .map(|(i, s)| (Signal(i as u32), s))
     }
 
-    /// Execute one instant from `state` with `inputs` present.
+    /// Execute one instant from `state`: `inputs` is a presence
+    /// [`BitSet`] over this machine's *local* signal indices, and every
+    /// emission is appended to `emitted` (not cleared — callers reuse
+    /// the buffer across reactions and truncate themselves).
     ///
     /// Walks the state's s-graph: `Test` consults `inputs`, `TestPred`,
     /// `Do` and valued `Emit` call into `hooks`, and the terminating
-    /// `Goto` gives the next state.
-    ///
-    /// Compatibility wrapper over [`Efsm::step_bits`], which is the
-    /// allocation-free hot path (runners drive it with reusable
-    /// buffers).
+    /// `Goto` gives the next state. Allocation-free: runners drive it
+    /// with reusable buffers.
     ///
     /// # Panics
     ///
     /// Panics if the machine is structurally broken (dangling node or
     /// state ids) — [`Efsm::validate`] should be used after construction.
-    pub fn step(
-        &self,
-        state: StateId,
-        inputs: &HashSet<Signal>,
-        hooks: &mut dyn DataHooks,
-    ) -> StepResult {
-        let present: BitSet = inputs.iter().map(|s| s.0 as usize).collect();
-        let mut emitted = Vec::new();
-        let out = self.step_bits(state, &present, hooks, &mut emitted);
-        StepResult {
-            emitted,
-            next: out.next,
-            nodes_visited: out.nodes_visited,
-        }
-    }
-
-    /// Allocation-free single-instant executor: `inputs` is a presence
-    /// [`BitSet`] over this machine's *local* signal indices, and every
-    /// emission is appended to `emitted` (not cleared — callers reuse
-    /// the buffer across reactions and truncate themselves).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Efsm::step`].
     pub fn step_bits(
         &self,
         state: StateId,
@@ -470,16 +435,17 @@ mod tests {
         let m = toggler();
         let tick = m.signal("tick").unwrap();
         let tock = m.signal("tock").unwrap();
-        let mut inputs = HashSet::new();
-        inputs.insert(tick);
-        let r = m.step(StateId(0), &inputs, &mut NoHooks);
-        assert_eq!(r.emitted, vec![tock]);
+        let inputs: BitSet = [tick.0 as usize].into_iter().collect();
+        let mut emitted = Vec::new();
+        let r = m.step_bits(StateId(0), &inputs, &mut NoHooks, &mut emitted);
+        assert_eq!(emitted, vec![tock]);
         assert_eq!(r.next, StateId(1));
-        let r2 = m.step(StateId(1), &inputs, &mut NoHooks);
-        assert!(r2.emitted.is_empty());
+        emitted.clear();
+        let r2 = m.step_bits(StateId(1), &inputs, &mut NoHooks, &mut emitted);
+        assert!(emitted.is_empty());
         assert_eq!(r2.next, StateId(0));
         // Absent tick: stay.
-        let r3 = m.step(StateId(0), &HashSet::new(), &mut NoHooks);
+        let r3 = m.step_bits(StateId(0), &BitSet::new(), &mut NoHooks, &mut emitted);
         assert_eq!(r3.next, StateId(0));
     }
 

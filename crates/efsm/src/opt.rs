@@ -416,8 +416,7 @@ impl Holes {
 mod tests {
     use super::*;
     use crate::machine::EfsmBuilder;
-    use crate::NoHooks;
-    use std::collections::HashSet;
+    use crate::{BitSet, NoHooks};
 
     /// A machine with two behaviorally identical states (1 and 2).
     fn redundant() -> Efsm {
@@ -454,11 +453,12 @@ mod tests {
         // state; another a emits o.
         let a = m.signal("a").unwrap();
         let o = m.signal("o").unwrap();
-        let mut on = HashSet::new();
-        on.insert(a);
-        let r = m.step(m.init, &on, &mut NoHooks);
-        let r2 = m.step(r.next, &on, &mut NoHooks);
-        assert_eq!(r2.emitted, vec![o]);
+        let on: BitSet = [a.0 as usize].into_iter().collect();
+        let mut emitted = Vec::new();
+        let r = m.step_bits(m.init, &on, &mut NoHooks, &mut emitted);
+        emitted.clear();
+        m.step_bits(r.next, &on, &mut NoHooks, &mut emitted);
+        assert_eq!(emitted, vec![o]);
     }
 
     #[test]
@@ -518,16 +518,17 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut s1 = m1.init;
         let mut s2 = m2.init;
+        let (mut e1, mut e2) = (Vec::new(), Vec::new());
         for _ in 0..200 {
-            let mut inputs = HashSet::new();
+            let mut inputs = BitSet::new();
             if rng.gen_bool(0.5) {
-                inputs.insert(a);
+                inputs.insert(a.0 as usize);
             }
-            let r1 = m1.step(s1, &inputs, &mut NoHooks);
-            let r2 = m2.step(s2, &inputs, &mut NoHooks);
-            assert_eq!(r1.emitted, r2.emitted);
-            s1 = r1.next;
-            s2 = r2.next;
+            e1.clear();
+            e2.clear();
+            s1 = m1.step_bits(s1, &inputs, &mut NoHooks, &mut e1).next;
+            s2 = m2.step_bits(s2, &inputs, &mut NoHooks, &mut e2).next;
+            assert_eq!(e1, e2);
         }
     }
 
@@ -577,9 +578,8 @@ mod proptests {
     use super::*;
     use crate::machine::{Efsm, SigKind};
     use crate::sgraph::{Node, NodeId};
-    use crate::{NoHooks, Signal};
+    use crate::{BitSet, NoHooks, Signal};
     use proptest::prelude::*;
-    use std::collections::HashSet;
 
     /// Generate a random (valid, acyclic) pure-control machine.
     fn arb_efsm(max_states: u32, max_sigs: u32) -> impl Strategy<Value = Efsm> {
@@ -888,18 +888,19 @@ mod proptests {
             let all_inputs: Vec<Signal> = m.inputs().map(|(s, _)| s).collect();
             let mut s1 = m.init;
             let mut s2 = opt.init;
+            let (mut e1, mut e2) = (Vec::new(), Vec::new());
             for _ in 0..64 {
-                let mut present = HashSet::new();
+                let mut present = BitSet::new();
                 for s in &all_inputs {
                     if rng.gen_bool(0.5) {
-                        present.insert(*s);
+                        present.insert(s.0 as usize);
                     }
                 }
-                let r1 = m.step(s1, &present, &mut NoHooks);
-                let r2 = opt.step(s2, &present, &mut NoHooks);
-                prop_assert_eq!(&r1.emitted, &r2.emitted);
-                s1 = r1.next;
-                s2 = r2.next;
+                e1.clear();
+                e2.clear();
+                s1 = m.step_bits(s1, &present, &mut NoHooks, &mut e1).next;
+                s2 = opt.step_bits(s2, &present, &mut NoHooks, &mut e2).next;
+                prop_assert_eq!(&e1, &e2);
             }
         }
 

@@ -1,7 +1,7 @@
 //! Design-wide signal interning: [`SigId`] ↔ name.
 //!
 //! A [`SigTable`] is built once per simulated configuration (at the
-//! `Machine`/`Monitored` stage or when a runner is constructed) by
+//! `Machine` stage or when a runner is constructed) by
 //! interning the global signal names of every participating machine.
 //! From then on the whole reaction hot path — kernel mailboxes, task
 //! dispatch, trace recording, monitor stepping — works on dense `u32`

@@ -17,7 +17,7 @@
 //!   emissions, goto) compiles to a *simple row*: an emission slice
 //!   memcpy plus a precomputed successor — the PR 4 fast path,
 //!   unchanged.
-//! * Any other row gets an entry point into a shared [`FusedOp`]
+//! * Any other row gets an entry point into a shared `FusedOp`
 //!   arena. Ops carry explicit successor pcs (direct-threaded
 //!   dispatch); `Pad` ops sit positionally where resolved presence
 //!   tests sat in the walk, so `nodes_visited` — and every cycle/trace
@@ -618,7 +618,6 @@ mod tests {
     use super::*;
     use crate::machine::EfsmBuilder;
     use crate::{ActionId, ExprId, NoHooks, PredId};
-    use std::collections::HashSet;
 
     /// Two-state toggler (pure): on `tick` emit `tock` and flip.
     fn toggler() -> Efsm {
@@ -1031,15 +1030,13 @@ mod tests {
             let (r1, r2) = step_both(&m, &c, StateId(0), &inputs);
             assert_eq!(r1, r2, "pattern {pat:#b}");
         }
-        // And through the HashSet compatibility `step`.
-        let mut present = HashSet::new();
-        present.insert(a);
-        let walked = m.step(StateId(0), &present, &mut NoHooks);
+        // And with the walker's emission buffer compared directly.
         let bits: BitSet = [a.0 as usize].into_iter().collect();
-        let mut e2 = Vec::new();
+        let (mut e1, mut e2) = (Vec::new(), Vec::new());
+        let walked = m.step_bits(StateId(0), &bits, &mut NoHooks, &mut e1);
         let tabled = c.step_table(&m, StateId(0), &bits, &mut NoHooks, &mut e2);
         assert_eq!(walked.next, tabled.next);
-        assert_eq!(walked.emitted, e2);
+        assert_eq!(e1, e2);
     }
 
     #[test]

@@ -610,7 +610,14 @@ mod tests {
     use crate::interp::Machine;
     use crate::ir::{ProgramBuilder, Stmt};
     use efsm::NoHooks;
-    use std::collections::HashSet;
+
+    /// One EFSM instant from `st` with `present` (local indices): the
+    /// next state and the emissions.
+    fn step(m: &Efsm, st: StateId, present: &BitSet) -> (StateId, Vec<Signal>) {
+        let mut emitted = Vec::new();
+        let next = m.step_bits(st, present, &mut NoHooks, &mut emitted).next;
+        (next, emitted)
+    }
 
     fn opts() -> CompileOptions {
         CompileOptions::default()
@@ -634,15 +641,17 @@ mod tests {
             let mut interp = Machine::new(prog);
             let mut st = machine.init;
             for _ in 0..steps {
-                let mut present = HashSet::new();
+                let mut present = BitSet::new();
                 for s in &inputs {
                     if rng.gen_bool(0.4) {
-                        present.insert(*s);
+                        present.insert(s.0 as usize);
                     }
                 }
-                let r1 = interp.react(&present, &mut NoHooks).expect("constructive");
-                let r2 = machine.step(st, &present, &mut NoHooks);
-                st = r2.next;
+                let r1 = interp
+                    .react_set(&present, &mut NoHooks)
+                    .expect("constructive");
+                let (next, emitted) = step(&machine, st, &present);
+                st = next;
                 // Compare emitted OUTPUT signal sets (order may differ
                 // only for distinct signals emitted by parallel branches;
                 // compare as sorted lists).
@@ -652,8 +661,7 @@ mod tests {
                     .filter(|s| prog.signals()[s.0 as usize].kind == SigKind::Output)
                     .map(|s| s.0)
                     .collect();
-                let mut e2: Vec<u32> = r2
-                    .emitted
+                let mut e2: Vec<u32> = emitted
                     .iter()
                     .filter(|s| machine.signal_info(**s).kind == SigKind::Output)
                     .map(|s| s.0)
@@ -764,13 +772,13 @@ mod tests {
         let m = compile(&p, &opts()).unwrap();
         let mut st = m.init;
         // First instant emits o and dies.
-        let r = m.step(st, &HashSet::new(), &mut NoHooks);
-        assert_eq!(r.emitted.len(), 1);
-        st = r.next;
+        let (next, emitted) = step(&m, st, &BitSet::new());
+        assert_eq!(emitted.len(), 1);
+        st = next;
         for _ in 0..3 {
-            let r = m.step(st, &HashSet::new(), &mut NoHooks);
-            assert!(r.emitted.is_empty());
-            st = r.next;
+            let (next, emitted) = step(&m, st, &BitSet::new());
+            assert!(emitted.is_empty());
+            st = next;
         }
     }
 
@@ -845,12 +853,11 @@ mod tests {
         let no_m = m.signal("no").unwrap();
         // Steady state: emit yes on a, no otherwise.
         let mut st = m.init;
-        st = m.step(st, &HashSet::new(), &mut NoHooks).next;
-        let mut on = HashSet::new();
-        on.insert(a_m);
-        let r = m.step(st, &on, &mut NoHooks);
-        assert_eq!(r.emitted, vec![yes_m]);
-        let r2 = m.step(r.next, &HashSet::new(), &mut NoHooks);
-        assert_eq!(r2.emitted, vec![no_m]);
+        st = step(&m, st, &BitSet::new()).0;
+        let on: BitSet = [a_m.0 as usize].into_iter().collect();
+        let (next, emitted) = step(&m, st, &on);
+        assert_eq!(emitted, vec![yes_m]);
+        let (_, emitted) = step(&m, next, &BitSet::new());
+        assert_eq!(emitted, vec![no_m]);
     }
 }

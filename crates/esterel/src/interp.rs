@@ -20,7 +20,7 @@
 use crate::engine::{Engine, ExecFailure, ExecOut, Occurrences, Sem};
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, DataHooks, ExprId, PredId, SigKind, Signal};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// Error raised while executing an instant.
@@ -174,23 +174,6 @@ impl<'p> Machine<'p> {
     /// The current selection (active pause points).
     pub fn selection(&self) -> &BitSet {
         &self.sel
-    }
-
-    /// Run one instant with `inputs` present.
-    ///
-    /// Compatibility wrapper over [`Machine::react_set`], the
-    /// bitset-native entry point.
-    ///
-    /// # Errors
-    ///
-    /// See [`Machine::react_set`].
-    pub fn react(
-        &mut self,
-        inputs: &HashSet<Signal>,
-        hooks: &mut dyn DataHooks,
-    ) -> Result<Reaction, RuntimeError> {
-        let present: BitSet = inputs.iter().map(|s| s.0 as usize).collect();
-        self.react_set(&present, hooks)
     }
 
     /// Run one instant with the signals of `inputs` (a presence set
@@ -521,8 +504,8 @@ mod tests {
     use efsm::NoHooks;
 
     fn react(m: &mut Machine<'_>, present: &[Signal]) -> Reaction {
-        let set: HashSet<Signal> = present.iter().copied().collect();
-        m.react(&set, &mut NoHooks).expect("constructive")
+        let set: BitSet = present.iter().map(|s| s.0 as usize).collect();
+        m.react_set(&set, &mut NoHooks).expect("constructive")
     }
 
     #[test]
@@ -728,7 +711,7 @@ mod tests {
             .finish(Stmt::present(l.into(), Stmt::nothing(), Stmt::emit(l)))
             .unwrap();
         let mut m = Machine::new(&p);
-        let err = m.react(&HashSet::new(), &mut NoHooks).unwrap_err();
+        let err = m.react_set(&BitSet::new(), &mut NoHooks).unwrap_err();
         assert!(matches!(err, RuntimeError::NonConstructive { .. }));
     }
 
@@ -748,7 +731,7 @@ mod tests {
             ]))
             .unwrap();
         let mut m = Machine::new(&p);
-        let err = m.react(&HashSet::new(), &mut NoHooks).unwrap_err();
+        let err = m.react_set(&BitSet::new(), &mut NoHooks).unwrap_err();
         assert!(matches!(err, RuntimeError::NonConstructive { .. }));
     }
 
@@ -814,8 +797,7 @@ mod tests {
         let p = bld.finish(body).unwrap();
         let mut m = Machine::new(&p);
         let mut hooks = Counter::default();
-        let set = HashSet::new();
-        let r = m.react(&set, &mut hooks).unwrap();
+        let r = m.react_set(&BitSet::new(), &mut hooks).unwrap();
         assert!(r.has(o));
         assert_eq!(hooks.runs, vec![7], "action must run exactly once");
     }

@@ -14,11 +14,12 @@
 //! * [`interp`] — a reference interpreter implementing the constructive
 //!   semantics: three-valued signal statuses, Must-execution with
 //!   Can-based absence inference, exact-once data actions;
-//! * [`compile`] — compilation to an [`efsm::Efsm`]: reachable control
-//!   states are sets of active pause points, and each state's reaction
-//!   is explored path-by-path into a POLIS-style s-graph (inputs become
-//!   `Test` nodes, data predicates `TestPred` nodes; local signals are
-//!   resolved by guess-and-check and compiled away).
+//! * [`compile`](mod@compile) — compilation to an [`efsm::Efsm`]:
+//!   reachable control states are sets of active pause points, and each
+//!   state's reaction is explored path-by-path into a POLIS-style
+//!   s-graph (inputs become `Test` nodes, data predicates `TestPred`
+//!   nodes; local signals are resolved by guess-and-check and compiled
+//!   away).
 //!
 //! Completion codes follow Berry: `0` terminated, `1` paused, `k ≥ 2`
 //! exit of the trap at depth `k − 2`.

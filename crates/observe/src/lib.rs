@@ -11,18 +11,17 @@
 //!
 //! * [`synth`] — `observer` AST → kernel Esterel → deterministic
 //!   monitor [`efsm::Efsm`] (one `fail_i` output per property);
+//!   [`synthesize_all`] takes every observer of a translation unit, and
+//!   `codegen::emit_monitor_c` lowers each monitor to C;
 //! * [`monitor`] — monitor execution: per-instant stepping over
-//!   present signal names, `Pass`/`Fail{instant, witness}` verdicts,
-//!   mangling-tolerant name resolution, trace replay;
+//!   present signal ids ([`Monitor::step_ids`]),
+//!   `Pass`/`Fail{instant, witness}` verdicts, mangling-tolerant name
+//!   resolution, trace replay;
 //! * [`check`] — online checking against both simulator runners (the
 //!   constructive interpreter and the RTOS-backed task runner), with
-//!   ring-buffered [`sim::Trace`] recording on the side;
-//! * [`stage`] — the `Monitored` terminal pipeline stage next to
-//!   `codegen::Artifacts`, batch-compiled and memoized by
-//!   [`ecl_core::Workspace`], including monitor C emission;
-//! * [`session`] — panic-isolated batch checking: one poisoned or
-//!   panicking session surfaces as a contained
-//!   [`SessionOutcome::Poisoned`] while its siblings complete.
+//!   ring-buffered [`sim::Trace`] recording on the side. Panic
+//!   isolation across many sessions is the `ecl-fleet` supervisor's
+//!   job.
 //!
 //! # Example
 //!
@@ -47,12 +46,8 @@
 
 pub mod check;
 pub mod monitor;
-pub mod session;
-pub mod stage;
 pub mod synth;
 
 pub use check::{check_async, check_async_with, check_interp, check_interp_with, MonitoredRun};
 pub use monitor::{name_matches, Monitor, MonitorReport, Verdict, Violation};
-pub use session::{run_session, run_sessions, SessionOutcome};
-pub use stage::{Monitored, WorkspaceObserveExt};
 pub use synth::{synthesize, synthesize_all, MonitorSpec, PropInfo};

@@ -10,15 +10,15 @@
 //!
 //! Resolution happens **once**, not per instant: [`Monitor::bind`]
 //! precomputes, for every input of the monitor machine, the
-//! [`BitSet`] of global [`SigId`]s that denote it. From then on
+//! [`BitSet`] of global [`efsm::SigId`]s that denote it. From then on
 //! [`Monitor::step_ids`] turns a present-id set into machine inputs
 //! with a handful of word intersections and steps the machine through
 //! its *compiled transition tables* (monitors are pure control, so
 //! states table fully up to the row cap — normally one masked row
 //! scan per instant; a state wide enough to blow
 //! [`efsm::table::ROW_CAP`] keeps the identical-semantics s-graph
-//! walk). The name-based [`Monitor::step`] serves offline trace
-//! replay with identical verdicts.
+//! walk). [`Monitor::replay`] steps a recorded trace through the same
+//! id path, so offline verdicts are identical to online ones.
 
 use crate::synth::MonitorSpec;
 use efsm::{Backend, BitSet, NoHooks, SigTable, Signal, StateId};
@@ -156,7 +156,11 @@ impl Monitor {
     }
 
     /// One machine instant over the chosen backend, with
-    /// `input_scratch` as the monitor-local present set.
+    /// `input_scratch` as the monitor-local present set. Kept out of
+    /// line: inlined into its one caller, [`Monitor::step_ids`], it
+    /// made `stack_solo` and `pager_fleet` jobs 3–7% slower
+    /// (EXPERIMENTS.md item 15).
+    #[inline(never)]
     fn machine_step(&mut self) {
         ecl_telemetry::metrics::MON_STEPS.incr();
         self.emit_scratch.clear();
@@ -253,6 +257,7 @@ impl Monitor {
     /// Telemetry on a freshly latched violation: bump the counter and
     /// emit a `verdict` event (slow path — runs at most once per
     /// monitor per run).
+    #[cold]
     fn note_violation(&self, instant: u64, property: usize) {
         ecl_telemetry::metrics::MON_VIOLATIONS.incr();
         if let Some(e) = ecl_telemetry::event("verdict") {
@@ -270,45 +275,17 @@ impl Monitor {
         self.step_ids(instant, present.ids(), present.table())
     }
 
-    /// Step one environment instant with the given present names.
-    /// Compatibility shim over the id path (name-matches each watched
-    /// input per instant); verdicts are identical to
-    /// [`Monitor::step_ids`] on the equivalent id set.
-    pub fn step<S: AsRef<str>>(&mut self, instant: u64, present: &[S]) -> Option<&Violation> {
-        if matches!(self.verdict, Verdict::Fail(_)) {
-            return None;
-        }
-        self.input_scratch.clear();
-        for (s, info) in self.spec.efsm.inputs() {
-            if present.iter().any(|p| name_matches(p.as_ref(), &info.name)) {
-                self.input_scratch.insert(s.0 as usize);
-            }
-        }
-        self.machine_step();
-        if let Some(p) = first_failed(&self.spec, &self.emit_scratch) {
-            let (index, describe) = (p.index, p.describe.clone());
-            let mut witness: Vec<String> = present.iter().map(|s| s.as_ref().to_string()).collect();
-            witness.sort_unstable();
-            self.note_violation(instant, index);
-            self.verdict = Verdict::Fail(Violation {
-                instant,
-                property: index,
-                describe,
-                witness,
-            });
-            if let Verdict::Fail(v) = &self.verdict {
-                return Some(v);
-            }
-        }
-        None
-    }
-
     /// Replay a recorded [`Trace`] from its first retained instant.
-    /// Returns the final verdict.
+    /// Binds to the trace's own signal table first: [`Monitor::step_ids`]
+    /// binds only once, so a monitor bound to another run's table would
+    /// misread the recorded ids. Returns the final verdict.
     pub fn replay(&mut self, trace: &Trace) -> Verdict {
+        self.bind(trace.table());
+        let mut present = BitSet::new();
         for rec in trace.records() {
-            let present = trace.present_names(rec);
-            self.step(rec.instant, &present);
+            present.clear();
+            rec.present_into(&mut present);
+            self.step_ids(rec.instant, &present, trace.table());
         }
         self.finish()
     }
@@ -447,8 +424,20 @@ mod tests {
         Monitor::new(Arc::new(synthesize(prog.observer(name).unwrap()).unwrap()))
     }
 
-    fn names(ns: &[&str]) -> Vec<String> {
-        ns.iter().map(|s| s.to_string()).collect()
+    /// The tests' one name-to-id helper: step `m` with the named
+    /// signals present. Every call resolves against the same table, in
+    /// which `b` precedes `a`, so id order differs from name order and
+    /// the witness sort is observable.
+    fn step<'m>(m: &'m mut Monitor, instant: u64, present: &[&str]) -> Option<&'m Violation> {
+        let mut table = SigTable::new();
+        for name in ["t", "r", "e", "b", "a"] {
+            table.intern(name);
+        }
+        let ids: BitSet = present
+            .iter()
+            .map(|name| table.lookup(name).expect("known name").bit())
+            .collect();
+        m.step_ids(instant, &ids, &table)
     }
 
     #[test]
@@ -458,34 +447,39 @@ mod tests {
         assert!(name_matches("top/sub::out_sample", "out_sample"));
         assert!(!name_matches("top::packets", "packet"));
         assert!(!name_matches("mypacket", "packet"));
+        assert!(!name_matches("my_packet", "packet"));
         assert!(!name_matches("packet", "top::packet"));
     }
 
     #[test]
     fn never_fails_at_the_offending_instant() {
+        // Both properties fail at instant 2; the first one is reported.
         let mut m = monitor(
-            "observer w(input pure a, input pure b) { never (a & b); }",
+            "observer w(input pure a, input pure b) { never (a & b); never (b); }",
             "w",
         );
-        m.step(0, &names(&[]));
-        m.step(1, &names(&["a"]));
+        step(&mut m, 0, &[]);
+        step(&mut m, 1, &["a"]);
         assert!(m.verdict().is_pass());
-        let v = m.step(2, &names(&["a", "b"])).cloned().unwrap();
+        let v = step(&mut m, 2, &["a", "b"]).cloned().unwrap();
         assert_eq!(v.instant, 2);
         assert_eq!(v.property, 0);
-        assert_eq!(v.witness, names(&["a", "b"]));
+        assert_eq!(v.witness, ["a", "b"]);
         // Latched: later instants do not change the verdict.
-        m.step(3, &names(&[]));
+        step(&mut m, 3, &[]);
         assert!(matches!(m.verdict(), Verdict::Fail(f) if f.instant == 2));
     }
 
     #[test]
     fn always_fails_when_the_invariant_lapses() {
         let mut m = monitor("observer w(input pure a) { always (a); }", "w");
-        m.step(0, &names(&["a"]));
+        step(&mut m, 0, &["a"]);
         assert!(m.verdict().is_pass());
-        let v = m.step(1, &names(&[])).cloned().unwrap();
+        let v = step(&mut m, 1, &[]).cloned().unwrap();
         assert_eq!(v.instant, 1);
+        // Latched: a second lapse neither reports nor moves the verdict.
+        assert!(step(&mut m, 2, &[]).is_none());
+        assert!(matches!(m.verdict(), Verdict::Fail(f) if f.instant == 1));
     }
 
     #[test]
@@ -493,18 +487,18 @@ mod tests {
         let src = "observer w(input pure t, input pure r) { whenever (t) expect (r) within 2; }";
         // Response inside the window: pass.
         let mut m = monitor(src, "w");
-        m.step(0, &names(&["t"]));
-        m.step(1, &names(&[]));
-        m.step(2, &names(&["r"]));
+        step(&mut m, 0, &["t"]);
+        step(&mut m, 1, &[]);
+        step(&mut m, 2, &["r"]);
         assert_eq!(m.finish(), Verdict::Pass);
         // No response: fail exactly when the window closes (t at 3 → fail at 5).
         let mut m = monitor(src, "w");
-        m.step(0, &names(&[]));
-        m.step(1, &names(&[]));
-        m.step(2, &names(&[]));
-        m.step(3, &names(&["t"]));
-        assert!(m.step(4, &names(&[])).is_none());
-        let v = m.step(5, &names(&[])).cloned().unwrap();
+        step(&mut m, 0, &[]);
+        step(&mut m, 1, &[]);
+        step(&mut m, 2, &[]);
+        step(&mut m, 3, &["t"]);
+        assert!(step(&mut m, 4, &[]).is_none());
+        let v = step(&mut m, 5, &[]).cloned().unwrap();
         assert_eq!(v.instant, 5);
     }
 
@@ -514,7 +508,7 @@ mod tests {
             "observer w(input pure t, input pure r) { whenever (t) expect (r); }",
             "w",
         );
-        m.step(0, &names(&["t", "r"]));
+        step(&mut m, 0, &["t", "r"]);
         assert_eq!(m.finish(), Verdict::Pass);
     }
 
@@ -522,17 +516,17 @@ mod tests {
     fn eventually_within_passes_and_fails() {
         let src = "observer w(input pure e) { eventually_within 3 (e); }";
         let mut m = monitor(src, "w");
-        m.step(0, &names(&[]));
-        m.step(1, &names(&["e"]));
+        step(&mut m, 0, &[]);
+        step(&mut m, 1, &["e"]);
         assert_eq!(m.finish(), Verdict::Pass);
         let mut m = monitor(src, "w");
         for i in 0..3 {
-            assert!(m.step(i, &names(&[])).is_none(), "instant {i}");
+            assert!(step(&mut m, i, &[]).is_none(), "instant {i}");
         }
-        let v = m.step(3, &names(&[])).cloned().unwrap();
+        let v = step(&mut m, 3, &[]).cloned().unwrap();
         assert_eq!(v.instant, 3);
         // After the deadline the monitor halts; a late `e` cannot help.
-        m.step(4, &names(&["e"]));
+        step(&mut m, 4, &["e"]);
         assert!(matches!(m.verdict(), Verdict::Fail(_)));
     }
 
@@ -541,26 +535,27 @@ mod tests {
         let src = "observer w(input pure t, input pure r) { whenever (t) expect (r) within 1; }";
         let mut online = monitor(src, "w");
         let mut trace = Trace::new(0);
-        let steps: Vec<Vec<&str>> = vec![vec![], vec!["t"], vec![], vec![]];
+        // The trigger sits in the first recorded instant.
+        let steps: Vec<Vec<&str>> = vec![vec!["t"], vec![], vec![], vec![]];
         for (i, ev) in steps.iter().enumerate() {
             trace.begin_instant(i as u64);
             for n in ev {
                 trace.record(n, None, true);
             }
             trace.end_instant();
-            online.step(i as u64, &names(ev));
+            step(&mut online, i as u64, ev);
         }
         let mut offline = monitor(src, "w");
         let off = offline.replay(&trace);
         assert_eq!(online.finish(), off);
-        assert!(matches!(off, Verdict::Fail(v) if v.instant == 2));
+        assert!(matches!(off, Verdict::Fail(v) if v.instant == 1));
     }
 
     #[test]
     fn report_summarizes_verdicts() {
         let pass = monitor("observer p(input pure a) { never (a); }", "p");
         let mut fail = monitor("observer f(input pure a) { always (a); }", "f");
-        fail.step(0, &names(&[]));
+        step(&mut fail, 0, &[]);
         let report = MonitorReport::conclude(vec![pass, fail]);
         assert!(!report.all_pass());
         let (name, v) = report.first_fail().unwrap();

@@ -284,18 +284,51 @@ mod tests {
         );
         assert_eq!(eventually.efsm.states.len(), n as usize + 2);
         assert_eq!(response.efsm.states.len(), n as usize + 1);
+        let mut table = efsm::SigTable::new();
+        let [e, r, t] = ["e", "r", "t"].map(|name| table.intern(name).bit());
+        let none = efsm::BitSet::new();
+        let t_only: efsm::BitSet = [t].into_iter().collect();
         // `e` and `r` never present; `t` present at instant 0 only.
-        for (spec, first) in [(eventually, &[][..]), (response, &["t"][..])] {
+        for (spec, first) in [(eventually, &none), (response, &t_only)] {
             let mut m = Monitor::new(Arc::new(spec));
             for i in 0..u64::from(n) {
-                let present = if i == 0 { first } else { &[] };
-                assert!(m.step(i, present).is_none(), "failed early, at {i}");
+                let present = if i == 0 { first } else { &none };
+                assert!(
+                    m.step_ids(i, present, &table).is_none(),
+                    "failed early, at {i}"
+                );
             }
-            let v = m.step(u64::from(n), &[] as &[&str]).cloned();
+            let v = m.step_ids(u64::from(n), &none, &table).cloned();
             assert_eq!(v.map(|v| v.instant), Some(u64::from(n)));
-            m.step(u64::from(n) + 1, &["e", "r"]);
+            m.step_ids(u64::from(n) + 1, &[e, r].into_iter().collect(), &table);
             assert!(matches!(m.verdict(), Verdict::Fail(f) if f.instant == u64::from(n)));
         }
+    }
+
+    /// Every observer of a translation unit synthesizes, and its C
+    /// emission names the observer's reaction function.
+    #[test]
+    fn monitor_c_names_each_observer() {
+        let prog = ecl_syntax::parse_str(
+            "module m(input pure a, output pure o) { while (1) { await (a); emit (o); } }
+             observer w(input pure a, input pure o) { whenever (a) expect (o) within 1; }",
+        )
+        .unwrap();
+        let specs = synthesize_all(&prog).unwrap();
+        assert_eq!(specs.len(), 1);
+        let c = codegen::emit_monitor_c(&specs[0].efsm);
+        assert!(c.contains("monitor_w_react"), "{c}");
+    }
+
+    /// A source without observers synthesizes an empty (but valid)
+    /// monitor set.
+    #[test]
+    fn source_without_observers_synthesizes_no_monitors() {
+        let prog = ecl_syntax::parse_str(
+            "module p(input pure a, output pure o) { while (1) { await (a); emit (o); } }",
+        )
+        .unwrap();
+        assert!(synthesize_all(&prog).unwrap().is_empty());
     }
 
     #[test]

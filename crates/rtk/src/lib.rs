@@ -1,7 +1,7 @@
 //! A POLIS-style real-time kernel simulator.
 //!
 //! The paper's asynchronous implementation runs each ECL module "as
-//! separate tasks under control of a simple real-time kernel" [1]. This
+//! separate tasks under control of a simple real-time kernel" \[1\]. This
 //! crate models that kernel the way POLIS generates it:
 //!
 //! * static-priority, run-to-completion scheduling (a task's reaction is

@@ -14,7 +14,8 @@
 //! * [`trace`] — ring-buffered signal-trace recording with a VCD-style
 //!   dump, fed by both runners (the substrate for `ecl-observe`
 //!   monitors and offline waveform inspection);
-//! * [`measure`] — end-to-end measurement producing Table 1 rows;
+//! * [`measure`](mod@measure) — end-to-end measurement producing
+//!   Table 1 rows;
 //! * [`designs`] — the ECL sources of the two evaluated designs
 //!   (Figures 1–4 and the reconstructed audio buffer controller).
 

@@ -105,14 +105,6 @@ impl Trace {
         &self.table
     }
 
-    /// The distinct present names of `rec`, in first-occurrence order.
-    pub fn present_names<'a>(&'a self, rec: &TraceRecord) -> Vec<&'a str> {
-        rec.present_ids()
-            .into_iter()
-            .map(|id| self.table.name(id))
-            .collect()
-    }
-
     /// Open the record for environment instant `instant`. Implicitly
     /// closes a still-open record (runners call this once per instant).
     pub fn begin_instant(&mut self, instant: u64) {
@@ -406,8 +398,12 @@ mod tests {
         t.record("b", Some(7), false);
         t.end_instant();
         let recs: Vec<&TraceRecord> = t.records().collect();
-        assert_eq!(t.present_names(recs[0]), vec!["a", "b"]);
-        assert_eq!(recs[0].present_ids().len(), 2);
+        let names: Vec<&str> = recs[0]
+            .present_ids()
+            .into_iter()
+            .map(|id| t.table().name(id))
+            .collect();
+        assert_eq!(names, ["a", "b"]);
     }
 
     #[test]

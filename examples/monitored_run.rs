@@ -1,7 +1,7 @@
-//! Monitored run: the protocol stack with its observers attached.
+//! The protocol stack with its observers attached.
 //!
-//! Compiles the design through the `Workspace`, advances it to the
-//! `Monitored` stage (observers synthesized to monitor EFSMs), then
+//! Parses the design once, synthesizes its observers to monitor EFSMs
+//! (`synthesize_all`) and splits the design for simulation, then
 //! drives the packet testbench twice — clean, and with a corrupted
 //! CRC byte seeded — on both the synchronous and the partitioned
 //! implementation. Finishes with the head of the recorded VCD trace.
@@ -19,8 +19,8 @@
 //! outcome of an injected run — the CI chaos job uses exactly this to
 //! put `fault_injected` lines into a validated stream.
 
-use ecl_core::Workspace;
-use ecl_observe::{check_async, check_interp, MonitoredRun, WorkspaceObserveExt};
+use ecl_core::Source;
+use ecl_observe::{check_async, check_interp, synthesize_all, MonitoredRun};
 use ecl_syntax::diag::EclError;
 use ecl_telemetry::Run;
 use efsm::Backend;
@@ -56,19 +56,13 @@ fn main() {
             ecl_faults::current_plan()
         );
     }
-    // The Monitored stage through the batch driver: design machine
-    // compiled and cached, observers synthesized alongside.
-    let mut ws = Workspace::new();
-    ws.add_source("protocol_stack.ecl", PROTOCOL_STACK);
-    let monitored = ws
-        .monitored("protocol_stack.ecl", "toplevel")
-        .expect("monitored stage");
-    println!(
-        "design `{}` carries {} observers:",
-        monitored.entry(),
-        monitored.specs().len()
-    );
-    for s in monitored.specs() {
+    // One parse feeds the observers and both implementations.
+    let parsed = Source::named("protocol_stack.ecl", PROTOCOL_STACK)
+        .parse()
+        .expect("stack parses");
+    let specs = synthesize_all(parsed.ast()).expect("observers synthesize");
+    println!("design `toplevel` carries {} observers:", specs.len());
+    for s in &specs {
         println!(
             "  {} ({} propert{}, {} monitor states)",
             s.name,
@@ -93,14 +87,13 @@ fn main() {
     }
     .events();
 
-    // The runners' designs come from the same cached parse.
-    let mono = ws
-        .compile("protocol_stack.ecl", "toplevel")
-        .expect("stack compiles");
-    let parts = ws
-        .parsed("protocol_stack.ecl")
-        .and_then(|p| p.partition("toplevel"))
-        .expect("stack partitions");
+    // The runners' designs come from the same parse.
+    let mono = parsed
+        .elaborate("toplevel")
+        .and_then(|e| e.split())
+        .expect("stack compiles")
+        .to_design();
+    let parts = parsed.partition("toplevel").expect("stack partitions");
 
     // Execution backends are one knob: `Backend::Compiled` (fused
     // per-task instant programs — the default) or `Backend::Walker`
@@ -108,7 +101,7 @@ fn main() {
     // against). `coverage()` reports what the
     // compiled backend will actually run.
     let mut probe = AsyncRunner::new(
-        vec![(*mono).clone()],
+        vec![mono.clone()],
         &Default::default(),
         Default::default(),
         Default::default(),
@@ -134,21 +127,21 @@ fn main() {
 
     println!("\nclean run (3 packets):");
     let r = bracketed("example/interp-clean", clean.len(), || {
-        check_interp(&mono, &clean, monitored.specs(), 0)
+        check_interp(&mono, &clean, &specs, 0)
     });
     println!(" interpreter:\n{}", r.report);
     let r = bracketed("example/async-clean", clean.len(), || {
-        check_async(parts.clone(), &clean, monitored.specs(), 0)
+        check_async(parts.clone(), &clean, &specs, 0)
     });
     println!(" 3 RTOS tasks:\n{}", r.report);
 
     println!("corrupted run (CRC byte of packet #2 flipped):");
     let interp_run = bracketed("example/interp-corrupted", corrupted.len(), || {
-        check_interp(&mono, &corrupted, monitored.specs(), 200)
+        check_interp(&mono, &corrupted, &specs, 200)
     });
     println!(" interpreter:\n{}", interp_run.report);
     let r = bracketed("example/async-corrupted", corrupted.len(), || {
-        check_async(parts, &corrupted, monitored.specs(), 0)
+        check_async(parts, &corrupted, &specs, 0)
     });
     println!(" 3 RTOS tasks:\n{}", r.report);
 
@@ -165,10 +158,15 @@ fn main() {
 
     // Monitors also exist as C text, next to the design's own
     // artifacts.
-    let first_line = monitored.c().lines().nth(1).unwrap_or_default();
+    let monitor_c = specs
+        .iter()
+        .map(|s| codegen::emit_monitor_c(&s.efsm))
+        .collect::<Vec<_>>()
+        .join("\n");
+    let first_line = monitor_c.lines().nth(1).unwrap_or_default();
     println!(
         "\nmonitor C emission: {} bytes ({first_line})",
-        monitored.c().len()
+        monitor_c.len()
     );
 
     if chaos {

@@ -1,6 +1,6 @@
-//! The paper's running example (Figures 1-4) on the Workspace session
-//! API: compile the monolithic stack and its three asynchronous tasks
-//! from one shared parse, then stream packets through both.
+//! The paper's running example (Figures 1-4) on the staged pipeline:
+//! compile the monolithic stack and its three asynchronous tasks from
+//! one shared parse, then stream packets through both.
 //!
 //! Run with: `cargo run --example protocol_stack`
 
@@ -33,18 +33,21 @@ fn drive(mut r: AsyncRunner, label: &str) {
 }
 
 fn main() {
-    let mut ws = Workspace::new();
-    ws.add_source("protocol_stack.ecl", PROTOCOL_STACK);
+    let parsed = Source::named("protocol_stack.ecl", PROTOCOL_STACK)
+        .parse()
+        .expect("parses");
 
     // Synchronous: the whole stack as one EFSM (paper: "a single task").
-    let mono = ws
-        .compile("protocol_stack.ecl", "toplevel")
-        .expect("compiles");
-    let m = ws.machine("protocol_stack.ecl", "toplevel").expect("EFSM");
+    let mono = parsed
+        .elaborate("toplevel")
+        .and_then(|e| e.split())
+        .expect("compiles")
+        .to_design();
+    let m = mono.to_efsm(&Default::default()).expect("EFSM");
     println!("monolithic EFSM: {}", m.stats());
     drive(
         AsyncRunner::new(
-            vec![(*mono).clone()],
+            vec![mono],
             &Default::default(),
             CostParams::default(),
             KernelParams::default(),
@@ -54,30 +57,13 @@ fn main() {
     );
 
     // Asynchronous: one task per module (paper: "three source files").
-    // Re-enter the shared Parsed stage per submodule: the workspace's
-    // parse is reused, each instantiation is elaborated with its actual
-    // wire names.
-    let parsed = ws.parsed("protocol_stack.ecl").expect("parsed");
-    let parts: Vec<Design> = parsed
-        .instantiations("toplevel")
-        .into_iter()
-        .map(|inst| {
-            parsed
-                .elaborate_bound(&inst.module, Some(&inst.actuals))
-                .expect("elaborates")
-                .split()
-                .expect("splits")
-                .to_design()
-        })
-        .collect();
+    // `partition` re-enters the same parse per submodule, elaborating
+    // each instantiation with its actual wire names.
+    let parts = parsed.partition("toplevel").expect("partitions");
     for p in &parts {
         let m = p.to_efsm(&Default::default()).unwrap();
         println!("task {}: {}", p.entry, m.stats());
     }
-    println!(
-        "cache: {:?} (the toplevel and all three tasks shared one parse)",
-        ws.cache_stats()
-    );
     drive(
         AsyncRunner::new(
             parts,

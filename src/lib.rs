@@ -28,24 +28,6 @@
 //! assert!(artifacts.c().contains("m"));
 //! ```
 //!
-//! ## Batch sessions
-//!
-//! A [`prelude::Workspace`] compiles many entry modules from a shared
-//! parsed program set, in parallel, memoizing by
-//! `(source, entry, strategy)`:
-//!
-//! ```
-//! use ecl_repro::prelude::*;
-//!
-//! let mut ws = Workspace::new();
-//! ws.add_source("lib.ecl", "
-//!     module ping(input pure i, output pure o) { while (1) { await (i); emit (o); } }
-//!     module pong(input pure i, output pure o) { while (1) { await (i); emit (o); } }");
-//! let results = ws.compile_all(&[("lib.ecl", "ping"), ("lib.ecl", "pong")]);
-//! assert!(results.iter().all(Result::is_ok));
-//! assert_eq!(ws.cache_stats().parse_misses, 1); // parsed once
-//! ```
-//!
 //! ## Designs for simulation
 //!
 //! Runners take a [`prelude::Design`] — the split stage bundled for
@@ -84,9 +66,8 @@ pub use sim;
 /// The names most users need.
 pub mod prelude {
     // Staged pipeline (preferred surface).
-    pub use codegen::artifacts::{Artifacts, WorkspaceCodegenExt};
+    pub use codegen::artifacts::Artifacts;
     pub use ecl_core::pipeline::{Elaborated, EsterelIr, Machine, Parsed, Source, Split};
-    pub use ecl_core::workspace::{CacheStats, Workspace};
     pub use ecl_syntax::diag::{Diagnostic, Diagnostics, EclError, Severity, Stage};
 
     pub use ecl_core::{Design, SplitStrategy};
@@ -102,11 +83,10 @@ pub mod prelude {
     pub use sim::tb::{PacketTb, PagerTb};
     pub use sim::trace::Trace;
 
-    // Observers: monitor synthesis, online checking, isolated sessions.
+    // Observers: monitor synthesis and online checking.
     pub use ecl_observe::{
-        check_async, check_async_with, check_interp, check_interp_with, run_session, run_sessions,
-        synthesize_all, Monitor, MonitorReport, MonitorSpec, Monitored, SessionOutcome, Verdict,
-        WorkspaceObserveExt,
+        check_async, check_async_with, check_interp, check_interp_with, synthesize_all, Monitor,
+        MonitorReport, MonitorSpec, Verdict,
     };
 
     // Deterministic fault injection (inert without an installed plan).

@@ -10,7 +10,8 @@
 
 use ecl_core::{Design, Source};
 use ecl_faults::FaultPlan;
-use ecl_observe::{run_sessions, Monitor, MonitorReport, SessionOutcome, Verdict};
+use ecl_fleet::{FleetConfig, RestartPolicy, SessionSpec, SessionStatus, Supervisor};
+use ecl_observe::{Monitor, MonitorReport, Verdict};
 use efsm::{Backend, BitSet};
 use sim::designs::PROTOCOL_STACK;
 use sim::runner::{AsyncRunner, InterpRunner, Runner, SimErrorKind, WatchdogBudget};
@@ -320,45 +321,65 @@ fn watchdog_trips_conclude_inconclusive() {
     assert!(run.report.all_pass(), "{}", run.report);
 }
 
-/// An injected panic is contained at the session boundary: the
-/// poisoned session reports `Poisoned`, its siblings in the same
-/// batch complete normally, and the process never aborts.
+/// An injected panic is contained at the session boundary: with no
+/// retries left the fleet supervisor fails the poisoned session, its
+/// siblings in the same batch complete normally, and the process never
+/// aborts.
 #[test]
 fn injected_panic_poisons_one_session_not_the_batch() {
     let _g = locked();
-    let (design, sp, ev) = (mono(), specs(), events());
+    let (sp, ev) = (specs(), Arc::new(events()));
     assert!(ev.len() > 4, "testbench long enough to reach the panic");
+    // One shard, so the one-shot panic lands on the first session.
+    let sup = Supervisor::new(
+        partitioned(),
+        &Default::default(),
+        FleetConfig {
+            shards: 1,
+            restart: RestartPolicy {
+                max_retries: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        },
+    )
+    .expect("fleet compiles");
     ecl_faults::install(FaultPlan {
         panic_at: Some(3),
         ..FaultPlan::seeded(3)
     });
-    let mk = |d: Design, sp: Vec<Arc<ecl_observe::MonitorSpec>>, ev: Vec<InstantEvents>| {
-        move || ecl_observe::check_interp_with(&d, &ev, &sp, 0, None)
-    };
-    let outcomes = run_sessions(vec![
-        (
-            "victim".to_string(),
-            mk(design.clone(), sp.clone(), ev.clone()),
-        ),
-        (
-            "sibling-1".to_string(),
-            mk(design.clone(), sp.clone(), ev.clone()),
-        ),
-        (
-            "sibling-2".to_string(),
-            mk(design.clone(), sp.clone(), ev.clone()),
-        ),
-    ]);
+    let rep = sup.run(
+        (1..=3)
+            .map(|id| SessionSpec {
+                id,
+                events: Arc::clone(&ev),
+                specs: sp.clone(),
+                trace_capacity: None,
+            })
+            .collect(),
+    );
     let stats = ecl_faults::uninstall().unwrap();
     assert_eq!(stats.panics, 1, "the panic site fires exactly once");
+    let victim = &rep.sessions[0];
+    assert_eq!(victim.status, SessionStatus::Failed, "{victim:?}");
     assert!(
-        matches!(&outcomes[0], SessionOutcome::Poisoned { msg } if msg.contains("injected panic")),
-        "victim outcome: {:?}",
-        outcomes[0]
+        victim
+            .error
+            .as_deref()
+            .is_some_and(|e| e.contains("injected panic")),
+        "victim error: {:?}",
+        victim.error
     );
-    for (i, o) in outcomes.iter().enumerate().skip(1) {
-        let run = o.run().unwrap_or_else(|| panic!("sibling {i} died: {o:?}"));
-        assert!(run.report.all_pass(), "sibling {i}: {}", run.report);
+    for s in &rep.sessions[1..] {
+        assert_eq!(
+            s.status,
+            SessionStatus::Finished,
+            "sibling {}: {:?}",
+            s.id,
+            s.error
+        );
+        let report = s.report.as_ref().expect("verdicts concluded");
+        assert!(report.all_pass(), "sibling {}: {report}", s.id);
     }
 }
 

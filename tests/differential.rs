@@ -11,7 +11,6 @@ use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sim::runner::{AsyncRunner, InterpRunner, Runner, SharedProgram};
 use sim::tb::InstantEvents;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Split module `m` of a generated program, or `None` when a stage
@@ -106,23 +105,26 @@ fn check_equiv(src: &str, strategy: SplitStrategy, seeds: u64) -> Result<(), Tes
         let mut rt_m = design.new_rt().unwrap();
         let mut interp = esterel::Machine::new(design.program());
         let mut st = machine.init;
+        let mut emitted = Vec::new();
         for step in 0..50 {
-            let mut present = HashSet::new();
+            let mut present = BitSet::new();
             if rng.gen_bool(0.5) {
-                present.insert(a);
+                present.insert(a.0 as usize);
             }
             if rng.gen_bool(0.3) {
-                present.insert(b);
+                present.insert(b.0 as usize);
             }
             let r1 = interp
-                .react(&present, &mut rt_i)
+                .react_set(&present, &mut rt_i)
                 .expect("constructive program");
-            let r2 = machine.step(st, &present, &mut rt_m);
-            st = r2.next;
+            emitted.clear();
+            st = machine
+                .step_bits(st, &present, &mut rt_m, &mut emitted)
+                .next;
             for sig in [x, y] {
                 prop_assert_eq!(
                     r1.has(sig),
-                    r2.emitted.contains(&sig),
+                    emitted.contains(&sig),
                     "signal {:?} diverged at seed {} step {} in\n{}",
                     sig,
                     seed,
@@ -470,42 +472,48 @@ fn check_observer_equiv(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     let b = design.signal("b").unwrap();
     let x = design.signal("x").unwrap();
     let y = design.signal("y").unwrap();
+    // The monitors step by id over a table naming the watched signals.
+    let mut table = efsm::SigTable::new();
+    let [id_a, id_b, id_x, id_y] = ["a", "b", "x", "y"].map(|n| table.intern(n).bit());
     for seed in 0..seeds {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut rt_i = design.new_rt().unwrap();
         let mut rt_m = design.new_rt().unwrap();
         let mut interp = esterel::Machine::new(design.program());
         let mut st = machine.init;
+        let mut emitted = Vec::new();
         let mut mon_i = Monitor::new(Arc::clone(&spec));
         let mut mon_m = Monitor::new(Arc::clone(&spec));
         for step in 0..50u64 {
-            let mut present = HashSet::new();
-            let mut names: Vec<String> = Vec::new();
+            let mut present = BitSet::new();
+            let mut ids = BitSet::new();
             if rng.gen_bool(0.5) {
-                present.insert(a);
-                names.push("a".into());
+                present.insert(a.0 as usize);
+                ids.insert(id_a);
             }
             if rng.gen_bool(0.3) {
-                present.insert(b);
-                names.push("b".into());
+                present.insert(b.0 as usize);
+                ids.insert(id_b);
             }
             let r1 = interp
-                .react(&present, &mut rt_i)
+                .react_set(&present, &mut rt_i)
                 .expect("constructive program");
-            let r2 = machine.step(st, &present, &mut rt_m);
-            st = r2.next;
-            let mut names_i = names.clone();
-            let mut names_m = names;
-            for (sig, name) in [(x, "x"), (y, "y")] {
+            emitted.clear();
+            st = machine
+                .step_bits(st, &present, &mut rt_m, &mut emitted)
+                .next;
+            let mut ids_i = ids.clone();
+            let mut ids_m = ids;
+            for (sig, id) in [(x, id_x), (y, id_y)] {
                 if r1.has(sig) {
-                    names_i.push(name.into());
+                    ids_i.insert(id);
                 }
-                if r2.emitted.contains(&sig) {
-                    names_m.push(name.into());
+                if emitted.contains(&sig) {
+                    ids_m.insert(id);
                 }
             }
-            mon_i.step(step, &names_i);
-            mon_m.step(step, &names_m);
+            mon_i.step_ids(step, &ids_i, &table);
+            mon_m.step_ids(step, &ids_m, &table);
             prop_assert_eq!(
                 mon_i.verdict(),
                 mon_m.verdict(),

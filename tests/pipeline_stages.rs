@@ -1,10 +1,10 @@
-//! Stage-level integration tests for the typed pipeline and the
-//! Workspace batch driver (the acceptance surface of the staged API):
-//! each stage runs independently, one parse feeds many downstream
-//! artifacts, and parallel batch compilation equals sequential.
+//! Stage-level integration tests for the typed pipeline (the
+//! acceptance surface of the staged API): each stage runs
+//! independently, one parse feeds many downstream artifacts, and each
+//! stage reports its own failures.
 
 use ecl_repro::prelude::*;
-use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
+use sim::designs::PROTOCOL_STACK;
 
 /// Parse-only: stop after the front end, inspect, never elaborate.
 #[test]
@@ -82,117 +82,18 @@ fn one_parse_feeds_efsm_c_and_verilog() {
     assert!(Artifacts::emit(&hw).unwrap().verilog().is_some());
 }
 
-fn design_fingerprint(d: &Design, m: &Efsm) -> (String, Vec<String>, String) {
-    (
-        d.entry.clone(),
-        d.program()
-            .signals()
-            .iter()
-            .map(|s| s.name.clone())
-            .collect(),
-        m.stats().to_string(),
-    )
-}
-
-/// Workspace over ≥3 entry modules: parallel batch compilation returns
-/// per-module results identical to sequential compilation, from one
-/// shared parse.
+/// A design that emits its own input is rejected at elaboration with a
+/// readable, stage-tagged message.
 #[test]
-fn workspace_parallel_matches_sequential() {
-    let jobs = [
-        ("stack.ecl", "assemble"),
-        ("stack.ecl", "checkcrc"),
-        ("stack.ecl", "prochdr"),
-        ("stack.ecl", "toplevel"),
-        ("pager.ecl", "pager"),
-    ];
-
-    // Parallel batch.
-    let mut ws_par = Workspace::new();
-    ws_par.add_source("stack.ecl", PROTOCOL_STACK);
-    ws_par.add_source("pager.ecl", VOICE_PAGER);
-    let par: Vec<_> = ws_par
-        .compile_all(&jobs)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-    let par_machines: Vec<_> = ws_par
-        .machine_all(&jobs)
-        .into_iter()
-        .map(|r| r.unwrap())
-        .collect();
-
-    // Sequential reference.
-    let mut ws_seq = Workspace::new();
-    ws_seq.add_source("stack.ecl", PROTOCOL_STACK);
-    ws_seq.add_source("pager.ecl", VOICE_PAGER);
-    let seq: Vec<_> = jobs
-        .iter()
-        .map(|(n, e)| ws_seq.compile(n, e).unwrap())
-        .collect();
-    let seq_machines: Vec<_> = jobs
-        .iter()
-        .map(|(n, e)| ws_seq.machine(n, e).unwrap())
-        .collect();
-
-    for i in 0..jobs.len() {
-        assert_eq!(
-            design_fingerprint(&par[i], &par_machines[i]),
-            design_fingerprint(&seq[i], &seq_machines[i]),
-            "job {i} diverged between parallel and sequential"
-        );
-    }
-
-    // Each source was parsed exactly once in the parallel session.
-    let stats = ws_par.cache_stats();
-    assert_eq!(stats.parse_misses, 2, "{stats:?}");
-}
-
-/// Per-job failures carry span-annotated diagnostics; sibling jobs in
-/// the same batch still succeed.
-#[test]
-fn workspace_batch_isolates_failures() {
-    let mut ws = Workspace::new();
-    ws.add_source("stack.ecl", PROTOCOL_STACK);
-    ws.add_source(
+fn emitting_an_input_fails_elaboration() {
+    let err = Source::named(
         "broken.ecl",
         "module bad(input pure a) { while (1) { emit (a); } }",
-    );
-    let results = ws.compile_all(&[
-        ("stack.ecl", "toplevel"),
-        ("broken.ecl", "bad"),
-        ("stack.ecl", "assemble"),
-    ]);
-    assert!(results[0].is_ok());
-    let err = results[1].as_ref().unwrap_err();
-    // `bad` emits its own input: rejected at elaboration with a
-    // readable, stage-tagged message.
+    )
+    .parse()
+    .unwrap()
+    .elaborate("bad")
+    .unwrap_err();
     assert_eq!(err.stage(), Stage::Elaborate);
     assert!(err.to_string().contains("emitted"), "{err}");
-    assert!(results[2].is_ok());
-}
-
-/// Batch codegen over a workspace session (emit_c / emit_verilog per
-/// design).
-#[test]
-fn workspace_batch_codegen() {
-    let mut ws = Workspace::new();
-    ws.add_source("stack.ecl", PROTOCOL_STACK);
-    let jobs = [
-        ("stack.ecl", "assemble"),
-        ("stack.ecl", "checkcrc"),
-        ("stack.ecl", "prochdr"),
-    ];
-    let cs = ws.emit_c_all(&jobs);
-    assert_eq!(cs.len(), 3);
-    for (i, c) in cs.iter().enumerate() {
-        let c = c.as_ref().unwrap();
-        assert!(c.contains(jobs[i].1), "C for {} names it", jobs[i].1);
-    }
-    // The stack modules are data-dominated: no hardware option, and
-    // the batch says so per design instead of failing wholesale.
-    let vs = ws.emit_verilog_all(&jobs);
-    assert!(vs.iter().all(|v| v.is_err()));
-    // Everything above reused the session's single parse.
-    assert_eq!(ws.cache_stats().parse_misses, 1);
 }
