@@ -18,6 +18,7 @@
 //! Usage: `fleet_bench [--out PATH] [--check BASELINE] [--sessions N] [--rounds N]`
 
 use ecl_bench::extract_normalized;
+use ecl_faults::FaultPlan;
 use ecl_fleet::{FleetConfig, SessionSpec, SessionStatus, Supervisor};
 use sim::runner::{AsyncRunner, Runner};
 use sim::tb::{InstantEvents, PagerTb};
@@ -37,12 +38,14 @@ const MEASURE_ROUNDS: usize = 3;
 
 fn main() {
     ecl_telemetry::init_from_env();
-    // A fault plan (ECL_FAULTS) turns this into the fleet chaos
-    // smoke: killed sessions must restart from checkpoints and the
-    // finished-count assertion below still holds. Injected kills are
-    // caught by the supervisor, so keep their backtraces out of the
-    // log; anything else still reaches the default hook.
-    if ecl_faults::init_from_env() {
+    // A fault plan (ECL_FAULTS) arms every fleet session and turns
+    // this into the fleet chaos smoke: killed sessions must restart
+    // from checkpoints and the finished-count assertion below still
+    // holds. Injected kills are caught by the supervisor, so keep
+    // their backtraces out of the log; anything else still reaches
+    // the default hook.
+    let faults = FaultPlan::from_env();
+    if faults.is_some() {
         let default_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             let injected = info
@@ -109,6 +112,7 @@ fn main() {
                     shards,
                     queue_cap: sessions.max(1),
                     checkpoint_every: *ckpt,
+                    faults,
                     ..Default::default()
                 },
             )

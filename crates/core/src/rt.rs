@@ -305,10 +305,6 @@ impl Rt {
     ///
     /// Unknown index or pure signal.
     pub fn set_input_i64_idx(&mut self, idx: usize, v: i64) -> Result<(), RtError> {
-        // Fault site: a corrupted sensor/bus flips bits in the value
-        // before the type system ever sees it (stream site — the
-        // testbench drives this identically on every backend).
-        let v = ecl_faults::corrupt_i64(idx, v).unwrap_or(v);
         let Some(ty) = self.sig_types.get(idx).copied().flatten() else {
             return Err(RtError {
                 msg: format!("signal #{idx} is pure or unknown"),

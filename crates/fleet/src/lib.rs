@@ -29,14 +29,16 @@
 //!   (admission rejection, attributed per session in telemetry like
 //!   `events_lost`).
 //!
-//! Fault hooks: `ecl_faults::kill_due` panics a chosen session at a
-//! chosen instant (exercising the restart path end to end) and
-//! `ecl_faults::shard_stall` delays a shard quantum without changing
-//! any session's outputs — chaos tests assert byte-identical survivor
-//! behavior under both.
+//! Fault hooks: [`FleetConfig::faults`] arms every session's runner,
+//! plus the supervisor's two sites for that session — the kill site
+//! panics a chosen session at a chosen instant (exercising the
+//! restart path end to end) and the stall site delays a shard quantum
+//! without changing any session's outputs. Chaos tests assert
+//! byte-identical survivor behavior under both.
 
 use codegen::cost::CostParams;
 use ecl_core::Design;
+use ecl_faults::{FaultPlan, InjectionStats};
 use ecl_observe::{Monitor, MonitorReport, MonitorSpec};
 use ecl_telemetry::metrics as tm;
 use efsm::{Backend, BitSet};
@@ -167,6 +169,9 @@ pub struct FleetConfig {
     /// Monitor stride under [`Pressure::SampleMonitors`] (step
     /// monitors every n-th instant; min 1).
     pub monitor_sample: u64,
+    /// Fault plan every session is armed with (its runner, kernel,
+    /// kill and stall sites); `None` runs fault-free.
+    pub faults: Option<FaultPlan>,
 }
 
 impl Default for FleetConfig {
@@ -179,6 +184,7 @@ impl Default for FleetConfig {
             backend: Backend::default(),
             watchdog: None,
             monitor_sample: 2,
+            faults: None,
         }
     }
 }
@@ -188,8 +194,8 @@ impl Default for FleetConfig {
 /// replaying one testbench hold one copy.
 #[derive(Debug, Clone)]
 pub struct SessionSpec {
-    /// Fleet-unique session id (keys `kill_due`, telemetry `session`
-    /// fields and backoff jitter).
+    /// Fleet-unique session id (keys the kill site, telemetry
+    /// `session` fields and backoff jitter).
     pub id: u64,
     /// The environment instants to drive.
     pub events: Arc<Vec<InstantEvents>>,
@@ -239,6 +245,9 @@ pub struct SessionReport {
     pub pressure: Pressure,
     /// Terminal error message, if any.
     pub error: Option<String>,
+    /// Faults injected into this session, including work a restore
+    /// rolled back (zero when [`FleetConfig::faults`] is `None`).
+    pub injected: InjectionStats,
 }
 
 /// Aggregate fleet outcome.
@@ -385,6 +394,7 @@ impl Supervisor {
                     backoff_ticks: 0,
                     pressure: Pressure::SampleMonitors,
                     error: Some("admission refused: shard queue full".into()),
+                    injected: InjectionStats::default(),
                 });
                 continue;
             }
@@ -402,7 +412,7 @@ impl Supervisor {
         }
 
         // Shard workers: each drains its own queue sequentially, so
-        // per-shard quantum numbering (the `shard_stall` key) is
+        // per-shard quantum numbering (the stall site's key) is
         // deterministic.
         let done: Mutex<Vec<(usize, SessionReport)>> = Mutex::new(Vec::new());
         std::thread::scope(|s| {
@@ -494,6 +504,7 @@ fn drive_session(
     runner.set_session(spec.id);
     runner.set_backend(cfg.backend);
     runner.set_watchdog(cfg.watchdog);
+    runner.set_faults(cfg.faults);
     if pressure < Pressure::ShedTrace {
         if let Some(cap) = spec.trace_capacity {
             runner.enable_trace(cap);
@@ -528,7 +539,10 @@ fn drive_session(
     // outcome path can still flush loss accounting and restore state
     // after a caught panic.
     loop {
-        if let Some(ms) = ecl_faults::shard_stall(shard, *quantum_seq) {
+        if let Some(ms) = runner
+            .faults_mut()
+            .and_then(|f| f.shard_stall(shard, *quantum_seq))
+        {
             std::thread::sleep(Duration::from_millis(ms));
         }
         *quantum_seq += 1;
@@ -560,6 +574,7 @@ fn drive_session(
                     backoff_ticks: backoff_total,
                     pressure,
                     error: None,
+                    injected: runner.injection_stats(),
                 };
             }
             Ok(Ok(Step::More)) => {
@@ -619,6 +634,7 @@ fn drive_session(
                     backoff_ticks: backoff_total,
                     pressure,
                     error: Some(e.msg),
+                    injected: runner.injection_stats(),
                 };
             }
             Err(p) => {
@@ -719,13 +735,14 @@ fn escalate(
         backoff_ticks,
         pressure,
         error: Some(msg.to_string()),
+        injected: runner.injection_stats(),
     }
 }
 
 /// Drive up to `checkpoint_every` instants (the whole remaining
 /// stream when 0). Mirrors `Runner::run_events`' id fast path, plus
-/// the fleet's degradation hooks: the `kill_due` fault site panics at
-/// its chosen instant boundary, span summaries are shed at
+/// the fleet's degradation hooks: the kill fault site panics at its
+/// chosen instant boundary, span summaries are shed at
 /// [`Pressure::ShedSpans`], and monitors run on a stride at
 /// [`Pressure::SampleMonitors`].
 fn run_quantum(
@@ -755,7 +772,10 @@ fn run_quantum(
     let mut in_quantum = 0usize;
     while *cursor < spec.events.len() && in_quantum < quantum {
         let instant = runner.now();
-        if ecl_faults::kill_due(spec.id, instant) {
+        if runner
+            .faults_mut()
+            .is_some_and(|f| f.kill_due(spec.id, instant))
+        {
             panic!(
                 "ecl-faults: session {} killed at instant {instant}",
                 spec.id
@@ -813,13 +833,6 @@ mod tests {
     use ecl_core::Source;
     use ecl_observe::synthesize_all;
 
-    /// Serialize tests that install a process-global fault plan.
-    static FAULT_LOCK: Mutex<()> = Mutex::new(());
-
-    fn locked() -> std::sync::MutexGuard<'static, ()> {
-        FAULT_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     const SRC: &str = "
         module a(input pure i, output pure m) { while (1) { await (i); emit (m); } }
         module b(input pure m, output pure o) { while (1) { await (m); emit (o); } }
@@ -869,7 +882,6 @@ mod tests {
 
     #[test]
     fn fleet_finishes_all_sessions_and_matches_solo_run() {
-        let _g = locked();
         let sup = Supervisor::new(
             vec![design()],
             &Default::default(),
@@ -899,7 +911,6 @@ mod tests {
 
     #[test]
     fn admission_refusal_and_pressure_ladder() {
-        let _g = locked();
         let sup = Supervisor::new(
             vec![design()],
             &Default::default(),
@@ -927,29 +938,27 @@ mod tests {
 
     #[test]
     fn killed_session_restarts_and_converges() {
-        let _g = locked();
-        let plan = ecl_faults::FaultPlan {
-            seed: 11,
-            kill_session: 1.0,
-            kill_within: 20,
-            ..Default::default()
-        };
-        ecl_faults::install(plan);
         let sup = Supervisor::new(
             vec![design()],
             &Default::default(),
             FleetConfig {
                 shards: 1,
                 checkpoint_every: 4,
+                faults: Some(FaultPlan {
+                    seed: 11,
+                    kill_session: 1.0,
+                    kill_within: 20,
+                    ..Default::default()
+                }),
                 ..Default::default()
             },
         )
         .unwrap();
         let rep = sup.run(vec![spec_for(7, 30)]);
-        let _ = ecl_faults::uninstall();
         let s = &rep.sessions[0];
         assert_eq!(s.status, SessionStatus::Finished, "{:?}", s.error);
         assert_eq!(s.restarts, 1, "exactly one kill, one restore");
+        assert_eq!(s.injected.session_kills, 1);
         assert!(s.backoff_ticks > 0);
         // Convergence: the restarted run ends byte-identical to an
         // unfaulted solo run.
@@ -977,7 +986,6 @@ mod tests {
 
     #[test]
     fn deterministic_failure_escalates_after_retry_budget() {
-        let _g = locked();
         let sup = Supervisor::new(
             vec![design()],
             &Default::default(),

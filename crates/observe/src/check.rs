@@ -16,7 +16,9 @@ use codegen::cost::CostParams;
 use ecl_core::Design;
 use ecl_syntax::diag::EclError;
 use rtk::KernelParams;
-use sim::runner::{AsyncRunner, InterpRunner, Runner, SimError, WatchdogBudget};
+use sim::runner::{
+    AsyncRunner, FaultPlan, InjectionStats, InterpRunner, Runner, SimError, WatchdogBudget,
+};
 use sim::tb::InstantEvents;
 use sim::trace::Trace;
 use std::sync::Arc;
@@ -29,6 +31,8 @@ pub struct MonitoredRun {
     pub report: MonitorReport,
     /// The recorded trace (ring of the last `trace_capacity` instants).
     pub trace: Trace,
+    /// Faults the run's armed plan injected (zero when unarmed).
+    pub injected: InjectionStats,
 }
 
 fn instances(specs: &[Arc<MonitorSpec>], table: &efsm::SigTable) -> Vec<Monitor> {
@@ -52,6 +56,7 @@ fn conclude_run<R: Runner>(
     mut runner: R,
     monitors: Vec<Monitor>,
     result: Result<(), SimError>,
+    injected: InjectionStats,
 ) -> Result<MonitoredRun, EclError> {
     let report = match result {
         Ok(()) => MonitorReport::conclude(monitors),
@@ -63,6 +68,7 @@ fn conclude_run<R: Runner>(
     Ok(MonitoredRun {
         report,
         trace: runner.take_trace().unwrap_or_default(),
+        injected,
     })
 }
 
@@ -78,13 +84,14 @@ pub fn check_interp(
     specs: &[Arc<MonitorSpec>],
     trace_capacity: usize,
 ) -> Result<MonitoredRun, EclError> {
-    check_interp_with(design, events, specs, trace_capacity, None)
+    check_interp_with(design, events, specs, trace_capacity, None, None)
 }
 
-/// [`check_interp`] with per-instant watchdog budgets. A watchdog trip
-/// (or livelock budget) does not abort the check: monitors that were
-/// still running conclude [`crate::Verdict::Inconclusive`] and the
-/// partial trace is returned.
+/// [`check_interp`] with per-instant watchdog budgets and an optional
+/// fault plan the runner is armed with. A watchdog trip (or livelock
+/// budget) does not abort the check: monitors that were still running
+/// conclude [`crate::Verdict::Inconclusive`] and the partial trace is
+/// returned.
 ///
 /// # Errors
 ///
@@ -95,9 +102,11 @@ pub fn check_interp_with(
     specs: &[Arc<MonitorSpec>],
     trace_capacity: usize,
     watchdog: Option<WatchdogBudget>,
+    faults: Option<FaultPlan>,
 ) -> Result<MonitoredRun, EclError> {
     let mut runner = InterpRunner::new(design)?;
     runner.set_watchdog(watchdog);
+    runner.set_faults(faults);
     runner.enable_trace(trace_capacity);
     let mut monitors = instances(specs, runner.sig_table());
     let r = runner.run_events(events, |instant, present| {
@@ -105,7 +114,8 @@ pub fn check_interp_with(
             m.step_present(instant, present);
         }
     });
-    conclude_run(runner, monitors, r)
+    let injected = runner.injection_stats();
+    conclude_run(runner, monitors, r, injected)
 }
 
 /// Run `events` through the RTOS-backed runner (one design =
@@ -121,10 +131,11 @@ pub fn check_async(
     specs: &[Arc<MonitorSpec>],
     trace_capacity: usize,
 ) -> Result<MonitoredRun, EclError> {
-    check_async_with(designs, events, specs, trace_capacity, None)
+    check_async_with(designs, events, specs, trace_capacity, None, None)
 }
 
-/// [`check_async`] with per-instant watchdog budgets; trips conclude
+/// [`check_async`] with per-instant watchdog budgets and an optional
+/// fault plan the runner and its kernel are armed with; trips conclude
 /// as [`crate::Verdict::Inconclusive`], like [`check_interp_with`].
 /// Mailbox-overwrite losses surface in the telemetry stream via the
 /// runner's `run_events` loss bracket (on the error path too).
@@ -138,6 +149,7 @@ pub fn check_async_with(
     specs: &[Arc<MonitorSpec>],
     trace_capacity: usize,
     watchdog: Option<WatchdogBudget>,
+    faults: Option<FaultPlan>,
 ) -> Result<MonitoredRun, EclError> {
     let mut runner = AsyncRunner::new(
         designs,
@@ -146,6 +158,7 @@ pub fn check_async_with(
         KernelParams::default(),
     )?;
     runner.set_watchdog(watchdog);
+    runner.set_faults(faults);
     runner.enable_trace(trace_capacity);
     let mut monitors = instances(specs, runner.sig_table());
     let r = runner.run_events(events, |instant, present| {
@@ -153,7 +166,8 @@ pub fn check_async_with(
             m.step_present(instant, present);
         }
     });
-    conclude_run(runner, monitors, r)
+    let injected = runner.injection_stats();
+    conclude_run(runner, monitors, r, injected)
 }
 
 #[cfg(test)]

@@ -21,6 +21,7 @@
 //! computes: the simulator in the `sim` crate runs compiled EFSMs
 //! inside tasks and owns the id ↔ name mapping.
 
+use ecl_faults::{FaultPlan, Faults, InjectionStats};
 use ecl_telemetry::metrics as tm;
 use efsm::BitSet;
 
@@ -69,9 +70,16 @@ pub struct Kernel {
     /// Reverse index: signal id → watching tasks.
     watchers: Vec<Vec<TaskId>>,
     /// Internal events held back by the delay-internal fault site,
-    /// delivered by [`Kernel::flush_deferred`] (empty with faults
-    /// off).
+    /// delivered by [`Kernel::begin_instant`] (empty when unarmed).
     deferred: Vec<(TaskId, u32)>,
+    /// The armed fault plan, if any — one pointer, so an unarmed
+    /// kernel pays one check per post.
+    faults: Option<Box<Faults>>,
+    /// The current instant and the number of internal posts made in
+    /// it: with the poster and the signal, the internal drop/delay
+    /// key. Both restart at every instant boundary.
+    instant: u64,
+    posts: u64,
     /// Total cycles charged to application reactions.
     pub task_cycles: u64,
     /// Total cycles charged to kernel services.
@@ -98,6 +106,9 @@ impl Kernel {
             tasks: Vec::new(),
             watchers: Vec::new(),
             deferred: Vec::new(),
+            faults: None,
+            instant: 0,
+            posts: 0,
             task_cycles: 0,
             rtos_cycles: 0,
             events_lost: 0,
@@ -139,36 +150,7 @@ impl Kernel {
     /// Post an *external* event (environment input). Charged as input
     /// buffering per watching task.
     pub fn post_external(&mut self, sig: u32) {
-        let cap = ecl_faults::mailbox_cap();
-        let Some(watchers) = self.watchers.get(sig as usize) else {
-            return;
-        };
-        for t in watchers {
-            self.rtos_cycles += self.params.input_cycles;
-            self.deliveries += 1;
-            tm::RTK_DELIVERIES.incr();
-            tm::RTK_RTOS_CYCLES.add(self.params.input_cycles);
-            let cb = &mut self.tasks[t.0];
-            if cb.pending.contains(sig as usize) {
-                self.events_lost += 1;
-                cb.lost += 1;
-                tm::RTK_EVENTS_LOST.incr();
-                continue;
-            }
-            if let Some(cap) = cap {
-                if cb.pending.len() >= cap {
-                    // Mailbox pressure: no free slot, the event is
-                    // lost before it ever lands — the same loss
-                    // accounting as an overwrite.
-                    self.events_lost += 1;
-                    cb.lost += 1;
-                    tm::RTK_EVENTS_LOST.incr();
-                    ecl_faults::note_mailbox_rejection(t.0 as u64, sig);
-                    continue;
-                }
-            }
-            cb.pending.insert(sig as usize);
-        }
+        self.deliver(None, sig, self.params.input_cycles);
     }
 
     /// Post an *internal* event (emitted by `from`). Charged as an
@@ -178,66 +160,95 @@ impl Kernel {
         if self.watchers.get(sig as usize).is_none_or(Vec::is_empty) {
             return;
         }
-        if ecl_faults::enabled() {
-            // Stream-drawn decisions: posting order is emission
-            // order, identical on every backend.
-            if ecl_faults::drop_internal(sig) {
+        if let Some(f) = self.faults.as_deref_mut() {
+            // Keyed by (instant, poster, signal, post ordinal):
+            // emission order is identical on every backend and the
+            // ordinal restarts each instant, so a restored kernel
+            // replays every decision.
+            let (task, ordinal) = (from.0 as u64, self.posts);
+            self.posts += 1;
+            if f.drop_internal(self.instant, task, sig, ordinal) {
                 return;
             }
-            if ecl_faults::delay_internal(sig) {
+            if f.delay_internal(self.instant, task, sig, ordinal) {
                 self.deferred.push((from, sig));
                 return;
             }
         }
-        self.deliver_internal(from, sig);
+        self.deliver(Some(from), sig, self.params.send_cycles);
     }
 
-    fn deliver_internal(&mut self, from: TaskId, sig: u32) {
-        let cap = ecl_faults::mailbox_cap();
+    /// Deliver `sig` to every watching task but `skip`, charging
+    /// `cycles` per delivery. A mailbox already holding `sig` loses
+    /// the new event; so does one at the armed plan's shrunk capacity
+    /// (mailbox pressure: no free slot, the event is lost before it
+    /// ever lands — the same loss accounting as an overwrite).
+    fn deliver(&mut self, skip: Option<TaskId>, sig: u32, cycles: u64) {
         let Some(watchers) = self.watchers.get(sig as usize) else {
             return;
         };
-        for t in watchers {
-            if *t == from {
+        for &t in watchers {
+            if Some(t) == skip {
                 continue;
             }
-            self.rtos_cycles += self.params.send_cycles;
+            self.rtos_cycles += cycles;
             self.deliveries += 1;
             tm::RTK_DELIVERIES.incr();
-            tm::RTK_RTOS_CYCLES.add(self.params.send_cycles);
+            tm::RTK_RTOS_CYCLES.add(cycles);
             let cb = &mut self.tasks[t.0];
-            if cb.pending.contains(sig as usize) {
+            let lost = cb.pending.contains(sig as usize)
+                || self
+                    .faults
+                    .as_deref_mut()
+                    .is_some_and(|f| f.mailbox_full(t.0 as u64, sig, cb.pending.len()));
+            if lost {
                 self.events_lost += 1;
                 cb.lost += 1;
                 tm::RTK_EVENTS_LOST.incr();
-                continue;
+            } else {
+                cb.pending.insert(sig as usize);
             }
-            if let Some(cap) = cap {
-                if cb.pending.len() >= cap {
-                    self.events_lost += 1;
-                    cb.lost += 1;
-                    tm::RTK_EVENTS_LOST.incr();
-                    ecl_faults::note_mailbox_rejection(t.0 as u64, sig);
-                    continue;
-                }
-            }
-            cb.pending.insert(sig as usize);
         }
     }
 
-    /// Deliver events held back by the delay-internal fault site.
-    /// Runners call this at the start of each instant; with faults
-    /// off the queue is always empty and this is one branch.
-    pub fn flush_deferred(&mut self) {
+    /// Start environment instant `instant`: restart the post ordinal
+    /// and deliver the events the delay-internal fault site held
+    /// back. Armed runners call this at the start of each instant.
+    pub fn begin_instant(&mut self, instant: u64) {
+        self.instant = instant;
+        self.posts = 0;
         if self.deferred.is_empty() {
             return;
         }
         let mut deferred = std::mem::take(&mut self.deferred);
         for &(from, sig) in &deferred {
-            self.deliver_internal(from, sig);
+            self.deliver(Some(from), sig, self.params.send_cycles);
         }
         deferred.clear();
         self.deferred = deferred;
+    }
+
+    /// Arm the kernel's fault sites (mailbox cap, internal drop and
+    /// delay) with `plan`, with zeroed counts; `None` disarms.
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
+        self.faults = plan.map(|p| Box::new(Faults::new(p)));
+    }
+
+    /// Injections the kernel's sites performed since arming (zero
+    /// when unarmed).
+    pub fn injection_stats(&self) -> InjectionStats {
+        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
+    }
+
+    /// Restore the mailboxes, deferred queue and counters of `snap`
+    /// (a clone taken at an instant boundary), keeping this kernel's
+    /// own armed plan and its counts: a restore loses no counts and
+    /// never re-fires a one-shot site. `snap`'s plan, if any, is
+    /// ignored.
+    pub fn restore(&mut self, snap: &Kernel) {
+        let faults = self.faults.take();
+        self.clone_from(snap);
+        self.faults = faults;
     }
 
     /// Per-task loss counters: `(task, events lost)` in registration

@@ -1,15 +1,10 @@
 //! The kernel's fault sites (mailbox cap, internal drop, internal
-//! delay) under an installed plan.
-//!
-//! The plan is process-global, so these checks live in their own test
-//! binary, where every test installs a plan and holds [`serial`] while
-//! it does: no test ever posts an event under another test's plan, and
-//! the unit tests in `src/lib.rs` never see one.
+//! delay) under an armed plan. Each test arms its own kernel, so
+//! nothing is shared between tests.
 
 use ecl_faults::FaultPlan;
 use efsm::BitSet;
-use rtk::{Kernel, TaskId};
-use std::sync::{Mutex, MutexGuard};
+use rtk::Kernel;
 
 const X: u32 = 0;
 const Y: u32 = 1;
@@ -18,21 +13,13 @@ fn set(sigs: &[u32]) -> BitSet {
     sigs.iter().map(|s| *s as usize).collect()
 }
 
-/// Run one plan-installing test at a time. A failed test poisons the
-/// lock; the next one installs its own plan first, so it recovers.
-fn serial() -> MutexGuard<'static, ()> {
-    static SERIAL: Mutex<()> = Mutex::new(());
-    SERIAL.lock().unwrap_or_else(|e| e.into_inner())
-}
-
 #[test]
 fn mailbox_cap_rejects_and_counts_losses() {
-    let _g = serial();
-    ecl_faults::install(FaultPlan {
+    let mut k = Kernel::default();
+    k.set_faults(Some(FaultPlan {
         mailbox_cap: Some(1),
         ..FaultPlan::seeded(1)
-    });
-    let mut k = Kernel::default();
+    }));
     let a = k.add_task("a", 1, set(&[X, Y]));
     k.post_external(X); // fills the single slot
     k.post_external(Y); // rejected by the cap
@@ -41,9 +28,9 @@ fn mailbox_cap_rejects_and_counts_losses() {
     let mut ev = BitSet::new();
     k.dispatch_into(a, &mut ev);
     assert!(ev.contains(X as usize) && !ev.contains(Y as usize));
-    let stats = ecl_faults::uninstall().unwrap();
-    assert_eq!(stats.mailbox_rejections, 1);
-    // Switch off: the cap is gone.
+    assert_eq!(k.injection_stats().mailbox_rejections, 1);
+    // Disarmed: the cap is gone.
+    k.set_faults(None);
     k.post_external(X);
     k.post_external(Y);
     assert_eq!(k.events_lost, 1, "no cap without a plan");
@@ -51,59 +38,104 @@ fn mailbox_cap_rejects_and_counts_losses() {
 
 #[test]
 fn internal_drops_are_seed_deterministic() {
-    let _g = serial();
     let plan = FaultPlan {
         drop_internal: 0.5,
         ..FaultPlan::seeded(99)
     };
     // Only `b` watches `Y`, so a task is ready after the post exactly
-    // when the event reached `b`'s mailbox.
-    let run = |k: &mut Kernel, a: TaskId| -> Vec<bool> {
+    // when the event reached `b`'s mailbox. One post per instant.
+    let run = || -> Vec<bool> {
+        let mut k = Kernel::default();
+        k.set_faults(Some(plan));
+        let a = k.add_task("a", 1, set(&[X]));
+        let _ = k.add_task("b", 2, set(&[Y]));
         (0..64)
-            .map(|_| {
-                let before = k.any_ready();
+            .map(|i| {
+                k.begin_instant(i);
                 k.post_internal(a, Y);
-                let after = k.any_ready();
+                let dropped = !k.any_ready();
                 let mut ev = BitSet::new();
                 let _ = k.schedule_into(&mut ev);
-                !before && !after
+                dropped
             })
             .collect()
     };
-    ecl_faults::install(plan.clone());
-    let mut k1 = Kernel::default();
-    let a1 = k1.add_task("a", 1, set(&[X]));
-    let _ = k1.add_task("b", 2, set(&[Y]));
-    let dropped1 = run(&mut k1, a1);
-    ecl_faults::install(plan);
-    let mut k2 = Kernel::default();
-    let a2 = k2.add_task("a", 1, set(&[X]));
-    let _ = k2.add_task("b", 2, set(&[Y]));
-    let dropped2 = run(&mut k2, a2);
-    ecl_faults::uninstall();
-    assert_eq!(dropped1, dropped2, "drop stream diverged under one seed");
-    assert!(dropped1.iter().any(|d| *d), "rate 0.5 never dropped");
-    assert!(!dropped1.iter().all(|d| *d), "rate 0.5 dropped everything");
+    let dropped = run();
+    assert_eq!(dropped, run(), "drop decisions diverged under one seed");
+    assert!(dropped.iter().any(|d| *d), "rate 0.5 never dropped");
+    assert!(!dropped.iter().all(|d| *d), "rate 0.5 dropped everything");
 }
 
 #[test]
 fn delayed_internal_events_arrive_after_flush() {
-    let _g = serial();
-    ecl_faults::install(FaultPlan {
+    let mut k = Kernel::default();
+    k.set_faults(Some(FaultPlan {
         delay_internal: 1.0,
         ..FaultPlan::seeded(3)
-    });
-    let mut k = Kernel::default();
+    }));
     let a = k.add_task("a", 1, set(&[X]));
     let b = k.add_task("b", 2, set(&[Y]));
     k.post_internal(a, Y);
     assert!(!k.any_ready(), "event must be held in the deferred queue");
-    k.flush_deferred();
+    k.begin_instant(1);
     assert!(k.any_ready());
     let mut ev = BitSet::new();
     assert_eq!(k.schedule_into(&mut ev), Some(b));
     assert!(ev.contains(Y as usize));
     assert_eq!(k.events_lost, 0, "a deferred event is late, not lost");
-    let stats = ecl_faults::uninstall().unwrap();
-    assert_eq!(stats.delayed_internal, 1);
+    assert_eq!(k.injection_stats().delayed_internal, 1);
+}
+
+/// `Kernel::restore` copies mailboxes, the deferred queue and the
+/// counters from the snapshot but keeps the armed plan and its
+/// counts; after `begin_instant` the same `(instant, ordinal)` posts
+/// get the same decisions again.
+#[test]
+fn restore_keeps_the_armed_plan_and_its_counts() {
+    let mut k = Kernel::default();
+    k.set_faults(Some(FaultPlan {
+        drop_internal: 0.3,
+        delay_internal: 0.3,
+        ..FaultPlan::seeded(17)
+    }));
+    let a = k.add_task("a", 1, set(&[X]));
+    let b = k.add_task("b", 2, set(&[Y]));
+    // 32 posts in one instant: which of them reached `b` at once?
+    let burst = |k: &mut Kernel, instant: u64| -> Vec<bool> {
+        k.begin_instant(instant);
+        let mut ev = BitSet::new();
+        (0..32)
+            .map(|_| {
+                k.post_internal(a, Y);
+                k.dispatch_into(b, &mut ev);
+                ev.contains(Y as usize)
+            })
+            .collect()
+    };
+    let _ = burst(&mut k, 0);
+    assert!(
+        k.injection_stats().delayed_internal > 0,
+        "the cut holds deferred posts"
+    );
+    k.post_external(X); // pending in `a`'s mailbox at the cut
+    let snap = k.clone();
+    let first = (burst(&mut k, 1), k.deliveries);
+    let stats = k.injection_stats();
+    // Dirty what the snapshot holds: drain `a`, flush the deferred
+    // queue.
+    let mut ev = BitSet::new();
+    k.dispatch_into(a, &mut ev);
+    k.begin_instant(2);
+
+    k.restore(&snap);
+    assert_eq!(
+        k.injection_stats(),
+        stats,
+        "restore dropped the armed counts"
+    );
+    // Replaying instant 1 delivers the restored deferred queue and
+    // decides every post as before, on top of the restored counters.
+    assert_eq!((burst(&mut k, 1), k.deliveries), first);
+    k.dispatch_into(a, &mut ev);
+    assert!(ev.contains(X as usize), "the mailboxes were not restored");
 }

@@ -21,6 +21,7 @@ use crate::tb::InstantEvents;
 use crate::trace::{Recorder, Trace};
 use codegen::cost::CostParams;
 use ecl_core::{Design, Rt};
+use ecl_faults::Faults;
 use ecl_telemetry::metrics as tm;
 use efsm::{Backend, BitSet, CompiledEfsm, DataHooks, Efsm, SigId, SigTable, Signal, StateId};
 use esterel::compile::CompileOptions;
@@ -28,6 +29,8 @@ use rtk::{Kernel, KernelParams, TaskId};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
+
+pub use ecl_faults::{FaultPlan, InjectionStats};
 
 /// What class of failure ended a simulation — recovery layers map
 /// these onto verdicts: [`SimErrorKind::is_inconclusive`] kinds end a
@@ -505,6 +508,38 @@ fn check_watchdog(
     Ok(())
 }
 
+/// The stimuli an armed runner presents at instant `now`, built in
+/// `out`: the delayed events that fall due, plus `events` minus what
+/// the external drop and delay sites hold back (keyed by
+/// `(instant, signal)`, so both runners compute the identical set).
+/// Delayed events join `delayed`.
+fn faulted_stimuli<'a>(
+    faults: &mut Faults,
+    delayed: &mut Vec<(u64, usize)>,
+    now: u64,
+    events: &BitSet,
+    out: &'a mut BitSet,
+) -> &'a BitSet {
+    out.clear();
+    delayed.retain(|&(due, bit)| {
+        if due <= now {
+            out.insert(bit);
+        }
+        due > now
+    });
+    for bit in events.iter() {
+        if faults.drop_external(now, bit as u32) {
+            continue;
+        }
+        if let Some(d) = faults.delay_external(now, bit as u32) {
+            delayed.push((now + d, bit));
+            continue;
+        }
+        out.insert(bit);
+    }
+    out
+}
+
 /// The immutable compilation product of one task: the design, its
 /// EFSM, the fused compiled program, the local ↔ global signal wiring
 /// and a prototype runtime. Built once by [`SharedProgram::compile`]
@@ -660,6 +695,9 @@ pub struct AsyncRunner {
     /// Fleet session id carried on telemetry `error` lines (0 outside
     /// a fleet).
     session: u64,
+    /// The armed fault plan of the runner's own sites (the kernel
+    /// holds its own), if any — see [`AsyncRunner::set_faults`].
+    faults: Option<Box<Faults>>,
     /// Externally-delayed events: `(due instant, signal bit)`. Empty
     /// unless a fault plan delays stimuli.
     delayed: Vec<(u64, usize)>,
@@ -668,8 +706,7 @@ pub struct AsyncRunner {
     evset_scratch: BitSet,
     local_scratch: BitSet,
     emit_scratch: Vec<Signal>,
-    /// Effective-stimulus scratch for fault-adjusted instants (only
-    /// touched when a plan is installed).
+    /// Effective-stimulus scratch for fault-adjusted instants.
     fault_scratch: BitSet,
 }
 
@@ -731,6 +768,7 @@ impl AsyncRunner {
             watchdog: None,
             in_instant: false,
             session: 0,
+            faults: None,
             delayed: Vec::new(),
             evset_scratch: BitSet::new(),
             local_scratch: BitSet::new(),
@@ -749,6 +787,27 @@ impl AsyncRunner {
     /// The session id this runner is tagged with (0 outside a fleet).
     pub fn session(&self) -> u64 {
         self.session
+    }
+
+    /// Arm this runner and its kernel with `plan` (zeroed counts,
+    /// open one-shot latches); `None` disarms. Every site is keyed
+    /// by its coordinates, so runners armed with one plan replay the
+    /// same faults on every backend, and a restore replays them too.
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
+        self.faults = plan.map(|p| Box::new(Faults::new(p)));
+        self.kernel.set_faults(plan);
+    }
+
+    /// The runner's armed sites, if any — the fleet supervisor fires
+    /// its kill and stall sites for this session through them.
+    pub fn faults_mut(&mut self) -> Option<&mut Faults> {
+        self.faults.as_deref_mut()
+    }
+
+    /// Injections performed since arming by the runner and its
+    /// kernel, including work a restore rolled back.
+    pub fn injection_stats(&self) -> InjectionStats {
+        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default() + self.kernel.injection_stats()
     }
 
     /// Access the kernel (cycle counters, loss statistics).
@@ -841,6 +900,11 @@ impl AsyncRunner {
     ///
     /// Fails when no task knows the signal, or the signal is pure.
     pub fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
+        // Fault site: a corrupted sensor/bus flips bits before any
+        // task sees the value, so every reader sees the same one.
+        let v = (self.faults.as_deref_mut())
+            .and_then(|f| f.corrupt_i64(self.instant, sig.0, v))
+            .unwrap_or(v);
         let mut hit = false;
         let entry_err = |t: &Task, e: ecl_core::rt::RtError| {
             SimError::eval(format!("task `{}`: {e}", t.prog.design.entry))
@@ -868,12 +932,11 @@ impl AsyncRunner {
     /// emitted ids land in `out` (cleared first). Allocation-free in
     /// steady state.
     ///
-    /// With a fault plan installed, the external drop/delay sites are
-    /// applied here (keyed by `(instant, signal)`, identically on the
-    /// interpreter runner), and a panic that unwinds through the
-    /// instant latches the poisoned flag: further instants are
-    /// refused with [`SimErrorKind::Poisoned`] instead of running on
-    /// torn state.
+    /// When armed, the external drop/delay sites are applied here
+    /// (keyed by `(instant, signal)`, identically on the interpreter
+    /// runner). A panic that unwinds through the instant latches the
+    /// poisoned flag: further instants are refused with
+    /// [`SimErrorKind::Poisoned`] instead of running on torn state.
     ///
     /// # Errors
     ///
@@ -885,51 +948,25 @@ impl AsyncRunner {
                 "runner state torn by a panic in an earlier instant",
             ));
         }
-        if !ecl_faults::enabled() && self.delayed.is_empty() {
-            self.in_instant = true;
-            let r = self.instant_ids_inner(events, out);
-            self.in_instant = false;
-            return r;
-        }
-        // Fault-adjusted stimulus set: drop/delay fresh events, then
-        // merge delayed ones that are due (keyed decisions — the
-        // interpreter runner computes the identical set).
         let mut scratch = std::mem::take(&mut self.fault_scratch);
-        scratch.clear();
-        let now = self.instant;
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                scratch.insert(self.delayed.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-        for bit in events.iter() {
-            if ecl_faults::drop_external(now, bit as u32) {
-                continue;
-            }
-            if let Some(d) = ecl_faults::delay_external(now, bit as u32) {
-                self.delayed.push((now + d, bit));
-                continue;
-            }
-            scratch.insert(bit);
-        }
+        let events = match self.faults.as_deref_mut() {
+            Some(f) => faulted_stimuli(f, &mut self.delayed, self.instant, events, &mut scratch),
+            None => events,
+        };
         self.in_instant = true;
-        let r = self.instant_ids_inner(&scratch, out);
+        let r = self.instant_ids_inner(events, out);
         self.in_instant = false;
         self.fault_scratch = scratch;
         r
     }
 
     fn instant_ids_inner(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
-        let faults = ecl_faults::enabled();
-        if faults {
-            if ecl_faults::panic_due(self.instant) {
+        if let Some(f) = self.faults.as_deref_mut() {
+            if f.panic_due(self.instant) {
                 panic!("ecl-faults: injected panic at instant {}", self.instant);
             }
-            self.kernel.flush_deferred();
-            if let Some(cap) = ecl_faults::fuel_cap(self.instant) {
+            self.kernel.begin_instant(self.instant);
+            if let Some(cap) = f.fuel_cap(self.instant) {
                 for t in &mut self.tasks {
                     let fuel = t.rt.machine().fuel();
                     if fuel > cap {
@@ -972,7 +1009,7 @@ impl AsyncRunner {
             nodes_spent += nodes as u64;
             fuel_spent += ops;
         }
-        if faults {
+        if self.faults.is_some() {
             // Hand back the fuel the starvation squeeze withheld —
             // starvation is per instant, not permanent.
             for t in &mut self.tasks {
@@ -1101,7 +1138,9 @@ struct TaskSnapshot {
 /// ring, pending delayed stimuli, the backend choice and the watchdog
 /// budgets. Restoring it resumes the session bit-identically — VCD
 /// bytes, verdicts, `nodes_visited` and fuel all match a run that was
-/// never interrupted (property-tested in `tests/checkpoint.rs`).
+/// never interrupted, with or without a fault plan armed
+/// (property-tested in `tests/checkpoint.rs`). The armed plan is
+/// configuration, not state: a restore keeps the runner's own.
 #[derive(Clone)]
 pub struct RunnerSnapshot {
     instant: u64,
@@ -1154,10 +1193,13 @@ impl Snapshot for AsyncRunner {
                 "cannot snapshot mid-instant (runner state is torn)",
             ));
         }
+        // The armed plan is configuration, not state: it stays out.
+        let mut kernel = self.kernel.clone();
+        kernel.set_faults(None);
         Ok(RunnerSnapshot {
             instant: self.instant,
             backend: self.backend,
-            kernel: self.kernel.clone(),
+            kernel,
             counts: self.counts.clone(),
             recorder: self.recorder.clone(),
             watchdog: self.watchdog,
@@ -1185,7 +1227,7 @@ impl Snapshot for AsyncRunner {
         }
         self.instant = snap.instant;
         self.backend = snap.backend;
-        self.kernel = snap.kernel.clone();
+        self.kernel.restore(&snap.kernel);
         self.counts = snap.counts.clone();
         self.recorder = snap.recorder.clone();
         self.watchdog = snap.watchdog;
@@ -1220,6 +1262,8 @@ pub struct InterpRunner<'d> {
     watchdog: Option<WatchdogBudget>,
     /// Panic-poisoning latch, as on [`AsyncRunner`].
     in_instant: bool,
+    /// The armed fault plan, if any — see [`InterpRunner::set_faults`].
+    faults: Option<Box<Faults>>,
     /// Externally-delayed events: `(due instant, signal bit)`.
     delayed: Vec<(u64, usize)>,
     /// Effective-stimulus scratch for fault-adjusted instants.
@@ -1252,6 +1296,7 @@ impl<'d> InterpRunner<'d> {
             instant: 0,
             watchdog: None,
             in_instant: false,
+            faults: None,
             delayed: Vec::new(),
             fault_scratch: BitSet::new(),
         })
@@ -1280,6 +1325,9 @@ impl<'d> InterpRunner<'d> {
     ///
     /// Unknown/pure signal.
     pub fn set_input_i64_id(&mut self, sig: SigId, v: i64) -> Result<(), SimError> {
+        let v = (self.faults.as_deref_mut())
+            .and_then(|f| f.corrupt_i64(self.instant, sig.0, v))
+            .unwrap_or(v);
         self.rt
             .set_input_i64_idx(sig.bit(), v)
             .map_err(|e| SimError::eval(e.to_string()))?;
@@ -1292,10 +1340,9 @@ impl<'d> InterpRunner<'d> {
     /// program's signal indices, so `events` feeds the interpreter
     /// directly.
     ///
-    /// With a fault plan installed, the external drop/delay sites are
-    /// applied with the same `(instant, signal)` keys as on
-    /// [`AsyncRunner`], so a kernel-free plan replays identically on
-    /// both runners.
+    /// When armed, the external drop/delay sites are applied with the
+    /// same `(instant, signal)` keys as on [`AsyncRunner`], so a
+    /// kernel-free plan replays identically on both runners.
     ///
     /// # Errors
     ///
@@ -1306,35 +1353,13 @@ impl<'d> InterpRunner<'d> {
                 "runner state torn by a panic in an earlier instant",
             ));
         }
-        if !ecl_faults::enabled() && self.delayed.is_empty() {
-            self.in_instant = true;
-            let r = self.instant_ids_inner(events, out);
-            self.in_instant = false;
-            return r;
-        }
         let mut scratch = std::mem::take(&mut self.fault_scratch);
-        scratch.clear();
-        let now = self.instant;
-        let mut i = 0;
-        while i < self.delayed.len() {
-            if self.delayed[i].0 <= now {
-                scratch.insert(self.delayed.swap_remove(i).1);
-            } else {
-                i += 1;
-            }
-        }
-        for bit in events.iter() {
-            if ecl_faults::drop_external(now, bit as u32) {
-                continue;
-            }
-            if let Some(d) = ecl_faults::delay_external(now, bit as u32) {
-                self.delayed.push((now + d, bit));
-                continue;
-            }
-            scratch.insert(bit);
-        }
+        let events = match self.faults.as_deref_mut() {
+            Some(f) => faulted_stimuli(f, &mut self.delayed, self.instant, events, &mut scratch),
+            None => events,
+        };
         self.in_instant = true;
-        let r = self.instant_ids_inner(&scratch, out);
+        let r = self.instant_ids_inner(events, out);
         self.in_instant = false;
         self.fault_scratch = scratch;
         r
@@ -1342,11 +1367,11 @@ impl<'d> InterpRunner<'d> {
 
     fn instant_ids_inner(&mut self, events: &BitSet, out: &mut BitSet) -> Result<(), SimError> {
         let mut fuel_credit = 0u64;
-        if ecl_faults::enabled() {
-            if ecl_faults::panic_due(self.instant) {
+        if let Some(f) = self.faults.as_deref_mut() {
+            if f.panic_due(self.instant) {
                 panic!("ecl-faults: injected panic at instant {}", self.instant);
             }
-            if let Some(cap) = ecl_faults::fuel_cap(self.instant) {
+            if let Some(cap) = f.fuel_cap(self.instant) {
                 let fuel = self.rt.machine().fuel();
                 if fuel > cap {
                     self.rt.machine_mut().set_fuel(cap);
@@ -1441,6 +1466,18 @@ impl<'d> InterpRunner<'d> {
     /// state torn? A poisoned runner refuses further instants.
     pub fn is_poisoned(&self) -> bool {
         self.in_instant
+    }
+
+    /// Arm this runner with `plan` (zeroed counts, open one-shot
+    /// latches); `None` disarms. The kernel sites do not exist here;
+    /// the others use the same keys as on [`AsyncRunner`].
+    pub fn set_faults(&mut self, plan: Option<FaultPlan>) {
+        self.faults = plan.map(|p| Box::new(Faults::new(p)));
+    }
+
+    /// Injections performed since arming.
+    pub fn injection_stats(&self) -> InjectionStats {
+        self.faults.as_ref().map(|f| f.stats()).unwrap_or_default()
     }
 
     /// The design this runner executes.

@@ -13,19 +13,19 @@
 //! telemetry [`Run`] and the example doubles as a JSONL emitter — the
 //! CI smoke job validates that stream with `check_telemetry`.
 //!
-//! With `ECL_FAULTS=key=value,...` (see `ecl_faults::init_from_env`)
-//! a deterministic fault plan is installed first: events may be
+//! With `ECL_FAULTS=key=value,...` (see `FaultPlan::parse`) every
+//! run is armed with a deterministic fault plan: events may be
 //! dropped or delayed, so verdicts other than PASS are an expected
 //! outcome of an injected run — the CI chaos job uses exactly this to
 //! put `fault_injected` lines into a validated stream.
 
 use ecl_core::Source;
-use ecl_observe::{check_async, check_interp, synthesize_all, MonitoredRun};
+use ecl_observe::{check_async_with, check_interp_with, synthesize_all, MonitoredRun};
 use ecl_syntax::diag::EclError;
 use ecl_telemetry::Run;
 use efsm::Backend;
 use sim::designs::PROTOCOL_STACK;
-use sim::runner::AsyncRunner;
+use sim::runner::{AsyncRunner, FaultPlan, InjectionStats};
 use sim::tb::PacketTb;
 
 /// Bracket one monitored run with a telemetry `Run` (a no-op when the
@@ -47,15 +47,13 @@ fn main() {
     // example emits one schema-versioned JSON object per line.
     ecl_telemetry::init_from_env();
     // So is fault injection: with `ECL_FAULTS` set, every run below
-    // executes under the same seeded plan, and FAIL/INCONCLUSIVE
+    // is armed with the same seeded plan, and FAIL/INCONCLUSIVE
     // verdicts are legitimate outcomes rather than errors.
-    let chaos = ecl_faults::init_from_env();
-    if chaos {
-        println!(
-            "fault plan installed from ECL_FAULTS: {:?}",
-            ecl_faults::current_plan()
-        );
+    let faults = FaultPlan::from_env();
+    if let Some(plan) = &faults {
+        println!("fault plan armed from ECL_FAULTS: {plan:?}");
     }
+    let mut injected = InjectionStats::default();
     // One parse feeds the observers and both implementations.
     let parsed = Source::named("protocol_stack.ecl", PROTOCOL_STACK)
         .parse()
@@ -127,23 +125,26 @@ fn main() {
 
     println!("\nclean run (3 packets):");
     let r = bracketed("example/interp-clean", clean.len(), || {
-        check_interp(&mono, &clean, &specs, 0)
+        check_interp_with(&mono, &clean, &specs, 0, None, faults)
     });
     println!(" interpreter:\n{}", r.report);
+    injected = injected + r.injected;
     let r = bracketed("example/async-clean", clean.len(), || {
-        check_async(parts.clone(), &clean, &specs, 0)
+        check_async_with(parts.clone(), &clean, &specs, 0, None, faults)
     });
     println!(" 3 RTOS tasks:\n{}", r.report);
+    injected = injected + r.injected;
 
     println!("corrupted run (CRC byte of packet #2 flipped):");
     let interp_run = bracketed("example/interp-corrupted", corrupted.len(), || {
-        check_interp(&mono, &corrupted, &specs, 200)
+        check_interp_with(&mono, &corrupted, &specs, 200, None, faults)
     });
     println!(" interpreter:\n{}", interp_run.report);
     let r = bracketed("example/async-corrupted", corrupted.len(), || {
-        check_async(parts, &corrupted, &specs, 0)
+        check_async_with(parts, &corrupted, &specs, 0, None, faults)
     });
     println!(" 3 RTOS tasks:\n{}", r.report);
+    injected = injected + interp_run.injected + r.injected;
 
     // The recorder kept the last 200 instants; dump the window head.
     let vcd = interp_run.trace.to_vcd("protocol_stack");
@@ -169,11 +170,10 @@ fn main() {
         monitor_c.len()
     );
 
-    if chaos {
-        let stats = ecl_faults::uninstall().expect("plan installed from ECL_FAULTS");
+    if faults.is_some() {
         println!(
-            "\nfault injection summary: {} injections\n  {stats:?}",
-            stats.total()
+            "\nfault injection summary: {} injections\n  {injected:?}",
+            injected.total()
         );
     }
 }

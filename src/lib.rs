@@ -89,7 +89,7 @@ pub mod prelude {
         MonitorReport, MonitorSpec, Verdict,
     };
 
-    // Deterministic fault injection (inert without an installed plan).
+    // Deterministic fault injection (inert unless a runner is armed).
     pub use ecl_faults::{FaultPlan, InjectionStats};
 
     // Supervised session fleets: checkpoint/restore, restart with

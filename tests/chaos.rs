@@ -5,11 +5,11 @@
 //! *contained* (an injected panic poisons one session, never the
 //! process; watchdog trips conclude `Inconclusive`, not `Err`).
 //!
-//! The fault plan is process-global, so every test takes the same
-//! lock — libtest's concurrent threads must not overlap two plans.
+//! Every test arms its own runners, so the tests share nothing and
+//! run in any order, on any number of threads.
 
 use ecl_core::{Design, Source};
-use ecl_faults::FaultPlan;
+use ecl_faults::{FaultPlan, InjectionStats};
 use ecl_fleet::{FleetConfig, RestartPolicy, SessionSpec, SessionStatus, Supervisor};
 use ecl_observe::{Monitor, MonitorReport, Verdict};
 use efsm::{Backend, BitSet};
@@ -18,13 +18,7 @@ use sim::runner::{AsyncRunner, InterpRunner, Runner, SimErrorKind, WatchdogBudge
 use sim::tb::{InstantEvents, PacketTb};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 fn mono() -> Design {
     Source::new(PROTOCOL_STACK)
@@ -63,15 +57,45 @@ struct RunOut {
     verdicts: Vec<(String, Verdict)>,
     events_lost: u64,
     lost_by_task: Vec<(rtk::TaskId, u64)>,
+    injected: InjectionStats,
 }
 
-/// One monitored async run on the chosen backend, trace recorded.
-/// Installs nothing — callers install the plan (or not) first.
+/// Drive `events` through `r` with `specs` attached: the sorted
+/// present names of every instant, and the final verdicts.
+fn monitored<R: Runner>(
+    r: &mut R,
+    specs: &[Arc<ecl_observe::MonitorSpec>],
+    events: &[InstantEvents],
+) -> (Vec<Vec<String>>, Vec<(String, Verdict)>) {
+    let mut monitors: Vec<Monitor> = specs
+        .iter()
+        .map(|s| {
+            let mut m = Monitor::new(Arc::clone(s));
+            m.bind(r.sig_table());
+            m
+        })
+        .collect();
+    let mut log = Vec::new();
+    r.run_events(events, |i, p| {
+        let mut names = p.to_names();
+        names.sort_unstable();
+        log.push(names);
+        for m in &mut monitors {
+            m.step_present(i, p);
+        }
+    })
+    .expect("chaos plans here never make the run fail hard");
+    (log, MonitorReport::conclude(monitors).verdicts)
+}
+
+/// One monitored async run on the chosen backend, trace recorded,
+/// armed with `plan` when one is given.
 fn run_async(
     designs: Vec<Design>,
     specs: &[Arc<ecl_observe::MonitorSpec>],
     events: &[InstantEvents],
     backend: Backend,
+    plan: Option<FaultPlan>,
 ) -> RunOut {
     let mut r = AsyncRunner::new(
         designs,
@@ -81,38 +105,26 @@ fn run_async(
     )
     .expect("runner builds");
     r.set_backend(backend);
+    r.set_faults(plan);
     r.enable_trace(0);
-    let mut monitors: Vec<Monitor> = specs
-        .iter()
-        .map(|s| {
-            let mut m = Monitor::new(Arc::clone(s));
-            m.bind(r.sig_table());
-            m
-        })
-        .collect();
-    r.run_events(events, |i, p| {
-        for m in &mut monitors {
-            m.step_present(i, p);
-        }
-    })
-    .expect("chaos plans here never make the run fail hard");
+    let (_, verdicts) = monitored(&mut r, specs, events);
     RunOut {
         vcd: r.take_trace().expect("trace recorded").to_vcd("chaos"),
         counts: r.counts(),
-        verdicts: MonitorReport::conclude(monitors).verdicts,
+        verdicts,
         events_lost: r.kernel().events_lost,
         lost_by_task: r.kernel().events_lost_by_task(),
+        injected: r.injection_stats(),
     }
 }
 
 /// Fixed seed ⇒ byte-identical injected traces, emission counts, loss
 /// accounting and monitor verdicts across walker ≡ compiled. The
-/// plan exercises every cross-backend site class at once: keyed
-/// external drop/delay and fuel squeezes, stream internal drop/delay
-/// and input corruption.
+/// plan exercises every cross-backend site at once — external and
+/// internal drop/delay, fuel squeezes and input corruption — and
+/// every site's count matches too.
 #[test]
 fn same_seed_is_bit_identical_across_backends() {
-    let _g = locked();
     let plan = FaultPlan {
         drop_external: 0.15,
         delay_external: 0.10,
@@ -125,25 +137,17 @@ fn same_seed_is_bit_identical_across_backends() {
         ..FaultPlan::seeded(2027)
     };
     let (sp, ev) = (specs(), events());
-    let mut outs = Vec::new();
-    let mut stats = Vec::new();
-    for backend in [Backend::Walker, Backend::Compiled] {
-        ecl_faults::install(plan.clone());
-        outs.push(run_async(partitioned(), &sp, &ev, backend));
-        stats.push(ecl_faults::uninstall().expect("plan installed"));
-    }
+    let walker = run_async(partitioned(), &sp, &ev, Backend::Walker, Some(plan));
+    let compiled = run_async(partitioned(), &sp, &ev, Backend::Compiled, Some(plan));
     assert!(
-        stats[0].total() > 0,
+        walker.injected.total() > 0,
         "the chaos plan injected nothing: {:?}",
-        stats[0]
+        walker.injected
     );
     assert_eq!(
-        outs[0], outs[1],
+        walker, compiled,
         "walker and compiled diverged under faults"
     );
-    // The injection *decisions* replay identically too: every site's
-    // count matches across backends.
-    assert_eq!(stats[0], stats[1]);
 }
 
 /// The kernel-free fault sites (external drop/delay, corruption, fuel)
@@ -152,7 +156,6 @@ fn same_seed_is_bit_identical_across_backends() {
 /// counts, same verdicts.
 #[test]
 fn interp_and_async_agree_under_injected_faults() {
-    let _g = locked();
     let plan = FaultPlan {
         drop_external: 0.20,
         delay_external: 0.10,
@@ -163,91 +166,98 @@ fn interp_and_async_agree_under_injected_faults() {
         ..FaultPlan::seeded(4242)
     };
     let (design, sp, ev) = (mono(), specs(), events());
-    let mut presents: Vec<Vec<Vec<String>>> = Vec::new();
-    let mut verdicts = Vec::new();
-    let mut counts = Vec::new();
-    // Interp run.
-    ecl_faults::install(plan.clone());
-    {
-        let mut r = InterpRunner::new(&design).expect("interp builds");
-        let mut monitors: Vec<Monitor> = sp
-            .iter()
-            .map(|s| {
-                let mut m = Monitor::new(Arc::clone(s));
-                m.bind(r.sig_table());
-                m
-            })
-            .collect();
-        let mut log = Vec::new();
-        r.run_events(&ev, |i, p| {
-            let mut names = p.to_names();
-            names.sort_unstable();
-            log.push(names);
-            for m in &mut monitors {
-                m.step_present(i, p);
-            }
-        })
-        .expect("interp run");
-        presents.push(log);
-        verdicts.push(MonitorReport::conclude(monitors).verdicts);
-        counts.push(r.counts());
-    }
-    let s1 = ecl_faults::uninstall().unwrap();
-    // Async run on the same (monolithic) design.
-    ecl_faults::install(plan);
-    {
-        let mut r = AsyncRunner::new(
-            vec![design.clone()],
-            &Default::default(),
-            Default::default(),
-            Default::default(),
-        )
-        .expect("async builds");
-        let mut monitors: Vec<Monitor> = sp
-            .iter()
-            .map(|s| {
-                let mut m = Monitor::new(Arc::clone(s));
-                m.bind(r.sig_table());
-                m
-            })
-            .collect();
-        let mut log = Vec::new();
-        r.run_events(&ev, |i, p| {
-            let mut names = p.to_names();
-            names.sort_unstable();
-            log.push(names);
-            for m in &mut monitors {
-                m.step_present(i, p);
-            }
-        })
-        .expect("async run");
-        presents.push(log);
-        verdicts.push(MonitorReport::conclude(monitors).verdicts);
-        counts.push(r.counts());
-    }
-    let s2 = ecl_faults::uninstall().unwrap();
-    assert!(s1.total() > 0, "plan injected nothing: {s1:?}");
-    assert_eq!(s1, s2, "injection decisions diverged between runners");
-    assert_eq!(presents[0], presents[1], "present sets diverged");
-    assert_eq!(counts[0], counts[1], "emission counts diverged");
-    assert_eq!(verdicts[0], verdicts[1], "verdicts diverged");
+    let mut interp = InterpRunner::new(&design).expect("interp builds");
+    interp.set_faults(Some(plan));
+    let mut rtos = AsyncRunner::new(
+        vec![design.clone()],
+        &Default::default(),
+        Default::default(),
+        Default::default(),
+    )
+    .expect("async builds");
+    rtos.set_faults(Some(plan));
+    let by_interp = monitored(&mut interp, &sp, &ev);
+    let by_rtos = monitored(&mut rtos, &sp, &ev);
+    let stats = interp.injection_stats();
+    assert!(stats.total() > 0, "plan injected nothing: {stats:?}");
+    assert_eq!(
+        stats,
+        rtos.injection_stats(),
+        "injection decisions diverged between runners"
+    );
+    assert_eq!(by_interp, by_rtos, "present sets or verdicts diverged");
+    assert_eq!(interp.counts(), rtos.counts(), "emission counts diverged");
 }
 
-/// An installed-but-all-zero plan injects nothing and perturbs
-/// nothing: byte-identical to a run with the switch off entirely.
+/// An armed-but-all-zero plan injects nothing and perturbs nothing:
+/// byte-identical to an unarmed run.
 #[test]
 fn switched_off_and_zero_rate_plans_are_inert() {
-    let _g = locked();
     let (sp, ev) = (specs(), events());
-    assert!(!ecl_faults::enabled(), "no plan should be active");
-    let off = run_async(partitioned(), &sp, &ev, Backend::Compiled);
-    ecl_faults::install(FaultPlan::seeded(99));
-    let zero = run_async(partitioned(), &sp, &ev, Backend::Compiled);
-    let stats = ecl_faults::uninstall().unwrap();
-    assert_eq!(stats.total(), 0, "a zero-rate plan injected: {stats:?}");
-    assert_eq!(off, zero, "an inert plan changed the run");
-    let off2 = run_async(partitioned(), &sp, &ev, Backend::Compiled);
+    let off = run_async(partitioned(), &sp, &ev, Backend::Compiled, None);
+    let zero = run_async(
+        partitioned(),
+        &sp,
+        &ev,
+        Backend::Compiled,
+        Some(FaultPlan::seeded(99)),
+    );
+    assert_eq!(off, zero, "an inert plan changed the run or injected");
+    let off2 = run_async(partitioned(), &sp, &ev, Backend::Compiled, None);
     assert_eq!(off, off2, "faults-off runs are not reproducible");
+    // Squeezing every instant to a cap no single instant reaches
+    // changes nothing either, though the run burns several caps'
+    // worth: the withheld fuel is handed back after each instant.
+    let squeeze = FaultPlan {
+        fuel_starve: 1.0,
+        starved_fuel: 2_000,
+        ..FaultPlan::seeded(99)
+    };
+    let squeezed = run_async(partitioned(), &sp, &ev, Backend::Compiled, Some(squeeze));
+    assert!(squeezed.injected.starved_instants > 0);
+    let injected = off.injected;
+    assert_eq!(
+        RunOut {
+            injected,
+            ..squeezed
+        },
+        off,
+        "a non-binding squeeze changed the run"
+    );
+}
+
+/// A delayed stimulus arrives exactly when due: with every stimulus
+/// held back one instant (`max_delay` 1), a relay answers one instant
+/// later than on time.
+#[test]
+fn delayed_stimuli_arrive_when_due() {
+    let relay =
+        Source::new("module r(input pure i, output pure o) { while (1) { await (i); emit (o); } }")
+            .parse()
+            .and_then(|p| p.elaborate("r")?.split())
+            .expect("relay compiles")
+            .to_design();
+    let ev: Vec<InstantEvents> = [0, 1, 0, 0, 1, 1, 0, 0]
+        .map(|on| InstantEvents {
+            pure: vec!["i".into(); on],
+            valued: vec![],
+        })
+        .into();
+    let answers = |plan| {
+        let mut r = InterpRunner::new(&relay).expect("runner builds");
+        r.set_faults(plan);
+        let mut o = Vec::new();
+        r.run_events(&ev, |_, p| o.push(p.contains("o")))
+            .expect("relay run");
+        o
+    };
+    let on_time = answers(None);
+    let late = answers(Some(FaultPlan {
+        delay_external: 1.0,
+        ..FaultPlan::seeded(1)
+    }));
+    assert!(on_time.contains(&true));
+    assert_eq!(late[1..], on_time[..on_time.len() - 1]);
 }
 
 /// Mailbox-pressure losses are kernel-semantic: they add up exactly
@@ -256,15 +266,17 @@ fn switched_off_and_zero_rate_plans_are_inert() {
 /// tracked by the injection stats instead).
 #[test]
 fn loss_accounting_stays_exact_under_pressure() {
-    let _g = locked();
     let (sp, ev) = (specs(), events());
-    ecl_faults::install(FaultPlan {
+    let cap_only = FaultPlan {
         mailbox_cap: Some(1),
-        drop_internal: 0.25,
         ..FaultPlan::seeded(7)
-    });
-    let out = run_async(partitioned(), &sp, &ev, Backend::Compiled);
-    let stats = ecl_faults::uninstall().unwrap();
+    };
+    let plan = FaultPlan {
+        drop_internal: 0.25,
+        ..cap_only
+    };
+    let out = run_async(partitioned(), &sp, &ev, Backend::Compiled, Some(plan));
+    let stats = out.injected;
     let per_task: u64 = out.lost_by_task.iter().map(|(_, n)| n).sum();
     assert_eq!(
         out.events_lost, per_task,
@@ -278,12 +290,7 @@ fn loss_accounting_stays_exact_under_pressure() {
         stats.dropped_internal > 0,
         "drop site never fired: {stats:?}"
     );
-    ecl_faults::install(FaultPlan {
-        mailbox_cap: Some(1),
-        ..FaultPlan::seeded(7)
-    });
-    let cap_only = run_async(partitioned(), &sp, &ev, Backend::Compiled);
-    ecl_faults::uninstall();
+    let cap_only = run_async(partitioned(), &sp, &ev, Backend::Compiled, Some(cap_only));
     assert!(
         cap_only.events_lost >= out.events_lost,
         "dropping deliveries cannot increase mailbox losses \
@@ -298,17 +305,17 @@ fn loss_accounting_stays_exact_under_pressure() {
 /// on both runners.
 #[test]
 fn watchdog_trips_conclude_inconclusive() {
-    let _g = locked();
     let (design, sp, ev) = (mono(), specs(), events());
     let wd = Some(WatchdogBudget {
         max_nodes: Some(0),
         max_fuel: None,
         max_wall_ns: None,
     });
-    let run = ecl_observe::check_interp_with(&design, &ev, &sp, 0, wd).expect("inconclusive is Ok");
+    let run =
+        ecl_observe::check_interp_with(&design, &ev, &sp, 0, wd, None).expect("inconclusive is Ok");
     assert!(run.report.any_inconclusive(), "{}", run.report);
     assert!(!run.report.all_pass(), "inconclusive must not pass");
-    let run = ecl_observe::check_async_with(vec![design.clone()], &ev, &sp, 0, wd)
+    let run = ecl_observe::check_async_with(vec![design.clone()], &ev, &sp, 0, wd, None)
         .expect("inconclusive is Ok");
     assert!(run.report.any_inconclusive(), "{}", run.report);
     // A generous budget changes nothing: the clean run still passes.
@@ -317,37 +324,39 @@ fn watchdog_trips_conclude_inconclusive() {
         max_fuel: Some(u64::MAX),
         max_wall_ns: None,
     });
-    let run = ecl_observe::check_interp_with(&design, &ev, &sp, 0, wd).expect("clean run");
+    let run = ecl_observe::check_interp_with(&design, &ev, &sp, 0, wd, None).expect("clean run");
     assert!(run.report.all_pass(), "{}", run.report);
 }
 
 /// An injected panic is contained at the session boundary: with no
 /// retries left the fleet supervisor fails the poisoned session, its
 /// siblings in the same batch complete normally, and the process never
-/// aborts.
+/// aborts. The plan arms every session; the keyed kill site picks the
+/// one victim.
 #[test]
 fn injected_panic_poisons_one_session_not_the_batch() {
-    let _g = locked();
     let (sp, ev) = (specs(), Arc::new(events()));
-    assert!(ev.len() > 4, "testbench long enough to reach the panic");
-    // One shard, so the one-shot panic lands on the first session.
+    let plan = FaultPlan {
+        kill_session: 0.5,
+        kill_within: 4,
+        ..FaultPlan::seeded(3)
+    };
+    let kills: Vec<Option<u64>> = (1..=3).map(|id| plan.kill_instant(id)).collect();
+    assert_eq!(kills, [Some(3), None, None], "seed 3 kills session 1 alone");
+    assert!(ev.len() > 4, "testbench long enough to reach the kill");
     let sup = Supervisor::new(
         partitioned(),
         &Default::default(),
         FleetConfig {
-            shards: 1,
             restart: RestartPolicy {
                 max_retries: 0,
                 ..Default::default()
             },
+            faults: Some(plan),
             ..Default::default()
         },
     )
     .expect("fleet compiles");
-    ecl_faults::install(FaultPlan {
-        panic_at: Some(3),
-        ..FaultPlan::seeded(3)
-    });
     let rep = sup.run(
         (1..=3)
             .map(|id| SessionSpec {
@@ -358,15 +367,14 @@ fn injected_panic_poisons_one_session_not_the_batch() {
             })
             .collect(),
     );
-    let stats = ecl_faults::uninstall().unwrap();
-    assert_eq!(stats.panics, 1, "the panic site fires exactly once");
     let victim = &rep.sessions[0];
     assert_eq!(victim.status, SessionStatus::Failed, "{victim:?}");
+    assert_eq!(victim.injected.session_kills, 1, "{:?}", victim.injected);
     assert!(
         victim
             .error
             .as_deref()
-            .is_some_and(|e| e.contains("injected panic")),
+            .is_some_and(|e| e.contains("session 1 killed at instant 3")),
         "victim error: {:?}",
         victim.error
     );
@@ -378,6 +386,7 @@ fn injected_panic_poisons_one_session_not_the_batch() {
             s.id,
             s.error
         );
+        assert_eq!(s.injected.total(), 0, "sibling {}: {:?}", s.id, s.injected);
         let report = s.report.as_ref().expect("verdicts concluded");
         assert!(report.all_pass(), "sibling {}: {report}", s.id);
     }
@@ -388,16 +397,14 @@ fn injected_panic_poisons_one_session_not_the_batch() {
 /// continuing from torn state.
 #[test]
 fn poisoned_runner_refuses_further_instants() {
-    let _g = locked();
     let design = mono();
-    ecl_faults::install(FaultPlan {
+    let mut r = InterpRunner::new(&design).expect("runner builds");
+    r.set_faults(Some(FaultPlan {
         panic_at: Some(0),
         ..FaultPlan::seeded(0)
-    });
-    let mut r = InterpRunner::new(&design).expect("runner builds");
+    }));
     let (ev, mut out) = (BitSet::new(), BitSet::new());
     let panicked = catch_unwind(AssertUnwindSafe(|| r.instant_ids(&ev, &mut out)));
-    ecl_faults::uninstall();
     assert!(panicked.is_err(), "the injected panic must fire");
     assert!(r.is_poisoned(), "unwinding must latch the poison flag");
     let e = r

@@ -8,13 +8,14 @@
 //! the restore happens, so the test also proves a snapshot is a real
 //! value (deep, immutable) rather than a view of live state.
 //!
-//! Runs fault-free on purpose: the stream-keyed fault sites draw from
-//! process-global RNGs that cannot be rewound to a checkpoint, so
-//! determinism under restore is only promised for faults-off runs
-//! (the fleet's keyed kill/stall sites are exempt — they are pure
-//! functions of `(seed, session, instant)`).
+//! The property holds with a fault plan armed, too: every fault site
+//! is a pure function of `(seed, site, coordinates)`, the coordinates
+//! are state at an instant boundary, and the delayed-stimulus queue
+//! rides in the snapshot, so a restored runner replays every
+//! decision. Each test arms its own runners; nothing is shared.
 
 use ecl_core::{Design, Source};
+use ecl_faults::FaultPlan;
 use ecl_observe::{Monitor, MonitorReport, Verdict};
 use efsm::{Backend, BitSet};
 use proptest::prelude::*;
@@ -54,9 +55,10 @@ fn events(seed: u64) -> Vec<InstantEvents> {
     .events()
 }
 
-fn fresh(backend: Backend) -> (AsyncRunner, Vec<Monitor>) {
+fn fresh(backend: Backend, faults: Option<FaultPlan>) -> (AsyncRunner, Vec<Monitor>) {
     let mut r = AsyncRunner::from_shared(shared(), Default::default(), Default::default());
     r.set_backend(backend);
+    r.set_faults(faults);
     r.enable_trace(0);
     let monitors = specs()
         .iter()
@@ -119,24 +121,31 @@ fn finish(mut runner: AsyncRunner, monitors: Vec<Monitor>) -> RunOut {
 /// The property: snapshot at `cut`, keep running `overrun` instants
 /// on the original runner, then restore the snapshot into a fresh
 /// runner and finish the stream there — outputs equal the
-/// uninterrupted run's.
+/// uninterrupted run's. Every runner is armed with `faults`.
 fn check_restore(
     seed: u64,
     cut_frac: usize,
     overrun: usize,
     backend: Backend,
+    faults: Option<FaultPlan>,
 ) -> Result<(), TestCaseError> {
     let ev = events(seed);
     let cut = cut_frac % ev.len();
 
     // Uninterrupted reference.
-    let (mut base, mut base_mon) = fresh(backend);
+    let (mut base, mut base_mon) = fresh(backend, faults);
     drive(&mut base, &mut base_mon, &ev);
+    if faults.is_some() {
+        prop_assert!(
+            base.injection_stats().total() > 0,
+            "the plan injected nothing"
+        );
+    }
     let want = finish(base, base_mon);
 
     // Interrupted: run to `cut`, checkpoint, dirty the original
     // runner past the cut, restore elsewhere, finish there.
-    let (mut orig, mut orig_mon) = fresh(backend);
+    let (mut orig, mut orig_mon) = fresh(backend, faults);
     drive(&mut orig, &mut orig_mon, &ev[..cut]);
     let snap = orig.snapshot().expect("boundary snapshot");
     let mon_snap: Vec<Monitor> = orig_mon.clone();
@@ -144,7 +153,7 @@ fn check_restore(
     drive(&mut orig, &mut orig_mon, &ev[cut..over_end]);
     prop_assert_eq!(snap.instant(), cut as u64);
 
-    let (mut resumed, _) = fresh(backend);
+    let (mut resumed, _) = fresh(backend, faults);
     resumed
         .restore(&snap)
         .expect("restore into a sibling runner");
@@ -164,7 +173,7 @@ proptest! {
         cut in 0usize..4096,
         overrun in 0usize..40,
     ) {
-        check_restore(seed, cut, overrun, Backend::Compiled)?;
+        check_restore(seed, cut, overrun, Backend::Compiled, None)?;
     }
 
     /// Walker backend: same property, reference execution path.
@@ -174,7 +183,34 @@ proptest! {
         cut in 0usize..4096,
         overrun in 0usize..40,
     ) {
-        check_restore(seed, cut, overrun, Backend::Walker)?;
+        check_restore(seed, cut, overrun, Backend::Walker, None)?;
+    }
+
+    /// Both backends, with a plan that fires every runner and kernel
+    /// site (external drop/delay, input corruption, fuel squeezes,
+    /// internal drop/delay, mailbox pressure): a restored run replays
+    /// every injection decision.
+    #[test]
+    fn restore_matches_uninterrupted_under_faults(
+        seed in 0u64..1000,
+        cut in 0usize..4096,
+        overrun in 0usize..40,
+    ) {
+        let plan = FaultPlan {
+            drop_external: 0.05,
+            delay_external: 0.10,
+            max_delay: 3,
+            drop_internal: 0.10,
+            delay_internal: 0.10,
+            mailbox_cap: Some(2),
+            corrupt_input: 0.10,
+            fuel_starve: 0.10,
+            starved_fuel: 100_000,
+            ..FaultPlan::seeded(seed)
+        };
+        for backend in [Backend::Compiled, Backend::Walker] {
+            check_restore(seed, cut, overrun, backend, Some(plan))?;
+        }
     }
 }
 
@@ -183,19 +219,20 @@ proptest! {
 #[test]
 fn snapshot_refused_mid_instant_and_restore_heals_poison() {
     let ev = events(1999);
-    let (mut r, mut mon) = fresh(Backend::Compiled);
+    // Poison the runner with an injected panic mid-instant.
+    let (mut r, mut mon) = fresh(
+        Backend::Compiled,
+        Some(FaultPlan {
+            panic_at: Some(12),
+            ..FaultPlan::seeded(5)
+        }),
+    );
     drive(&mut r, &mut mon, &ev[..10]);
     let snap = r.snapshot().expect("boundary snapshot");
 
-    // Poison the runner with an injected panic mid-instant.
-    ecl_faults::install(ecl_faults::FaultPlan {
-        panic_at: Some(12),
-        ..ecl_faults::FaultPlan::seeded(5)
-    });
     let poisoned = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         drive(&mut r, &mut mon, &ev[10..20]);
     }));
-    ecl_faults::uninstall();
     assert!(poisoned.is_err(), "panic site must fire");
     assert!(
         r.snapshot().is_err(),
@@ -217,4 +254,7 @@ fn snapshot_refused_mid_instant_and_restore_heals_poison() {
     drive(&mut r, &mut mon2, &ev[10..]);
     assert_eq!(r.now(), ev.len() as u64);
     assert!(r.snapshot().is_ok(), "healed runner snapshots again");
+    // The replay crossed instant 12 again without re-firing the spent
+    // one-shot site: the restore kept the runner's own armed plan.
+    assert_eq!(r.injection_stats().panics, 1);
 }

@@ -1,26 +1,21 @@
 //! Fleet chaos: killing or stalling some sessions must never touch
-//! their neighbors. With a kill plan installed, the supervisor
-//! restores victims from their last checkpoint and replays — and
-//! *every* session (victim or survivor) must end byte-identical to a
-//! solo run with no plan installed: same VCD bytes, same verdicts,
-//! same emission counts, same loss accounting. Shard stalls are
-//! purely temporal and must change nothing at all.
+//! their neighbors. With a kill plan armed, the supervisor restores
+//! victims from their last checkpoint and replays — and *every*
+//! session (victim or survivor) must end byte-identical to an unarmed
+//! solo run: same VCD bytes, same verdicts, same emission counts,
+//! same loss accounting. Shard stalls are purely temporal and must
+//! change nothing at all.
 //!
-//! The fault plan and telemetry switchboard are process-global, so
-//! every test here takes one lock.
+//! Each fleet carries its own plan in its `FleetConfig`, so the
+//! tests share no fault state and need no lock.
 
-use ecl_fleet::{FleetConfig, SessionSpec, SessionStatus, Supervisor};
+use ecl_faults::{FaultPlan, InjectionStats};
+use ecl_fleet::{FleetConfig, FleetReport, SessionSpec, SessionStatus, Supervisor};
 use ecl_observe::{Monitor, MonitorReport, Verdict};
 use sim::runner::{AsyncRunner, Runner};
 use sim::tb::{InstantEvents, PacketTb};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
-
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn locked() -> MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
+use std::sync::Arc;
 
 fn supervisor(cfg: FleetConfig) -> Supervisor {
     let designs = ecl_core::Source::new(sim::designs::PROTOCOL_STACK)
@@ -100,6 +95,13 @@ fn baseline(
     }
 }
 
+/// Injections summed over every session of a fleet run.
+fn injected(rep: &FleetReport) -> InjectionStats {
+    rep.sessions
+        .iter()
+        .fold(InjectionStats::default(), |acc, s| acc + s.injected)
+}
+
 fn out_of(s: &ecl_fleet::SessionReport) -> RunOut {
     RunOut {
         vcd: s.trace.as_ref().expect("trace kept").to_vcd("fleet"),
@@ -119,27 +121,27 @@ fn out_of(s: &ecl_fleet::SessionReport) -> RunOut {
 /// ends byte-identical to the unfaulted solo run.
 #[test]
 fn kills_are_contained_and_victims_converge() {
-    let _g = locked();
     let (ev, sp) = (events(), specs());
+    let plan = FaultPlan {
+        kill_session: 0.5,
+        kill_within: 40,
+        ..FaultPlan::seeded(11)
+    };
     let sup = supervisor(FleetConfig {
         shards: 2,
         checkpoint_every: 8,
+        faults: Some(plan),
         ..Default::default()
     });
     let want = baseline(&sup, &ev, &sp);
 
-    ecl_faults::install(ecl_faults::FaultPlan {
-        kill_session: 0.5,
-        kill_within: 40,
-        ..ecl_faults::FaultPlan::seeded(11)
-    });
     // The kill schedule is a pure function of (seed, session) —
     // predict the victims before running.
     let victims: Vec<u64> = (1..=6)
-        .filter(|id| ecl_faults::kill_instant(*id).is_some())
+        .filter(|id| plan.kill_instant(*id).is_some())
         .collect();
     let rep = sup.run((1..=6).map(|id| session(id, &ev, &sp)).collect());
-    let stats = ecl_faults::uninstall().expect("plan was installed");
+    let stats = injected(&rep);
 
     assert!(
         !victims.is_empty() && victims.len() < 6,
@@ -168,22 +170,21 @@ fn kills_are_contained_and_victims_converge() {
 /// Shard stalls delay quanta but are invisible in every output byte.
 #[test]
 fn shard_stalls_are_purely_temporal() {
-    let _g = locked();
     let (ev, sp) = (events(), specs());
     let sup = supervisor(FleetConfig {
         shards: 2,
         checkpoint_every: 8,
+        faults: Some(FaultPlan {
+            shard_stall: 0.5,
+            stall_ms: 1,
+            ..FaultPlan::seeded(21)
+        }),
         ..Default::default()
     });
     let want = baseline(&sup, &ev, &sp);
 
-    ecl_faults::install(ecl_faults::FaultPlan {
-        shard_stall: 0.5,
-        stall_ms: 1,
-        ..ecl_faults::FaultPlan::seeded(21)
-    });
     let rep = sup.run((1..=4).map(|id| session(id, &ev, &sp)).collect());
-    let stats = ecl_faults::uninstall().expect("plan was installed");
+    let stats = injected(&rep);
 
     assert!(stats.shard_stalls > 0, "stalls must fire: {stats:?}");
     assert_eq!(rep.health.finished, 4);
@@ -194,32 +195,29 @@ fn shard_stalls_are_purely_temporal() {
 }
 
 /// A panic *mid-instant* (the `panic_at` site tears the runner inside
-/// phase 1) poisons exactly one session; the supervisor restores its
-/// checkpoint, replays, and converges. One shard, so the one-shot
-/// global panic latch lands deterministically on the first session.
+/// phase 1) poisons every armed session once; the supervisor restores
+/// each one's checkpoint, replays past the spent one-shot site, and
+/// converges.
 #[test]
 fn mid_instant_panic_recovers_from_checkpoint() {
-    let _g = locked();
     let (ev, sp) = (events(), specs());
     let sup = supervisor(FleetConfig {
-        shards: 1,
+        shards: 2,
         checkpoint_every: 8,
+        faults: Some(FaultPlan {
+            panic_at: Some(13),
+            ..FaultPlan::seeded(5)
+        }),
         ..Default::default()
     });
     let want = baseline(&sup, &ev, &sp);
 
-    ecl_faults::install(ecl_faults::FaultPlan {
-        panic_at: Some(13),
-        ..ecl_faults::FaultPlan::seeded(5)
-    });
     let rep = sup.run((1..=2).map(|id| session(id, &ev, &sp)).collect());
-    let stats = ecl_faults::uninstall().expect("plan was installed");
 
-    assert_eq!(stats.panics, 1, "{stats:?}");
     assert_eq!(rep.health.finished, 2, "{:?}", rep.health);
-    assert_eq!(rep.sessions[0].restarts, 1, "first session eats the panic");
-    assert_eq!(rep.sessions[1].restarts, 0);
     for s in &rep.sessions {
+        assert_eq!(s.injected.panics, 1, "session {}: {:?}", s.id, s.injected);
+        assert_eq!(s.restarts, 1, "session {} eats one panic", s.id);
         assert_eq!(out_of(s), want, "session {} diverged after the panic", s.id);
     }
 }
@@ -229,7 +227,6 @@ fn mid_instant_panic_recovers_from_checkpoint() {
 /// aggregate `fleet_health` snapshot.
 #[test]
 fn rejections_and_health_reach_the_telemetry_stream() {
-    let _g = locked();
     let (ev, sp) = (events(), specs());
     let sup = supervisor(FleetConfig {
         shards: 1,

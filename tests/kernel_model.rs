@@ -7,17 +7,14 @@
 //! the real [`rtk::Kernel`]. `events_lost` must match the model
 //! *exactly* — totals and per-task attribution — both with the
 //! overwrite rule alone and under an injected mailbox-pressure cap,
-//! where every rejection must also appear in the injection stats.
+//! where every rejection must also appear in the kernel's injection
+//! stats.
 
+use ecl_faults::FaultPlan;
 use efsm::BitSet;
 use proptest::prelude::*;
 use rtk::{Kernel, KernelParams, TaskId};
 use std::collections::BTreeSet;
-use std::sync::Mutex;
-
-/// The fault plan is process-global; serialize the cases of both
-/// properties (and any concurrent fault-using test in this binary).
-static LOCK: Mutex<()> = Mutex::new(());
 
 const NTASKS: usize = 3;
 const NSIGS: u32 = 6;
@@ -116,9 +113,15 @@ impl Model {
     }
 }
 
+/// Drive the kernel — armed with a mailbox cap when `cap` is set —
+/// and the model through one scenario.
 fn run_both(seed: u64, len: usize, cap: Option<usize>) -> (Kernel, Model) {
     let (watches, ops) = scenario(seed, len);
     let mut k = Kernel::new(KernelParams::default());
+    k.set_faults(cap.map(|c| FaultPlan {
+        mailbox_cap: Some(c),
+        ..FaultPlan::seeded(seed)
+    }));
     for (i, w) in watches.iter().enumerate() {
         k.add_task(
             format!("t{i}"),
@@ -160,8 +163,6 @@ proptest! {
         seed in 0u64..1_000_000_000,
         len in 1usize..160,
     ) {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        prop_assert!(!ecl_faults::enabled(), "a fault plan leaked into this test");
         let (k, model) = run_both(seed, len, None);
         check(&k, &model)?;
     }
@@ -175,16 +176,10 @@ proptest! {
         len in 1usize..160,
         cap in 1usize..4,
     ) {
-        let _g = LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        ecl_faults::install(ecl_faults::FaultPlan {
-            mailbox_cap: Some(cap),
-            ..ecl_faults::FaultPlan::seeded(seed)
-        });
         let (k, model) = run_both(seed, len, Some(cap));
-        let stats = ecl_faults::uninstall().expect("plan was installed");
         check(&k, &model)?;
         prop_assert_eq!(
-            stats.mailbox_rejections,
+            k.injection_stats().mailbox_rejections,
             model.cap_rejections,
             "every cap rejection is accounted as an injection"
         );

@@ -9,7 +9,7 @@
 //! functions on concurrent threads — a second function toggling the
 //! switch would race the captured stream.
 
-use ecl_observe::check_interp;
+use ecl_observe::{check_interp, check_interp_with};
 use ecl_telemetry::schema::{parse, validate_line};
 use ecl_telemetry::{install_sink, uninstall_sink, MemorySink, Run};
 use efsm::BitSet;
@@ -90,10 +90,10 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
 
     // Fault-injected run: every external event is dropped, so the
     // stream carries `fault_injected` lines too.
-    ecl_faults::install(ecl_faults::FaultPlan {
+    let plan = ecl_faults::FaultPlan {
         drop_external: 1.0,
         ..ecl_faults::FaultPlan::seeded(42)
-    });
+    };
     let injected = PacketTb {
         packets: 1,
         corrupt_every: 0,
@@ -103,9 +103,10 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     .events();
     let run = Run::start("protocol_stack", "schema-test/injected");
     let n = injected.len() as u64;
-    check_interp(&design, &injected, &specs, 0).expect("injected run");
+    let stats = check_interp_with(&design, &injected, &specs, 0, None, Some(plan))
+        .expect("injected run")
+        .injected;
     run.end(n);
-    let stats = ecl_faults::uninstall().expect("plan was installed");
     assert!(stats.dropped_external > 0, "drops must fire: {stats:?}");
 
     // A two-session fleet: session-id-keyed run brackets plus the
