@@ -537,6 +537,46 @@ mod tests {
         assert!(by_ordinal.contains(&true) && by_ordinal.contains(&false));
     }
 
+    /// The internal drop/delay and input corruption sites replay
+    /// under the same seed: two armings of one plan make the same
+    /// decisions and counts, each site fires, and corruption always
+    /// changes the value.
+    #[test]
+    fn stream_sites_replay_under_the_same_seed() {
+        let plan = FaultPlan {
+            drop_internal: 0.3,
+            delay_internal: 0.2,
+            corrupt_input: 0.4,
+            ..FaultPlan::seeded(1999)
+        };
+        let run = || {
+            let mut f = Faults::new(plan);
+            let rows: Vec<(bool, bool, Option<i64>)> = (0..128)
+                .map(|i| {
+                    let sig = (i % 5) as u32;
+                    (
+                        f.drop_internal(i, i % 3, sig, i % 7),
+                        f.delay_internal(i, i % 3, sig, i % 7),
+                        f.corrupt_i64(i, sig, i as i64),
+                    )
+                })
+                .collect();
+            (rows, f.stats())
+        };
+        let (a, a_stats) = run();
+        let (b, b_stats) = run();
+        assert_eq!(a, b, "stream sites diverged under an identical seed");
+        assert_eq!(a_stats, b_stats);
+        assert!(a.iter().any(|x| x.0), "internal drop never fired");
+        assert!(a.iter().any(|x| x.1), "internal delay never fired");
+        assert!(a.iter().any(|x| x.2.is_some()), "corruption never fired");
+        for (i, x) in a.iter().enumerate() {
+            if let Some(v) = x.2 {
+                assert_ne!(v, i as i64);
+            }
+        }
+    }
+
     #[test]
     fn different_seeds_differ() {
         let drops = |seed| {
