@@ -184,6 +184,14 @@ fn main() {
             rate / solo_rate.max(1.0)
         );
     }
+    // What checkpointing costs the fleet, as a throughput ratio
+    // (1.00: free). Printed only; the gate below checks each config.
+    if let [(_, nockpt), (_, ckpt64)] = &rates[..] {
+        println!(
+            "pager/fleet: ckpt64/nockpt throughput ratio {:.3}",
+            ckpt64 / nockpt
+        );
+    }
     println!("wrote {out_path}");
 
     if let Some(baseline) = check_path {

@@ -55,7 +55,7 @@ impl std::error::Error for RtError {}
 /// valid only while the root frame hasn't grown (root bindings are
 /// append-only; only a walker-executed top-level declaration can add
 /// one, after which every hook conservatively walks).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 struct DataProgs {
     preds: Vec<Compiled>,
     actions: Vec<Compiled>,
@@ -63,24 +63,35 @@ struct DataProgs {
     root_len: usize,
 }
 
-/// The data-side runtime for one design instance.
-#[derive(Debug, Clone)]
-pub struct Rt {
-    machine: Machine,
+/// The fixed half of a runtime: what construction builds and no
+/// instant changes. The machine's type table, functions and frame
+/// layout are shared copy-on-write inside [`Machine`] itself.
+#[derive(Debug)]
+struct Fixed {
     data: DataTable,
-    /// Signal index → current value (valued signals only).
-    values: Vec<Option<Value>>,
     /// Signal index → resolved value type.
-    sig_types: Vec<Option<ecl_types::TypeId>>,
+    sig_types: Vec<Option<TypeId>>,
     /// Signal name → index.
     by_name: FxHashMap<String, usize>,
+    /// Bytecode programs compiled from the data table.
+    progs: DataProgs,
+}
+
+/// The data-side runtime for one design instance.
+///
+/// A clone is a new session over the same design: the fixed half sits
+/// behind one `Arc`, so cloning (fleet sessions, checkpoints) copies
+/// only the session half — the frame's values, the signal values and
+/// the counters.
+#[derive(Debug, Clone)]
+pub struct Rt {
+    fixed: Arc<Fixed>,
+    machine: Machine,
+    /// Signal index → current value (valued signals only).
+    values: Vec<Option<Value>>,
     /// First evaluation error encountered (subsequent actions are
     /// skipped until it is taken).
     error: Option<ecl_types::EvalError>,
-    /// Bytecode programs compiled from the data table at construction.
-    /// Immutable after lowering; `Arc`-shared so cloning an `Rt` (fleet
-    /// sessions, checkpoints) never re-copies the compiled data path.
-    progs: Arc<DataProgs>,
     /// Register-file scratch reused across hook runs (no steady-state
     /// allocation).
     vm_regs: Vec<i64>,
@@ -173,7 +184,7 @@ impl Rt {
             sig_types: &sig_types,
         };
         let mut lw = Lowering::new(&mut machine, &layout);
-        let progs = Arc::new(DataProgs {
+        let progs = DataProgs {
             preds: data.preds.iter().map(|e| lw.pred(e)).collect(),
             actions: data.actions.iter().map(|a| lw.action(a)).collect(),
             emits: data
@@ -182,15 +193,17 @@ impl Rt {
                 .map(|(e, sig)| lw.emit(e, sig.0 as usize, sig_types[sig.0 as usize]))
                 .collect(),
             root_len: machine.root_len(),
-        });
+        };
         Ok(Rt {
+            fixed: Arc::new(Fixed {
+                data: data.clone(),
+                sig_types,
+                by_name,
+                progs,
+            }),
             machine,
-            data: data.clone(),
             values,
-            sig_types,
-            by_name,
             error: None,
-            progs,
             vm_regs: Vec::new(),
             backend: Backend::default(),
             action_runs: 0,
@@ -225,7 +238,8 @@ impl Rt {
     /// `(vm-compiled hooks, total hooks)` — how much of the design's
     /// data path runs on bytecode rather than the walker.
     pub fn vm_coverage(&self) -> (u32, u32) {
-        let all = [&self.progs.preds, &self.progs.actions, &self.progs.emits];
+        let progs = &self.fixed.progs;
+        let all = [&progs.preds, &progs.actions, &progs.emits];
         let total: usize = all.iter().map(|v| v.len()).sum();
         let vm: usize = all
             .iter()
@@ -239,7 +253,7 @@ impl Rt {
     /// is append-only; it grows only if a walker-executed top-level
     /// declaration added a binding.)
     fn progs_valid(&self) -> bool {
-        self.backend == Backend::Compiled && self.progs.root_len == self.machine.root_len()
+        self.backend == Backend::Compiled && self.fixed.progs.root_len == self.machine.root_len()
     }
 
     /// Take the first pending evaluation error, if any.
@@ -254,7 +268,10 @@ impl Rt {
 
     /// Current value of a signal by name.
     pub fn signal_value_by_name(&self, name: &str) -> Option<&Value> {
-        self.by_name.get(name).and_then(|i| self.signal_value(*i))
+        self.fixed
+            .by_name
+            .get(name)
+            .and_then(|i| self.signal_value(*i))
     }
 
     /// Set an *input* signal's value for the coming instant (the
@@ -264,12 +281,12 @@ impl Rt {
     ///
     /// Fails for unknown or pure signals, or on a type mismatch.
     pub fn set_input_value(&mut self, name: &str, v: Value) -> Result<(), RtError> {
-        let Some(&i) = self.by_name.get(name) else {
+        let Some(&i) = self.fixed.by_name.get(name) else {
             return Err(RtError {
                 msg: format!("unknown signal `{name}`"),
             });
         };
-        let Some(ty) = self.sig_types[i] else {
+        let Some(ty) = self.fixed.sig_types[i] else {
             return Err(RtError {
                 msg: format!("signal `{name}` is pure"),
             });
@@ -289,7 +306,7 @@ impl Rt {
     ///
     /// Same conditions as [`Rt::set_input_value`].
     pub fn set_input_i64(&mut self, name: &str, v: i64) -> Result<(), RtError> {
-        let Some(&i) = self.by_name.get(name) else {
+        let Some(&i) = self.fixed.by_name.get(name) else {
             return Err(RtError {
                 msg: format!("unknown signal `{name}`"),
             });
@@ -305,7 +322,7 @@ impl Rt {
     ///
     /// Unknown index or pure signal.
     pub fn set_input_i64_idx(&mut self, idx: usize, v: i64) -> Result<(), RtError> {
-        let Some(ty) = self.sig_types.get(idx).copied().flatten() else {
+        let Some(ty) = self.fixed.sig_types.get(idx).copied().flatten() else {
             return Err(RtError {
                 msg: format!("signal #{idx} is pure or unknown"),
             });
@@ -334,7 +351,7 @@ impl Rt {
     ///
     /// Unknown index, pure signal, or a type mismatch.
     pub fn set_input_value_idx(&mut self, idx: usize, v: &Value) -> Result<(), RtError> {
-        let Some(ty) = self.sig_types.get(idx).copied().flatten() else {
+        let Some(ty) = self.fixed.sig_types.get(idx).copied().flatten() else {
             return Err(RtError {
                 msg: format!("signal #{idx} is pure or unknown"),
             });
@@ -356,7 +373,7 @@ impl DataHooks for Rt {
         }
         self.pred_evals += 1;
         let i = pred.0 as usize;
-        let vm_path = self.progs_valid() && self.progs.preds[i].is_vm();
+        let vm_path = self.progs_valid() && self.fixed.progs.preds[i].is_vm();
         // One execution entry point: disjoint-field borrows split the
         // machine (mutable) from the value store and data table (the
         // shared `ValuesReader` view serves the walker and the VM's
@@ -364,12 +381,16 @@ impl DataHooks for Rt {
         let Rt {
             machine,
             values,
-            by_name,
-            data,
-            progs,
+            fixed,
             vm_regs,
             ..
         } = self;
+        let Fixed {
+            data,
+            by_name,
+            progs,
+            ..
+        } = &**fixed;
         let out = if vm_path {
             let Compiled::Vm(prog) = &progs.preds[i] else {
                 unreachable!("vm_path checked above")
@@ -396,16 +417,20 @@ impl DataHooks for Rt {
         }
         self.action_runs += 1;
         let i = action.0 as usize;
-        let vm_path = self.progs_valid() && self.progs.actions[i].is_vm();
+        let vm_path = self.progs_valid() && self.fixed.progs.actions[i].is_vm();
         let Rt {
             machine,
             values,
-            by_name,
-            data,
-            progs,
+            fixed,
             vm_regs,
             ..
         } = self;
+        let Fixed {
+            data,
+            by_name,
+            progs,
+            ..
+        } = &**fixed;
         if vm_path {
             let Compiled::Vm(prog) = &progs.actions[i] else {
                 unreachable!("vm_path checked above")
@@ -431,17 +456,20 @@ impl DataHooks for Rt {
         }
         let i = expr.0 as usize;
         let si = sig.0 as usize;
-        let vm_path = self.progs_valid() && self.progs.emits[i].is_vm();
+        let vm_path = self.progs_valid() && self.fixed.progs.emits[i].is_vm();
         let Rt {
             machine,
             values,
-            by_name,
-            data,
-            sig_types,
-            progs,
+            fixed,
             vm_regs,
             ..
         } = self;
+        let Fixed {
+            data,
+            sig_types,
+            by_name,
+            progs,
+        } = &**fixed;
         let (e, target) = &data.emit_exprs[i];
         debug_assert_eq!(*target, sig, "emit expr bound to a different signal");
         if vm_path {
@@ -486,5 +514,87 @@ impl From<RtError> for ecl_syntax::EclError {
             e.msg.clone(),
             ecl_syntax::Span::dummy(),
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::Source;
+    use ecl_types::Type;
+
+    /// A counter whose source also carries a C function; its body is
+    /// appended to the data table as one more action, so a hook can
+    /// run a top-level declaration.
+    const SRC: &str = "
+        void extra() { int fresh = 7; }
+        module counter(input pure tick, output pure full) {
+          int n;
+          while (1) { await (tick); n = n + 1; if (n > 2) { emit (full); n = 0; } }
+        }";
+
+    fn frame(rt: &Rt) -> Vec<(String, Value)> {
+        rt.machine()
+            .root_entries()
+            .map(|(n, v)| (n.to_string(), v.clone()))
+            .collect()
+    }
+
+    #[test]
+    fn clones_grow_shared_state_copy_on_write() {
+        let d = Source::new(SRC)
+            .parse()
+            .unwrap()
+            .elaborate("counter")
+            .unwrap()
+            .split()
+            .unwrap()
+            .to_design();
+        let mut data = d.split.data.clone();
+        let body = d.ast.functions().find(|f| f.name.name == "extra");
+        data.actions.push(body.unwrap().body.clone().unwrap().stmts);
+        let extra = ActionId(data.actions.len() as u32 - 1);
+        let original = Rt::new(&d.ast, &d.elab, &data).unwrap();
+        assert!(original.progs_valid(), "a fresh runtime runs on the VM");
+        let (len, entries) = (original.machine().root_len(), frame(&original));
+        let int = original.machine().table().int();
+        let new_ty = Type::Array(int, 99);
+        assert_eq!(original.machine().table().lookup(new_ty), None);
+
+        // The walker runs the declaration at top level: a new root
+        // binding, on the clone only. Finding `int` copies no table.
+        let mut grown = original.clone();
+        grown.set_backend(Backend::Walker);
+        grown.run_action(extra);
+        assert!(grown.take_error().is_none());
+        assert!(std::ptr::eq(
+            grown.machine().table(),
+            original.machine().table()
+        ));
+        grown.machine_mut().table_mut().intern(new_ty);
+        assert!(grown.machine().table().lookup(new_ty).is_some());
+        assert_eq!(grown.machine().root_len(), len + 1);
+        assert!(grown.machine().root_lookup("fresh").is_some());
+        grown.set_backend(Backend::Compiled);
+        assert!(!grown.progs_valid(), "a grown frame walks every hook");
+
+        // The original saw none of it.
+        assert_eq!(original.machine().root_len(), len);
+        assert_eq!(frame(&original), entries);
+        assert_eq!(original.machine().root_lookup("fresh"), None);
+        assert_eq!(original.machine().table().lookup(new_ty), None);
+        assert!(original.progs_valid());
+
+        // A second clone still runs its hooks on the VM.
+        let mut second = original.clone();
+        assert!(second.progs_valid());
+        let progs = &second.fixed.progs;
+        let on_vm = (0..progs.actions.len()).find(|&i| progs.actions[i].is_vm());
+        let on_vm = ActionId(on_vm.expect("the counter's updates compile") as u32);
+        second.run_action(on_vm);
+        assert!(second.take_error().is_none());
+        assert!(second.progs_valid());
+        assert_ne!(frame(&second), entries, "the VM hook wrote the frame");
+        assert_eq!(frame(&original), entries);
     }
 }

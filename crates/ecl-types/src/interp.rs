@@ -18,7 +18,9 @@
 
 use crate::types::{Type, TypeId, TypeTable};
 use crate::value::Value;
-use ecl_syntax::ast::{BinOp, Expr, ExprKind, Function, Stmt, StmtKind, UnOp, VarDecl};
+use ecl_syntax::ast::{
+    BinOp, Expr, ExprKind, Function, PrimType, Stmt, StmtKind, TypeRef, UnOp, VarDecl,
+};
 use ecl_syntax::diag::DiagSink;
 use ecl_syntax::fxmap::FxHashMap;
 use ecl_syntax::source::Span;
@@ -93,30 +95,59 @@ struct Place {
     ty: TypeId,
 }
 
-/// One variable scope: name → slot index into a dense value store.
-/// `names[i]` is the name bound to `slots[i]` (used to validate the
-/// span-keyed identifier cache without hashing the name).
+/// The name side of one scope: name → slot index into a dense value
+/// store, and `names[i]`, the name bound to slot `i` (used to validate
+/// the span-keyed identifier cache without hashing the name).
+#[derive(Debug, Clone, Default)]
+struct Names {
+    index: FxHashMap<String, usize>,
+    names: Vec<String>,
+}
+
+impl Names {
+    /// Bind `name` to the next slot (the caller pushes its value).
+    fn bind(&mut self, name: &str) {
+        self.index.insert(name.to_string(), self.names.len());
+        self.names.push(name.to_string());
+    }
+}
+
+/// One inner variable scope (a block or a function frame).
 #[derive(Debug, Clone, Default)]
 struct Scope {
-    index: FxHashMap<String, usize>,
+    names: Names,
     slots: Vec<Value>,
-    names: Vec<String>,
 }
 
 /// The data-code interpreter.
 ///
-/// Owns its [`TypeTable`] (append-only interning keeps externally
-/// created [`TypeId`]s valid) and a set of callable C functions.
+/// A clone is one session's copy: the type table, the function table
+/// and the root scope's names (the design's flat frame layout) are
+/// shared copy-on-write, so cloning copies only the root slot values
+/// and per-session memo state. A shared part is copied only when this
+/// machine really grows it — a type the table lacks, or a new root
+/// binding from a walker-executed top-level declaration; finding an
+/// existing type or overwriting a binding never copies. Append-only
+/// interning keeps externally created [`TypeId`]s valid.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    table: TypeTable,
-    funcs: FxHashMap<String, Arc<Function>>,
+    table: Arc<TypeTable>,
+    funcs: Arc<FxHashMap<String, Arc<Function>>>,
+    /// Root scope: names shared copy-on-write, values per session.
+    root_names: Arc<Names>,
+    root: Vec<Value>,
+    /// Inner scopes, innermost last (plain: never shared).
     scopes: Vec<Scope>,
+    /// Index in `scopes` of the running C function's frame. A function
+    /// sees only its own frame and the scopes above it — not the root
+    /// scope, not its caller's locals.
+    frame: Option<usize>,
     /// Identifier memo: source span → (declaration epoch, scope, slot)
-    /// of the last resolution. An entry is valid only when no *new*
-    /// binding has been declared since it was recorded
-    /// ([`Machine::decl_epoch`] unchanged — a later declaration could
-    /// shadow the cached one) and the cached slot still carries the
+    /// of the last resolution, scope 0 being the root and `i` inner
+    /// scope `i - 1`. An entry is valid only when no *new* binding has
+    /// been declared since it was recorded ([`Machine::decl_epoch`]
+    /// unchanged — a later declaration could shadow the cached one),
+    /// the scope is visible and the cached slot still carries the
     /// expected name; anything else falls back to the scope walk.
     ident_cache: FxHashMap<(u32, u32), (u64, u32, u32)>,
     /// Bumped whenever a new name is bound (not on overwrite): the
@@ -132,9 +163,12 @@ impl Machine {
     /// Create a machine over a type table.
     pub fn new(table: TypeTable) -> Self {
         Machine {
-            table,
-            funcs: FxHashMap::default(),
-            scopes: vec![Scope::default()],
+            table: Arc::new(table),
+            funcs: Arc::default(),
+            root_names: Arc::default(),
+            root: Vec::new(),
+            scopes: Vec::new(),
+            frame: None,
             ident_cache: FxHashMap::default(),
             decl_epoch: 0,
             fuel: DEFAULT_FUEL,
@@ -147,8 +181,18 @@ impl Machine {
     }
 
     /// Mutable access to the type table (for resolving new types).
+    /// Copies the table first if another machine shares it.
     pub fn table_mut(&mut self) -> &mut TypeTable {
-        &mut self.table
+        Arc::make_mut(&mut self.table)
+    }
+
+    /// Resolve a syntactic type, growing the table (a copy, if shared)
+    /// only when the type is not in it yet.
+    pub fn resolve_type(&mut self, ty: &TypeRef, sink: &mut DiagSink) -> Option<TypeId> {
+        match self.table.lookup_ref(ty) {
+            Some(id) => Some(id),
+            None => self.table_mut().resolve(ty, sink),
+        }
     }
 
     /// Limit the number of interpreter steps before aborting.
@@ -163,7 +207,7 @@ impl Machine {
 
     /// Register a callable C function.
     pub fn add_function(&mut self, f: &Function) {
-        self.funcs.insert(f.name.name.clone(), Arc::new(f.clone()));
+        Arc::make_mut(&mut self.funcs).insert(f.name.name.clone(), Arc::new(f.clone()));
     }
 
     /// Open a new variable scope.
@@ -175,21 +219,67 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics if only the root scope remains.
+    /// Panics if only the root scope (or the running function's frame)
+    /// remains.
     pub fn pop_scope(&mut self) {
-        assert!(self.scopes.len() > 1, "cannot pop the root scope");
+        assert!(
+            self.scopes.len() > self.frame.map_or(0, |f| f + 1),
+            "cannot pop the root scope"
+        );
         self.scopes.pop();
     }
 
-    /// Declare (or overwrite) a variable in the innermost scope.
+    /// The lowest visible scope in the cache's numbering: the root at
+    /// top level, the running function's frame inside a call.
+    fn visible_base(&self) -> usize {
+        self.frame.map_or(0, |f| f + 1)
+    }
+
+    fn names_of(&self, scope: usize) -> &Names {
+        match scope {
+            0 => &self.root_names,
+            s => &self.scopes[s - 1].names,
+        }
+    }
+
+    fn slot(&self, scope: usize, slot: usize) -> &Value {
+        match scope {
+            0 => &self.root[slot],
+            s => &self.scopes[s - 1].slots[slot],
+        }
+    }
+
+    fn slot_mut(&mut self, scope: usize, slot: usize) -> &mut Value {
+        match scope {
+            0 => &mut self.root[slot],
+            s => &mut self.scopes[s - 1].slots[slot],
+        }
+    }
+
+    /// Find a visible binding of `name`, innermost scope first.
+    fn find(&self, name: &str) -> Option<(usize, usize)> {
+        (self.visible_base()..=self.scopes.len())
+            .rev()
+            .find_map(|si| self.names_of(si).index.get(name).map(|&sl| (si, sl)))
+    }
+
+    /// Declare (or overwrite) a variable in the innermost scope. Only a
+    /// new root binding copies the shared root names.
     pub fn declare(&mut self, name: &str, v: Value) {
-        let scope = self.scopes.last_mut().expect("at least the root scope");
-        match scope.index.get(name) {
-            Some(&slot) => scope.slots[slot] = v,
+        let scope = self.scopes.len();
+        match self.names_of(scope).index.get(name) {
+            Some(&slot) => *self.slot_mut(scope, slot) = v,
             None => {
-                scope.index.insert(name.to_string(), scope.slots.len());
-                scope.slots.push(v);
-                scope.names.push(name.to_string());
+                match self.scopes.last_mut() {
+                    Some(s) => {
+                        s.names.bind(name);
+                        s.slots.push(v);
+                    }
+                    None => {
+                        Arc::make_mut(&mut self.root_names).bind(name);
+                        self.root.push(v);
+                    }
+                }
                 // A new binding may shadow cached resolutions.
                 self.decl_epoch += 1;
             }
@@ -201,41 +291,34 @@ impl Machine {
     fn lookup_ident(&mut self, name: &str, span: Span) -> Option<(usize, usize)> {
         let key = (span.start, span.end);
         if let Some(&(epoch, si, sl)) = self.ident_cache.get(&key) {
-            if epoch == self.decl_epoch {
-                if let Some(s) = self.scopes.get(si as usize) {
-                    if s.names.get(sl as usize).is_some_and(|n| n == name) {
-                        return Some((si as usize, sl as usize));
-                    }
-                }
+            let (si, sl) = (si as usize, sl as usize);
+            if epoch == self.decl_epoch
+                && (self.visible_base()..=self.scopes.len()).contains(&si)
+                && self.names_of(si).names.get(sl).is_some_and(|n| n == name)
+            {
+                return Some((si, sl));
             }
         }
-        for (i, s) in self.scopes.iter().enumerate().rev() {
-            if let Some(&slot) = s.index.get(name) {
-                self.ident_cache
-                    .insert(key, (self.decl_epoch, i as u32, slot as u32));
-                return Some((i, slot));
-            }
-        }
-        None
+        let (si, sl) = self.find(name)?;
+        self.ident_cache
+            .insert(key, (self.decl_epoch, si as u32, sl as u32));
+        Some((si, sl))
     }
 
     /// Read a variable (innermost scope wins).
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.scopes
-            .iter()
-            .rev()
-            .find_map(|s| s.index.get(name).map(|&i| &s.slots[i]))
+        self.find(name).map(|(si, sl)| self.slot(si, sl))
     }
 
     /// Overwrite an existing variable wherever it lives.
     pub fn set(&mut self, name: &str, v: Value) -> bool {
-        for s in self.scopes.iter_mut().rev() {
-            if let Some(&slot) = s.index.get(name) {
-                s.slots[slot] = v;
-                return true;
+        match self.find(name) {
+            Some((si, sl)) => {
+                *self.slot_mut(si, sl) = v;
+                true
             }
+            None => false,
         }
-        false
     }
 
     fn burn(&mut self, span: Span) -> Result<(), EvalError> {
@@ -272,12 +355,12 @@ impl Machine {
     /// bindings are append-only, so an unchanged length proves every
     /// compile-time slot resolution is still valid.
     pub fn root_len(&self) -> usize {
-        self.scopes[0].slots.len()
+        self.root.len()
     }
 
     /// Root-scope slot of `name`, if bound there.
     pub fn root_lookup(&self, name: &str) -> Option<usize> {
-        self.scopes[0].index.get(name).copied()
+        self.root_names.index.get(name).copied()
     }
 
     /// Read a root-scope slot by index (the VM's variable load path).
@@ -286,7 +369,7 @@ impl Machine {
     ///
     /// Panics if `slot` is out of range.
     pub fn root_value(&self, slot: usize) -> &Value {
-        &self.scopes[0].slots[slot]
+        &self.root[slot]
     }
 
     /// Mutable root-scope slot by index (the VM's variable store path).
@@ -295,17 +378,17 @@ impl Machine {
     ///
     /// Panics if `slot` is out of range.
     pub fn root_value_mut(&mut self, slot: usize) -> &mut Value {
-        &mut self.scopes[0].slots[slot]
+        &mut self.root[slot]
     }
 
     /// Iterate the root scope's `(name, value)` bindings in slot order
     /// (differential tests compare whole frames through this).
     pub fn root_entries(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.scopes[0]
+        self.root_names
             .names
             .iter()
             .map(String::as_str)
-            .zip(self.scopes[0].slots.iter())
+            .zip(self.root.iter())
     }
 
     // -- expressions -----------------------------------------------------
@@ -324,17 +407,17 @@ impl Machine {
                 Ok(Value::from_i64(&self.table, int, *v))
             }
             ExprKind::FloatLit(v) => {
-                let d = self.table.intern(Type::Double);
+                let d = self.table.prim(PrimType::Double);
                 Ok(Value::from_f64(&self.table, d, *v))
             }
             ExprKind::CharLit(c) => {
-                let ch = self.table.intern(Type::Char);
+                let ch = self.table.prim(PrimType::Char);
                 Ok(Value::from_i64(&self.table, ch, *c as i64))
             }
             ExprKind::StrLit(_) => err("string literals are not supported in data code", e.span),
             ExprKind::Ident(id) => {
                 if let Some((si, sl)) = self.lookup_ident(&id.name, id.span) {
-                    return Ok(self.scopes[si].slots[sl].clone());
+                    return Ok(self.slot(si, sl).clone());
                 }
                 if let Some(v) = sigs.read_signal(&id.name) {
                     return Ok(v);
@@ -406,14 +489,14 @@ impl Machine {
             ExprKind::Cast(ty_ref, inner) => {
                 let v = self.eval(inner, sigs)?;
                 let mut sink = DiagSink::new();
-                let Some(to) = self.table.resolve(ty_ref, &mut sink) else {
+                let Some(to) = self.resolve_type(ty_ref, &mut sink) else {
                     return err("cannot resolve cast target type", e.span);
                 };
                 self.convert_or_err(v, to, e.span)
             }
             ExprKind::SizeofType(ty_ref) => {
                 let mut sink = DiagSink::new();
-                let Some(ty) = self.table.resolve(ty_ref, &mut sink) else {
+                let Some(ty) = self.resolve_type(ty_ref, &mut sink) else {
                     return err("cannot resolve sizeof type", e.span);
                 };
                 let int = self.table.int();
@@ -505,10 +588,10 @@ impl Machine {
         let ta = self.table.get(a);
         let tb = self.table.get(b);
         if ta == Type::Double || tb == Type::Double {
-            return self.table.intern(Type::Double);
+            return self.table.prim(PrimType::Double);
         }
         if ta == Type::Float || tb == Type::Float {
-            return self.table.intern(Type::Float);
+            return self.table.prim(PrimType::Float);
         }
         let pa = self.promote(a);
         let pb = self.promote(b);
@@ -519,7 +602,7 @@ impl Machine {
         let sb = self.table.size_of(pb);
         if sa == sb {
             if ta.is_unsigned() || tb.is_unsigned() {
-                self.table.intern(Type::UInt)
+                self.table.prim(PrimType::UInt)
             } else {
                 pa
             }
@@ -784,13 +867,15 @@ impl Machine {
         for (p, a) in f.params.iter().zip(args) {
             let v = self.eval(a, sigs)?;
             let mut sink = DiagSink::new();
-            let Some(pt) = self.table.resolve(&p.ty, &mut sink) else {
+            let Some(pt) = self.resolve_type(&p.ty, &mut sink) else {
                 return err(format!("cannot resolve parameter type of `{name}`"), span);
             };
             vals.push((p.name.name.clone(), self.convert_or_err(v, pt, a.span)?));
         }
-        // Fresh function scope (C functions do not see caller locals).
-        let saved = std::mem::replace(&mut self.scopes, vec![Scope::default()]);
+        // Fresh function frame (C functions do not see caller locals).
+        let frame = self.scopes.len();
+        let caller = self.frame.replace(frame);
+        self.scopes.push(Scope::default());
         for (n, v) in vals {
             self.declare(&n, v);
         }
@@ -805,10 +890,11 @@ impl Machine {
                     }
                 }
             }
-            let void = self.table.intern(Type::Void);
+            let void = self.table.prim(PrimType::Void);
             Ok(Value::zero(&self.table, void))
         })();
-        self.scopes = saved;
+        self.scopes.truncate(frame);
+        self.frame = caller;
         result
     }
 
@@ -868,7 +954,7 @@ impl Machine {
                         scope,
                         slot,
                         offset: 0,
-                        ty: self.scopes[scope].slots[slot].ty,
+                        ty: self.slot(scope, slot).ty,
                     });
                 }
                 err(format!("cannot assign to `{}`", id.name), id.span)
@@ -913,11 +999,12 @@ impl Machine {
     }
 
     fn read_place(&self, p: &Place) -> Value {
-        self.scopes[p.scope].slots[p.slot].read_at(&self.table, p.offset, p.ty)
+        self.slot(p.scope, p.slot)
+            .read_at(&self.table, p.offset, p.ty)
     }
 
     fn write_place(&mut self, p: &Place, v: &Value) {
-        self.scopes[p.scope].slots[p.slot].write_at(p.offset, v);
+        self.slot_mut(p.scope, p.slot).write_at(p.offset, v);
     }
 
     // -- statements -------------------------------------------------------
@@ -1101,7 +1188,7 @@ impl Machine {
     pub fn exec_decl(&mut self, d: &VarDecl, sigs: &dyn SignalReader) -> Result<(), EvalError> {
         for decl in &d.decls {
             let mut sink = DiagSink::new();
-            let Some(ty) = self.table.resolve(&decl.ty, &mut sink) else {
+            let Some(ty) = self.resolve_type(&decl.ty, &mut sink) else {
                 return err(
                     format!("cannot resolve type of `{}`", decl.name.name),
                     d.span,
@@ -1301,7 +1388,7 @@ mod tests {
         let mut sink = DiagSink::new();
         let table = TypeTable::build(&prog, &mut sink);
         let mut m = Machine::new(table);
-        let uc = m.table_mut().uchar();
+        let uc = m.table().uchar();
         let f = prog.functions().next().unwrap();
         for s in &f.body.as_ref().unwrap().stmts {
             m.exec(s, &OneSig(uc)).unwrap();

@@ -48,7 +48,7 @@
 use crate::interp::Machine;
 use crate::types::{Type, TypeId};
 use crate::vm::{BinKind, Compiled, Ext, Op, Program, UnKind};
-use ecl_syntax::ast::{BinOp, Expr, ExprKind, Ident, Stmt, StmtKind, UnOp, VarDecl};
+use ecl_syntax::ast::{BinOp, Expr, ExprKind, Ident, PrimType, Stmt, StmtKind, UnOp, VarDecl};
 use ecl_syntax::diag::DiagSink;
 use ecl_syntax::source::Span;
 
@@ -372,14 +372,14 @@ impl<'a> Lowering<'a> {
     }
 
     fn int_ty(&mut self) -> TypeId {
-        self.m.table_mut().int()
+        self.m.table().int()
     }
 
     /// Integer promotion — mirrors `Machine::promote`.
     fn promote_ty(&mut self, ty: TypeId) -> TypeId {
         match self.m.table().get(ty) {
             Type::Bool | Type::Char | Type::UChar | Type::Short | Type::UShort | Type::Enum(_) => {
-                self.m.table_mut().int()
+                self.m.table().int()
             }
             _ => ty,
         }
@@ -396,7 +396,7 @@ impl<'a> Lowering<'a> {
         let sb = self.m.table().size_of(pb);
         if sa == sb {
             if ta.is_unsigned() || tb.is_unsigned() {
-                self.m.table_mut().intern(Type::UInt)
+                self.m.table().prim(PrimType::UInt)
             } else {
                 pa
             }
@@ -719,7 +719,7 @@ impl<'a> Lowering<'a> {
                 Ok((dst, ty))
             }
             ExprKind::CharLit(c) => {
-                let ty = self.m.table_mut().intern(Type::Char);
+                let ty = self.m.table().prim(PrimType::Char);
                 let ext = self.ext_of(ty).ok_or(Unsupported)?;
                 let dst = self.alloc()?;
                 self.ops.push(Op::Const {
@@ -854,22 +854,14 @@ impl<'a> Lowering<'a> {
             ExprKind::Cast(ty_ref, inner) => {
                 let (r, tv) = self.expr(inner)?;
                 let mut sink = DiagSink::new();
-                let to = self
-                    .m
-                    .table_mut()
-                    .resolve(ty_ref, &mut sink)
-                    .ok_or(Unsupported)?;
+                let to = self.m.resolve_type(ty_ref, &mut sink).ok_or(Unsupported)?;
                 self.ext_of(to).ok_or(Unsupported)?;
                 let conv = self.coerce(r, tv, to)?;
                 Ok((conv, to))
             }
             ExprKind::SizeofType(ty_ref) => {
                 let mut sink = DiagSink::new();
-                let ty = self
-                    .m
-                    .table_mut()
-                    .resolve(ty_ref, &mut sink)
-                    .ok_or(Unsupported)?;
+                let ty = self.m.resolve_type(ty_ref, &mut sink).ok_or(Unsupported)?;
                 let size = self.m.table().size_of(ty);
                 let int = self.int_ty();
                 let dst = self.alloc()?;
@@ -1246,8 +1238,7 @@ impl<'a> Lowering<'a> {
             let mut sink = DiagSink::new();
             let ty = self
                 .m
-                .table_mut()
-                .resolve(&decl.ty, &mut sink)
+                .resolve_type(&decl.ty, &mut sink)
                 .ok_or(Unsupported)?;
             let ext = self.ext_of(ty).ok_or(Unsupported)?;
             let reg = self.alloc()?;

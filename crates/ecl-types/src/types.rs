@@ -246,6 +246,12 @@ impl TypeTable {
         self.intern_slow(ty)
     }
 
+    /// The handle of `ty` if it is already interned — the read-only
+    /// half of [`TypeTable::intern`] (primitives always are).
+    pub fn lookup(&self, ty: Type) -> Option<TypeId> {
+        primitive_id(&ty).or_else(|| self.intern.get(&ty).copied())
+    }
+
     fn intern_slow(&mut self, ty: Type) -> TypeId {
         if let Some(id) = self.intern.get(&ty) {
             return *id;
@@ -271,8 +277,9 @@ impl TypeTable {
         self.typedefs.get(name).copied()
     }
 
-    /// Convenience handles for the primitives.
-    pub fn prim(&mut self, p: PrimType) -> TypeId {
+    /// Convenience handles for the primitives (pre-interned, so no
+    /// lookup and no growth).
+    pub fn prim(&self, p: PrimType) -> TypeId {
         let ty = match p {
             PrimType::Void => Type::Void,
             PrimType::Bool => Type::Bool,
@@ -287,22 +294,64 @@ impl TypeTable {
             PrimType::Float => Type::Float,
             PrimType::Double => Type::Double,
         };
-        self.intern(ty)
+        primitive_id(&ty).expect("every PrimType is pre-interned")
     }
 
     /// Shorthand: the `int` type.
-    pub fn int(&mut self) -> TypeId {
-        self.intern(Type::Int)
+    pub fn int(&self) -> TypeId {
+        self.prim(PrimType::Int)
     }
 
     /// Shorthand: the `bool` type.
-    pub fn bool(&mut self) -> TypeId {
-        self.intern(Type::Bool)
+    pub fn bool(&self) -> TypeId {
+        self.prim(PrimType::Bool)
     }
 
     /// Shorthand: the `unsigned char` type.
-    pub fn uchar(&mut self) -> TypeId {
-        self.intern(Type::UChar)
+    pub fn uchar(&self) -> TypeId {
+        self.prim(PrimType::UChar)
+    }
+
+    /// Resolve a syntactic type reference without growing the table:
+    /// `Some` only when every part of `ty` is already known (a
+    /// primitive, a typedef, a tag reference, or a pointer/array type
+    /// interned before). Record and enum *definitions* always define a
+    /// new type, so they return `None`, as does anything that fails to
+    /// resolve — [`TypeTable::resolve`] then grows the table or reports
+    /// the error. Where both succeed they return the same handle.
+    pub fn lookup_ref(&self, ty: &TypeRef) -> Option<TypeId> {
+        match &ty.kind {
+            TypeRefKind::Prim(p) => Some(self.prim(*p)),
+            TypeRefKind::Named(id) => self.typedef(&id.name),
+            TypeRefKind::Pointer(inner) => self.lookup(Type::Pointer(self.lookup_ref(inner)?)),
+            TypeRefKind::Array(inner, len) => {
+                let elem = self.lookup_ref(inner)?;
+                let n = self.array_len(len.as_ref()?).ok()?;
+                self.lookup(Type::Array(elem, n))
+            }
+            TypeRefKind::Struct(r) if r.fields.is_none() => {
+                self.struct_tags.get(&r.tag.as_ref()?.name).copied()
+            }
+            TypeRefKind::Union(r) if r.fields.is_none() => {
+                self.union_tags.get(&r.tag.as_ref()?.name).copied()
+            }
+            TypeRefKind::Enum(e) if e.variants.is_none() => {
+                self.enum_tags.get(&e.tag.as_ref()?.name).copied()
+            }
+            TypeRefKind::Struct(_) | TypeRefKind::Union(_) | TypeRefKind::Enum(_) => None,
+        }
+    }
+
+    /// Constant-fold an array length with the enumerators seen so far.
+    fn array_len(&self, e: &ast::Expr) -> Result<u32, String> {
+        let env = ConstEnv {
+            consts: &self.enum_consts,
+        };
+        match consteval::eval(e, &env) {
+            Ok(v) if v >= 0 && v <= u32::MAX as i64 => Ok(v as u32),
+            Ok(v) => Err(format!("array length {v} out of range")),
+            Err(err) => Err(format!("array length is not a constant: {err}")),
+        }
     }
 
     /// Resolve a syntactic type reference to a [`TypeId`].
@@ -335,25 +384,13 @@ impl TypeTable {
             TypeRefKind::Array(inner, len) => {
                 let i = self.resolve(inner, sink)?;
                 let n = match len {
-                    Some(e) => {
-                        let env = ConstEnv {
-                            consts: &self.enum_consts,
-                        };
-                        match consteval::eval(e, &env) {
-                            Ok(v) if v >= 0 && v <= u32::MAX as i64 => v as u32,
-                            Ok(v) => {
-                                sink.error(format!("array length {v} out of range"), e.span);
-                                return None;
-                            }
-                            Err(err) => {
-                                sink.error(
-                                    format!("array length is not a constant: {err}"),
-                                    e.span,
-                                );
-                                return None;
-                            }
+                    Some(e) => match self.array_len(e) {
+                        Ok(n) => n,
+                        Err(msg) => {
+                            sink.error(msg, e.span);
+                            return None;
                         }
-                    }
+                    },
                     None => {
                         sink.error("array type needs a length here", ty.span);
                         return None;

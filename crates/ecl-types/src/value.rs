@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn bool_normalizes() {
-        let mut t = table();
+        let t = table();
         let b = t.bool();
         assert_eq!(Value::from_i64(&t, b, 42).as_i64(&t), 1);
         assert_eq!(Value::from_i64(&t, b, 0).as_i64(&t), 0);

@@ -9,11 +9,13 @@
 //! deterministic under a seed:
 //!
 //! * **Checkpoint/restore** — at every `checkpoint_every`-instant
-//!   boundary the session's full reaction state (kernel mailboxes and
-//!   watch sets, EFSM current states, the `Rt` slot file, monitor
-//!   states, trace ring, emission counters) is captured through
-//!   [`sim::Snapshot`]. A restored session replays its buffered inputs
-//!   and converges to byte-identical traces, verdicts and counters.
+//!   boundary the session's full reaction state (kernel mailboxes,
+//!   EFSM current states, the `Rt` slot file, monitor states, trace
+//!   ring, emission counters) is captured through [`sim::Snapshot`];
+//!   what never changes (task tables, data ASTs, type tables, monitor
+//!   bindings) is shared, not copied. A restored session replays its
+//!   buffered inputs and converges to byte-identical traces, verdicts
+//!   and counters.
 //! * **Restart with backoff** — a panic caught mid-instant (the
 //!   runner's poisoning latch), a watchdog trip or a livelock budget
 //!   restores the last checkpoint after a seeded exponential backoff

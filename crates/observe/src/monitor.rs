@@ -114,9 +114,9 @@ pub struct Monitor {
     state: StateId,
     verdict: Verdict,
     /// Per machine input: the mask of global ids that denote it
-    /// (computed by [`Monitor::bind`]; empty until then).
-    binding: Vec<(Signal, BitSet)>,
-    bound: bool,
+    /// (computed by [`Monitor::bind`]; `None` until then). Fixed once
+    /// bound, so clones (fleet checkpoints) share it.
+    binding: Option<Arc<[(Signal, BitSet)]>>,
     /// Step through the spec's fused transition rows
     /// ([`Backend::Compiled`], the default) or force the s-graph
     /// walker (identical verdicts; the switch exists for measurement
@@ -134,8 +134,7 @@ impl Monitor {
             spec,
             state,
             verdict: Verdict::Running,
-            binding: Vec::new(),
-            bound: false,
+            binding: None,
             backend: Backend::default(),
             input_scratch: BitSet::new(),
             emit_scratch: Vec::new(),
@@ -199,16 +198,15 @@ impl Monitor {
     /// by ids after this is pure bitset work. Idempotent per table;
     /// call again to re-bind against a different run.
     pub fn bind(&mut self, table: &SigTable) {
-        self.binding.clear();
-        for (s, info) in self.spec.efsm.inputs() {
+        let binding = self.spec.efsm.inputs().map(|(s, info)| {
             let mask: BitSet = table
                 .iter()
                 .filter(|(_, name)| name_matches(name, &info.name))
                 .map(|(id, _)| id.bit())
                 .collect();
-            self.binding.push((s, mask));
-        }
-        self.bound = true;
+            (s, mask)
+        });
+        self.binding = Some(binding.collect());
     }
 
     /// Step one environment instant with `present` as the set of
@@ -226,11 +224,11 @@ impl Monitor {
         if matches!(self.verdict, Verdict::Fail(_)) {
             return None;
         }
-        if !self.bound {
+        if self.binding.is_none() {
             self.bind(table);
         }
         self.input_scratch.clear();
-        for (s, mask) in &self.binding {
+        for (s, mask) in self.binding.as_deref().unwrap_or_default() {
             if mask.intersects(present) {
                 self.input_scratch.insert(s.0 as usize);
             }

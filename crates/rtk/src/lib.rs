@@ -24,6 +24,7 @@
 use ecl_faults::{FaultPlan, Faults, InjectionStats};
 use ecl_telemetry::metrics as tm;
 use efsm::BitSet;
+use std::sync::Arc;
 
 /// Handle of a registered task.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -50,25 +51,65 @@ impl Default for KernelParams {
     }
 }
 
-#[derive(Debug, Clone)]
-struct TaskCb {
-    name: String,
-    priority: u8,
-    /// Signal ids this task consumes.
-    watches: BitSet,
+/// The fixed half of a kernel: every registered task's name, static
+/// priority and watch set, plus the reverse watcher index. Nothing an
+/// instant does changes it, so one table is built per program set and
+/// `Arc`-shared by every kernel over it ([`Kernel::with_tasks`]).
+#[derive(Debug, Clone, Default)]
+pub struct TaskTable {
+    names: Vec<String>,
+    priorities: Vec<u8>,
+    /// Per task: the signal ids it consumes.
+    watches: Vec<BitSet>,
+    /// Reverse index: signal id → watching tasks.
+    watchers: Vec<Vec<TaskId>>,
+}
+
+impl TaskTable {
+    /// An empty table.
+    pub fn new() -> TaskTable {
+        TaskTable::default()
+    }
+
+    /// Register a task with a static priority (higher runs first) and
+    /// the presence set of signal ids it consumes.
+    pub fn add_task(&mut self, name: impl Into<String>, priority: u8, watches: BitSet) -> TaskId {
+        let id = TaskId(self.names.len());
+        for sig in watches.iter() {
+            if self.watchers.len() <= sig {
+                self.watchers.resize(sig + 1, Vec::new());
+            }
+            self.watchers[sig].push(id);
+        }
+        self.names.push(name.into());
+        self.priorities.push(priority);
+        self.watches.push(watches);
+        id
+    }
+
+    fn len(&self) -> usize {
+        self.names.len()
+    }
+}
+
+/// One task's mailbox: the session half of a task.
+#[derive(Debug, Clone, Default)]
+struct Mailbox {
     /// Pending events (1-place per signal: a presence set).
     pending: BitSet,
-    /// Events overwritten in this task's mailboxes before consumption.
+    /// Events overwritten in this mailbox before consumption.
     lost: u64,
 }
 
-/// The kernel: tasks, mailboxes, scheduler and cycle accounting.
+/// The kernel: tasks, mailboxes, scheduler and cycle accounting. The
+/// task table is shared ([`TaskTable`]); a clone copies only the
+/// mailboxes, queues and counters.
 #[derive(Debug, Clone)]
 pub struct Kernel {
     params: KernelParams,
-    tasks: Vec<TaskCb>,
-    /// Reverse index: signal id → watching tasks.
-    watchers: Vec<Vec<TaskId>>,
+    tasks: Arc<TaskTable>,
+    /// Per task, in registration order.
+    mailboxes: Vec<Mailbox>,
     /// Internal events held back by the delay-internal fault site,
     /// delivered by [`Kernel::begin_instant`] (empty when unarmed).
     deferred: Vec<(TaskId, u32)>,
@@ -99,12 +140,19 @@ impl Default for Kernel {
 }
 
 impl Kernel {
-    /// Create a kernel with the given service costs.
+    /// Create a kernel with the given service costs and no tasks.
     pub fn new(params: KernelParams) -> Self {
+        Kernel::with_tasks(params, Arc::default())
+    }
+
+    /// Create a kernel over an already-built task table, with empty
+    /// mailboxes — the per-session path: the table is shared, not
+    /// rebuilt.
+    pub fn with_tasks(params: KernelParams, tasks: Arc<TaskTable>) -> Self {
         Kernel {
             params,
-            tasks: Vec::new(),
-            watchers: Vec::new(),
+            mailboxes: vec![Mailbox::default(); tasks.len()],
+            tasks,
             deferred: Vec::new(),
             faults: None,
             instant: 0,
@@ -118,23 +166,11 @@ impl Kernel {
     }
 
     /// Register a task with a static priority (higher runs first) and
-    /// the presence set of signal ids it consumes.
+    /// the presence set of signal ids it consumes (copies the task
+    /// table first if another kernel shares it).
     pub fn add_task(&mut self, name: impl Into<String>, priority: u8, watches: BitSet) -> TaskId {
-        let id = TaskId(self.tasks.len());
-        for sig in watches.iter() {
-            if self.watchers.len() <= sig {
-                self.watchers.resize(sig + 1, Vec::new());
-            }
-            self.watchers[sig].push(id);
-        }
-        self.tasks.push(TaskCb {
-            name: name.into(),
-            priority,
-            watches,
-            pending: BitSet::new(),
-            lost: 0,
-        });
-        id
+        self.mailboxes.push(Mailbox::default());
+        Arc::make_mut(&mut self.tasks).add_task(name, priority, watches)
     }
 
     /// Number of registered tasks.
@@ -144,7 +180,7 @@ impl Kernel {
 
     /// Task name.
     pub fn task_name(&self, id: TaskId) -> &str {
-        &self.tasks[id.0].name
+        &self.tasks.names[id.0]
     }
 
     /// Post an *external* event (environment input). Charged as input
@@ -157,7 +193,12 @@ impl Kernel {
     /// inter-task send per receiving task. The emitting task never
     /// receives its own emission.
     pub fn post_internal(&mut self, from: TaskId, sig: u32) {
-        if self.watchers.get(sig as usize).is_none_or(Vec::is_empty) {
+        if self
+            .tasks
+            .watchers
+            .get(sig as usize)
+            .is_none_or(Vec::is_empty)
+        {
             return;
         }
         if let Some(f) = self.faults.as_deref_mut() {
@@ -184,7 +225,7 @@ impl Kernel {
     /// (mailbox pressure: no free slot, the event is lost before it
     /// ever lands — the same loss accounting as an overwrite).
     fn deliver(&mut self, skip: Option<TaskId>, sig: u32, cycles: u64) {
-        let Some(watchers) = self.watchers.get(sig as usize) else {
+        let Some(watchers) = self.tasks.watchers.get(sig as usize) else {
             return;
         };
         for &t in watchers {
@@ -195,18 +236,18 @@ impl Kernel {
             self.deliveries += 1;
             tm::RTK_DELIVERIES.incr();
             tm::RTK_RTOS_CYCLES.add(cycles);
-            let cb = &mut self.tasks[t.0];
-            let lost = cb.pending.contains(sig as usize)
+            let mb = &mut self.mailboxes[t.0];
+            let lost = mb.pending.contains(sig as usize)
                 || self
                     .faults
                     .as_deref_mut()
-                    .is_some_and(|f| f.mailbox_full(t.0 as u64, sig, cb.pending.len()));
+                    .is_some_and(|f| f.mailbox_full(t.0 as u64, sig, mb.pending.len()));
             if lost {
                 self.events_lost += 1;
-                cb.lost += 1;
+                mb.lost += 1;
                 tm::RTK_EVENTS_LOST.incr();
             } else {
-                cb.pending.insert(sig as usize);
+                mb.pending.insert(sig as usize);
             }
         }
     }
@@ -241,14 +282,36 @@ impl Kernel {
     }
 
     /// Restore the mailboxes, deferred queue and counters of `snap`
-    /// (a clone taken at an instant boundary), keeping this kernel's
-    /// own armed plan and its counts: a restore loses no counts and
-    /// never re-fires a one-shot site. `snap`'s plan, if any, is
-    /// ignored.
+    /// (a clone taken at an instant boundary) into this kernel's own
+    /// buffers, keeping its armed plan and its counts: a restore loses
+    /// no counts and never re-fires a one-shot site. `snap`'s plan, if
+    /// any, is ignored.
     pub fn restore(&mut self, snap: &Kernel) {
-        let faults = self.faults.take();
-        self.clone_from(snap);
-        self.faults = faults;
+        let Kernel {
+            params,
+            tasks,
+            mailboxes,
+            deferred,
+            faults: _,
+            instant,
+            posts,
+            task_cycles,
+            rtos_cycles,
+            events_lost,
+            dispatches,
+            deliveries,
+        } = snap;
+        self.params = *params;
+        self.tasks.clone_from(tasks);
+        self.mailboxes.clone_from(mailboxes);
+        self.deferred.clone_from(deferred);
+        self.instant = *instant;
+        self.posts = *posts;
+        self.task_cycles = *task_cycles;
+        self.rtos_cycles = *rtos_cycles;
+        self.events_lost = *events_lost;
+        self.dispatches = *dispatches;
+        self.deliveries = *deliveries;
     }
 
     /// Per-task loss counters: `(task, events lost)` in registration
@@ -256,16 +319,16 @@ impl Kernel {
     /// only at the telemetry/report boundary (see
     /// [`Kernel::task_name`]).
     pub fn events_lost_by_task(&self) -> Vec<(TaskId, u64)> {
-        self.tasks
+        self.mailboxes
             .iter()
             .enumerate()
-            .map(|(i, t)| (TaskId(i), t.lost))
+            .map(|(i, m)| (TaskId(i), m.lost))
             .collect()
     }
 
     /// Is any task ready (has pending events)?
     pub fn any_ready(&self) -> bool {
-        self.tasks.iter().any(|t| !t.pending.is_empty())
+        self.mailboxes.iter().any(|m| !m.pending.is_empty())
     }
 
     /// Pick the highest-priority ready task, copy its pending events
@@ -274,22 +337,22 @@ impl Kernel {
     /// pending events as the input snapshot). Charges a dispatch.
     pub fn schedule_into(&mut self, events: &mut BitSet) -> Option<TaskId> {
         let best = self
-            .tasks
+            .mailboxes
             .iter()
             .enumerate()
-            .filter(|(_, t)| !t.pending.is_empty())
-            .max_by_key(|(i, t)| (t.priority, usize::MAX - i))?;
+            .filter(|(_, m)| !m.pending.is_empty())
+            .max_by_key(|&(i, _)| (self.tasks.priorities[i], usize::MAX - i))?;
         let id = TaskId(best.0);
         self.rtos_cycles += self.params.dispatch_cycles;
         self.dispatches += 1;
         if ecl_telemetry::enabled() {
             tm::RTK_DISPATCHES.raw_add(1);
             tm::RTK_RTOS_CYCLES.raw_add(self.params.dispatch_cycles);
-            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.tasks[id.0].pending.len() as u64);
+            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.mailboxes[id.0].pending.len() as u64);
         }
         events.clear();
-        events.union_with(&self.tasks[id.0].pending);
-        self.tasks[id.0].pending.clear();
+        events.union_with(&self.mailboxes[id.0].pending);
+        self.mailboxes[id.0].pending.clear();
         Some(id)
     }
 
@@ -303,11 +366,11 @@ impl Kernel {
         if ecl_telemetry::enabled() {
             tm::RTK_DISPATCHES.raw_add(1);
             tm::RTK_RTOS_CYCLES.raw_add(self.params.dispatch_cycles);
-            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.tasks[id.0].pending.len() as u64);
+            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.mailboxes[id.0].pending.len() as u64);
         }
         events.clear();
-        events.union_with(&self.tasks[id.0].pending);
-        self.tasks[id.0].pending.clear();
+        events.union_with(&self.mailboxes[id.0].pending);
+        self.mailboxes[id.0].pending.clear();
     }
 
     /// Charge application cycles (the caller measured a reaction).
@@ -329,9 +392,11 @@ impl Kernel {
                 .obj_u64(
                     "by_task",
                     self.tasks
+                        .names
                         .iter()
-                        .filter(|t| t.lost > 0)
-                        .map(|t| (t.name.as_str(), t.lost)),
+                        .zip(&self.mailboxes)
+                        .filter(|(_, m)| m.lost > 0)
+                        .map(|(name, m)| (name.as_str(), m.lost)),
                 )
                 .emit();
         }
@@ -339,12 +404,13 @@ impl Kernel {
 
     /// Does `task` watch `sig`?
     pub fn watches(&self, task: TaskId, sig: u32) -> bool {
-        self.tasks[task.0].watches.contains(sig as usize)
+        self.tasks.watches[task.0].contains(sig as usize)
     }
 
     /// Tasks watching a signal.
     pub fn watchers_of(&self, sig: u32) -> &[TaskId] {
-        self.watchers
+        self.tasks
+            .watchers
             .get(sig as usize)
             .map(Vec::as_slice)
             .unwrap_or(&[])
@@ -469,6 +535,28 @@ mod tests {
         // A drained mailbox dispatches again as empty.
         k.dispatch_into(a, &mut ev);
         assert!(ev.is_empty());
+    }
+
+    #[test]
+    fn kernels_over_one_task_table_keep_their_own_mailboxes() {
+        let mut table = TaskTable::new();
+        let a = table.add_task("a", 1, set(&[X]));
+        let table = Arc::new(table);
+        let mut k1 = Kernel::with_tasks(KernelParams::default(), Arc::clone(&table));
+        let mut k2 = Kernel::with_tasks(KernelParams::default(), Arc::clone(&table));
+        k1.post_external(X);
+        k1.post_external(X);
+        assert!(k1.any_ready() && !k2.any_ready());
+        assert_eq!((k1.events_lost, k2.events_lost), (1, 0));
+        // Registering a task on one kernel copies the table first.
+        let b = k2.add_task("b", 2, set(&[Y]));
+        assert_eq!((k1.task_count(), k2.task_count(), table.len()), (1, 2, 1));
+        k2.post_external(Y);
+        assert_eq!(schedule(&mut k2).map(|(t, _)| t), Some(b));
+        // A restore copies session state only.
+        k2.restore(&k1);
+        assert_eq!(k2.events_lost_by_task(), vec![(a, 1)]);
+        assert_eq!(schedule(&mut k2).map(|(t, _)| t), Some(a));
     }
 
     #[test]

@@ -25,7 +25,7 @@ use ecl_faults::Faults;
 use ecl_telemetry::metrics as tm;
 use efsm::{Backend, BitSet, CompiledEfsm, DataHooks, Efsm, SigId, SigTable, Signal, StateId};
 use esterel::compile::CompileOptions;
-use rtk::{Kernel, KernelParams, TaskId};
+use rtk::{Kernel, KernelParams, TaskId, TaskTable};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -561,10 +561,6 @@ pub struct TaskProgram {
     from_global: Vec<Option<Signal>>,
     /// Local signal index → carries a value?
     valued: Vec<bool>,
-    /// Global bits of the task's external inputs (kernel watch-set).
-    watches: BitSet,
-    /// Kernel priority (program order: earlier designs run higher).
-    priority: u8,
 }
 
 /// One design set compiled once, instantiable many times: the shared,
@@ -574,6 +570,10 @@ pub struct TaskProgram {
 #[derive(Clone)]
 pub struct SharedProgram {
     tasks: Vec<Arc<TaskProgram>>,
+    /// The kernel's task table: one task per program, in order, each
+    /// watching its external inputs at program-order priority (earlier
+    /// designs run higher).
+    kernel_tasks: Arc<TaskTable>,
     sig_table: Arc<SigTable>,
 }
 
@@ -602,6 +602,7 @@ impl SharedProgram {
         }
         // Pass 2: wire each task through the now-complete table.
         let mut tasks = Vec::new();
+        let mut kernel_tasks = TaskTable::new();
         for (i, (design, efsm, proto_rt)) in compiled.into_iter().enumerate() {
             let to_global: Vec<SigId> = efsm
                 .signals
@@ -617,6 +618,7 @@ impl SharedProgram {
                 .inputs()
                 .map(|(s, _)| to_global[s.0 as usize].bit())
                 .collect();
+            kernel_tasks.add_task(design.entry.clone(), (10 - i.min(9)) as u8, watches);
             let table_c = CompiledEfsm::compile(&efsm);
             tasks.push(Arc::new(TaskProgram {
                 design,
@@ -626,12 +628,11 @@ impl SharedProgram {
                 to_global,
                 from_global,
                 valued,
-                watches,
-                priority: (10 - i.min(9)) as u8,
             }));
         }
         Ok(SharedProgram {
             tasks,
+            kernel_tasks: Arc::new(kernel_tasks),
             sig_table: Arc::new(table),
         })
     }
@@ -654,12 +655,11 @@ impl SharedProgram {
 
 /// One RTOS task: an `Arc`-shared compiled program plus this
 /// session's private mutable state (runtime, control state, fuel
-/// credit).
+/// credit). Task `i` is the kernel's `TaskId(i)`.
 struct Task {
     prog: Arc<TaskProgram>,
     rt: Rt,
     state: StateId,
-    id: TaskId,
     /// Fuel withheld from this task by the current instant's
     /// starvation squeeze, restored when the instant ends.
     fuel_credit: u64,
@@ -730,30 +730,27 @@ impl AsyncRunner {
     }
 
     /// Instantiate an independent session over an already-compiled
-    /// program set: fresh kernel, cloned prototype runtimes, zeroed
-    /// counters — no recompilation, no copy of the compiled tables or
-    /// bytecode (both stay behind the shared `Arc`s).
+    /// program set: empty mailboxes over the shared kernel task table,
+    /// cloned prototype runtimes, zeroed counters — no recompilation,
+    /// and no copy of anything fixed (compiled tables, bytecode, data
+    /// ASTs, type tables and task tables all stay behind shared
+    /// `Arc`s): only session state is built.
     pub fn from_shared(
         shared: &SharedProgram,
         cost: CostParams,
         kernel_params: KernelParams,
     ) -> AsyncRunner {
-        let mut kernel = Kernel::new(kernel_params);
-        let mut tasks = Vec::new();
-        for prog in &shared.tasks {
-            let id = kernel.add_task(
-                prog.design.entry.clone(),
-                prog.priority,
-                prog.watches.clone(),
-            );
-            tasks.push(Task {
+        let kernel = Kernel::with_tasks(kernel_params, Arc::clone(&shared.kernel_tasks));
+        let tasks = shared
+            .tasks
+            .iter()
+            .map(|prog| Task {
                 rt: prog.proto_rt.clone(),
                 state: prog.efsm.init,
                 prog: Arc::clone(prog),
-                id,
                 fuel_credit: 0,
-            });
-        }
+            })
+            .collect();
         let table = Arc::clone(&shared.sig_table);
         let counts = vec![0; table.len()];
         AsyncRunner {
@@ -988,23 +985,18 @@ impl AsyncRunner {
         }
         // Phase 1: periodic tick — every task reacts once.
         for ti in 0..self.tasks.len() {
-            let id = self.tasks[ti].id;
-            self.kernel.dispatch_into(id, &mut self.evset_scratch);
+            self.kernel
+                .dispatch_into(TaskId(ti), &mut self.evset_scratch);
             let (nodes, ops) = self.react_task(ti, out)?;
             nodes_spent += nodes as u64;
             fuel_spent += ops;
         }
         // Phase 2: cascades from internal emissions.
         let mut budget = 100_000u32; // runaway guard
-        while let Some(tid) = self.kernel.schedule_into(&mut self.evset_scratch) {
+        while let Some(TaskId(ti)) = self.kernel.schedule_into(&mut self.evset_scratch) {
             budget = budget.checked_sub(1).ok_or_else(|| {
                 SimError::livelock("asynchronous network livelock (tasks keep waking each other)")
             })?;
-            let ti = self
-                .tasks
-                .iter()
-                .position(|t| t.id == tid)
-                .expect("scheduled task exists");
             let (nodes, ops) = self.react_task(ti, out)?;
             nodes_spent += nodes as u64;
             fuel_spent += ops;
@@ -1083,7 +1075,7 @@ impl AsyncRunner {
             + self.emit_scratch.len() as u64 * self.cost.cyc_emit;
         self.kernel.charge_task(cycles);
         // Deliver emissions: values first, then events.
-        let tid = self.tasks[ti].id;
+        let tid = TaskId(ti);
         for k in 0..self.emit_scratch.len() {
             let local = self.emit_scratch[k];
             let gid = self.tasks[ti].prog.to_global[local.0 as usize];
@@ -1140,7 +1132,9 @@ struct TaskSnapshot {
 /// bytes, verdicts, `nodes_visited` and fuel all match a run that was
 /// never interrupted, with or without a fault plan armed
 /// (property-tested in `tests/checkpoint.rs`). The armed plan is
-/// configuration, not state: a restore keeps the runner's own.
+/// configuration, not state: a restore keeps the runner's own. Only
+/// session state is copied; the fixed half of each task and of the
+/// kernel stays shared with the runner (see [`AsyncRunner::from_shared`]).
 #[derive(Clone)]
 pub struct RunnerSnapshot {
     instant: u64,

@@ -24,7 +24,7 @@
 
 use ecl_telemetry::metrics as tm;
 use efsm::{BitSet, SigId, SigTable};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -39,20 +39,20 @@ pub struct TraceEvent {
     pub external: bool,
 }
 
-/// All events of one environment instant.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceRecord {
+/// All events of one environment instant: a view into a [`Trace`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TraceRecord<'a> {
     /// Environment instant number.
     pub instant: u64,
     /// Events in occurrence order (externals first).
-    pub events: Vec<TraceEvent>,
+    pub events: &'a [TraceEvent],
 }
 
-impl TraceRecord {
+impl TraceRecord<'_> {
     /// The distinct present signal ids, in first-occurrence order.
     pub fn present_ids(&self) -> Vec<SigId> {
         let mut out: Vec<SigId> = Vec::new();
-        for e in &self.events {
+        for e in self.events {
             if !out.contains(&e.sig) {
                 out.push(e.sig);
             }
@@ -62,18 +62,33 @@ impl TraceRecord {
 
     /// Insert every present id into `set` (not cleared first).
     pub fn present_into(&self, set: &mut BitSet) {
-        for e in &self.events {
+        for e in self.events {
             set.insert(e.sig.bit());
         }
     }
 }
 
-/// A ring-buffered recording of per-instant signal events.
+/// A ring-buffered recording of per-instant signal events, flat: one
+/// event buffer holding every retained instant's events back to back
+/// (then the open instant's), and one index of `(instant, end offset)`
+/// per closed instant. Recording appends to both and never allocates
+/// once they reach their working size; a clone is two copies.
+///
+/// Eviction only advances `first`; once the evicted prefix is as long
+/// as the window, one compaction moves the window to the front, so
+/// each instant is moved at most once per capacity's worth of
+/// instants.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     capacity: usize,
-    records: VecDeque<TraceRecord>,
-    current: Option<TraceRecord>,
+    events: Vec<TraceEvent>,
+    /// Per closed instant, oldest first: its number and the offset in
+    /// `events` where its events end (the next one's start).
+    index: Vec<(u64, usize)>,
+    /// Entries of `index` before this one are evicted.
+    first: usize,
+    /// The open instant, whose events follow the last closed one's.
+    open: Option<u64>,
     table: Arc<SigTable>,
     /// Instants evicted from the ring (recorded then dropped).
     pub dropped: u64,
@@ -84,17 +99,17 @@ impl Trace {
     /// with its own (initially empty) signal table — names are interned
     /// on first [`Trace::record`].
     pub fn new(capacity: usize) -> Trace {
-        Trace {
-            capacity,
-            ..Trace::default()
-        }
+        Trace::with_table(capacity, Arc::default())
     }
 
     /// A trace sharing an existing signal table (the runner path: ids
-    /// recorded via [`Trace::record_id`] must come from `table`).
+    /// recorded via [`Trace::record_id`] must come from `table`). A
+    /// bounded ring reserves its whole index up front (the window plus
+    /// an evicted prefix as long), so it never grows.
     pub fn with_table(capacity: usize, table: Arc<SigTable>) -> Trace {
         Trace {
             capacity,
+            index: Vec::with_capacity(2 * capacity),
             table,
             ..Trace::default()
         }
@@ -109,10 +124,7 @@ impl Trace {
     /// closes a still-open record (runners call this once per instant).
     pub fn begin_instant(&mut self, instant: u64) {
         self.end_instant();
-        self.current = Some(TraceRecord {
-            instant,
-            events: Vec::new(),
-        });
+        self.open = Some(instant);
     }
 
     /// Append one event by *name* to the open record, interning the
@@ -121,7 +133,7 @@ impl Trace {
     /// no-op when no record is open (recording disabled mid-run is not
     /// an error).
     pub fn record(&mut self, name: &str, value: Option<i64>, external: bool) {
-        if self.current.is_none() {
+        if self.open.is_none() {
             return;
         }
         let sig = match self.table.lookup(name) {
@@ -134,8 +146,8 @@ impl Trace {
     /// Append one event to the open record. A no-op when no record is
     /// open.
     pub fn record_id(&mut self, sig: SigId, value: Option<i64>, external: bool) {
-        if let Some(cur) = &mut self.current {
-            cur.events.push(TraceEvent {
+        if self.open.is_some() {
+            self.events.push(TraceEvent {
                 sig,
                 value,
                 external,
@@ -143,38 +155,59 @@ impl Trace {
         }
     }
 
-    /// Close the open record and push it into the ring, evicting the
-    /// oldest instant when over capacity.
+    /// Close the open record into the ring, evicting the oldest instant
+    /// when over capacity.
     pub fn end_instant(&mut self) {
-        if let Some(rec) = self.current.take() {
-            self.records.push_back(rec);
-            if self.capacity != 0 {
-                while self.records.len() > self.capacity {
-                    self.records.pop_front();
-                    self.dropped += 1;
-                    tm::SIM_TRACE_DROPPED.incr();
-                }
+        let Some(instant) = self.open.take() else {
+            return;
+        };
+        self.index.push((instant, self.events.len()));
+        if self.capacity != 0 && self.len() > self.capacity {
+            self.first += 1;
+            self.dropped += 1;
+            tm::SIM_TRACE_DROPPED.incr();
+            if self.first >= self.capacity {
+                self.compact();
             }
-            if ecl_telemetry::enabled() {
-                tm::SIM_TRACE_INSTANTS.raw_add(1);
-                tm::SIM_TRACE_OCCUPANCY.raw_record(self.records.len() as u64);
-            }
+        }
+        if ecl_telemetry::enabled() {
+            tm::SIM_TRACE_INSTANTS.raw_add(1);
+            tm::SIM_TRACE_OCCUPANCY.raw_record(self.len() as u64);
         }
     }
 
+    /// Drop the evicted prefix: move the retained window (and any open
+    /// instant's events) to the front of both buffers.
+    fn compact(&mut self) {
+        let base = self.index[self.first - 1].1;
+        self.events.drain(..base);
+        self.index.drain(..self.first);
+        for (_, end) in &mut self.index {
+            *end -= base;
+        }
+        self.first = 0;
+    }
+
     /// Retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
+    pub fn records(&self) -> impl Iterator<Item = TraceRecord<'_>> {
+        (self.first..self.index.len()).map(|i| {
+            let (instant, end) = self.index[i];
+            let start = if i == 0 { 0 } else { self.index[i - 1].1 };
+            TraceRecord {
+                instant,
+                events: &self.events[start..end],
+            }
+        })
     }
 
     /// Number of retained instants.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.index.len() - self.first
     }
 
     /// Whether nothing is retained.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
     /// Render the retained window as a VCD (Value Change Dump) text.
@@ -187,8 +220,8 @@ impl Trace {
     pub fn to_vcd(&self, title: &str) -> String {
         // Signal inventory over the retained window: name → valued?
         let mut sigs: BTreeMap<&str, bool> = BTreeMap::new();
-        for r in &self.records {
-            for e in &r.events {
+        for r in self.records() {
+            for e in r.events {
                 let v = sigs.entry(self.table.name(e.sig)).or_insert(false);
                 *v |= e.value.is_some();
             }
@@ -214,7 +247,7 @@ impl Trace {
         // Per dumped instant: presence/value per signal, with explicit
         // falling edges for signals that were present last time.
         let mut prev_present: Vec<bool> = vec![false; names.len()];
-        for r in &self.records {
+        for r in self.records() {
             let mut lines: Vec<String> = Vec::new();
             let mut present = vec![false; names.len()];
             for (i, name) in names.iter().enumerate() {
@@ -380,6 +413,37 @@ mod tests {
     }
 
     #[test]
+    fn ring_window_survives_compaction_and_clones() {
+        // Instants of 0–3 events, against a model that keeps every
+        // instant: after each close, and in a clone taken then, the
+        // retained records are the model's last `cap`.
+        for cap in [1, 2, 3, 5] {
+            let mut t = Trace::new(cap);
+            let mut model: Vec<(u64, Vec<TraceEvent>)> = Vec::new();
+            for i in 0..40u64 {
+                t.begin_instant(i);
+                let names = ["a", "b", "c"];
+                for n in &names[..(i % 4) as usize] {
+                    t.record(n, Some(i as i64), false);
+                }
+                let open: Vec<TraceEvent> = t.events[t.index.last().map_or(0, |l| l.1)..].to_vec();
+                t.end_instant();
+                model.push((i, open));
+                let want = &model[model.len().saturating_sub(cap)..];
+                for tr in [&t, &t.clone()] {
+                    let got: Vec<(u64, Vec<TraceEvent>)> = tr
+                        .records()
+                        .map(|r| (r.instant, r.events.to_vec()))
+                        .collect();
+                    assert_eq!(got, want, "cap {cap} after instant {i}");
+                    assert_eq!(tr.dropped, (model.len() - want.len()) as u64);
+                }
+                assert!(t.index.len() <= 2 * cap, "the evicted prefix is compacted");
+            }
+        }
+    }
+
+    #[test]
     fn unbounded_capacity_keeps_everything() {
         let mut t = Trace::new(0);
         for i in 0..100 {
@@ -397,7 +461,7 @@ mod tests {
         t.record("a", None, false);
         t.record("b", Some(7), false);
         t.end_instant();
-        let recs: Vec<&TraceRecord> = t.records().collect();
+        let recs: Vec<TraceRecord> = t.records().collect();
         let names: Vec<&str> = recs[0]
             .present_ids()
             .into_iter()

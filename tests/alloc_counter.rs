@@ -19,18 +19,26 @@
 //!   only when a span line renders into the sink, which the test
 //!   keeps out of the measured window (`set_span_every(0)`).
 //!
+//!
+//! A checkpoint copies only session state: on the fleet's shape — a
+//! three-task pager runner from one `SharedProgram`, both observers
+//! bound, a trace ring — a snapshot, a restore and the instants after
+//! a snapshot stay within a small fixed allocation budget on both
+//! backends, whatever the ring's capacity, and traced instants are
+//! allocation-free in steady state.
+//!
 //! The telemetry master switch is process-global, so the tests
 //! serialize on a mutex and each pins the switch to the state it
 //! measures.
 
 use codegen::cost::CostParams;
 use ecl_core::{Design, Source};
-use efsm::BitSet;
+use efsm::{Backend, BitSet};
 use rtk::KernelParams;
-use sim::runner::{AsyncRunner, Runner};
+use sim::runner::{AsyncRunner, Runner, SharedProgram, Snapshot};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 /// Serializes the tests (they toggle the process-global telemetry
 /// switch); a panicking holder must not wedge the others.
@@ -143,7 +151,6 @@ fn vm_data_path_is_allocation_free_in_steady_state() {
     use ecl_observe::{synthesize_all, Monitor};
     use sim::designs::PROTOCOL_STACK;
     use sim::tb::PacketTb;
-    use std::sync::Arc;
 
     let _g = locked();
     ecl_telemetry::set_enabled(false);
@@ -274,4 +281,179 @@ fn telemetry_enabled_steady_state_is_allocation_free() {
         "dispatch counter did not advance"
     );
     assert!(runner.count_of("o") > 0, "relay never fired");
+}
+
+/// One pager session on the fleet's shape, with its stimuli resolved
+/// to ids up front so driving it allocates nothing of its own.
+struct PagerSession {
+    runner: AsyncRunner,
+    monitors: Vec<ecl_observe::Monitor>,
+    stimuli: Vec<(Vec<(efsm::SigId, i64)>, BitSet)>,
+    next: usize,
+    present: BitSet,
+}
+
+/// The pager compiled as three tasks, and its observers.
+fn pager() -> &'static (SharedProgram, Vec<Arc<ecl_observe::MonitorSpec>>) {
+    static PAGER: OnceLock<(SharedProgram, Vec<Arc<ecl_observe::MonitorSpec>>)> = OnceLock::new();
+    PAGER.get_or_init(|| {
+        let parsed = Source::new(sim::designs::VOICE_PAGER).parse().unwrap();
+        let designs: Vec<Design> = parsed
+            .instantiations("pager")
+            .into_iter()
+            .map(|inst| {
+                parsed
+                    .elaborate_bound(&inst.module, Some(&inst.actuals))
+                    .unwrap()
+                    .split()
+                    .unwrap()
+                    .to_design()
+            })
+            .collect();
+        assert_eq!(designs.len(), 3, "the pager partitions into three tasks");
+        let shared = SharedProgram::compile(designs, &Default::default()).unwrap();
+        let specs = ecl_observe::synthesize_all(parsed.ast()).unwrap();
+        assert_eq!(specs.len(), 2, "both pager observers");
+        (shared, specs)
+    })
+}
+
+impl PagerSession {
+    fn new(backend: Backend, ring: usize) -> PagerSession {
+        let (shared, specs) = pager();
+        let mut runner =
+            AsyncRunner::from_shared(shared, CostParams::default(), Default::default());
+        runner.set_backend(backend);
+        runner.enable_trace(ring);
+        let table = Arc::clone(runner.sig_table());
+        let monitors = specs
+            .iter()
+            .map(|s| {
+                let mut m = ecl_observe::Monitor::new(Arc::clone(s));
+                m.set_backend(backend);
+                m.bind(&table);
+                m
+            })
+            .collect();
+        let events = sim::tb::PagerTb {
+            rounds: 50,
+            frames: 4,
+            seed: 12,
+        }
+        .events();
+        let stimuli = events
+            .iter()
+            .map(|ev| {
+                let valued: Vec<_> = (ev.valued.iter())
+                    .map(|(n, v)| (table.lookup(n).unwrap(), *v))
+                    .collect();
+                let mut bits: BitSet = valued.iter().map(|(id, _)| id.bit()).collect();
+                for n in &ev.pure {
+                    bits.insert(table.lookup(n).unwrap().bit());
+                }
+                (valued, bits)
+            })
+            .collect();
+        PagerSession {
+            runner,
+            monitors,
+            stimuli,
+            next: 0,
+            present: BitSet::with_capacity(table.len()),
+        }
+    }
+
+    /// Run the next `n` instants, stepping both observers.
+    fn run(&mut self, n: usize) {
+        for (valued, bits) in &self.stimuli[self.next..self.next + n] {
+            for &(id, v) in valued {
+                self.runner.set_input_i64_id(id, v).unwrap();
+            }
+            let instant = self.runner.now();
+            self.runner.instant_ids(bits, &mut self.present).unwrap();
+            self.present.union_with(bits);
+            for m in &mut self.monitors {
+                m.step_ids(instant, &self.present, self.runner.sig_table());
+            }
+        }
+        self.next += n;
+    }
+}
+
+/// Allocations of `f` on this thread.
+fn allocs_of(f: impl FnOnce()) -> u64 {
+    let before = my_allocs();
+    f();
+    my_allocs() - before
+}
+
+/// After 1,000 instants: (allocations of `snapshot()` plus the next
+/// 64 instants, allocations of `restore()`).
+fn checkpoint_allocs(backend: Backend, ring: usize) -> (u64, u64) {
+    let mut s = PagerSession::new(backend, ring);
+    s.run(1000);
+    let mut snap = None;
+    let snapshot = allocs_of(|| {
+        snap = Some(s.runner.snapshot().unwrap());
+        s.run(64);
+    });
+    let snap = snap.unwrap();
+    let restore = allocs_of(|| s.runner.restore(&snap).unwrap());
+    assert_eq!(s.runner.now(), 1000, "restored to the checkpoint");
+    (snapshot, restore)
+}
+
+#[test]
+fn checkpoints_copy_only_session_state() {
+    let _g = locked();
+    ecl_telemetry::set_enabled(false);
+    for backend in [Backend::Compiled, Backend::Walker] {
+        let (snapshot, restore) = checkpoint_allocs(backend, 256);
+        assert!(
+            snapshot <= 32,
+            "{backend:?}: snapshot plus 64 instants allocated {snapshot} times"
+        );
+        assert!(
+            restore <= 32,
+            "{backend:?}: restore allocated {restore} times"
+        );
+        // The ring is two buffers, whatever its capacity.
+        assert_eq!(
+            checkpoint_allocs(backend, 4096),
+            (snapshot, restore),
+            "{backend:?}: a 4,096-instant ring changes the counts"
+        );
+    }
+}
+
+#[test]
+fn monitor_checkpoints_share_their_bindings() {
+    let _g = locked();
+    ecl_telemetry::set_enabled(false);
+    let mut s = PagerSession::new(Backend::Compiled, 0);
+    s.run(100);
+    // The fleet's per-checkpoint copy: the Vec, then at most one
+    // buffer per monitor (its input scratch); the bindings are shared.
+    let n = allocs_of(|| drop(s.monitors.clone()));
+    assert!(
+        n <= 1 + s.monitors.len() as u64,
+        "cloning {} monitors allocated {n} times",
+        s.monitors.len()
+    );
+}
+
+#[test]
+fn traced_pager_instants_are_allocation_free_in_steady_state() {
+    let _g = locked();
+    ecl_telemetry::set_enabled(false);
+    for backend in [Backend::Compiled, Backend::Walker] {
+        let mut s = PagerSession::new(backend, 256);
+        s.run(1000);
+        let n = allocs_of(|| s.run(1000));
+        assert_eq!(
+            n, 0,
+            "{backend:?}: 1,000 traced instants allocated {n} times"
+        );
+        assert_eq!(s.runner.recorded_trace().unwrap().len(), 256);
+    }
 }

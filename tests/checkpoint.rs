@@ -6,7 +6,12 @@
 //!
 //! The interrupted runner keeps executing *past* the snapshot before
 //! the restore happens, so the test also proves a snapshot is a real
-//! value (deep, immutable) rather than a view of live state.
+//! value (immutable; what it shares with the live runner is never
+//! written in place) rather than a view of live state.
+//!
+//! Each case draws the trace ring's capacity (unbounded, or 1–64
+//! instants against streams of about 200), so eviction and ring
+//! compaction happen both before and after the cut.
 //!
 //! The property holds with a fault plan armed, too: every fault site
 //! is a pure function of `(seed, site, coordinates)`, the coordinates
@@ -55,11 +60,11 @@ fn events(seed: u64) -> Vec<InstantEvents> {
     .events()
 }
 
-fn fresh(backend: Backend, faults: Option<FaultPlan>) -> (AsyncRunner, Vec<Monitor>) {
+fn fresh(backend: Backend, faults: Option<FaultPlan>, ring: usize) -> (AsyncRunner, Vec<Monitor>) {
     let mut r = AsyncRunner::from_shared(shared(), Default::default(), Default::default());
     r.set_backend(backend);
     r.set_faults(faults);
-    r.enable_trace(0);
+    r.enable_trace(ring);
     let monitors = specs()
         .iter()
         .map(|s| {
@@ -102,6 +107,7 @@ fn drive(runner: &mut AsyncRunner, monitors: &mut [Monitor], events: &[InstantEv
 #[derive(Debug, PartialEq)]
 struct RunOut {
     vcd: String,
+    dropped: u64,
     counts: HashMap<String, u64>,
     verdicts: Vec<(String, Verdict)>,
     events_lost: u64,
@@ -109,8 +115,10 @@ struct RunOut {
 }
 
 fn finish(mut runner: AsyncRunner, monitors: Vec<Monitor>) -> RunOut {
+    let trace = runner.take_trace().expect("trace recorded");
     RunOut {
-        vcd: runner.take_trace().expect("trace recorded").to_vcd("ckpt"),
+        vcd: trace.to_vcd("ckpt"),
+        dropped: trace.dropped,
         counts: runner.counts(),
         verdicts: MonitorReport::conclude(monitors).verdicts,
         events_lost: runner.kernel().events_lost,
@@ -121,19 +129,21 @@ fn finish(mut runner: AsyncRunner, monitors: Vec<Monitor>) -> RunOut {
 /// The property: snapshot at `cut`, keep running `overrun` instants
 /// on the original runner, then restore the snapshot into a fresh
 /// runner and finish the stream there — outputs equal the
-/// uninterrupted run's. Every runner is armed with `faults`.
+/// uninterrupted run's. Every runner is armed with `faults` and
+/// records into a `ring`-instant trace (0: unbounded).
 fn check_restore(
     seed: u64,
     cut_frac: usize,
     overrun: usize,
     backend: Backend,
     faults: Option<FaultPlan>,
+    ring: usize,
 ) -> Result<(), TestCaseError> {
     let ev = events(seed);
     let cut = cut_frac % ev.len();
 
     // Uninterrupted reference.
-    let (mut base, mut base_mon) = fresh(backend, faults);
+    let (mut base, mut base_mon) = fresh(backend, faults, ring);
     drive(&mut base, &mut base_mon, &ev);
     if faults.is_some() {
         prop_assert!(
@@ -145,7 +155,7 @@ fn check_restore(
 
     // Interrupted: run to `cut`, checkpoint, dirty the original
     // runner past the cut, restore elsewhere, finish there.
-    let (mut orig, mut orig_mon) = fresh(backend, faults);
+    let (mut orig, mut orig_mon) = fresh(backend, faults, ring);
     drive(&mut orig, &mut orig_mon, &ev[..cut]);
     let snap = orig.snapshot().expect("boundary snapshot");
     let mon_snap: Vec<Monitor> = orig_mon.clone();
@@ -153,7 +163,7 @@ fn check_restore(
     drive(&mut orig, &mut orig_mon, &ev[cut..over_end]);
     prop_assert_eq!(snap.instant(), cut as u64);
 
-    let (mut resumed, _) = fresh(backend, faults);
+    let (mut resumed, _) = fresh(backend, faults, ring);
     resumed
         .restore(&snap)
         .expect("restore into a sibling runner");
@@ -161,7 +171,13 @@ fn check_restore(
     drive(&mut resumed, &mut resumed_mon, &ev[cut..]);
     let got = finish(resumed, resumed_mon);
 
-    prop_assert_eq!(&got, &want, "restored run diverged (backend {:?})", backend);
+    prop_assert_eq!(
+        &got,
+        &want,
+        "restored run diverged (backend {:?}, ring {})",
+        backend,
+        ring
+    );
     Ok(())
 }
 
@@ -172,8 +188,9 @@ proptest! {
         seed in 0u64..1000,
         cut in 0usize..4096,
         overrun in 0usize..40,
+        ring in 0usize..65,
     ) {
-        check_restore(seed, cut, overrun, Backend::Compiled, None)?;
+        check_restore(seed, cut, overrun, Backend::Compiled, None, ring)?;
     }
 
     /// Walker backend: same property, reference execution path.
@@ -182,8 +199,9 @@ proptest! {
         seed in 0u64..1000,
         cut in 0usize..4096,
         overrun in 0usize..40,
+        ring in 0usize..65,
     ) {
-        check_restore(seed, cut, overrun, Backend::Walker, None)?;
+        check_restore(seed, cut, overrun, Backend::Walker, None, ring)?;
     }
 
     /// Both backends, with a plan that fires every runner and kernel
@@ -195,6 +213,7 @@ proptest! {
         seed in 0u64..1000,
         cut in 0usize..4096,
         overrun in 0usize..40,
+        ring in 0usize..65,
     ) {
         let plan = FaultPlan {
             drop_external: 0.05,
@@ -209,7 +228,7 @@ proptest! {
             ..FaultPlan::seeded(seed)
         };
         for backend in [Backend::Compiled, Backend::Walker] {
-            check_restore(seed, cut, overrun, backend, Some(plan))?;
+            check_restore(seed, cut, overrun, backend, Some(plan), ring)?;
         }
     }
 }
@@ -226,6 +245,7 @@ fn snapshot_refused_mid_instant_and_restore_heals_poison() {
             panic_at: Some(12),
             ..FaultPlan::seeded(5)
         }),
+        0,
     );
     drive(&mut r, &mut mon, &ev[..10]);
     let snap = r.snapshot().expect("boundary snapshot");
