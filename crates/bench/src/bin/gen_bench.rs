@@ -1,41 +1,124 @@
-//! `gen_bench` — machine-readable reaction-throughput benchmark.
+//! `gen_bench` — the benchmark harness: reaction and fleet throughput,
+//! a per-configuration hot-path profile and the ablation rows, written
+//! to one JSON file and gated by one `--check`.
 //!
-//! Measures instants/second for the two evaluated designs
-//! (protocol stack, voice pager) × two implementations (monolithic
-//! single task, 3-task partition) × three instrumentation/backend
-//! modes (traced: ring-buffer recording on; monitored: observers bound
-//! and stepped per instant, `Backend::Walker` forced end to end —
-//! s-graph walk + tree-walking data hooks; compiled: the same
-//! monitored run under `Backend::Compiled` — fused per-task instant
-//! programs, the production default). `speedup_compiled_over_walker`
-//! is the headline fusion metric: compiled vs monitored on the same
-//! workload, per design configuration. End-to-end compile times ride
-//! along.
+//! One run measures, in order:
 //!
-//! Output is `BENCH_reaction.json`. Every config is normalized
-//! against its own design's walker-forced `*/mono/monitored` run —
-//! the reference path, measured in the same process. With `--check
-//! BASELINE`, the run is compared against a checked-in baseline: the
-//! *normalized* ratio of each config must not regress by more than
-//! 20% (normalizing makes the check meaningful across machines of
-//! different speeds).
+//! 1. **Runner configs** (`runs`, gated). The two evaluated designs
+//!    (protocol stack, voice pager) × two implementations (monolithic
+//!    single task, 3-task partition) × three modes: `traced`
+//!    (ring-buffer recording on) and `monitored` (observers stepped per
+//!    instant), both with `Backend::Walker` forced end to end, and
+//!    `compiled`, the same monitored run on the default
+//!    `Backend::Compiled`. Every config is normalized against its own
+//!    design's walker-forced `*/mono/monitored` run, measured in the
+//!    same process; `speedup_compiled_over_walker` is compiled over
+//!    monitored per design configuration.
+//! 2. **Fleet rows** (`runs`, gated). `--sessions` supervised
+//!    voice-pager sessions of 691 instants each, one shard per hardware
+//!    thread, without (`pager/fleet/nockpt`) and with
+//!    (`pager/fleet/ckpt64`) a checkpoint every 64 instants, normalized
+//!    against one bare runner replaying the same stream. An
+//!    `ECL_FAULTS` plan arms these sessions and nothing else, which
+//!    makes the run the fleet chaos smoke: killed sessions restart from
+//!    checkpoints and every session must still finish.
+//! 3. **Profile** (`coverage` and `profile`, per design configuration).
+//!    One monitored run on `Backend::Compiled` with telemetry on,
+//!    bracketed by a telemetry `Run`, rendered from the whole metric
+//!    registry.
+//! 4. **Ablations** (`ablations`): A1 MaxEsterel vs MinEsterel
+//!    splitting (paper §3 vs §6), A2 EFSM optimization on/off (§3), A3
+//!    Verilog for a pure-control machine (§4's hardware partition), A4
+//!    delayed vs immediate `await`; and **monitor stepping**
+//!    (`monitor_stepping`): the monolithic stack's observers stepped
+//!    over its recorded presence sets through fused rows vs the s-graph
+//!    walker.
 //!
-//! Usage: `gen_bench [--out PATH] [--check BASELINE] [--instants N]`
+//! With `--check BASELINE`, every `runs` config of the baseline must be
+//! measured again, and its normalized ratio must not fall more than 20%
+//! below the baseline's (normalizing makes the check meaningful across
+//! machines of different speeds); configs new to this run pass.
+//!
+//! Telemetry follows `ECL_TELEMETRY*`: with `ECL_TELEMETRY=1` the
+//! measured rows run the instrumented hot path, which is how
+//! EXPERIMENTS.md quantifies telemetry overhead. The committed baseline
+//! (and the CI gate) is a telemetry-off run.
+//!
+//! Usage: `gen_bench [--out PATH] [--check BASELINE] [--instants N] [--sessions N]`
 
-use ecl_bench::extract_normalized;
-use ecl_core::Design;
-use ecl_observe::{synthesize_all, Monitor, MonitorSpec};
-use efsm::Backend;
+use ecl_bench::compile_with;
+use ecl_core::{Design, SplitStrategy};
+use ecl_faults::FaultPlan;
+use ecl_fleet::{FleetConfig, SessionSpec, SessionStatus, Supervisor};
+use ecl_observe::{synthesize_all, Monitor, MonitorSpec, Verdict};
+use ecl_telemetry::{metrics as tm, Run};
+use efsm::{Backend, Efsm, SigTable};
 use sim::runner::{AsyncRunner, Runner};
-use sim::tb::{InstantEvents, PacketTb, PagerTb};
-use std::fmt::Write as _;
+use sim::tb::{InstantEvents, PacketTb};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Default workload length (the ISSUE's "10k-instant run").
+const USAGE: &str =
+    "usage: gen_bench [--out PATH] [--check BASELINE] [--instants N] [--sessions N]";
+/// Default length of the runner configs' and the profile's workload.
 const DEFAULT_INSTANTS: usize = 10_000;
-/// Allowed normalized-throughput regression against the baseline.
-const TOLERANCE: f64 = 0.20;
+/// Default fleet size.
+const DEFAULT_SESSIONS: usize = 1000;
+/// Pager testbench rounds per fleet session (691 instants). Fixed, so
+/// the fleet rows compare with their baseline whatever `--instants`
+/// says.
+const FLEET_ROUNDS: usize = 10;
+/// Interleaved measurement rounds. Every configuration is measured
+/// once per round and keeps its best rate, so each config's number
+/// comes from the fastest machine phase seen over the *whole* run —
+/// on shared machines with drifting CPU frequency this keeps the
+/// normalized ratios (the CI regression metric) phase-independent.
+const ROUNDS: usize = 3;
+/// Calls per ablation row; each row keeps its fastest.
+const ABLATION_REPS: usize = 10;
+
+struct Args {
+    out: String,
+    check: Option<String>,
+    instants: usize,
+    sessions: usize,
+}
+
+/// Report a malformed command line and exit 2.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("gen_bench: {msg}\n{USAGE}");
+    std::process::exit(2)
+}
+
+fn number(flag: &str, value: &str) -> usize {
+    value
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} takes a number, not `{value}`")))
+}
+
+fn parse_args() -> Args {
+    let mut args = Args {
+        out: "BENCH_reaction.json".to_string(),
+        check: None,
+        instants: DEFAULT_INSTANTS,
+        sessions: DEFAULT_SESSIONS,
+    };
+    let mut argv = std::env::args().skip(1);
+    while let Some(flag) = argv.next() {
+        let mut value = || {
+            argv.next()
+                .unwrap_or_else(|| usage_error(&format!("{flag} needs a value")))
+        };
+        match flag.as_str() {
+            "--out" => args.out = value(),
+            "--check" => args.check = Some(value()),
+            "--instants" => args.instants = number(&flag, &value()),
+            "--sessions" => args.sessions = number(&flag, &value()),
+            _ => usage_error(&format!("unknown argument `{flag}`")),
+        }
+    }
+    args
+}
 
 struct Timed<T> {
     value: T,
@@ -51,6 +134,95 @@ fn timed<T>(f: impl FnOnce() -> T) -> Timed<T> {
     }
 }
 
+/// A labelled measurement; each call returns how many instants it ran.
+type Job<'a> = (String, Box<dyn FnMut() -> usize + 'a>);
+
+fn job<'a>(label: String, f: impl FnMut() -> usize + 'a) -> Job<'a> {
+    (label, Box::new(f))
+}
+
+/// Best rate of each job over [`ROUNDS`] interleaved rounds.
+fn measure_all(mut jobs: Vec<Job<'_>>) -> Vec<(String, f64)> {
+    let mut best = vec![0.0f64; jobs.len()];
+    for _ in 0..ROUNDS {
+        for (j, (_, f)) in jobs.iter_mut().enumerate() {
+            let t = timed(&mut *f);
+            best[j] = best[j].max(t.value as f64 / (t.ms / 1000.0));
+        }
+    }
+    jobs.into_iter().map(|(label, _)| label).zip(best).collect()
+}
+
+/// A JSON object member, value already rendered.
+type Member = (String, String);
+
+fn member(key: impl Into<String>, value: impl ToString) -> Member {
+    (key.into(), value.to_string())
+}
+
+/// `{"k": v, …}` on one line.
+fn inline(members: &[Member]) -> String {
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("\"{k}\": {v}"))
+        .collect();
+    format!("{{{}}}", body.join(", "))
+}
+
+/// A JSON object with one member per line, nested `depth` levels deep.
+fn object(members: &[Member], depth: usize) -> String {
+    let pad = "  ".repeat(depth + 1);
+    let body: Vec<String> = members
+        .iter()
+        .map(|(k, v)| format!("{pad}\"{k}\": {v}"))
+        .collect();
+    format!("{{\n{}\n{}}}", body.join(",\n"), "  ".repeat(depth))
+}
+
+/// One design configuration: the unit of the runner configs, the
+/// coverage block and the profile.
+struct DesignConfig<'a> {
+    /// `stack/mono`, …: the prefix of its `runs` labels.
+    label: &'static str,
+    /// Its key in the `compile_ms`, `coverage` and `profile` blocks
+    /// (`stack_mono`, …).
+    key: String,
+    /// Design name on the profile's telemetry run.
+    design: &'static str,
+    designs: Vec<Design>,
+    compile_ms: f64,
+    events: &'a [InstantEvents],
+    specs: &'a [Arc<MonitorSpec>],
+}
+
+/// One gated `runs` entry.
+struct RunRow {
+    config: String,
+    rate: f64,
+    normalized: f64,
+    /// Members rendered between the rate and the ratio.
+    extra: Vec<Member>,
+}
+
+impl RunRow {
+    fn render(&self) -> String {
+        let mut members = vec![
+            member("config", format!("\"{}\"", self.config)),
+            member("instants_per_sec", format!("{:.0}", self.rate)),
+        ];
+        members.extend(self.extra.iter().cloned());
+        members.push(member("normalized", format!("{:.3}", self.normalized)));
+        inline(&members)
+    }
+}
+
+fn rate_of(rows: &[RunRow], config: &str) -> f64 {
+    rows.iter()
+        .find(|r| r.config == config)
+        .map(|r| r.rate)
+        .expect("measured config")
+}
+
 fn runner(designs: Vec<Design>) -> AsyncRunner {
     AsyncRunner::new(
         designs,
@@ -59,37 +231,6 @@ fn runner(designs: Vec<Design>) -> AsyncRunner {
         Default::default(),
     )
     .expect("runner builds")
-}
-
-/// Interleaved measurement rounds. Every configuration is measured
-/// once per round and keeps its best rate, so each config's number
-/// comes from the fastest machine phase seen over the *whole* run —
-/// on shared machines with drifting CPU frequency this keeps the
-/// normalized ratios (the CI regression metric) phase-independent.
-const ROUNDS: usize = 3;
-
-fn measure_all(mut jobs: Vec<(String, Box<dyn FnMut() -> usize + '_>)>) -> Vec<(String, f64)> {
-    let mut best = vec![0.0f64; jobs.len()];
-    for _ in 0..ROUNDS {
-        for (j, (_, f)) in jobs.iter_mut().enumerate() {
-            let t = timed(&mut *f);
-            best[j] = best[j].max(t.value as f64 / (t.ms / 1000.0));
-        }
-    }
-    jobs.iter()
-        .map(|(label, _)| label.clone())
-        .zip(best)
-        .collect()
-}
-
-fn run_ids(mut r: AsyncRunner, events: &[InstantEvents], monitors: &mut [Monitor]) -> usize {
-    r.run_events(events, |instant, present| {
-        for m in monitors.iter_mut() {
-            m.step_present(instant, present);
-        }
-    })
-    .expect("run succeeds");
-    events.len()
 }
 
 /// A runner forced onto `Backend::Walker` — s-graph walk and
@@ -102,6 +243,16 @@ fn walked(designs: Vec<Design>) -> AsyncRunner {
     r
 }
 
+fn run_ids(mut r: AsyncRunner, events: &[InstantEvents], monitors: &mut [Monitor]) -> usize {
+    r.run_events(events, |instant, present| {
+        for m in monitors.iter_mut() {
+            m.step_present(instant, present);
+        }
+    })
+    .expect("run succeeds");
+    events.len()
+}
+
 fn run_traced(mut r: AsyncRunner, events: &[InstantEvents]) -> usize {
     r.enable_trace(256);
     r.run_events(events, |_, _| {}).expect("run succeeds");
@@ -111,258 +262,466 @@ fn run_traced(mut r: AsyncRunner, events: &[InstantEvents]) -> usize {
 /// Bound monitor instances on the given stepping backend (the walked
 /// configs force the s-graph walker on monitors too, so they
 /// reproduce the pre-fusion hot path end to end).
-fn monitors_for(specs: &[Arc<MonitorSpec>], r: &AsyncRunner, backend: Backend) -> Vec<Monitor> {
+fn monitors_for(specs: &[Arc<MonitorSpec>], table: &SigTable, backend: Backend) -> Vec<Monitor> {
     specs
         .iter()
         .map(|s| {
             let mut m = Monitor::new(Arc::clone(s));
             m.set_backend(backend);
-            m.bind(r.sig_table());
+            m.bind(table);
             m
         })
         .collect()
 }
 
-fn main() {
-    // Honors `ECL_TELEMETRY=1`: the same interleaved best-of-3
-    // methodology then measures the *instrumented* hot path, which is
-    // how EXPERIMENTS.md quantifies telemetry overhead. The shipped
-    // baseline (and the `--check` gate) is a telemetry-off run.
-    ecl_telemetry::init_from_env();
-    let args: Vec<String> = std::env::args().collect();
-    let mut out_path = "BENCH_reaction.json".to_string();
-    let mut check_path: Option<String> = None;
-    let mut instants = DEFAULT_INSTANTS;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                out_path = args[i + 1].clone();
-                i += 2;
-            }
-            "--check" => {
-                check_path = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--instants" => {
-                instants = args[i + 1].parse().expect("--instants takes a number");
-                i += 2;
-            }
-            other => panic!("unknown argument `{other}`"),
+/// The 12 runner configs: traced, monitored and compiled per design
+/// configuration, measured in interleaved rounds.
+fn runner_rows(configs: &[DesignConfig<'_>]) -> Vec<RunRow> {
+    let mut jobs = Vec::new();
+    for c in configs {
+        jobs.push(job(format!("{}/traced", c.label), move || {
+            run_traced(walked(c.designs.clone()), c.events)
+        }));
+        jobs.push(job(format!("{}/monitored", c.label), move || {
+            let r = walked(c.designs.clone());
+            let mut mons = monitors_for(c.specs, r.sig_table(), Backend::Walker);
+            run_ids(r, c.events, &mut mons)
+        }));
+        jobs.push(job(format!("{}/compiled", c.label), move || {
+            let r = runner(c.designs.clone());
+            assert_eq!(r.backend(), Backend::Compiled);
+            let mut mons = monitors_for(c.specs, r.sig_table(), Backend::Compiled);
+            run_ids(r, c.events, &mut mons)
+        }));
+    }
+    let runs = measure_all(jobs);
+    // The reference path: each design's walker-forced monitored mono
+    // run, so every config normalizes against its own workload.
+    let reference = |config: &str| {
+        let design = config.split('/').next().unwrap_or_default();
+        let label = format!("{design}/mono/monitored");
+        runs.iter().find(|(l, _)| *l == label).expect("measured").1
+    };
+    runs.iter()
+        .map(|(config, rate)| RunRow {
+            config: config.clone(),
+            rate: *rate,
+            normalized: rate / reference(config),
+            extra: Vec::new(),
+        })
+        .collect()
+}
+
+/// The two fleet rows, every session armed with `faults`.
+fn fleet_rows(sessions: usize, faults: Option<FaultPlan>) -> Vec<RunRow> {
+    let events = Arc::new(ecl_bench::pager_events(FLEET_ROUNDS));
+    let per_session = events.len();
+    let designs = ecl_bench::pager_parts();
+    let shards = std::thread::available_parallelism().map_or(4, |n| n.get());
+
+    // (label, checkpoint cadence): `nockpt` takes only the initial
+    // snapshot — the capacity headline; `ckpt64` snapshots every 64
+    // instants — the difference is the checkpoint overhead.
+    let configs: [(&str, u64); 2] = [("pager/fleet/nockpt", 0), ("pager/fleet/ckpt64", 64)];
+    let sups = configs.map(|(_, ckpt)| {
+        Supervisor::new(
+            designs.clone(),
+            &Default::default(),
+            FleetConfig {
+                shards,
+                queue_cap: sessions.max(1),
+                checkpoint_every: ckpt,
+                faults,
+                ..Default::default()
+            },
+        )
+        .expect("fleet compiles")
+    });
+
+    let mut rates = [0.0f64; 2];
+    let mut solo_rate = 0.0f64;
+    for _ in 0..ROUNDS {
+        for (rate, sup) in rates.iter_mut().zip(&sups) {
+            let specs: Vec<SessionSpec> = (1..=sessions as u64)
+                .map(|id| SessionSpec {
+                    id,
+                    events: Arc::clone(&events),
+                    specs: Vec::new(),
+                    trace_capacity: None,
+                })
+                .collect();
+            let t0 = Instant::now();
+            let rep = sup.run(specs);
+            let secs = t0.elapsed().as_secs_f64();
+            assert!(
+                rep.sessions
+                    .iter()
+                    .all(|s| s.status == SessionStatus::Finished),
+                "fleet sessions must finish: {:?}",
+                rep.health
+            );
+            *rate = rate.max((sessions * per_session) as f64 / secs);
         }
+        // Solo reference: one bare runner (no supervisor, no queues)
+        // over the same stream, repeated so fixed setup cost doesn't
+        // pollute the denominator.
+        const SOLO_REPEATS: usize = 20;
+        let mut r =
+            AsyncRunner::from_shared(sups[0].shared(), Default::default(), Default::default());
+        let t0 = Instant::now();
+        for _ in 0..SOLO_REPEATS {
+            r.run_events(&events, |_, _| {}).expect("solo run");
+        }
+        let secs = t0.elapsed().as_secs_f64();
+        solo_rate = solo_rate.max((per_session * SOLO_REPEATS) as f64 / secs);
+    }
+    let solo_rate = solo_rate.max(1.0);
+
+    // What checkpointing costs the fleet, as a throughput ratio
+    // (1.00: free). Printed only; the gate checks each row.
+    println!(
+        "pager/fleet: solo {solo_rate:.0} instants/sec, ckpt64/nockpt throughput ratio {:.3}",
+        rates[1] / rates[0]
+    );
+    configs
+        .iter()
+        .zip(rates)
+        .map(|((label, _), rate)| RunRow {
+            config: label.to_string(),
+            rate,
+            normalized: rate / solo_rate,
+            extra: vec![
+                member("sessions", sessions),
+                member("instants_per_session", per_session),
+                member("shards", shards),
+            ],
+        })
+        .collect()
+}
+
+/// One monitored run of `c` on `Backend::Compiled` from a zeroed
+/// metric registry (telemetry must be on), rendered as its `coverage`
+/// and `profile` objects.
+///
+/// Coverage is static: how many states fuse into row-scan +
+/// residual-program form, and how much of the data path the bytecode
+/// VM compiles — recorded so the benchmark file says what the
+/// `compiled` configs actually exercised (100% fused means no s-graph
+/// walk inside an instant).
+fn profile(c: &DesignConfig<'_>) -> (String, String) {
+    tm::reset_all();
+    let r = runner(c.designs.clone());
+    assert_eq!(r.backend(), Backend::Compiled);
+    let cov = r.coverage();
+    let pure: u32 = r.machines().map(|m| m.stats().pure_states).sum();
+    let coverage = inline(&[
+        member("fused_states", cov.fused_states()),
+        member("states", cov.states()),
+        member("fused_rows", cov.fused_rows()),
+        member("pure_states", pure),
+        member("vm_compiled", cov.vm_compiled()),
+        member("vm_total", cov.vm_total()),
+    ]);
+    let mut mons = monitors_for(c.specs, r.sig_table(), Backend::Compiled);
+    let run = Run::start(c.design, c.label);
+    let t = timed(|| run_ids(r, c.events, &mut mons));
+    // The run_end event carries the coverage breakdown, so the JSONL
+    // stream says which backend actually ran.
+    run.end_with_coverage(t.value as u64, Some(&cov.telemetry()));
+    (coverage, render_profile(t.value, t.ms))
+}
+
+/// Render the registry: every counter and the p50/p99/max of every
+/// histogram, grouped by the name's first segment (`table.steps` →
+/// `"table": {"steps": …}`), plus rows scanned per table hit and the
+/// VM's fallback-statement share of executed ops.
+fn render_profile(instants: usize, wall_ms: f64) -> String {
+    let mut groups: Vec<(&str, Vec<Member>)> = Vec::new();
+    let mut put = |name: &'static str, suffix: &str, value: String| {
+        let (group, key) = name.split_once('.').expect("metric names are `group.key`");
+        let m = (format!("{key}{suffix}"), value);
+        match groups.iter_mut().find(|(g, _)| *g == group) {
+            Some((_, members)) => members.push(m),
+            None => groups.push((group, vec![m])),
+        }
+    };
+    for c in tm::counters() {
+        put(c.name(), "", c.get().to_string());
+    }
+    for h in tm::histograms() {
+        put(h.name(), "_p50", h.quantile(0.5).to_string());
+        put(h.name(), "_p99", h.quantile(0.99).to_string());
+        put(h.name(), "_max", h.max().to_string());
+    }
+    // Rows per hit: rows scanned over the steps the fused rows resolved
+    // (steps minus walker fallbacks).
+    let hits = tm::TABLE_STEPS
+        .get()
+        .saturating_sub(tm::TABLE_WALK_FALLBACKS.get());
+    let rows_per_hit = tm::TABLE_ROWS_SCANNED.get() as f64 / hits.max(1) as f64;
+    put("table.rows_per_hit", "", format!("{rows_per_hit:.2}"));
+    let ops_total: u64 = tm::VM_OPS.iter().map(|c| c.get()).sum();
+    let fallback_rate = tm::VM_FALLBACK_STMTS.get() as f64 / ops_total.max(1) as f64;
+    put("vm.ops_total", "", ops_total.to_string());
+    put("vm.fallback_rate", "", format!("{fallback_rate:.4}"));
+
+    let mut members = vec![
+        member("instants", instants),
+        member("wall_ms", format!("{wall_ms:.2}")),
+        member(
+            "instants_per_sec",
+            format!("{:.0}", instants as f64 / (wall_ms / 1000.0)),
+        ),
+    ];
+    members.extend(groups.iter().map(|(g, m)| member(*g, inline(m))));
+    object(&members, 2)
+}
+
+/// The pure-control skeleton of a CRC checker: the data part is what
+/// keeps `checkcrc` in software; the control skeleton synthesizes.
+const CRC_CTL: &str = "
+    module crc_ctl(input pure reset, input pure pkt, output pure done) {
+      while (1) { do { await (pkt); emit (done); } abort (reset); }
+    }";
+
+/// The fastest of [`ABLATION_REPS`] calls, in microseconds, and its
+/// result.
+fn best_us<T>(mut f: impl FnMut() -> T) -> (f64, T) {
+    let mut best = timed(&mut f);
+    for _ in 1..ABLATION_REPS {
+        let t = timed(&mut f);
+        if t.ms < best.ms {
+            best = t;
+        }
+    }
+    (best.ms * 1000.0, best.value)
+}
+
+/// An ablation row for a built machine: build time and machine size.
+fn efsm_row(name: &str, (us, m): (f64, Efsm)) -> Member {
+    let s = m.stats();
+    let row = [
+        member("us", format!("{us:.1}")),
+        member("states", s.states),
+        member("nodes", s.nodes),
+        member("actions", s.actions),
+    ];
+    member(name, inline(&row))
+}
+
+/// A1–A4, one member each.
+fn ablations() -> Vec<Member> {
+    let efsm = |d: &Design, optimize: bool| {
+        d.to_efsm(&esterel::CompileOptions {
+            optimize,
+            ..Default::default()
+        })
+        .expect("ablation design compiles")
+    };
+    let build = |src: &str, entry: &str, strategy| efsm(&compile_with(src, entry, strategy), true);
+    let stack = sim::designs::PROTOCOL_STACK;
+    let a1 = [
+        ("max_esterel", SplitStrategy::MaxEsterel),
+        ("min_esterel", SplitStrategy::MinEsterel),
+    ]
+    .map(|(name, strategy)| efsm_row(name, best_us(|| build(stack, "toplevel", strategy))));
+    let split = compile_with(stack, "toplevel", SplitStrategy::MaxEsterel);
+    let a2 = [("optimized", true), ("unoptimized", false)]
+        .map(|(name, optimize)| efsm_row(name, best_us(|| efsm(&split, optimize))));
+    let crc_ctl = build(CRC_CTL, "crc_ctl", SplitStrategy::MinEsterel);
+    let (us, verilog) =
+        best_us(|| codegen::verilog::emit_verilog(&crc_ctl).expect("pure control emits Verilog"));
+    let a3 = [member(
+        "verilog_emit",
+        inline(&[
+            member("us", format!("{us:.1}")),
+            member("bytes", verilog.len()),
+        ]),
+    )];
+    let a4 = [("delayed", "await"), ("immediate", "await_immediate")].map(|(name, kw)| {
+        // The delta after the emission keeps the loop non-instantaneous
+        // even when `a` stays present (with `await_immediate` the
+        // compiler correctly rejects the loop otherwise).
+        let src = format!(
+            "module m(input pure a, output pure o) {{ while (1) {{ {kw} (a); emit (o); await (); }} }}"
+        );
+        efsm_row(name, best_us(|| build(&src, "m", SplitStrategy::MaxEsterel)))
+    });
+    vec![
+        member("A1", inline(&a1)),
+        member("A2", inline(&a2)),
+        member("A3", inline(&a3)),
+        member("A4", inline(&a4)),
+    ]
+}
+
+/// The observers of `c` stepped over the presence sets of its compiled
+/// run, recorded once up front, on each backend, best of [`ROUNDS`].
+/// Fresh monitors per run; none may latch a violation, or the rows
+/// would time latched no-ops.
+fn monitor_stepping(c: &DesignConfig<'_>) -> Vec<Member> {
+    let mut r = runner(c.designs.clone());
+    let table = Arc::clone(r.sig_table());
+    let mut present = Vec::with_capacity(c.events.len());
+    r.run_events(c.events, |_, p| present.push(p.ids().clone()))
+        .expect("run succeeds");
+    let drive = |backend| {
+        let mut mons = monitors_for(c.specs, &table, backend);
+        for (i, p) in present.iter().enumerate() {
+            for m in &mut mons {
+                m.step_ids(i as u64, p, &table);
+            }
+        }
+        assert!(
+            mons.iter()
+                .all(|m| !matches!(m.verdict(), Verdict::Fail(_))),
+            "stepped monitors must stay live"
+        );
+        present.len()
+    };
+    let rates = measure_all(vec![
+        job("fused".to_string(), || drive(Backend::Compiled)),
+        job("walked".to_string(), || drive(Backend::Walker)),
+    ]);
+    let (fused, walked) = (rates[0].1, rates[1].1);
+    let speedup = format!("{:.2}", fused / walked);
+    vec![
+        member("config", format!("\"{}\"", c.label)),
+        member("monitors", c.specs.len()),
+        member("fused_instants_per_sec", format!("{fused:.0}")),
+        member("walked_instants_per_sec", format!("{walked:.0}")),
+        member("speedup_fused_over_walked", speedup),
+    ]
+}
+
+fn main() {
+    let args = parse_args();
+    let baseline = args.check.as_ref().map(|path| {
+        std::fs::read_to_string(path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| ecl_bench::parse_baseline(&text))
+            .unwrap_or_else(|e| usage_error(&format!("cannot read baseline {path}: {e}")))
+    });
+    ecl_telemetry::init_from_env();
+    let telemetry_on = ecl_telemetry::enabled();
+    // A fault plan (ECL_FAULTS) arms the fleet sessions. Injected kills
+    // are caught by the supervisor, so keep their backtraces out of the
+    // log; anything else still reaches the default hook.
+    let faults = FaultPlan::from_env();
+    if faults.is_some() {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let injected = info
+                .payload()
+                .downcast_ref::<String>()
+                .is_some_and(|m| m.starts_with("ecl-faults:"));
+            if !injected {
+                default_hook(info);
+            }
+        }));
     }
 
     // Workloads, truncated to the same instant budget.
     let mut stack_ev = PacketTb {
-        packets: instants / 65 + 2,
+        packets: args.instants / 65 + 2,
         corrupt_every: 0,
         reset_every: 0,
         seed: 1999,
     }
     .events();
-    stack_ev.truncate(instants);
-    let mut pager_ev = PagerTb {
-        rounds: instants / 69 + 2,
-        frames: 4,
-        seed: 7,
-    }
-    .events();
-    pager_ev.truncate(instants);
-
-    // Compile (timed): four design configurations.
-    let stack_src = sim::designs::PROTOCOL_STACK;
-    let pager_src = sim::designs::VOICE_PAGER;
-    let stack_mono = timed(ecl_bench::stack_mono);
-    let stack_parts = timed(ecl_bench::stack_parts);
-    let pager_mono = timed(ecl_bench::pager_mono);
-    let pager_parts = timed(ecl_bench::pager_parts);
-    let stack_specs =
-        synthesize_all(&ecl_syntax::parse_str(stack_src).unwrap()).expect("stack observers");
-    let pager_specs =
-        synthesize_all(&ecl_syntax::parse_str(pager_src).unwrap()).expect("pager observers");
-
-    // All configurations, measured in interleaved rounds: traced,
-    // monitored and compiled × four design configurations.
-    type Config<'a> = (
-        &'a str,
-        Vec<Design>,
-        &'a [InstantEvents],
-        &'a [Arc<MonitorSpec>],
-    );
-    let configs: [Config<'_>; 4] = [
-        (
-            "stack/mono",
-            vec![stack_mono.value.clone()],
-            &stack_ev,
-            &stack_specs,
-        ),
-        (
-            "stack/parts",
-            stack_parts.value.clone(),
-            &stack_ev,
-            &stack_specs,
-        ),
-        (
-            "pager/mono",
-            vec![pager_mono.value.clone()],
-            &pager_ev,
-            &pager_specs,
-        ),
-        (
-            "pager/parts",
-            pager_parts.value.clone(),
-            &pager_ev,
-            &pager_specs,
-        ),
-    ];
-    // Static backend coverage per design configuration: how many
-    // states fuse into row-scan + residual-program form, and how much
-    // of the data path the bytecode VM compiles — recorded so the
-    // benchmark file says what the `compiled` configs actually
-    // exercised (100% fused means no s-graph walk inside an instant).
-    let coverage: Vec<(String, String)> = configs
-        .iter()
-        .map(|(label, designs, _, _)| {
-            let r = runner(designs.clone());
-            let cov = r.coverage();
-            let pure: u32 = r.machines().map(|m| m.stats().pure_states).sum();
-            (
-                label.replace('/', "_"),
-                format!(
-                    "{{\"fused_states\": {}, \"states\": {}, \"fused_rows\": {}, \"pure_states\": {pure}, \"vm_compiled\": {}, \"vm_total\": {}}}",
-                    cov.fused_states(),
-                    cov.states(),
-                    cov.fused_rows(),
-                    cov.vm_compiled(),
-                    cov.vm_total(),
-                ),
-            )
-        })
-        .collect();
-    let mut jobs: Vec<(String, Box<dyn FnMut() -> usize + '_>)> = Vec::new();
-    for (label, designs, events, specs) in &configs {
-        let d = designs.clone();
-        jobs.push((
-            format!("{label}/traced"),
-            Box::new(move || run_traced(walked(d.clone()), events)),
-        ));
-        let d = designs.clone();
-        jobs.push((
-            format!("{label}/monitored"),
-            Box::new(move || {
-                let r = walked(d.clone());
-                let mut mons = monitors_for(specs, &r, Backend::Walker);
-                run_ids(r, events, &mut mons)
-            }),
-        ));
-        let d = designs.clone();
-        jobs.push((
-            format!("{label}/compiled"),
-            Box::new(move || {
-                let r = runner(d.clone());
-                assert_eq!(r.backend(), Backend::Compiled);
-                let mut mons = monitors_for(specs, &r, Backend::Compiled);
-                run_ids(r, events, &mut mons)
-            }),
-        ));
-    }
-    let runs = measure_all(jobs);
-    let rate_of = |label: &str| {
-        runs.iter()
-            .find(|(l, _)| l == label)
-            .map(|(_, v)| *v)
-            .unwrap()
+    stack_ev.truncate(args.instants);
+    let mut pager_ev = ecl_bench::pager_events(args.instants / 69 + 2);
+    pager_ev.truncate(args.instants);
+    let specs_of = |src| {
+        synthesize_all(&ecl_syntax::parse_str(src).expect("design parses"))
+            .expect("observers synthesize")
     };
-    // The reference path: each design's walker-forced monitored mono
-    // run, so every config normalizes against its own workload.
-    let stack_ref = rate_of("stack/mono/monitored");
-    let pager_ref = rate_of("pager/mono/monitored");
-    let ref_of = |label: &str| {
-        if label.starts_with("pager") {
-            pager_ref
+    let stack_specs = specs_of(sim::designs::PROTOCOL_STACK);
+    let pager_specs = specs_of(sim::designs::VOICE_PAGER);
+
+    // Four design configurations, compile timed.
+    let config = |label: &'static str, t: Timed<Vec<Design>>| {
+        let (design, events, specs) = if label.starts_with("pager") {
+            ("voice_pager", &pager_ev[..], &pager_specs[..])
         } else {
-            stack_ref
+            ("protocol_stack", &stack_ev[..], &stack_specs[..])
+        };
+        DesignConfig {
+            label,
+            key: label.replace('/', "_"),
+            design,
+            designs: t.value,
+            compile_ms: t.ms,
+            events,
+            specs,
         }
     };
+    let configs = [
+        config("stack/mono", timed(|| vec![ecl_bench::stack_mono()])),
+        config("stack/parts", timed(ecl_bench::stack_parts)),
+        config("pager/mono", timed(|| vec![ecl_bench::pager_mono()])),
+        config("pager/parts", timed(ecl_bench::pager_parts)),
+    ];
+    let compile_ms: Vec<Member> = configs
+        .iter()
+        .map(|c| member(&c.key, format!("{:.2}", c.compile_ms)))
+        .collect();
 
+    let mut runs = runner_rows(&configs);
     // The fusion headline: one compiled backend vs the fully walked
     // path, same monitored workload, per design configuration.
-    let compiled_speedup = |label: &str| {
-        rate_of(&format!("{label}/compiled")) / rate_of(&format!("{label}/monitored"))
-    };
-    let compiled_speedups = [
-        ("stack_mono", compiled_speedup("stack/mono")),
-        ("stack_parts", compiled_speedup("stack/parts")),
-        ("pager_mono", compiled_speedup("pager/mono")),
-        ("pager_parts", compiled_speedup("pager/parts")),
-    ];
+    let speedups: Vec<Member> = configs
+        .iter()
+        .map(|c| {
+            let compiled = rate_of(&runs, &format!("{}/compiled", c.label));
+            let walked = rate_of(&runs, &format!("{}/monitored", c.label));
+            member(&c.key, format!("{:.2}", compiled / walked))
+        })
+        .collect();
+    runs.extend(fleet_rows(args.sessions, faults));
+    // The profile is a count, so telemetry is on for it whatever the
+    // environment says.
+    ecl_telemetry::set_enabled(true);
+    let (coverage, profiles): (Vec<Member>, Vec<Member>) = configs
+        .iter()
+        .map(|c| {
+            let (coverage, profile) = profile(c);
+            (member(&c.key, coverage), member(&c.key, profile))
+        })
+        .unzip();
+    ecl_telemetry::set_enabled(telemetry_on);
+    let monitors = monitor_stepping(&configs[0]);
+    let ablations = ablations();
 
-    // Render JSON (no serde in the container: hand-rolled, stable).
-    let mut json = String::new();
-    json.push_str("{\n");
-    let _ = writeln!(json, "  \"schema\": 1,");
-    let _ = writeln!(json, "  \"instants\": {instants},");
-    let _ = writeln!(json, "  \"compile_ms\": {{");
-    let _ = writeln!(json, "    \"stack_mono\": {:.2},", stack_mono.ms);
-    let _ = writeln!(json, "    \"stack_parts\": {:.2},", stack_parts.ms);
-    let _ = writeln!(json, "    \"pager_mono\": {:.2},", pager_mono.ms);
-    let _ = writeln!(json, "    \"pager_parts\": {:.2}", pager_parts.ms);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"coverage\": {{");
-    for (i, (key, obj)) in coverage.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    \"{key}\": {obj}{}",
-            if i + 1 < coverage.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"runs\": [");
-    for (i, (label, rate)) in runs.iter().enumerate() {
-        let _ = writeln!(
-            json,
-            "    {{\"config\": \"{label}\", \"instants_per_sec\": {:.0}, \"normalized\": {:.3}}}{}",
-            rate,
-            rate / ref_of(label),
-            if i + 1 < runs.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
-    let _ = writeln!(
-        json,
-        "  \"speedup_compiled_over_walker\": {{{}}}",
-        compiled_speedups
-            .iter()
-            .map(|(k, v)| format!("\"{k}\": {v:.2}"))
-            .collect::<Vec<_>>()
-            .join(", ")
-    );
-    json.push_str("}\n");
-
-    std::fs::write(&out_path, &json).expect("write benchmark output");
+    let rows: Vec<String> = runs.iter().map(|r| format!("    {}", r.render())).collect();
+    let json = object(
+        &[
+            member("schema", 1),
+            member("instants", args.instants),
+            member("compile_ms", object(&compile_ms, 1)),
+            member("coverage", object(&coverage, 1)),
+            member("runs", format!("[\n{}\n  ]", rows.join(",\n"))),
+            member("speedup_compiled_over_walker", inline(&speedups)),
+            member("monitor_stepping", inline(&monitors)),
+            member("ablations", object(&ablations, 1)),
+            member("profile", object(&profiles, 1)),
+        ],
+        0,
+    ) + "\n";
+    std::fs::write(&args.out, &json).expect("write benchmark output");
     println!("{json}");
-    println!("wrote {out_path}");
+    println!("wrote {}", args.out);
 
-    if let Some(baseline) = check_path {
-        let base = std::fs::read_to_string(&baseline)
-            .unwrap_or_else(|e| panic!("cannot read baseline {baseline}: {e}"));
-        let mut failures = Vec::new();
-        for (label, rate) in &runs {
-            let Some(base_norm) = extract_normalized(&base, label) else {
-                continue; // new config: no baseline yet
-            };
-            let norm = rate / ref_of(label);
-            if norm < base_norm * (1.0 - TOLERANCE) {
-                failures.push(format!(
-                    "{label}: normalized {norm:.3} regressed >{:.0}% against baseline {base_norm:.3}",
-                    TOLERANCE * 100.0
-                ));
-            }
-        }
+    if let (Some(path), Some(baseline)) = (&args.check, baseline) {
+        let measured: Vec<(&str, f64)> = runs
+            .iter()
+            .map(|r| (r.config.as_str(), r.normalized))
+            .collect();
+        let failures = ecl_bench::check(&baseline, &measured);
         if failures.is_empty() {
-            println!("check against {baseline}: OK");
+            println!("check against {path}: OK");
         } else {
-            eprintln!("benchmark regression against {baseline}:");
+            eprintln!("benchmark regression against {path}:");
             for f in &failures {
                 eprintln!("  {f}");
             }

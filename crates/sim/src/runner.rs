@@ -213,7 +213,7 @@ pub struct TaskCoverage {
 
 /// Compiled-backend coverage over a whole runner, per task — the one
 /// schema that replaced the `vm_coverage()`/`tabled_states()` tuple
-/// pair. Consumed by `gen_bench`, `gen_profile`, and (via
+/// pair. Consumed by `gen_bench` and (via
 /// [`CoverageReport::telemetry`]) the `run_end` telemetry event.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CoverageReport {

@@ -6,7 +6,7 @@
 //! the registry is closed and enumerable without link-time tricks:
 //! [`counters`] and [`histograms`] return every handle, and
 //! [`Snapshot`] captures/diffs them for per-config profiling
-//! (`gen_profile` resets between configs to attribute counts to one
+//! (`gen_bench` resets between configs to attribute counts to one
 //! design).
 
 use crate::{Counter, Histogram};
