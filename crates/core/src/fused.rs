@@ -1,0 +1,534 @@
+//! One dispatch loop per reaction: a task's fused compiled backend.
+//!
+//! [`efsm::CompiledEfsm`] resolves every presence test of an instant
+//! with one row scan and leaves, per program row, a residual IR of the
+//! predicates, actions and valued emits the walk would run. [`Fused`]
+//! translates that IR once, when the task's program is built, into one
+//! op stream ([`ecl_types::vm::Op`]) with each hook's folded bytecode
+//! inlined between reaction control ops, and [`Fused::step`] runs a
+//! program row in a single dispatch loop: no [`efsm::DataHooks`] call,
+//! no per-hook register-file setup.
+//!
+//! The loop keeps everything the walker reference shows: emission
+//! order, `nodes_visited` (pads charge where the resolved tests sat),
+//! fuel, error messages and spans, and the `pred_evals`/`action_runs`
+//! counters. After a data error the rest of the reaction runs the way
+//! the walker's hooks do: later predicates read false uncounted, later
+//! actions and valued emits are skipped, presence emissions and node
+//! charges continue. A hook outside the bytecode subset — and every
+//! hook once a walker-executed declaration has grown the root frame
+//! past what the bytecode was resolved against — runs on the
+//! tree-walker in place. States past the row cap keep the s-graph
+//! walker, with tree-walked data.
+
+use crate::rt::Rt;
+use ecl_syntax::source::Span;
+use ecl_telemetry::metrics as tm;
+use ecl_types::interp::fuel_exhausted;
+use ecl_types::vm::{self, BinKind, Op, Program};
+use ecl_types::{EvalError, Flow, Value, ValuesReader};
+use efsm::{BitSet, CompiledEfsm, Efsm, Hit, ResidualOp, Signal, StateId, StepOut};
+
+/// Tags a jump target as a residual pc until every block is placed.
+const RESIDUAL: u32 = 1 << 31;
+
+/// The fused compiled backend of one task: the row table of its EFSM
+/// and the op stream of its program rows, with the data bytecode of the
+/// runtime it was compiled against inlined.
+///
+/// Holds no reference to the machine or the runtime; callers pass the
+/// machine it was compiled from and a runtime of the same design (a
+/// clone of the one it was compiled against) to [`Fused::step`].
+#[derive(Debug, Clone)]
+pub struct Fused {
+    table: CompiledEfsm,
+    ops: Vec<Op>,
+    /// Residual pc → op pc.
+    entries: Vec<u32>,
+    /// `(pc, span)` of every fallible op, in pc order — read only on
+    /// the error path.
+    spans: Vec<(u32, Span)>,
+    /// Register-file size: the widest inlined hook.
+    regs: u16,
+}
+
+impl Fused {
+    /// Fuse the states of `m` into rows and translate every program
+    /// row's residual, with `rt`'s hook bytecode inlined.
+    pub fn compile(m: &Efsm, rt: &Rt) -> Fused {
+        let table = CompiledEfsm::compile(m);
+        let progs = &rt.fixed.progs;
+        let residual = table.residual();
+        let mut entries = vec![0; residual.len()];
+        let mut f = Stream::default();
+        let res = |pc: u32| RESIDUAL | pc;
+        // Blocks are placed in descending residual pc: a successor
+        // usually sits one pc below and so falls through.
+        for rpc in (0..residual.len()).rev() {
+            entries[rpc] = f.ops.len() as u32;
+            match residual[rpc] {
+                ResidualOp::Pred { pred, then_, else_ } => {
+                    let prog = progs.preds[pred.0 as usize].program();
+                    f.ops.push(Op::PredHead {
+                        pred: pred.0,
+                        then_: res(then_),
+                        else_: res(else_),
+                        walk: prog.is_none(),
+                    });
+                    if let Some(p) = prog {
+                        f.inline(p, [res(else_), res(then_)]);
+                        f.goto(else_, rpc);
+                    }
+                }
+                ResidualOp::Action { action, next } => {
+                    let prog = progs.actions[action.0 as usize].program();
+                    f.ops.push(Op::ActHead {
+                        action: action.0,
+                        next: res(next),
+                        walk: prog.is_none(),
+                    });
+                    if let Some(p) = prog {
+                        f.inline(p, [res(next); 2]);
+                        f.goto(next, rpc);
+                    }
+                }
+                ResidualOp::Emit {
+                    sig,
+                    value: None,
+                    next,
+                } => {
+                    f.ops.push(Op::Emit { sig: sig.0 });
+                    f.goto(next, rpc);
+                }
+                ResidualOp::Emit {
+                    sig,
+                    value: Some(expr),
+                    next,
+                } => {
+                    let prog = progs.emits[expr.0 as usize].program();
+                    let push = (f.ops.len() + 1 + prog.map_or(0, |p| p.ops.len())) as u32;
+                    f.ops.push(Op::EmitHead {
+                        expr: expr.0,
+                        push,
+                        walk: prog.is_none(),
+                    });
+                    if let Some(p) = prog {
+                        f.inline(p, [push; 2]);
+                    }
+                    f.ops.push(Op::Push { sig: sig.0 });
+                    f.goto(next, rpc);
+                }
+                ResidualOp::Pad { n, next } => {
+                    f.ops.push(Op::Pad { n });
+                    f.goto(next, rpc);
+                }
+                ResidualOp::End { target } => f.ops.push(Op::End { target: target.0 }),
+            }
+        }
+        for op in &mut f.ops {
+            op.map_targets(|t| match t & RESIDUAL {
+                0 => t,
+                _ => entries[(t & !RESIDUAL) as usize],
+            });
+        }
+        Fused {
+            table,
+            ops: f.ops,
+            entries,
+            spans: f.spans,
+            regs: f.regs,
+        }
+    }
+
+    /// The row table (fusion coverage: fused states, rows).
+    pub fn table(&self) -> &CompiledEfsm {
+        &self.table
+    }
+
+    /// One instant of the task: scan the state's rows; a simple row
+    /// appends its emissions, a program row runs in the dispatch loop
+    /// against `rt`, and a state past the row cap walks the s-graph of
+    /// `m` — the machine this was compiled from — with tree-walked
+    /// data. Allocation-free on the fused path.
+    ///
+    /// # Panics
+    ///
+    /// Panics (like the walker) if the machine is structurally broken.
+    #[inline]
+    pub fn step(
+        &self,
+        m: &Efsm,
+        state: StateId,
+        inputs: &BitSet,
+        rt: &mut Rt,
+        emitted: &mut Vec<Signal>,
+    ) -> StepOut {
+        match self.table.scan(state, inputs) {
+            Hit::Simple { emits, next, nodes } => {
+                emitted.extend_from_slice(emits);
+                StepOut {
+                    next,
+                    nodes_visited: nodes,
+                }
+            }
+            Hit::Program(entry) => self.run(rt, entry, emitted),
+            Hit::Walk => m.step_bits(state, inputs, rt, emitted),
+        }
+    }
+
+    /// The dispatch loop: run the program row entered at residual pc
+    /// `entry` to its `End`.
+    fn run(&self, rt: &mut Rt, entry: u32, emitted: &mut Vec<Signal>) -> StepOut {
+        let tel = ecl_telemetry::enabled();
+        let Rt {
+            fixed,
+            machine: m,
+            values,
+            error,
+            vm_regs,
+            action_runs,
+            pred_evals,
+        } = rt;
+        let fixed = &**fixed;
+        if vm_regs.len() < usize::from(self.regs) {
+            vm_regs.resize(usize::from(self.regs), 0);
+        }
+        let regs = &mut vm_regs[..];
+        let root_len = fixed.progs.root_len;
+        let ops = &self.ops[..];
+        let mut pc = self.entries[entry as usize] as usize;
+        let mut nodes = 0u32;
+        let mut fused_ops = 0u64;
+        // Where the running hook continues after a data error.
+        let mut skip = 0usize;
+        'dispatch: loop {
+            let op = &ops[pc];
+            if tel {
+                match op.telemetry_index() {
+                    Some(i) => {
+                        tm::VM_OPS[i].raw_add(1);
+                        if matches!(op, Op::FallbackStmt { .. }) {
+                            tm::VM_FALLBACK_STMTS.raw_add(1);
+                        }
+                    }
+                    None => fused_ops += u64::from(op.is_residual()),
+                }
+            }
+            let fault = 'op: {
+                match *op {
+                    Op::Burn { n } => {
+                        if !m.burn_n(u64::from(n)) {
+                            break 'op Fault::Fuel;
+                        }
+                    }
+                    Op::Const { dst, v } => regs[dst as usize] = v,
+                    Op::Conv { dst, src, ext } => regs[dst as usize] = ext.norm(regs[src as usize]),
+                    Op::LoadVar { dst, slot, ext } => {
+                        regs[dst as usize] = ext.read(&m.root_value(slot as usize).bytes, 0);
+                    }
+                    Op::StoreVar { slot, src, ext } => {
+                        let v = regs[src as usize];
+                        ext.write(&mut m.root_value_mut(slot as usize).bytes, 0, v);
+                    }
+                    Op::LoadVarOff {
+                        dst,
+                        slot,
+                        off,
+                        ext,
+                    } => {
+                        let bytes = &m.root_value(slot as usize).bytes;
+                        regs[dst as usize] = ext.read(bytes, off as usize);
+                    }
+                    Op::StoreVarOff {
+                        slot,
+                        off,
+                        src,
+                        ext,
+                    } => {
+                        let v = regs[src as usize];
+                        ext.write(&mut m.root_value_mut(slot as usize).bytes, off as usize, v);
+                    }
+                    Op::LoadVarIdx {
+                        dst,
+                        idx,
+                        slot,
+                        base,
+                        elem,
+                        len,
+                        ext,
+                    } => {
+                        let i = regs[idx as usize];
+                        if i < 0 || i >= i64::from(len) {
+                            break 'op Fault::Index(i, len);
+                        }
+                        let o = base as usize + i as usize * elem as usize;
+                        regs[dst as usize] = ext.read(&m.root_value(slot as usize).bytes, o);
+                    }
+                    Op::StoreVarIdx {
+                        src,
+                        idx,
+                        slot,
+                        base,
+                        elem,
+                        len,
+                        ext,
+                    } => {
+                        let i = regs[idx as usize];
+                        if i < 0 || i >= i64::from(len) {
+                            break 'op Fault::Index(i, len);
+                        }
+                        let o = base as usize + i as usize * elem as usize;
+                        let v = regs[src as usize];
+                        ext.write(&mut m.root_value_mut(slot as usize).bytes, o, v);
+                    }
+                    Op::LoadSig { dst, sig, ext } => {
+                        regs[dst as usize] = ext.read(&value(values, sig).bytes, 0);
+                    }
+                    Op::LoadSigOff { dst, sig, off, ext } => {
+                        regs[dst as usize] = ext.read(&value(values, sig).bytes, off as usize);
+                    }
+                    Op::LoadSigIdx {
+                        dst,
+                        idx,
+                        sig,
+                        base,
+                        elem,
+                        len,
+                        ext,
+                    } => {
+                        let i = regs[idx as usize];
+                        if i < 0 || i >= i64::from(len) {
+                            break 'op Fault::Index(i, len);
+                        }
+                        let o = base as usize + i as usize * elem as usize;
+                        regs[dst as usize] = ext.read(&value(values, sig).bytes, o);
+                    }
+                    Op::StoreSig { sig, src, ext } => {
+                        let v = regs[src as usize];
+                        let val = values[sig as usize].as_mut().expect("valued signal");
+                        ext.write(&mut val.bytes, 0, v);
+                    }
+                    Op::EmitCopy { sig, slot } => {
+                        let src = m.root_value(slot as usize);
+                        let dst = values[sig as usize].as_mut().expect("valued signal");
+                        dst.bytes.copy_from_slice(&src.bytes);
+                    }
+                    Op::Bin { op, dst, a, b, ext } => {
+                        match op.apply(regs[a as usize], regs[b as usize]) {
+                            Some(v) => regs[dst as usize] = ext.norm(v),
+                            None => break 'op Fault::ZeroDivisor(op),
+                        }
+                    }
+                    Op::BinImm {
+                        op,
+                        dst,
+                        a,
+                        imm,
+                        ext,
+                    } => {
+                        let v = op.apply(regs[a as usize], imm).unwrap_or_default();
+                        regs[dst as usize] = ext.norm(v);
+                    }
+                    Op::Un { op, dst, src, ext } => {
+                        regs[dst as usize] = ext.norm(op.apply(regs[src as usize]));
+                    }
+                    Op::Jmp { target } | Op::Goto { target } => {
+                        pc = target as usize;
+                        continue 'dispatch;
+                    }
+                    Op::JmpIf {
+                        cond,
+                        target,
+                        when_true,
+                    } => {
+                        if (regs[cond as usize] != 0) == when_true {
+                            pc = target as usize;
+                            continue 'dispatch;
+                        }
+                    }
+                    Op::JmpCmp { op, a, b, target } => {
+                        if op.holds(regs[a as usize], regs[b as usize]) {
+                            pc = target as usize;
+                            continue 'dispatch;
+                        }
+                    }
+                    Op::JmpCmpImm { op, a, target, imm } => {
+                        if op.holds(regs[a as usize], imm) {
+                            pc = target as usize;
+                            continue 'dispatch;
+                        }
+                    }
+                    Op::FallbackStmt {
+                        stmt,
+                        brk,
+                        cont,
+                        ret,
+                    } => {
+                        let reader = ValuesReader {
+                            values,
+                            by_name: &fixed.by_name,
+                        };
+                        pc = match m.exec(&fixed.progs.stmts[stmt as usize], &reader) {
+                            Ok(Flow::Normal) => pc + 1,
+                            Ok(Flow::Break) => brk as usize,
+                            Ok(Flow::Continue) => cont as usize,
+                            Ok(Flow::Return(_)) => ret as usize,
+                            Err(e) => break 'op Fault::Eval(e),
+                        };
+                        continue 'dispatch;
+                    }
+                    Op::PredHead {
+                        pred,
+                        then_,
+                        else_,
+                        walk,
+                    } => {
+                        nodes += 1;
+                        if error.is_some() {
+                            pc = else_ as usize;
+                            continue 'dispatch;
+                        }
+                        *pred_evals += 1;
+                        skip = else_ as usize;
+                        if walk || m.root_len() != root_len {
+                            pc = match fixed.walk_pred(m, values, pred as usize) {
+                                Ok(true) => then_ as usize,
+                                Ok(false) => else_ as usize,
+                                Err(e) => break 'op Fault::Eval(e),
+                            };
+                            continue 'dispatch;
+                        }
+                        if tel {
+                            tm::VM_HOOK_RUNS.raw_add(1);
+                        }
+                    }
+                    Op::ActHead { action, next, walk } => {
+                        nodes += 1;
+                        if error.is_some() {
+                            pc = next as usize;
+                            continue 'dispatch;
+                        }
+                        *action_runs += 1;
+                        skip = next as usize;
+                        if walk || m.root_len() != root_len {
+                            if let Err(e) = fixed.walk_action(m, values, action as usize) {
+                                break 'op Fault::Eval(e);
+                            }
+                            pc = next as usize;
+                            continue 'dispatch;
+                        }
+                        if tel {
+                            tm::VM_HOOK_RUNS.raw_add(1);
+                        }
+                    }
+                    Op::EmitHead { expr, push, walk } => {
+                        nodes += 1;
+                        skip = push as usize;
+                        if error.is_some() {
+                            pc = skip;
+                            continue 'dispatch;
+                        }
+                        if walk || m.root_len() != root_len {
+                            if let Err(e) = fixed.walk_emit(m, values, expr as usize) {
+                                break 'op Fault::Eval(e);
+                            }
+                            pc = skip;
+                            continue 'dispatch;
+                        }
+                        if tel {
+                            tm::VM_HOOK_RUNS.raw_add(1);
+                        }
+                    }
+                    Op::Push { sig } => emitted.push(Signal(sig)),
+                    Op::Emit { sig } => {
+                        nodes += 1;
+                        emitted.push(Signal(sig));
+                    }
+                    Op::Pad { n } => nodes += n,
+                    Op::End { target } => {
+                        nodes += 1;
+                        if tel {
+                            tm::TABLE_FUSED_HITS.raw_add(1);
+                            tm::TABLE_FUSED_OPS.raw_add(fused_ops);
+                        }
+                        return StepOut {
+                            next: StateId(target),
+                            nodes_visited: nodes,
+                        };
+                    }
+                }
+                pc += 1;
+                continue 'dispatch;
+            };
+            // Error mode: record the first error and leave the hook.
+            *error = Some(fault.into_error(&self.spans, pc as u32));
+            pc = skip;
+        }
+    }
+}
+
+/// The op stream under construction.
+#[derive(Default)]
+struct Stream {
+    ops: Vec<Op>,
+    spans: Vec<(u32, Span)>,
+    regs: u16,
+}
+
+impl Stream {
+    /// Continue at residual block `next` from the block of `rpc`: a
+    /// jump, unless `next` is placed right after it.
+    fn goto(&mut self, next: u32, rpc: usize) {
+        if next as usize + 1 != rpc {
+            self.ops.push(Op::Goto {
+                target: RESIDUAL | next,
+            });
+        }
+    }
+
+    /// Append hook program `p`, relocated, with its exits (`len`,
+    /// `len + 1`; see [`Program`]) sent to `exits`.
+    fn inline(&mut self, p: &Program, exits: [u32; 2]) {
+        let base = self.ops.len() as u32;
+        let len = p.ops.len() as u32;
+        self.spans
+            .extend(p.spans.iter().map(|&(pc, span)| (base + pc, span)));
+        self.ops.extend(p.ops.iter().map(|&op| {
+            let mut op = op;
+            op.map_targets(|t| match t.checked_sub(len) {
+                None => base + t,
+                Some(exit) => exits[exit as usize],
+            });
+            op
+        }));
+        self.regs = self.regs.max(p.regs);
+    }
+}
+
+/// The current value of valued signal `sig`.
+#[inline]
+fn value(values: &[Option<Value>], sig: u32) -> &Value {
+    values[sig as usize].as_ref().expect("valued signal")
+}
+
+/// A data error raised inside the loop, before its span is looked up.
+enum Fault {
+    Fuel,
+    Index(i64, u32),
+    ZeroDivisor(BinKind),
+    Eval(EvalError),
+}
+
+impl Fault {
+    /// The walker's error for this fault at op `pc`.
+    #[cold]
+    fn into_error(self, spans: &[(u32, Span)], pc: u32) -> EvalError {
+        let span = vm::span_at(spans, pc);
+        match self {
+            Fault::Fuel => fuel_exhausted(span),
+            Fault::Index(i, len) => vm::index_error(i, len, span),
+            Fault::ZeroDivisor(op) => vm::zero_divisor_error(op, span),
+            Fault::Eval(e) => e,
+        }
+    }
+}

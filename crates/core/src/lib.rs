@@ -43,11 +43,13 @@
 //! ```
 
 pub mod elab;
+pub mod fused;
 pub mod pipeline;
 pub mod rt;
 pub mod split;
 
 pub use ecl_syntax::diag::{Diagnostics, EclError, Stage};
+pub use fused::Fused;
 pub use pipeline::{Design, Source};
 pub use rt::Rt;
 pub use split::{DataTable, SplitStrategy};

@@ -10,27 +10,26 @@
 //! * the C interpreter ([`ecl_types::Machine`]) used to run extracted
 //!   actions, evaluate EFSM predicates and compute `emit_v` values;
 //! * the compiled data path: at construction every predicate, action
-//!   and emit expression is lowered to register bytecode
+//!   and emit expression is lowered to folded register bytecode
 //!   ([`ecl_types::vm`]) over the frame's dense slots and the signal
-//!   indices, and the [`efsm::DataHooks`] impl dispatches there by
-//!   default ([`Rt::set_backend`] with [`efsm::Backend::Walker`]
-//!   forces the tree-walker for measurement; both backends are
-//!   differential-tested equal, including error instants, fuel-derived
-//!   cycle charges and the `pred_evals`/`action_runs` counters).
+//!   indices, which [`crate::Fused`] inlines into each task's reaction
+//!   loop.
 //!
-//! One `Rt` instance backs the Esterel interpreter and compiled EFSMs
-//! alike — both call the same [`efsm::DataHooks`] entry points, which
-//! is what makes differential testing between the two meaningful.
+//! The [`efsm::DataHooks`] impl is the tree-walking reference: the
+//! s-graph walker and the constructive interpreter call it, and fused
+//! reactions are differential-tested equal to it, including error
+//! instants, fuel-derived cycle charges and the
+//! `pred_evals`/`action_runs` counters.
 
 use crate::elab::Elab;
 use crate::split::DataTable;
-use ecl_syntax::ast::Program;
+use ecl_syntax::ast::{Program, Stmt};
 use ecl_syntax::diag::DiagSink;
-use ecl_types::vm::{self, Compiled};
+use ecl_types::vm::Compiled;
 use ecl_types::{
-    FxHashMap, Lowering, Machine, SignalLayout, TypeId, TypeTable, Value, ValuesReader,
+    EvalError, FxHashMap, Lowering, Machine, SignalLayout, TypeId, TypeTable, Value, ValuesReader,
 };
-use efsm::{ActionId, Backend, DataHooks, ExprId, PredId, Signal};
+use efsm::{ActionId, DataHooks, ExprId, PredId, Signal};
 use std::fmt;
 use std::sync::Arc;
 
@@ -50,31 +49,98 @@ impl fmt::Display for RtError {
 impl std::error::Error for RtError {}
 
 /// The compiled data hooks of one runtime: bytecode programs (or
-/// walker markers) per predicate / action / emit expression, plus the
-/// root-scope length they were resolved against — slot resolutions are
-/// valid only while the root frame hasn't grown (root bindings are
-/// append-only; only a walker-executed top-level declaration can add
-/// one, after which every hook conservatively walks).
+/// walker markers) per predicate / action / emit expression, the pool
+/// of fallback statements they index, and the root-scope length they
+/// were resolved against — slot resolutions are valid only while the
+/// root frame hasn't grown (root bindings are append-only; only a
+/// walker-executed declaration can add one, after which every hook
+/// conservatively walks).
 #[derive(Debug)]
-struct DataProgs {
-    preds: Vec<Compiled>,
-    actions: Vec<Compiled>,
-    emits: Vec<Compiled>,
-    root_len: usize,
+pub(crate) struct DataProgs {
+    pub(crate) preds: Vec<Compiled>,
+    pub(crate) actions: Vec<Compiled>,
+    pub(crate) emits: Vec<Compiled>,
+    pub(crate) stmts: Vec<Stmt>,
+    pub(crate) root_len: usize,
 }
 
 /// The fixed half of a runtime: what construction builds and no
 /// instant changes. The machine's type table, functions and frame
 /// layout are shared copy-on-write inside [`Machine`] itself.
 #[derive(Debug)]
-struct Fixed {
+pub(crate) struct Fixed {
     data: DataTable,
     /// Signal index → resolved value type.
     sig_types: Vec<Option<TypeId>>,
     /// Signal name → index.
-    by_name: FxHashMap<String, usize>,
+    pub(crate) by_name: FxHashMap<String, usize>,
     /// Bytecode programs compiled from the data table.
-    progs: DataProgs,
+    pub(crate) progs: DataProgs,
+}
+
+impl Fixed {
+    /// Evaluate predicate `i` on the tree-walker.
+    pub(crate) fn walk_pred(
+        &self,
+        m: &mut Machine,
+        values: &[Option<Value>],
+        i: usize,
+    ) -> Result<bool, EvalError> {
+        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        let reader = ValuesReader {
+            values,
+            by_name: &self.by_name,
+        };
+        m.eval(&self.data.preds[i], &reader).map(|v| v.is_truthy())
+    }
+
+    /// Run action `i` on the tree-walker.
+    pub(crate) fn walk_action(
+        &self,
+        m: &mut Machine,
+        values: &[Option<Value>],
+        i: usize,
+    ) -> Result<(), EvalError> {
+        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        let reader = ValuesReader {
+            values,
+            by_name: &self.by_name,
+        };
+        for s in &self.data.actions[i] {
+            m.exec(s, &reader)?;
+        }
+        Ok(())
+    }
+
+    /// Compute emit expression `i` on the tree-walker and store it as
+    /// its signal's value (a pure signal's is evaluated and dropped).
+    pub(crate) fn walk_emit(
+        &self,
+        m: &mut Machine,
+        values: &mut [Option<Value>],
+        i: usize,
+    ) -> Result<(), EvalError> {
+        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        let (e, sig) = &self.data.emit_exprs[i];
+        let si = sig.0 as usize;
+        let reader = ValuesReader {
+            values,
+            by_name: &self.by_name,
+        };
+        let v = m.eval(e, &reader)?;
+        if let Some(ty) = self.sig_types[si] {
+            match v.convert(m.table(), ty) {
+                Some(cv) => values[si] = Some(cv),
+                None => {
+                    return Err(EvalError {
+                        msg: format!("emit_v value not convertible to signal type for signal {si}"),
+                        span: e.span,
+                    })
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// The data-side runtime for one design instance.
@@ -85,21 +151,16 @@ struct Fixed {
 /// the counters.
 #[derive(Debug, Clone)]
 pub struct Rt {
-    fixed: Arc<Fixed>,
-    machine: Machine,
+    pub(crate) fixed: Arc<Fixed>,
+    pub(crate) machine: Machine,
     /// Signal index → current value (valued signals only).
-    values: Vec<Option<Value>>,
+    pub(crate) values: Vec<Option<Value>>,
     /// First evaluation error encountered (subsequent actions are
     /// skipped until it is taken).
-    error: Option<ecl_types::EvalError>,
-    /// Register-file scratch reused across hook runs (no steady-state
-    /// allocation).
-    vm_regs: Vec<i64>,
-    /// Which backend dispatches the data hooks: [`Backend::Compiled`]
-    /// (default) runs them on the bytecode VM; [`Backend::Walker`]
-    /// forces the tree-walker everywhere — observationally identical,
-    /// the toggle exists for measurement and bisection.
-    backend: Backend,
+    pub(crate) error: Option<EvalError>,
+    /// Register file of the fused reaction loop, reused across
+    /// reactions (no steady-state allocation).
+    pub(crate) vm_regs: Vec<i64>,
     /// Count of executed actions/predicates/emissions (cost metrics).
     pub action_runs: u64,
     /// Count of predicate evaluations.
@@ -184,14 +245,17 @@ impl Rt {
             sig_types: &sig_types,
         };
         let mut lw = Lowering::new(&mut machine, &layout);
+        let preds = data.preds.iter().map(|e| lw.pred(e)).collect();
+        let actions = data.actions.iter().map(|a| lw.action(a)).collect();
+        let emits = (data.emit_exprs.iter())
+            .map(|(e, sig)| lw.emit(e, sig.0 as usize, sig_types[sig.0 as usize]))
+            .collect();
+        let stmts = lw.into_stmts();
         let progs = DataProgs {
-            preds: data.preds.iter().map(|e| lw.pred(e)).collect(),
-            actions: data.actions.iter().map(|a| lw.action(a)).collect(),
-            emits: data
-                .emit_exprs
-                .iter()
-                .map(|(e, sig)| lw.emit(e, sig.0 as usize, sig_types[sig.0 as usize]))
-                .collect(),
+            preds,
+            actions,
+            emits,
+            stmts,
             root_len: machine.root_len(),
         };
         Ok(Rt {
@@ -205,7 +269,6 @@ impl Rt {
             values,
             error: None,
             vm_regs: Vec::new(),
-            backend: Backend::default(),
             action_runs: 0,
             pred_evals: 0,
         })
@@ -221,22 +284,8 @@ impl Rt {
         &mut self.machine
     }
 
-    /// Choose the data-hook backend: [`Backend::Compiled`] (the
-    /// default) dispatches to the bytecode VM, [`Backend::Walker`]
-    /// forces the tree-walker everywhere. Semantics are identical
-    /// either way (differential-tested); the switch exists for
-    /// measurement, bisection and differential gating.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.backend = backend;
-    }
-
-    /// The active data-hook backend.
-    pub fn backend(&self) -> Backend {
-        self.backend
-    }
-
-    /// `(vm-compiled hooks, total hooks)` — how much of the design's
-    /// data path runs on bytecode rather than the walker.
+    /// `(compiled hooks, total hooks)` — how much of the design's data
+    /// path fused reactions run as bytecode rather than on the walker.
     pub fn vm_coverage(&self) -> (u32, u32) {
         let progs = &self.fixed.progs;
         let all = [&progs.preds, &progs.actions, &progs.emits];
@@ -244,20 +293,13 @@ impl Rt {
         let vm: usize = all
             .iter()
             .flat_map(|v| v.iter())
-            .filter(|c| c.is_vm())
+            .filter(|c| c.program().is_some())
             .count();
         (vm as u32, total as u32)
     }
 
-    /// Are the compiled slot resolutions still valid? (The root frame
-    /// is append-only; it grows only if a walker-executed top-level
-    /// declaration added a binding.)
-    fn progs_valid(&self) -> bool {
-        self.backend == Backend::Compiled && self.fixed.progs.root_len == self.machine.root_len()
-    }
-
     /// Take the first pending evaluation error, if any.
-    pub fn take_error(&mut self) -> Option<ecl_types::EvalError> {
+    pub fn take_error(&mut self) -> Option<EvalError> {
         self.error.take()
     }
 
@@ -345,7 +387,9 @@ impl Rt {
     }
 
     /// [`Rt::set_input_value`] by signal index (cross-task value copy
-    /// without a name lookup).
+    /// without a name lookup). A value of the signal's own type is
+    /// copied into the existing buffer (no allocation once the signal
+    /// has been set once); only a real type change converts.
     ///
     /// # Errors
     ///
@@ -356,7 +400,16 @@ impl Rt {
                 msg: format!("signal #{idx} is pure or unknown"),
             });
         };
-        let Some(conv) = v.clone().convert(self.machine.table(), ty) else {
+        if v.ty == ty {
+            match &mut self.values[idx] {
+                Some(cur) if cur.ty == ty && cur.bytes.len() == v.bytes.len() => {
+                    cur.bytes.copy_from_slice(&v.bytes);
+                }
+                slot => *slot = Some(v.clone()),
+            }
+            return Ok(());
+        }
+        let Some(conv) = v.convert(self.machine.table(), ty) else {
             return Err(RtError {
                 msg: format!("type mismatch for signal #{idx}"),
             });
@@ -366,43 +419,22 @@ impl Rt {
     }
 }
 
+/// The tree-walking reference: every hook evaluates its AST. Fused
+/// reactions never call these (they inline the bytecode); the s-graph
+/// walker and the constructive interpreter do.
 impl DataHooks for Rt {
     fn eval_pred(&mut self, pred: PredId) -> bool {
         if self.error.is_some() {
             return false;
         }
         self.pred_evals += 1;
-        let i = pred.0 as usize;
-        let vm_path = self.progs_valid() && self.fixed.progs.preds[i].is_vm();
-        // One execution entry point: disjoint-field borrows split the
-        // machine (mutable) from the value store and data table (the
-        // shared `ValuesReader` view serves the walker and the VM's
-        // fallback ops alike).
         let Rt {
+            fixed,
             machine,
             values,
-            fixed,
-            vm_regs,
             ..
         } = self;
-        let Fixed {
-            data,
-            by_name,
-            progs,
-            ..
-        } = &**fixed;
-        let out = if vm_path {
-            let Compiled::Vm(prog) = &progs.preds[i] else {
-                unreachable!("vm_path checked above")
-            };
-            vm::run(prog, machine, values, by_name, vm_regs).map(|v| v != 0)
-        } else {
-            ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
-            machine
-                .eval(&data.preds[i], &ValuesReader { values, by_name })
-                .map(|v| v.is_truthy())
-        };
-        match out {
+        match fixed.walk_pred(machine, values, pred.0 as usize) {
             Ok(v) => v,
             Err(e) => {
                 self.error = Some(e);
@@ -416,37 +448,14 @@ impl DataHooks for Rt {
             return;
         }
         self.action_runs += 1;
-        let i = action.0 as usize;
-        let vm_path = self.progs_valid() && self.fixed.progs.actions[i].is_vm();
         let Rt {
+            fixed,
             machine,
             values,
-            fixed,
-            vm_regs,
             ..
         } = self;
-        let Fixed {
-            data,
-            by_name,
-            progs,
-            ..
-        } = &**fixed;
-        if vm_path {
-            let Compiled::Vm(prog) = &progs.actions[i] else {
-                unreachable!("vm_path checked above")
-            };
-            if let Err(e) = vm::run(prog, machine, values, by_name, vm_regs) {
-                self.error = Some(e);
-            }
-        } else {
-            ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
-            let reader = ValuesReader { values, by_name };
-            for s in &data.actions[i] {
-                if let Err(e) = machine.exec(s, &reader) {
-                    self.error = Some(e);
-                    break;
-                }
-            }
+        if let Err(e) = fixed.walk_action(machine, values, action.0 as usize) {
+            self.error = Some(e);
         }
     }
 
@@ -455,54 +464,18 @@ impl DataHooks for Rt {
             return;
         }
         let i = expr.0 as usize;
-        let si = sig.0 as usize;
-        let vm_path = self.progs_valid() && self.fixed.progs.emits[i].is_vm();
+        debug_assert_eq!(
+            self.fixed.data.emit_exprs[i].1, sig,
+            "emit expr bound to a different signal"
+        );
         let Rt {
+            fixed,
             machine,
             values,
-            fixed,
-            vm_regs,
             ..
         } = self;
-        let Fixed {
-            data,
-            sig_types,
-            by_name,
-            progs,
-        } = &**fixed;
-        let (e, target) = &data.emit_exprs[i];
-        debug_assert_eq!(*target, sig, "emit expr bound to a different signal");
-        if vm_path {
-            // The compiled program stores the converted value into the
-            // signal's buffer itself (in place).
-            let Compiled::Vm(prog) = &progs.emits[i] else {
-                unreachable!("vm_path checked above")
-            };
-            if let Err(e) = vm::run(prog, machine, values, by_name, vm_regs) {
-                self.error = Some(e);
-            }
-            return;
-        }
-        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
-        let out = machine.eval(e, &ValuesReader { values, by_name });
-        match out {
-            Ok(v) => {
-                if let Some(ty) = sig_types[si] {
-                    match v.convert(machine.table(), ty) {
-                        Some(cv) => values[si] = Some(cv),
-                        None => {
-                            self.error = Some(ecl_types::EvalError {
-                                msg: format!(
-                                    "emit_v value not convertible to signal type for signal {}",
-                                    si
-                                ),
-                                span: e.span,
-                            })
-                        }
-                    }
-                }
-            }
-            Err(e) => self.error = Some(e),
+        if let Err(e) = fixed.walk_emit(machine, values, i) {
+            self.error = Some(e);
         }
     }
 }
@@ -525,12 +498,14 @@ mod tests {
 
     /// A counter whose source also carries a C function; its body is
     /// appended to the data table as one more action, so a hook can
-    /// run a top-level declaration.
+    /// run a top-level declaration — one that shadows the enum
+    /// constant the counter's predicate compares against.
     const SRC: &str = "
-        void extra() { int fresh = 7; }
+        typedef enum { LIMIT = 2 } lim_t;
+        void extra() { int fresh = 7; int LIMIT = 0; }
         module counter(input pure tick, output pure full) {
           int n;
-          while (1) { await (tick); n = n + 1; if (n > 2) { emit (full); n = 0; } }
+          while (1) { await (tick); n = n + 1; if (n > LIMIT) { emit (full); n = 0; } }
         }";
 
     fn frame(rt: &Rt) -> Vec<(String, Value)> {
@@ -555,7 +530,8 @@ mod tests {
         data.actions.push(body.unwrap().body.clone().unwrap().stmts);
         let extra = ActionId(data.actions.len() as u32 - 1);
         let original = Rt::new(&d.ast, &d.elab, &data).unwrap();
-        assert!(original.progs_valid(), "a fresh runtime runs on the VM");
+        let fresh = |rt: &Rt| rt.fixed.progs.root_len == rt.machine().root_len();
+        assert!(fresh(&original), "a fresh runtime runs its bytecode");
         let (len, entries) = (original.machine().root_len(), frame(&original));
         let int = original.machine().table().int();
         let new_ty = Type::Array(int, 99);
@@ -564,7 +540,6 @@ mod tests {
         // The walker runs the declaration at top level: a new root
         // binding, on the clone only. Finding `int` copies no table.
         let mut grown = original.clone();
-        grown.set_backend(Backend::Walker);
         grown.run_action(extra);
         assert!(grown.take_error().is_none());
         assert!(std::ptr::eq(
@@ -573,28 +548,51 @@ mod tests {
         ));
         grown.machine_mut().table_mut().intern(new_ty);
         assert!(grown.machine().table().lookup(new_ty).is_some());
-        assert_eq!(grown.machine().root_len(), len + 1);
+        assert_eq!(grown.machine().root_len(), len + 2);
         assert!(grown.machine().root_lookup("fresh").is_some());
-        grown.set_backend(Backend::Compiled);
-        assert!(!grown.progs_valid(), "a grown frame walks every hook");
+        assert!(!fresh(&grown), "a grown frame walks every hook");
 
         // The original saw none of it.
         assert_eq!(original.machine().root_len(), len);
         assert_eq!(frame(&original), entries);
         assert_eq!(original.machine().root_lookup("fresh"), None);
         assert_eq!(original.machine().table().lookup(new_ty), None);
-        assert!(original.progs_valid());
+        assert!(fresh(&original));
 
-        // A second clone still runs its hooks on the VM.
-        let mut second = original.clone();
-        assert!(second.progs_valid());
-        let progs = &second.fixed.progs;
-        let on_vm = (0..progs.actions.len()).find(|&i| progs.actions[i].is_vm());
-        let on_vm = ActionId(on_vm.expect("the counter's updates compile") as u32);
-        second.run_action(on_vm);
-        assert!(second.take_error().is_none());
-        assert!(second.progs_valid());
-        assert_ne!(frame(&second), entries, "the VM hook wrote the frame");
+        // Clones step through the fused reaction compiled against the
+        // original and agree with the walker reference: a second clone
+        // runs the inlined bytecode, while the grown one walks every
+        // hook, because its `LIMIT` variable now shadows the constant
+        // the bytecode folded.
+        let efsm = d.to_efsm(&Default::default()).unwrap();
+        let fused = crate::Fused::compile(&efsm, &original);
+        let tick: efsm::BitSet = [d.signal("tick").unwrap().0 as usize].into_iter().collect();
+        let mut runs = [
+            (original.clone(), true),
+            (original.clone(), false),
+            (grown.clone(), true),
+            (grown.clone(), false),
+        ]
+        .map(|(rt, fused)| (rt, fused, efsm.init, Vec::new()));
+        for _ in 0..5 {
+            for (rt, on_fused, state, emitted) in &mut runs {
+                *state = if *on_fused {
+                    fused.step(&efsm, *state, &tick, rt, emitted).next
+                } else {
+                    efsm.step_bits(*state, &tick, rt, emitted).next
+                };
+                assert!(rt.take_error().is_none());
+            }
+        }
+        let seen = |i: usize| (runs[i].2, runs[i].3.clone(), frame(&runs[i].0));
+        assert_eq!(seen(0), seen(1), "bytecode and walker agree");
+        assert_eq!(seen(2), seen(3), "a grown frame walks like the walker");
+        assert_ne!(runs[0].3, runs[2].3, "`LIMIT` is shadowed once grown");
+        assert_ne!(
+            frame(&runs[0].0),
+            entries,
+            "the fused hooks wrote the frame"
+        );
         assert_eq!(frame(&original), entries);
     }
 }

@@ -36,6 +36,15 @@ pub struct EvalError {
     pub span: Span,
 }
 
+/// The walker's fuel-exhaustion error at `span`.
+#[cold]
+pub fn fuel_exhausted(span: Span) -> EvalError {
+    EvalError {
+        msg: "interpreter fuel exhausted (runaway data loop?)".into(),
+        span,
+    }
+}
+
 impl fmt::Display for EvalError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "eval error: {} (at {})", self.msg, self.span)
@@ -323,32 +332,28 @@ impl Machine {
 
     fn burn(&mut self, span: Span) -> Result<(), EvalError> {
         if self.fuel == 0 {
-            return err("interpreter fuel exhausted (runaway data loop?)", span);
+            return Err(fuel_exhausted(span));
         }
         self.fuel -= 1;
         Ok(())
     }
 
-    /// Charge `n` interpreter steps at once — the bytecode VM's batched
-    /// equivalent of `n` `Machine::burn` calls: succeeds iff the
-    /// walker would have survived all `n`, and leaves the fuel at 0 on
-    /// exhaustion (exactly where the walker's step-by-step decrement
-    /// would have errored).
-    ///
-    /// # Errors
-    ///
-    /// The walker's fuel-exhaustion error when fewer than `n` steps
-    /// remain.
-    pub fn burn_n(&mut self, n: u64, span: Span) -> Result<(), EvalError> {
+    /// Charge `n` interpreter steps at once — the compiled path's
+    /// batched equivalent of `n` `Machine::burn` calls: returns whether
+    /// the walker would have survived all `n`, and leaves the fuel at 0
+    /// on exhaustion (exactly where the walker's step-by-step decrement
+    /// would have errored with [`fuel_exhausted`]).
+    #[inline]
+    pub fn burn_n(&mut self, n: u64) -> bool {
         if self.fuel < n {
             self.fuel = 0;
-            return err("interpreter fuel exhausted (runaway data loop?)", span);
+            return false;
         }
         self.fuel -= n;
-        Ok(())
+        true
     }
 
-    // -- root-scope (flat frame) access for the bytecode VM ---------------
+    // -- root-scope (flat frame) access for compiled reactions ------------
 
     /// Number of slots in the root scope (the design's flat variable
     /// frame). The VM compiler records this at lowering time: root
@@ -363,7 +368,7 @@ impl Machine {
         self.root_names.index.get(name).copied()
     }
 
-    /// Read a root-scope slot by index (the VM's variable load path).
+    /// Read a root-scope slot by index (the compiled variable load path).
     ///
     /// # Panics
     ///
@@ -372,7 +377,8 @@ impl Machine {
         &self.root[slot]
     }
 
-    /// Mutable root-scope slot by index (the VM's variable store path).
+    /// Mutable root-scope slot by index (the compiled variable store
+    /// path).
     ///
     /// # Panics
     ///

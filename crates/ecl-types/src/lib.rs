@@ -14,9 +14,11 @@
 //! * [`interp`] — an interpreter for the data fragments the ECL splitter
 //!   extracts as C functions, plus plain user C functions;
 //! * [`lower`] + [`vm`] — the compiled data path: every predicate,
-//!   action and valued-emit expression lowers once to a register
-//!   bytecode program over dense frame slots and signal indices, with
-//!   tree-walker fallback ops for constructs outside the subset.
+//!   action and valued-emit expression lowers once, folding as it goes,
+//!   to a register bytecode program over dense frame slots and signal
+//!   indices, with tree-walker fallback ops for constructs outside the
+//!   subset; `ecl_core` inlines the programs into one dispatch loop per
+//!   reaction.
 //!
 //! # Example
 //!

@@ -14,18 +14,42 @@
 //! Lowerable: integer-scalar arithmetic/comparison/logic with C
 //! promotion and conversion semantics, reads of integer-typed signal
 //! values, static projection chains (`var.field.arr[i]`,
-//! `sig.field[i]`) with bounds-checked dynamic indices, assignments
+//! `sig.field[i]`) with one bounds-checked dynamic index, assignments
 //! (simple and compound) and `++`/`--`, `if`/`while`/`do`/`for` with
 //! `break`/`continue`/`return`, block-scoped integer locals (compiled
 //! to registers), integer casts, `sizeof`, ternary and comma, and
 //! whole-aggregate `emit_v (sig, var)` copies.
 //!
 //! Everything else — function calls, floats, `switch`, aggregate
-//! rvalues, string/pointer operations — compiles to
+//! rvalues, string/pointer operations, chains with two dynamic
+//! indices — compiles to
 //! [`Op::FallbackStmt`] at statement granularity: the subtree executes
 //! through the tree-walker with its control-flow result mapped back
 //! onto compiled jump targets. A hook whose shape the subset cannot
 //! express at all stays [`Compiled::Walker`].
+//!
+//! ## Folding
+//!
+//! Lowering folds as it goes, in the one pass:
+//!
+//! * constant operands stay immediates: a constant subexpression or
+//!   conversion is evaluated at the operation's C width (wrapping
+//!   exactly as the walker's `Value` arithmetic does), and a constant
+//!   right operand becomes an immediate ([`Op::BinImm`],
+//!   [`Op::JmpCmpImm`]; a constant left operand of a commutative or
+//!   mirrored operator is swapped right);
+//! * a division or remainder by a constant zero is never folded — it
+//!   stays a run-time op, so the walker's error instant survives;
+//! * every condition (`if`, loops, `?:`, `&&`/`||` operands and
+//!   predicates) compiles to a compare-and-branch, with no 0/1 value
+//!   materialized; a constant condition jumps or falls through;
+//! * an in-bounds constant index becomes a static offset; an
+//!   out-of-range one is left to the run-time check, so the walker's
+//!   message and span survive;
+//! * an indexed load or store is one bounds-checked op
+//!   ([`Op::LoadVarIdx`], [`Op::StoreVarIdx`], [`Op::LoadSigIdx`]);
+//! * a widening that keeps every value (`unsigned char` → `int`) emits
+//!   no conversion.
 //!
 //! ## Exactness rules
 //!
@@ -34,7 +58,8 @@
 //!   segment and emits coalesced [`Op::Burn`]s, flushed before every
 //!   jump, label, store and fallible op — total consumption is
 //!   bit-identical on every successful path (and errors still observe
-//!   every burn that precedes them).
+//!   every burn that precedes them). Folding never removes or moves a
+//!   burn: a folded op flushes where its unfolded form would have.
 //! * **Declarations**: a `Decl` at action top level would create a
 //!   *persistent* root-scope binding, so such actions stay on the
 //!   walker. Block-scoped declarations become registers; if anything
@@ -43,7 +68,7 @@
 //!   must never reference a register-resident local).
 //! * **Validity**: compiled slot resolutions are valid as long as the
 //!   root scope hasn't grown ([`Machine::root_len`] is checked at
-//!   dispatch; root bindings are append-only).
+//!   every hook entry; root bindings are append-only).
 
 use crate::interp::Machine;
 use crate::types::{Type, TypeId};
@@ -80,6 +105,35 @@ enum Res {
     Enum(i64),
 }
 
+/// An expression's value at lowering time: a register, or a constant
+/// already normalized to the expression's type.
+#[derive(Clone, Copy)]
+enum Val {
+    Reg(u16),
+    Imm(i64),
+}
+
+/// A condition ready for a compare-and-branch.
+#[derive(Clone, Copy)]
+enum Cond {
+    /// Known at compile time.
+    Imm(bool),
+    /// Holds when the register is non-zero (`true`) or zero (`false`).
+    Reg(u16, bool),
+    /// Holds when `a op b` (a comparison kernel).
+    Cmp(BinKind, u16, Val),
+}
+
+impl Cond {
+    fn not(self) -> Cond {
+        match self {
+            Cond::Imm(b) => Cond::Imm(!b),
+            Cond::Reg(r, nz) => Cond::Reg(r, !nz),
+            Cond::Cmp(op, a, b) => Cond::Cmp(op.negated(), a, b),
+        }
+    }
+}
+
 /// Where a resolved lvalue lives.
 enum PlaceKind {
     /// A register local (always a whole scalar).
@@ -95,8 +149,15 @@ enum Off {
     Whole,
     /// Compile-time constant offset.
     Static(u32),
-    /// Offset computed into a register (dynamic indices involved).
-    Dyn(u16),
+    /// One dynamic index, checked by the access itself:
+    /// `base + idx * elem` with `0 <= idx < len`.
+    Idx {
+        idx: u16,
+        base: u32,
+        elem: u32,
+        len: u32,
+        span: Span,
+    },
 }
 
 /// A resolved lvalue: location + leaf scalar type.
@@ -107,11 +168,14 @@ struct Place {
 }
 
 /// The bytecode compiler. One instance lowers all hooks of a runtime;
-/// internal state is reset per program.
+/// internal state is reset per program, except the pool of fallback
+/// statements, which all programs index.
 pub struct Lowering<'a> {
     m: &'a mut Machine,
     sigs: &'a dyn SignalLayout,
     ops: Vec<Op>,
+    /// `(pc, span)` of the fallible ops emitted so far.
+    spans: Vec<(u32, Span)>,
     /// Label id → op index (`u32::MAX` while unbound).
     labels: Vec<u32>,
     /// Coalesced walker-equivalent burns not yet emitted.
@@ -126,9 +190,9 @@ pub struct Lowering<'a> {
     /// `(break target, continue target)` per enclosing loop.
     loops: Vec<(u32, u32)>,
     /// End label of the current top-level statement (`return` target;
-    /// `run_action` ignores flows between top-level statements).
+    /// actions ignore flows between top-level statements).
     stmt_end: u32,
-    /// Cloned fallback statement subtrees.
+    /// Fallback statement subtrees of every program lowered so far.
     stmts: Vec<Stmt>,
 }
 
@@ -140,6 +204,7 @@ impl<'a> Lowering<'a> {
             m,
             sigs,
             ops: Vec::new(),
+            spans: Vec::new(),
             labels: Vec::new(),
             pending: 0,
             pending_span: Span::dummy(),
@@ -153,11 +218,23 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    /// Compile a predicate expression (result = truthiness register).
+    /// The fallback statement pool: [`Op::FallbackStmt::stmt`] of every
+    /// program this lowering produced indexes it.
+    pub fn into_stmts(self) -> Vec<Stmt> {
+        self.stmts
+    }
+
+    /// Compile a predicate expression to a compare-and-branch program
+    /// (exits: `len` false, `len + 1` true — see [`Program`]).
     pub fn pred(&mut self, e: &Expr) -> Compiled {
         self.reset();
-        match self.expr(e) {
-            Ok((r, _)) => self.finish(r),
+        let l_false = self.label();
+        let l_true = self.label();
+        match self.cond(e) {
+            Ok(c) => {
+                self.branch(c, l_true, true);
+                self.finish(Some((l_false, l_true)))
+            }
             Err(Unsupported) => Compiled::Walker,
         }
     }
@@ -171,6 +248,7 @@ impl<'a> Lowering<'a> {
             return Compiled::Walker;
         }
         self.reset();
+        let pool = self.stmts.len();
         for s in stmts {
             let end = self.label();
             self.stmt_end = end;
@@ -182,15 +260,16 @@ impl<'a> Lowering<'a> {
             }
             self.bind(end);
         }
-        // Nothing actually compiled — skip the VM dispatch entirely.
+        // Nothing actually compiled — leave the hook to the walker.
         if self
             .ops
             .iter()
             .all(|op| matches!(op, Op::FallbackStmt { .. }))
         {
+            self.stmts.truncate(pool);
             return Compiled::Walker;
         }
-        self.finish(0)
+        self.finish(None)
     }
 
     /// Compile a valued-emit expression for signal `sig` (value type
@@ -202,7 +281,7 @@ impl<'a> Lowering<'a> {
             // Pure target: the walker evaluates the expression (burns,
             // errors) and stores nothing.
             return match self.expr(e) {
-                Ok((r, _)) => self.finish(r),
+                Ok(_) => self.finish(None),
                 Err(Unsupported) => Compiled::Walker,
             };
         };
@@ -210,15 +289,17 @@ impl<'a> Lowering<'a> {
             // Integer-valued signal: evaluate, truncate into the value
             // buffer in place (the walker's convert-and-replace, minus
             // the allocations).
-            return match self.expr(e) {
-                Ok((r, _)) => {
-                    self.flush();
+            return match self.expr(e).and_then(|(v, _)| {
+                self.flush();
+                self.reg(v)
+            }) {
+                Ok(src) => {
                     self.ops.push(Op::StoreSig {
                         sig: sig as u32,
-                        src: r,
+                        src,
                         ext: sx,
                     });
-                    self.finish(r)
+                    self.finish(None)
                 }
                 Err(Unsupported) => Compiled::Walker,
             };
@@ -235,7 +316,7 @@ impl<'a> Lowering<'a> {
                         sig: sig as u32,
                         slot: slot as u32,
                     });
-                    return self.finish(0);
+                    return self.finish(None);
                 }
             }
         }
@@ -246,6 +327,7 @@ impl<'a> Lowering<'a> {
 
     fn reset(&mut self) {
         self.ops.clear();
+        self.spans.clear();
         self.labels.clear();
         self.pending = 0;
         self.next_reg = 0;
@@ -254,30 +336,28 @@ impl<'a> Lowering<'a> {
         self.locals_count = 0;
         self.loops.clear();
         self.stmt_end = 0;
-        self.stmts.clear();
     }
 
-    fn finish(&mut self, result: u16) -> Compiled {
+    /// Flush, bind a predicate's exit labels one past the end, resolve
+    /// every label and hand out the program.
+    fn finish(&mut self, exits: Option<(u32, u32)>) -> Compiled {
         self.flush();
+        let len = self.ops.len() as u32;
+        if let Some((l_false, l_true)) = exits {
+            self.labels[l_false as usize] = len;
+            self.labels[l_true as usize] = len + 1;
+        }
+        let labels = &self.labels;
         for op in &mut self.ops {
-            match op {
-                Op::Jmp { target } | Op::JmpIf { target, .. } => {
-                    *target = self.labels[*target as usize];
-                    debug_assert_ne!(*target, u32::MAX, "jump to unbound label");
-                }
-                Op::FallbackStmt { brk, cont, ret, .. } => {
-                    *brk = self.labels[*brk as usize];
-                    *cont = self.labels[*cont as usize];
-                    *ret = self.labels[*ret as usize];
-                }
-                _ => {}
-            }
+            op.map_targets(|l| {
+                debug_assert_ne!(labels[l as usize], u32::MAX, "jump to unbound label");
+                labels[l as usize]
+            });
         }
         Compiled::Vm(Program {
             ops: std::mem::take(&mut self.ops),
             regs: self.max_reg,
-            result,
-            stmts: std::mem::take(&mut self.stmts),
+            spans: std::mem::take(&mut self.spans),
         })
     }
 
@@ -294,12 +374,16 @@ impl<'a> Lowering<'a> {
     /// walker on every control path.
     fn flush(&mut self) {
         if self.pending > 0 {
-            self.ops.push(Op::Burn {
-                n: self.pending,
-                span: self.pending_span,
-            });
+            let span = self.pending_span;
+            self.fallible(Op::Burn { n: self.pending }, span);
             self.pending = 0;
         }
+    }
+
+    /// Emit an op that can raise an error, recording its span.
+    fn fallible(&mut self, op: Op, span: Span) {
+        self.spans.push((self.ops.len() as u32, span));
+        self.ops.push(op);
     }
 
     fn label(&mut self) -> u32 {
@@ -317,13 +401,31 @@ impl<'a> Lowering<'a> {
         self.ops.push(Op::Jmp { target: l });
     }
 
-    fn jmp_if(&mut self, cond: u16, l: u32, when_true: bool) {
+    /// Jump to `l` when `c` evaluates to `when`, in one op.
+    fn branch(&mut self, c: Cond, l: u32, when: bool) {
         self.flush();
-        self.ops.push(Op::JmpIf {
-            cond,
-            target: l,
-            when_true,
-        });
+        let c = if when { c } else { c.not() };
+        match c {
+            Cond::Imm(true) => self.ops.push(Op::Jmp { target: l }),
+            Cond::Imm(false) => {}
+            Cond::Reg(cond, when_true) => self.ops.push(Op::JmpIf {
+                cond,
+                target: l,
+                when_true,
+            }),
+            Cond::Cmp(op, a, Val::Reg(b)) => self.ops.push(Op::JmpCmp {
+                op,
+                a,
+                b,
+                target: l,
+            }),
+            Cond::Cmp(op, a, Val::Imm(imm)) => self.ops.push(Op::JmpCmpImm {
+                op,
+                a,
+                target: l,
+                imm,
+            }),
+        }
     }
 
     fn alloc(&mut self) -> Lower<u16> {
@@ -334,6 +436,29 @@ impl<'a> Lowering<'a> {
         self.next_reg += 1;
         self.max_reg = self.max_reg.max(self.next_reg);
         Ok(r)
+    }
+
+    /// The value in a register, materializing a constant.
+    fn reg(&mut self, v: Val) -> Lower<u16> {
+        match v {
+            Val::Reg(r) => Ok(r),
+            Val::Imm(v) => {
+                let dst = self.alloc()?;
+                self.ops.push(Op::Const { dst, v });
+                Ok(dst)
+            }
+        }
+    }
+
+    /// `dst = norm(v)` into a fixed register.
+    fn set(&mut self, dst: u16, v: Val, ext: Ext) {
+        self.ops.push(match v {
+            Val::Reg(src) => Op::Conv { dst, src, ext },
+            Val::Imm(v) => Op::Const {
+                dst,
+                v: ext.norm(v),
+            },
+        });
     }
 
     fn fallback(&mut self, s: &Stmt) {
@@ -411,62 +536,101 @@ impl<'a> Lowering<'a> {
     /// binary operator over two integer operand types.
     fn bin_types(&mut self, op: BinOp, ta: TypeId, tb: TypeId) -> (TypeId, TypeId) {
         let common = self.usual_arith_int(ta, tb);
-        let result = if matches!(
-            op,
-            BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
-        ) {
-            self.int_ty()
-        } else {
-            common
-        };
+        let result = if is_cmp(op) { self.int_ty() } else { common };
         (common, result)
     }
 
-    /// Normalize register `r` (type `from`) to type `to`, emitting a
-    /// conversion into a fresh register when the types differ.
-    fn coerce(&mut self, r: u16, from: TypeId, to: TypeId) -> Lower<u16> {
+    /// Convert a value of type `from` to type `to`: a constant folds at
+    /// the target width, a widening that keeps every value is free,
+    /// anything else is a conversion into a fresh register.
+    fn coerce(&mut self, v: Val, from: TypeId, to: TypeId) -> Lower<Val> {
         if from == to {
-            return Ok(r);
+            return Ok(v);
         }
         let ext = self.ext_of(to).ok_or(Unsupported)?;
-        let dst = self.alloc()?;
-        self.ops.push(Op::Conv { dst, src: r, ext });
-        Ok(dst)
+        match v {
+            Val::Imm(x) => Ok(Val::Imm(ext.norm(x))),
+            Val::Reg(src) => {
+                if self.ext_of(from).is_some_and(|f| f.widens_to(ext)) {
+                    return Ok(v);
+                }
+                let dst = self.alloc()?;
+                self.ops.push(Op::Conv { dst, src, ext });
+                Ok(Val::Reg(dst))
+            }
+        }
     }
 
-    fn emit_bin(&mut self, op: BinOp, dst: u16, a: u16, b: u16, ext: Ext, span: Span) {
-        let kind = match op {
-            BinOp::Add => BinKind::Add,
-            BinOp::Sub => BinKind::Sub,
-            BinOp::Mul => BinKind::Mul,
-            BinOp::Div => BinKind::Div,
-            BinOp::Rem => BinKind::Rem,
-            BinOp::Shl => BinKind::Shl,
-            BinOp::Shr => BinKind::Shr,
-            BinOp::Lt => BinKind::Lt,
-            BinOp::Gt => BinKind::Gt,
-            BinOp::Le => BinKind::Le,
-            BinOp::Ge => BinKind::Ge,
-            BinOp::Eq => BinKind::Eq,
-            BinOp::Ne => BinKind::Ne,
-            BinOp::BitAnd => BinKind::And,
-            BinOp::BitXor => BinKind::Xor,
-            BinOp::BitOr => BinKind::Or,
-            BinOp::LogAnd | BinOp::LogOr => unreachable!("short-circuit lowered separately"),
-        };
+    /// `a op b` for a non-short-circuit operator: operands converted to
+    /// their common type, a constant result folded at the result
+    /// type's width, a constant right operand kept immediate. With
+    /// `at`, the destination register is allocated from there (the
+    /// operands' temporaries are dead once the op reads them).
+    fn bin(
+        &mut self,
+        op: BinOp,
+        (a, ta): (Val, TypeId),
+        (b, tb): (Val, TypeId),
+        span: Span,
+        at: Option<u16>,
+    ) -> Lower<(Val, TypeId)> {
+        let (common, result) = self.bin_types(op, ta, tb);
+        let ca = self.coerce(a, ta, common)?;
+        let cb = self.coerce(b, tb, common)?;
+        let ext = self.ext_of(result).ok_or(Unsupported)?;
+        let kind = bin_kind(op);
         if matches!(kind, BinKind::Div | BinKind::Rem) {
             // Fallible op: the fuel consumed before a division error
-            // must match the walker's.
+            // must match the walker's (flushed even when folded).
             self.flush();
         }
-        self.ops.push(Op::Bin {
-            op: kind,
-            dst,
-            a,
-            b,
-            ext,
-            span,
-        });
+        if let (Val::Imm(x), Val::Imm(y)) = (ca, cb) {
+            if let Some(v) = kind.apply(x, y) {
+                return Ok((Val::Imm(ext.norm(v)), result));
+            }
+        }
+        // A constant left operand moves right where the kernel mirrors;
+        // anything else that cannot stay immediate — a left constant,
+        // a zero divisor — is materialized before the destination is
+        // allocated, so no operand register gets reused under it.
+        let (kind, a, b) = match (ca, cb, kind.swapped()) {
+            (Val::Imm(_), Val::Reg(y), Some(mirrored)) => (mirrored, y, ca),
+            (Val::Reg(x), _, _) => (kind, x, cb),
+            _ => (kind, self.reg(ca)?, cb),
+        };
+        let zero_divisor = matches!(kind, BinKind::Div | BinKind::Rem);
+        let b = match b {
+            Val::Imm(imm) if !(zero_divisor && imm == 0) => Val::Imm(imm),
+            _ => Val::Reg(self.reg(b)?),
+        };
+        if let Some(at) = at {
+            self.next_reg = at;
+        }
+        let dst = self.alloc()?;
+        match b {
+            Val::Imm(imm) => self.ops.push(Op::BinImm {
+                op: kind,
+                dst,
+                a,
+                imm,
+                ext,
+            }),
+            Val::Reg(b) => {
+                let op = Op::Bin {
+                    op: kind,
+                    dst,
+                    a,
+                    b,
+                    ext,
+                };
+                if zero_divisor {
+                    self.fallible(op, span);
+                } else {
+                    self.ops.push(op);
+                }
+            }
+        }
+        Ok((Val::Reg(dst), result))
     }
 
     // -- names ------------------------------------------------------------
@@ -515,13 +679,21 @@ impl<'a> Lowering<'a> {
 
     /// Lower the offset computation of a projection chain over a base
     /// of type `base_ty` (nodes outermost-first, walked root-outward).
-    /// Index expressions are evaluated in walker order with
-    /// bounds-checked `AddScaled` ops. Returns `(offset, leaf type)`.
+    /// Index expressions are evaluated in walker order; an in-bounds
+    /// constant index folds into the static offset, and the chain's
+    /// last index, when dynamic, is checked by the access itself
+    /// ([`Off::Idx`]). An earlier dynamic (or out-of-range constant)
+    /// index is outside the subset: its check would have to run before
+    /// the later indices are evaluated. Returns `(offset, leaf type)`.
     fn chain_offset(&mut self, base_ty: TypeId, nodes: &[&Expr]) -> Lower<(Off, TypeId)> {
+        // Outermost-first order: the first `Index` is the walk's last.
+        let last_index = nodes
+            .iter()
+            .position(|n| matches!(n.kind, ExprKind::Index(..)));
         let mut cur_ty = base_ty;
         let mut off_static: u32 = 0;
-        let mut off_reg: Option<u16> = None;
-        for node in nodes.iter().rev() {
+        let mut checked: Option<(u16, u32, u32, Span)> = None;
+        for (k, node) in nodes.iter().enumerate().rev() {
             match &node.kind {
                 ExprKind::Member(_, field) => {
                     let rid = match self.m.table().get(cur_ty) {
@@ -534,57 +706,47 @@ impl<'a> Lowering<'a> {
                         .record(rid)
                         .field(&field.name)
                         .ok_or(Unsupported)?;
-                    let (fo, ft) = (f.offset, f.ty);
-                    match off_reg {
-                        None => off_static += fo,
-                        Some(r) => {
-                            if fo != 0 {
-                                self.ops.push(Op::AddConst {
-                                    dst: r,
-                                    k: i64::from(fo),
-                                });
-                            }
-                        }
-                    }
-                    cur_ty = ft;
+                    off_static += f.offset;
+                    cur_ty = f.ty;
                 }
                 ExprKind::Index(_, idx) => {
                     let Type::Array(elem, n) = self.m.table().get(cur_ty) else {
                         return Err(Unsupported);
                     };
-                    let r = match off_reg {
-                        Some(r) => r,
-                        None => {
-                            let r = self.alloc()?;
-                            self.ops.push(Op::Const {
-                                dst: r,
-                                v: i64::from(off_static),
-                            });
-                            off_reg = Some(r);
-                            r
-                        }
-                    };
+                    let esize = self.m.table().size_of(elem);
                     let save = self.next_reg;
-                    let (ri, ti) = self.expr(idx)?;
+                    let (vi, ti) = self.expr(idx)?;
                     if !self.m.table().get(ti).is_integer() {
                         return Err(Unsupported);
                     }
+                    // The walker checks the bound here, before anything
+                    // outward is evaluated.
                     self.flush();
-                    self.ops.push(Op::AddScaled {
-                        off: r,
-                        idx: ri,
-                        elem: self.m.table().size_of(elem),
-                        len: n,
-                        span: node.span,
-                    });
-                    self.next_reg = save;
+                    match vi {
+                        Val::Imm(i) if (0..i64::from(n)).contains(&i) => {
+                            off_static += i as u32 * esize;
+                            self.next_reg = save;
+                        }
+                        _ if Some(k) == last_index => {
+                            // Checked by the access; the index register
+                            // stays live until then.
+                            checked = Some((self.reg(vi)?, esize, n, node.span));
+                        }
+                        _ => return Err(Unsupported),
+                    }
                     cur_ty = elem;
                 }
                 _ => unreachable!("chain nodes are Member/Index"),
             }
         }
-        let off = match off_reg {
-            Some(r) => Off::Dyn(r),
+        let off = match checked {
+            Some((idx, elem, len, span)) => Off::Idx {
+                idx,
+                base: off_static,
+                elem,
+                len,
+                span,
+            },
             None => Off::Static(off_static),
         };
         Ok((off, cur_ty))
@@ -639,106 +801,109 @@ impl<'a> Lowering<'a> {
     /// Read a place into a fresh register.
     fn load_place(&mut self, p: &Place) -> Lower<u16> {
         let dst = self.alloc()?;
+        let ext = p.ext;
         match p.kind {
             // Copy out: the local's home register may be overwritten by
             // a store before the read value is consumed (`x++`).
-            PlaceKind::Local(reg) => self.ops.push(Op::Conv {
-                dst,
-                src: reg,
-                ext: p.ext,
-            }),
-            PlaceKind::Var { slot, off } => self.ops.push(match off {
-                Off::Whole => Op::LoadVar {
+            PlaceKind::Local(src) => self.ops.push(Op::Conv { dst, src, ext }),
+            PlaceKind::Var { slot, off } => match off {
+                Off::Whole => self.ops.push(Op::LoadVar { dst, slot, ext }),
+                Off::Static(off) => self.ops.push(Op::LoadVarOff {
                     dst,
                     slot,
-                    ext: p.ext,
-                },
-                Off::Static(o) => Op::LoadVarOff {
-                    dst,
-                    slot,
-                    off: o,
-                    ext: p.ext,
-                },
-                Off::Dyn(r) => Op::LoadVarAt {
-                    dst,
-                    slot,
-                    off: r,
-                    ext: p.ext,
-                },
-            }),
+                    off,
+                    ext,
+                }),
+                Off::Idx {
+                    idx,
+                    base,
+                    elem,
+                    len,
+                    span,
+                } => self.fallible(
+                    Op::LoadVarIdx {
+                        dst,
+                        idx,
+                        slot,
+                        base,
+                        elem,
+                        len,
+                        ext,
+                    },
+                    span,
+                ),
+            },
         }
         Ok(dst)
     }
 
-    /// Store a (place-typed, normalized) register into a place.
-    fn store_place(&mut self, p: &Place, src: u16) {
+    /// Store a (place-typed, normalized) value into a place.
+    fn store_place(&mut self, p: &Place, v: Val) -> Lower<()> {
         self.flush();
-        match p.kind {
-            PlaceKind::Local(reg) => self.ops.push(Op::Conv {
-                dst: reg,
-                src,
-                ext: p.ext,
-            }),
-            PlaceKind::Var { slot, off } => self.ops.push(match off {
-                Off::Whole => Op::StoreVar {
-                    slot,
-                    src,
-                    ext: p.ext,
-                },
-                Off::Static(o) => Op::StoreVarOff {
-                    slot,
-                    off: o,
-                    src,
-                    ext: p.ext,
-                },
-                Off::Dyn(r) => Op::StoreVarAt {
-                    slot,
-                    off: r,
-                    src,
-                    ext: p.ext,
-                },
-            }),
+        let ext = p.ext;
+        if let PlaceKind::Local(dst) = p.kind {
+            self.set(dst, v, ext);
+            return Ok(());
         }
+        let src = self.reg(v)?;
+        let PlaceKind::Var { slot, off } = p.kind else {
+            unreachable!("locals stored above")
+        };
+        match off {
+            Off::Whole => self.ops.push(Op::StoreVar { slot, src, ext }),
+            Off::Static(off) => self.ops.push(Op::StoreVarOff {
+                slot,
+                off,
+                src,
+                ext,
+            }),
+            Off::Idx {
+                idx,
+                base,
+                elem,
+                len,
+                span,
+            } => self.fallible(
+                Op::StoreVarIdx {
+                    src,
+                    idx,
+                    slot,
+                    base,
+                    elem,
+                    len,
+                    ext,
+                },
+                span,
+            ),
+        }
+        Ok(())
     }
 
     // -- expressions ------------------------------------------------------
 
-    /// Lower an expression; the result register always holds a value
-    /// normalized to the returned (integer-scalar) type. Burn
-    /// accounting matches `Machine::eval` node for node.
-    fn expr(&mut self, e: &Expr) -> Lower<(u16, TypeId)> {
+    /// Lower an expression; the result is a register holding a value
+    /// normalized to the returned (integer-scalar) type, or a constant.
+    /// Burn accounting matches `Machine::eval` node for node.
+    fn expr(&mut self, e: &Expr) -> Lower<(Val, TypeId)> {
         self.burn(e.span);
         match &e.kind {
-            ExprKind::IntLit(v) => {
-                let ty = self.int_ty();
-                let dst = self.alloc()?;
-                self.ops.push(Op::Const {
-                    dst,
-                    v: Ext::INT.norm(*v),
-                });
-                Ok((dst, ty))
-            }
+            ExprKind::IntLit(v) => Ok((Val::Imm(Ext::INT.norm(*v)), self.int_ty())),
             ExprKind::CharLit(c) => {
                 let ty = self.m.table().prim(PrimType::Char);
                 let ext = self.ext_of(ty).ok_or(Unsupported)?;
-                let dst = self.alloc()?;
-                self.ops.push(Op::Const {
-                    dst,
-                    v: ext.norm(i64::from(*c)),
-                });
-                Ok((dst, ty))
+                Ok((Val::Imm(ext.norm(i64::from(*c))), ty))
             }
             ExprKind::FloatLit(_) | ExprKind::StrLit(_) => Err(Unsupported),
             ExprKind::Ident(id) => match self.resolve(&id.name) {
-                Some(Res::Local(reg, ty)) => {
+                Some(Res::Local(src, ty)) => {
                     // Copy out of the local's home register: the walker
                     // materializes the value at evaluation time, so a
                     // later-evaluated operand that mutates the local
                     // (`t + t++`) must not be visible to this read.
                     let ext = self.ext_of(ty).ok_or(Unsupported)?;
                     let dst = self.alloc()?;
-                    self.ops.push(Op::Conv { dst, src: reg, ext });
-                    Ok((dst, ty))
+                    self.ops.push(Op::Conv { dst, src, ext });
+                    Ok((Val::Reg(dst), ty))
                 }
                 Some(Res::Var(slot, ty)) => {
                     let ext = self.ext_of(ty).ok_or(Unsupported)?;
@@ -748,7 +913,7 @@ impl<'a> Lowering<'a> {
                         slot: slot as u32,
                         ext,
                     });
-                    Ok((dst, ty))
+                    Ok((Val::Reg(dst), ty))
                 }
                 Some(Res::Sig(idx, ty)) => {
                     let ext = self.ext_of(ty).ok_or(Unsupported)?;
@@ -758,17 +923,9 @@ impl<'a> Lowering<'a> {
                         sig: idx as u32,
                         ext,
                     });
-                    Ok((dst, ty))
+                    Ok((Val::Reg(dst), ty))
                 }
-                Some(Res::Enum(c)) => {
-                    let ty = self.int_ty();
-                    let dst = self.alloc()?;
-                    self.ops.push(Op::Const {
-                        dst,
-                        v: Ext::INT.norm(c),
-                    });
-                    Ok((dst, ty))
-                }
+                Some(Res::Enum(c)) => Ok((Val::Imm(Ext::INT.norm(c)), self.int_ty())),
                 None => Err(Unsupported),
             },
             ExprKind::Unary(op, inner) => self.unary(*op, inner),
@@ -776,100 +933,71 @@ impl<'a> Lowering<'a> {
             ExprKind::Assign(op, lhs, rhs) => {
                 let (rv, tv) = self.expr(rhs)?;
                 let p = self.place(lhs)?;
-                match op.binop() {
-                    None => {
-                        let conv = self.coerce(rv, tv, p.ty)?;
-                        self.store_place(&p, conv);
-                        Ok((conv, p.ty))
-                    }
+                let conv = match op.binop() {
+                    None => self.coerce(rv, tv, p.ty)?,
                     Some(bop) => {
                         let old = self.load_place(&p)?;
-                        let (common, result) = self.bin_types(bop, p.ty, tv);
-                        let ca = self.coerce(old, p.ty, common)?;
-                        let cb = self.coerce(rv, tv, common)?;
-                        let ext = self.ext_of(result).ok_or(Unsupported)?;
-                        let comb = self.alloc()?;
-                        self.emit_bin(bop, comb, ca, cb, ext, e.span);
-                        let conv = self.coerce(comb, result, p.ty)?;
-                        self.store_place(&p, conv);
-                        Ok((conv, p.ty))
+                        let (comb, result) =
+                            self.bin(bop, (Val::Reg(old), p.ty), (rv, tv), e.span, None)?;
+                        self.coerce(comb, result, p.ty)?
                     }
-                }
+                };
+                self.store_place(&p, conv)?;
+                Ok((conv, p.ty))
             }
             ExprKind::PreIncDec(inc, inner) | ExprKind::PostIncDec(inc, inner) => {
                 let pre = matches!(e.kind, ExprKind::PreIncDec(_, _));
                 let p = self.place(inner)?;
                 let old = self.load_place(&p)?;
                 let int = self.int_ty();
-                let one = self.alloc()?;
-                self.ops.push(Op::Const { dst: one, v: 1 });
                 let bop = if *inc { BinOp::Add } else { BinOp::Sub };
-                let (common, result) = self.bin_types(bop, p.ty, int);
-                let ca = self.coerce(old, p.ty, common)?;
-                let cb = self.coerce(one, int, common)?;
-                let ext = self.ext_of(result).ok_or(Unsupported)?;
-                let comb = self.alloc()?;
-                self.emit_bin(bop, comb, ca, cb, ext, e.span);
+                let (comb, result) =
+                    self.bin(bop, (Val::Reg(old), p.ty), (Val::Imm(1), int), e.span, None)?;
                 let newv = self.coerce(comb, result, p.ty)?;
-                self.store_place(&p, newv);
-                Ok((if pre { newv } else { old }, p.ty))
+                self.store_place(&p, newv)?;
+                Ok((if pre { newv } else { Val::Reg(old) }, p.ty))
             }
             ExprKind::Ternary(c, t, f) => {
                 let save = self.next_reg;
-                let (rc, _) = self.expr(c)?;
+                let c = self.cond(c)?;
                 self.next_reg = save;
                 let dst = self.alloc()?;
                 let l_else = self.label();
                 let l_end = self.label();
-                self.jmp_if(rc, l_else, false);
+                self.branch(c, l_else, false);
                 let save2 = self.next_reg;
-                let (rt, tt) = self.expr(t)?;
+                let (vt, tt) = self.expr(t)?;
                 let text = self.ext_of(tt).ok_or(Unsupported)?;
-                self.ops.push(Op::Conv {
-                    dst,
-                    src: rt,
-                    ext: text,
-                });
+                self.set(dst, vt, text);
                 self.next_reg = save2;
                 self.jmp(l_end);
                 self.bind(l_else);
-                let (rf, tf) = self.expr(f)?;
+                let (vf, tf) = self.expr(f)?;
                 if tf != tt {
                     // The walker returns whichever branch evaluated,
                     // typed as-is; a single result register needs one
                     // static type.
                     return Err(Unsupported);
                 }
-                self.ops.push(Op::Conv {
-                    dst,
-                    src: rf,
-                    ext: text,
-                });
+                self.set(dst, vf, text);
                 self.next_reg = save2;
                 self.bind(l_end);
-                Ok((dst, tt))
+                Ok((Val::Reg(dst), tt))
             }
             ExprKind::Call(_, _) | ExprKind::Arrow(_, _) => Err(Unsupported),
             ExprKind::Index(_, _) | ExprKind::Member(_, _) => self.projection(e),
             ExprKind::Cast(ty_ref, inner) => {
-                let (r, tv) = self.expr(inner)?;
+                let (v, tv) = self.expr(inner)?;
                 let mut sink = DiagSink::new();
                 let to = self.m.resolve_type(ty_ref, &mut sink).ok_or(Unsupported)?;
                 self.ext_of(to).ok_or(Unsupported)?;
-                let conv = self.coerce(r, tv, to)?;
-                Ok((conv, to))
+                Ok((self.coerce(v, tv, to)?, to))
             }
             ExprKind::SizeofType(ty_ref) => {
                 let mut sink = DiagSink::new();
                 let ty = self.m.resolve_type(ty_ref, &mut sink).ok_or(Unsupported)?;
                 let size = self.m.table().size_of(ty);
-                let int = self.int_ty();
-                let dst = self.alloc()?;
-                self.ops.push(Op::Const {
-                    dst,
-                    v: i64::from(size),
-                });
-                Ok((dst, int))
+                Ok((Val::Imm(i64::from(size)), self.int_ty()))
             }
             ExprKind::SizeofExpr(inner) => {
                 // The walker evaluates the operand (burns, side
@@ -879,13 +1007,7 @@ impl<'a> Lowering<'a> {
                 let (_, tv) = self.expr(inner)?;
                 self.next_reg = save;
                 let size = self.m.table().size_of(tv);
-                let int = self.int_ty();
-                let dst = self.alloc()?;
-                self.ops.push(Op::Const {
-                    dst,
-                    v: i64::from(size),
-                });
-                Ok((dst, int))
+                Ok((Val::Imm(i64::from(size)), self.int_ty()))
             }
             ExprKind::Comma(a, b) => {
                 let save = self.next_reg;
@@ -896,59 +1018,55 @@ impl<'a> Lowering<'a> {
         }
     }
 
-    fn unary(&mut self, op: UnOp, inner: &Expr) -> Lower<(u16, TypeId)> {
-        let (r, ty) = self.expr(inner)?;
-        match op {
-            UnOp::Plus => Ok((r, ty)),
+    fn unary(&mut self, op: UnOp, inner: &Expr) -> Lower<(Val, TypeId)> {
+        let (v, ty) = self.expr(inner)?;
+        let (kind, ty) = match op {
+            UnOp::Plus => return Ok((v, ty)),
             UnOp::Neg | UnOp::BitNot => {
                 if !self.m.table().get(ty).is_integer() {
                     return Err(Unsupported);
                 }
-                let pty = self.promote_ty(ty);
-                let ext = self.ext_of(pty).ok_or(Unsupported)?;
+                let kind = if matches!(op, UnOp::Neg) {
+                    UnKind::Neg
+                } else {
+                    UnKind::BitNot
+                };
+                (kind, self.promote_ty(ty))
+            }
+            UnOp::Not => (UnKind::LogNot, self.int_ty()),
+            UnOp::Deref | UnOp::AddrOf => return Err(Unsupported),
+        };
+        let ext = self.ext_of(ty).ok_or(Unsupported)?;
+        match v {
+            Val::Imm(x) => Ok((Val::Imm(ext.norm(kind.apply(x))), ty)),
+            Val::Reg(src) => {
                 let dst = self.alloc()?;
                 self.ops.push(Op::Un {
-                    op: if matches!(op, UnOp::Neg) {
-                        UnKind::Neg
-                    } else {
-                        UnKind::BitNot
-                    },
+                    op: kind,
                     dst,
-                    src: r,
+                    src,
                     ext,
                 });
-                Ok((dst, pty))
+                Ok((Val::Reg(dst), ty))
             }
-            UnOp::Not => {
-                let int = self.int_ty();
-                let dst = self.alloc()?;
-                self.ops.push(Op::Un {
-                    op: UnKind::LogNot,
-                    dst,
-                    src: r,
-                    ext: Ext::INT,
-                });
-                Ok((dst, int))
-            }
-            UnOp::Deref | UnOp::AddrOf => Err(Unsupported),
         }
     }
 
-    fn binary(&mut self, op: BinOp, a: &Expr, b: &Expr, span: Span) -> Lower<(u16, TypeId)> {
+    fn binary(&mut self, op: BinOp, a: &Expr, b: &Expr, span: Span) -> Lower<(Val, TypeId)> {
         if matches!(op, BinOp::LogAnd | BinOp::LogOr) {
             // Short-circuit: evaluate `b` only when `a` doesn't decide.
             let int = self.int_ty();
             let save = self.next_reg;
-            let (ra, _) = self.expr(a)?;
+            let ca = self.cond(a)?;
             self.next_reg = save;
             let dst = self.alloc()?;
             let l_short = self.label();
             let l_end = self.label();
             let on_true = matches!(op, BinOp::LogOr);
-            self.jmp_if(ra, l_short, on_true);
+            self.branch(ca, l_short, on_true);
             let save2 = self.next_reg;
-            let (rb, _) = self.expr(b)?;
-            self.jmp_if(rb, l_short, on_true);
+            let cb = self.cond(b)?;
+            self.branch(cb, l_short, on_true);
             self.next_reg = save2;
             self.ops.push(Op::Const {
                 dst,
@@ -961,32 +1079,59 @@ impl<'a> Lowering<'a> {
                 v: on_true as i64,
             });
             self.bind(l_end);
-            return Ok((dst, int));
+            return Ok((Val::Reg(dst), int));
         }
         let save = self.next_reg;
-        let (ra, ta) = self.expr(a)?;
-        let (rb, tb) = self.expr(b)?;
-        let (common, result) = self.bin_types(op, ta, tb);
-        let ca = self.coerce(ra, ta, common)?;
-        let cb = self.coerce(rb, tb, common)?;
-        let ext = self.ext_of(result).ok_or(Unsupported)?;
-        self.next_reg = save;
-        let dst = self.alloc()?;
-        self.emit_bin(op, dst, ca, cb, ext, span);
-        Ok((dst, result))
+        let va = self.expr(a)?;
+        let vb = self.expr(b)?;
+        self.bin(op, va, vb, span, Some(save))
+    }
+
+    /// Lower a condition for a branch: a comparison stays a
+    /// [`Cond::Cmp`] (compared by the branch itself), `!` inverts,
+    /// anything else tests a value for zero. Burns exactly what
+    /// [`Self::expr`] would.
+    fn cond(&mut self, e: &Expr) -> Lower<Cond> {
+        match &e.kind {
+            ExprKind::Binary(op, a, b) if is_cmp(*op) => {
+                self.burn(e.span);
+                let (va, ta) = self.expr(a)?;
+                let (vb, tb) = self.expr(b)?;
+                let (common, _) = self.bin_types(*op, ta, tb);
+                let ca = self.coerce(va, ta, common)?;
+                let cb = self.coerce(vb, tb, common)?;
+                let kind = bin_kind(*op);
+                Ok(match (ca, cb) {
+                    (Val::Imm(x), Val::Imm(y)) => Cond::Imm(kind.apply(x, y) != Some(0)),
+                    (Val::Imm(x), Val::Reg(y)) => {
+                        let mirrored = kind.swapped().expect("comparisons mirror");
+                        Cond::Cmp(mirrored, y, Val::Imm(x))
+                    }
+                    (Val::Reg(x), cb) => Cond::Cmp(kind, x, cb),
+                })
+            }
+            ExprKind::Unary(UnOp::Not, inner) => {
+                self.burn(e.span);
+                Ok(self.cond(inner)?.not())
+            }
+            _ => Ok(match self.expr(e)?.0 {
+                Val::Imm(x) => Cond::Imm(x != 0),
+                Val::Reg(r) => Cond::Reg(r, true),
+            }),
+        }
     }
 
     /// Rvalue projection (`x.f[i]` / `sig.f[i]`): the walker reads
     /// variable-rooted chains as places (one burn for the outer node)
     /// and evaluates signal-rooted chains node by node (one burn per
     /// chain node plus the root identifier).
-    fn projection(&mut self, e: &Expr) -> Lower<(u16, TypeId)> {
+    fn projection(&mut self, e: &Expr) -> Lower<(Val, TypeId)> {
         let (root, nodes) = Self::collect_chain(e).ok_or(Unsupported)?;
         match self.resolve(&root.name) {
             Some(Res::Var(_, _)) => {
                 let p = self.place(e)?;
                 let dst = self.load_place(&p)?;
-                Ok((dst, p.ty))
+                Ok((Val::Reg(dst), p.ty))
             }
             Some(Res::Sig(idx, sig_ty)) => {
                 // Inner chain nodes + the root identifier each burn
@@ -999,24 +1144,37 @@ impl<'a> Lowering<'a> {
                 let (off, leaf) = self.chain_offset(sig_ty, &nodes)?;
                 let ext = self.ext_of(leaf).ok_or(Unsupported)?;
                 let dst = self.alloc()?;
-                self.ops.push(match off {
-                    Off::Whole | Off::Static(_) => Op::LoadSigOff {
+                let sig = idx as u32;
+                match off {
+                    Off::Whole | Off::Static(_) => self.ops.push(Op::LoadSigOff {
                         dst,
-                        sig: idx as u32,
+                        sig,
                         off: match off {
                             Off::Static(o) => o,
                             _ => 0,
                         },
                         ext,
-                    },
-                    Off::Dyn(r) => Op::LoadSigAt {
-                        dst,
-                        sig: idx as u32,
-                        off: r,
-                        ext,
-                    },
-                });
-                Ok((dst, leaf))
+                    }),
+                    Off::Idx {
+                        idx,
+                        base,
+                        elem,
+                        len,
+                        span,
+                    } => self.fallible(
+                        Op::LoadSigIdx {
+                            dst,
+                            idx,
+                            sig,
+                            base,
+                            elem,
+                            len,
+                            ext,
+                        },
+                        span,
+                    ),
+                }
+                Ok((Val::Reg(dst), leaf))
             }
             // Locals are integer scalars (projection would error), and
             // unknown/pure/enum roots error in the walker too.
@@ -1039,6 +1197,7 @@ impl<'a> Lowering<'a> {
             self.next_reg,
             self.stmts.len(),
             self.scopes.last().map_or(0, Vec::len),
+            self.spans.len(),
         );
         match self.stmt(s) {
             Ok(()) => Ok(()),
@@ -1048,6 +1207,7 @@ impl<'a> Lowering<'a> {
                 self.pending_span = snap.2;
                 self.next_reg = snap.3;
                 self.stmts.truncate(snap.4);
+                self.spans.truncate(snap.6);
                 if let Some(scope) = self.scopes.last_mut() {
                     let removed = scope.len() - snap.5;
                     scope.truncate(snap.5);
@@ -1094,17 +1254,17 @@ impl<'a> Lowering<'a> {
             }
             StmtKind::If { cond, then, els } => {
                 let save = self.next_reg;
-                let (rc, _) = self.expr(cond)?;
+                let c = self.cond(cond)?;
                 self.next_reg = save;
                 let l_end = self.label();
                 match els {
                     None => {
-                        self.jmp_if(rc, l_end, false);
+                        self.branch(c, l_end, false);
                         self.stmt_or_fallback(then)?;
                     }
                     Some(e) => {
                         let l_else = self.label();
-                        self.jmp_if(rc, l_else, false);
+                        self.branch(c, l_else, false);
                         self.stmt_or_fallback(then)?;
                         self.jmp(l_end);
                         self.bind(l_else);
@@ -1120,9 +1280,9 @@ impl<'a> Lowering<'a> {
                 self.bind(l_head);
                 self.burn(s.span); // per-iteration burn
                 let save = self.next_reg;
-                let (rc, _) = self.expr(cond)?;
+                let c = self.cond(cond)?;
                 self.next_reg = save;
-                self.jmp_if(rc, l_end, false);
+                self.branch(c, l_end, false);
                 self.loops.push((l_end, l_head));
                 let r = self.stmt_or_fallback(body);
                 self.loops.pop();
@@ -1143,9 +1303,9 @@ impl<'a> Lowering<'a> {
                 r?;
                 self.bind(l_cont);
                 let save = self.next_reg;
-                let (rc, _) = self.expr(cond)?;
+                let c = self.cond(cond)?;
                 self.next_reg = save;
-                self.jmp_if(rc, l_head, true);
+                self.branch(c, l_head, true);
                 self.bind(l_end);
                 Ok(())
             }
@@ -1209,9 +1369,9 @@ impl<'a> Lowering<'a> {
         self.burn(s.span); // per-iteration burn
         if let Some(c) = cond {
             let save = self.next_reg;
-            let (rc, _) = self.expr(c)?;
+            let c = self.cond(c)?;
             self.next_reg = save;
-            self.jmp_if(rc, l_end, false);
+            self.branch(c, l_end, false);
         }
         self.loops.push((l_end, l_step));
         let r = self.stmt_or_fallback(body);
@@ -1245,13 +1405,9 @@ impl<'a> Lowering<'a> {
             match &decl.init {
                 Some(e) => {
                     let save = self.next_reg;
-                    let (r, _) = self.expr(e)?;
+                    let (v, _) = self.expr(e)?;
                     self.next_reg = save;
-                    self.ops.push(Op::Conv {
-                        dst: reg,
-                        src: r,
-                        ext,
-                    });
+                    self.set(reg, v, ext);
                 }
                 None => self.ops.push(Op::Const { dst: reg, v: 0 }),
             }
@@ -1262,5 +1418,36 @@ impl<'a> Lowering<'a> {
             self.locals_count += 1;
         }
         Ok(())
+    }
+}
+
+/// Is `op` a comparison (int 0/1 result)?
+fn is_cmp(op: BinOp) -> bool {
+    matches!(
+        op,
+        BinOp::Lt | BinOp::Gt | BinOp::Le | BinOp::Ge | BinOp::Eq | BinOp::Ne
+    )
+}
+
+/// The kernel of a non-short-circuit binary operator.
+fn bin_kind(op: BinOp) -> BinKind {
+    match op {
+        BinOp::Add => BinKind::Add,
+        BinOp::Sub => BinKind::Sub,
+        BinOp::Mul => BinKind::Mul,
+        BinOp::Div => BinKind::Div,
+        BinOp::Rem => BinKind::Rem,
+        BinOp::Shl => BinKind::Shl,
+        BinOp::Shr => BinKind::Shr,
+        BinOp::Lt => BinKind::Lt,
+        BinOp::Gt => BinKind::Gt,
+        BinOp::Le => BinKind::Le,
+        BinOp::Ge => BinKind::Ge,
+        BinOp::Eq => BinKind::Eq,
+        BinOp::Ne => BinKind::Ne,
+        BinOp::BitAnd => BinKind::And,
+        BinOp::BitXor => BinKind::Xor,
+        BinOp::BitOr => BinKind::Or,
+        BinOp::LogAnd | BinOp::LogOr => unreachable!("short-circuit lowered separately"),
     }
 }

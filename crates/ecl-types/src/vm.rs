@@ -1,4 +1,5 @@
-//! Register bytecode VM for the EFSM data path.
+//! Register bytecode for the EFSM data path, and the op set of the
+//! fused reaction loop.
 //!
 //! The tree-walking interpreter ([`crate::interp::Machine`]) pays
 //! per-node dispatch, span-keyed identifier memo probes and a byte-level
@@ -6,11 +7,18 @@
 //! that the data computation compiles down to the flat C a POLIS-style
 //! backend would emit — so the simulator compiles it too: each data
 //! hook (predicate, action, valued-emit expression) is lowered *once*
-//! ([`crate::lower`]) to a flat program of [`Op`]s over an `i64`
-//! register file, with direct slot-indexed variable access and direct
-//! signal-index value reads. No name ever resolves at runtime.
+//! ([`crate::lower`]) to a flat [`Program`] of [`Op`]s over an `i64`
+//! register file, with direct slot-indexed variable access, direct
+//! signal-index value reads and its constants already folded. No name
+//! ever resolves at runtime.
 //!
-//! Semantic contract: a compiled program is **observationally
+//! Hook programs are not run one by one: `ecl_core`'s fused reaction
+//! translates each row program of a compiled EFSM into one op stream
+//! with the hooks' bytecode inlined between reaction control ops
+//! ([`Op::PredHead`] and friends), and steps that stream in a single
+//! dispatch loop. This module defines the shared op set.
+//!
+//! Semantic contract: an inlined program is **observationally
 //! identical** to the walker, including
 //!
 //! * values, mutated variable slots and emitted signal values,
@@ -26,13 +34,12 @@
 //!
 //! Constructs outside the bytecode subset compile to
 //! [`Op::FallbackStmt`] — the statement subtree is executed by the
-//! tree-walker in place, with the resulting [`Flow`] mapped back onto
+//! tree-walker in place, with the resulting `Flow` mapped back onto
 //! compiled jump targets — so coverage can grow incrementally while
 //! semantics stay exact.
 
-use crate::interp::{EvalError, Flow, Machine, SignalReader};
+use crate::interp::{EvalError, SignalReader};
 use crate::value::Value;
-use ecl_syntax::ast::Stmt;
 use ecl_syntax::fxmap::FxHashMap;
 use ecl_syntax::source::Span;
 
@@ -76,6 +83,17 @@ impl Ext {
         } else {
             (v << shift) >> shift
         }
+    }
+
+    /// Does every value of this type keep its value in `to` — a
+    /// widening the register needs no conversion op for?
+    pub fn widens_to(self, to: Ext) -> bool {
+        if to.is_bool {
+            return self.is_bool;
+        }
+        self.is_bool
+            || (self.bits == to.bits && self.unsigned == to.unsigned)
+            || (self.bits < to.bits && (self.unsigned || !to.unsigned))
     }
 
     /// Read the scalar at byte offset `off` of a little-endian buffer.
@@ -139,6 +157,91 @@ pub enum BinKind {
     Or,
 }
 
+impl BinKind {
+    /// `x ⊕ y` over normalized operands, before normalizing to the
+    /// result type; `None` for a division or remainder by zero.
+    #[inline(always)]
+    pub fn apply(self, x: i64, y: i64) -> Option<i64> {
+        Some(match self {
+            BinKind::Add => x.wrapping_add(y),
+            BinKind::Sub => x.wrapping_sub(y),
+            BinKind::Mul => x.wrapping_mul(y),
+            BinKind::Div => {
+                if y == 0 {
+                    return None;
+                }
+                x.wrapping_div(y)
+            }
+            BinKind::Rem => {
+                if y == 0 {
+                    return None;
+                }
+                x.wrapping_rem(y)
+            }
+            BinKind::Shl => x.wrapping_shl(y as u32 & 63),
+            BinKind::Shr => x.wrapping_shr(y as u32 & 63),
+            BinKind::Lt => (x < y) as i64,
+            BinKind::Gt => (x > y) as i64,
+            BinKind::Le => (x <= y) as i64,
+            BinKind::Ge => (x >= y) as i64,
+            BinKind::Eq => (x == y) as i64,
+            BinKind::Ne => (x != y) as i64,
+            BinKind::And => x & y,
+            BinKind::Xor => x ^ y,
+            BinKind::Or => x | y,
+        })
+    }
+
+    /// Does the comparison `x ⊕ y` hold? (`self` must be a
+    /// comparison.)
+    #[inline(always)]
+    pub fn holds(self, x: i64, y: i64) -> bool {
+        match self {
+            BinKind::Lt => x < y,
+            BinKind::Gt => x > y,
+            BinKind::Le => x <= y,
+            BinKind::Ge => x >= y,
+            BinKind::Eq => x == y,
+            _ => x != y,
+        }
+    }
+
+    /// The kernel with its operands swapped (`y ⊕' x == x ⊕ y`), if
+    /// one exists.
+    pub fn swapped(self) -> Option<BinKind> {
+        Some(match self {
+            BinKind::Lt => BinKind::Gt,
+            BinKind::Gt => BinKind::Lt,
+            BinKind::Le => BinKind::Ge,
+            BinKind::Ge => BinKind::Le,
+            BinKind::Add
+            | BinKind::Mul
+            | BinKind::Eq
+            | BinKind::Ne
+            | BinKind::And
+            | BinKind::Xor
+            | BinKind::Or => self,
+            BinKind::Sub | BinKind::Div | BinKind::Rem | BinKind::Shl | BinKind::Shr => {
+                return None
+            }
+        })
+    }
+
+    /// The comparison that holds exactly when this one does not
+    /// (`self` must be a comparison).
+    pub fn negated(self) -> BinKind {
+        match self {
+            BinKind::Lt => BinKind::Ge,
+            BinKind::Ge => BinKind::Lt,
+            BinKind::Gt => BinKind::Le,
+            BinKind::Le => BinKind::Gt,
+            BinKind::Eq => BinKind::Ne,
+            BinKind::Ne => BinKind::Eq,
+            other => unreachable!("{other:?} is not a comparison"),
+        }
+    }
+}
+
 /// Unary operator kernel selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UnKind {
@@ -150,19 +253,33 @@ pub enum UnKind {
     LogNot,
 }
 
-/// One bytecode instruction. Registers are indices into the per-run
-/// `i64` register file; `slot` indexes the machine's root scope (the
-/// design's flat variable frame — PR 3's dense slots double as the
-/// variable side of the register file); `sig` indexes the runtime's
-/// signal-value table directly (no name lookup).
+impl UnKind {
+    /// `⊕ x`, before normalizing to the result type.
+    #[inline]
+    pub fn apply(self, x: i64) -> i64 {
+        match self {
+            UnKind::Neg => x.wrapping_neg(),
+            UnKind::BitNot => !x,
+            UnKind::LogNot => (x == 0) as i64,
+        }
+    }
+}
+
+/// One op: a data op of a lowered hook program, or a reaction control
+/// op the fused translation places around inlined hooks. Registers are
+/// indices into the `i64` register file; `slot` indexes the machine's
+/// root scope (the design's flat variable frame); `sig` indexes the
+/// runtime's signal-value table directly (no name lookup). Jump
+/// targets are op indices. The spans of fallible ops sit in the
+/// program's side table ([`Program::spans`]), which only the error
+/// path reads.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Op {
-    /// Charge `n` walker-equivalent interpreter steps against the fuel.
+    /// Charge `n` walker-equivalent interpreter steps against the fuel
+    /// (fallible: fuel exhaustion).
     Burn {
         /// Steps to charge.
         n: u32,
-        /// Span reported on fuel exhaustion.
-        span: Span,
     },
     /// `dst = v` (already normalized at compile time).
     Const {
@@ -180,27 +297,6 @@ pub enum Op {
         src: u16,
         /// Target type extension.
         ext: Ext,
-    },
-    /// `dst += k` (static projection offset after a dynamic index).
-    AddConst {
-        /// Offset register.
-        dst: u16,
-        /// Byte delta.
-        k: i64,
-    },
-    /// Bounds-checked dynamic index: `off += idx * elem` after
-    /// verifying `0 <= idx < len` (the walker's exact check and error).
-    AddScaled {
-        /// Offset register (accumulates bytes).
-        off: u16,
-        /// Index register.
-        idx: u16,
-        /// Element size in bytes.
-        elem: u32,
-        /// Array length.
-        len: u32,
-        /// Span of the index expression node.
-        span: Span,
     },
     /// `dst = read(root_slot)` — whole-scalar variable read.
     LoadVar {
@@ -242,25 +338,40 @@ pub enum Op {
         /// Scalar type extension.
         ext: Ext,
     },
-    /// `dst = read(root_slot at dynamic byte offset)`.
-    LoadVarAt {
+    /// Indexed read in one op: check `0 <= idx < len` (the walker's
+    /// exact check and error; fallible), then `dst = read(root_slot at
+    /// base + idx * elem)`.
+    LoadVarIdx {
         /// Destination register.
         dst: u16,
+        /// Index register.
+        idx: u16,
         /// Root-scope slot.
         slot: u32,
-        /// Register holding the byte offset.
-        off: u16,
+        /// Static byte offset around the index.
+        base: u32,
+        /// Element size in bytes.
+        elem: u32,
+        /// Array length.
+        len: u32,
         /// Scalar type extension.
         ext: Ext,
     },
-    /// `root_slot at dynamic byte offset = src`.
-    StoreVarAt {
-        /// Root-scope slot.
-        slot: u32,
-        /// Register holding the byte offset.
-        off: u16,
+    /// Indexed write in one op: check the index, then `root_slot at
+    /// base + idx * elem = src` (fallible).
+    StoreVarIdx {
         /// Source register.
         src: u16,
+        /// Index register.
+        idx: u16,
+        /// Root-scope slot.
+        slot: u32,
+        /// Static byte offset around the index.
+        base: u32,
+        /// Element size in bytes.
+        elem: u32,
+        /// Array length.
+        len: u32,
         /// Scalar type extension.
         ext: Ext,
     },
@@ -284,14 +395,21 @@ pub enum Op {
         /// Scalar type extension.
         ext: Ext,
     },
-    /// `dst = read(signal value at dynamic byte offset)`.
-    LoadSigAt {
+    /// Indexed signal-value read in one op: check the index, then
+    /// `dst = read(signal value at base + idx * elem)` (fallible).
+    LoadSigIdx {
         /// Destination register.
         dst: u16,
+        /// Index register.
+        idx: u16,
         /// Signal index.
         sig: u32,
-        /// Register holding the byte offset.
-        off: u16,
+        /// Static byte offset around the index.
+        base: u32,
+        /// Element size in bytes.
+        elem: u32,
+        /// Array length.
+        len: u32,
         /// Scalar type extension.
         ext: Ext,
     },
@@ -313,7 +431,8 @@ pub enum Op {
         /// Root-scope slot of the source variable.
         slot: u32,
     },
-    /// `dst = a ⊕ b`, result normalized to `ext`.
+    /// `dst = a ⊕ b`, result normalized to `ext` (fallible for
+    /// division and remainder).
     Bin {
         /// Operator kernel.
         op: BinKind,
@@ -325,8 +444,21 @@ pub enum Op {
         b: u16,
         /// Result type extension.
         ext: Ext,
-        /// Span reported on division/remainder by zero.
-        span: Span,
+    },
+    /// `dst = a ⊕ imm` with a folded right operand, result normalized
+    /// to `ext`. Never a division or remainder by zero (those stay
+    /// [`Op::Bin`], so the error happens at run time).
+    BinImm {
+        /// Operator kernel.
+        op: BinKind,
+        /// Destination register.
+        dst: u16,
+        /// Left operand register (pre-normalized to the common type).
+        a: u16,
+        /// Right operand, normalized to the common type.
+        imm: i64,
+        /// Result type extension.
+        ext: Ext,
     },
     /// `dst = ⊕ src`, result normalized to `ext`.
     Un {
@@ -353,99 +485,279 @@ pub enum Op {
         /// Jump on true (`true`) or on false (`false`).
         when_true: bool,
     },
+    /// Compare and branch: jump when `a op b` holds (`op` is a
+    /// comparison).
+    JmpCmp {
+        /// Comparison kernel.
+        op: BinKind,
+        /// Left operand register.
+        a: u16,
+        /// Right operand register.
+        b: u16,
+        /// Target op index.
+        target: u32,
+    },
+    /// Compare with a folded right operand and branch.
+    JmpCmpImm {
+        /// Comparison kernel.
+        op: BinKind,
+        /// Left operand register.
+        a: u16,
+        /// Target op index.
+        target: u32,
+        /// Right operand, normalized to the common type.
+        imm: i64,
+    },
     /// Execute a statement subtree through the tree-walker, then map
     /// its control-flow result onto compiled jump targets. The walker
     /// does its own fuel burning, error reporting and (scoped)
     /// declarations, so semantics are exact by construction.
     FallbackStmt {
-        /// Index into [`Program::stmts`].
+        /// Index into the lowering's statement pool
+        /// ([`crate::Lowering::into_stmts`]).
         stmt: u32,
         /// Jump target for `Flow::Break`.
         brk: u32,
         /// Jump target for `Flow::Continue`.
         cont: u32,
         /// Jump target for `Flow::Return` (the end of the enclosing
-        /// top-level statement — `run_action` ignores flows between
+        /// top-level statement — actions ignore flows between
         /// top-level statements).
         ret: u32,
     },
+    /// Reaction control: a residual predicate test. Charges one node.
+    /// After an earlier data error it reads false uncounted (jump to
+    /// `else_`); with `walk` set, or once the root frame has grown
+    /// past what the inlined code was resolved against, the predicate
+    /// is evaluated on the tree-walker and branches here; otherwise
+    /// the inlined predicate follows and branches itself.
+    PredHead {
+        /// Predicate id.
+        pred: u32,
+        /// Target when the predicate holds.
+        then_: u32,
+        /// Target when it does not (and after a data error).
+        else_: u32,
+        /// The predicate is not inlined: always walk it.
+        walk: bool,
+    },
+    /// Reaction control: a residual action. Charges one node; skipped
+    /// after a data error; walked like [`Op::PredHead`]; otherwise the
+    /// inlined action follows.
+    ActHead {
+        /// Action id.
+        action: u32,
+        /// Target after the action (and after a data error).
+        next: u32,
+        /// The action is not inlined: always walk it.
+        walk: bool,
+    },
+    /// Reaction control: the value of a valued emission. Charges one
+    /// node; skipped after a data error; walked like [`Op::PredHead`];
+    /// otherwise the inlined value program follows, ending in the
+    /// emission's [`Op::Push`].
+    EmitHead {
+        /// Emit-expression id.
+        expr: u32,
+        /// The emission's [`Op::Push`] (reached after a data error).
+        push: u32,
+        /// The value is not inlined: always walk it.
+        walk: bool,
+    },
+    /// Reaction control: append `sig` to the emissions (a valued
+    /// emission, whose node [`Op::EmitHead`] charged).
+    Push {
+        /// Local signal.
+        sig: u32,
+    },
+    /// Reaction control: a presence-only emission — charge one node,
+    /// append `sig`.
+    Emit {
+        /// Local signal.
+        sig: u32,
+    },
+    /// Reaction control: charge `n` nodes for presence tests the row
+    /// scan resolved, where the walk would have visited them.
+    Pad {
+        /// Nodes to charge.
+        n: u32,
+    },
+    /// Reaction control: jump to another residual block (glue between
+    /// blocks; charges nothing).
+    Goto {
+        /// Target op index.
+        target: u32,
+    },
+    /// Reaction control: end of the reaction — charge the goto node
+    /// and move to `target` for the next instant.
+    End {
+        /// Next control state.
+        target: u32,
+    },
 }
 
+// The reaction loop dispatches on this type: keep it within 24 bytes
+// (a 32-byte op measured ~15% slower on the CRC instants).
+const _: () = assert!(std::mem::size_of::<Op>() <= 24);
+
 impl Op {
-    /// Index of this opcode in the telemetry per-opcode counter table
-    /// (`ecl_telemetry::metrics::VM_OPS`), in declaration order. A unit
-    /// test checks the mnemonics against
-    /// `ecl_telemetry::metrics::VM_OP_NAMES` so the two stay in sync.
+    /// Index of a data opcode in the telemetry per-opcode counter table
+    /// (`ecl_telemetry::metrics::VM_OPS`), in declaration order; `None`
+    /// for reaction control ops, which are not data ops. A unit test
+    /// checks the indices against `ecl_telemetry::metrics::VM_OP_NAMES`
+    /// so the two stay in sync.
     #[inline]
-    pub fn telemetry_index(&self) -> usize {
-        match self {
+    pub fn telemetry_index(&self) -> Option<usize> {
+        Some(match self {
             Op::Burn { .. } => 0,
             Op::Const { .. } => 1,
             Op::Conv { .. } => 2,
-            Op::AddConst { .. } => 3,
-            Op::AddScaled { .. } => 4,
-            Op::LoadVar { .. } => 5,
-            Op::StoreVar { .. } => 6,
-            Op::LoadVarOff { .. } => 7,
-            Op::StoreVarOff { .. } => 8,
-            Op::LoadVarAt { .. } => 9,
-            Op::StoreVarAt { .. } => 10,
-            Op::LoadSig { .. } => 11,
-            Op::LoadSigOff { .. } => 12,
-            Op::LoadSigAt { .. } => 13,
-            Op::StoreSig { .. } => 14,
-            Op::EmitCopy { .. } => 15,
-            Op::Bin { .. } => 16,
-            Op::Un { .. } => 17,
-            Op::Jmp { .. } => 18,
-            Op::JmpIf { .. } => 19,
-            Op::FallbackStmt { .. } => 20,
-        }
+            Op::LoadVar { .. } => 3,
+            Op::StoreVar { .. } => 4,
+            Op::LoadVarOff { .. } => 5,
+            Op::StoreVarOff { .. } => 6,
+            Op::LoadVarIdx { .. } => 7,
+            Op::StoreVarIdx { .. } => 8,
+            Op::LoadSig { .. } => 9,
+            Op::LoadSigOff { .. } => 10,
+            Op::LoadSigIdx { .. } => 11,
+            Op::StoreSig { .. } => 12,
+            Op::EmitCopy { .. } => 13,
+            Op::Bin { .. } => 14,
+            Op::BinImm { .. } => 15,
+            Op::Un { .. } => 16,
+            Op::Jmp { .. } => 17,
+            Op::JmpIf { .. } => 18,
+            Op::JmpCmp { .. } => 19,
+            Op::JmpCmpImm { .. } => 20,
+            Op::FallbackStmt { .. } => 21,
+            Op::PredHead { .. }
+            | Op::ActHead { .. }
+            | Op::EmitHead { .. }
+            | Op::Push { .. }
+            | Op::Emit { .. }
+            | Op::Pad { .. }
+            | Op::Goto { .. }
+            | Op::End { .. } => return None,
+        })
     }
 
-    /// The opcode's telemetry mnemonic (matches
-    /// `ecl_telemetry::metrics::VM_OP_NAMES`).
-    pub fn mnemonic(&self) -> &'static str {
-        ecl_telemetry::metrics::VM_OP_NAMES[self.telemetry_index()]
+    /// Does this control op stand for one op of the EFSM row's
+    /// residual program (predicate, action, emission, pad or end) —
+    /// what `table.fused_ops` counts?
+    #[inline]
+    pub fn is_residual(&self) -> bool {
+        matches!(
+            self,
+            Op::PredHead { .. }
+                | Op::ActHead { .. }
+                | Op::EmitHead { .. }
+                | Op::Emit { .. }
+                | Op::Pad { .. }
+                | Op::End { .. }
+        )
+    }
+
+    /// Rewrite every jump target of this op through `f` (label
+    /// resolution, and relocation when a program is inlined).
+    pub fn map_targets(&mut self, mut f: impl FnMut(u32) -> u32) {
+        match self {
+            Op::Jmp { target }
+            | Op::JmpIf { target, .. }
+            | Op::JmpCmp { target, .. }
+            | Op::JmpCmpImm { target, .. }
+            | Op::Goto { target } => *target = f(*target),
+            Op::FallbackStmt { brk, cont, ret, .. } => {
+                *brk = f(*brk);
+                *cont = f(*cont);
+                *ret = f(*ret);
+            }
+            Op::PredHead { then_, else_, .. } => {
+                *then_ = f(*then_);
+                *else_ = f(*else_);
+            }
+            Op::ActHead { next, .. } => *next = f(*next),
+            Op::EmitHead { push, .. } => *push = f(*push),
+            _ => {}
+        }
     }
 }
 
-/// A compiled data hook: flat ops, the register-file size, the result
-/// register (predicates/emits), and the cloned statement subtrees
-/// referenced by [`Op::FallbackStmt`].
+/// A compiled data hook: flat ops, the register-file size and the
+/// error spans of its fallible ops.
+///
+/// Exits are jumps one past the end: an action or emit program ends at
+/// `ops.len()`; a predicate program jumps to `ops.len()` when false
+/// (falling off the end also reads false) and to `ops.len() + 1` when
+/// true.
 #[derive(Debug, Clone, Default)]
 pub struct Program {
     /// The instructions.
     pub ops: Vec<Op>,
     /// Number of registers the program uses.
     pub regs: u16,
-    /// Register holding the result value after the run.
-    pub result: u16,
-    /// Fallback statement subtrees (walker-executed).
-    pub stmts: Vec<Stmt>,
+    /// `(pc, span)` of every fallible op (burns, bounds checks,
+    /// divisions), in pc order — read only on the error path.
+    pub spans: Vec<(u32, Span)>,
+}
+
+/// The span of the fallible op at `pc` in a `(pc, span)` side table.
+pub fn span_at(spans: &[(u32, Span)], pc: u32) -> Span {
+    let i = spans.partition_point(|&(p, _)| p < pc);
+    spans
+        .get(i)
+        .filter(|&&(p, _)| p == pc)
+        .map_or(Span::dummy(), |&(_, s)| s)
+}
+
+/// The walker's out-of-bounds error for index `i` of a `len`-element
+/// array.
+#[cold]
+pub fn index_error(i: i64, len: u32, span: Span) -> EvalError {
+    EvalError {
+        msg: format!("index {i} out of bounds (len {len})"),
+        span,
+    }
+}
+
+/// The walker's error for a division or remainder by zero.
+#[cold]
+pub fn zero_divisor_error(op: BinKind, span: Span) -> EvalError {
+    let what = if op == BinKind::Rem {
+        "remainder"
+    } else {
+        "division"
+    };
+    EvalError {
+        msg: format!("integer {what} by zero"),
+        span,
+    }
 }
 
 /// Compilation outcome for one hook: a bytecode program, or a marker
 /// that the hook runs entirely through the tree-walker.
 #[derive(Debug, Clone)]
 pub enum Compiled {
-    /// Runs on the VM.
+    /// Inlined into fused reactions.
     Vm(Program),
     /// Outside the subset — the runtime walks the original AST.
     Walker,
 }
 
 impl Compiled {
-    /// Is this hook VM-compiled?
-    pub fn is_vm(&self) -> bool {
-        matches!(self, Compiled::Vm(_))
+    /// The bytecode program, if compiled.
+    pub fn program(&self) -> Option<&Program> {
+        match self {
+            Compiled::Vm(p) => Some(p),
+            Compiled::Walker => None,
+        }
     }
 }
 
 /// [`SignalReader`] over the runtime's signal-value table — the one
-/// borrow-splitting helper shared by the VM's fallback ops and the
-/// runtime's pure-walker paths (predicates, actions and emissions all
-/// read signal values through this view).
+/// borrow-splitting helper shared by fallback ops and the runtime's
+/// walker paths (predicates, actions and emissions all read signal
+/// values through this view).
 pub struct ValuesReader<'a> {
     /// Signal index → current value (`None` for pure signals).
     pub values: &'a [Option<Value>],
@@ -462,255 +774,22 @@ impl SignalReader for ValuesReader<'_> {
     }
 }
 
-/// Execute a compiled program.
-///
-/// `m` supplies fuel, the root variable slots and the tree-walker for
-/// fallback ops; `values` is the signal-value table (read by loads,
-/// written in place by [`Op::StoreSig`]/[`Op::EmitCopy`]); `regs` is
-/// caller-owned scratch reused across runs (no steady-state
-/// allocation). Returns the result register's value.
-///
-/// # Errors
-///
-/// The same [`EvalError`]s the tree-walker would raise on the same
-/// inputs: division/remainder by zero, out-of-bounds indexing, fuel
-/// exhaustion, and anything a fallback statement reports.
-pub fn run(
-    prog: &Program,
-    m: &mut Machine,
-    values: &mut [Option<Value>],
-    by_name: &FxHashMap<String, usize>,
-    regs: &mut Vec<i64>,
-) -> Result<i64, EvalError> {
-    regs.clear();
-    regs.resize(prog.regs as usize, 0);
-    // Hoist the telemetry gate once per program run; per-op counting is
-    // then a predictable branch on a register-held bool.
-    let tel = ecl_telemetry::enabled();
-    if tel {
-        ecl_telemetry::metrics::VM_HOOK_RUNS.raw_add(1);
-    }
-    let mut pc = 0usize;
-    while pc < prog.ops.len() {
-        if tel {
-            ecl_telemetry::metrics::VM_OPS[prog.ops[pc].telemetry_index()].raw_add(1);
-            if matches!(prog.ops[pc], Op::FallbackStmt { .. }) {
-                ecl_telemetry::metrics::VM_FALLBACK_STMTS.raw_add(1);
-            }
-        }
-        match prog.ops[pc] {
-            Op::Burn { n, span } => m.burn_n(u64::from(n), span)?,
-            Op::Const { dst, v } => regs[dst as usize] = v,
-            Op::Conv { dst, src, ext } => regs[dst as usize] = ext.norm(regs[src as usize]),
-            Op::AddConst { dst, k } => regs[dst as usize] += k,
-            Op::AddScaled {
-                off,
-                idx,
-                elem,
-                len,
-                span,
-            } => {
-                let i = regs[idx as usize];
-                if i < 0 || i >= i64::from(len) {
-                    return Err(EvalError {
-                        msg: format!("index {i} out of bounds (len {len})"),
-                        span,
-                    });
-                }
-                regs[off as usize] += i * i64::from(elem);
-            }
-            Op::LoadVar { dst, slot, ext } => {
-                regs[dst as usize] = ext.read(&m.root_value(slot as usize).bytes, 0);
-            }
-            Op::StoreVar { slot, src, ext } => {
-                let v = regs[src as usize];
-                ext.write(&mut m.root_value_mut(slot as usize).bytes, 0, v);
-            }
-            Op::LoadVarOff {
-                dst,
-                slot,
-                off,
-                ext,
-            } => {
-                regs[dst as usize] = ext.read(&m.root_value(slot as usize).bytes, off as usize);
-            }
-            Op::StoreVarOff {
-                slot,
-                off,
-                src,
-                ext,
-            } => {
-                let v = regs[src as usize];
-                ext.write(&mut m.root_value_mut(slot as usize).bytes, off as usize, v);
-            }
-            Op::LoadVarAt {
-                dst,
-                slot,
-                off,
-                ext,
-            } => {
-                let o = regs[off as usize] as usize;
-                regs[dst as usize] = ext.read(&m.root_value(slot as usize).bytes, o);
-            }
-            Op::StoreVarAt {
-                slot,
-                off,
-                src,
-                ext,
-            } => {
-                let o = regs[off as usize] as usize;
-                let v = regs[src as usize];
-                ext.write(&mut m.root_value_mut(slot as usize).bytes, o, v);
-            }
-            Op::LoadSig { dst, sig, ext } => {
-                let val = values[sig as usize].as_ref().expect("valued signal");
-                regs[dst as usize] = ext.read(&val.bytes, 0);
-            }
-            Op::LoadSigOff { dst, sig, off, ext } => {
-                let val = values[sig as usize].as_ref().expect("valued signal");
-                regs[dst as usize] = ext.read(&val.bytes, off as usize);
-            }
-            Op::LoadSigAt { dst, sig, off, ext } => {
-                let o = regs[off as usize] as usize;
-                let val = values[sig as usize].as_ref().expect("valued signal");
-                regs[dst as usize] = ext.read(&val.bytes, o);
-            }
-            Op::StoreSig { sig, src, ext } => {
-                let v = regs[src as usize];
-                let val = values[sig as usize].as_mut().expect("valued signal");
-                ext.write(&mut val.bytes, 0, v);
-            }
-            Op::EmitCopy { sig, slot } => {
-                let src = m.root_value(slot as usize);
-                let dst = values[sig as usize].as_mut().expect("valued signal");
-                dst.bytes.copy_from_slice(&src.bytes);
-            }
-            Op::Bin {
-                op,
-                dst,
-                a,
-                b,
-                ext,
-                span,
-            } => {
-                let x = regs[a as usize];
-                let y = regs[b as usize];
-                let v = match op {
-                    BinKind::Add => x.wrapping_add(y),
-                    BinKind::Sub => x.wrapping_sub(y),
-                    BinKind::Mul => x.wrapping_mul(y),
-                    BinKind::Div => {
-                        if y == 0 {
-                            return Err(EvalError {
-                                msg: "integer division by zero".into(),
-                                span,
-                            });
-                        }
-                        x.wrapping_div(y)
-                    }
-                    BinKind::Rem => {
-                        if y == 0 {
-                            return Err(EvalError {
-                                msg: "integer remainder by zero".into(),
-                                span,
-                            });
-                        }
-                        x.wrapping_rem(y)
-                    }
-                    BinKind::Shl => x.wrapping_shl(y as u32 & 63),
-                    BinKind::Shr => x.wrapping_shr(y as u32 & 63),
-                    BinKind::Lt => (x < y) as i64,
-                    BinKind::Gt => (x > y) as i64,
-                    BinKind::Le => (x <= y) as i64,
-                    BinKind::Ge => (x >= y) as i64,
-                    BinKind::Eq => (x == y) as i64,
-                    BinKind::Ne => (x != y) as i64,
-                    BinKind::And => x & y,
-                    BinKind::Xor => x ^ y,
-                    BinKind::Or => x | y,
-                };
-                regs[dst as usize] = ext.norm(v);
-            }
-            Op::Un { op, dst, src, ext } => {
-                let x = regs[src as usize];
-                let v = match op {
-                    UnKind::Neg => x.wrapping_neg(),
-                    UnKind::BitNot => !x,
-                    UnKind::LogNot => (x == 0) as i64,
-                };
-                regs[dst as usize] = ext.norm(v);
-            }
-            Op::Jmp { target } => {
-                pc = target as usize;
-                continue;
-            }
-            Op::JmpIf {
-                cond,
-                target,
-                when_true,
-            } => {
-                if (regs[cond as usize] != 0) == when_true {
-                    pc = target as usize;
-                    continue;
-                }
-            }
-            Op::FallbackStmt {
-                stmt,
-                brk,
-                cont,
-                ret,
-            } => {
-                let reader = ValuesReader {
-                    values: &*values,
-                    by_name,
-                };
-                match m.exec(&prog.stmts[stmt as usize], &reader)? {
-                    Flow::Normal => {}
-                    Flow::Break => {
-                        pc = brk as usize;
-                        continue;
-                    }
-                    Flow::Continue => {
-                        pc = cont as usize;
-                        continue;
-                    }
-                    Flow::Return(_) => {
-                        pc = ret as usize;
-                        continue;
-                    }
-                }
-            }
-        }
-        pc += 1;
-    }
-    Ok(regs.get(prog.result as usize).copied().unwrap_or(0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn telemetry_indices_cover_every_opcode_in_order() {
-        use ecl_syntax::source::Span;
-        let span = Span::default();
         let ext = Ext::INT;
-        // One instance of every variant, in declaration order.
+        let (op, kind) = (BinKind::Add, BinKind::Lt);
+        // One instance of every data variant, in declaration order.
         let ops = [
-            Op::Burn { n: 0, span },
+            Op::Burn { n: 0 },
             Op::Const { dst: 0, v: 0 },
             Op::Conv {
                 dst: 0,
                 src: 0,
                 ext,
-            },
-            Op::AddConst { dst: 0, k: 0 },
-            Op::AddScaled {
-                off: 0,
-                idx: 0,
-                elem: 1,
-                len: 1,
-                span,
             },
             Op::LoadVar {
                 dst: 0,
@@ -734,16 +813,22 @@ mod tests {
                 src: 0,
                 ext,
             },
-            Op::LoadVarAt {
+            Op::LoadVarIdx {
                 dst: 0,
+                idx: 0,
                 slot: 0,
-                off: 0,
+                base: 0,
+                elem: 1,
+                len: 1,
                 ext,
             },
-            Op::StoreVarAt {
-                slot: 0,
-                off: 0,
+            Op::StoreVarIdx {
                 src: 0,
+                idx: 0,
+                slot: 0,
+                base: 0,
+                elem: 1,
+                len: 1,
                 ext,
             },
             Op::LoadSig {
@@ -757,10 +842,13 @@ mod tests {
                 off: 0,
                 ext,
             },
-            Op::LoadSigAt {
+            Op::LoadSigIdx {
                 dst: 0,
+                idx: 0,
                 sig: 0,
-                off: 0,
+                base: 0,
+                elem: 1,
+                len: 1,
                 ext,
             },
             Op::StoreSig {
@@ -770,12 +858,18 @@ mod tests {
             },
             Op::EmitCopy { sig: 0, slot: 0 },
             Op::Bin {
-                op: BinKind::Add,
+                op,
                 dst: 0,
                 a: 0,
                 b: 0,
                 ext,
-                span,
+            },
+            Op::BinImm {
+                op,
+                dst: 0,
+                a: 0,
+                imm: 0,
+                ext,
             },
             Op::Un {
                 op: UnKind::Neg,
@@ -789,6 +883,18 @@ mod tests {
                 target: 0,
                 when_true: true,
             },
+            Op::JmpCmp {
+                op: kind,
+                a: 0,
+                b: 0,
+                target: 0,
+            },
+            Op::JmpCmpImm {
+                op: kind,
+                a: 0,
+                target: 0,
+                imm: 0,
+            },
             Op::FallbackStmt {
                 stmt: 0,
                 brk: 0,
@@ -798,9 +904,16 @@ mod tests {
         ];
         assert_eq!(ops.len(), ecl_telemetry::metrics::VM_OP_NAMES.len());
         for (i, op) in ops.iter().enumerate() {
-            assert_eq!(op.telemetry_index(), i, "{op:?}");
-            assert_eq!(op.mnemonic(), ecl_telemetry::metrics::VM_OP_NAMES[i]);
+            assert_eq!(op.telemetry_index(), Some(i), "{op:?}");
+            assert!(!op.is_residual());
         }
+        // Reaction control ops are not data ops.
+        let control = [
+            Op::Push { sig: 0 },
+            Op::Goto { target: 0 },
+            Op::End { target: 0 },
+        ];
+        assert!(control.iter().all(|op| op.telemetry_index().is_none()));
     }
 
     #[test]
@@ -828,6 +941,15 @@ mod tests {
         };
         assert_eq!(b.norm(42), 1);
         assert_eq!(b.norm(0), 0);
+        // Widenings that keep every value need no conversion op.
+        let uc = Ext {
+            bits: 8,
+            unsigned: true,
+            is_bool: false,
+        };
+        assert!(uc.widens_to(int) && uc.widens_to(uint) && ch.widens_to(int));
+        assert!(b.widens_to(uc) && !uc.widens_to(b));
+        assert!(!ch.widens_to(uint) && !int.widens_to(uint) && !int.widens_to(ch));
     }
 
     #[test]

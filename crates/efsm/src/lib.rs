@@ -11,8 +11,9 @@
 //!
 //! * [`machine`] — the [`Efsm`] type and its single-instant executor;
 //! * [`table`] — fused instant programs: per-state mask-scan rows
-//!   falling through into residual data ops (the compiled execution
-//!   backend; row-cap blowouts fall back to the s-graph walker);
+//!   falling through into a residual IR of data ops (the compiled
+//!   execution backend's control half; row-cap blowouts fall back to
+//!   the s-graph walker);
 //! * [`sgraph`] — s-graph nodes, path enumeration and structural checks;
 //! * [`opt`] — hash-consing reduction, dead-test elimination,
 //!   unreachable-state pruning, and observational state minimization
@@ -36,16 +37,13 @@ pub use bitset::BitSet;
 pub use machine::{Efsm, SigKind, Signal, SignalInfo, State, StateId, StepOut};
 pub use sgraph::{Node, NodeId, Path};
 pub use sig::{SigId, SigTable};
-pub use table::CompiledEfsm;
+pub use table::{CompiledEfsm, Hit, ResidualOp};
 
 /// Which execution backend drives reactions.
 ///
-/// One knob for the whole stack: the runner's control dispatch, the
-/// data hooks inside [`DataHooks`] implementations, and monitor
-/// stepping all key off the same two-valued choice. The split
-/// tables-versus-VM toggles this replaces allowed half-compiled
-/// configurations that no longer exist: control and data now compile
-/// into one fused program per task, so they switch together.
+/// One knob for the whole stack: a runner's reactions and monitor
+/// stepping key off the same two-valued choice. Control and data
+/// compile into one fused program per task, so they switch together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Backend {
     /// The reference tree interpreter: per-node s-graph walking for
@@ -54,9 +52,9 @@ pub enum Backend {
     /// against.
     Walker,
     /// The production backend: each control state fused into mask-scan
-    /// rows that fall through into straight-line bytecode for the
-    /// row's predicates, actions and valued emits — no walker boundary
-    /// crossings inside an instant.
+    /// rows that fall through into one op stream with the row's
+    /// predicates, actions and valued emits inlined as bytecode — one
+    /// dispatch loop per reaction, no [`DataHooks`] call inside it.
     #[default]
     Compiled,
 }
@@ -78,15 +76,11 @@ pub struct ExprId(pub u32);
 /// The ECL runtime implements this against the module's local variable
 /// frame; pure-control machines can use [`NoHooks`].
 ///
-/// An implementation is free to *compile* the hooks: the production
-/// runtime lowers every id to a register bytecode program at
-/// construction and dispatches these calls to a VM (with tree-walker
-/// fallback), which is transparent here — the same ids, the same
-/// entry points, bit-identical observable behavior. Implementations
-/// that meter execution cost (the runtime charges kernel cycles from
-/// interpreter fuel) must keep that metering identical across their
-/// backends, or compiled-vs-interpreted runs drift apart in RTOS
-/// scheduling metrics.
+/// The ECL runtime's implementation is the tree-walking reference: the
+/// s-graph walker and the constructive interpreter call it. Compiled
+/// reactions do not: they inline each hook's bytecode into the fused
+/// program and must match this reference bit for bit — values, errors,
+/// call order and the fuel the runtime charges kernel cycles from.
 pub trait DataHooks {
     /// Evaluate data predicate `pred` against the current data state.
     fn eval_pred(&mut self, pred: PredId) -> bool;

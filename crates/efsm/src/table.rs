@@ -17,26 +17,33 @@
 //!   emissions, goto) compiles to a *simple row*: an emission slice
 //!   memcpy plus a precomputed successor — the PR 4 fast path,
 //!   unchanged.
-//! * Any other row gets an entry point into a shared `FusedOp`
-//!   arena. Ops carry explicit successor pcs (direct-threaded
-//!   dispatch); `Pad` ops sit positionally where resolved presence
-//!   tests sat in the walk, so `nodes_visited` — and every cycle/trace
-//!   quantity charged from it — stays bit-identical to the walker,
-//!   including tests hidden behind predicate branches the reaction
-//!   does not take.
+//! * Any other row gets an entry point into a shared arena of
+//!   [`ResidualOp`]s, the residual IR. Ops carry explicit successor
+//!   pcs; `Pad` ops sit positionally where resolved presence tests sat
+//!   in the walk, so `nodes_visited` — and every cycle/trace quantity
+//!   charged from it — stays bit-identical to the walker, including
+//!   tests hidden behind predicate branches the reaction does not
+//!   take.
+//!
+//! This crate treats data as opaque ids, so it does not execute the
+//! residual IR: `ecl_core`'s fused reaction translates it once, with
+//! each hook's bytecode inlined, into one op stream a single dispatch
+//! loop steps ([`CompiledEfsm::scan`] picks the row). Pure machines —
+//! the synthesized monitors — have only simple rows and step here,
+//! through [`CompiledEfsm::step_table`].
 //!
 //! A [`CompiledEfsm`] is built once per machine (runner construction,
-//! monitor synthesis) and is observationally identical to the walker:
-//! per instant it produces the same emissions in the same order, the
-//! same data-hook call sequence, the same next state, and the same
-//! `nodes_visited` count. States whose row enumeration would explode
-//! past [`ROW_CAP`] stay on the walker (correct, just not fused); the
-//! differential proptests in `tests/differential.rs` enforce the
-//! equivalence either way.
+//! monitor synthesis). Its rows partition the input space and its
+//! residual programs replay the walk exactly: per instant the same
+//! emissions in the same order, the same data-hook sequence, the same
+//! next state, and the same `nodes_visited` count. States whose row
+//! enumeration would explode past [`ROW_CAP`] stay on the walker
+//! (correct, just not fused); the differential proptests in
+//! `tests/differential.rs` enforce the equivalence either way.
 
 use crate::machine::{Efsm, Signal, StateId, StepOut};
 use crate::sgraph::{Node, NodeId};
-use crate::{ActionId, BitSet, DataHooks, ExprId, PredId};
+use crate::{ActionId, BitSet, ExprId, NoHooks, PredId};
 use ecl_telemetry::metrics as tm;
 use std::collections::HashMap;
 
@@ -65,32 +72,72 @@ enum StateExec {
     Walk,
 }
 
-/// One op of a row's residual program. Ops live in a shared arena on
-/// the [`CompiledEfsm`] and name their successors by pc — dispatch is
-/// direct-threaded, no decode loop state beyond the pc itself.
+/// One op of a row's residual program: the predicates, actions and
+/// (valued) emissions the walk executes once its presence branches are
+/// pinned, in walk order. Ops live in a shared arena on the
+/// [`CompiledEfsm`] and name their successors by pc; every successor
+/// has a lower pc than its predecessor (the arena is built in
+/// post-order), and a row's entry is its highest pc.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FusedOp {
+pub enum ResidualOp {
     /// Evaluate a data predicate and branch.
     Pred {
+        /// The predicate.
         pred: PredId,
+        /// Successor when it holds.
         then_: u32,
+        /// Successor when it does not.
         else_: u32,
     },
     /// Run a data action.
-    Action { action: ActionId, next: u32 },
+    Action {
+        /// The action.
+        action: ActionId,
+        /// Successor.
+        next: u32,
+    },
     /// Emit `sig` (computing its value first when `value` is set).
     Emit {
+        /// The signal.
         sig: Signal,
+        /// Its value expression, for a valued emission.
         value: Option<ExprId>,
+        /// Successor.
         next: u32,
     },
     /// Charge `n` nodes without doing anything: stands in for `n`
     /// presence tests the mask scan already resolved, placed exactly
     /// where the walk would have visited them.
-    Pad { n: u32, next: u32 },
+    Pad {
+        /// Nodes to charge.
+        n: u32,
+        /// Successor.
+        next: u32,
+    },
     /// End of reaction: move to `target` for the next instant (charges
     /// the goto node).
-    End { target: StateId },
+    End {
+        /// Next control state.
+        target: StateId,
+    },
+}
+
+/// What the row scan of one instant found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Hit<'a> {
+    /// A simple row: append `emits`, move to `next`, charge `nodes`.
+    Simple {
+        /// Emissions, in walk order.
+        emits: &'a [Signal],
+        /// Next control state.
+        next: StateId,
+        /// Nodes the replaced walk would have visited.
+        nodes: u32,
+    },
+    /// A program row: run the residual program entered at this pc.
+    Program(u32),
+    /// The state is past [`ROW_CAP`]: walk the s-graph.
+    Walk,
 }
 
 /// Metadata of one fused transition row (masks live in the shared
@@ -116,11 +163,12 @@ struct RowMeta {
     entry: u32,
 }
 
-/// The fused compiled backend of one [`Efsm`].
+/// The fused compiled backend of one [`Efsm`]: row masks, simple rows
+/// and the residual IR.
 ///
 /// Holds no reference to the machine; callers pass the same machine to
-/// [`CompiledEfsm::step_table`] (checked by a debug assertion on the
-/// state count).
+/// [`CompiledEfsm::scan`] and [`CompiledEfsm::step_table`] (checked by
+/// a debug assertion on the state count).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledEfsm {
     /// Words per mask: `ceil(signals / 64)` of the source machine.
@@ -134,7 +182,7 @@ pub struct CompiledEfsm {
     /// Emission lists of all simple rows, concatenated.
     emits: Vec<Signal>,
     /// Residual programs of all program rows, in one arena.
-    ops: Vec<FusedOp>,
+    ops: Vec<ResidualOp>,
     /// Number of states fused (not on walker fallback).
     fused: u32,
 }
@@ -341,7 +389,7 @@ impl CompiledEfsm {
     }
 
     /// Append `op` to the arena, returning its pc.
-    fn push_op(&mut self, op: FusedOp) -> u32 {
+    fn push_op(&mut self, op: ResidualOp) -> u32 {
         self.ops.push(op);
         (self.ops.len() - 1) as u32
     }
@@ -373,17 +421,17 @@ impl CompiledEfsm {
                 // Collapse Pad chains: a run of resolved tests charges
                 // once.
                 match self.ops[next as usize] {
-                    FusedOp::Pad { n, next: after } => self.push_op(FusedOp::Pad {
+                    ResidualOp::Pad { n, next: after } => self.push_op(ResidualOp::Pad {
                         n: n + 1,
                         next: after,
                     }),
-                    _ => self.push_op(FusedOp::Pad { n: 1, next }),
+                    _ => self.push_op(ResidualOp::Pad { n: 1, next }),
                 }
             }
             Node::TestPred { pred, then_, else_ } => {
                 let t = self.emit_node(m, then_, cube, memo);
                 let e = self.emit_node(m, else_, cube, memo);
-                self.push_op(FusedOp::Pred {
+                self.push_op(ResidualOp::Pred {
                     pred,
                     then_: t,
                     else_: e,
@@ -391,17 +439,17 @@ impl CompiledEfsm {
             }
             Node::Do { action, next } => {
                 let n = self.emit_node(m, next, cube, memo);
-                self.push_op(FusedOp::Action { action, next: n })
+                self.push_op(ResidualOp::Action { action, next: n })
             }
             Node::Emit { sig, value, next } => {
                 let n = self.emit_node(m, next, cube, memo);
-                self.push_op(FusedOp::Emit {
+                self.push_op(ResidualOp::Emit {
                     sig,
                     value,
                     next: n,
                 })
             }
-            Node::Goto { target } => self.push_op(FusedOp::End { target }),
+            Node::Goto { target } => self.push_op(ResidualOp::End { target }),
         };
         memo.insert(id, pc);
         pc
@@ -434,109 +482,33 @@ impl CompiledEfsm {
         self.rows.len()
     }
 
-    /// Ops in the residual-program arena (0 for a pure-control
-    /// machine: every row is a simple emission slice).
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
+    /// The residual IR of every program row, in one arena (row entries
+    /// come from [`CompiledEfsm::scan`]; empty for a pure-control
+    /// machine, whose rows are all simple).
+    pub fn residual(&self) -> &[ResidualOp] {
+        &self.ops
     }
 
-    /// Fire row `ri`: simple rows append their emission slice and
-    /// return the precomputed successor; program rows run their
-    /// residual bytecode against `hooks`.
+    /// What row `ri` does when it fires.
     #[inline]
-    fn fire(
-        &self,
-        ri: usize,
-        hooks: &mut dyn DataHooks,
-        emitted: &mut Vec<Signal>,
-        tel: bool,
-    ) -> StepOut {
+    fn hit(&self, ri: usize) -> Hit<'_> {
         let row = &self.rows[ri];
         if row.entry == NO_PROG {
-            emitted.extend_from_slice(&self.emits[row.emit_start as usize..row.emit_end as usize]);
-            StepOut {
+            Hit::Simple {
+                emits: &self.emits[row.emit_start as usize..row.emit_end as usize],
                 next: row.next,
-                nodes_visited: row.nodes,
+                nodes: row.nodes,
             }
         } else {
-            self.run_program(row.entry, hooks, emitted, tel)
+            Hit::Program(row.entry)
         }
     }
 
-    /// Execute one residual program. The op loop mirrors the walker
-    /// node-for-node: every op charge lands where the corresponding
-    /// walk node sat, so `nodes_visited` (and the fuel the hooks burn)
-    /// is bit-identical.
-    fn run_program(
-        &self,
-        entry: u32,
-        hooks: &mut dyn DataHooks,
-        emitted: &mut Vec<Signal>,
-        tel: bool,
-    ) -> StepOut {
-        let mut pc = entry as usize;
-        let mut nodes = 0u32;
-        let mut ops_run = 0u64;
-        loop {
-            ops_run += 1;
-            match self.ops[pc] {
-                FusedOp::Pred { pred, then_, else_ } => {
-                    nodes += 1;
-                    pc = if hooks.eval_pred(pred) { then_ } else { else_ } as usize;
-                }
-                FusedOp::Action { action, next } => {
-                    nodes += 1;
-                    hooks.run_action(action);
-                    pc = next as usize;
-                }
-                FusedOp::Emit { sig, value, next } => {
-                    nodes += 1;
-                    if let Some(expr) = value {
-                        hooks.emit_value(sig, expr);
-                    }
-                    emitted.push(sig);
-                    pc = next as usize;
-                }
-                FusedOp::Pad { n, next } => {
-                    nodes += n;
-                    pc = next as usize;
-                }
-                FusedOp::End { target } => {
-                    nodes += 1;
-                    if tel {
-                        tm::TABLE_FUSED_HITS.raw_add(1);
-                        tm::TABLE_FUSED_OPS.raw_add(ops_run);
-                    }
-                    return StepOut {
-                        next: target,
-                        nodes_visited: nodes,
-                    };
-                }
-            }
-        }
-    }
-
-    /// One instant through the compiled backend: scan the state's rows
-    /// with word-wise `(inputs & watch) == match` compares; the
-    /// (unique) hit fires — appending a simple row's emissions to
-    /// `emitted`, or running a program row's residual bytecode against
-    /// `hooks`. States past the row cap delegate to [`Efsm::step_bits`]
-    /// on `m` — which must be the machine this table was compiled
-    /// from. Allocation-free on the fused path.
-    ///
-    /// # Panics
-    ///
-    /// Panics (like the walker) if the machine is structurally broken.
+    /// The row scan of one instant: compare the state's rows with
+    /// word-wise `(inputs & watch) == match` masks and return the
+    /// (unique) hit. Allocation-free.
     #[inline]
-    pub fn step_table(
-        &self,
-        m: &Efsm,
-        state: StateId,
-        inputs: &BitSet,
-        hooks: &mut dyn DataHooks,
-        emitted: &mut Vec<Signal>,
-    ) -> StepOut {
-        debug_assert_eq!(m.states.len(), self.states.len(), "table/machine mismatch");
+    pub fn scan(&self, state: StateId, inputs: &BitSet) -> Hit<'_> {
         let tel = ecl_telemetry::enabled();
         if tel {
             tm::TABLE_STEPS.raw_add(1);
@@ -547,13 +519,13 @@ impl CompiledEfsm {
                 if tel {
                     tm::TABLE_ALWAYS_HITS.raw_add(1);
                 }
-                return self.fire(row as usize, hooks, emitted, tel);
+                return self.hit(row as usize);
             }
             StateExec::Walk => {
                 if tel {
                     tm::TABLE_WALK_FALLBACKS.raw_add(1);
                 }
-                return m.step_bits(state, inputs, hooks, emitted);
+                return Hit::Walk;
             }
         };
         let (lo, hi) = (lo as usize, hi as usize);
@@ -567,7 +539,7 @@ impl CompiledEfsm {
                     if tel {
                         tm::TABLE_ROWS_SCANNED.raw_add(k as u64 + 1);
                     }
-                    return self.fire(lo + k, hooks, emitted, tel);
+                    return self.hit(lo + k);
                 }
             }
         } else {
@@ -581,7 +553,7 @@ impl CompiledEfsm {
                     if tel {
                         tm::TABLE_ROWS_SCANNED.raw_add((ri - lo) as u64 + 1);
                     }
-                    return self.fire(ri, hooks, emitted, tel);
+                    return self.hit(ri);
                 }
             }
         }
@@ -589,7 +561,40 @@ impl CompiledEfsm {
         // decision tree); reaching here means the table and machine
         // are out of sync. Recover with the walker.
         debug_assert!(false, "no table row matched in state {state:?}");
-        m.step_bits(state, inputs, hooks, emitted)
+        Hit::Walk
+    }
+
+    /// One instant of a *pure-control* machine (every row simple — the
+    /// synthesized monitors): scan the state's rows and append the
+    /// hit's emissions to `emitted`. States past the row cap delegate
+    /// to [`Efsm::step_bits`] on `m` — which must be the machine this
+    /// table was compiled from. Allocation-free on the fused path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the hit is a program row (a machine with data steps
+    /// through `ecl_core`'s fused reaction), and, like the walker, if
+    /// the machine is structurally broken.
+    #[inline]
+    pub fn step_table(
+        &self,
+        m: &Efsm,
+        state: StateId,
+        inputs: &BitSet,
+        emitted: &mut Vec<Signal>,
+    ) -> StepOut {
+        debug_assert_eq!(m.states.len(), self.states.len(), "table/machine mismatch");
+        match self.scan(state, inputs) {
+            Hit::Simple { emits, next, nodes } => {
+                emitted.extend_from_slice(emits);
+                StepOut {
+                    next,
+                    nodes_visited: nodes,
+                }
+            }
+            Hit::Program(_) => panic!("state {state:?} has data: step it through a fused reaction"),
+            Hit::Walk => m.step_bits(state, inputs, &mut NoHooks, emitted),
+        }
     }
 }
 
@@ -617,7 +622,7 @@ impl Efsm {
 mod tests {
     use super::*;
     use crate::machine::EfsmBuilder;
-    use crate::{ActionId, ExprId, NoHooks, PredId};
+    use crate::{ActionId, DataHooks, ExprId, NoHooks, PredId};
 
     /// Two-state toggler (pure): on `tick` emit `tock` and flip.
     fn toggler() -> Efsm {
@@ -641,9 +646,68 @@ mod tests {
         let mut e1 = Vec::new();
         let mut e2 = Vec::new();
         let r1 = m.step_bits(s, &bits, &mut NoHooks, &mut e1);
-        let r2 = c.step_table(m, s, &bits, &mut NoHooks, &mut e2);
+        let r2 = c.step_table(m, s, &bits, &mut e2);
         assert_eq!(e1, e2, "emission order from state {s:?} inputs {inputs:?}");
         (r1, r2)
+    }
+
+    /// The tests' reading of the residual IR: one instant stepped the
+    /// way a fused reaction steps it, with the data hooks answered
+    /// through `hooks` (the production loop inlines them instead and
+    /// lives in `ecl_core`, which this crate cannot link).
+    fn trace(
+        c: &CompiledEfsm,
+        m: &Efsm,
+        s: StateId,
+        inputs: &BitSet,
+        hooks: &mut dyn DataHooks,
+        emitted: &mut Vec<Signal>,
+    ) -> StepOut {
+        let mut pc = match c.scan(s, inputs) {
+            Hit::Simple { emits, next, nodes } => {
+                emitted.extend_from_slice(emits);
+                return StepOut {
+                    next,
+                    nodes_visited: nodes,
+                };
+            }
+            Hit::Program(entry) => entry as usize,
+            Hit::Walk => return m.step_bits(s, inputs, hooks, emitted),
+        };
+        let mut nodes = 0;
+        loop {
+            nodes += 1;
+            pc = match c.residual()[pc] {
+                ResidualOp::Pred { pred, then_, else_ } => {
+                    if hooks.eval_pred(pred) {
+                        then_
+                    } else {
+                        else_
+                    }
+                }
+                ResidualOp::Action { action, next } => {
+                    hooks.run_action(action);
+                    next
+                }
+                ResidualOp::Emit { sig, value, next } => {
+                    if let Some(e) = value {
+                        hooks.emit_value(sig, e);
+                    }
+                    emitted.push(sig);
+                    next
+                }
+                ResidualOp::Pad { n, next } => {
+                    nodes += n - 1;
+                    next
+                }
+                ResidualOp::End { target } => {
+                    return StepOut {
+                        next: target,
+                        nodes_visited: nodes,
+                    }
+                }
+            } as usize;
+        }
     }
 
     /// Hooks that record the exact call sequence and answer predicates
@@ -682,7 +746,7 @@ mod tests {
         assert!(c.fully_fused());
         assert_eq!(c.fused_states(), 2);
         // Pure rows are all simple: no residual programs.
-        assert_eq!(c.op_count(), 0);
+        assert!(c.residual().is_empty());
         for s in [StateId(0), StateId(1)] {
             for inputs in [&[][..], &[0][..]] {
                 let (r1, r2) = step_both(&m, &c, s, inputs);
@@ -738,7 +802,7 @@ mod tests {
         assert!(c.is_fused(StateId(3)));
         assert_eq!(c.fused_states(), 4);
         assert!(c.fully_fused());
-        assert!(c.op_count() > 0);
+        assert!(!c.residual().is_empty());
         assert_eq!(m.stats().pure_states, 1);
     }
 
@@ -767,7 +831,7 @@ mod tests {
         // The `a`-present row takes the pure branch: it is a simple
         // row, so only the absent row's residual (Pad for the resolved
         // test; Action; End) is in the arena.
-        assert_eq!(c.op_count(), 3);
+        assert_eq!(c.residual().len(), 3);
         // Walker parity on both rows, hook sequence included.
         for inputs in [&[][..], &[0u32][..]] {
             let bits: BitSet = inputs.iter().map(|&i| i as usize).collect();
@@ -776,7 +840,7 @@ mod tests {
             let mut e1 = Vec::new();
             let mut e2 = Vec::new();
             let r1 = m.step_bits(StateId(0), &bits, &mut h1, &mut e1);
-            let r2 = c.step_table(&m, StateId(0), &bits, &mut h2, &mut e2);
+            let r2 = trace(&c, &m, StateId(0), &bits, &mut h2, &mut e2);
             assert_eq!(r1, r2);
             assert_eq!(e1, e2);
             assert_eq!(h1.calls, h2.calls);
@@ -818,7 +882,8 @@ mod tests {
             let mut e1 = Vec::new();
             let mut e2 = Vec::new();
             let r1 = m.step_bits(StateId(1), &bits, &mut crate::ConstHooks(answer), &mut e1);
-            let r2 = c.step_table(
+            let r2 = trace(
+                &c,
                 &m,
                 StateId(1),
                 &bits,
@@ -880,7 +945,7 @@ mod tests {
             let mut e1 = Vec::new();
             let mut e2 = Vec::new();
             let r1 = m.step_bits(StateId(0), &bits, &mut h1, &mut e1);
-            let r2 = c.step_table(&m, StateId(0), &bits, &mut h2, &mut e2);
+            let r2 = trace(&c, &m, StateId(0), &bits, &mut h2, &mut e2);
             assert_eq!(r1, r2, "inputs {inputs:?} answers {answers:?}");
             assert_eq!(e1, e2);
             assert_eq!(h1.calls, h2.calls);
@@ -919,7 +984,8 @@ mod tests {
                 let mut e1 = Vec::new();
                 let mut e2 = Vec::new();
                 let r1 = m.step_bits(StateId(0), &bits, &mut crate::ConstHooks(answer), &mut e1);
-                let r2 = c.step_table(
+                let r2 = trace(
+                    &c,
                     &m,
                     StateId(0),
                     &bits,
@@ -1000,7 +1066,7 @@ mod tests {
         assert_eq!(r1, r2);
         let mut e2 = Vec::new();
         let bits: BitSet = [69usize].into_iter().collect();
-        c.step_table(&m, StateId(0), &bits, &mut NoHooks, &mut e2);
+        c.step_table(&m, StateId(0), &bits, &mut e2);
         assert_eq!(e2, vec![out]);
     }
 
@@ -1034,7 +1100,7 @@ mod tests {
         let bits: BitSet = [a.0 as usize].into_iter().collect();
         let (mut e1, mut e2) = (Vec::new(), Vec::new());
         let walked = m.step_bits(StateId(0), &bits, &mut NoHooks, &mut e1);
-        let tabled = c.step_table(&m, StateId(0), &bits, &mut NoHooks, &mut e2);
+        let tabled = c.step_table(&m, StateId(0), &bits, &mut e2);
         assert_eq!(walked.next, tabled.next);
         assert_eq!(e1, e2);
     }

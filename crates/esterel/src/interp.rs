@@ -11,11 +11,10 @@
 //! Data effects (actions, predicate evaluations, valued emissions) are
 //! journaled by `(node, occurrence)` so that restarts never re-execute
 //! them — see `engine.rs` for why that key is stable. They resolve
-//! through the same [`DataHooks`] ids the compiled EFSM uses, so the
-//! runtime's data backend (the register bytecode VM, or its
-//! tree-walker under `Backend::Walker`) accelerates this interpreter
-//! and the compiled machine identically — one journal entry per hook
-//! call either way.
+//! through the same [`DataHooks`] ids the compiled EFSM uses: the
+//! runtime's tree-walking hooks, the reference the fused compiled
+//! reactions are differential-tested against — one journal entry per
+//! hook call.
 
 use crate::engine::{Engine, ExecFailure, ExecOut, Occurrences, Sem};
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};

@@ -168,7 +168,6 @@ impl Monitor {
                 &self.spec.efsm,
                 self.state,
                 &self.input_scratch,
-                &mut NoHooks,
                 &mut self.emit_scratch,
             )
         } else {

@@ -20,10 +20,10 @@
 use crate::tb::InstantEvents;
 use crate::trace::{Recorder, Trace};
 use codegen::cost::CostParams;
-use ecl_core::{Design, Rt};
+use ecl_core::{Design, Fused, Rt};
 use ecl_faults::Faults;
 use ecl_telemetry::metrics as tm;
-use efsm::{Backend, BitSet, CompiledEfsm, DataHooks, Efsm, SigId, SigTable, Signal, StateId};
+use efsm::{Backend, BitSet, DataHooks, Efsm, SigId, SigTable, Signal, StateId};
 use esterel::compile::CompileOptions;
 use rtk::{Kernel, KernelParams, TaskId, TaskTable};
 use std::collections::HashMap;
@@ -136,7 +136,8 @@ pub struct WatchdogBudget {
     /// counts). Deterministic across backends.
     pub max_nodes: Option<u64>,
     /// Max data-path fuel burned per instant. Deterministic across
-    /// backends (fuel charges are bit-identical by the VM contract).
+    /// backends (fuel charges are bit-identical by the bytecode
+    /// contract).
     pub max_fuel: Option<u64>,
     /// Max wall-clock nanoseconds per instant. Inherently
     /// nondeterministic — use for hang protection, not for
@@ -205,7 +206,7 @@ pub struct TaskCoverage {
     pub fused_states: u32,
     /// Fused transition rows.
     pub fused_rows: u32,
-    /// Data hooks compiled to VM bytecode.
+    /// Data hooks compiled to bytecode (inlined into fused reactions).
     pub vm_compiled: u32,
     /// Total data hooks (predicates + actions + valued emits).
     pub vm_total: u32,
@@ -237,7 +238,7 @@ impl CoverageReport {
         self.tasks.iter().map(|t| t.fused_rows).sum()
     }
 
-    /// Total VM-compiled data hooks.
+    /// Total bytecode-compiled data hooks.
     pub fn vm_compiled(&self) -> u32 {
         self.tasks.iter().map(|t| t.vm_compiled).sum()
     }
@@ -273,17 +274,6 @@ impl CoverageReport {
 /// / [`Runner::counts_slot`]) — runners only expose their [`Recorder`]
 /// and count array.
 pub trait Runner {
-    /// Choose the execution backend — [`Backend::Compiled`] (the
-    /// default) runs fused per-task programs (mask-scan rows falling
-    /// through into bytecode), [`Backend::Walker`] forces the
-    /// reference tree interpreter for control and data alike. The two
-    /// are observationally identical (differential-tested); the switch
-    /// exists for measurement, bisection and differential gating.
-    fn set_backend(&mut self, backend: Backend);
-
-    /// The active execution backend.
-    fn backend(&self) -> Backend;
-
     /// Compiled-backend coverage, per task.
     fn coverage(&self) -> CoverageReport;
 
@@ -541,7 +531,7 @@ fn faulted_stimuli<'a>(
 }
 
 /// The immutable compilation product of one task: the design, its
-/// EFSM, the fused compiled program, the local ↔ global signal wiring
+/// EFSM, the fused compiled backend, the local ↔ global signal wiring
 /// and a prototype runtime. Built once by [`SharedProgram::compile`]
 /// and `Arc`-shared by every runner instantiated from it — a fleet of
 /// N sessions pays for compilation exactly once.
@@ -549,9 +539,10 @@ pub struct TaskProgram {
     design: Design,
     efsm: Efsm,
     /// Fused compiled backend of `efsm`: every state — pure or mixed —
-    /// as mask-scan rows falling through into residual bytecode (only
-    /// row-cap blowouts keep the s-graph walker).
-    table: CompiledEfsm,
+    /// as mask-scan rows falling through into one op stream with the
+    /// prototype runtime's data bytecode inlined (only row-cap blowouts
+    /// keep the s-graph walker).
+    fused: Fused,
     /// Prototype runtime, cloned per session (its compiled data
     /// programs are themselves `Arc`-shared inside [`Rt`]).
     proto_rt: Rt,
@@ -619,11 +610,11 @@ impl SharedProgram {
                 .map(|(s, _)| to_global[s.0 as usize].bit())
                 .collect();
             kernel_tasks.add_task(design.entry.clone(), (10 - i.min(9)) as u8, watches);
-            let table_c = CompiledEfsm::compile(&efsm);
+            let fused = Fused::compile(&efsm, &proto_rt);
             tasks.push(Arc::new(TaskProgram {
                 design,
                 efsm,
-                table: table_c,
+                fused,
                 proto_rt,
                 to_global,
                 from_global,
@@ -674,11 +665,12 @@ pub struct AsyncRunner {
     cost: CostParams,
     table: Arc<SigTable>,
     /// Execution backend: [`Backend::Compiled`] (default) drives every
-    /// state through its fused program (mask-scan rows + residual
-    /// bytecode, data hooks on the VM); [`Backend::Walker`] forces the
-    /// s-graph walker and the tree-walking data interpreter everywhere
-    /// — the two are observationally identical (differential-tested),
-    /// the toggle exists for benchmarking and bisection.
+    /// state through its fused program (mask-scan rows + one dispatch
+    /// loop over the inlined data bytecode); [`Backend::Walker`] forces
+    /// the s-graph walker and the tree-walking data interpreter
+    /// everywhere — the two are observationally identical
+    /// (differential-tested), the toggle exists for benchmarking and
+    /// bisection.
     backend: Backend,
     /// Current environment instant number.
     pub instant: u64,
@@ -828,12 +820,14 @@ impl AsyncRunner {
     }
 
     /// Choose the execution backend for every task — control dispatch
-    /// and data hooks switch together. See [`Runner::set_backend`].
+    /// and data switch together: [`Backend::Compiled`] (the default)
+    /// runs each reaction as one fused dispatch loop,
+    /// [`Backend::Walker`] forces the reference s-graph walker and
+    /// tree-walking data hooks. The two are observationally identical
+    /// (differential-tested); the switch exists for measurement,
+    /// bisection and differential gating.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
-        for t in &mut self.tasks {
-            t.rt.set_backend(backend);
-        }
     }
 
     /// The active execution backend.
@@ -852,8 +846,8 @@ impl AsyncRunner {
                     TaskCoverage {
                         task: t.prog.design.entry.clone(),
                         states: t.prog.efsm.states.len() as u32,
-                        fused_states: t.prog.table.fused_states(),
-                        fused_rows: t.prog.table.row_count() as u32,
+                        fused_states: t.prog.fused.table().fused_states(),
+                        fused_rows: t.prog.fused.table().row_count() as u32,
                         vm_compiled,
                         vm_total,
                     }
@@ -1044,7 +1038,7 @@ impl AsyncRunner {
         let r = {
             let t = &mut self.tasks[ti];
             let r = if self.backend == Backend::Compiled {
-                t.prog.table.step_table(
+                t.prog.fused.step(
                     &t.prog.efsm,
                     t.state,
                     &self.local_scratch,
@@ -1086,24 +1080,31 @@ impl AsyncRunner {
                         .and_then(|v| trace_value(&t.rt, v));
                 self.recorder.emit(gid, traced);
             }
-            // Copy the value into every *other* task that reads it
-            // (single-task runs skip the clone entirely).
+            // Copy the value into every *other* task that reads it, in
+            // place: the borrow of the emitter is split from the reader,
+            // so nothing is cloned.
             if self.tasks.len() > 1 && self.tasks[ti].prog.valued[local.0 as usize] {
-                let value = self.tasks[ti].rt.signal_value(local.0 as usize).cloned();
-                if let Some(v) = value {
-                    for rj in 0..self.tasks.len() {
-                        if rj == ti {
-                            continue;
-                        }
-                        let Some(Some(lj)) =
-                            self.tasks[rj].prog.from_global.get(gid.bit()).copied()
-                        else {
-                            continue;
-                        };
-                        let _ = self.tasks[rj].rt.set_input_value_idx(lj.0 as usize, &v);
-                        self.kernel
-                            .charge_task(v.bytes.len() as u64 * self.cost.cyc_per_value_byte);
+                for rj in 0..self.tasks.len() {
+                    if rj == ti {
+                        continue;
                     }
+                    let Some(Some(lj)) = self.tasks[rj].prog.from_global.get(gid.bit()).copied()
+                    else {
+                        continue;
+                    };
+                    let (from, to) = if ti < rj {
+                        let (lo, hi) = self.tasks.split_at_mut(rj);
+                        (&lo[ti], &mut hi[0])
+                    } else {
+                        let (lo, hi) = self.tasks.split_at_mut(ti);
+                        (&hi[0], &mut lo[rj])
+                    };
+                    let Some(v) = from.rt.signal_value(local.0 as usize) else {
+                        break;
+                    };
+                    let _ = to.rt.set_input_value_idx(lj.0 as usize, v);
+                    self.kernel
+                        .charge_task(v.bytes.len() as u64 * self.cost.cyc_per_value_byte);
                 }
             }
             self.kernel.post_internal(tid, gid.0);
@@ -1410,32 +1411,19 @@ impl<'d> InterpRunner<'d> {
         check_watchdog(self.watchdog, self.instant - 1, passes, fuel_spent, wall_t0)
     }
 
-    /// Choose the data-hook backend. The reactive side — the
-    /// constructive Esterel interpreter — evaluates the very same
-    /// hooks either way; only the data path switches between bytecode
-    /// VM and tree-walker, so [`Backend::Compiled`] here means
-    /// "compiled data hooks", never fused control rows.
-    pub fn set_backend(&mut self, backend: Backend) {
-        self.rt.set_backend(backend);
-    }
-
-    /// The active data-hook backend.
-    pub fn backend(&self) -> Backend {
-        self.rt.backend()
-    }
-
-    /// Compiled-backend coverage of the single design. Control always
-    /// runs on the constructive interpreter here, so the report covers
-    /// the data path only (`states == fused_states == 0`).
+    /// Compiled-backend coverage of the single design: none. Control
+    /// runs on the constructive interpreter and data on the
+    /// tree-walker, so the report only counts the data hooks
+    /// (`states == fused_states == vm_compiled == 0`).
     pub fn coverage(&self) -> CoverageReport {
-        let (vm_compiled, vm_total) = self.rt.vm_coverage();
+        let (_, vm_total) = self.rt.vm_coverage();
         CoverageReport {
             tasks: vec![TaskCoverage {
                 task: self.design.entry.clone(),
                 states: 0,
                 fused_states: 0,
                 fused_rows: 0,
-                vm_compiled,
+                vm_compiled: 0,
                 vm_total,
             }],
         }
@@ -1481,14 +1469,6 @@ impl<'d> InterpRunner<'d> {
 }
 
 impl Runner for AsyncRunner {
-    fn set_backend(&mut self, backend: Backend) {
-        AsyncRunner::set_backend(self, backend)
-    }
-
-    fn backend(&self) -> Backend {
-        AsyncRunner::backend(self)
-    }
-
     fn coverage(&self) -> CoverageReport {
         AsyncRunner::coverage(self)
     }
@@ -1535,14 +1515,6 @@ impl Runner for AsyncRunner {
 }
 
 impl<'d> Runner for InterpRunner<'d> {
-    fn set_backend(&mut self, backend: Backend) {
-        InterpRunner::set_backend(self, backend)
-    }
-
-    fn backend(&self) -> Backend {
-        InterpRunner::backend(self)
-    }
-
     fn coverage(&self) -> CoverageReport {
         InterpRunner::coverage(self)
     }

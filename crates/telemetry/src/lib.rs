@@ -2,7 +2,7 @@
 //! path.
 //!
 //! Every execution backend in this repo (s-graph walker, transition
-//! tables, bytecode VM) ultimately runs inside the same per-instant
+//! tables, fused bytecode reactions) ultimately runs inside the same per-instant
 //! loop; this crate gives that loop one shared window: a **lock-free
 //! metric registry** of static counter/timer/histogram handles, a
 //! **per-run correlation id**, and a **pluggable sink** that emits one

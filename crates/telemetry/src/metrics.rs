@@ -44,14 +44,14 @@ pub static SIM_TRACE_OCCUPANCY: Histogram = Histogram::new("sim.trace_occupancy"
 
 // ---- efsm: the compiled-table control engine ----------------------------
 
-/// Reactions stepped through `CompiledEfsm::step_table`.
+/// Reactions stepped through a compiled table's row scan.
 pub static TABLE_STEPS: Counter = Counter::new("table.steps");
 /// Rows compared until the hit, summed over all table-scanned steps
 /// (rows-per-hit = this / table-scanned steps).
 pub static TABLE_ROWS_SCANNED: Counter = Counter::new("table.rows_scanned");
 /// Steps answered by the single-row `Always` fast path.
 pub static TABLE_ALWAYS_HITS: Counter = Counter::new("table.always_hits");
-/// Steps inside `CompiledEfsm::step_table` that fell back to the
+/// Row-scanned steps that fell back to the
 /// s-graph walker (row-cap blowouts).
 pub static TABLE_WALK_FALLBACKS: Counter = Counter::new("table.walk_fallbacks");
 /// Rows that fired a fused residual program (vs a simple emission
@@ -61,67 +61,71 @@ pub static TABLE_FUSED_HITS: Counter = Counter::new("table.fused_hits");
 /// emits, pads, ends).
 pub static TABLE_FUSED_OPS: Counter = Counter::new("table.fused_ops");
 
-// ---- ecl-types: the data-path bytecode VM -------------------------------
+// ---- ecl-types: the data-path bytecode ----------------------------------
 
-/// Compiled-program runs (one per predicate/action/valued-emit hook).
+/// Inlined hook runs (one per predicate/action/valued-emit hook a
+/// fused reaction executes as bytecode).
 pub static VM_HOOK_RUNS: Counter = Counter::new("vm.hook_runs");
 /// `FallbackStmt` executions (statement subtrees the walker ran
 /// inside a compiled program).
 pub static VM_FALLBACK_STMTS: Counter = Counter::new("vm.fallback_stmts");
-/// Hook dispatches that bypassed the VM entirely (walker-compiled
-/// hook, or `Backend::Walker` forced).
+/// Hooks evaluated on the tree-walker (a hook outside the bytecode
+/// subset, a grown root frame, or `Backend::Walker` forced).
 pub static VM_WALKER_HOOKS: Counter = Counter::new("vm.walker_hooks");
 
-/// Opcode mnemonics, in the VM's `Op` declaration order.
+/// Data-opcode mnemonics, in the declaration order of `ecl_types::vm::Op`.
 /// `ecl_types::vm::Op::telemetry_index` indexes [`VM_OPS`] with this
-/// ordering; a unit test over there keeps the two in sync.
-pub const VM_OP_NAMES: [&str; 21] = [
+/// ordering; a unit test over there keeps the two in sync. Reaction
+/// control ops are not data ops and have no counter here.
+pub const VM_OP_NAMES: [&str; 22] = [
     "burn",
     "const",
     "conv",
-    "add_const",
-    "add_scaled",
     "load_var",
     "store_var",
     "load_var_off",
     "store_var_off",
-    "load_var_at",
-    "store_var_at",
+    "load_var_idx",
+    "store_var_idx",
     "load_sig",
     "load_sig_off",
-    "load_sig_at",
+    "load_sig_idx",
     "store_sig",
     "emit_copy",
     "bin",
+    "bin_imm",
     "un",
     "jmp",
     "jmp_if",
+    "jmp_cmp",
+    "jmp_cmp_imm",
     "fallback_stmt",
 ];
 
 /// Per-opcode execution counters, indexed by
 /// `Op::telemetry_index` (same order as [`VM_OP_NAMES`]).
-pub static VM_OPS: [Counter; 21] = [
+pub static VM_OPS: [Counter; 22] = [
     Counter::new("vm.op.burn"),
     Counter::new("vm.op.const"),
     Counter::new("vm.op.conv"),
-    Counter::new("vm.op.add_const"),
-    Counter::new("vm.op.add_scaled"),
     Counter::new("vm.op.load_var"),
     Counter::new("vm.op.store_var"),
     Counter::new("vm.op.load_var_off"),
     Counter::new("vm.op.store_var_off"),
-    Counter::new("vm.op.load_var_at"),
-    Counter::new("vm.op.store_var_at"),
+    Counter::new("vm.op.load_var_idx"),
+    Counter::new("vm.op.store_var_idx"),
     Counter::new("vm.op.load_sig"),
     Counter::new("vm.op.load_sig_off"),
-    Counter::new("vm.op.load_sig_at"),
+    Counter::new("vm.op.load_sig_idx"),
     Counter::new("vm.op.store_sig"),
     Counter::new("vm.op.emit_copy"),
     Counter::new("vm.op.bin"),
+    Counter::new("vm.op.bin_imm"),
     Counter::new("vm.op.un"),
     Counter::new("vm.op.jmp"),
     Counter::new("vm.op.jmp_if"),
+    Counter::new("vm.op.jmp_cmp"),
+    Counter::new("vm.op.jmp_cmp_imm"),
     Counter::new("vm.op.fallback_stmt"),
 ];
 

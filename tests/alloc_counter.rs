@@ -9,10 +9,12 @@
 //! * the pure-control relay covers the control path — kernel
 //!   mailboxes, dispatch, EFSM stepping, emission fan-out;
 //! * the full protocol stack (valued signals, packet aggregates, CRC
-//!   loops, monitored) covers the *data* path on the bytecode VM:
-//!   programs compile once at construction, then predicates, actions
-//!   and valued emits run register-to-slot with zero heap traffic —
-//!   unlike the tree-walker, which clones a `Value` per signal read.
+//!   loops, monitored), monolithic and as three tasks, covers the
+//!   *data* path of the fused reactions: bytecode compiles once at
+//!   construction, then predicates, actions and valued emits run
+//!   register-to-slot, and valued signals cross tasks into the readers'
+//!   existing buffers, with zero heap traffic — unlike the tree-walker,
+//!   which clones a `Value` per signal read.
 //! * the same relay with telemetry *enabled* pins the instrumentation
 //!   down: counters and histograms are preallocated atomics, so the
 //!   steady state stays at zero allocations — heap traffic happens
@@ -155,77 +157,87 @@ fn vm_data_path_is_allocation_free_in_steady_state() {
     let _g = locked();
     ecl_telemetry::set_enabled(false);
     let parsed = Source::new(PROTOCOL_STACK).parse().unwrap();
-    let design = parsed
+    let mono = parsed
         .elaborate("toplevel")
         .unwrap()
         .split()
         .unwrap()
         .to_design();
     let specs = synthesize_all(parsed.ast()).expect("observers synthesize");
-    let mut runner = AsyncRunner::new(
-        vec![design],
-        &Default::default(),
-        CostParams::default(),
-        KernelParams::default(),
-    )
-    .unwrap();
-    // The whole reaction must be on the compiled backend — a walker
-    // fallback would clone `Value`s per signal read and void the
-    // guarantee.
-    let cov = runner.coverage();
-    assert!(
-        cov.fully_fused() && cov.vm_total() > 0,
-        "stack should fuse completely ({}/{} states, {}/{} hooks)",
-        cov.fused_states(),
-        cov.states(),
-        cov.vm_compiled(),
-        cov.vm_total()
-    );
-    let mut monitors: Vec<Monitor> = specs
-        .iter()
-        .map(|s| {
-            let mut m = Monitor::new(Arc::clone(s));
-            m.bind(runner.sig_table());
-            m
-        })
-        .collect();
-    let events = PacketTb {
-        packets: 40,
-        corrupt_every: 0,
-        reset_every: 0,
-        seed: 1999,
-    }
-    .events();
-    // One driving pass: the first `WARM` instants grow every scratch
-    // buffer (register file, kernel mailboxes, driver bitsets) to
-    // steady state; the next 1000 monitored instants of packet
-    // assembly, CRC accumulation and valued emission must then be
-    // allocation-free. Boundaries are sampled inside the callback so
-    // the whole window runs through a single `run_events` call.
-    const WARM: u64 = 300;
-    let mut before = 0u64;
-    let mut after = 0u64;
-    assert!(events.len() as u64 >= WARM + 1000, "testbench long enough");
-    runner
-        .run_events(&events[..(WARM + 1000) as usize], |instant, present| {
-            for m in monitors.iter_mut() {
-                m.step_present(instant, present);
-            }
-            if instant + 1 == WARM {
-                before = my_allocs();
-            } else if instant + 1 == WARM + 1000 {
-                after = my_allocs();
-            }
-        })
+    // The monolithic stack, and its 3-task partition, whose packet and
+    // CRC verdict cross tasks as valued signals every packet.
+    let parts = parsed.partition("toplevel").unwrap();
+    for designs in [vec![mono], parts] {
+        let tasks = designs.len();
+        let mut runner = AsyncRunner::new(
+            designs,
+            &Default::default(),
+            CostParams::default(),
+            KernelParams::default(),
+        )
         .unwrap();
-    assert!(after > 0 || before == my_allocs(), "boundaries sampled");
-    assert_eq!(
-        after - before,
-        0,
-        "VM data path allocated {} times over 1000 steady-state instants",
-        after - before
-    );
-    assert!(runner.count_of("top::packet") > 0, "packets were assembled");
+        // The whole reaction must be on the compiled backend — a walker
+        // fallback would clone `Value`s per signal read and void the
+        // guarantee.
+        let cov = runner.coverage();
+        assert!(
+            cov.fully_fused() && cov.vm_total() > 0,
+            "{tasks}-task stack should fuse completely ({}/{} states, {}/{} hooks)",
+            cov.fused_states(),
+            cov.states(),
+            cov.vm_compiled(),
+            cov.vm_total()
+        );
+        let mut monitors: Vec<Monitor> = specs
+            .iter()
+            .map(|s| {
+                let mut m = Monitor::new(Arc::clone(s));
+                m.bind(runner.sig_table());
+                m
+            })
+            .collect();
+        let events = PacketTb {
+            packets: 40,
+            corrupt_every: 0,
+            reset_every: 0,
+            seed: 1999,
+        }
+        .events();
+        // One driving pass: the first `WARM` instants grow every scratch
+        // buffer (register file, kernel mailboxes, driver bitsets,
+        // cross-task value buffers) to steady state; the next 1000
+        // monitored instants of packet assembly, CRC accumulation and
+        // valued emission must then be allocation-free. Boundaries are
+        // sampled inside the callback so the whole window runs through
+        // a single `run_events` call.
+        const WARM: u64 = 300;
+        let mut before = 0u64;
+        let mut after = 0u64;
+        assert!(events.len() as u64 >= WARM + 1000, "testbench long enough");
+        runner
+            .run_events(&events[..(WARM + 1000) as usize], |instant, present| {
+                for m in monitors.iter_mut() {
+                    m.step_present(instant, present);
+                }
+                if instant + 1 == WARM {
+                    before = my_allocs();
+                } else if instant + 1 == WARM + 1000 {
+                    after = my_allocs();
+                }
+            })
+            .unwrap();
+        assert!(after > 0 || before == my_allocs(), "boundaries sampled");
+        assert_eq!(
+            after - before,
+            0,
+            "{tasks}-task data path allocated {} times over 1000 steady-state instants",
+            after - before
+        );
+        assert!(
+            runner.counts().keys().any(|k| k.ends_with("packet")),
+            "packets were assembled"
+        );
+    }
 }
 
 #[test]

@@ -9,7 +9,11 @@
 //! The suite also pins the fusion acceptance criterion: on both
 //! shipped designs every state fuses and every data hook compiles
 //! (`coverage().fully_fused()`), and a telemetry-counted compiled run
-//! takes *zero* walker fallbacks — no s-graph steps inside an instant.
+//! of each — monolithic and as three tasks — takes *zero* walker
+//! steps: no s-graph fallback and no tree-walked data hook inside an
+//! instant, while the inlined hooks do run. A `Backend::Compiled`
+//! reaction that reached the runtime's walker-only `DataHooks` would
+//! fail it.
 
 use ecl_core::{Design, Source};
 use ecl_observe::{synthesize_all, Monitor};
@@ -177,35 +181,57 @@ fn pager_walker_matches_compiled() {
     walker_matches_compiled(VOICE_PAGER, "pager", &pager_events());
 }
 
-/// Under `Backend::Compiled`, no reaction ever reaches the s-graph
-/// walker: the telemetry-counted run takes zero `table.walk_fallbacks`
-/// on both shipped designs while resolving every step in the fused
-/// backend.
+/// Under `Backend::Compiled`, no reaction ever reaches a walker: the
+/// telemetry-counted run takes zero `table.walk_fallbacks` and zero
+/// `vm.walker_hooks` on both shipped designs, monolithic and as three
+/// tasks, while resolving every step in the fused backend and running
+/// its data as inlined bytecode (`vm.hook_runs`).
 #[test]
 fn compiled_run_takes_zero_walker_steps() {
     let _g = locked();
     let was = ecl_telemetry::enabled();
     ecl_telemetry::set_enabled(true);
+    let parts = |src: &str, entry: &str| Source::new(src).parse().unwrap().partition(entry);
     for (src, entry, events) in [
         (PROTOCOL_STACK, "toplevel", stack_events()),
         (VOICE_PAGER, "pager", pager_events()),
     ] {
-        let design = design_of(src, entry);
-        ecl_telemetry::metrics::reset_all();
-        let mut r = runner(vec![design]);
-        r.run_events(&events, |_, _| {}).expect("run succeeds");
-        let c = |name: &str| {
-            ecl_telemetry::metrics::counters()
-                .into_iter()
-                .find(|c| c.name() == name)
-                .map_or(0, |c| c.get())
-        };
-        assert!(c("table.steps") > 0, "`{entry}` took no table steps");
+        let partitioned = parts(src, entry).expect("design partitions");
         assert_eq!(
-            c("table.walk_fallbacks"),
-            0,
-            "`{entry}` fell back to the s-graph walker under Backend::Compiled"
+            partitioned.len(),
+            3,
+            "`{entry}` partitions into three tasks"
         );
+        for designs in [vec![design_of(src, entry)], partitioned] {
+            let tasks = designs.len();
+            ecl_telemetry::metrics::reset_all();
+            let mut r = runner(designs);
+            r.run_events(&events, |_, _| {}).expect("run succeeds");
+            check_compiled_counts(&format!("{entry} ({tasks} tasks)"));
+        }
     }
     ecl_telemetry::set_enabled(was);
+}
+
+/// The registry after a compiled run of `what`: row-scanned steps, data
+/// hooks run as bytecode, and no walker anywhere.
+fn check_compiled_counts(what: &str) {
+    let c = |name: &str| {
+        ecl_telemetry::metrics::counters()
+            .into_iter()
+            .find(|c| c.name() == name)
+            .map_or(0, |c| c.get())
+    };
+    assert!(c("table.steps") > 0, "`{what}` took no table steps");
+    assert_eq!(
+        c("table.walk_fallbacks"),
+        0,
+        "`{what}` fell back to the s-graph walker under Backend::Compiled"
+    );
+    assert!(c("vm.hook_runs") > 0, "`{what}` ran no inlined hook");
+    assert_eq!(
+        c("vm.walker_hooks"),
+        0,
+        "`{what}` walked a data hook under Backend::Compiled"
+    );
 }

@@ -4,7 +4,7 @@
 //! interpreter and the compiled EFSM, and under the shipped compiled
 //! path and the reference walker, for random input sequences.
 
-use ecl_core::{Design, Source, SplitStrategy};
+use ecl_core::{Design, Fused, Source, SplitStrategy};
 use ecl_observe::Monitor;
 use efsm::{Backend, BitSet};
 use proptest::prelude::*;
@@ -142,10 +142,14 @@ fn check_equiv(src: &str, strategy: SplitStrategy, seeds: u64) -> Result<(), Tes
 /// signal-rooted chains through the aggregate output `q`), valued and
 /// aggregate emits, inc/dec and compound assignments, for/do-while
 /// loops, casts/sizeof/comma, a helper C function (exercising the
-/// VM's statement-level walker fallback), and *deliberate* runtime errors
+/// statement-level walker fallback), *deliberate* runtime errors
 /// (divisions whose divisor is input-dependent, occasionally
-/// out-of-bounds indices) — the data workload of the compiled ≡
-/// walker differential.
+/// out-of-bounds indices), and an arm for every fold lowering makes:
+/// constant operands and conditions, constants that wrap at the C
+/// width, divisions by a constant zero and constant indices past the
+/// end behind data conditions, and a data error ahead of a predicate,
+/// an action and a valued emit of the same reaction — the data
+/// workload of the compiled ≡ walker differential.
 fn gen_data_module(seed: u64) -> String {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut body = String::new();
@@ -164,7 +168,7 @@ fn gen_data_module(seed: u64) -> String {
 fn gen_data_expr(rng: &mut impl Rng, depth: u32) -> String {
     if depth == 0 {
         // Leaves include signal-rooted projections (`q.*` reads the
-        // aggregate output's current value — LoadSigOff/LoadSigAt).
+        // aggregate output's current value — LoadSigOff/LoadSigIdx).
         return match rng.gen_range(0..8) {
             0 => "u".to_string(),
             1 => "v".to_string(),
@@ -178,7 +182,7 @@ fn gen_data_expr(rng: &mut impl Rng, depth: u32) -> String {
     }
     let a = gen_data_expr(rng, depth - 1);
     let b = gen_data_expr(rng, depth - 1);
-    match rng.gen_range(0..20) {
+    match rng.gen_range(0..25) {
         0 => format!("({a} + {b})"),
         1 => format!("({a} - {b})"),
         2 => format!("({a} * {b})"),
@@ -199,6 +203,14 @@ fn gen_data_expr(rng: &mut impl Rng, depth: u32) -> String {
         16 => format!("(q.d[(u & 3)] + {a})"),
         17 => format!("(v = {a}, v & 31)"),
         18 => format!("({a} >= {b})"),
+        // Constant operands: folded subexpressions, immediates, a
+        // constant left operand of a comparison, a constant divisor, a
+        // folded conversion.
+        20 => format!("({a} + (3 * 4 - 2))"),
+        21 => format!("(((2147483647 + 1) >> 1) ^ {a})"),
+        22 => format!("((5 - 8) < {a})"),
+        23 => format!("({a} / (6 + 56 + 2))"),
+        24 => format!("((unsigned char) 300 + {b})"),
         _ => format!("(!{a})"),
     }
 }
@@ -210,7 +222,7 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
             return;
         }
         *stmts += 1;
-        match rng.gen_range(0..19) {
+        match rng.gen_range(0..27) {
             0 => {
                 let e = gen_data_expr(rng, 2);
                 out.push_str(&format!("u = {e}; "));
@@ -276,17 +288,63 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
             // Aggregate emit (EmitCopy) feeding the `q.*` signal reads.
             16 => out.push_str("emit_v (q, r); "),
             17 => out.push_str("u = (v += r.d[2], v) % 97 + sizeof(int); "),
+            // Constant conditions: the branch or loop folds to a jump or
+            // a fall-through.
+            19 if depth > 0 => {
+                let c = ["1", "0", "(2 > 3)", "(1 + 1 == 2)", "!(4 & 4)"][rng.gen_range(0..5)];
+                out.push_str(&format!("if ({c}) {{ "));
+                gen_data_block(rng, out, depth - 1, stmts);
+                out.push_str("} else { ");
+                gen_data_block(rng, out, depth - 1, stmts);
+                out.push_str("} ");
+            }
+            20 => out.push_str(if rng.gen_bool(0.5) {
+                "while (1 - 1) { u = u + 9; } "
+            } else {
+                "do { v = v + 1; } while (2 < 1); "
+            }),
+            // A division or remainder by a constant zero, behind a data
+            // condition: an error instant only some steps reach.
+            21 => out.push_str(if rng.gen_bool(0.5) {
+                "if ((a & 7) == 5) { u = v / (2 - 2); } "
+            } else {
+                "if ((v & 15) == 3) { u = u % (4 * 0); } "
+            }),
+            // A constant index past the end of `r.d`, likewise guarded.
+            22 => out.push_str(if rng.gen_bool(0.5) {
+                "if ((a & 7) == 6) { r.d[2 + 2] = u; } "
+            } else {
+                "if ((u & 7) == 2) { v = r.d[3 + 1]; } "
+            }),
+            // Constants that wrap at the C width: `int` overflow, and a
+            // byte store of 260.
+            23 => out.push_str("u = 2147483647 + 1 + v; r.d[0] = 250 + 10; "),
+            // A data error (on even `a`) ahead of a predicate, an action
+            // and a valued emit of the same reaction, then a presence
+            // emission that still fires.
+            24 => out.push_str(
+                "u = 7 / (a & 1); if (u > 3) { v = v + 1; } v = v * 2; emit_v (x, v + 1); emit (y); ",
+            ),
+            // Hooks outside the bytecode subset (a call in a valued
+            // emit or a predicate) run on the tree-walker inside the
+            // fused reaction.
+            25 => out.push_str("emit_v (x, helper(u & 7)); "),
+            26 if depth > 0 => {
+                out.push_str("if (helper(v & 3) > 4) { ");
+                gen_data_block(rng, out, depth - 1, stmts);
+                out.push_str("} ");
+            }
             _ => out.push_str("v = v + r.d[u & 3] - q.d[v & 3]; "),
         }
     }
 }
 
 /// The shipped path ≡ the reference path, step for step, on module `m`
-/// of `src` split under `strategy`. One runtime
-/// steps through `step_table` — fused mask-scan rows falling through
-/// into residual programs — with its data hooks on the bytecode VM
-/// (`Backend::Compiled`); the other walks the s-graph with `step_bits`
-/// and evaluates data on the tree-walker (`Backend::Walker`). They
+/// of `src` split under `strategy`. One runtime steps through
+/// [`Fused::step`] — fused mask-scan rows falling through into one
+/// dispatch loop over the inlined data bytecode (`Backend::Compiled`);
+/// the other walks the s-graph with `step_bits` and evaluates data on
+/// the tree-walker (`Backend::Walker`). They
 /// must agree every step on emission order, `StepOut` (next state
 /// *and* `nodes_visited`, the cycle-cost proxy), errors (message and
 /// span), the `pred_evals`/`action_runs` hook counters, the emitted
@@ -303,19 +361,15 @@ fn check_compiled_vs_walker(
     let Ok(machine) = design.to_efsm(&Default::default()) else {
         return Ok(());
     };
-    let compiled = efsm::CompiledEfsm::compile(&machine);
+    let proto = design.new_rt().unwrap();
+    let compiled = Fused::compile(&machine, &proto);
     let a = design.signal("a").unwrap();
     let b = design.signal("b").unwrap();
     let a_valued = machine.signal_info(a).valued;
     for seed in 0..seeds {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let mut rt_c = design.new_rt().unwrap();
+        let mut rt_c = proto.clone();
         let mut rt_w = design.new_rt().unwrap();
-        prop_assert!(
-            rt_c.backend() == Backend::Compiled,
-            "compiled is the default backend"
-        );
-        rt_w.set_backend(Backend::Walker);
         // Small fuel budget: generated programs can loop for real, and
         // exhaustion is itself a behavior both paths must share.
         rt_c.machine_mut().set_fuel(200_000);
@@ -336,7 +390,7 @@ fn check_compiled_vs_walker(
                 bits.insert(b.0 as usize);
             }
             let (mut e_c, mut e_w) = (Vec::new(), Vec::new());
-            let r_c = compiled.step_table(&machine, st_c, &bits, &mut rt_c, &mut e_c);
+            let r_c = compiled.step(&machine, st_c, &bits, &mut rt_c, &mut e_c);
             let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
             st_c = r_c.next;
             st_w = r_w.next;
@@ -528,6 +582,35 @@ fn check_observer_equiv(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every fold arm of the data generator turns up within the first few
+/// hundred modules, so the differential's default and 512-case runs
+/// check each fold against the walker.
+#[test]
+fn data_generator_reaches_every_fold_arm() {
+    let arms = [
+        "(3 * 4 - 2)",
+        "((2147483647 + 1) >> 1) ^",
+        "(5 - 8) <",
+        "/ (6 + 56 + 2)",
+        "(unsigned char) 300",
+        "if (1) {",
+        "if (0) {",
+        "while (1 - 1)",
+        "while (2 < 1)",
+        "v / (2 - 2)",
+        "u % (4 * 0)",
+        "r.d[2 + 2] = u",
+        "v = r.d[3 + 1]",
+        "r.d[0] = 250 + 10",
+        "u = 7 / (a & 1); if (u > 3)",
+    ];
+    let modules: Vec<String> = (0..300).map(gen_data_module).collect();
+    for arm in arms {
+        let first = modules.iter().position(|m| m.contains(arm));
+        assert!(first.is_some(), "no module among the first 300 has `{arm}`");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -554,7 +637,7 @@ proptest! {
         check_observer_equiv(&src, 3)?;
     }
 
-    // The compiled path (fused rows + bytecode VM) ≡ the reference
+    // The compiled path (fused rows + one dispatch loop) ≡ the reference
     // path (s-graph walk + tree-walker): one check,
     // `check_compiled_vs_walker`, over three workloads.
 
@@ -579,8 +662,8 @@ proptest! {
     }
 
     /// The same grammar under MinEsterel: halting-free regions batch
-    /// into single actions, so the VM runs whole branches and loops
-    /// (jumps, coalesced burns, fallbacks) inside one hook.
+    /// into single actions, so the inlined bytecode runs whole branches
+    /// and loops (jumps, coalesced burns, fallbacks) inside one hook.
     #[test]
     fn vm_matches_walker(seed in 0u64..10_000) {
         check_compiled_vs_walker(&gen_data_module(seed), SplitStrategy::MinEsterel, 3)?;
