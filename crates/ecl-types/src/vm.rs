@@ -96,26 +96,47 @@ impl Ext {
             || (self.bits < to.bits && (self.unsigned || !to.unsigned))
     }
 
-    /// Read the scalar at byte offset `off` of a little-endian buffer.
-    #[inline]
+    /// Read the scalar at byte offset `off` of a little-endian buffer:
+    /// one fixed-width load per width, which inlines into the dispatch
+    /// loop with no copy call.
+    ///
+    /// # Panics
+    ///
+    /// On a width other than 8, 16 or 32 bits, or bytes past the end.
+    #[inline(always)]
     pub fn read(self, bytes: &[u8], off: usize) -> i64 {
-        let n = usize::from(self.bits / 8);
-        let mut buf = [0u8; 8];
-        buf[..n].copy_from_slice(&bytes[off..off + n]);
-        self.norm(i64::from_le_bytes(buf))
+        let raw = match self.bits {
+            8 => i64::from(bytes[off]),
+            16 => i64::from(u16::from_le_bytes(le_bytes(bytes, off))),
+            32 => i64::from(u32::from_le_bytes(le_bytes(bytes, off))),
+            bits => unreachable!("no {bits}-bit scalar type"),
+        };
+        self.norm(raw)
     }
 
-    /// Write a (normalized) scalar at byte offset `off`.
-    #[inline]
+    /// Write a (normalized) scalar at byte offset `off`: the low
+    /// `bits` of `v` (0/1 for `bool`), one fixed-width store.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ext::read`].
+    #[inline(always)]
     pub fn write(self, bytes: &mut [u8], off: usize, v: i64) {
-        let n = usize::from(self.bits / 8);
-        let le = if self.is_bool {
-            ((v != 0) as i64).to_le_bytes()
-        } else {
-            v.to_le_bytes()
-        };
-        bytes[off..off + n].copy_from_slice(&le[..n]);
+        let v = if self.is_bool { (v != 0) as i64 } else { v };
+        match self.bits {
+            8 => bytes[off] = v as u8,
+            16 => bytes[off..off + 2].copy_from_slice(&(v as u16).to_le_bytes()),
+            32 => bytes[off..off + 4].copy_from_slice(&(v as u32).to_le_bytes()),
+            bits => unreachable!("no {bits}-bit scalar type"),
+        }
     }
+}
+
+/// The `N` bytes at `off`, as an array (a constant-length copy, so a
+/// plain load).
+#[inline(always)]
+fn le_bytes<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    bytes[off..off + N].try_into().expect("a slice of length N")
 }
 
 /// Binary operator kernel selector (operands are pre-normalized to the
@@ -954,22 +975,45 @@ mod tests {
 
     #[test]
     fn ext_read_write_round_trip() {
-        let uc = Ext {
+        let int = |bits, unsigned| Ext {
+            bits,
+            unsigned,
+            is_bool: false,
+        };
+        let b = Ext {
             bits: 8,
             unsigned: true,
-            is_bool: false,
+            is_bool: true,
         };
-        let mut buf = [0u8; 4];
-        uc.write(&mut buf, 2, 0x1AB);
-        assert_eq!(buf, [0, 0, 0xAB, 0]);
-        assert_eq!(uc.read(&buf, 2), 0xAB);
-        let sh = Ext {
-            bits: 16,
-            unsigned: false,
-            is_bool: false,
-        };
-        let mut buf = [0u8; 2];
-        sh.write(&mut buf, 0, -2);
-        assert_eq!(sh.read(&buf, 0), -2);
+        // (type, value written, value read back): every width the
+        // lowering emits, signed and unsigned, with the top bit set
+        // and with bits above the width.
+        let cases = [
+            (int(8, true), 0x80, 0x80),
+            (int(8, false), 0x80, -0x80),
+            (int(8, true), 0x1AB, 0xAB),
+            (int(16, true), 0x8000, 0x8000),
+            (int(16, false), 0x8000, -0x8000),
+            (int(16, false), -2, -2),
+            (int(32, true), 0x8000_0000, 0x8000_0000),
+            (int(32, false), 0x8000_0000, -0x8000_0000),
+            (int(32, false), 0x1_2345_6789, 0x2345_6789),
+            (b, 2, 1),
+            (b, 0, 0),
+        ];
+        for (ext, v, back) in cases {
+            let n = usize::from(ext.bits / 8);
+            for off in 0..4 {
+                let mut buf = [0xA5u8; 8];
+                ext.write(&mut buf, off, v);
+                assert_eq!(ext.read(&buf, off), back, "{ext:?} at {off}");
+                assert_eq!(buf[off..off + n], back.to_le_bytes()[..n], "{ext:?}");
+                for (i, byte) in buf.iter().enumerate() {
+                    if !(off..off + n).contains(&i) {
+                        assert_eq!(*byte, 0xA5, "{ext:?} at {off} wrote byte {i}");
+                    }
+                }
+            }
+        }
     }
 }

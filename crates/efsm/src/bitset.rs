@@ -71,9 +71,15 @@ impl BitSet {
         self.words.iter().all(|w| *w == 0)
     }
 
-    /// Remove all elements.
+    /// Remove all elements. Only non-zero words are stored to: a set
+    /// cleared every instant is nearly empty, and the branch keeps the
+    /// loop from compiling to a `memset` call.
     pub fn clear(&mut self) {
-        self.words.iter_mut().for_each(|w| *w = 0);
+        for w in &mut self.words {
+            if *w != 0 {
+                *w = 0;
+            }
+        }
     }
 
     /// In-place union.
@@ -117,18 +123,14 @@ impl BitSet {
             || self.word(last) & hi_mask != 0
     }
 
-    /// Iterate over members in increasing order.
+    /// Iterate over members in increasing order. A walk costs one step
+    /// per member plus one per word, not one per bit.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, w)| {
-            let w = *w;
-            (0..64).filter_map(move |b| {
-                if w & (1u64 << b) != 0 {
-                    Some(wi * 64 + b)
-                } else {
-                    None
-                }
-            })
-        })
+        Iter {
+            words: self.words.iter().enumerate(),
+            bits: 0,
+            base: 0,
+        }
     }
 
     /// The `i`-th backing word (bits `64*i .. 64*i+64`); words past the
@@ -146,6 +148,32 @@ impl BitSet {
             words.pop();
         }
         BitSet { words }
+    }
+}
+
+/// The members of a [`BitSet`] in increasing order (see
+/// [`BitSet::iter`]): each word yields its set bits lowest first, by
+/// `trailing_zeros`.
+struct Iter<'a> {
+    words: std::iter::Enumerate<std::slice::Iter<'a, u64>>,
+    /// The current word's members not yet yielded.
+    bits: u64,
+    /// The index of the current word's bit 0.
+    base: usize,
+}
+
+impl Iterator for Iter<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        while self.bits == 0 {
+            let (i, &w) = self.words.next()?;
+            (self.bits, self.base) = (w, i * 64);
+        }
+        let b = self.bits.trailing_zeros() as usize;
+        self.bits &= self.bits - 1;
+        Some(self.base + b)
     }
 }
 
@@ -201,14 +229,45 @@ mod tests {
 
     #[test]
     fn union_and_difference() {
+        // Members in increasing order, and `len` counts what `iter`
+        // yields.
+        let members = |s: &BitSet| {
+            let m: Vec<usize> = s.iter().collect();
+            assert_eq!(s.len(), m.len(), "{m:?}");
+            assert_eq!(s.is_empty(), m.is_empty(), "{m:?}");
+            m
+        };
         let a: BitSet = [1, 5, 64].into_iter().collect();
         let b: BitSet = [5, 6].into_iter().collect();
         let mut u = a.clone();
         u.union_with(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 5, 6, 64]);
+        assert_eq!(members(&u), vec![1, 5, 6, 64]);
         let mut d = u.clone();
         d.difference_with(&b);
-        assert_eq!(d.iter().collect::<Vec<_>>(), vec![1, 64]);
+        assert_eq!(members(&d), vec![1, 64]);
+        // Both ends of a word, then a member past two all-zero words
+        // (192..320).
+        let mut e: BitSet = [191, 0, 127, 64, 63].into_iter().collect();
+        assert_eq!(members(&e), vec![0, 63, 64, 127, 191]);
+        e.insert(320);
+        assert_eq!((e.word(3), e.word(4)), (0, 0));
+        assert_eq!(members(&e), vec![0, 63, 64, 127, 191, 320]);
+        // One full word of 64 members.
+        e.union_with(&(384..448).collect());
+        assert_eq!(e.word(6), !0);
+        let full: Vec<usize> = [0, 63, 64, 127, 191, 320]
+            .into_iter()
+            .chain(384..448)
+            .collect();
+        assert_eq!(members(&e), full);
+        e.difference_with(&a);
+        assert_eq!(members(&e)[..3], [0, 63, 127]);
+        e.clear();
+        assert!(members(&e).is_empty());
+        assert_eq!(e.len(), 0);
+        assert!(e.is_empty());
+        e.insert(5);
+        assert_eq!(members(&e), vec![5]);
     }
 
     #[test]

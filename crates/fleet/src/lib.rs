@@ -47,7 +47,7 @@ use efsm::{Backend, BitSet};
 use esterel::CompileOptions;
 use rtk::KernelParams;
 use sim::runner::{
-    AsyncRunner, Runner, RunnerSnapshot, SharedProgram, SimError, SimErrorKind, Snapshot,
+    AsyncRunner, Runner, RunnerSnapshot, SharedProgram, SimError, SimErrorKind, Snapshot, Stimuli,
     WatchdogBudget,
 };
 use sim::tb::InstantEvents;
@@ -742,8 +742,8 @@ fn escalate(
 }
 
 /// Drive up to `checkpoint_every` instants (the whole remaining
-/// stream when 0). Mirrors `Runner::run_events`' id fast path, plus
-/// the fleet's degradation hooks: the kill fault site panics at its
+/// stream when 0), posting stimuli through [`Stimuli`], with the
+/// fleet's degradation hooks: the kill fault site panics at its
 /// chosen instant boundary, span summaries are shed at
 /// [`Pressure::ShedSpans`], and monitors run on a stride at
 /// [`Pressure::SampleMonitors`].
@@ -769,7 +769,7 @@ fn run_quantum(
     let span_from = runner.now();
     let span_t0 = spans.then(std::time::Instant::now);
 
-    let mut ev_bits = BitSet::new();
+    let mut stimuli = Stimuli::new(runner.sig_table());
     let mut present = BitSet::new();
     let mut in_quantum = 0usize;
     while *cursor < spec.events.len() && in_quantum < quantum {
@@ -783,26 +783,12 @@ fn run_quantum(
                 spec.id
             );
         }
-        let ev = &spec.events[*cursor];
-        ev_bits.clear();
-        for (name, v) in &ev.valued {
-            let Some(id) = runner.sig_table().lookup(name) else {
-                return Err(SimError::eval(format!("no task reads signal `{name}`")));
-            };
-            runner.set_input_i64_id(id, *v)?;
-            ev_bits.insert(id.bit());
-        }
-        for name in ev.pure.iter() {
-            if let Some(id) = runner.sig_table().lookup(name) {
-                ev_bits.insert(id.bit());
-            }
-        }
-        runner.instant_ids(&ev_bits, &mut present)?;
-        present.union_with(&ev_bits);
+        let ev_bits = stimuli.post(runner, &spec.events[*cursor])?;
+        runner.instant_ids(ev_bits, &mut present)?;
+        present.union_with(ev_bits);
         if instant.is_multiple_of(stride) {
-            let table = Arc::clone(runner.sig_table());
             for m in monitors.iter_mut() {
-                m.step_ids(instant, &present, &table);
+                m.step_ids(instant, &present, runner.sig_table());
             }
         }
         *cursor += 1;
@@ -984,6 +970,69 @@ mod tests {
         .unwrap();
         r.run_events(ev, |_, _| {}).unwrap();
         r.counts()
+    }
+
+    #[test]
+    fn unknown_stimulus_fails_valued_and_ignores_pure_on_both_paths() {
+        // `ghost` is a name no task reads: pure on every instant, and
+        // valued on instant 5 of the failing stream.
+        let ghostly = |valued_at: Option<usize>| {
+            let mut ev = events(12).to_vec();
+            for e in &mut ev {
+                e.pure.push("ghost".into());
+            }
+            if let Some(k) = valued_at {
+                ev[k].valued.push(("ghost".into(), 1));
+            }
+            Arc::new(ev)
+        };
+        let msg = "no task reads signal `ghost`";
+        let clean = solo_counts(&events(12));
+        assert_eq!(solo_counts(&ghostly(None)), clean);
+        let mut r = AsyncRunner::new(
+            vec![design()],
+            &Default::default(),
+            CostParams::default(),
+            KernelParams::default(),
+        )
+        .unwrap();
+        let mut seen = Vec::new();
+        let e = r
+            .run_events(&ghostly(Some(5)), |i, _| seen.push(i))
+            .unwrap_err();
+        assert_eq!(e.msg, msg);
+        assert_eq!(seen, vec![0, 1, 2, 3, 4]);
+        assert_eq!(r.now(), 5);
+
+        let sup = Supervisor::new(
+            vec![design()],
+            &Default::default(),
+            FleetConfig {
+                shards: 1,
+                checkpoint_every: 4,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let with = |id, events| SessionSpec {
+            events,
+            ..spec_for(id, 12)
+        };
+        let rep = sup.run(vec![
+            spec_for(1, 12),
+            with(2, ghostly(Some(5))),
+            with(3, ghostly(None)),
+        ]);
+        let bad = rep.session(2).unwrap();
+        assert_eq!(bad.status, SessionStatus::Errored);
+        assert_eq!(bad.error.as_deref(), Some(msg));
+        assert_eq!(bad.instants, 5);
+        for id in [1, 3] {
+            let s = rep.session(id).unwrap();
+            assert_eq!(s.status, SessionStatus::Finished, "{:?}", s.error);
+            assert_eq!(s.instants, 12);
+            assert_eq!(s.counts, clean);
+        }
     }
 
     #[test]

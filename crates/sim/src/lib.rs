@@ -28,7 +28,7 @@ pub mod trace;
 pub use measure::{measure, Measurement};
 pub use runner::{
     AsyncRunner, CoverageReport, InterpRunner, Present, Runner, RunnerSnapshot, SharedProgram,
-    SimError, Snapshot, TaskCoverage, TaskProgram,
+    SimError, Snapshot, Stimuli, TaskCoverage, TaskProgram,
 };
 pub use tb::{InstantEvents, PacketTb, PagerTb};
 pub use trace::{Recorder, Trace, TraceEvent, TraceRecord};

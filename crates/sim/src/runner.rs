@@ -7,8 +7,9 @@
 //! mailboxes, task dispatch, emission fan-out and trace recording never
 //! touch a string. The [`Runner`] trait exposes that path as
 //! [`Runner::instant_ids`] (zero heap allocations per instant in steady
-//! state); names are resolved once, at the testbench boundary of
-//! [`Runner::run_events`].
+//! state); names are resolved once, at the testbench boundary
+//! ([`Stimuli`], the stimulus path of [`Runner::run_events`] and of
+//! the fleet).
 //!
 //! Both runners can record a [`Trace`] of every signal occurrence
 //! (enable with `enable_trace`), and both implement the [`Runner`]
@@ -194,6 +195,93 @@ impl<'a> Present<'a> {
     }
 }
 
+/// The one stimulus path from a testbench to a runner, shared by
+/// [`Runner::run_events`] and the fleet's quanta: for each
+/// [`InstantEvents`] it writes the valued inputs, in order, through
+/// [`Runner::set_input_i64_id`] and builds the instant's presence set
+/// of stimulus ids.
+///
+/// Each position of an instant's valued and pure lists remembers the
+/// last name seen there and its id, and a name that repeats at its
+/// position reuses that id: a stream that sends the same names
+/// instant after instant (the paper's testbenches send one valued
+/// name on most instants) hashes each name once, not once per
+/// instant. A valued name no task reads fails the instant with ``no
+/// task reads signal `name` ``; an unknown pure name is ignored.
+pub struct Stimuli<'e> {
+    /// The table of the runner the stimuli are posted to.
+    table: Arc<SigTable>,
+    /// The current instant's stimulus ids.
+    bits: BitSet,
+    /// The last name seen at each valued position, and its id.
+    valued: Vec<(&'e str, Option<SigId>)>,
+    /// The last name seen at each pure position, and its id.
+    pure: Vec<(&'e str, Option<SigId>)>,
+}
+
+impl<'e> Stimuli<'e> {
+    /// Stimuli for the runner whose signal table is `table`.
+    pub fn new(table: &Arc<SigTable>) -> Stimuli<'e> {
+        Stimuli {
+            table: Arc::clone(table),
+            bits: BitSet::with_capacity(table.len()),
+            valued: Vec::new(),
+            pure: Vec::new(),
+        }
+    }
+
+    /// Write `ev`'s values into `r` and return the instant's stimulus
+    /// ids (`r` must be the runner of the table the stimuli were made
+    /// for).
+    ///
+    /// # Errors
+    ///
+    /// A valued name no task reads, and input failures.
+    pub fn post<R: Runner + ?Sized>(
+        &mut self,
+        r: &mut R,
+        ev: &'e InstantEvents,
+    ) -> Result<&BitSet, SimError> {
+        debug_assert!(Arc::ptr_eq(&self.table, r.sig_table()));
+        self.bits.clear();
+        for (k, (name, v)) in ev.valued.iter().enumerate() {
+            let Some(id) = resolve(&self.table, &mut self.valued, k, name) else {
+                return err(format!("no task reads signal `{name}`"));
+            };
+            r.set_input_i64_id(id, *v)?;
+            self.bits.insert(id.bit());
+        }
+        for (k, name) in ev.pure.iter().enumerate() {
+            if let Some(id) = resolve(&self.table, &mut self.pure, k, name) {
+                self.bits.insert(id.bit());
+            }
+        }
+        Ok(&self.bits)
+    }
+}
+
+/// The id of `name`, the `k`-th name of its kind in an instant:
+/// `memo`'s entry when the last name seen at `k` was the same,
+/// otherwise a table lookup that replaces the entry.
+fn resolve<'e>(
+    table: &SigTable,
+    memo: &mut Vec<(&'e str, Option<SigId>)>,
+    k: usize,
+    name: &'e str,
+) -> Option<SigId> {
+    match memo.get_mut(k) {
+        Some((seen, id)) if *seen == name => *id,
+        slot => {
+            let id = table.lookup(name);
+            match slot {
+                Some(entry) => *entry = (name, id),
+                None => memo.push((name, id)),
+            }
+            id
+        }
+    }
+}
+
 /// Compiled-backend coverage of one task: how much of its control
 /// and data path executes fused/compiled rather than on the walker.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -372,9 +460,10 @@ pub trait Runner {
     /// Testbench hook: drive a whole event stream, calling
     /// `on_instant` with the instant number and the [`Present`] set
     /// (stimuli plus emissions) after each instant — the attachment
-    /// point for online monitors. Event names resolve to ids once per
-    /// occurrence; the only per-instant heap traffic is whatever the
-    /// callback does. Unknown pure event names are ignored.
+    /// point for online monitors. Stimuli go through [`Stimuli`]: a
+    /// name that repeats at its position resolves to its id once; the
+    /// only per-instant heap traffic is whatever the callback does.
+    /// Unknown pure event names are ignored.
     ///
     /// # Errors
     ///
@@ -384,7 +473,7 @@ pub trait Runner {
         Self: Sized,
         F: FnMut(u64, Present<'_>),
     {
-        let mut ev_bits = BitSet::new();
+        let mut stimuli = Stimuli::new(self.sig_table());
         let mut present = BitSet::new();
         // Telemetry state, hoisted once per call: the clock is read
         // only when collection is on, and span bookkeeping is all
@@ -395,28 +484,16 @@ pub trait Runner {
         let mut span_t0 = (span_every > 0).then(std::time::Instant::now);
         let mut in_window = 0u64;
         for ev in events {
-            ev_bits.clear();
-            for (name, v) in &ev.valued {
-                let Some(id) = self.sig_table().lookup(name) else {
-                    return err(format!("no task reads signal `{name}`"));
-                };
-                self.set_input_i64_id(id, *v)?;
-                ev_bits.insert(id.bit());
-            }
-            for name in ev.pure.iter() {
-                if let Some(id) = self.sig_table().lookup(name) {
-                    ev_bits.insert(id.bit());
-                }
-            }
+            let ev_bits = stimuli.post(self, ev)?;
             let instant = self.now();
             let r = if tel {
                 let t0 = std::time::Instant::now();
-                let r = self.instant_ids(&ev_bits, &mut present);
+                let r = self.instant_ids(ev_bits, &mut present);
                 tm::SIM_INSTANT_NS.raw_record(t0.elapsed().as_nanos() as u64);
                 tm::SIM_INSTANTS.raw_add(1);
                 r
             } else {
-                self.instant_ids(&ev_bits, &mut present)
+                self.instant_ids(ev_bits, &mut present)
             };
             if let Err(e) = r {
                 tm::SIM_ERRORS.add(1);
@@ -430,7 +507,7 @@ pub trait Runner {
                 self.emit_losses();
                 return Err(e);
             }
-            present.union_with(&ev_bits);
+            present.union_with(ev_bits);
             on_instant(instant, Present::new(self.sig_table(), &present));
             if span_every > 0 {
                 in_window += 1;

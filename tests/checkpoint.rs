@@ -24,7 +24,7 @@ use ecl_faults::FaultPlan;
 use ecl_observe::{Monitor, MonitorReport, Verdict};
 use efsm::{Backend, BitSet};
 use proptest::prelude::*;
-use sim::runner::{AsyncRunner, Runner, SharedProgram, Snapshot};
+use sim::runner::{AsyncRunner, Runner, SharedProgram, Snapshot, Stimuli};
 use sim::tb::{InstantEvents, PacketTb};
 use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
@@ -77,28 +77,17 @@ fn fresh(backend: Backend, faults: Option<FaultPlan>, ring: usize) -> (AsyncRunn
 }
 
 /// Drive `events` on the id fast path, stepping monitors in lockstep
-/// (the same loop `Runner::run_events` runs).
+/// (the loop `Runner::run_events` runs, through the same `Stimuli`).
 fn drive(runner: &mut AsyncRunner, monitors: &mut [Monitor], events: &[InstantEvents]) {
-    let mut ev_bits = BitSet::new();
+    let mut stimuli = Stimuli::new(runner.sig_table());
     let mut present = BitSet::new();
     for ev in events {
-        ev_bits.clear();
-        for (name, v) in &ev.valued {
-            let id = runner.sig_table().lookup(name).expect("known signal");
-            runner.set_input_i64_id(id, *v).unwrap();
-            ev_bits.insert(id.bit());
-        }
-        for name in ev.pure.iter() {
-            if let Some(id) = runner.sig_table().lookup(name) {
-                ev_bits.insert(id.bit());
-            }
-        }
+        let ev_bits = stimuli.post(runner, ev).unwrap();
         let instant = runner.now();
-        runner.instant_ids(&ev_bits, &mut present).unwrap();
-        present.union_with(&ev_bits);
-        let table = Arc::clone(runner.sig_table());
+        runner.instant_ids(ev_bits, &mut present).unwrap();
+        present.union_with(ev_bits);
         for m in monitors.iter_mut() {
-            m.step_ids(instant, &present, &table);
+            m.step_ids(instant, &present, runner.sig_table());
         }
     }
 }
