@@ -31,8 +31,8 @@
 //!    Verilog for a pure-control machine (§4's hardware partition), A4
 //!    delayed vs immediate `await`; and **monitor stepping**
 //!    (`monitor_stepping`): the monolithic stack's observers stepped
-//!    over its recorded presence sets through fused rows vs the s-graph
-//!    walker.
+//!    over its recorded presence sets by their dense tables (the
+//!    `fused_*` members) vs the s-graph walker.
 //!
 //! With `--check BASELINE`, every `runs` config of the baseline must be
 //! measured again, and its normalized ratio must not fall more than 20%

@@ -357,8 +357,9 @@ impl Rt {
     }
 
     /// [`Rt::set_input_i64`] by signal index — the runner hot path.
-    /// Rewrites the existing value buffer in place (no allocation once
-    /// the signal has been set once).
+    /// Rewrites the existing value buffer in place with one
+    /// fixed-width store (no allocation once the signal has been set
+    /// once).
     ///
     /// # Errors
     ///
@@ -373,12 +374,12 @@ impl Rt {
         if let Some(val) = &mut self.values[idx] {
             let t = table.get(ty);
             if val.ty == ty && val.bytes.len() <= 8 && t.is_integer() {
-                let le = v.to_le_bytes();
-                let n = val.bytes.len();
-                val.bytes[..n].copy_from_slice(&le[..n]);
-                if t == ecl_types::Type::Bool {
-                    val.bytes[0] = (v != 0) as u8;
-                }
+                let v = if t == ecl_types::Type::Bool {
+                    (v != 0) as i64
+                } else {
+                    v
+                };
+                ecl_types::value::store_le(&mut val.bytes, v);
                 return Ok(());
             }
         }
@@ -403,7 +404,7 @@ impl Rt {
         if v.ty == ty {
             match &mut self.values[idx] {
                 Some(cur) if cur.ty == ty && cur.bytes.len() == v.bytes.len() => {
-                    cur.bytes.copy_from_slice(&v.bytes);
+                    ecl_types::value::copy_le(&mut cur.bytes, &v.bytes);
                 }
                 slot => *slot = Some(v.clone()),
             }

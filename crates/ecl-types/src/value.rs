@@ -129,6 +129,73 @@ impl From<Vec<u8>> for Bytes {
     }
 }
 
+/// `src` into `dst`, which must be as long: a scalar of 1, 2, 4 or 8
+/// bytes moves as one fixed-width load and store, an aggregate as a
+/// slice copy (a variable-length copy of a scalar calls `memcpy`).
+///
+/// # Panics
+///
+/// If the lengths differ.
+#[inline]
+pub fn copy_le(dst: &mut [u8], src: &[u8]) {
+    match dst.len() {
+        1 => dst[0] = src[0],
+        2 => *fixed::<2>(dst) = le(src),
+        4 => *fixed::<4>(dst) = le(src),
+        8 => *fixed::<8>(dst) = le(src),
+        _ => dst.copy_from_slice(src),
+    }
+}
+
+/// Store the low `dst.len()` bytes of `v`, little-endian: one
+/// fixed-width store for a 1-, 2-, 4- or 8-byte scalar; a longer
+/// buffer gets `v`'s 8 bytes at its start.
+#[inline]
+pub fn store_le(dst: &mut [u8], v: i64) {
+    match dst.len() {
+        1 => dst[0] = v as u8,
+        2 => *fixed::<2>(dst) = (v as u16).to_le_bytes(),
+        4 => *fixed::<4>(dst) = (v as u32).to_le_bytes(),
+        8 => *fixed::<8>(dst) = v.to_le_bytes(),
+        n => {
+            let n = n.min(8);
+            dst[..n].copy_from_slice(&v.to_le_bytes()[..n]);
+        }
+    }
+}
+
+/// The first (up to) 8 bytes of `src` as a zero-extended
+/// little-endian integer: one fixed-width load for a 1-, 2-, 4- or
+/// 8-byte scalar.
+#[inline]
+fn load_le(src: &[u8]) -> u64 {
+    match src.len() {
+        1 => u64::from(src[0]),
+        2 => u64::from(u16::from_le_bytes(le(src))),
+        4 => u64::from(u32::from_le_bytes(le(src))),
+        8 => u64::from_le_bytes(le(src)),
+        n => {
+            let mut buf = [0u8; 8];
+            let n = n.min(8);
+            buf[..n].copy_from_slice(&src[..n]);
+            u64::from_le_bytes(buf)
+        }
+    }
+}
+
+/// `bytes` as an `N`-byte array (callers match on the length first).
+#[inline(always)]
+fn le<const N: usize>(bytes: &[u8]) -> [u8; N] {
+    bytes.try_into().expect("a slice of length N")
+}
+
+/// `bytes` as a mutable `N`-byte array (callers match on the length
+/// first).
+#[inline(always)]
+fn fixed<const N: usize>(bytes: &mut [u8]) -> &mut [u8; N] {
+    bytes.try_into().expect("a slice of length N")
+}
+
 /// A typed runtime value: `bytes.len() == table.size_of(ty)`.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Value {
@@ -200,11 +267,8 @@ impl Value {
             "as_i64 on non-integer type {}",
             table.name_of(self.ty)
         );
-        let mut buf = [0u8; 8];
-        let n = self.bytes.len().min(8);
-        buf[..n].copy_from_slice(&self.bytes[..n]);
-        let raw = i64::from_le_bytes(buf);
-        let bits = n as u32 * 8;
+        let raw = load_le(&self.bytes) as i64;
+        let bits = self.bytes.len().min(8) as u32 * 8;
         if bits >= 64 {
             return raw;
         }
@@ -337,6 +401,49 @@ mod tests {
         assert_eq!(Value::from_i64(&t, ch, -1).as_i64(&t), -1);
         assert_eq!(Value::from_i64(&t, uc, -1).as_i64(&t), 255);
         assert_eq!(Value::from_i64(&t, ch, 130).as_i64(&t), -126); // wraps
+
+        // The top bit of 16- and 32-bit scalars: sign for the signed
+        // types, magnitude for the unsigned ones.
+        let sh = t.intern(Type::Short);
+        let ush = t.intern(Type::UShort);
+        let uint = t.intern(Type::UInt);
+        assert_eq!(Value::from_i64(&t, sh, 0x8000).as_i64(&t), -0x8000);
+        assert_eq!(Value::from_i64(&t, sh, -1).as_i64(&t), -1);
+        assert_eq!(Value::from_i64(&t, ush, 0x8000).as_i64(&t), 0x8000);
+        assert_eq!(Value::from_i64(&t, ush, -1).as_i64(&t), 0xffff);
+        assert_eq!(
+            Value::from_i64(&t, int, 0x8000_0000).as_i64(&t),
+            -0x8000_0000
+        );
+        assert_eq!(
+            Value::from_i64(&t, uint, 0x8000_0000).as_i64(&t),
+            0x8000_0000
+        );
+        assert_eq!(Value::from_i64(&t, uint, -1).as_i64(&t), 0xffff_ffff);
+        // A bool written as 2 stores and reads back 1.
+        let b = t.bool();
+        let two = Value::from_i64(&t, b, 2);
+        assert_eq!(two.bytes, [1u8][..]);
+        assert_eq!(two.as_i64(&t), 1);
+    }
+
+    #[test]
+    fn fixed_width_copies_match_slice_copies() {
+        for n in [1, 2, 3, 4, 8, 16, 64] {
+            let src: Vec<u8> = (0..n as u8).map(|b| b.wrapping_mul(37) ^ 0x80).collect();
+            let mut dst = vec![0u8; n];
+            copy_le(&mut dst, &src);
+            assert_eq!(dst, src, "copy of {n} bytes");
+            let v = i64::from_le_bytes([0x81, 0x92, 0xa3, 0xb4, 0xc5, 0xd6, 0xe7, 0xf8]);
+            store_le(&mut dst, v);
+            let k = n.min(8);
+            assert_eq!(dst[..k], v.to_le_bytes()[..k], "store of {n} bytes");
+            assert_eq!(load_le(&dst), {
+                let mut buf = [0u8; 8];
+                buf[..k].copy_from_slice(&dst[..k]);
+                u64::from_le_bytes(buf)
+            });
+        }
     }
 
     #[test]

@@ -28,12 +28,14 @@
 //! This crate treats data as opaque ids, so it does not execute the
 //! residual IR: `ecl_core`'s fused reaction translates it once, with
 //! each hook's bytecode inlined, into one op stream a single dispatch
-//! loop steps ([`CompiledEfsm::scan`] picks the row). Pure machines —
-//! the synthesized monitors — have only simple rows and step here,
-//! through [`CompiledEfsm::step_table`].
+//! loop steps ([`CompiledEfsm::scan`] picks the row; a pure state's
+//! rows are all simple). The synthesized monitors do not step here:
+//! they are pure control over a few inputs, so `ecl-observe` tabulates
+//! each one whole, one next-state cell per state and input
+//! combination.
 //!
-//! A [`CompiledEfsm`] is built once per machine (runner construction,
-//! monitor synthesis). Its rows partition the input space and its
+//! A [`CompiledEfsm`] is built once per task machine, at runner
+//! construction. Its rows partition the input space and its
 //! residual programs replay the walk exactly: per instant the same
 //! emissions in the same order, the same data-hook sequence, the same
 //! next state, and the same `nodes_visited` count. States whose row
@@ -41,9 +43,9 @@
 //! (correct, just not fused); the differential proptests in
 //! `tests/differential.rs` enforce the equivalence either way.
 
-use crate::machine::{Efsm, Signal, StateId, StepOut};
+use crate::machine::{Efsm, Signal, StateId};
 use crate::sgraph::{Node, NodeId};
-use crate::{ActionId, BitSet, ExprId, NoHooks, PredId};
+use crate::{ActionId, BitSet, ExprId, PredId};
 use ecl_telemetry::metrics as tm;
 use std::collections::HashMap;
 
@@ -63,9 +65,9 @@ enum StateExec {
     Table { lo: u32, hi: u32 },
     /// Exactly one row, necessarily input-independent (rows partition
     /// the input space, so a lone row has an empty watch set): fire it
-    /// without touching the masks. Halted/latched monitor states live
-    /// here, and so does every mixed state with no presence tests —
-    /// its whole reaction is one residual program.
+    /// without touching the masks. Halted states live here, and so
+    /// does every mixed state with no presence tests — its whole
+    /// reaction is one residual program.
     Always { row: u32 },
     /// Fall back to [`Efsm::step_bits`] (row enumeration blew
     /// [`ROW_CAP`]).
@@ -151,7 +153,7 @@ struct RowMeta {
     /// its `End` ops carry the target.
     next: StateId,
     /// Simple row: nodes the replaced walk would have visited (tests +
-    /// emits + the goto), kept so [`StepOut::nodes_visited`] — and
+    /// emits + the goto), kept so [`crate::StepOut::nodes_visited`] — and
     /// everything charged from it — is bit-identical to the walker.
     /// Program rows accumulate this per-op instead.
     nodes: u32,
@@ -166,9 +168,8 @@ struct RowMeta {
 /// The fused compiled backend of one [`Efsm`]: row masks, simple rows
 /// and the residual IR.
 ///
-/// Holds no reference to the machine; callers pass the same machine to
-/// [`CompiledEfsm::scan`] and [`CompiledEfsm::step_table`] (checked by
-/// a debug assertion on the state count).
+/// Holds no reference to the machine: callers step a [`Hit::Walk`]
+/// on the machine the table was compiled from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CompiledEfsm {
     /// Words per mask: `ceil(signals / 64)` of the source machine.
@@ -471,8 +472,7 @@ impl CompiledEfsm {
     }
 
     /// Are *all* states fused (no walker fallback anywhere — true for
-    /// every machine within the row cap, including the synthesized
-    /// monitors)?
+    /// every machine within the row cap)?
     pub fn fully_fused(&self) -> bool {
         self.fused as usize == self.states.len()
     }
@@ -563,39 +563,6 @@ impl CompiledEfsm {
         debug_assert!(false, "no table row matched in state {state:?}");
         Hit::Walk
     }
-
-    /// One instant of a *pure-control* machine (every row simple — the
-    /// synthesized monitors): scan the state's rows and append the
-    /// hit's emissions to `emitted`. States past the row cap delegate
-    /// to [`Efsm::step_bits`] on `m` — which must be the machine this
-    /// table was compiled from. Allocation-free on the fused path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the hit is a program row (a machine with data steps
-    /// through `ecl_core`'s fused reaction), and, like the walker, if
-    /// the machine is structurally broken.
-    #[inline]
-    pub fn step_table(
-        &self,
-        m: &Efsm,
-        state: StateId,
-        inputs: &BitSet,
-        emitted: &mut Vec<Signal>,
-    ) -> StepOut {
-        debug_assert_eq!(m.states.len(), self.states.len(), "table/machine mismatch");
-        match self.scan(state, inputs) {
-            Hit::Simple { emits, next, nodes } => {
-                emitted.extend_from_slice(emits);
-                StepOut {
-                    next,
-                    nodes_visited: nodes,
-                }
-            }
-            Hit::Program(_) => panic!("state {state:?} has data: step it through a fused reaction"),
-            Hit::Walk => m.step_bits(state, inputs, &mut NoHooks, emitted),
-        }
-    }
 }
 
 impl Efsm {
@@ -621,7 +588,7 @@ impl Efsm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machine::EfsmBuilder;
+    use crate::machine::{EfsmBuilder, StepOut};
     use crate::{ActionId, DataHooks, ExprId, NoHooks, PredId};
 
     /// Two-state toggler (pure): on `tick` emit `tock` and flip.
@@ -646,15 +613,16 @@ mod tests {
         let mut e1 = Vec::new();
         let mut e2 = Vec::new();
         let r1 = m.step_bits(s, &bits, &mut NoHooks, &mut e1);
-        let r2 = c.step_table(m, s, &bits, &mut e2);
+        let r2 = trace(c, m, s, &bits, &mut NoHooks, &mut e2);
         assert_eq!(e1, e2, "emission order from state {s:?} inputs {inputs:?}");
         (r1, r2)
     }
 
-    /// The tests' reading of the residual IR: one instant stepped the
-    /// way a fused reaction steps it, with the data hooks answered
-    /// through `hooks` (the production loop inlines them instead and
-    /// lives in `ecl_core`, which this crate cannot link).
+    /// The tests' reading of the rows and the residual IR: one instant
+    /// stepped the way a fused reaction steps it, with the data hooks
+    /// answered through `hooks` (the production loop inlines them
+    /// instead and lives in `ecl_core`, which this crate cannot link).
+    /// A pure machine's rows are all simple, so `NoHooks` steps it.
     fn trace(
         c: &CompiledEfsm,
         m: &Efsm,
@@ -1066,7 +1034,7 @@ mod tests {
         assert_eq!(r1, r2);
         let mut e2 = Vec::new();
         let bits: BitSet = [69usize].into_iter().collect();
-        c.step_table(&m, StateId(0), &bits, &mut e2);
+        trace(&c, &m, StateId(0), &bits, &mut NoHooks, &mut e2);
         assert_eq!(e2, vec![out]);
     }
 
@@ -1100,7 +1068,7 @@ mod tests {
         let bits: BitSet = [a.0 as usize].into_iter().collect();
         let (mut e1, mut e2) = (Vec::new(), Vec::new());
         let walked = m.step_bits(StateId(0), &bits, &mut NoHooks, &mut e1);
-        let tabled = c.step_table(&m, StateId(0), &bits, &mut e2);
+        let tabled = trace(&c, &m, StateId(0), &bits, &mut NoHooks, &mut e2);
         assert_eq!(walked.next, tabled.next);
         assert_eq!(e1, e2);
     }

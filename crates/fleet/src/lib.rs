@@ -522,6 +522,11 @@ fn drive_session(
         })
         .collect();
     let mut cursor = 0usize;
+    // The stimulus path lives as long as the session: `post` clears
+    // its set first and its memo holds only (name, id) pairs from the
+    // table, so neither carries state across a caught panic.
+    let mut stimuli = Stimuli::new(runner.sig_table());
+    let mut present = BitSet::new();
 
     // The initial checkpoint: a kill before the first periodic
     // boundary restores to instant 0.
@@ -551,6 +556,8 @@ fn drive_session(
         let res = catch_unwind(AssertUnwindSafe(|| {
             run_quantum(
                 &mut runner,
+                &mut stimuli,
+                &mut present,
                 &mut monitors,
                 &spec,
                 cfg,
@@ -742,15 +749,19 @@ fn escalate(
 }
 
 /// Drive up to `checkpoint_every` instants (the whole remaining
-/// stream when 0), posting stimuli through [`Stimuli`], with the
+/// stream when 0), posting stimuli through the session's [`Stimuli`]
+/// and collecting each instant's ids in its `present` set, with the
 /// fleet's degradation hooks: the kill fault site panics at its
 /// chosen instant boundary, span summaries are shed at
 /// [`Pressure::ShedSpans`], and monitors run on a stride at
 /// [`Pressure::SampleMonitors`].
-fn run_quantum(
+#[allow(clippy::too_many_arguments)]
+fn run_quantum<'e>(
     runner: &mut AsyncRunner,
+    stimuli: &mut Stimuli<'e>,
+    present: &mut BitSet,
     monitors: &mut [Monitor],
-    spec: &SessionSpec,
+    spec: &'e SessionSpec,
     cfg: &FleetConfig,
     cursor: &mut usize,
     pressure: Pressure,
@@ -769,8 +780,6 @@ fn run_quantum(
     let span_from = runner.now();
     let span_t0 = spans.then(std::time::Instant::now);
 
-    let mut stimuli = Stimuli::new(runner.sig_table());
-    let mut present = BitSet::new();
     let mut in_quantum = 0usize;
     while *cursor < spec.events.len() && in_quantum < quantum {
         let instant = runner.now();
@@ -784,11 +793,11 @@ fn run_quantum(
             );
         }
         let ev_bits = stimuli.post(runner, &spec.events[*cursor])?;
-        runner.instant_ids(ev_bits, &mut present)?;
+        runner.instant_ids(ev_bits, present)?;
         present.union_with(ev_bits);
         if instant.is_multiple_of(stride) {
             for m in monitors.iter_mut() {
-                m.step_ids(instant, &present, runner.sig_table());
+                m.step_ids(instant, present, runner.sig_table());
             }
         }
         *cursor += 1;

@@ -171,13 +171,13 @@ pub fn check_async_with(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::synth::synthesize_all;
     use ecl_core::pipeline::{Design, Parsed, Source};
 
     /// Relay with a monitor: `o` must answer `i` within 2 instants.
-    const SRC: &str = "
+    pub(crate) const SRC: &str = "
         module a(input pure i, output pure m) { while (1) { await (i); emit (m); } }
         module b(input pure m, output pure o) { while (1) { await (m); emit (o); } }
         module top(input pure i, output pure o) {

@@ -9,18 +9,18 @@
 //! same design.
 //!
 //! Resolution happens **once**, not per instant: [`Monitor::bind`]
-//! precomputes, for every input of the monitor machine, the
-//! [`BitSet`] of global [`efsm::SigId`]s that denote it. From then on
-//! [`Monitor::step_ids`] turns a present-id set into machine inputs
-//! with a handful of word intersections and steps the machine through
-//! its *compiled transition tables* (monitors are pure control, so
-//! states table fully up to the row cap — normally one masked row
-//! scan per instant; a state wide enough to blow
-//! [`efsm::table::ROW_CAP`] keeps the identical-semantics s-graph
-//! walk). [`Monitor::replay`] steps a recorded trace through the same
-//! id path, so offline verdicts are identical to online ones.
+//! turns, for every input of the monitor machine, the global
+//! [`efsm::SigId`]s that denote it into `(word, mask)` pairs. From then
+//! on [`Monitor::step_ids`] projects a present-id set onto the inputs
+//! with one masked word test per pair and steps the machine by one
+//! load from the spec's dense table (cell `state << k | inputs`, built
+//! at synthesis from the s-graph walker). An observer with more than
+//! 6 inputs has no table and walks the s-graph, as does every monitor
+//! under [`Backend::Walker`].
+//! [`Monitor::replay`] steps a recorded trace through the same id
+//! path, so offline verdicts are identical to online ones.
 
-use crate::synth::MonitorSpec;
+use crate::synth::{first_failed, MonitorSpec};
 use efsm::{Backend, BitSet, NoHooks, SigTable, Signal, StateId};
 use sim::runner::Present;
 use sim::trace::Trace;
@@ -107,21 +107,35 @@ pub fn name_matches(full: &str, watched: &str) -> bool {
         && full[..full.len() - watched.len()].ends_with("::")
 }
 
+/// One word of one monitor input's binding: the input is present
+/// when `present.word(word) & mask != 0`.
+#[derive(Debug, Clone, Copy)]
+struct Lane {
+    word: usize,
+    mask: u64,
+    /// The input's position among the machine's inputs: its bit in a
+    /// dense-table index.
+    slot: u32,
+    /// The input's signal in the monitor machine.
+    sig: Signal,
+}
+
 /// A running instance of a [`MonitorSpec`].
 #[derive(Debug, Clone)]
 pub struct Monitor {
     spec: Arc<MonitorSpec>,
     state: StateId,
     verdict: Verdict,
-    /// Per machine input: the mask of global ids that denote it
+    /// The global ids that denote each machine input, as word masks
     /// (computed by [`Monitor::bind`]; `None` until then). Fixed once
     /// bound, so clones (fleet checkpoints) share it.
-    binding: Option<Arc<[(Signal, BitSet)]>>,
-    /// Step through the spec's fused transition rows
-    /// ([`Backend::Compiled`], the default) or force the s-graph
-    /// walker (identical verdicts; the switch exists for measurement
-    /// and differential testing).
+    binding: Option<Arc<[Lane]>>,
+    /// Step by the spec's dense table ([`Backend::Compiled`], the
+    /// default) or force the s-graph walker (identical verdicts; the
+    /// switch exists for measurement and differential testing).
     backend: Backend,
+    /// The walker's present set and emissions. A dense step touches
+    /// neither, so they stay unallocated on [`Backend::Compiled`].
     input_scratch: BitSet,
     emit_scratch: Vec<Signal>,
 }
@@ -142,9 +156,8 @@ impl Monitor {
     }
 
     /// Choose the stepping backend: [`Backend::Compiled`] (the
-    /// default) scans the spec's fused transition rows,
-    /// [`Backend::Walker`] walks the s-graph. Verdicts are identical
-    /// either way.
+    /// default) loads the spec's dense table, [`Backend::Walker`] walks
+    /// the s-graph. Verdicts are identical either way.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -152,33 +165,6 @@ impl Monitor {
     /// The active stepping backend.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// One machine instant over the chosen backend, with
-    /// `input_scratch` as the monitor-local present set. Kept out of
-    /// line: inlined into its one caller, [`Monitor::step_ids`], it
-    /// made `stack_solo` and `pager_fleet` jobs 3–7% slower
-    /// (EXPERIMENTS.md item 15).
-    #[inline(never)]
-    fn machine_step(&mut self) {
-        ecl_telemetry::metrics::MON_STEPS.incr();
-        self.emit_scratch.clear();
-        let r = if self.backend == Backend::Compiled {
-            self.spec.table.step_table(
-                &self.spec.efsm,
-                self.state,
-                &self.input_scratch,
-                &mut self.emit_scratch,
-            )
-        } else {
-            self.spec.efsm.step_bits(
-                self.state,
-                &self.input_scratch,
-                &mut NoHooks,
-                &mut self.emit_scratch,
-            )
-        };
-        self.state = r.next;
     }
 
     /// The underlying spec.
@@ -192,20 +178,32 @@ impl Monitor {
     }
 
     /// Pre-bind the watched interface against a run's signal table:
-    /// for each input of the monitor machine, compute the mask of
-    /// global ids whose (possibly mangled) name denotes it. Stepping
-    /// by ids after this is pure bitset work. Idempotent per table;
-    /// call again to re-bind against a different run.
+    /// for each input of the monitor machine, find the global ids whose
+    /// (possibly mangled) name denotes it and keep them as one
+    /// `(word, mask)` pair per occupied word. Stepping by ids after
+    /// this is a masked word test per pair. Idempotent per table; call
+    /// again to re-bind against a different run.
     pub fn bind(&mut self, table: &SigTable) {
-        let binding = self.spec.efsm.inputs().map(|(s, info)| {
-            let mask: BitSet = table
-                .iter()
-                .filter(|(_, name)| name_matches(name, &info.name))
-                .map(|(id, _)| id.bit())
-                .collect();
-            (s, mask)
-        });
-        self.binding = Some(binding.collect());
+        let mut lanes: Vec<Lane> = Vec::new();
+        for (slot, (sig, info)) in self.spec.efsm.inputs().enumerate() {
+            let slot = slot as u32;
+            for (id, name) in table.iter() {
+                if !name_matches(name, &info.name) {
+                    continue;
+                }
+                let (word, bit) = (id.bit() / 64, 1u64 << (id.bit() % 64));
+                match lanes.iter_mut().find(|l| l.slot == slot && l.word == word) {
+                    Some(l) => l.mask |= bit,
+                    None => lanes.push(Lane {
+                        word,
+                        mask: bit,
+                        slot,
+                        sig,
+                    }),
+                }
+            }
+        }
+        self.binding = Some(lanes.into());
     }
 
     /// Step one environment instant with `present` as the set of
@@ -214,6 +212,7 @@ impl Monitor {
     /// monitor latches its verdict and ignores further instants.
     /// Returns the violation detected *this* instant, if any.
     /// Allocation-free in steady state (until a violation is latched).
+    #[inline]
     pub fn step_ids(
         &mut self,
         instant: u64,
@@ -226,43 +225,84 @@ impl Monitor {
         if self.binding.is_none() {
             self.bind(table);
         }
-        self.input_scratch.clear();
-        for (s, mask) in self.binding.as_deref().unwrap_or_default() {
-            if mask.intersects(present) {
-                self.input_scratch.insert(s.0 as usize);
+        ecl_telemetry::metrics::MON_STEPS.incr();
+        let failed = match &self.spec.dense {
+            Some(dense) if self.backend == Backend::Compiled => {
+                let mut index = 0;
+                for l in self.binding.as_deref().unwrap_or_default() {
+                    index |= usize::from(present.word(l.word) & l.mask != 0) << l.slot;
+                }
+                let cell = dense.cell(self.state, index);
+                self.state = cell.next;
+                cell.failed()
             }
+            _ => self.walk(present),
+        };
+        match failed {
+            Some(prop) => self.latch(instant, prop, present, table),
+            None => None,
         }
-        self.machine_step();
-        if let Some(p) = first_failed(&self.spec, &self.emit_scratch) {
-            let (index, describe) = (p.index, p.describe.clone());
-            let mut witness: Vec<String> = table.names_of(present).map(str::to_string).collect();
-            witness.sort_unstable();
-            self.note_violation(instant, index);
-            self.verdict = Verdict::Fail(Violation {
-                instant,
-                property: index,
-                describe,
-                witness,
-            });
-            if let Verdict::Fail(v) = &self.verdict {
-                return Some(v);
-            }
-        }
-        None
     }
 
-    /// Telemetry on a freshly latched violation: bump the counter and
-    /// emit a `verdict` event (slow path — runs at most once per
-    /// monitor per run).
+    /// One machine instant on the s-graph walker, with the inputs
+    /// `present` hits as the monitor-local present set; returns the
+    /// position of the first failed property. Out of line: the dense
+    /// step is the hot path.
+    #[inline(never)]
+    fn walk(&mut self, present: &BitSet) -> Option<usize> {
+        ecl_telemetry::metrics::MON_WALKER_STEPS.incr();
+        self.input_scratch.clear();
+        for l in self.binding.as_deref().unwrap_or_default() {
+            if present.word(l.word) & l.mask != 0 {
+                self.input_scratch.insert(l.sig.0 as usize);
+            }
+        }
+        self.emit_scratch.clear();
+        self.state = self
+            .spec
+            .efsm
+            .step_bits(
+                self.state,
+                &self.input_scratch,
+                &mut NoHooks,
+                &mut self.emit_scratch,
+            )
+            .next;
+        first_failed(&self.spec.props, &self.emit_scratch)
+    }
+
+    /// Latch the violation of property `prop` (its position in the
+    /// spec) at `instant`, with the sorted present names as witness:
+    /// bump the counter, emit a `verdict` event and return the
+    /// violation (slow path — runs at most once per monitor per run).
     #[cold]
-    fn note_violation(&self, instant: u64, property: usize) {
+    fn latch(
+        &mut self,
+        instant: u64,
+        prop: usize,
+        present: &BitSet,
+        table: &SigTable,
+    ) -> Option<&Violation> {
+        let p = &self.spec.props[prop];
+        let mut witness: Vec<String> = table.names_of(present).map(str::to_string).collect();
+        witness.sort_unstable();
         ecl_telemetry::metrics::MON_VIOLATIONS.incr();
         if let Some(e) = ecl_telemetry::event("verdict") {
             e.str("monitor", &self.spec.name)
                 .str("verdict", "fail")
                 .u64("instant", instant)
-                .u64("property", property as u64)
+                .u64("property", p.index as u64)
                 .emit();
+        }
+        self.verdict = Verdict::Fail(Violation {
+            instant,
+            property: p.index,
+            describe: p.describe.clone(),
+            witness,
+        });
+        match &self.verdict {
+            Verdict::Fail(v) => Some(v),
+            _ => None,
         }
     }
 
@@ -294,11 +334,6 @@ impl Monitor {
         }
         self.verdict.clone()
     }
-}
-
-/// The first property whose `fail_i` output is in `emitted`.
-fn first_failed<'s>(spec: &'s MonitorSpec, emitted: &[Signal]) -> Option<&'s crate::PropInfo> {
-    spec.props.iter().find(|p| emitted.contains(&p.fail))
 }
 
 /// The verdicts of a set of monitors over one run.
@@ -414,7 +449,26 @@ impl fmt::Display for MonitorReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::synth::synthesize;
+    use crate::synth::{synthesize, synthesize_all, DENSE_INPUT_CAP};
+
+    // The observers these tests step.
+    const NEVER_BOTH: &str = "observer w(input pure a, input pure b) { never (a & b); never (b); }";
+    const ALWAYS: &str = "observer w(input pure a) { always (a); }";
+    const WITHIN_2: &str =
+        "observer w(input pure t, input pure r) { whenever (t) expect (r) within 2; }";
+    const SAME_INSTANT: &str =
+        "observer w(input pure t, input pure r) { whenever (t) expect (r); }";
+    const EVENTUALLY_3: &str = "observer w(input pure e) { eventually_within 3 (e); }";
+    const WITHIN_1: &str =
+        "observer w(input pure t, input pure r) { whenever (t) expect (r) within 1; }";
+    const NEVER_P: &str = "observer p(input pure a) { never (a); }";
+    const ALWAYS_F: &str = "observer f(input pure a) { always (a); }";
+    /// The differential suite's `pin` observer (`tests/differential.rs`).
+    const PIN: &str = "
+        observer pin(input pure a, input pure b, input pure x, input pure y) {
+          always (~x | a | b);
+          always (x | ~x);
+        }";
 
     fn monitor(src: &str, name: &str) -> Monitor {
         let prog = ecl_syntax::parse_str(src).unwrap();
@@ -451,10 +505,7 @@ mod tests {
     #[test]
     fn never_fails_at_the_offending_instant() {
         // Both properties fail at instant 2; the first one is reported.
-        let mut m = monitor(
-            "observer w(input pure a, input pure b) { never (a & b); never (b); }",
-            "w",
-        );
+        let mut m = monitor(NEVER_BOTH, "w");
         step(&mut m, 0, &[]);
         step(&mut m, 1, &["a"]);
         assert!(m.verdict().is_pass());
@@ -469,7 +520,7 @@ mod tests {
 
     #[test]
     fn always_fails_when_the_invariant_lapses() {
-        let mut m = monitor("observer w(input pure a) { always (a); }", "w");
+        let mut m = monitor(ALWAYS, "w");
         step(&mut m, 0, &["a"]);
         assert!(m.verdict().is_pass());
         let v = step(&mut m, 1, &[]).cloned().unwrap();
@@ -481,7 +532,7 @@ mod tests {
 
     #[test]
     fn response_window_passes_and_fails_at_the_bound() {
-        let src = "observer w(input pure t, input pure r) { whenever (t) expect (r) within 2; }";
+        let src = WITHIN_2;
         // Response inside the window: pass.
         let mut m = monitor(src, "w");
         step(&mut m, 0, &["t"]);
@@ -501,17 +552,14 @@ mod tests {
 
     #[test]
     fn same_instant_response_satisfies_window_zero() {
-        let mut m = monitor(
-            "observer w(input pure t, input pure r) { whenever (t) expect (r); }",
-            "w",
-        );
+        let mut m = monitor(SAME_INSTANT, "w");
         step(&mut m, 0, &["t", "r"]);
         assert_eq!(m.finish(), Verdict::Pass);
     }
 
     #[test]
     fn eventually_within_passes_and_fails() {
-        let src = "observer w(input pure e) { eventually_within 3 (e); }";
+        let src = EVENTUALLY_3;
         let mut m = monitor(src, "w");
         step(&mut m, 0, &[]);
         step(&mut m, 1, &["e"]);
@@ -529,7 +577,7 @@ mod tests {
 
     #[test]
     fn replay_over_trace_matches_online_stepping() {
-        let src = "observer w(input pure t, input pure r) { whenever (t) expect (r) within 1; }";
+        let src = WITHIN_1;
         let mut online = monitor(src, "w");
         let mut trace = Trace::new(0);
         // The trigger sits in the first recorded instant.
@@ -550,8 +598,8 @@ mod tests {
 
     #[test]
     fn report_summarizes_verdicts() {
-        let pass = monitor("observer p(input pure a) { never (a); }", "p");
-        let mut fail = monitor("observer f(input pure a) { always (a); }", "f");
+        let pass = monitor(NEVER_P, "p");
+        let mut fail = monitor(ALWAYS_F, "f");
         step(&mut fail, 0, &[]);
         let report = MonitorReport::conclude(vec![pass, fail]);
         assert!(!report.all_pass());
@@ -559,5 +607,113 @@ mod tests {
         assert_eq!(name, "f");
         assert_eq!(v.instant, 0);
         assert_eq!(report.verdict("p"), Some(&Verdict::Pass));
+    }
+
+    /// Every cell of every observer the repository ships or tests is
+    /// one walker step: from each state, on each combination of the
+    /// inputs, a dense step reaches the walker's next state and fails
+    /// the walker's first failed property.
+    #[test]
+    fn dense_cells_match_one_walker_step() {
+        let sources = [
+            sim::designs::PROTOCOL_STACK,
+            sim::designs::VOICE_PAGER,
+            crate::check::tests::SRC,
+            NEVER_BOTH,
+            ALWAYS,
+            WITHIN_2,
+            SAME_INSTANT,
+            EVENTUALLY_3,
+            WITHIN_1,
+            NEVER_P,
+            ALWAYS_F,
+            PIN,
+        ];
+        let (mut observers, mut cells, mut failing) = (0, 0, 0);
+        for src in sources {
+            let prog = ecl_syntax::parse_str(src).expect("source parses");
+            for spec in synthesize_all(&prog).expect("observers synthesize") {
+                assert!(spec.dense.is_some(), "`{}` has no dense table", spec.name);
+                let mut table = SigTable::new();
+                let ids: Vec<usize> = spec
+                    .efsm
+                    .inputs()
+                    .map(|(_, info)| table.intern(&info.name).bit())
+                    .collect();
+                for state in 0..spec.efsm.states.len() as u32 {
+                    for index in 0..1usize << ids.len() {
+                        let present: BitSet = (0..ids.len())
+                            .filter(|j| index >> j & 1 == 1)
+                            .map(|j| ids[j])
+                            .collect();
+                        let step = |backend| {
+                            let mut m = Monitor::new(Arc::clone(&spec));
+                            m.set_backend(backend);
+                            m.state = StateId(state);
+                            let fail = m.step_ids(0, &present, &table).map(|v| v.property);
+                            (m.state, fail)
+                        };
+                        let dense = step(Backend::Compiled);
+                        assert_eq!(
+                            dense,
+                            step(Backend::Walker),
+                            "`{}` state {state} inputs {index:#b}",
+                            spec.name
+                        );
+                        cells += 1;
+                        failing += usize::from(dense.1.is_some());
+                    }
+                }
+                observers += 1;
+            }
+        }
+        assert_eq!(observers, 16, "3 stack, 2 pager, 2 check, 8 unit, 1 pin");
+        assert!(
+            failing > 0 && failing < cells,
+            "{failing} of {cells} cells fail"
+        );
+    }
+
+    /// An observer with more inputs than [`DENSE_INPUT_CAP`] gets no
+    /// dense table: it steps on the walker under both backends, to the
+    /// same verdicts.
+    #[test]
+    fn wide_observer_walks_under_both_backends() {
+        let src = "observer w(input pure a, input pure b, input pure c, input pure d,
+                              input pure e, input pure f, input pure g) {
+                     whenever (a & ~g) expect (b | c) within 2;
+                     never (d & e & f);
+                   }";
+        let spec = synthesize(ecl_syntax::parse_str(src).unwrap().observer("w").unwrap()).unwrap();
+        assert_eq!(spec.efsm.inputs().count(), DENSE_INPUT_CAP + 1);
+        assert!(
+            spec.dense.is_none(),
+            "a 7-input observer has no dense table"
+        );
+        let spec = Arc::new(spec);
+        let mut table = SigTable::new();
+        let ids: Vec<usize> = ["a", "b", "c", "d", "e", "f", "g"]
+            .map(|n| table.intern(n).bit())
+            .into();
+        let mut compiled = Monitor::new(Arc::clone(&spec));
+        let mut walker = Monitor::new(spec);
+        walker.set_backend(Backend::Walker);
+        // A fixed pseudo-random stream of input combinations.
+        let mut x = 0x2545_f491u32;
+        for i in 0..64u64 {
+            x ^= x << 13;
+            x ^= x >> 17;
+            x ^= x << 5;
+            let present: BitSet = (0..7).filter(|j| x >> j & 1 == 1).map(|j| ids[j]).collect();
+            let c = compiled.step_ids(i, &present, &table).cloned();
+            let w = walker.step_ids(i, &present, &table).cloned();
+            assert_eq!(c, w, "instant {i}");
+            assert_eq!(compiled.state, walker.state, "instant {i}");
+        }
+        assert!(
+            matches!(compiled.verdict(), Verdict::Fail(_)),
+            "the stream violates a property"
+        );
+        assert_eq!(compiled.finish(), walker.finish());
     }
 }

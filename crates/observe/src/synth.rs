@@ -23,12 +23,18 @@
 //! window is absorbed by it (the monitor re-arms one instant after the
 //! window closes). All properties of one observer run in parallel in
 //! one machine; the `fail_i` outputs identify the violated property.
+//!
+//! A monitor is pure control over a handful of inputs, so synthesis
+//! also tabulates it whole: a dense table holds, for every state
+//! and every combination of the inputs, the next state and the first
+//! failed property, each cell taken from one step of the s-graph
+//! walker. Stepping a monitor is then one table load.
 
 use ecl_syntax::ast;
 use ecl_syntax::diag::{EclError, Stage};
 use ecl_syntax::pretty;
 use ecl_syntax::source::Span;
-use efsm::{CompiledEfsm, Efsm, SigKind, Signal};
+use efsm::{BitSet, Efsm, NoHooks, SigKind, Signal, StateId};
 use esterel::compile::CompileOptions;
 use esterel::ir::ProgramBuilder;
 use esterel::{SigExpr, Stmt};
@@ -58,12 +64,98 @@ pub struct MonitorSpec {
     pub program: Arc<esterel::Program>,
     /// The compiled monitor machine (runs lockstep with the design).
     pub efsm: Arc<Efsm>,
-    /// Dense transition tables over `efsm`. Monitors are pure control,
-    /// so every state flattens and stepping is row scans only (the
-    /// walker remains as the structural fallback).
-    pub table: Arc<CompiledEfsm>,
     /// Per-property verdict signals.
     pub props: Vec<PropInfo>,
+    /// The machine tabulated for [`efsm::Backend::Compiled`] stepping;
+    /// `None` past [`DENSE_INPUT_CAP`] inputs, where the monitor steps
+    /// on the s-graph walker under both backends.
+    pub(crate) dense: Option<DenseTable>,
+}
+
+/// Inputs past which a monitor gets no dense table: a state owns a
+/// cell per combination of the inputs, so 6 inputs make 64 cells per
+/// state. A wider observer steps on the s-graph walker under both
+/// backends, as a task state past `efsm::table::ROW_CAP` does.
+pub(crate) const DENSE_INPUT_CAP: usize = 6;
+
+/// Cell value of [`Cell::fail`] when no property fails.
+const NO_FAIL: u32 = u32::MAX;
+
+/// One (state, input combination) of a [`DenseTable`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Cell {
+    /// The state the step moves to.
+    pub(crate) next: StateId,
+    /// Position in [`MonitorSpec::props`] of the first property whose
+    /// `fail_i` the step emits, or [`NO_FAIL`].
+    fail: u32,
+}
+
+impl Cell {
+    /// Position of the property this step violates, if any.
+    #[inline]
+    pub(crate) fn failed(self) -> Option<usize> {
+        (self.fail != NO_FAIL).then_some(self.fail as usize)
+    }
+}
+
+/// A monitor machine as one dense table: for a machine with `k`
+/// inputs, cell `state << k | index` is the step from `state` when
+/// input `j` (in [`Efsm::inputs`] order) is present exactly if bit `j`
+/// of `index` is set.
+#[derive(Debug, Clone)]
+pub(crate) struct DenseTable {
+    /// Inputs of the machine: each state owns `1 << k` cells.
+    k: u32,
+    /// All cells, state-major.
+    cells: Box<[Cell]>,
+}
+
+impl DenseTable {
+    /// Tabulate `m` by stepping the s-graph walker once per cell, or
+    /// `None` when `m` has more than [`DENSE_INPUT_CAP`] inputs. The
+    /// walker is the reference, so the table is exact by construction.
+    fn build(m: &Efsm, props: &[PropInfo]) -> Option<DenseTable> {
+        let inputs: Vec<Signal> = m.inputs().map(|(s, _)| s).collect();
+        if inputs.len() > DENSE_INPUT_CAP {
+            return None;
+        }
+        let k = inputs.len() as u32;
+        let mut cells = Vec::with_capacity(m.states.len() << k);
+        let (mut bits, mut emitted) = (BitSet::new(), Vec::new());
+        for state in 0..m.states.len() as u32 {
+            for index in 0..1usize << k {
+                bits.clear();
+                for (j, s) in inputs.iter().enumerate() {
+                    if index >> j & 1 == 1 {
+                        bits.insert(s.0 as usize);
+                    }
+                }
+                emitted.clear();
+                let next = m
+                    .step_bits(StateId(state), &bits, &mut NoHooks, &mut emitted)
+                    .next;
+                let fail = first_failed(props, &emitted).map_or(NO_FAIL, |p| p as u32);
+                cells.push(Cell { next, fail });
+            }
+        }
+        Some(DenseTable {
+            k,
+            cells: cells.into(),
+        })
+    }
+
+    /// The step from `state` on input combination `index`.
+    #[inline]
+    pub(crate) fn cell(&self, state: StateId, index: usize) -> Cell {
+        self.cells[(state.0 as usize) << self.k | index]
+    }
+}
+
+/// Position in `props` of the first property whose `fail_i` output is
+/// in `emitted`.
+pub(crate) fn first_failed(props: &[PropInfo], emitted: &[Signal]) -> Option<usize> {
+    props.iter().position(|p| emitted.contains(&p.fail))
 }
 
 fn obs_err<T>(msg: impl Into<String>, span: Span) -> Result<T, EclError> {
@@ -113,14 +205,14 @@ pub fn synthesize(obs: &ast::Observer) -> Result<MonitorSpec, EclError> {
     })?;
     let efsm =
         esterel::compile::compile(&program, &CompileOptions::default()).map_err(EclError::from)?;
-    let table = CompiledEfsm::compile(&efsm);
+    let dense = DenseTable::build(&efsm, &props);
     Ok(MonitorSpec {
         name: obs.name.name.clone(),
         watched,
         program: Arc::new(program),
         efsm: Arc::new(efsm),
-        table: Arc::new(table),
         props,
+        dense,
     })
 }
 
@@ -245,10 +337,7 @@ mod tests {
         assert_eq!(st.pred_tests, 0, "monitors carry no data part");
         assert_eq!(st.actions, 0);
         assert_eq!(st.pure_states, st.states, "every monitor state is pure");
-        assert!(
-            s.table.fully_fused(),
-            "monitors compile fully to fused rows"
-        );
+        assert!(s.dense.is_some(), "a 2-input monitor tabulates densely");
         s.efsm.validate().unwrap();
     }
 

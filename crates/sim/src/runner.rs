@@ -467,7 +467,9 @@ pub trait Runner {
     ///
     /// # Errors
     ///
-    /// Propagates input and reaction failures.
+    /// Propagates input and reaction failures. Both end the run
+    /// through one bracket: a telemetry `error` line, a `sim.errors`
+    /// count and [`Runner::emit_losses`].
     fn run_events<F>(&mut self, events: &[InstantEvents], mut on_instant: F) -> Result<(), SimError>
     where
         Self: Sized,
@@ -484,29 +486,36 @@ pub trait Runner {
         let mut span_t0 = (span_every > 0).then(std::time::Instant::now);
         let mut in_window = 0u64;
         for ev in events {
-            let ev_bits = stimuli.post(self, ev)?;
             let instant = self.now();
-            let r = if tel {
-                let t0 = std::time::Instant::now();
-                let r = self.instant_ids(ev_bits, &mut present);
-                tm::SIM_INSTANT_NS.raw_record(t0.elapsed().as_nanos() as u64);
-                tm::SIM_INSTANTS.raw_add(1);
-                r
-            } else {
-                self.instant_ids(ev_bits, &mut present)
-            };
-            if let Err(e) = r {
-                tm::SIM_ERRORS.add(1);
-                if let Some(ev) = ecl_telemetry::event("error") {
-                    ev.u64("instant", instant)
-                        .u64("session", self.session_id())
-                        .str("kind", e.kind.as_str())
-                        .str("msg", &e.msg)
-                        .emit();
+            // Stimulus and reaction failures leave through one error
+            // bracket.
+            let r = stimuli.post(self, ev).and_then(|ev_bits| {
+                let r = if tel {
+                    let t0 = std::time::Instant::now();
+                    let r = self.instant_ids(ev_bits, &mut present);
+                    tm::SIM_INSTANT_NS.raw_record(t0.elapsed().as_nanos() as u64);
+                    tm::SIM_INSTANTS.raw_add(1);
+                    r
+                } else {
+                    self.instant_ids(ev_bits, &mut present)
+                };
+                r.map(|()| ev_bits)
+            });
+            let ev_bits = match r {
+                Ok(ev_bits) => ev_bits,
+                Err(e) => {
+                    tm::SIM_ERRORS.add(1);
+                    if let Some(ev) = ecl_telemetry::event("error") {
+                        ev.u64("instant", instant)
+                            .u64("session", self.session_id())
+                            .str("kind", e.kind.as_str())
+                            .str("msg", &e.msg)
+                            .emit();
+                    }
+                    self.emit_losses();
+                    return Err(e);
                 }
-                self.emit_losses();
-                return Err(e);
-            }
+            };
             present.union_with(ev_bits);
             on_instant(instant, Present::new(self.sig_table(), &present));
             if span_every > 0 {

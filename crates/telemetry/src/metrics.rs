@@ -133,6 +133,9 @@ pub static VM_OPS: [Counter; 22] = [
 
 /// Monitor instants stepped (per monitor per environment instant).
 pub static MON_STEPS: Counter = Counter::new("mon.steps");
+/// Monitor instants stepped on the s-graph walker (`Backend::Walker`
+/// forced, or an observer too wide for a dense table).
+pub static MON_WALKER_STEPS: Counter = Counter::new("mon.walker_steps");
 /// Violations latched (first failure per monitor).
 pub static MON_VIOLATIONS: Counter = Counter::new("mon.violations");
 
@@ -185,6 +188,7 @@ pub fn counters() -> Vec<&'static Counter> {
         &VM_FALLBACK_STMTS,
         &VM_WALKER_HOOKS,
         &MON_STEPS,
+        &MON_WALKER_STEPS,
         &MON_VIOLATIONS,
         &FAULTS_INJECTED,
         &SIM_WATCHDOG_TRIPS,

@@ -9,11 +9,12 @@
 //! The suite also pins the fusion acceptance criterion: on both
 //! shipped designs every state fuses and every data hook compiles
 //! (`coverage().fully_fused()`), and a telemetry-counted compiled run
-//! of each — monolithic and as three tasks — takes *zero* walker
-//! steps: no s-graph fallback and no tree-walked data hook inside an
-//! instant, while the inlined hooks do run. A `Backend::Compiled`
-//! reaction that reached the runtime's walker-only `DataHooks` would
-//! fail it.
+//! of each — monolithic and as three tasks, with the shipped observers
+//! attached — takes *zero* walker steps: no s-graph fallback, no
+//! tree-walked data hook and no walked observer inside an instant,
+//! while the inlined hooks and the observers' dense steps do run. A
+//! `Backend::Compiled` reaction that reached the runtime's walker-only
+//! `DataHooks`, or an observer stepped on the s-graph, would fail it.
 
 use ecl_core::{Design, Source};
 use ecl_observe::{synthesize_all, Monitor};
@@ -181,11 +182,13 @@ fn pager_walker_matches_compiled() {
     walker_matches_compiled(VOICE_PAGER, "pager", &pager_events());
 }
 
-/// Under `Backend::Compiled`, no reaction ever reaches a walker: the
-/// telemetry-counted run takes zero `table.walk_fallbacks` and zero
-/// `vm.walker_hooks` on both shipped designs, monolithic and as three
-/// tasks, while resolving every step in the fused backend and running
-/// its data as inlined bytecode (`vm.hook_runs`).
+/// Under `Backend::Compiled`, no reaction and no observer ever
+/// reaches a walker: the telemetry-counted run takes zero
+/// `table.walk_fallbacks`, zero `vm.walker_hooks` and zero
+/// `mon.walker_steps` on both shipped designs, monolithic and as three
+/// tasks, while resolving every step in the fused backend, running its
+/// data as inlined bytecode (`vm.hook_runs`) and stepping the shipped
+/// observers by their dense tables (`mon.steps`).
 #[test]
 fn compiled_run_takes_zero_walker_steps() {
     let _g = locked();
@@ -196,17 +199,26 @@ fn compiled_run_takes_zero_walker_steps() {
         (PROTOCOL_STACK, "toplevel", stack_events()),
         (VOICE_PAGER, "pager", pager_events()),
     ] {
+        let mono = design_of(src, entry);
+        let specs = synthesize_all(&mono.ast).expect("observers synthesize");
         let partitioned = parts(src, entry).expect("design partitions");
         assert_eq!(
             partitioned.len(),
             3,
             "`{entry}` partitions into three tasks"
         );
-        for designs in [vec![design_of(src, entry)], partitioned] {
+        for designs in [vec![mono], partitioned] {
             let tasks = designs.len();
             ecl_telemetry::metrics::reset_all();
             let mut r = runner(designs);
-            r.run_events(&events, |_, _| {}).expect("run succeeds");
+            let mut mons: Vec<Monitor> =
+                specs.iter().map(|s| Monitor::new(Arc::clone(s))).collect();
+            r.run_events(&events, |i, p| {
+                for m in &mut mons {
+                    m.step_present(i, p);
+                }
+            })
+            .expect("run succeeds");
             check_compiled_counts(&format!("{entry} ({tasks} tasks)"));
         }
     }
@@ -214,7 +226,7 @@ fn compiled_run_takes_zero_walker_steps() {
 }
 
 /// The registry after a compiled run of `what`: row-scanned steps, data
-/// hooks run as bytecode, and no walker anywhere.
+/// hooks run as bytecode, observers stepped, and no walker anywhere.
 fn check_compiled_counts(what: &str) {
     let c = |name: &str| {
         ecl_telemetry::metrics::counters()
@@ -233,5 +245,11 @@ fn check_compiled_counts(what: &str) {
         c("vm.walker_hooks"),
         0,
         "`{what}` walked a data hook under Backend::Compiled"
+    );
+    assert!(c("mon.steps") > 0, "`{what}` stepped no observer");
+    assert_eq!(
+        c("mon.walker_steps"),
+        0,
+        "`{what}` walked an observer under Backend::Compiled"
     );
 }

@@ -15,7 +15,8 @@ use ecl_telemetry::{install_sink, uninstall_sink, MemorySink, Run};
 use efsm::BitSet;
 use rtk::{Kernel, KernelParams};
 use sim::designs::PROTOCOL_STACK;
-use sim::tb::PacketTb;
+use sim::runner::{AsyncRunner, Runner};
+use sim::tb::{InstantEvents, PacketTb};
 use std::collections::BTreeSet;
 
 #[test]
@@ -78,15 +79,25 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     assert!(k.events_lost > 0, "double post must overwrite");
     k.emit_events_lost_event();
 
-    // Error instants come from failed simulation; the builder-level
-    // path is the same, so emit one synthetically (error lines must
-    // attribute a session — 0 outside a fleet).
-    ecl_telemetry::event("error")
-        .expect("telemetry on + sink installed")
-        .u64("instant", 0)
-        .u64("session", 0)
-        .str("msg", "synthetic error for the schema test")
-        .emit();
+    // A stimulus failure: a valued name no task reads fails the first
+    // instant, and the run leaves through the same error bracket as a
+    // reaction failure (error lines attribute a session — 0 outside a
+    // fleet).
+    let mut r = AsyncRunner::new(
+        vec![design.clone()],
+        &Default::default(),
+        Default::default(),
+        Default::default(),
+    )
+    .expect("runner builds");
+    let ghost = [InstantEvents {
+        pure: vec![],
+        valued: vec![("ghost".into(), 1)],
+    }];
+    let e = r
+        .run_events(&ghost, |_, _| {})
+        .expect_err("a valued name no task reads fails the run");
+    assert!(e.msg.contains("no task reads signal"), "{e:?}");
 
     // Fault-injected run: every external event is dropped, so the
     // stream carries `fault_injected` lines too.
@@ -174,6 +185,23 @@ fn every_emitted_line_is_schema_valid_and_all_kinds_appear() {
     ] {
         assert!(kinds.contains(kind), "stream carries no `{kind}` line");
     }
+    // The stimulus failure's line names its kind and the message.
+    let stimulus_error = lines.iter().map(|l| parse(l).unwrap()).find(|j| {
+        j.get("event").and_then(|v| v.as_str()) == Some("error")
+            && j.get("msg")
+                .and_then(|v| v.as_str())
+                .is_some_and(|m| m.contains("no task reads signal `ghost`"))
+    });
+    let stimulus_error = stimulus_error.expect("the stimulus failure emits an `error` line");
+    assert_eq!(
+        stimulus_error.get("kind").and_then(|v| v.as_str()),
+        Some("eval")
+    );
+    assert_eq!(
+        stimulus_error.get("session").and_then(|v| v.as_u64()),
+        Some(0)
+    );
+
     // Five bracketed runs → at least two distinct correlation ids
     // (the kernel/error lines outside any bracket get the idle id).
     assert!(run_ids.len() >= 2, "run ids: {run_ids:?}");
