@@ -639,8 +639,9 @@ fn main() {
     let stack_specs = specs_of(sim::designs::PROTOCOL_STACK);
     let pager_specs = specs_of(sim::designs::VOICE_PAGER);
 
-    // Four design configurations, compile timed.
-    let config = |label: &'static str, t: Timed<Vec<Design>>| {
+    // Four design configurations, compile timed: best of
+    // [`ABLATION_REPS`] calls, like the ablation rows.
+    let config = |label: &'static str, (us, designs): (f64, Vec<Design>)| {
         let (design, events, specs) = if label.starts_with("pager") {
             ("voice_pager", &pager_ev[..], &pager_specs[..])
         } else {
@@ -650,17 +651,17 @@ fn main() {
             label,
             key: label.replace('/', "_"),
             design,
-            designs: t.value,
-            compile_ms: t.ms,
+            designs,
+            compile_ms: us / 1000.0,
             events,
             specs,
         }
     };
     let configs = [
-        config("stack/mono", timed(|| vec![ecl_bench::stack_mono()])),
-        config("stack/parts", timed(ecl_bench::stack_parts)),
-        config("pager/mono", timed(|| vec![ecl_bench::pager_mono()])),
-        config("pager/parts", timed(ecl_bench::pager_parts)),
+        config("stack/mono", best_us(|| vec![ecl_bench::stack_mono()])),
+        config("stack/parts", best_us(ecl_bench::stack_parts)),
+        config("pager/mono", best_us(|| vec![ecl_bench::pager_mono()])),
+        config("pager/parts", best_us(ecl_bench::pager_parts)),
     ];
     let compile_ms: Vec<Member> = configs
         .iter()

@@ -3,7 +3,6 @@
 
 use crate::sgraph::{self, Node, NodeId};
 use crate::{BitSet, DataHooks};
-use std::collections::HashSet;
 use std::fmt;
 
 /// Index of a signal in a machine's signal table.
@@ -263,29 +262,50 @@ impl Efsm {
         Ok(())
     }
 
-    /// Summary statistics for reporting and the cost model.
+    /// Summary statistics for reporting and the cost model, from one
+    /// post-order walk over the live nodes.
     pub fn stats(&self) -> EfsmStats {
-        let mut live: HashSet<NodeId> = HashSet::new();
-        for st in &self.states {
-            live.extend(sgraph::reachable_nodes(&self.nodes, st.root));
-        }
+        // Per node: unseen, or seen and whether it reaches a node that
+        // makes its state mixed (see `Efsm::state_is_pure`).
+        const UNSEEN: u8 = 0;
+        const PURE: u8 = 1;
+        const IMPURE: u8 = 2;
+        let mut mark = vec![UNSEEN; self.nodes.len()];
         let mut s = EfsmStats {
             states: self.states.len() as u32,
             ..EfsmStats::default()
         };
-        for id in &live {
-            match self.nodes[id.0 as usize] {
-                Node::Test { .. } => s.tests += 1,
-                Node::TestPred { .. } => s.pred_tests += 1,
-                Node::Do { .. } => s.actions += 1,
-                Node::Emit { .. } => s.emits += 1,
-                Node::Goto { .. } => s.gotos += 1,
+        let mut stack: Vec<(NodeId, bool)> = Vec::new();
+        for st in &self.states {
+            stack.push((st.root, false));
+            while let Some((id, children_done)) = stack.pop() {
+                let i = id.0 as usize;
+                if mark[i] != UNSEEN {
+                    continue;
+                }
+                let node = self.nodes[i];
+                if !children_done {
+                    stack.push((id, true));
+                    let unseen = node.successors().filter(|c| mark[c.0 as usize] == UNSEEN);
+                    stack.extend(unseen.map(|c| (c, false)));
+                    continue;
+                }
+                match node {
+                    Node::Test { .. } => s.tests += 1,
+                    Node::TestPred { .. } => s.pred_tests += 1,
+                    Node::Do { .. } => s.actions += 1,
+                    Node::Emit { .. } => s.emits += 1,
+                    Node::Goto { .. } => s.gotos += 1,
+                }
+                s.nodes += 1;
+                let impure = crate::table::is_data(&node)
+                    || node.successors().any(|c| mark[c.0 as usize] == IMPURE);
+                mark[i] = if impure { IMPURE } else { PURE };
+            }
+            if mark[st.root.0 as usize] == PURE {
+                s.pure_states += 1;
             }
         }
-        s.nodes = live.len() as u32;
-        s.pure_states = (0..self.states.len())
-            .filter(|&i| self.state_is_pure(StateId(i as u32)))
-            .count() as u32;
         s
     }
 

@@ -13,7 +13,7 @@
 
 use crate::machine::{Efsm, State, StateId};
 use crate::sgraph::{Node, NodeId};
-use std::collections::HashMap;
+use ecl_syntax::fxmap::FxHashMap;
 
 /// Outcome of running [`optimize`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,19 +28,20 @@ pub struct OptReport {
     pub states_after: u32,
 }
 
-/// Run the full pipeline: reduce, prune, minimize, reduce again.
+/// Run the full pipeline: reduce, prune, minimize, reduce again. The
+/// report counts live nodes: the first `reduce` reads every live node
+/// once, and after the last the arena holds exactly the live nodes.
 pub fn optimize(m: &mut Efsm) -> OptReport {
-    let before = m.stats();
-    reduce(m);
+    let states_before = m.states.len() as u32;
+    let nodes_before = reduce(m);
     prune_unreachable(m);
     minimize_states(m);
     reduce(m);
-    let after = m.stats();
     OptReport {
-        nodes_before: before.nodes,
-        nodes_after: after.nodes,
-        states_before: before.states,
-        states_after: after.states,
+        nodes_before,
+        nodes_after: m.nodes.len() as u32,
+        states_before,
+        states_after: m.states.len() as u32,
     }
 }
 
@@ -49,19 +50,20 @@ pub fn optimize(m: &mut Efsm) -> OptReport {
 /// Rebuilds the node arena bottom-up so that structurally identical
 /// subgraphs are shared, and replaces any test whose branches are the
 /// same node with that node (the BDD reduction rules applied to
-/// s-graphs). Unreferenced nodes are dropped.
-pub fn reduce(m: &mut Efsm) {
+/// s-graphs). Unreferenced nodes are dropped. Returns the number of
+/// live nodes it read (shared nodes once).
+pub fn reduce(m: &mut Efsm) -> u32 {
     let mut new_nodes: Vec<Node> = Vec::new();
-    let mut intern: HashMap<Node, NodeId> = HashMap::new();
-    let mut memo: HashMap<NodeId, NodeId> = HashMap::new();
+    let mut intern: FxHashMap<Node, NodeId> = FxHashMap::default();
+    let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
 
     // Iterative post-order rebuild (avoids recursion depth limits).
     fn rebuild(
         old: &[Node],
         root: NodeId,
         new_nodes: &mut Vec<Node>,
-        intern: &mut HashMap<Node, NodeId>,
-        memo: &mut HashMap<NodeId, NodeId>,
+        intern: &mut FxHashMap<Node, NodeId>,
+        memo: &mut FxHashMap<NodeId, NodeId>,
     ) -> NodeId {
         let mut stack = vec![(root, false)];
         while let Some((id, children_done)) = stack.pop() {
@@ -109,6 +111,7 @@ pub fn reduce(m: &mut Efsm) {
     }
     m.nodes = new_nodes;
     m.states = new_states;
+    memo.len() as u32
 }
 
 /// Remove control states unreachable from the initial state, renumbering
@@ -199,7 +202,7 @@ fn merge_classes(m: &mut Efsm, class: &[u32]) {
     // New state list: one per class, ordered by representative.
     let mut reps: Vec<StateId> = rep.iter().map(|r| r.expect("class has a member")).collect();
     reps.sort();
-    let mut class_of_rep: HashMap<StateId, u32> = HashMap::new();
+    let mut class_of_rep: FxHashMap<StateId, u32> = FxHashMap::default();
     for (new_idx, r) in reps.iter().enumerate() {
         class_of_rep.insert(*r, new_idx as u32);
     }
@@ -239,8 +242,8 @@ impl Holes {
         let n = m.states.len();
         let nodes = &m.nodes;
         let mut shape = vec![UNSET; nodes.len()];
-        let mut intern: HashMap<Node, u32> = HashMap::new();
-        let mut shape_class_of: HashMap<u32, u32> = HashMap::new();
+        let mut intern: FxHashMap<Node, u32> = FxHashMap::default();
+        let mut shape_class_of: FxHashMap<u32, u32> = FxHashMap::default();
         let mut shape_class = Vec::with_capacity(n);
         let mut start = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
@@ -778,7 +781,7 @@ mod proptests {
                 .map(|st| signature(&m.nodes, st.root, &class))
                 .collect();
             let mut next_class = vec![0u32; n];
-            let mut index: HashMap<(u32, &str), u32> = HashMap::new();
+            let mut index: FxHashMap<(u32, &str), u32> = FxHashMap::default();
             for i in 0..n {
                 let count = index.len() as u32;
                 next_class[i] = *index.entry((class[i], sigs[i].as_str())).or_insert(count);
@@ -799,7 +802,7 @@ mod proptests {
             nodes: &[Node],
             id: NodeId,
             class: &[u32],
-            memo: &mut HashMap<NodeId, String>,
+            memo: &mut FxHashMap<NodeId, String>,
         ) -> String {
             if let Some(s) = memo.get(&id) {
                 return s.clone();
@@ -831,7 +834,7 @@ mod proptests {
             memo.insert(id, s.clone());
             s
         }
-        go(nodes, root, class, &mut HashMap::new())
+        go(nodes, root, class, &mut FxHashMap::default())
     }
 
     #[test]

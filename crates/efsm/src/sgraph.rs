@@ -59,15 +59,16 @@ pub enum Node {
 }
 
 impl Node {
-    /// The node ids this node points to.
-    pub fn successors(&self) -> Vec<NodeId> {
-        match self {
+    /// The node ids this node points to (at most two), `then_` first.
+    pub fn successors(&self) -> impl Iterator<Item = NodeId> {
+        let (first, second) = match *self {
             Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
-                vec![*then_, *else_]
+                (Some(then_), Some(else_))
             }
-            Node::Do { next, .. } | Node::Emit { next, .. } => vec![*next],
-            Node::Goto { .. } => vec![],
-        }
+            Node::Do { next, .. } | Node::Emit { next, .. } => (Some(next), None),
+            Node::Goto { .. } => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 
     /// Rewrite the successors through `f` (used by optimization passes).
@@ -195,10 +196,17 @@ mod tests {
             then_: NodeId(1),
             else_: NodeId(2),
         };
-        assert_eq!(n.successors(), vec![NodeId(1), NodeId(2)]);
+        let succ = |n: Node| n.successors().collect::<Vec<_>>();
+        assert_eq!(succ(n), vec![NodeId(1), NodeId(2)]);
         let m = n.map_successors(|i| NodeId(i.0 + 10));
-        assert_eq!(m.successors(), vec![NodeId(11), NodeId(12)]);
-        assert_eq!(goto(3).successors(), vec![]);
+        assert_eq!(succ(m), vec![NodeId(11), NodeId(12)]);
+        let e = Node::Emit {
+            sig: Signal(0),
+            value: None,
+            next: NodeId(4),
+        };
+        assert_eq!(succ(e), vec![NodeId(4)]);
+        assert_eq!(succ(goto(3)), vec![]);
     }
 
     #[test]

@@ -46,8 +46,8 @@
 use crate::machine::{Efsm, Signal, StateId};
 use crate::sgraph::{Node, NodeId};
 use crate::{ActionId, BitSet, ExprId, PredId};
+use ecl_syntax::fxmap::FxHashMap;
 use ecl_telemetry::metrics as tm;
-use std::collections::HashMap;
 
 /// Per-state cap on fused rows. An s-graph with `n` independent
 /// presence tests can need `2^n` rows; past this bound the state stays
@@ -363,7 +363,7 @@ impl CompiledEfsm {
                     entry: NO_PROG,
                 }
             } else {
-                let mut memo = HashMap::new();
+                let mut memo = FxHashMap::default();
                 let entry = self.emit_node(m, root, cube, &mut memo);
                 RowMeta {
                     next: StateId(0),
@@ -404,7 +404,7 @@ impl CompiledEfsm {
         m: &Efsm,
         id: NodeId,
         cube: &[(Signal, bool)],
-        memo: &mut HashMap<NodeId, u32>,
+        memo: &mut FxHashMap<NodeId, u32>,
     ) -> u32 {
         if let Some(&pc) = memo.get(&id) {
             return pc;
@@ -577,11 +577,16 @@ impl Efsm {
         let root = self.states[state.0 as usize].root;
         crate::sgraph::reachable_nodes(&self.nodes, root)
             .iter()
-            .all(|id| match self.nodes[id.0 as usize] {
-                Node::Test { .. } | Node::Goto { .. } => true,
-                Node::Emit { value, .. } => value.is_none(),
-                Node::TestPred { .. } | Node::Do { .. } => false,
-            })
+            .all(|id| !is_data(&self.nodes[id.0 as usize]))
+    }
+}
+
+/// Does `node` make its state mixed (see [`Efsm::state_is_pure`])?
+pub(crate) fn is_data(node: &Node) -> bool {
+    match node {
+        Node::Test { .. } | Node::Goto { .. } => false,
+        Node::Emit { value, .. } => value.is_some(),
+        Node::TestPred { .. } | Node::Do { .. } => true,
     }
 }
 

@@ -20,10 +20,10 @@
 //! the corresponding `Do` node).
 
 use crate::engine::{Engine, ExecOut, Occurrences, Sem};
-use crate::ir::{Program, StmtId, Tri};
+use crate::ir::{Node, Program, StmtId, Tri};
+use ecl_syntax::fxmap::FxHashMap;
 use efsm::sgraph::{Node as ENode, NodeId};
 use efsm::{ActionId, BitSet, Efsm, ExprId, PredId, SigKind, Signal, StateId};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Options controlling compilation.
@@ -130,44 +130,52 @@ pub fn compile(prog: &Program, opts: &CompileOptions) -> Result<Efsm, CompileErr
 }
 
 /// Control state key: `None` = not started yet; `Some(sel)` = selection;
-/// the empty selection is the dead state.
+/// the empty selection is the dead state. Every selection is
+/// [`Program::n_pauses`] bits wide, so keys compare by value without
+/// trimming.
 type StateKey = Option<BitSet>;
+
+/// The choices a decision tree has fixed so far.
+type Oracle = FxHashMap<Choice, bool>;
 
 struct Compiler<'p> {
     prog: &'p Program,
     opts: &'p CompileOptions,
     efsm: Efsm,
-    ids: HashMap<StateKey, StateId>,
+    /// Selection states by key (the boot state is never a target).
+    ids: FxHashMap<BitSet, StateId>,
+    /// States to expand; `work[i]` is the key of `StateId(i)`.
     work: Vec<StateKey>,
     report: CompileReport,
-    /// Visit counters, reused by every pass of every run.
+    /// Visit counters and pause set, reused by every pass of every run.
     occ: Occurrences,
+    /// What a run knows, reused by every run.
+    run: RunScratch,
+    /// The prefix events of the decision nodes being built, outermost
+    /// first: each copies its own before recursing and chains them
+    /// after.
+    prefixes: Vec<Ev>,
+    /// The next-state key of the last completed run.
+    next_key: BitSet,
 }
 
 /// One linear event along a symbolic run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Ev {
     Do(ActionId),
     Emit(Signal, Option<ExprId>),
 }
 
-/// What a symbolic run needs next, if anything.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// What a symbolic run needs next, if anything. Its events are the
+/// run scratch's journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RunOut {
-    /// Blocked at a choice: events so far, plus the choice kind (and
-    /// the predicate id for `Choice::Pred` keys).
-    Need {
-        prefix_len: usize,
-        choice: Choice,
-        pred: Option<PredId>,
-    },
-    /// Completed.
-    Done {
-        events_len: usize,
-        code: u32,
-        next_sel: BitSet,
-        coherent: bool,
-    },
+    /// Blocked at a choice, first requested after `prefix_len` events
+    /// (in whichever pass requested it first): the runs that know the
+    /// choice journal those same events before it.
+    Need { prefix_len: usize, choice: Choice },
+    /// Completed; the next selection is [`Compiler::next_key`].
+    Done { code: u32, coherent: bool },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -176,11 +184,91 @@ enum Choice {
     Input(Signal),
     /// Guess an internal (local or own-output) signal.
     Internal(Signal),
-    /// Fork on a data predicate occurrence: becomes a `TestPred` node.
+    /// Fork on a data predicate occurrence: becomes a `TestPred` node
+    /// on the `IfData` node's predicate.
     Pred(StmtId, u32),
 }
 
-/// Semantics for a symbolic run with a descriptor-keyed oracle.
+/// What one symbolic run knows. A compilation owns one; each run
+/// resets it, and once grown it never reallocates.
+#[derive(Debug, Default)]
+struct RunScratch {
+    status: Vec<Tri>,
+    emitted: BitSet,
+    /// Journaled events, each recorded once per `(node, occurrence)`.
+    events: Vec<Ev>,
+    /// `journaled[n]`: how many occurrences of node `n` are journaled.
+    /// A pass visits a node's occurrences in order 0, 1, 2, …, so the
+    /// journaled ones are always a prefix.
+    journaled: Vec<u32>,
+    /// Nodes whose `journaled` count is nonzero.
+    touched: Vec<StmtId>,
+    /// Choices requested this pass but absent from the oracle.
+    needs: Vec<Choice>,
+    /// Every choice requested in this run, with the number of events
+    /// journaled when it was first requested: until then, a run that
+    /// knows the choice journals the same events.
+    met: Vec<(Choice, usize)>,
+    incoherent: bool,
+}
+
+impl RunScratch {
+    /// Start a run of `prog` under `oracle`: nothing journaled, and
+    /// every signal unknown but those the oracle fixes.
+    fn reset(&mut self, prog: &Program, oracle: &Oracle) {
+        self.status.clear();
+        self.status.resize(prog.signals().len(), Tri::Unknown);
+        for (c, v) in oracle {
+            match c {
+                Choice::Input(s) | Choice::Internal(s) => {
+                    self.status[s.0 as usize] = if *v { Tri::True } else { Tri::False };
+                }
+                Choice::Pred(_, _) => {}
+            }
+        }
+        self.emitted.clear();
+        self.events.clear();
+        for id in self.touched.drain(..) {
+            self.journaled[id.0 as usize] = 0;
+        }
+        if self.journaled.len() < prog.size() {
+            self.journaled.resize(prog.size(), 0);
+        }
+        self.needs.clear();
+        self.met.clear();
+        self.incoherent = false;
+    }
+
+    fn known(&self) -> usize {
+        self.status.iter().filter(|s| **s != Tri::Unknown).count()
+    }
+
+    fn note_need(&mut self, c: Choice) {
+        if !self.needs.contains(&c) {
+            self.needs.push(c);
+        }
+        if !self.met.iter().any(|(m, _)| *m == c) {
+            self.met.push((c, self.events.len()));
+        }
+    }
+
+    /// Journal `ev` at `(id, occ)` unless an earlier pass did.
+    fn journal(&mut self, (id, occ): (StmtId, u32), ev: Ev) {
+        let n = &mut self.journaled[id.0 as usize];
+        if occ < *n {
+            return;
+        }
+        debug_assert_eq!(occ, *n, "journaled occurrences of {id:?} are not a prefix");
+        if *n == 0 {
+            self.touched.push(id);
+        }
+        *n += 1;
+        self.events.push(ev);
+    }
+}
+
+/// Semantics for one pass of a symbolic run with a descriptor-keyed
+/// oracle.
 ///
 /// The run executes fixpoint *passes* (like the interpreter): emissions
 /// made by later parallel branches resolve signals earlier branches
@@ -189,59 +277,13 @@ enum Choice {
 /// hence `Test`/`TestPred` nodes or internal guesses.
 struct SymSem<'a> {
     prog: &'a Program,
-    oracle: &'a HashMap<Choice, bool>,
-    status: Vec<Tri>,
-    emitted: BitSet,
-    /// Journaled events: recorded once per (node, occurrence).
-    events: Vec<Ev>,
-    recorded: std::collections::HashSet<(StmtId, u32)>,
-    /// Choices requested this pass but absent from the oracle, with the
-    /// event-prefix length at first encounter.
-    needs: Vec<(Choice, usize)>,
-    /// Predicate ids by occurrence key (for `TestPred` nodes).
-    pred_ids: HashMap<(StmtId, u32), PredId>,
-    incoherent: bool,
+    oracle: &'a Oracle,
+    run: &'a mut RunScratch,
 }
 
-impl<'a> SymSem<'a> {
-    fn new(prog: &'a Program, oracle: &'a HashMap<Choice, bool>) -> Self {
-        let mut status = vec![Tri::Unknown; prog.signals().len()];
-        // Pre-apply oracle entries for signals.
-        for (c, v) in oracle {
-            match c {
-                Choice::Input(s) | Choice::Internal(s) => {
-                    status[s.0 as usize] = if *v { Tri::True } else { Tri::False };
-                }
-                Choice::Pred(_, _) => {}
-            }
-        }
-        SymSem {
-            prog,
-            oracle,
-            status,
-            emitted: BitSet::new(),
-            events: Vec::new(),
-            recorded: std::collections::HashSet::new(),
-            needs: Vec::new(),
-            pred_ids: HashMap::new(),
-            incoherent: false,
-        }
-    }
-
-    fn known(&self) -> usize {
-        self.status.iter().filter(|s| **s != Tri::Unknown).count()
-    }
-
-    fn note_need(&mut self, c: Choice) {
-        if !self.needs.iter().any(|(n, _)| *n == c) {
-            self.needs.push((c, self.events.len()));
-        }
-    }
-}
-
-impl<'a> Sem for &mut SymSem<'a> {
+impl Sem for SymSem<'_> {
     fn status(&mut self, s: Signal) -> Tri {
-        self.status[s.0 as usize]
+        self.run.status[s.0 as usize]
     }
 
     fn blocked_on(&mut self, s: Signal) {
@@ -252,36 +294,32 @@ impl<'a> Sem for &mut SymSem<'a> {
             Choice::Internal(s)
         };
         // Oracle entries were pre-applied; reaching here means unknown.
-        self.note_need(choice);
+        self.run.note_need(choice);
     }
 
-    fn pred(&mut self, at: (StmtId, u32), p: PredId) -> Option<bool> {
+    fn pred(&mut self, at: (StmtId, u32), _: PredId) -> Option<bool> {
         let key = Choice::Pred(at.0, at.1);
-        self.pred_ids.insert((at.0, at.1), p);
         if let Some(v) = self.oracle.get(&key) {
             return Some(*v);
         }
-        self.note_need(key);
+        self.run.note_need(key);
         None
     }
 
     fn action(&mut self, at: (StmtId, u32), a: ActionId) {
-        if self.recorded.insert(at) {
-            self.events.push(Ev::Do(a));
-        }
+        self.run.journal(at, Ev::Do(a));
     }
 
     fn emit(&mut self, at: (StmtId, u32), s: Signal, value: Option<ExprId>) -> bool {
-        if self.status[s.0 as usize] == Tri::False {
+        let run = &mut *self.run;
+        if run.status[s.0 as usize] == Tri::False {
             // Contradicts an assumed absence.
-            self.incoherent = true;
+            run.incoherent = true;
             return false;
         }
-        self.status[s.0 as usize] = Tri::True;
-        self.emitted.insert(s.0 as usize);
-        if self.recorded.insert(at) {
-            self.events.push(Ev::Emit(s, value));
-        }
+        run.status[s.0 as usize] = Tri::True;
+        run.emitted.insert(s.0 as usize);
+        run.journal(at, Ev::Emit(s, value));
         true
     }
 }
@@ -296,17 +334,19 @@ impl<'p> Compiler<'p> {
             prog,
             opts,
             efsm,
-            ids: HashMap::new(),
+            ids: FxHashMap::default(),
             work: Vec::new(),
             report: CompileReport::default(),
             occ: Occurrences::default(),
+            run: RunScratch::default(),
+            prefixes: Vec::new(),
+            next_key: BitSet::with_capacity(prog.n_pauses() as usize),
         }
     }
 
-    fn state_id(&mut self, key: StateKey) -> StateId {
-        if let Some(id) = self.ids.get(&key) {
-            return *id;
-        }
+    /// Add a state for `key` with a placeholder root, patched when the
+    /// state is expanded, and queue its expansion.
+    fn add_state(&mut self, key: StateKey) -> StateId {
         let name = match &key {
             None => "boot".to_string(),
             Some(sel) if sel.is_empty() => "dead".to_string(),
@@ -315,29 +355,35 @@ impl<'p> Compiler<'p> {
                 format!("p{}", bits.join("_"))
             }
         };
-        // Placeholder root; patched when the state is expanded.
         let placeholder = self.efsm.add_node(ENode::Goto { target: StateId(0) });
-        let id = self.efsm.add_state(name, placeholder);
-        self.ids.insert(key.clone(), id);
         self.work.push(key);
+        self.efsm.add_state(name, placeholder)
+    }
+
+    /// The state selecting [`Compiler::next_key`], added if new: the
+    /// key is copied only then.
+    fn next_state(&mut self) -> StateId {
+        if let Some(id) = self.ids.get(&self.next_key) {
+            return *id;
+        }
+        let id = self.add_state(Some(self.next_key.clone()));
+        self.ids.insert(self.next_key.clone(), id);
         id
     }
 
     fn run(mut self) -> Result<(Efsm, CompileReport), CompileError> {
-        let boot = self.state_id(None);
-        self.efsm.init = boot;
+        self.efsm.init = self.add_state(None);
         let mut done = 0usize;
         while done < self.work.len() {
-            if self.ids.len() > self.opts.max_states {
+            if self.efsm.states.len() > self.opts.max_states {
                 return Err(CompileError::TooManyStates {
                     limit: self.opts.max_states,
                 });
             }
-            let key = self.work[done].clone();
-            done += 1;
-            let sid = self.ids[&key];
+            let key = std::mem::take(&mut self.work[done]);
             let root = self.expand(&key)?;
-            self.efsm.states[sid.0 as usize].root = root;
+            self.efsm.states[done].root = root;
+            done += 1;
         }
         self.report.states = self.efsm.states.len() as u32;
         if self.opts.optimize {
@@ -349,71 +395,54 @@ impl<'p> Compiler<'p> {
     }
 
     /// Execute one symbolic run for state `key` under `oracle`,
-    /// iterating fixpoint passes until quiescence.
-    fn sym_run(
-        &mut self,
-        key: &StateKey,
-        oracle: &HashMap<Choice, bool>,
-    ) -> Result<(RunOut, Vec<Ev>), CompileError> {
+    /// iterating fixpoint passes until quiescence. The run's events are
+    /// left in the run scratch.
+    fn sym_run(&mut self, key: &StateKey, oracle: &Oracle) -> Result<RunOut, CompileError> {
         self.report.runs += 1;
+        let boot = BitSet::new();
         let (start, sel) = match key {
-            None => (true, BitSet::new()),
-            Some(sel) => (false, sel.clone()),
+            None => (true, &boot),
+            Some(sel) => (false, sel),
         };
-        if let Some(sel) = key {
-            if sel.is_empty() {
-                // Dead state: stays dead, no behavior.
-                return Ok((
-                    RunOut::Done {
-                        events_len: 0,
-                        code: 0,
-                        next_sel: BitSet::new(),
-                        coherent: true,
-                    },
-                    Vec::new(),
-                ));
-            }
+        self.run.reset(self.prog, oracle);
+        if !start && sel.is_empty() {
+            // Dead state: stays dead, no behavior.
+            return Ok(RunOut::Done {
+                code: 0,
+                coherent: true,
+            });
         }
-        let mut sem = SymSem::new(self.prog, oracle);
         let mut last_known = usize::MAX;
         loop {
-            sem.needs.clear();
-            let mut engine = Engine::new(self.prog, &sel, &mut self.occ, &mut sem);
-            let out = engine.exec(self.prog.root(), start);
-            match out {
+            self.run.needs.clear();
+            let sem = SymSem {
+                prog: self.prog,
+                oracle,
+                run: &mut self.run,
+            };
+            match Engine::new(self.prog, sel, &mut self.occ, sem).run(start) {
                 ExecOut::Failed(_) => {
-                    return Ok((
-                        RunOut::Done {
-                            events_len: sem.events.len(),
-                            code: 0,
-                            next_sel: BitSet::new(),
-                            coherent: false,
-                        },
-                        sem.events,
-                    ));
+                    return Ok(RunOut::Done {
+                        code: 0,
+                        coherent: false,
+                    });
                 }
                 ExecOut::Done { code, pauses } => {
                     // Validate assumed-present internals were emitted.
-                    let mut coherent = !sem.incoherent;
+                    let mut coherent = !self.run.incoherent;
                     for (c, v) in oracle {
                         if let Choice::Internal(sig) = c {
-                            if *v && !sem.emitted.contains(sig.0 as usize) {
+                            if *v && !self.run.emitted.contains(sig.0 as usize) {
                                 coherent = false;
                             }
                         }
                     }
-                    return Ok((
-                        RunOut::Done {
-                            events_len: sem.events.len(),
-                            code,
-                            next_sel: pauses.normalized(),
-                            coherent,
-                        },
-                        sem.events,
-                    ));
+                    self.next_key.clear();
+                    self.next_key.union_with(pauses);
+                    return Ok(RunOut::Done { code, coherent });
                 }
                 ExecOut::Blocked => {
-                    let known = sem.known();
+                    let known = self.run.known();
                     if known != last_known {
                         // Progress: an emission resolved something.
                         last_known = known;
@@ -422,29 +451,19 @@ impl<'p> Compiler<'p> {
                     // Quiescent: pick a fork. Inputs and predicates are
                     // real decision nodes and take priority; internal
                     // signals are guessed only when nothing else moves.
-                    let pick = sem
-                        .needs
+                    let needs = &self.run.needs;
+                    let pick = needs
                         .iter()
-                        .find(|(c, _)| !matches!(c, Choice::Internal(_)))
-                        .or_else(|| sem.needs.first())
-                        .copied();
-                    let Some((choice, prefix)) = pick else {
+                        .find(|c| !matches!(c, Choice::Internal(_)))
+                        .or_else(|| needs.first());
+                    let Some(&choice) = pick else {
                         return Err(CompileError::Internal(
                             "blocked without a recorded choice".into(),
                         ));
                     };
-                    let pred = match choice {
-                        Choice::Pred(id, occ) => sem.pred_ids.get(&(id, occ)).copied(),
-                        _ => None,
-                    };
-                    return Ok((
-                        RunOut::Need {
-                            prefix_len: prefix,
-                            choice,
-                            pred,
-                        },
-                        sem.events,
-                    ));
+                    let met = self.run.met.iter().find(|(c, _)| *c == choice);
+                    let prefix_len = met.map_or(0, |(_, at)| *at);
+                    return Ok(RunOut::Need { prefix_len, choice });
                 }
             }
         }
@@ -453,7 +472,7 @@ impl<'p> Compiler<'p> {
     /// Build the s-graph for one control state.
     fn expand(&mut self, key: &StateKey) -> Result<NodeId, CompileError> {
         let mut runs = 0usize;
-        let mut oracle: HashMap<Choice, bool> = HashMap::new();
+        let mut oracle = Oracle::default();
         let out = self.build(key, &mut oracle, 0, &mut runs)?;
         match out {
             Some(node) => Ok(node),
@@ -473,7 +492,7 @@ impl<'p> Compiler<'p> {
     fn build(
         &mut self,
         key: &StateKey,
-        oracle: &mut HashMap<Choice, bool>,
+        oracle: &mut Oracle,
         skip: usize,
         runs: &mut usize,
     ) -> Result<Option<NodeId>, CompileError> {
@@ -483,36 +502,38 @@ impl<'p> Compiler<'p> {
                 limit: self.opts.max_runs_per_state,
             });
         }
-        let (out, events) = self.sym_run(key, oracle)?;
-        match out {
-            RunOut::Done {
-                events_len,
-                code,
-                next_sel,
-                coherent,
-            } => {
+        match self.sym_run(key, oracle)? {
+            RunOut::Done { code, coherent } => {
                 if !coherent {
                     return Ok(None);
                 }
-                let next_key = if code == 0 {
-                    Some(BitSet::new()) // dead
-                } else {
-                    Some(next_sel)
-                };
-                let target = self.state_id(next_key);
+                // The ancestors chained `prefixes` above this leaf: the
+                // run journaled exactly those events first.
+                debug_assert!(
+                    self.run.events.starts_with(&self.prefixes),
+                    "a decision reorders the events before it"
+                );
+                if code == 0 {
+                    self.next_key.clear(); // dead
+                }
+                let target = self.next_state();
                 let mut node = self.efsm.add_node(ENode::Goto { target });
-                for ev in events[skip..events_len].iter().rev() {
-                    node = self.chain(ev, node);
+                for i in (skip..self.run.events.len()).rev() {
+                    node = self.chain(self.run.events[i], node);
                 }
                 Ok(Some(node))
             }
-            RunOut::Need {
-                prefix_len,
-                choice,
-                pred,
-            } => {
+            RunOut::Need { prefix_len, choice } => {
+                // A choice this run met before its ancestors' decisions
+                // is decided here, after their events.
+                let prefix_len = prefix_len.max(skip);
+                // The subtrees' runs overwrite the scratch: keep this
+                // node's prefix until they are built.
+                let base = self.prefixes.len();
+                self.prefixes
+                    .extend_from_slice(&self.run.events[skip..prefix_len]);
                 let sub = |me: &mut Self,
-                           oracle: &mut HashMap<Choice, bool>,
+                           oracle: &mut Oracle,
                            v: bool,
                            runs: &mut usize|
                  -> Result<Option<NodeId>, CompileError> {
@@ -537,15 +558,17 @@ impl<'p> Compiler<'p> {
                             _ => None,
                         }
                     }
-                    Choice::Pred(_, _) => {
-                        let p = pred.ok_or_else(|| {
-                            CompileError::Internal("pred choice without id".into())
-                        })?;
+                    Choice::Pred(id, _) => {
+                        let Node::IfData(pred, ..) = *self.prog.node(id) else {
+                            return Err(CompileError::Internal(
+                                "predicate choice off an `IfData` node".into(),
+                            ));
+                        };
                         let f = sub(self, oracle, false, runs)?;
                         let t = sub(self, oracle, true, runs)?;
                         match (t, f) {
                             (Some(t), Some(f)) => Some(self.efsm.add_node(ENode::TestPred {
-                                pred: p,
+                                pred,
                                 then_: t,
                                 else_: f,
                             })),
@@ -568,29 +591,23 @@ impl<'p> Compiler<'p> {
                         }
                     }
                 };
-                match inner {
-                    Some(node) => {
-                        let mut node = node;
-                        for ev in events[skip..prefix_len].iter().rev() {
-                            node = self.chain(ev, node);
-                        }
-                        Ok(Some(node))
+                let node = inner.map(|mut node| {
+                    for i in (base..self.prefixes.len()).rev() {
+                        node = self.chain(self.prefixes[i], node);
                     }
-                    None => Ok(None),
-                }
+                    node
+                });
+                self.prefixes.truncate(base);
+                Ok(node)
             }
         }
     }
 
     /// Prepend one event node.
-    fn chain(&mut self, ev: &Ev, next: NodeId) -> NodeId {
+    fn chain(&mut self, ev: Ev, next: NodeId) -> NodeId {
         match ev {
-            Ev::Do(a) => self.efsm.add_node(ENode::Do { action: *a, next }),
-            Ev::Emit(s, v) => self.efsm.add_node(ENode::Emit {
-                sig: *s,
-                value: *v,
-                next,
-            }),
+            Ev::Do(action) => self.efsm.add_node(ENode::Do { action, next }),
+            Ev::Emit(sig, value) => self.efsm.add_node(ENode::Emit { sig, value, next }),
         }
     }
 }
@@ -832,6 +849,32 @@ mod tests {
         let (_, rep) = compile_with_report(&p, &opts()).unwrap();
         assert!(rep.runs > 0);
         assert_eq!(rep.ambiguous_choices, 0);
+    }
+
+    #[test]
+    fn decision_precedes_events_journaled_after_its_first_request() {
+        // par { if (p) emit y } { emit x }: the first pass blocks on `p`
+        // before the second branch emits `x`, and the second pass asks
+        // for `p` again after `x` is journaled. The test on `p` still
+        // comes first, so both paths emit `x` once and only the true one
+        // emits `y`.
+        let mut b = ProgramBuilder::new("t");
+        let x = b.output("x");
+        let y = b.output("y");
+        let p = b
+            .finish(Stmt::par(vec![
+                Stmt::if_data(PredId(0), Stmt::emit(y), Stmt::nothing()),
+                Stmt::emit(x),
+            ]))
+            .unwrap();
+        let m = compile(&p, &opts()).unwrap();
+        let paths = m.paths_of(m.init, 8).unwrap();
+        assert_eq!(paths.len(), 2);
+        for path in paths {
+            let count = |s| path.emits.iter().filter(|(e, _)| *e == s).count();
+            assert_eq!(count(x), 1, "{path:?}");
+            assert_eq!(count(y), usize::from(path.preds == [(PredId(0), true)]));
+        }
     }
 
     #[test]

@@ -37,15 +37,16 @@ pub trait Sem {
 }
 
 /// Result of one execution pass.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ExecOut {
+#[derive(Debug, PartialEq, Eq)]
+pub enum ExecOut<'a> {
     /// The pass completed with Berry completion `code` and the set of
     /// pause points active for the next instant.
     Done {
         /// Completion code: 0 terminated, 1 paused, k≥2 exit.
         code: u32,
-        /// Pauses selected for the next instant.
-        pauses: BitSet,
+        /// Pauses selected for the next instant, lent from the
+        /// driver's [`Occurrences`] until its next pass.
+        pauses: &'a BitSet,
     },
     /// A signal test could not be decided ([`Sem::blocked_on`] was
     /// called with the culprit).
@@ -56,7 +57,7 @@ pub enum ExecOut {
 }
 
 /// Why a pass failed hard.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecFailure {
     /// A loop body terminated instantaneously twice (should be caught
     /// statically; kept as a dynamic backstop).
@@ -65,19 +66,35 @@ pub enum ExecFailure {
     InconsistentEmission(Signal),
 }
 
-/// Per-node visit counters of one pass, indexed by node id.
+/// What executing one node returns. Its pauses are not returned: they
+/// go into the pass's one pause set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Code {
+    /// Completed with this Berry completion code.
+    Done(u32),
+    /// See [`ExecOut::Blocked`].
+    Blocked,
+    /// See [`ExecOut::Failed`].
+    Failed(ExecFailure),
+}
+
+/// Per-node visit counters and the selected pauses of one pass.
 ///
 /// A driver owns one and lends it to every pass: starting a pass
 /// clears only the counters the previous pass touched, so a pass costs
-/// what it visits, not the program's size.
+/// what it visits, not the program's size. A pass that ends blocked or
+/// failed leaves its pauses behind; the next pass clears them.
 #[derive(Debug, Clone, Default)]
 pub struct Occurrences {
     count: Vec<u32>,
     touched: Vec<StmtId>,
+    /// Pauses the current pass selected for the next instant.
+    pauses: BitSet,
 }
 
 impl Occurrences {
-    /// Zero every counter for a program of `size` nodes.
+    /// Zero every counter for a program of `size` nodes and empty the
+    /// pause set.
     fn reset(&mut self, size: usize) {
         for id in self.touched.drain(..) {
             self.count[id.0 as usize] = 0;
@@ -85,6 +102,7 @@ impl Occurrences {
         if self.count.len() < size {
             self.count.resize(size, 0);
         }
+        self.pauses.clear();
     }
 
     /// The occurrence number of this visit of `id`.
@@ -103,14 +121,15 @@ pub struct Engine<'p, S: Sem> {
     prog: &'p Program,
     /// Selection (active pauses) from the previous instant.
     sel: &'p BitSet,
-    /// Per-node visit counters for this pass.
+    /// Per-node visit counters and the pause set of this pass.
     occ: &'p mut Occurrences,
     /// The driver's resolution strategy.
-    pub sem: S,
+    sem: S,
 }
 
 impl<'p, S: Sem> Engine<'p, S> {
-    /// Create an engine for one pass, counting visits in `occ`.
+    /// Create an engine for one pass, counting visits and collecting
+    /// pauses in `occ`.
     pub fn new(prog: &'p Program, sel: &'p BitSet, occ: &'p mut Occurrences, sem: S) -> Self {
         occ.reset(prog.size());
         Engine {
@@ -118,6 +137,19 @@ impl<'p, S: Sem> Engine<'p, S> {
             sel,
             occ,
             sem,
+        }
+    }
+
+    /// Run the pass from the program's root; `start` selects start vs.
+    /// resume mode.
+    pub fn run(mut self, start: bool) -> ExecOut<'p> {
+        match self.exec(self.prog.root(), start) {
+            Code::Done(code) => ExecOut::Done {
+                code,
+                pauses: &self.occ.pauses,
+            },
+            Code::Blocked => ExecOut::Blocked,
+            Code::Failed(f) => ExecOut::Failed(f),
         }
     }
 
@@ -142,35 +174,26 @@ impl<'p, S: Sem> Engine<'p, S> {
         }
     }
 
-    /// Execute node `id`; `start` selects start vs. resume mode.
-    pub fn exec(&mut self, id: StmtId, start: bool) -> ExecOut {
-        use ExecOut::*;
+    /// Execute node `id`; `start` selects start vs. resume mode. The
+    /// pauses it selects go into the pass's pause set.
+    fn exec(&mut self, id: StmtId, start: bool) -> Code {
+        use Code::*;
         let prog = self.prog;
         match prog.node(id) {
-            Node::Nothing => Done {
-                code: 0,
-                pauses: BitSet::new(),
-            },
+            Node::Nothing => Done(0),
             Node::Pause(p) => {
                 if start {
-                    let mut b = BitSet::new();
-                    b.insert(*p as usize);
-                    Done { code: 1, pauses: b }
+                    self.occ.pauses.insert(*p as usize);
+                    Done(1)
                 } else {
                     // Resumed ⇒ this pause was selected ⇒ it terminates.
-                    Done {
-                        code: 0,
-                        pauses: BitSet::new(),
-                    }
+                    Done(0)
                 }
             }
             Node::Emit(s, value) => {
                 let occ = self.occ.next(id);
                 if self.sem.emit((id, occ), *s, *value) {
-                    Done {
-                        code: 0,
-                        pauses: BitSet::new(),
-                    }
+                    Done(0)
                 } else {
                     Failed(ExecFailure::InconsistentEmission(*s))
                 }
@@ -209,79 +232,52 @@ impl<'p, S: Sem> Engine<'p, S> {
             Node::Action(a) => {
                 let occ = self.occ.next(id);
                 self.sem.action((id, occ), *a);
-                Done {
-                    code: 0,
-                    pauses: BitSet::new(),
-                }
+                Done(0)
             }
             Node::Seq(children) => {
                 let mut idx = 0;
-                let mut mode_start = start;
                 if !start {
-                    // Find the child holding the selection.
+                    // Find the child holding the selection; none means
+                    // the selection vanished (should not happen).
                     match prog.selected_child(children, self.sel) {
                         Some(i) => idx = i,
-                        None => {
-                            // Selection vanished (should not happen).
-                            return Done {
-                                code: 0,
-                                pauses: BitSet::new(),
-                            };
-                        }
+                        None => return Done(0),
                     }
-                    mode_start = false;
                 }
+                let mut mode_start = start;
                 while idx < children.len() {
                     match self.exec(children[idx], mode_start) {
-                        Done { code: 0, .. } => {
+                        Done(0) => {
                             idx += 1;
                             mode_start = true;
                         }
                         other => return other,
                     }
                 }
-                Done {
-                    code: 0,
-                    pauses: BitSet::new(),
-                }
+                Done(0)
             }
-            Node::Loop(body) => {
-                let first = self.exec(*body, start);
-                match first {
-                    Done { code: 0, .. } => {
-                        // Body finished within the instant: restart once.
-                        match self.exec(*body, true) {
-                            Done { code: 0, .. } => Failed(ExecFailure::InstantaneousLoop),
-                            other => other,
-                        }
-                    }
+            Node::Loop(body) => match self.exec(*body, start) {
+                // Body finished within the instant: restart once.
+                Done(0) => match self.exec(*body, true) {
+                    Done(0) => Failed(ExecFailure::InstantaneousLoop),
                     other => other,
-                }
-            }
+                },
+                other => other,
+            },
             Node::Par(children) => {
                 let mut blocked = false;
                 let mut code = 0u32;
-                let mut pauses = BitSet::new();
                 for &c in children {
-                    let child_out = if start {
+                    let child = if start {
                         self.exec(c, true)
                     } else if prog.selected(c, self.sel) {
                         self.exec(c, false)
                     } else {
                         // Terminated in an earlier instant.
-                        Done {
-                            code: 0,
-                            pauses: BitSet::new(),
-                        }
+                        Done(0)
                     };
-                    match child_out {
-                        Done {
-                            code: c2,
-                            pauses: p2,
-                        } => {
-                            code = code.max(c2);
-                            pauses.union_with(&p2);
-                        }
+                    match child {
+                        Done(c2) => code = code.max(c2),
                         Blocked => blocked = true,
                         Failed(f) => return Failed(f),
                     }
@@ -289,25 +285,35 @@ impl<'p, S: Sem> Engine<'p, S> {
                 if blocked {
                     Blocked
                 } else {
-                    Done { code, pauses }
+                    Done(code)
                 }
             }
             Node::Trap(body) => match self.exec(*body, start) {
-                Done { code: 2, .. } => Done {
-                    // Caught: the whole body is killed, pauses dropped.
-                    code: 0,
-                    pauses: BitSet::new(),
-                },
-                Done { code, pauses } if code > 2 => Done {
-                    code: code - 1,
-                    pauses,
-                },
+                Done(2) => {
+                    // Caught: the whole body is killed. A node that
+                    // completes with code 0 leaves no pause behind, and
+                    // DFS numbering gives the body the pause range
+                    // `[pause_lo, pause_hi)`, so the set's members in
+                    // that range are exactly the body's pauses.
+                    let m = prog.meta(*body);
+                    let (lo, hi) = (m.pause_lo as usize, m.pause_hi as usize);
+                    let pauses = &mut self.occ.pauses;
+                    for w in lo / 64..hi.div_ceil(64) {
+                        let mut bits = pauses.word(w);
+                        while bits != 0 {
+                            let b = w * 64 + bits.trailing_zeros() as usize;
+                            bits &= bits - 1;
+                            if (lo..hi).contains(&b) {
+                                pauses.remove(b);
+                            }
+                        }
+                    }
+                    Done(0)
+                }
+                Done(code) if code > 2 => Done(code - 1),
                 other => other,
             },
-            Node::Exit(d) => Done {
-                code: d + 2,
-                pauses: BitSet::new(),
-            },
+            Node::Exit(d) => Done(d + 2),
             Node::Suspend(guard, body) => {
                 if start {
                     // The guard is not tested in the starting instant.
@@ -317,16 +323,11 @@ impl<'p, S: Sem> Engine<'p, S> {
                         Some(true) => {
                             // Frozen: keep the body's current selection.
                             let m = prog.meta(*body);
-                            let mut kept = BitSet::new();
-                            for b in self.sel.iter() {
-                                if b >= m.pause_lo as usize && b < m.pause_hi as usize {
-                                    kept.insert(b);
-                                }
+                            let range = m.pause_lo as usize..m.pause_hi as usize;
+                            for b in self.sel.iter().filter(|b| range.contains(b)) {
+                                self.occ.pauses.insert(b);
                             }
-                            Done {
-                                code: 1,
-                                pauses: kept,
-                            }
+                            Done(1)
                         }
                         Some(false) => self.exec(*body, false),
                         None => Blocked,
@@ -367,3 +368,132 @@ fn first_unknown_with<S: Sem>(e: &SigExpr, sem: &mut S) -> Option<Signal> {
 /// Suppress unused warnings for ids used only through trait calls.
 #[allow(dead_code)]
 fn _phantom(_: ActionId, _: PredId) {}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ir::{ProgramBuilder, Stmt};
+
+    /// Signal statuses fixed for the pass; data is never consulted.
+    struct Fixed(Vec<Tri>);
+
+    impl Sem for Fixed {
+        fn status(&mut self, s: Signal) -> Tri {
+            self.0[s.0 as usize]
+        }
+        fn blocked_on(&mut self, _: Signal) {}
+        fn pred(&mut self, _: (StmtId, u32), _: PredId) -> Option<bool> {
+            Some(false)
+        }
+        fn action(&mut self, _: (StmtId, u32), _: ActionId) {}
+        fn emit(&mut self, _: (StmtId, u32), _: Signal, _: Option<ExprId>) -> bool {
+            true
+        }
+    }
+
+    /// One pass of `prog` from selection `sel` (start mode when `None`)
+    /// with signal 0 at `s`: the code and the selected pauses.
+    fn pass(
+        prog: &Program,
+        occ: &mut Occurrences,
+        sel: Option<&[usize]>,
+        s: Tri,
+    ) -> Option<(u32, Vec<usize>)> {
+        let bits: BitSet = sel.unwrap_or(&[]).iter().copied().collect();
+        match Engine::new(prog, &bits, occ, Fixed(vec![s])).run(sel.is_none()) {
+            ExecOut::Done { code, pauses } => Some((code, pauses.iter().collect())),
+            _ => None,
+        }
+    }
+
+    fn program(body: Stmt) -> Program {
+        let mut b = ProgramBuilder::new("t");
+        b.input("s");
+        b.finish(body).unwrap()
+    }
+
+    #[test]
+    fn trap_caught_from_one_par_branch_drops_its_siblings_pauses() {
+        // par { pause₀ } { trap { par { pause₁ } { exit 0 } }; pause₂ }
+        let prog = program(Stmt::par(vec![
+            Stmt::pause(),
+            Stmt::seq(vec![
+                Stmt::trap(Stmt::par(vec![Stmt::pause(), Stmt::exit(0)])),
+                Stmt::pause(),
+            ]),
+        ]));
+        let mut occ = Occurrences::default();
+        assert_eq!(
+            pass(&prog, &mut occ, None, Tri::False),
+            Some((1, vec![0, 2]))
+        );
+    }
+
+    #[test]
+    fn exit_through_two_traps_keeps_pauses_until_caught() {
+        // trap { trap { par { pause₀ } { exit d } }; pause₁ }; pause₂
+        let prog = |d| {
+            program(Stmt::seq(vec![
+                Stmt::trap(Stmt::seq(vec![
+                    Stmt::trap(Stmt::par(vec![Stmt::pause(), Stmt::exit(d)])),
+                    Stmt::pause(),
+                ])),
+                Stmt::pause(),
+            ]))
+        };
+        let mut occ = Occurrences::default();
+        // Caught by the inner trap: the outer body goes on to pause₁.
+        assert_eq!(
+            pass(&prog(0), &mut occ, None, Tri::False),
+            Some((1, vec![1]))
+        );
+        // Through the inner trap to the outer: both bodies die.
+        assert_eq!(
+            pass(&prog(1), &mut occ, None, Tri::False),
+            Some((1, vec![2]))
+        );
+    }
+
+    #[test]
+    fn frozen_suspend_keeps_exactly_its_bodys_selected_pauses() {
+        // par { suspend (s) { par { loop { pause₀; pause₁ } } { loop pause₂ } } }
+        //     { pause₃; pause₄ }
+        let prog = program(Stmt::par(vec![
+            Stmt::suspend(
+                Signal(0).into(),
+                Stmt::par(vec![
+                    Stmt::loop_(Stmt::seq(vec![Stmt::pause(), Stmt::pause()])),
+                    Stmt::loop_(Stmt::pause()),
+                ]),
+            ),
+            Stmt::seq(vec![Stmt::pause(), Stmt::pause()]),
+        ]));
+        let mut occ = Occurrences::default();
+        let sel: &[usize] = &[1, 2, 3];
+        // Frozen: pause₁ and pause₂ stay, pause₃ moves on to pause₄.
+        assert_eq!(
+            pass(&prog, &mut occ, Some(sel), Tri::True),
+            Some((1, vec![1, 2, 4]))
+        );
+        assert_eq!(
+            pass(&prog, &mut occ, Some(sel), Tri::False),
+            Some((1, vec![0, 2, 4]))
+        );
+    }
+
+    #[test]
+    fn a_blocked_pass_leaves_no_pause_to_the_next() {
+        // par { pause₀ } { present (s) { pause₁ } }
+        let prog = program(Stmt::par(vec![
+            Stmt::pause(),
+            Stmt::present(Signal(0).into(), Stmt::pause(), Stmt::nothing()),
+        ]));
+        let mut occ = Occurrences::default();
+        assert_eq!(pass(&prog, &mut occ, None, Tri::Unknown), None);
+        assert_eq!(
+            pass(&prog, &mut occ, Some(&[0]), Tri::False),
+            Some((0, vec![]))
+        );
+        assert_eq!(pass(&prog, &mut occ, None, Tri::False), Some((1, vec![0])));
+    }
+}

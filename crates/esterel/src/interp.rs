@@ -224,9 +224,7 @@ impl<'p> Machine<'p> {
                 hooks,
                 violated: &mut violated,
             };
-            let mut engine = Engine::new(self.prog, &self.sel, &mut self.occ, sem);
-            let out = engine.exec(self.prog.root(), start);
-            match out {
+            match Engine::new(self.prog, &self.sel, &mut self.occ, sem).run(start) {
                 ExecOut::Done { code, pauses } => {
                     self.started = true;
                     self.sel = pauses.normalized();

@@ -471,3 +471,46 @@ fn traced_pager_instants_are_allocation_free_in_steady_state() {
         assert_eq!(s.runner.recorded_trace().unwrap().len(), 256);
     }
 }
+
+/// Allocations of one EFSM construction of the monolithic pager under
+/// `MaxEsterel` before symbolic runs shared one scratch: each run built
+/// a fresh status vector, journal set, predicate map and event vector,
+/// each `Pause` and `Par` node of each pass a fresh pause set, and the
+/// optimizer walked every state twice to fill a report.
+const PAGER_MONO_CONSTRUCTION_ALLOCS_BEFORE: u64 = 24_692;
+
+/// EFSM construction allocates per state and per s-graph node, not per
+/// symbolic run: compiling the monolithic pager makes fewer allocations
+/// than it executes runs (996), and at most half of what it made
+/// before. The count is of this thread's allocator calls (`realloc`
+/// included); compilation touches no telemetry state, so the test
+/// takes no lock.
+#[test]
+fn efsm_construction_allocates_per_state_not_per_run() {
+    let design = Source::new(sim::designs::VOICE_PAGER)
+        .parse()
+        .unwrap()
+        .elaborate("pager")
+        .unwrap()
+        .split_with(ecl_core::SplitStrategy::MaxEsterel)
+        .unwrap()
+        .to_design();
+    let opts = esterel::CompileOptions::default();
+    let mut out = None;
+    let n = allocs_of(|| {
+        out = Some(esterel::compile::compile_with_report(
+            design.program(),
+            &opts,
+        ))
+    });
+    let (_, report) = out.unwrap().expect("the pager compiles");
+    assert!(
+        n < report.runs,
+        "{n} allocations for {} symbolic runs",
+        report.runs
+    );
+    assert!(
+        n * 2 <= PAGER_MONO_CONSTRUCTION_ALLOCS_BEFORE,
+        "{n} allocations, more than half of {PAGER_MONO_CONSTRUCTION_ALLOCS_BEFORE}"
+    );
+}
