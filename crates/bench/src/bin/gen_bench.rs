@@ -53,7 +53,7 @@ use ecl_fleet::{FleetConfig, SessionSpec, SessionStatus, Supervisor};
 use ecl_observe::{synthesize_all, Monitor, MonitorSpec, Verdict};
 use ecl_telemetry::{metrics as tm, Run};
 use efsm::{Backend, Efsm, SigTable};
-use sim::runner::{AsyncRunner, Runner};
+use sim::runner::{AsyncRunner, Runner, SharedProgram};
 use sim::tb::{InstantEvents, PacketTb};
 use std::sync::Arc;
 use std::time::Instant;
@@ -403,11 +403,10 @@ fn fleet_rows(sessions: usize, faults: Option<FaultPlan>) -> Vec<RunRow> {
 /// metric registry (telemetry must be on), rendered as its `coverage`
 /// and `profile` objects.
 ///
-/// Coverage is static: how many states fuse into row-scan +
-/// residual-program form, and how much of the data path the bytecode
-/// VM compiles — recorded so the benchmark file says what the
-/// `compiled` configs actually exercised (100% fused means no s-graph
-/// walk inside an instant).
+/// Coverage is static: how many control ops the states lay out as, and
+/// how much of the data path the bytecode VM compiles — recorded so the
+/// benchmark file says what the `compiled` configs actually exercised
+/// (100% fused means no walker step inside an instant).
 fn profile(c: &DesignConfig<'_>) -> (String, String) {
     tm::reset_all();
     let r = runner(c.designs.clone());
@@ -415,7 +414,6 @@ fn profile(c: &DesignConfig<'_>) -> (String, String) {
     let cov = r.coverage();
     let pure: u32 = r.machines().map(|m| m.stats().pure_states).sum();
     let coverage = inline(&[
-        member("fused_states", cov.fused_states()),
         member("states", cov.states()),
         member("fused_rows", cov.fused_rows()),
         member("pure_states", pure),
@@ -433,8 +431,8 @@ fn profile(c: &DesignConfig<'_>) -> (String, String) {
 
 /// Render the registry: every counter and the p50/p99/max of every
 /// histogram, grouped by the name's first segment (`table.steps` →
-/// `"table": {"steps": …}`), plus rows scanned per table hit and the
-/// VM's fallback-statement share of executed ops.
+/// `"table": {"steps": …}`), plus the VM's fallback-statement share of
+/// executed ops.
 fn render_profile(instants: usize, wall_ms: f64) -> String {
     let mut groups: Vec<(&str, Vec<Member>)> = Vec::new();
     let mut put = |name: &'static str, suffix: &str, value: String| {
@@ -453,13 +451,6 @@ fn render_profile(instants: usize, wall_ms: f64) -> String {
         put(h.name(), "_p99", h.quantile(0.99).to_string());
         put(h.name(), "_max", h.max().to_string());
     }
-    // Rows per hit: rows scanned over the steps the fused rows resolved
-    // (steps minus walker fallbacks).
-    let hits = tm::TABLE_STEPS
-        .get()
-        .saturating_sub(tm::TABLE_WALK_FALLBACKS.get());
-    let rows_per_hit = tm::TABLE_ROWS_SCANNED.get() as f64 / hits.max(1) as f64;
-    put("table.rows_per_hit", "", format!("{rows_per_hit:.2}"));
     let ops_total: u64 = tm::VM_OPS.iter().map(|c| c.get()).sum();
     let fallback_rate = tm::VM_FALLBACK_STMTS.get() as f64 / ops_total.max(1) as f64;
     put("vm.ops_total", "", ops_total.to_string());
@@ -639,8 +630,17 @@ fn main() {
     let stack_specs = specs_of(sim::designs::PROTOCOL_STACK);
     let pager_specs = specs_of(sim::designs::VOICE_PAGER);
 
-    // Four design configurations, compile timed: best of
-    // [`ABLATION_REPS`] calls, like the ablation rows.
+    // Four design configurations, each compile timed from source text
+    // through EFSM construction, control layout and fused programs:
+    // best of [`ABLATION_REPS`] calls, like the ablation rows.
+    let compiled = |designs: fn() -> Vec<Design>| {
+        best_us(|| {
+            let designs = designs();
+            let program = SharedProgram::compile(designs.clone(), &Default::default());
+            std::hint::black_box(program.expect("designs compile"));
+            designs
+        })
+    };
     let config = |label: &'static str, (us, designs): (f64, Vec<Design>)| {
         let (design, events, specs) = if label.starts_with("pager") {
             ("voice_pager", &pager_ev[..], &pager_specs[..])
@@ -658,10 +658,10 @@ fn main() {
         }
     };
     let configs = [
-        config("stack/mono", best_us(|| vec![ecl_bench::stack_mono()])),
-        config("stack/parts", best_us(ecl_bench::stack_parts)),
-        config("pager/mono", best_us(|| vec![ecl_bench::pager_mono()])),
-        config("pager/parts", best_us(ecl_bench::pager_parts)),
+        config("stack/mono", compiled(|| vec![ecl_bench::stack_mono()])),
+        config("stack/parts", compiled(ecl_bench::stack_parts)),
+        config("pager/mono", compiled(|| vec![ecl_bench::pager_mono()])),
+        config("pager/parts", compiled(ecl_bench::pager_parts)),
     ];
     let compile_ms: Vec<Member> = configs
         .iter()

@@ -81,7 +81,7 @@ fn a_short_run_writes_every_gated_config_and_block() {
     assert_eq!(configs, covered);
     for (config, p) in profile {
         assert!(num(p, &["table", "steps"]) > 0.0, "{config}");
-        assert_eq!(num(p, &["table", "walk_fallbacks"]), 0.0, "{config}");
+        assert_eq!(num(p, &["vm", "walker_hooks"]), 0.0, "{config}");
     }
 }
 

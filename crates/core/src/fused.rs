@@ -1,25 +1,24 @@
 //! One dispatch loop per reaction: a task's fused compiled backend.
 //!
-//! [`efsm::CompiledEfsm`] resolves every presence test of an instant
-//! with one row scan and leaves, per program row, a residual IR of the
-//! predicates, actions and valued emits the walk would run. [`Fused`]
-//! translates that IR once, when the task's program is built, into one
-//! op stream ([`ecl_types::vm::Op`]) with each hook's folded bytecode
-//! inlined between reaction control ops, and [`Fused::step`] runs a
-//! program row in a single dispatch loop: no [`efsm::DataHooks`] call,
-//! no per-hook register-file setup.
+//! [`efsm::CompiledEfsm`] lays each state's s-graph out as a linear
+//! array of control ops, one per live node. [`Fused`] translates that
+//! layout once, when the task's program is built, into one op stream
+//! ([`ecl_types::vm::Op`]) with each hook's folded bytecode inlined
+//! between the control ops, and [`Fused::step`] runs a reaction from
+//! its state's entry op in a single dispatch loop: presence tests
+//! branch on the instant's inputs, and there is no
+//! [`efsm::DataHooks`] call and no per-hook register-file setup.
 //!
 //! The loop keeps everything the walker reference shows: emission
-//! order, `nodes_visited` (pads charge where the resolved tests sat),
-//! fuel, error messages and spans, and the `pred_evals`/`action_runs`
-//! counters. After a data error the rest of the reaction runs the way
-//! the walker's hooks do: later predicates read false uncounted, later
-//! actions and valued emits are skipped, presence emissions and node
-//! charges continue. A hook outside the bytecode subset — and every
-//! hook once a walker-executed declaration has grown the root frame
-//! past what the bytecode was resolved against — runs on the
-//! tree-walker in place. States past the row cap keep the s-graph
-//! walker, with tree-walked data.
+//! order, `nodes_visited` (one charge per control op, where the walk
+//! visits its node), fuel, error messages and spans, and the
+//! `pred_evals`/`action_runs` counters. After a data error the rest of
+//! the reaction runs the way the walker's hooks do: later predicates
+//! read false uncounted, later actions and valued emits are skipped,
+//! presence tests, presence emissions and node charges continue. A hook
+//! outside the bytecode subset — and every hook once a walker-executed
+//! declaration has grown the root frame past what the bytecode was
+//! resolved against — runs on the tree-walker in place.
 
 use crate::rt::Rt;
 use ecl_syntax::source::Span;
@@ -27,23 +26,22 @@ use ecl_telemetry::metrics as tm;
 use ecl_types::interp::fuel_exhausted;
 use ecl_types::vm::{self, BinKind, Op, Program};
 use ecl_types::{EvalError, Flow, Value, ValuesReader};
-use efsm::{BitSet, CompiledEfsm, Efsm, Hit, ResidualOp, Signal, StateId, StepOut};
+use efsm::{BitSet, CompiledEfsm, Efsm, ResidualOp, Signal, StateId, StepOut};
 
-/// Tags a jump target as a residual pc until every block is placed.
-const RESIDUAL: u32 = 1 << 31;
+/// Tags a jump target as a layout pc until every block is placed.
+const LAYOUT: u32 = 1 << 31;
 
-/// The fused compiled backend of one task: the row table of its EFSM
-/// and the op stream of its program rows, with the data bytecode of the
-/// runtime it was compiled against inlined.
+/// The fused compiled backend of one task: the control layout of its
+/// EFSM as one op stream, with the data bytecode of the runtime it was
+/// compiled against inlined.
 ///
-/// Holds no reference to the machine or the runtime; callers pass the
-/// machine it was compiled from and a runtime of the same design (a
-/// clone of the one it was compiled against) to [`Fused::step`].
+/// Holds no reference to the machine or the runtime; callers pass a
+/// runtime of the same design (a clone of the one it was compiled
+/// against) to [`Fused::step`].
 #[derive(Debug, Clone)]
 pub struct Fused {
-    table: CompiledEfsm,
     ops: Vec<Op>,
-    /// Residual pc → op pc.
+    /// Entry op pc of each state, by state id.
     entries: Vec<u32>,
     /// `(pc, span)` of every fallible op, in pc order — read only on
     /// the error path.
@@ -53,20 +51,26 @@ pub struct Fused {
 }
 
 impl Fused {
-    /// Fuse the states of `m` into rows and translate every program
-    /// row's residual, with `rt`'s hook bytecode inlined.
+    /// Lay out the states of `m` and translate the layout, with `rt`'s
+    /// hook bytecode inlined.
     pub fn compile(m: &Efsm, rt: &Rt) -> Fused {
         let table = CompiledEfsm::compile(m);
         let progs = &rt.fixed.progs;
-        let residual = table.residual();
-        let mut entries = vec![0; residual.len()];
+        let layout = table.ops();
+        // Layout pc → op pc.
+        let mut at = vec![0; layout.len()];
         let mut f = Stream::default();
-        let res = |pc: u32| RESIDUAL | pc;
-        // Blocks are placed in descending residual pc: a successor
+        let res = |pc: u32| LAYOUT | pc;
+        // Blocks are placed in descending layout pc: a successor
         // usually sits one pc below and so falls through.
-        for rpc in (0..residual.len()).rev() {
-            entries[rpc] = f.ops.len() as u32;
-            match residual[rpc] {
+        for rpc in (0..layout.len()).rev() {
+            at[rpc] = f.ops.len() as u32;
+            match layout[rpc] {
+                ResidualOp::Test { sig, then_, else_ } => f.ops.push(Op::Test {
+                    sig: sig.0,
+                    then_: res(then_),
+                    else_: res(else_),
+                }),
                 ResidualOp::Pred { pred, then_, else_ } => {
                     let prog = progs.preds[pred.0 as usize].program();
                     f.ops.push(Op::PredHead {
@@ -118,67 +122,48 @@ impl Fused {
                     f.ops.push(Op::Push { sig: sig.0 });
                     f.goto(next, rpc);
                 }
-                ResidualOp::Pad { n, next } => {
-                    f.ops.push(Op::Pad { n });
-                    f.goto(next, rpc);
-                }
                 ResidualOp::End { target } => f.ops.push(Op::End { target: target.0 }),
             }
         }
         for op in &mut f.ops {
-            op.map_targets(|t| match t & RESIDUAL {
+            op.map_targets(|t| match t & LAYOUT {
                 0 => t,
-                _ => entries[(t & !RESIDUAL) as usize],
+                _ => at[(t & !LAYOUT) as usize],
             });
         }
         Fused {
-            table,
             ops: f.ops,
-            entries,
+            entries: table
+                .entries()
+                .iter()
+                .map(|&rpc| at[rpc as usize])
+                .collect(),
             spans: f.spans,
             regs: f.regs,
         }
     }
 
-    /// The row table (fusion coverage: fused states, rows).
-    pub fn table(&self) -> &CompiledEfsm {
-        &self.table
+    /// Control ops in the stream: one per live s-graph node.
+    pub fn control_ops(&self) -> u32 {
+        self.ops.iter().filter(|op| op.is_residual()).count() as u32
     }
 
-    /// One instant of the task: scan the state's rows; a simple row
-    /// appends its emissions, a program row runs in the dispatch loop
-    /// against `rt`, and a state past the row cap walks the s-graph of
-    /// `m` — the machine this was compiled from — with tree-walked
-    /// data. Allocation-free on the fused path.
+    /// One instant of the task from `state`: the dispatch loop runs
+    /// from the state's entry op to its `End` against `rt`, branching
+    /// on the presence of the local signals in `inputs`.
+    /// Allocation-free.
     ///
     /// # Panics
     ///
-    /// Panics (like the walker) if the machine is structurally broken.
-    #[inline]
+    /// Panics if `state` is not a state of the machine this was
+    /// compiled from.
     pub fn step(
         &self,
-        m: &Efsm,
         state: StateId,
         inputs: &BitSet,
         rt: &mut Rt,
         emitted: &mut Vec<Signal>,
     ) -> StepOut {
-        match self.table.scan(state, inputs) {
-            Hit::Simple { emits, next, nodes } => {
-                emitted.extend_from_slice(emits);
-                StepOut {
-                    next,
-                    nodes_visited: nodes,
-                }
-            }
-            Hit::Program(entry) => self.run(rt, entry, emitted),
-            Hit::Walk => m.step_bits(state, inputs, rt, emitted),
-        }
-    }
-
-    /// The dispatch loop: run the program row entered at residual pc
-    /// `entry` to its `End`.
-    fn run(&self, rt: &mut Rt, entry: u32, emitted: &mut Vec<Signal>) -> StepOut {
         let tel = ecl_telemetry::enabled();
         let Rt {
             fixed,
@@ -196,7 +181,7 @@ impl Fused {
         let regs = &mut vm_regs[..];
         let root_len = fixed.progs.root_len;
         let ops = &self.ops[..];
-        let mut pc = self.entries[entry as usize] as usize;
+        let mut pc = self.entries[state.0 as usize] as usize;
         let mut nodes = 0u32;
         let mut fused_ops = 0u64;
         // Where the running hook continues after a data error.
@@ -444,11 +429,19 @@ impl Fused {
                         nodes += 1;
                         emitted.push(Signal(sig));
                     }
-                    Op::Pad { n } => nodes += n,
+                    Op::Test { sig, then_, else_ } => {
+                        nodes += 1;
+                        pc = if inputs.contains(sig as usize) {
+                            then_
+                        } else {
+                            else_
+                        } as usize;
+                        continue 'dispatch;
+                    }
                     Op::End { target } => {
                         nodes += 1;
                         if tel {
-                            tm::TABLE_FUSED_HITS.raw_add(1);
+                            tm::TABLE_STEPS.raw_add(1);
                             tm::TABLE_FUSED_OPS.raw_add(fused_ops);
                         }
                         return StepOut {
@@ -476,12 +469,12 @@ struct Stream {
 }
 
 impl Stream {
-    /// Continue at residual block `next` from the block of `rpc`: a
+    /// Continue at layout block `next` from the block of `rpc`: a
     /// jump, unless `next` is placed right after it.
     fn goto(&mut self, next: u32, rpc: usize) {
         if next as usize + 1 != rpc {
             self.ops.push(Op::Goto {
-                target: RESIDUAL | next,
+                target: LAYOUT | next,
             });
         }
     }

@@ -578,7 +578,7 @@ mod tests {
         for _ in 0..5 {
             for (rt, on_fused, state, emitted) in &mut runs {
                 *state = if *on_fused {
-                    fused.step(&efsm, *state, &tick, rt, emitted).next
+                    fused.step(*state, &tick, rt, emitted).next
                 } else {
                     efsm.step_bits(*state, &tick, rt, emitted).next
                 };

@@ -546,7 +546,7 @@ pub enum Op {
         /// top-level statements).
         ret: u32,
     },
-    /// Reaction control: a residual predicate test. Charges one node.
+    /// Reaction control: a predicate test. Charges one node.
     /// After an earlier data error it reads false uncounted (jump to
     /// `else_`); with `walk` set, or once the root frame has grown
     /// past what the inlined code was resolved against, the predicate
@@ -562,7 +562,7 @@ pub enum Op {
         /// The predicate is not inlined: always walk it.
         walk: bool,
     },
-    /// Reaction control: a residual action. Charges one node; skipped
+    /// Reaction control: an action. Charges one node; skipped
     /// after a data error; walked like [`Op::PredHead`]; otherwise the
     /// inlined action follows.
     ActHead {
@@ -597,14 +597,19 @@ pub enum Op {
         /// Local signal.
         sig: u32,
     },
-    /// Reaction control: charge `n` nodes for presence tests the row
-    /// scan resolved, where the walk would have visited them.
-    Pad {
-        /// Nodes to charge.
-        n: u32,
+    /// Reaction control: a presence test. Charges one node and
+    /// branches on the presence of local signal `sig` in the instant's
+    /// inputs (also after a data error, as the walker's test does).
+    Test {
+        /// Local signal.
+        sig: u32,
+        /// Target when it is present.
+        then_: u32,
+        /// Target when it is absent.
+        else_: u32,
     },
-    /// Reaction control: jump to another residual block (glue between
-    /// blocks; charges nothing).
+    /// Reaction control: jump to another block of the control layout
+    /// (glue between blocks; charges nothing).
     Goto {
         /// Target op index.
         target: u32,
@@ -657,15 +662,15 @@ impl Op {
             | Op::EmitHead { .. }
             | Op::Push { .. }
             | Op::Emit { .. }
-            | Op::Pad { .. }
+            | Op::Test { .. }
             | Op::Goto { .. }
             | Op::End { .. } => return None,
         })
     }
 
-    /// Does this control op stand for one op of the EFSM row's
-    /// residual program (predicate, action, emission, pad or end) —
-    /// what `table.fused_ops` counts?
+    /// Does this control op stand for one s-graph node of the EFSM's
+    /// control layout (presence test, predicate, action, emission or
+    /// end) — what `table.fused_ops` counts?
     #[inline]
     pub fn is_residual(&self) -> bool {
         matches!(
@@ -674,7 +679,7 @@ impl Op {
                 | Op::ActHead { .. }
                 | Op::EmitHead { .. }
                 | Op::Emit { .. }
-                | Op::Pad { .. }
+                | Op::Test { .. }
                 | Op::End { .. }
         )
     }
@@ -693,7 +698,7 @@ impl Op {
                 *cont = f(*cont);
                 *ret = f(*ret);
             }
-            Op::PredHead { then_, else_, .. } => {
+            Op::PredHead { then_, else_, .. } | Op::Test { then_, else_, .. } => {
                 *then_ = f(*then_);
                 *else_ = f(*else_);
             }

@@ -10,10 +10,9 @@
 //! can be applied to reduce size or improve speed", Section 3):
 //!
 //! * [`machine`] — the [`Efsm`] type and its single-instant executor;
-//! * [`table`] — fused instant programs: per-state mask-scan rows
-//!   falling through into a residual IR of data ops (the compiled
-//!   execution backend's control half; row-cap blowouts fall back to
-//!   the s-graph walker);
+//! * [`table`] — the control layout: each state's s-graph laid out
+//!   once as a linear op array, one op per live node (the compiled
+//!   execution backend's control half);
 //! * [`sgraph`] — s-graph nodes, path enumeration and structural checks;
 //! * [`opt`] — hash-consing reduction, dead-test elimination,
 //!   unreachable-state pruning, and observational state minimization
@@ -37,7 +36,7 @@ pub use bitset::BitSet;
 pub use machine::{Efsm, SigKind, Signal, SignalInfo, State, StateId, StepOut};
 pub use sgraph::{Node, NodeId, Path};
 pub use sig::{SigId, SigTable};
-pub use table::{CompiledEfsm, Hit, ResidualOp};
+pub use table::{CompiledEfsm, ResidualOp};
 
 /// Which execution backend drives reactions.
 ///
@@ -51,8 +50,8 @@ pub enum Backend {
     /// semantics, the reference every differential test compares
     /// against.
     Walker,
-    /// The production backend: each control state fused into mask-scan
-    /// rows that fall through into one op stream with the row's
+    /// The production backend: each control state's s-graph laid out
+    /// as one op stream, presence tests as two-way branches and the
     /// predicates, actions and valued emits inlined as bytecode — one
     /// dispatch loop per reaction, no [`DataHooks`] call inside it.
     #[default]

@@ -266,7 +266,7 @@ impl Efsm {
     /// post-order walk over the live nodes.
     pub fn stats(&self) -> EfsmStats {
         // Per node: unseen, or seen and whether it reaches a node that
-        // makes its state mixed (see `Efsm::state_is_pure`).
+        // makes its state mixed (see `is_data`).
         const UNSEEN: u8 = 0;
         const PURE: u8 = 1;
         const IMPURE: u8 = 2;
@@ -298,8 +298,8 @@ impl Efsm {
                     Node::Goto { .. } => s.gotos += 1,
                 }
                 s.nodes += 1;
-                let impure = crate::table::is_data(&node)
-                    || node.successors().any(|c| mark[c.0 as usize] == IMPURE);
+                let impure =
+                    is_data(&node) || node.successors().any(|c| mark[c.0 as usize] == IMPURE);
                 mark[i] = if impure { IMPURE } else { PURE };
             }
             if mark[st.root.0 as usize] == PURE {
@@ -315,14 +315,24 @@ impl Efsm {
     }
 }
 
+/// Does `node` make its state mixed: a data predicate, an action or a
+/// valued emission?
+fn is_data(node: &Node) -> bool {
+    match node {
+        Node::Test { .. } | Node::Goto { .. } => false,
+        Node::Emit { value, .. } => value.is_some(),
+        Node::TestPred { .. } | Node::Do { .. } => true,
+    }
+}
+
 /// Node/state counts of a machine (inputs to the software cost model).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EfsmStats {
     /// Number of control states.
     pub states: u32,
     /// States whose live s-graph is pure control (only presence tests,
-    /// presence-only emits and gotos) — the states
-    /// [`crate::CompiledEfsm`] can flatten to transition tables.
+    /// presence-only emits and gotos): no data hook runs in their
+    /// reactions.
     pub pure_states: u32,
     /// Live s-graph nodes (shared nodes counted once).
     pub nodes: u32,

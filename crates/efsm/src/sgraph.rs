@@ -60,7 +60,7 @@ pub enum Node {
 
 impl Node {
     /// The node ids this node points to (at most two), `then_` first.
-    pub fn successors(&self) -> impl Iterator<Item = NodeId> {
+    pub fn successors(&self) -> impl DoubleEndedIterator<Item = NodeId> {
         let (first, second) = match *self {
             Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
                 (Some(then_), Some(else_))

@@ -75,7 +75,7 @@ pub struct MonitorSpec {
 /// Inputs past which a monitor gets no dense table: a state owns a
 /// cell per combination of the inputs, so 6 inputs make 64 cells per
 /// state. A wider observer steps on the s-graph walker under both
-/// backends, as a task state past `efsm::table::ROW_CAP` does.
+/// backends.
 pub(crate) const DENSE_INPUT_CAP: usize = 6;
 
 /// Cell value of [`Cell::fail`] when no property fails.

@@ -290,9 +290,8 @@ pub struct TaskCoverage {
     pub task: String,
     /// Control states in the task's EFSM.
     pub states: u32,
-    /// States fused into compiled rows (the rest walk).
-    pub fused_states: u32,
-    /// Fused transition rows.
+    /// Control ops of the compiled reactions: one per live s-graph
+    /// node.
     pub fused_rows: u32,
     /// Data hooks compiled to bytecode (inlined into fused reactions).
     pub vm_compiled: u32,
@@ -316,12 +315,7 @@ impl CoverageReport {
         self.tasks.iter().map(|t| t.states).sum()
     }
 
-    /// Total fused states.
-    pub fn fused_states(&self) -> u32 {
-        self.tasks.iter().map(|t| t.fused_states).sum()
-    }
-
-    /// Total fused rows.
+    /// Total control ops of the compiled reactions.
     pub fn fused_rows(&self) -> u32 {
         self.tasks.iter().map(|t| t.fused_rows).sum()
     }
@@ -336,17 +330,16 @@ impl CoverageReport {
         self.tasks.iter().map(|t| t.vm_total).sum()
     }
 
-    /// Does every state and every data hook execute compiled — i.e.
-    /// under [`Backend::Compiled`] no s-graph walker step can occur
-    /// inside an instant?
+    /// Does every data hook execute compiled — i.e. under
+    /// [`Backend::Compiled`] no walker step can occur inside an instant?
+    /// Control always compiles.
     pub fn fully_fused(&self) -> bool {
-        self.fused_states() == self.states() && self.vm_compiled() == self.vm_total()
+        self.vm_compiled() == self.vm_total()
     }
 
     /// The flat shape the telemetry `run_end` event carries.
     pub fn telemetry(&self) -> ecl_telemetry::RunCoverage {
         ecl_telemetry::RunCoverage {
-            fused_states: self.fused_states(),
             states: self.states(),
             fused_rows: self.fused_rows(),
             vm_compiled: self.vm_compiled(),
@@ -624,10 +617,9 @@ fn faulted_stimuli<'a>(
 pub struct TaskProgram {
     design: Design,
     efsm: Efsm,
-    /// Fused compiled backend of `efsm`: every state — pure or mixed —
-    /// as mask-scan rows falling through into one op stream with the
-    /// prototype runtime's data bytecode inlined (only row-cap blowouts
-    /// keep the s-graph walker).
+    /// Fused compiled backend of `efsm`: every state's s-graph laid out
+    /// as one op stream, with the prototype runtime's data bytecode
+    /// inlined.
     fused: Fused,
     /// Prototype runtime, cloned per session (its compiled data
     /// programs are themselves `Arc`-shared inside [`Rt`]).
@@ -751,12 +743,12 @@ pub struct AsyncRunner {
     cost: CostParams,
     table: Arc<SigTable>,
     /// Execution backend: [`Backend::Compiled`] (default) drives every
-    /// state through its fused program (mask-scan rows + one dispatch
-    /// loop over the inlined data bytecode); [`Backend::Walker`] forces
-    /// the s-graph walker and the tree-walking data interpreter
-    /// everywhere — the two are observationally identical
-    /// (differential-tested), the toggle exists for benchmarking and
-    /// bisection.
+    /// state through its fused program (the s-graph's control ops and
+    /// the inlined data bytecode in one dispatch loop);
+    /// [`Backend::Walker`] forces the s-graph walker and the
+    /// tree-walking data interpreter everywhere — the two are
+    /// observationally identical (differential-tested), the toggle
+    /// exists for benchmarking and bisection.
     backend: Backend,
     /// Current environment instant number.
     pub instant: u64,
@@ -932,8 +924,7 @@ impl AsyncRunner {
                     TaskCoverage {
                         task: t.prog.design.entry.clone(),
                         states: t.prog.efsm.states.len() as u32,
-                        fused_states: t.prog.fused.table().fused_states(),
-                        fused_rows: t.prog.fused.table().row_count() as u32,
+                        fused_rows: t.prog.fused.control_ops(),
                         vm_compiled,
                         vm_total,
                     }
@@ -1125,7 +1116,6 @@ impl AsyncRunner {
             let t = &mut self.tasks[ti];
             let r = if self.backend == Backend::Compiled {
                 t.prog.fused.step(
-                    &t.prog.efsm,
                     t.state,
                     &self.local_scratch,
                     &mut t.rt,
@@ -1500,14 +1490,13 @@ impl<'d> InterpRunner<'d> {
     /// Compiled-backend coverage of the single design: none. Control
     /// runs on the constructive interpreter and data on the
     /// tree-walker, so the report only counts the data hooks
-    /// (`states == fused_states == vm_compiled == 0`).
+    /// (`states == fused_rows == vm_compiled == 0`).
     pub fn coverage(&self) -> CoverageReport {
         let (_, vm_total) = self.rt.vm_coverage();
         CoverageReport {
             tasks: vec![TaskCoverage {
                 task: self.design.entry.clone(),
                 states: 0,
-                fused_states: 0,
                 fused_rows: 0,
                 vm_compiled: 0,
                 vm_total,

@@ -42,23 +42,12 @@ pub static SIM_TRACE_DROPPED: Counter = Counter::new("sim.trace_dropped");
 /// instant.
 pub static SIM_TRACE_OCCUPANCY: Histogram = Histogram::new("sim.trace_occupancy");
 
-// ---- efsm: the compiled-table control engine ----------------------------
+// ---- efsm: the compiled control layout ----------------------------------
 
-/// Reactions stepped through a compiled table's row scan.
+/// Reactions run by the fused compiled backend (counted at their end).
 pub static TABLE_STEPS: Counter = Counter::new("table.steps");
-/// Rows compared until the hit, summed over all table-scanned steps
-/// (rows-per-hit = this / table-scanned steps).
-pub static TABLE_ROWS_SCANNED: Counter = Counter::new("table.rows_scanned");
-/// Steps answered by the single-row `Always` fast path.
-pub static TABLE_ALWAYS_HITS: Counter = Counter::new("table.always_hits");
-/// Row-scanned steps that fell back to the
-/// s-graph walker (row-cap blowouts).
-pub static TABLE_WALK_FALLBACKS: Counter = Counter::new("table.walk_fallbacks");
-/// Rows that fired a fused residual program (vs a simple emission
-/// slice).
-pub static TABLE_FUSED_HITS: Counter = Counter::new("table.fused_hits");
-/// Ops executed inside fused residual programs (preds, actions,
-/// emits, pads, ends).
+/// Control ops executed by compiled reactions: one per s-graph node
+/// visited (presence tests, predicates, actions, emits, ends).
 pub static TABLE_FUSED_OPS: Counter = Counter::new("table.fused_ops");
 
 // ---- ecl-types: the data-path bytecode ----------------------------------
@@ -179,10 +168,6 @@ pub fn counters() -> Vec<&'static Counter> {
         &SIM_TRACE_INSTANTS,
         &SIM_TRACE_DROPPED,
         &TABLE_STEPS,
-        &TABLE_ROWS_SCANNED,
-        &TABLE_ALWAYS_HITS,
-        &TABLE_WALK_FALLBACKS,
-        &TABLE_FUSED_HITS,
         &TABLE_FUSED_OPS,
         &VM_HOOK_RUNS,
         &VM_FALLBACK_STMTS,

@@ -123,11 +123,10 @@ impl EventBuilder {
 /// reports into this flat shape.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunCoverage {
-    /// Control states fused into compiled rows.
-    pub fused_states: u32,
     /// Total control states across all tasks.
     pub states: u32,
-    /// Fused transition rows across all tasks.
+    /// Control ops of the compiled reactions across all tasks (one per
+    /// live s-graph node).
     pub fused_rows: u32,
     /// Data hooks compiled to VM bytecode.
     pub vm_compiled: u32,
@@ -207,7 +206,6 @@ impl Run {
                 .f64("instants_per_sec", per_sec);
             if let Some(c) = coverage {
                 e = e
-                    .u64("fused_states", c.fused_states as u64)
                     .u64("states", c.states as u64)
                     .u64("fused_rows", c.fused_rows as u64)
                     .u64("vm_compiled", c.vm_compiled as u64)

@@ -107,10 +107,9 @@ fn main() {
     .expect("runner builds");
     let cov = probe.coverage();
     println!(
-        "\nbackend {:?}: {}/{} states fused into {} rows, \
+        "\nbackend {:?}: {} states laid out as {} control ops, \
          {}/{} data hooks on bytecode (fully fused: {})",
         probe.backend(),
-        cov.fused_states(),
         cov.states(),
         cov.fused_rows(),
         cov.vm_compiled(),

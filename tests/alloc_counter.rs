@@ -182,9 +182,7 @@ fn vm_data_path_is_allocation_free_in_steady_state() {
         let cov = runner.coverage();
         assert!(
             cov.fully_fused() && cov.vm_total() > 0,
-            "{tasks}-task stack should fuse completely ({}/{} states, {}/{} hooks)",
-            cov.fused_states(),
-            cov.states(),
+            "{tasks}-task stack should fuse completely ({}/{} hooks)",
             cov.vm_compiled(),
             cov.vm_total()
         );
@@ -513,4 +511,27 @@ fn efsm_construction_allocates_per_state_not_per_run() {
         n * 2 <= PAGER_MONO_CONSTRUCTION_ALLOCS_BEFORE,
         "{n} allocations, more than half of {PAGER_MONO_CONSTRUCTION_ALLOCS_BEFORE}"
     );
+}
+
+/// Laying out the control of the monolithic pager (under `MaxEsterel`)
+/// allocates a fixed handful of buffers, not per state, path or node:
+/// at most 16 allocator calls. Laying out touches no telemetry state,
+/// so the test takes no lock.
+#[test]
+fn control_layout_allocates_a_fixed_handful() {
+    let machine = Source::new(sim::designs::VOICE_PAGER)
+        .parse()
+        .unwrap()
+        .elaborate("pager")
+        .unwrap()
+        .split_with(ecl_core::SplitStrategy::MaxEsterel)
+        .unwrap()
+        .to_design()
+        .to_efsm(&Default::default())
+        .expect("the pager compiles");
+    let mut layout = None;
+    let n = allocs_of(|| layout = Some(efsm::CompiledEfsm::compile(&machine)));
+    let layout = layout.unwrap();
+    assert_eq!(layout.entries().len(), machine.states.len());
+    assert!(n <= 16, "{n} allocations to lay out the pager's control");
 }

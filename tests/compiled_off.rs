@@ -7,21 +7,24 @@
 //! walker (the differential reference) stays exercised and green.
 //!
 //! The suite also pins the fusion acceptance criterion: on both
-//! shipped designs every state fuses and every data hook compiles
-//! (`coverage().fully_fused()`), and a telemetry-counted compiled run
-//! of each — monolithic and as three tasks, with the shipped observers
-//! attached — takes *zero* walker steps: no s-graph fallback, no
-//! tree-walked data hook and no walked observer inside an instant,
-//! while the inlined hooks and the observers' dense steps do run. A
-//! `Backend::Compiled` reaction that reached the runtime's walker-only
-//! `DataHooks`, or an observer stepped on the s-graph, would fail it.
+//! shipped designs every data hook compiles (`coverage().fully_fused()`),
+//! and a telemetry-counted compiled run of each — monolithic and as
+//! three tasks, with the shipped observers attached — takes *zero*
+//! walker steps: no tree-walked data hook and no walked observer inside
+//! an instant, while the compiled reactions, the inlined hooks and the
+//! observers' dense steps do run. A `Backend::Compiled` reaction that
+//! reached the runtime's walker-only `DataHooks`, or an observer
+//! stepped on the s-graph, would fail it. A state with 1,024 paths
+//! through its s-graph compiles like any other: one control op per
+//! node, walker-identical.
 
 use ecl_core::{Design, Source};
 use ecl_observe::{synthesize_all, Monitor};
 use efsm::{Backend, BitSet};
+use rand::{Rng, SeedableRng};
 use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
-use sim::runner::{AsyncRunner, Runner};
-use sim::tb::{PacketTb, PagerTb};
+use sim::runner::{AsyncRunner, CoverageReport, Runner};
+use sim::tb::{InstantEvents, PacketTb, PagerTb};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 /// The telemetry registry is process-global; tests that reset and read
@@ -73,7 +76,9 @@ fn design_of(src: &str, entry: &str) -> Design {
         .to_design()
 }
 
-fn walker_matches_compiled(src: &str, entry: &str, events: &[sim::tb::InstantEvents]) {
+/// Run `entry` of `src` on both backends over `events` and require
+/// identical observables; returns the compiled runner's coverage.
+fn walker_matches_compiled(src: &str, entry: &str, events: &[InstantEvents]) -> CoverageReport {
     let design = design_of(src, entry);
     let specs = synthesize_all(&design.ast).expect("observers synthesize");
 
@@ -83,19 +88,15 @@ fn walker_matches_compiled(src: &str, entry: &str, events: &[sim::tb::InstantEve
         Backend::Compiled,
         "compiled is the default backend"
     );
-    // The fusion acceptance criterion: every state of the shipped
-    // design fuses into row scan + residual program and every data
-    // hook compiles to bytecode — nothing is left for the walker.
+    // The fusion acceptance criterion: every data hook compiles to
+    // bytecode — nothing is left for the walker.
     let cov = compiled.coverage();
     assert!(
         cov.fully_fused(),
-        "`{entry}` should fuse completely: {}/{} states, {}/{} hooks",
-        cov.fused_states(),
-        cov.states(),
+        "`{entry}` should fuse completely: {}/{} hooks",
         cov.vm_compiled(),
         cov.vm_total()
     );
-    assert!(cov.states() > 0 && cov.vm_total() > 0);
     let mut walker = runner(vec![design]);
     walker.set_backend(Backend::Walker);
     assert_eq!(walker.backend(), Backend::Walker);
@@ -168,27 +169,73 @@ fn walker_matches_compiled(src: &str, entry: &str, events: &[sim::tb::InstantEve
         walker.kernel().task_cycles,
         "cycle charges diverged"
     );
+    cov
 }
 
 #[test]
 fn stack_walker_matches_compiled() {
     let _g = locked();
-    walker_matches_compiled(PROTOCOL_STACK, "toplevel", &stack_events());
+    let cov = walker_matches_compiled(PROTOCOL_STACK, "toplevel", &stack_events());
+    assert!(cov.states() > 0 && cov.vm_total() > 0);
 }
 
 #[test]
 fn pager_walker_matches_compiled() {
     let _g = locked();
-    walker_matches_compiled(VOICE_PAGER, "pager", &pager_events());
+    let cov = walker_matches_compiled(VOICE_PAGER, "pager", &pager_events());
+    assert!(cov.states() > 0 && cov.vm_total() > 0);
+}
+
+/// A `par` of ten `present (ai) { emit (oi); }` branches: one state
+/// whose s-graph has 2^10 paths.
+fn ten_branches() -> String {
+    let ports: Vec<String> = (0..10)
+        .map(|i| format!("input pure a{i}, output pure o{i}"))
+        .collect();
+    let branches: String = (0..10)
+        .map(|i| format!("{{ present (a{i}) {{ emit (o{i}); }} }} "))
+        .collect();
+    format!(
+        "module fan({}) {{ while (1) {{ par {{ {branches}}} await (); }} }}",
+        ports.join(", ")
+    )
+}
+
+#[test]
+fn a_state_with_1024_paths_compiles_and_matches_the_walker() {
+    let _g = locked();
+    let src = ten_branches();
+    let machine = design_of(&src, "fan")
+        .to_efsm(&Default::default())
+        .expect("the module compiles");
+    assert_eq!(machine.states.len(), 1);
+    assert_eq!(
+        machine.paths_of(machine.init, 2048).map(|p| p.len()),
+        Some(1024)
+    );
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1024);
+    let events: Vec<InstantEvents> = (0..2000)
+        .map(|_| InstantEvents {
+            pure: (0..10)
+                .filter(|_| rng.gen_bool(0.5))
+                .map(|i| format!("a{i}"))
+                .collect(),
+            valued: Vec::new(),
+        })
+        .collect();
+    let cov = walker_matches_compiled(&src, "fan", &events);
+    assert!(cov.fully_fused());
+    // One control op per live s-graph node, however many paths.
+    assert_eq!(cov.fused_rows(), machine.stats().nodes);
 }
 
 /// Under `Backend::Compiled`, no reaction and no observer ever
 /// reaches a walker: the telemetry-counted run takes zero
-/// `table.walk_fallbacks`, zero `vm.walker_hooks` and zero
-/// `mon.walker_steps` on both shipped designs, monolithic and as three
-/// tasks, while resolving every step in the fused backend, running its
-/// data as inlined bytecode (`vm.hook_runs`) and stepping the shipped
-/// observers by their dense tables (`mon.steps`).
+/// `vm.walker_hooks` and zero `mon.walker_steps` on both shipped
+/// designs, monolithic and as three tasks, while running every step in
+/// the fused backend (`table.steps`), its data as inlined bytecode
+/// (`vm.hook_runs`) and stepping the shipped observers by their dense
+/// tables (`mon.steps`).
 #[test]
 fn compiled_run_takes_zero_walker_steps() {
     let _g = locked();
@@ -225,7 +272,7 @@ fn compiled_run_takes_zero_walker_steps() {
     ecl_telemetry::set_enabled(was);
 }
 
-/// The registry after a compiled run of `what`: row-scanned steps, data
+/// The registry after a compiled run of `what`: compiled reactions, data
 /// hooks run as bytecode, observers stepped, and no walker anywhere.
 fn check_compiled_counts(what: &str) {
     let c = |name: &str| {
@@ -235,11 +282,6 @@ fn check_compiled_counts(what: &str) {
             .map_or(0, |c| c.get())
     };
     assert!(c("table.steps") > 0, "`{what}` took no table steps");
-    assert_eq!(
-        c("table.walk_fallbacks"),
-        0,
-        "`{what}` fell back to the s-graph walker under Backend::Compiled"
-    );
     assert!(c("vm.hook_runs") > 0, "`{what}` ran no inlined hook");
     assert_eq!(
         c("vm.walker_hooks"),

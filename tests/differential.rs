@@ -390,8 +390,8 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
 
 /// The shipped path ≡ the reference path, step for step, on module `m`
 /// of `src` split under `strategy`. One runtime steps through
-/// [`Fused::step`] — fused mask-scan rows falling through into one
-/// dispatch loop over the inlined data bytecode (`Backend::Compiled`);
+/// [`Fused::step`] — the state's s-graph layout and the inlined data
+/// bytecode in one dispatch loop (`Backend::Compiled`);
 /// the other walks the s-graph with `step_bits` and evaluates data on
 /// the tree-walker (`Backend::Walker`). They
 /// must agree every step on emission order, `StepOut` (next state
@@ -439,7 +439,7 @@ fn check_compiled_vs_walker(
                 bits.insert(b.0 as usize);
             }
             let (mut e_c, mut e_w) = (Vec::new(), Vec::new());
-            let r_c = compiled.step(&machine, st_c, &bits, &mut rt_c, &mut e_c);
+            let r_c = compiled.step(st_c, &bits, &mut rt_c, &mut e_c);
             let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
             st_c = r_c.next;
             st_w = r_w.next;
@@ -848,7 +848,7 @@ proptest! {
         check_observer_equiv(&src, 3)?;
     }
 
-    // The compiled path (fused rows + one dispatch loop) ≡ the reference
+    // The compiled path (control ops + one dispatch loop) ≡ the reference
     // path (s-graph walk + tree-walker): one check,
     // `check_compiled_vs_walker`, over three workloads.
 
@@ -865,8 +865,8 @@ proptest! {
     /// On the data-heavy grammar (ints, aggregates, signal reads and
     /// projections, valued emits, function-call fallbacks, deliberate
     /// runtime errors) under MaxEsterel: data `if`s become EFSM
-    /// predicates, so fused rows interleave predicates, actions and
-    /// valued emits with presence tests.
+    /// predicates, so the fused programs interleave predicates, actions
+    /// and valued emits with presence tests.
     #[test]
     fn fused_matches_walker(seed in 0u64..10_000) {
         check_compiled_vs_walker(&gen_data_module(seed), SplitStrategy::MaxEsterel, 3)?;
