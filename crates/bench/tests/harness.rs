@@ -80,8 +80,16 @@ fn a_short_run_writes_every_gated_config_and_block() {
     let covered: Vec<&str> = coverage.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(configs, covered);
     for (config, p) in profile {
-        assert!(num(p, &["table", "steps"]) > 0.0, "{config}");
+        let steps = num(p, &["table", "steps"]);
+        assert!(steps > 0.0, "{config}");
         assert_eq!(num(p, &["vm", "walker_hooks"]), 0.0, "{config}");
+        // Quiet ticks are a subset of the compiled steps; the
+        // partitioned pager, whose tasks mostly wait, takes them.
+        let quiet = num(p, &["table", "quiet_steps"]);
+        assert!(quiet <= steps, "{config}: {quiet} quiet of {steps} steps");
+        if config == "pager_parts" {
+            assert!(quiet > 0.0, "{config} took no quiet tick");
+        }
     }
 }
 

@@ -19,6 +19,13 @@
 //! outside the bytecode subset — and every hook once a walker-executed
 //! declaration has grown the root frame past what the bytecode was
 //! resolved against — runs on the tree-walker in place.
+//!
+//! A state is *quiet* when its reaction to no input at all runs no data
+//! hook and emits nothing: from its entry op, every presence test's
+//! absent branch leads to its `End` through tests and jumps alone. Its
+//! outcome — next state and nodes visited — is then fixed when the
+//! program is compiled, and [`Fused::quiet`] returns it without running
+//! the loop.
 
 use crate::rt::Rt;
 use ecl_syntax::source::Span;
@@ -43,6 +50,9 @@ pub struct Fused {
     ops: Vec<Op>,
     /// Entry op pc of each state, by state id.
     entries: Vec<u32>,
+    /// Per state, the outcome of its no-input reaction when the state
+    /// is quiet (see [`Fused::quiet`]).
+    quiet: Vec<Option<(StateId, u32)>>,
     /// `(pc, span)` of every fallible op, in pc order — read only on
     /// the error path.
     spans: Vec<(u32, Span)>,
@@ -131,16 +141,37 @@ impl Fused {
                 _ => at[(t & !LAYOUT) as usize],
             });
         }
+        let entries: Vec<u32> = table
+            .entries()
+            .iter()
+            .map(|&rpc| at[rpc as usize])
+            .collect();
         Fused {
-            ops: f.ops,
-            entries: table
-                .entries()
+            quiet: entries
                 .iter()
-                .map(|&rpc| at[rpc as usize])
+                .map(|&pc| quiet_outcome(&f.ops, pc))
                 .collect(),
+            ops: f.ops,
+            entries,
             spans: f.spans,
             regs: f.regs,
         }
+    }
+
+    /// The outcome of `state`'s reaction to no input — `(next state,
+    /// nodes visited)`, what [`Fused::step`] returns for an empty input
+    /// set — when that reaction runs no data hook and emits nothing;
+    /// `None` otherwise. Such a step burns no fuel and touches no
+    /// runtime state, so a caller may take this outcome instead of
+    /// running it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` is not a state of the machine this was
+    /// compiled from.
+    #[inline]
+    pub fn quiet(&self, state: StateId) -> Option<(StateId, u32)> {
+        self.quiet[state.0 as usize]
     }
 
     /// Control ops in the stream: one per live s-graph node.
@@ -495,6 +526,26 @@ impl Stream {
             op
         }));
         self.regs = self.regs.max(p.regs);
+    }
+}
+
+/// The no-input path from entry op `pc`, if it reaches its `End`
+/// through presence tests (absent branch) and jumps alone: the `End`'s
+/// target and the nodes [`Fused::step`] charges on the way, one per
+/// test and one for the `End`. Any other op — a hook head, an emission
+/// or a data op — makes the state not quiet.
+fn quiet_outcome(ops: &[Op], mut pc: u32) -> Option<(StateId, u32)> {
+    let mut nodes = 0u32;
+    loop {
+        match ops[pc as usize] {
+            Op::Test { else_, .. } => {
+                nodes += 1;
+                pc = else_;
+            }
+            Op::Goto { target } => pc = target,
+            Op::End { target } => return Some((StateId(target), nodes + 1)),
+            _ => return None,
+        }
     }
 }
 

@@ -17,9 +17,12 @@
 //! Signals are dense interned ids (`u32`, see `efsm::SigTable`) and
 //! mailboxes are [`BitSet`] presence sets, so posting, scheduling and
 //! draining are branch-light word operations with no per-event heap
-//! traffic. The kernel is deliberately independent of what a "task"
-//! computes: the simulator in the `sim` crate runs compiled EFSMs
-//! inside tasks and owns the id ↔ name mapping.
+//! traffic. A second [`BitSet`], the ready set, holds the tasks whose
+//! mailbox is non-empty: the scheduler reads it instead of scanning
+//! every mailbox, and dispatching an empty mailbox copies nothing. The
+//! kernel is deliberately independent of what a "task" computes: the
+//! simulator in the `sim` crate runs compiled EFSMs inside tasks and
+//! owns the id ↔ name mapping.
 
 use ecl_faults::{FaultPlan, Faults, InjectionStats};
 use ecl_telemetry::metrics as tm;
@@ -110,6 +113,9 @@ pub struct Kernel {
     tasks: Arc<TaskTable>,
     /// Per task, in registration order.
     mailboxes: Vec<Mailbox>,
+    /// The ready set: task `i` is a member iff `mailboxes[i]` holds
+    /// events. Delivery inserts, dispatch removes.
+    ready: BitSet,
     /// Internal events held back by the delay-internal fault site,
     /// delivered by [`Kernel::begin_instant`] (empty when unarmed).
     deferred: Vec<(TaskId, u32)>,
@@ -152,6 +158,7 @@ impl Kernel {
         Kernel {
             params,
             mailboxes: vec![Mailbox::default(); tasks.len()],
+            ready: BitSet::with_capacity(tasks.len()),
             tasks,
             deferred: Vec::new(),
             faults: None,
@@ -248,6 +255,7 @@ impl Kernel {
                 tm::RTK_EVENTS_LOST.incr();
             } else {
                 mb.pending.insert(sig as usize);
+                self.ready.insert(t.0);
             }
         }
     }
@@ -291,6 +299,7 @@ impl Kernel {
             params,
             tasks,
             mailboxes,
+            ready,
             deferred,
             faults: _,
             instant,
@@ -304,6 +313,7 @@ impl Kernel {
         self.params = *params;
         self.tasks.clone_from(tasks);
         self.mailboxes.clone_from(mailboxes);
+        self.ready.clone_from(ready);
         self.deferred.clone_from(deferred);
         self.instant = *instant;
         self.posts = *posts;
@@ -328,39 +338,34 @@ impl Kernel {
 
     /// Is any task ready (has pending events)?
     pub fn any_ready(&self) -> bool {
-        self.mailboxes.iter().any(|m| !m.pending.is_empty())
+        !self.ready.is_empty()
     }
 
-    /// Pick the highest-priority ready task, copy its pending events
-    /// into `events` (cleared first) and drain its mailbox
-    /// (run-to-completion: the caller executes one reaction with all
-    /// pending events as the input snapshot). Charges a dispatch.
+    /// Pick the highest-priority ready task (the lowest index among
+    /// equals), copy its pending events into `events` (cleared first)
+    /// and drain its mailbox (run-to-completion: the caller executes
+    /// one reaction with all pending events as the input snapshot).
+    /// Charges a dispatch.
     pub fn schedule_into(&mut self, events: &mut BitSet) -> Option<TaskId> {
-        let best = self
-            .mailboxes
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| !m.pending.is_empty())
-            .max_by_key(|&(i, _)| (self.tasks.priorities[i], usize::MAX - i))?;
-        let id = TaskId(best.0);
-        self.rtos_cycles += self.params.dispatch_cycles;
-        self.dispatches += 1;
-        if ecl_telemetry::enabled() {
-            tm::RTK_DISPATCHES.raw_add(1);
-            tm::RTK_RTOS_CYCLES.raw_add(self.params.dispatch_cycles);
-            tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.mailboxes[id.0].pending.len() as u64);
+        let prio = &self.tasks.priorities;
+        let mut best: Option<usize> = None;
+        for i in self.ready.iter() {
+            if best.is_none_or(|b| prio[i] > prio[b]) {
+                best = Some(i);
+            }
         }
-        events.clear();
-        events.union_with(&self.mailboxes[id.0].pending);
-        self.mailboxes[id.0].pending.clear();
+        let id = TaskId(best?);
+        self.dispatch_into(id, events);
         Some(id)
     }
 
     /// Dispatch a *specific* task (the periodic tick of the paper's
     /// footnote: modules with pending `await ()` deltas must be
     /// rescheduled even without events). Copies the mailbox into
-    /// `events` (cleared first), drains it, and charges a dispatch.
-    pub fn dispatch_into(&mut self, id: TaskId, events: &mut BitSet) {
+    /// `events` (cleared first), drains it, and charges a dispatch —
+    /// an empty mailbox is charged alike. Returns whether the mailbox
+    /// held events.
+    pub fn dispatch_into(&mut self, id: TaskId, events: &mut BitSet) -> bool {
         self.rtos_cycles += self.params.dispatch_cycles;
         self.dispatches += 1;
         if ecl_telemetry::enabled() {
@@ -369,8 +374,13 @@ impl Kernel {
             tm::RTK_MAILBOX_OCCUPANCY.raw_record(self.mailboxes[id.0].pending.len() as u64);
         }
         events.clear();
-        events.union_with(&self.mailboxes[id.0].pending);
-        self.mailboxes[id.0].pending.clear();
+        if !self.ready.remove(id.0) {
+            return false;
+        }
+        let mb = &mut self.mailboxes[id.0].pending;
+        events.union_with(mb);
+        mb.clear();
+        true
     }
 
     /// Charge application cycles (the caller measured a reaction).
@@ -529,12 +539,13 @@ mod tests {
         let a = k.add_task("a", 1, set(&[X]));
         k.post_external(X);
         let mut ev = BitSet::new();
-        k.dispatch_into(a, &mut ev);
+        assert!(k.dispatch_into(a, &mut ev));
         assert!(ev.contains(X as usize));
         assert!(!k.any_ready());
-        // A drained mailbox dispatches again as empty.
-        k.dispatch_into(a, &mut ev);
+        // A drained mailbox dispatches again as empty, and is charged.
+        assert!(!k.dispatch_into(a, &mut ev));
         assert!(ev.is_empty());
+        assert_eq!(k.dispatches, 2);
     }
 
     #[test]

@@ -1054,10 +1054,32 @@ impl AsyncRunner {
         for e in events.iter() {
             self.kernel.post_external(e as u32);
         }
-        // Phase 1: periodic tick — every task reacts once.
+        // Phase 1: periodic tick — every task is dispatched and reacts
+        // once. A compiled task with an empty mailbox in a quiet state
+        // reacts by its precomputed outcome: charged the cycles
+        // `react_task` bills a reaction of no ops and no emissions, and
+        // moved to its next state, without projecting inputs or
+        // entering the dispatch loop.
         for ti in 0..self.tasks.len() {
-            self.kernel
+            let had_events = self
+                .kernel
                 .dispatch_into(TaskId(ti), &mut self.evset_scratch);
+            if !had_events && self.backend == Backend::Compiled {
+                let t = &mut self.tasks[ti];
+                if let Some((next, nodes)) = t.prog.fused.quiet(t.state) {
+                    t.state = next;
+                    self.kernel.charge_task(
+                        self.cost.cyc_reaction_base + u64::from(nodes) * self.cost.cyc_test,
+                    );
+                    nodes_spent += u64::from(nodes);
+                    if ecl_telemetry::enabled() {
+                        tm::TABLE_STEPS.raw_add(1);
+                        tm::TABLE_QUIET_STEPS.raw_add(1);
+                        tm::TABLE_FUSED_OPS.raw_add(u64::from(nodes));
+                    }
+                    continue;
+                }
+            }
             let (nodes, ops) = self.react_task(ti, out)?;
             nodes_spent += nodes as u64;
             fuel_spent += ops;

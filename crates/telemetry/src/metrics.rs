@@ -46,6 +46,10 @@ pub static SIM_TRACE_OCCUPANCY: Histogram = Histogram::new("sim.trace_occupancy"
 
 /// Reactions run by the fused compiled backend (counted at their end).
 pub static TABLE_STEPS: Counter = Counter::new("table.steps");
+/// The subset of [`TABLE_STEPS`] taken on the quiet tick: a task with
+/// an empty mailbox in a quiet state, moved to its precomputed next
+/// state without running the dispatch loop.
+pub static TABLE_QUIET_STEPS: Counter = Counter::new("table.quiet_steps");
 /// Control ops executed by compiled reactions: one per s-graph node
 /// visited (presence tests, predicates, actions, emits, ends).
 pub static TABLE_FUSED_OPS: Counter = Counter::new("table.fused_ops");
@@ -168,6 +172,7 @@ pub fn counters() -> Vec<&'static Counter> {
         &SIM_TRACE_INSTANTS,
         &SIM_TRACE_DROPPED,
         &TABLE_STEPS,
+        &TABLE_QUIET_STEPS,
         &TABLE_FUSED_OPS,
         &VM_HOOK_RUNS,
         &VM_FALLBACK_STMTS,

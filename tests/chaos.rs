@@ -55,6 +55,8 @@ struct RunOut {
     vcd: String,
     counts: HashMap<String, u64>,
     verdicts: Vec<(String, Verdict)>,
+    /// Task and RTOS cycles, dispatches and deliveries.
+    kernel: (u64, u64, u64, u64),
     events_lost: u64,
     lost_by_task: Vec<(rtk::TaskId, u64)>,
     injected: InjectionStats,
@@ -108,21 +110,24 @@ fn run_async(
     r.set_faults(plan);
     r.enable_trace(0);
     let (_, verdicts) = monitored(&mut r, specs, events);
+    let k = r.kernel();
     RunOut {
+        kernel: (k.task_cycles, k.rtos_cycles, k.dispatches, k.deliveries),
+        events_lost: k.events_lost,
+        lost_by_task: k.events_lost_by_task(),
+        injected: r.injection_stats(),
         vcd: r.take_trace().expect("trace recorded").to_vcd("chaos"),
         counts: r.counts(),
         verdicts,
-        events_lost: r.kernel().events_lost,
-        lost_by_task: r.kernel().events_lost_by_task(),
-        injected: r.injection_stats(),
     }
 }
 
-/// Fixed seed ⇒ byte-identical injected traces, emission counts, loss
-/// accounting and monitor verdicts across walker ≡ compiled. The
-/// plan exercises every cross-backend site at once — external and
-/// internal drop/delay, fuel squeezes and input corruption — and
-/// every site's count matches too.
+/// Fixed seed ⇒ byte-identical injected traces, emission counts, kernel
+/// totals, loss accounting and monitor verdicts across walker ≡
+/// compiled. The plan exercises every cross-backend site at once —
+/// external and internal drop/delay, fuel squeezes and input
+/// corruption — and every site's count matches too; the compiled
+/// run's quiet ticks are billed as the walker's full reactions.
 #[test]
 fn same_seed_is_bit_identical_across_backends() {
     let plan = FaultPlan {

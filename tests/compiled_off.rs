@@ -2,9 +2,16 @@
 //! s-graph walker and the tree-walking data interpreter on the whole
 //! reaction path, and the run must be observationally identical to the
 //! default `Backend::Compiled` run — emitted sets per instant,
-//! emission counts, monitor verdicts and the fuel-derived kernel cycle
-//! charges. CI runs this as a dedicated `compiled-off` pass so the
+//! emission counts, monitor verdicts and every kernel total (task and
+//! RTOS cycles, dispatches, deliveries, losses), monolithic and as
+//! three tasks. CI runs this as a dedicated `compiled-off` pass so the
 //! walker (the differential reference) stays exercised and green.
+//!
+//! The compiled runner's quiet tick — a task with an empty mailbox in
+//! a quiet state takes its precomputed outcome instead of a reaction —
+//! is held to the walker here too: a node watchdog trips at the same
+//! instant on both backends, and only the compiled backend counts
+//! `table.quiet_steps`.
 //!
 //! The suite also pins the fusion acceptance criterion: on both
 //! shipped designs every data hook compiles (`coverage().fully_fused()`),
@@ -23,7 +30,7 @@ use ecl_observe::{synthesize_all, Monitor};
 use efsm::{Backend, BitSet};
 use rand::{Rng, SeedableRng};
 use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
-use sim::runner::{AsyncRunner, CoverageReport, Runner};
+use sim::runner::{AsyncRunner, CoverageReport, Runner, SimErrorKind, WatchdogBudget};
 use sim::tb::{InstantEvents, PacketTb, PagerTb};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -76,13 +83,24 @@ fn design_of(src: &str, entry: &str) -> Design {
         .to_design()
 }
 
-/// Run `entry` of `src` on both backends over `events` and require
-/// identical observables; returns the compiled runner's coverage.
-fn walker_matches_compiled(src: &str, entry: &str, events: &[InstantEvents]) -> CoverageReport {
-    let design = design_of(src, entry);
-    let specs = synthesize_all(&design.ast).expect("observers synthesize");
+/// Each direct instantiation of `entry` as its own task.
+fn parts_of(src: &str, entry: &str) -> Vec<Design> {
+    let parts = Source::new(src)
+        .parse()
+        .and_then(|p| p.partition(entry))
+        .expect("design partitions");
+    assert_eq!(parts.len(), 3, "`{entry}` partitions into three tasks");
+    parts
+}
 
-    let mut compiled = runner(vec![design.clone()]);
+/// Run `designs` (one task each) on both backends over `events`, with
+/// the observers of the first design's source attached, and require
+/// identical observables; returns the compiled runner's coverage.
+fn walker_matches_compiled(designs: Vec<Design>, events: &[InstantEvents]) -> CoverageReport {
+    let entry = designs[0].entry.clone();
+    let specs = synthesize_all(&designs[0].ast).expect("observers synthesize");
+
+    let mut compiled = runner(designs.clone());
     assert_eq!(
         compiled.backend(),
         Backend::Compiled,
@@ -97,7 +115,7 @@ fn walker_matches_compiled(src: &str, entry: &str, events: &[InstantEvents]) -> 
         cov.vm_compiled(),
         cov.vm_total()
     );
-    let mut walker = runner(vec![design]);
+    let mut walker = runner(designs);
     walker.set_backend(Backend::Walker);
     assert_eq!(walker.backend(), Backend::Walker);
 
@@ -162,12 +180,24 @@ fn walker_matches_compiled(src: &str, entry: &str, events: &[InstantEvents]) -> 
         walker.counts(),
         "emission counts diverged"
     );
-    // Cycle parity: fused programs charge the walker's exact
-    // nodes-visited and fuel, so the kernels billed identical cycles.
+    // Kernel parity: fused programs charge the walker's exact
+    // nodes-visited and fuel, and a quiet tick charges what its full
+    // reaction would, so the kernels billed identical cycles and
+    // counted identical dispatches, deliveries and losses.
+    let totals = |r: &AsyncRunner| {
+        let k = r.kernel();
+        (
+            k.task_cycles,
+            k.rtos_cycles,
+            k.dispatches,
+            k.deliveries,
+            k.events_lost,
+        )
+    };
     assert_eq!(
-        compiled.kernel().task_cycles,
-        walker.kernel().task_cycles,
-        "cycle charges diverged"
+        totals(&compiled),
+        totals(&walker),
+        "`{entry}`: kernel totals diverged"
     );
     cov
 }
@@ -175,15 +205,54 @@ fn walker_matches_compiled(src: &str, entry: &str, events: &[InstantEvents]) -> 
 #[test]
 fn stack_walker_matches_compiled() {
     let _g = locked();
-    let cov = walker_matches_compiled(PROTOCOL_STACK, "toplevel", &stack_events());
-    assert!(cov.states() > 0 && cov.vm_total() > 0);
+    let mono = design_of(PROTOCOL_STACK, "toplevel");
+    for designs in [vec![mono], parts_of(PROTOCOL_STACK, "toplevel")] {
+        let cov = walker_matches_compiled(designs, &stack_events());
+        assert!(cov.states() > 0 && cov.vm_total() > 0);
+    }
 }
 
 #[test]
 fn pager_walker_matches_compiled() {
     let _g = locked();
-    let cov = walker_matches_compiled(VOICE_PAGER, "pager", &pager_events());
-    assert!(cov.states() > 0 && cov.vm_total() > 0);
+    let mono = design_of(VOICE_PAGER, "pager");
+    for designs in [vec![mono], parts_of(VOICE_PAGER, "pager")] {
+        let cov = walker_matches_compiled(designs, &pager_events());
+        assert!(cov.states() > 0 && cov.vm_total() > 0);
+    }
+}
+
+/// A `max_nodes` watchdog budget on the 3-task pager trips at the
+/// same instant, with the same node total, on both backends, over a
+/// sweep of budgets. Most of the pager's reactions are quiet ticks, so
+/// the compiled run would trip later, or not at all, if their nodes
+/// went uncounted.
+#[test]
+fn node_budget_trips_at_the_same_instant_on_both_backends() {
+    let _g = locked();
+    let designs = parts_of(VOICE_PAGER, "pager");
+    let events = pager_events();
+    let mut trips = Vec::new();
+    for max_nodes in [1, 3, 4, 7, 8, 9, 10, 12, 14] {
+        let trip = |backend| {
+            let mut r = runner(designs.clone());
+            r.set_backend(backend);
+            r.set_watchdog(Some(WatchdogBudget {
+                max_nodes: Some(max_nodes),
+                max_fuel: None,
+                max_wall_ns: None,
+            }));
+            let e = r.run_events(&events, |_, _| {}).err();
+            assert!(e.as_ref().is_none_or(|e| e.kind == SimErrorKind::Watchdog));
+            (r.now(), e.map(|e| e.to_string()))
+        };
+        let walked = trip(Backend::Walker);
+        assert_eq!(trip(Backend::Compiled), walked, "budget {max_nodes}");
+        trips.push(walked.0);
+    }
+    trips.dedup();
+    // Trips after instants 0, 1, 2 and 5, and a budget that holds.
+    assert_eq!(trips, [1, 2, 3, 6, events.len() as u64]);
 }
 
 /// A `par` of ten `present (ai) { emit (oi); }` branches: one state
@@ -223,7 +292,7 @@ fn a_state_with_1024_paths_compiles_and_matches_the_walker() {
             valued: Vec::new(),
         })
         .collect();
-    let cov = walker_matches_compiled(&src, "fan", &events);
+    let cov = walker_matches_compiled(vec![design_of(&src, "fan")], &events);
     assert!(cov.fully_fused());
     // One control op per live s-graph node, however many paths.
     assert_eq!(cov.fused_rows(), machine.stats().nodes);
@@ -241,20 +310,13 @@ fn compiled_run_takes_zero_walker_steps() {
     let _g = locked();
     let was = ecl_telemetry::enabled();
     ecl_telemetry::set_enabled(true);
-    let parts = |src: &str, entry: &str| Source::new(src).parse().unwrap().partition(entry);
     for (src, entry, events) in [
         (PROTOCOL_STACK, "toplevel", stack_events()),
         (VOICE_PAGER, "pager", pager_events()),
     ] {
         let mono = design_of(src, entry);
         let specs = synthesize_all(&mono.ast).expect("observers synthesize");
-        let partitioned = parts(src, entry).expect("design partitions");
-        assert_eq!(
-            partitioned.len(),
-            3,
-            "`{entry}` partitions into three tasks"
-        );
-        for designs in [vec![mono], partitioned] {
+        for designs in [vec![mono], parts_of(src, entry)] {
             let tasks = designs.len();
             ecl_telemetry::metrics::reset_all();
             let mut r = runner(designs);
@@ -272,25 +334,59 @@ fn compiled_run_takes_zero_walker_steps() {
     ecl_telemetry::set_enabled(was);
 }
 
+/// `Backend::Walker` runs the full reaction for every task every
+/// instant: a telemetry-counted walker run of the pager, monolithic and
+/// as three tasks, takes no quiet tick (and no compiled step), while
+/// the compiled run of the same workload takes quiet ticks, a subset
+/// of its compiled steps.
+#[test]
+fn only_the_compiled_backend_takes_quiet_ticks() {
+    let _g = locked();
+    let was = ecl_telemetry::enabled();
+    ecl_telemetry::set_enabled(true);
+    let mono = design_of(VOICE_PAGER, "pager");
+    for designs in [vec![mono], parts_of(VOICE_PAGER, "pager")] {
+        let tasks = designs.len();
+        for backend in [Backend::Walker, Backend::Compiled] {
+            ecl_telemetry::metrics::reset_all();
+            let mut r = runner(designs.clone());
+            r.set_backend(backend);
+            r.run_events(&pager_events(), |_, _| {})
+                .expect("run succeeds");
+            let (quiet, steps) = (counter("table.quiet_steps"), counter("table.steps"));
+            let what = format!("pager ({tasks} tasks) on {backend:?}");
+            match backend {
+                Backend::Walker => assert_eq!((quiet, steps), (0, 0), "{what}"),
+                Backend::Compiled => {
+                    assert!(0 < quiet && quiet <= steps, "{what}: {quiet}/{steps}")
+                }
+            }
+        }
+    }
+    ecl_telemetry::set_enabled(was);
+}
+
+/// The value of the registered counter `name`.
+fn counter(name: &str) -> u64 {
+    ecl_telemetry::metrics::counters()
+        .into_iter()
+        .find(|c| c.name() == name)
+        .map_or(0, |c| c.get())
+}
+
 /// The registry after a compiled run of `what`: compiled reactions, data
 /// hooks run as bytecode, observers stepped, and no walker anywhere.
 fn check_compiled_counts(what: &str) {
-    let c = |name: &str| {
-        ecl_telemetry::metrics::counters()
-            .into_iter()
-            .find(|c| c.name() == name)
-            .map_or(0, |c| c.get())
-    };
-    assert!(c("table.steps") > 0, "`{what}` took no table steps");
-    assert!(c("vm.hook_runs") > 0, "`{what}` ran no inlined hook");
+    assert!(counter("table.steps") > 0, "`{what}` took no table steps");
+    assert!(counter("vm.hook_runs") > 0, "`{what}` ran no inlined hook");
     assert_eq!(
-        c("vm.walker_hooks"),
+        counter("vm.walker_hooks"),
         0,
         "`{what}` walked a data hook under Backend::Compiled"
     );
-    assert!(c("mon.steps") > 0, "`{what}` stepped no observer");
+    assert!(counter("mon.steps") > 0, "`{what}` stepped no observer");
     assert_eq!(
-        c("mon.walker_steps"),
+        counter("mon.walker_steps"),
         0,
         "`{what}` walked an observer under Backend::Compiled"
     );

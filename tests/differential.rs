@@ -4,9 +4,9 @@
 //! interpreter and the compiled EFSM, and under the shipped compiled
 //! path and the reference walker, for random input sequences.
 
-use ecl_core::{Design, Fused, Source, SplitStrategy};
+use ecl_core::{Design, Fused, Rt, Source, SplitStrategy};
 use ecl_observe::Monitor;
-use efsm::{Backend, BitSet};
+use efsm::{Backend, BitSet, Efsm, StateId};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use sim::runner::{AsyncRunner, InterpRunner, Runner, SharedProgram};
@@ -412,6 +412,8 @@ fn check_compiled_vs_walker(
     };
     let proto = design.new_rt().unwrap();
     let compiled = Fused::compile(&machine, &proto);
+    check_quiet_states(&machine, &compiled, &proto)
+        .map_err(|e| TestCaseError::fail(format!("{e} in\n{src}")))?;
     let a = design.signal("a").unwrap();
     let b = design.signal("b").unwrap();
     let a_valued = machine.signal_info(a).valued;
@@ -501,10 +503,63 @@ fn check_compiled_vs_walker(
     Ok(())
 }
 
+/// A runtime's observable data state: fuel, hook counters, root frame
+/// and signal values.
+fn data_state(rt: &Rt, signals: usize) -> impl PartialEq + std::fmt::Debug {
+    let frame: Vec<(String, ecl_types::Value)> = (rt.machine().root_entries())
+        .map(|(n, v)| (n.to_string(), v.clone()))
+        .collect();
+    let values: Vec<Option<ecl_types::Value>> =
+        (0..signals).map(|i| rt.signal_value(i).cloned()).collect();
+    (
+        rt.machine().fuel(),
+        rt.pred_evals,
+        rt.action_runs,
+        frame,
+        values,
+    )
+}
+
+/// The quiet table is exact: for every state, [`Fused::quiet`] is
+/// `Some((next, nodes))` exactly when a full [`Fused::step`] with no
+/// input, on a fresh copy of `proto`, emits nothing and runs no data
+/// hook, and then that step returned `next` and `nodes`, burned no
+/// fuel and left the frame and the signal values as they were.
+fn check_quiet_states(machine: &Efsm, fused: &Fused, proto: &Rt) -> Result<(), TestCaseError> {
+    let signals = machine.signals.len();
+    let before = data_state(proto, signals);
+    for s in 0..machine.states.len() {
+        let state = StateId(s as u32);
+        let mut rt = proto.clone();
+        let mut emitted = Vec::new();
+        let r = fused.step(state, &BitSet::new(), &mut rt, &mut emitted);
+        let error = rt.take_error();
+        let hooks = (rt.pred_evals, rt.action_runs) != (proto.pred_evals, proto.action_runs);
+        let quiet = fused.quiet(state);
+        prop_assert_eq!(
+            quiet.is_some(),
+            emitted.is_empty() && !hooks,
+            "state {} quiet {:?}, but the no-input step emitted {:?} (hooks run: {})",
+            s,
+            quiet,
+            emitted,
+            hooks
+        );
+        if let Some((next, nodes)) = quiet {
+            prop_assert_eq!((r.next, r.nodes_visited), (next, nodes), "state {}", s);
+            prop_assert!(error.is_none(), "state {}: {:?}", s, error);
+            prop_assert_eq!(&data_state(&rt, signals), &before, "state {}", s);
+        }
+    }
+    Ok(())
+}
+
 /// The runner-level half of the compiled ≡ walker differential: an
 /// [`AsyncRunner`] on `Backend::Compiled` and one forced onto
-/// `Backend::Walker` must present identical sets every instant and
-/// drive the pinned observer to identical verdicts.
+/// `Backend::Walker` must present identical sets every instant, drive
+/// the pinned observer to identical verdicts and bill identical
+/// kernel totals (single-task runs of generated modules take the
+/// compiled runner's quiet tick).
 fn check_runner_verdicts(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     let full = format!("{src}\n{PIN_OBSERVER}");
     let Some(design) = design(&full, SplitStrategy::default()) else {
@@ -532,12 +587,14 @@ fn check_runner_verdicts(src: &str, seeds: u64) -> Result<(), TestCaseError> {
                 log.push((p.ids().clone(), mon.verdict().clone()));
             })
             .expect("runner runs");
-            (log, mon.finish())
+            let k = r.kernel();
+            let totals = (k.task_cycles, k.rtos_cycles, k.dispatches);
+            (log, mon.finish(), totals)
         };
         prop_assert_eq!(
             run(Backend::Walker),
             run(Backend::Compiled),
-            "present sets or observer verdicts diverged at seed {} in\n{}",
+            "present sets, observer verdicts or kernel totals diverged at seed {} in\n{}",
             seed,
             src
         );
@@ -820,6 +877,35 @@ fn efsm_construction_is_pinned() {
         }
     }
     assert_eq!(actual, pinned, "EFSM construction changed");
+}
+
+/// The quiet table is exact on the 8 shipped configurations too, and
+/// the partitioned pager — the design whose tasks mostly wait — has
+/// quiet states in every task.
+#[test]
+fn quiet_states_are_exact_on_shipped_designs() {
+    for (src, entry) in [
+        (sim::designs::PROTOCOL_STACK, "toplevel"),
+        (sim::designs::VOICE_PAGER, "pager"),
+    ] {
+        for partition in [false, true] {
+            for strategy in [SplitStrategy::MaxEsterel, SplitStrategy::MinEsterel] {
+                for d in config_designs(src, entry, partition, strategy) {
+                    let machine = d.to_efsm(&Default::default()).expect("design compiles");
+                    let proto = d.new_rt().expect("runtime builds");
+                    let fused = Fused::compile(&machine, &proto);
+                    check_quiet_states(&machine, &fused, &proto)
+                        .unwrap_or_else(|e| panic!("{entry} ({}): {e}", d.entry));
+                    let quiet = (0..machine.states.len())
+                        .filter(|&s| fused.quiet(StateId(s as u32)).is_some())
+                        .count();
+                    if entry == "pager" && partition {
+                        assert!(quiet > 0, "pager task `{}` has no quiet state", d.entry);
+                    }
+                }
+            }
+        }
+    }
 }
 
 proptest! {
