@@ -431,8 +431,7 @@ fn profile(c: &DesignConfig<'_>) -> (String, String) {
 
 /// Render the registry: every counter and the p50/p99/max of every
 /// histogram, grouped by the name's first segment (`table.steps` →
-/// `"table": {"steps": …}`), plus the VM's fallback-statement share of
-/// executed ops.
+/// `"table": {"steps": …}`), plus the total of executed data ops.
 fn render_profile(instants: usize, wall_ms: f64) -> String {
     let mut groups: Vec<(&str, Vec<Member>)> = Vec::new();
     let mut put = |name: &'static str, suffix: &str, value: String| {
@@ -452,9 +451,7 @@ fn render_profile(instants: usize, wall_ms: f64) -> String {
         put(h.name(), "_max", h.max().to_string());
     }
     let ops_total: u64 = tm::VM_OPS.iter().map(|c| c.get()).sum();
-    let fallback_rate = tm::VM_FALLBACK_STMTS.get() as f64 / ops_total.max(1) as f64;
     put("vm.ops_total", "", ops_total.to_string());
-    put("vm.fallback_rate", "", format!("{fallback_rate:.4}"));
 
     let mut members = vec![
         member("instants", instants),

@@ -15,10 +15,15 @@
 //! `pred_evals`/`action_runs` counters. After a data error the rest of
 //! the reaction runs the way the walker's hooks do: later predicates
 //! read false uncounted, later actions and valued emits are skipped,
-//! presence tests, presence emissions and node charges continue. A hook
-//! outside the bytecode subset — and every hook once a walker-executed
-//! declaration has grown the root frame past what the bytecode was
-//! resolved against — runs on the tree-walker in place.
+//! presence tests, presence emissions and node charges continue.
+//!
+//! A task fuses whole or not at all: [`Fused::compile`] returns `None`
+//! for a runtime with any data hook outside the bytecode subset, and
+//! such a task runs on the walker reference. So the loop never enters
+//! the tree walker. Only a walker-executed declaration outside any
+//! block adds a root binding, and no hook of a fused runtime is one, so
+//! the slots the bytecode resolved at lowering time hold for the whole
+//! session.
 //!
 //! A state is *quiet* when its reaction to no input at all runs no data
 //! hook and emits nothing: from its entry op, every presence test's
@@ -32,7 +37,7 @@ use ecl_syntax::source::Span;
 use ecl_telemetry::metrics as tm;
 use ecl_types::interp::fuel_exhausted;
 use ecl_types::vm::{self, BinKind, Op, Program};
-use ecl_types::{EvalError, Flow, Value, ValuesReader};
+use ecl_types::{EvalError, Value};
 use efsm::{BitSet, CompiledEfsm, Efsm, ResidualOp, Signal, StateId, StepOut};
 
 /// Tags a jump target as a layout pc until every block is placed.
@@ -62,8 +67,13 @@ pub struct Fused {
 
 impl Fused {
     /// Lay out the states of `m` and translate the layout, with `rt`'s
-    /// hook bytecode inlined.
-    pub fn compile(m: &Efsm, rt: &Rt) -> Fused {
+    /// hook bytecode inlined; `None` unless every data hook of `rt` —
+    /// whether `m` references it or not — has a program.
+    pub fn compile(m: &Efsm, rt: &Rt) -> Option<Fused> {
+        let (compiled, total) = rt.vm_coverage();
+        if compiled < total {
+            return None;
+        }
         let table = CompiledEfsm::compile(m);
         let progs = &rt.fixed.progs;
         let layout = table.ops();
@@ -82,29 +92,20 @@ impl Fused {
                     else_: res(else_),
                 }),
                 ResidualOp::Pred { pred, then_, else_ } => {
-                    let prog = progs.preds[pred.0 as usize].program();
                     f.ops.push(Op::PredHead {
                         pred: pred.0,
-                        then_: res(then_),
                         else_: res(else_),
-                        walk: prog.is_none(),
                     });
-                    if let Some(p) = prog {
-                        f.inline(p, [res(else_), res(then_)]);
-                        f.goto(else_, rpc);
-                    }
+                    f.inline(program(&progs.preds, pred.0), [res(else_), res(then_)]);
+                    f.goto(else_, rpc);
                 }
                 ResidualOp::Action { action, next } => {
-                    let prog = progs.actions[action.0 as usize].program();
                     f.ops.push(Op::ActHead {
                         action: action.0,
                         next: res(next),
-                        walk: prog.is_none(),
                     });
-                    if let Some(p) = prog {
-                        f.inline(p, [res(next); 2]);
-                        f.goto(next, rpc);
-                    }
+                    f.inline(program(&progs.actions, action.0), [res(next); 2]);
+                    f.goto(next, rpc);
                 }
                 ResidualOp::Emit {
                     sig,
@@ -119,16 +120,10 @@ impl Fused {
                     value: Some(expr),
                     next,
                 } => {
-                    let prog = progs.emits[expr.0 as usize].program();
-                    let push = (f.ops.len() + 1 + prog.map_or(0, |p| p.ops.len())) as u32;
-                    f.ops.push(Op::EmitHead {
-                        expr: expr.0,
-                        push,
-                        walk: prog.is_none(),
-                    });
-                    if let Some(p) = prog {
-                        f.inline(p, [push; 2]);
-                    }
+                    let p = program(&progs.emits, expr.0);
+                    let push = (f.ops.len() + 1 + p.ops.len()) as u32;
+                    f.ops.push(Op::EmitHead { expr: expr.0, push });
+                    f.inline(p, [push; 2]);
                     f.ops.push(Op::Push { sig: sig.0 });
                     f.goto(next, rpc);
                 }
@@ -146,7 +141,7 @@ impl Fused {
             .iter()
             .map(|&rpc| at[rpc as usize])
             .collect();
-        Fused {
+        Some(Fused {
             quiet: entries
                 .iter()
                 .map(|&pc| quiet_outcome(&f.ops, pc))
@@ -155,7 +150,7 @@ impl Fused {
             entries,
             spans: f.spans,
             regs: f.regs,
-        }
+        })
     }
 
     /// The outcome of `state`'s reaction to no input — `(next state,
@@ -197,20 +192,18 @@ impl Fused {
     ) -> StepOut {
         let tel = ecl_telemetry::enabled();
         let Rt {
-            fixed,
             machine: m,
             values,
             error,
             vm_regs,
             action_runs,
             pred_evals,
+            ..
         } = rt;
-        let fixed = &**fixed;
         if vm_regs.len() < usize::from(self.regs) {
             vm_regs.resize(usize::from(self.regs), 0);
         }
         let regs = &mut vm_regs[..];
-        let root_len = fixed.progs.root_len;
         let ops = &self.ops[..];
         let mut pc = self.entries[state.0 as usize] as usize;
         let mut nodes = 0u32;
@@ -221,12 +214,7 @@ impl Fused {
             let op = &ops[pc];
             if tel {
                 match op.telemetry_index() {
-                    Some(i) => {
-                        tm::VM_OPS[i].raw_add(1);
-                        if matches!(op, Op::FallbackStmt { .. }) {
-                            tm::VM_FALLBACK_STMTS.raw_add(1);
-                        }
-                    }
+                    Some(i) => tm::VM_OPS[i].raw_add(1),
                     None => fused_ops += u64::from(op.is_residual()),
                 }
             }
@@ -374,31 +362,7 @@ impl Fused {
                             continue 'dispatch;
                         }
                     }
-                    Op::FallbackStmt {
-                        stmt,
-                        brk,
-                        cont,
-                        ret,
-                    } => {
-                        let reader = ValuesReader {
-                            values,
-                            by_name: &fixed.by_name,
-                        };
-                        pc = match m.exec(&fixed.progs.stmts[stmt as usize], &reader) {
-                            Ok(Flow::Normal) => pc + 1,
-                            Ok(Flow::Break) => brk as usize,
-                            Ok(Flow::Continue) => cont as usize,
-                            Ok(Flow::Return(_)) => ret as usize,
-                            Err(e) => break 'op Fault::Eval(e),
-                        };
-                        continue 'dispatch;
-                    }
-                    Op::PredHead {
-                        pred,
-                        then_,
-                        else_,
-                        walk,
-                    } => {
+                    Op::PredHead { else_, .. } => {
                         nodes += 1;
                         if error.is_some() {
                             pc = else_ as usize;
@@ -406,19 +370,11 @@ impl Fused {
                         }
                         *pred_evals += 1;
                         skip = else_ as usize;
-                        if walk || m.root_len() != root_len {
-                            pc = match fixed.walk_pred(m, values, pred as usize) {
-                                Ok(true) => then_ as usize,
-                                Ok(false) => else_ as usize,
-                                Err(e) => break 'op Fault::Eval(e),
-                            };
-                            continue 'dispatch;
-                        }
                         if tel {
                             tm::VM_HOOK_RUNS.raw_add(1);
                         }
                     }
-                    Op::ActHead { action, next, walk } => {
+                    Op::ActHead { next, .. } => {
                         nodes += 1;
                         if error.is_some() {
                             pc = next as usize;
@@ -426,28 +382,14 @@ impl Fused {
                         }
                         *action_runs += 1;
                         skip = next as usize;
-                        if walk || m.root_len() != root_len {
-                            if let Err(e) = fixed.walk_action(m, values, action as usize) {
-                                break 'op Fault::Eval(e);
-                            }
-                            pc = next as usize;
-                            continue 'dispatch;
-                        }
                         if tel {
                             tm::VM_HOOK_RUNS.raw_add(1);
                         }
                     }
-                    Op::EmitHead { expr, push, walk } => {
+                    Op::EmitHead { push, .. } => {
                         nodes += 1;
                         skip = push as usize;
                         if error.is_some() {
-                            pc = skip;
-                            continue 'dispatch;
-                        }
-                        if walk || m.root_len() != root_len {
-                            if let Err(e) = fixed.walk_emit(m, values, expr as usize) {
-                                break 'op Fault::Eval(e);
-                            }
                             pc = skip;
                             continue 'dispatch;
                         }
@@ -489,6 +431,14 @@ impl Fused {
             pc = skip;
         }
     }
+}
+
+/// The program of hook `id`; [`Fused::compile`] checked that every
+/// hook has one.
+fn program(hooks: &[Option<Program>], id: u32) -> &Program {
+    hooks[id as usize]
+        .as_ref()
+        .expect("every hook has a program")
 }
 
 /// The op stream under construction.
@@ -560,7 +510,6 @@ enum Fault {
     Fuel,
     Index(i64, u32),
     ZeroDivisor(BinKind),
-    Eval(EvalError),
 }
 
 impl Fault {
@@ -572,7 +521,6 @@ impl Fault {
             Fault::Fuel => fuel_exhausted(span),
             Fault::Index(i, len) => vm::index_error(i, len, span),
             Fault::ZeroDivisor(op) => vm::zero_divisor_error(op, span),
-            Fault::Eval(e) => e,
         }
     }
 }

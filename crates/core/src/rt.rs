@@ -12,20 +12,21 @@
 //! * the compiled data path: at construction every predicate, action
 //!   and emit expression is lowered to folded register bytecode
 //!   ([`ecl_types::vm`]) over the frame's dense slots and the signal
-//!   indices, which [`crate::Fused`] inlines into each task's reaction
-//!   loop.
+//!   indices, which [`crate::Fused`] inlines into the task's reaction
+//!   loop when every hook has a program.
 //!
 //! The [`efsm::DataHooks`] impl is the tree-walking reference: the
 //! s-graph walker and the constructive interpreter call it, and fused
 //! reactions are differential-tested equal to it, including error
 //! instants, fuel-derived cycle charges and the
-//! `pred_evals`/`action_runs` counters.
+//! `pred_evals`/`action_runs` counters. A runtime with a hook outside
+//! the bytecode subset has no fused reaction, so its task runs on this
+//! reference whole.
 
 use crate::elab::Elab;
 use crate::split::DataTable;
-use ecl_syntax::ast::{Program, Stmt};
+use ecl_syntax::ast::Program;
 use ecl_syntax::diag::DiagSink;
-use ecl_types::vm::Compiled;
 use ecl_types::{
     EvalError, FxHashMap, Lowering, Machine, SignalLayout, TypeId, TypeTable, Value, ValuesReader,
 };
@@ -48,20 +49,14 @@ impl fmt::Display for RtError {
 
 impl std::error::Error for RtError {}
 
-/// The compiled data hooks of one runtime: bytecode programs (or
-/// walker markers) per predicate / action / emit expression, the pool
-/// of fallback statements they index, and the root-scope length they
-/// were resolved against — slot resolutions are valid only while the
-/// root frame hasn't grown (root bindings are append-only; only a
-/// walker-executed declaration can add one, after which every hook
-/// conservatively walks).
+/// The compiled data hooks of one runtime: the bytecode program of
+/// each predicate / action / emit expression, `None` for a hook outside
+/// the bytecode subset.
 #[derive(Debug)]
 pub(crate) struct DataProgs {
-    pub(crate) preds: Vec<Compiled>,
-    pub(crate) actions: Vec<Compiled>,
-    pub(crate) emits: Vec<Compiled>,
-    pub(crate) stmts: Vec<Stmt>,
-    pub(crate) root_len: usize,
+    pub(crate) preds: Vec<Option<ecl_types::Program>>,
+    pub(crate) actions: Vec<Option<ecl_types::Program>>,
+    pub(crate) emits: Vec<Option<ecl_types::Program>>,
 }
 
 /// The fixed half of a runtime: what construction builds and no
@@ -73,74 +68,9 @@ pub(crate) struct Fixed {
     /// Signal index → resolved value type.
     sig_types: Vec<Option<TypeId>>,
     /// Signal name → index.
-    pub(crate) by_name: FxHashMap<String, usize>,
+    by_name: FxHashMap<String, usize>,
     /// Bytecode programs compiled from the data table.
     pub(crate) progs: DataProgs,
-}
-
-impl Fixed {
-    /// Evaluate predicate `i` on the tree-walker.
-    pub(crate) fn walk_pred(
-        &self,
-        m: &mut Machine,
-        values: &[Option<Value>],
-        i: usize,
-    ) -> Result<bool, EvalError> {
-        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
-        let reader = ValuesReader {
-            values,
-            by_name: &self.by_name,
-        };
-        m.eval(&self.data.preds[i], &reader).map(|v| v.is_truthy())
-    }
-
-    /// Run action `i` on the tree-walker.
-    pub(crate) fn walk_action(
-        &self,
-        m: &mut Machine,
-        values: &[Option<Value>],
-        i: usize,
-    ) -> Result<(), EvalError> {
-        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
-        let reader = ValuesReader {
-            values,
-            by_name: &self.by_name,
-        };
-        for s in &self.data.actions[i] {
-            m.exec(s, &reader)?;
-        }
-        Ok(())
-    }
-
-    /// Compute emit expression `i` on the tree-walker and store it as
-    /// its signal's value (a pure signal's is evaluated and dropped).
-    pub(crate) fn walk_emit(
-        &self,
-        m: &mut Machine,
-        values: &mut [Option<Value>],
-        i: usize,
-    ) -> Result<(), EvalError> {
-        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
-        let (e, sig) = &self.data.emit_exprs[i];
-        let si = sig.0 as usize;
-        let reader = ValuesReader {
-            values,
-            by_name: &self.by_name,
-        };
-        let v = m.eval(e, &reader)?;
-        if let Some(ty) = self.sig_types[si] {
-            match v.convert(m.table(), ty) {
-                Some(cv) => values[si] = Some(cv),
-                None => {
-                    return Err(EvalError {
-                        msg: format!("emit_v value not convertible to signal type for signal {si}"),
-                        span: e.span,
-                    })
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 /// The data-side runtime for one design instance.
@@ -250,13 +180,10 @@ impl Rt {
         let emits = (data.emit_exprs.iter())
             .map(|(e, sig)| lw.emit(e, sig.0 as usize, sig_types[sig.0 as usize]))
             .collect();
-        let stmts = lw.into_stmts();
         let progs = DataProgs {
             preds,
             actions,
             emits,
-            stmts,
-            root_len: machine.root_len(),
         };
         Ok(Rt {
             fixed: Arc::new(Fixed {
@@ -293,7 +220,7 @@ impl Rt {
         let vm: usize = all
             .iter()
             .flat_map(|v| v.iter())
-            .filter(|c| c.program().is_some())
+            .filter(|c| c.is_some())
             .count();
         (vm as u32, total as u32)
     }
@@ -429,14 +356,16 @@ impl DataHooks for Rt {
             return false;
         }
         self.pred_evals += 1;
-        let Rt {
-            fixed,
-            machine,
-            values,
-            ..
-        } = self;
-        match fixed.walk_pred(machine, values, pred.0 as usize) {
-            Ok(v) => v,
+        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        let reader = ValuesReader {
+            values: &self.values,
+            by_name: &self.fixed.by_name,
+        };
+        match self
+            .machine
+            .eval(&self.fixed.data.preds[pred.0 as usize], &reader)
+        {
+            Ok(v) => v.is_truthy(),
             Err(e) => {
                 self.error = Some(e);
                 false
@@ -449,34 +378,50 @@ impl DataHooks for Rt {
             return;
         }
         self.action_runs += 1;
-        let Rt {
-            fixed,
-            machine,
-            values,
-            ..
-        } = self;
-        if let Err(e) = fixed.walk_action(machine, values, action.0 as usize) {
-            self.error = Some(e);
+        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        let reader = ValuesReader {
+            values: &self.values,
+            by_name: &self.fixed.by_name,
+        };
+        for s in &self.fixed.data.actions[action.0 as usize] {
+            if let Err(e) = self.machine.exec(s, &reader) {
+                self.error = Some(e);
+                return;
+            }
         }
     }
 
+    /// Compute the emit expression and store it as its signal's value
+    /// (a pure signal's is evaluated and dropped).
     fn emit_value(&mut self, sig: Signal, expr: ExprId) {
         if self.error.is_some() {
             return;
         }
-        let i = expr.0 as usize;
-        debug_assert_eq!(
-            self.fixed.data.emit_exprs[i].1, sig,
-            "emit expr bound to a different signal"
-        );
-        let Rt {
-            fixed,
-            machine,
-            values,
-            ..
-        } = self;
-        if let Err(e) = fixed.walk_emit(machine, values, i) {
-            self.error = Some(e);
+        let (e, bound) = &self.fixed.data.emit_exprs[expr.0 as usize];
+        debug_assert_eq!(*bound, sig, "emit expr bound to a different signal");
+        ecl_telemetry::metrics::VM_WALKER_HOOKS.incr();
+        let si = bound.0 as usize;
+        let reader = ValuesReader {
+            values: &self.values,
+            by_name: &self.fixed.by_name,
+        };
+        let v = match self.machine.eval(e, &reader) {
+            Ok(v) => v,
+            Err(err) => {
+                self.error = Some(err);
+                return;
+            }
+        };
+        if let Some(ty) = self.fixed.sig_types[si] {
+            match v.convert(self.machine.table(), ty) {
+                Some(cv) => self.values[si] = Some(cv),
+                None => {
+                    self.error = Some(EvalError {
+                        msg: format!("emit_v value not convertible to signal type for signal {si}"),
+                        span: e.span,
+                    })
+                }
+            }
         }
     }
 }
@@ -531,8 +476,6 @@ mod tests {
         data.actions.push(body.unwrap().body.clone().unwrap().stmts);
         let extra = ActionId(data.actions.len() as u32 - 1);
         let original = Rt::new(&d.ast, &d.elab, &data).unwrap();
-        let fresh = |rt: &Rt| rt.fixed.progs.root_len == rt.machine().root_len();
-        assert!(fresh(&original), "a fresh runtime runs its bytecode");
         let (len, entries) = (original.machine().root_len(), frame(&original));
         let int = original.machine().table().int();
         let new_ty = Type::Array(int, 99);
@@ -551,27 +494,29 @@ mod tests {
         assert!(grown.machine().table().lookup(new_ty).is_some());
         assert_eq!(grown.machine().root_len(), len + 2);
         assert!(grown.machine().root_lookup("fresh").is_some());
-        assert!(!fresh(&grown), "a grown frame walks every hook");
 
         // The original saw none of it.
         assert_eq!(original.machine().root_len(), len);
         assert_eq!(frame(&original), entries);
         assert_eq!(original.machine().root_lookup("fresh"), None);
         assert_eq!(original.machine().table().lookup(new_ty), None);
-        assert!(fresh(&original));
 
-        // Clones step through the fused reaction compiled against the
-        // original and agree with the walker reference: a second clone
-        // runs the inlined bytecode, while the grown one walks every
-        // hook, because its `LIMIT` variable now shadows the constant
-        // the bytecode folded.
+        // The declaring action has no program, so its runtime has no
+        // fused reaction, although the machine never runs that action:
+        // a runtime fuses only when every hook lowers.
         let efsm = d.to_efsm(&Default::default()).unwrap();
-        let fused = crate::Fused::compile(&efsm, &original);
+        assert!(crate::Fused::compile(&efsm, &original).is_none());
+
+        // Without it every hook lowers, and clones step through the
+        // fused reaction in agreement with the walker reference. The
+        // grown clone, on the walker, counts past the enum constant the
+        // bytecode folded, because its `LIMIT` variable shadows it.
+        let plain = Rt::new(&d.ast, &d.elab, &d.split.data).unwrap();
+        let fused = crate::Fused::compile(&efsm, &plain).expect("every hook lowers");
         let tick: efsm::BitSet = [d.signal("tick").unwrap().0 as usize].into_iter().collect();
         let mut runs = [
-            (original.clone(), true),
-            (original.clone(), false),
-            (grown.clone(), true),
+            (plain.clone(), true),
+            (plain.clone(), false),
             (grown.clone(), false),
         ]
         .map(|(rt, fused)| (rt, fused, efsm.init, Vec::new()));
@@ -587,13 +532,12 @@ mod tests {
         }
         let seen = |i: usize| (runs[i].2, runs[i].3.clone(), frame(&runs[i].0));
         assert_eq!(seen(0), seen(1), "bytecode and walker agree");
-        assert_eq!(seen(2), seen(3), "a grown frame walks like the walker");
         assert_ne!(runs[0].3, runs[2].3, "`LIMIT` is shadowed once grown");
         assert_ne!(
             frame(&runs[0].0),
             entries,
             "the fused hooks wrote the frame"
         );
-        assert_eq!(frame(&original), entries);
+        assert_eq!(frame(&plain), entries);
     }
 }

@@ -356,9 +356,8 @@ impl Machine {
     // -- root-scope (flat frame) access for compiled reactions ------------
 
     /// Number of slots in the root scope (the design's flat variable
-    /// frame). The VM compiler records this at lowering time: root
-    /// bindings are append-only, so an unchanged length proves every
-    /// compile-time slot resolution is still valid.
+    /// frame). Root bindings are append-only: only a declaration the
+    /// walker runs outside any block adds one.
     pub fn root_len(&self) -> usize {
         self.root.len()
     }

@@ -16,9 +16,10 @@
 //! * [`lower`] + [`vm`] — the compiled data path: every predicate,
 //!   action and valued-emit expression lowers once, folding as it goes,
 //!   to a register bytecode program over dense frame slots and signal
-//!   indices, with tree-walker fallback ops for constructs outside the
-//!   subset; `ecl_core` inlines the programs into one dispatch loop per
-//!   reaction.
+//!   indices, or to no program when it steps outside the subset;
+//!   `ecl_core` inlines the programs into one dispatch loop per
+//!   reaction of a task whose every hook has one, and runs any other
+//!   task on the tree walker.
 //!
 //! # Example
 //!
@@ -45,4 +46,4 @@ pub use interp::{EvalError, Flow, Machine, SignalReader};
 pub use lower::{Lowering, SignalLayout};
 pub use types::{Field, Record, Type, TypeId, TypeTable};
 pub use value::{Bytes, Value};
-pub use vm::{Compiled, Program, ValuesReader};
+pub use vm::{Program, ValuesReader};

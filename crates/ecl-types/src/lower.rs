@@ -22,11 +22,10 @@
 //!
 //! Everything else — function calls, floats, `switch`, aggregate
 //! rvalues, string/pointer operations, chains with two dynamic
-//! indices — compiles to
-//! [`Op::FallbackStmt`] at statement granularity: the subtree executes
-//! through the tree-walker with its control-flow result mapped back
-//! onto compiled jump targets. A hook whose shape the subset cannot
-//! express at all stays [`Compiled::Walker`].
+//! indices — is outside the subset, and a hook that contains any of it
+//! anywhere lowers to `None`: there is no partial program. A runtime
+//! with such a hook gets no fused reaction (`ecl_core::Fused::compile`),
+//! so its task runs on the tree-walking reference whole.
 //!
 //! ## Folding
 //!
@@ -61,18 +60,16 @@
 //!   every burn that precedes them). Folding never removes or moves a
 //!   burn: a folded op flushes where its unfolded form would have.
 //! * **Declarations**: a `Decl` at action top level would create a
-//!   *persistent* root-scope binding, so such actions stay on the
-//!   walker. Block-scoped declarations become registers; if anything
-//!   inside a scope with register locals fails to lower, the whole
-//!   scope-owning construct falls back (a walker-executed statement
-//!   must never reference a register-resident local).
-//! * **Validity**: compiled slot resolutions are valid as long as the
-//!   root scope hasn't grown ([`Machine::root_len`] is checked at
-//!   every hook entry; root bindings are append-only).
+//!   *persistent* root-scope binding, so such an action lowers to
+//!   `None`. Block-scoped declarations become registers, and a
+//!   declaration outside any block's scope is outside the subset. So no
+//!   lowered hook adds a root binding, and the slots a program resolved
+//!   at lowering time hold for as long as every hook of the runtime
+//!   runs as bytecode.
 
 use crate::interp::Machine;
 use crate::types::{Type, TypeId};
-use crate::vm::{BinKind, Compiled, Ext, Op, Program, UnKind};
+use crate::vm::{BinKind, Ext, Op, Program, UnKind};
 use ecl_syntax::ast::{BinOp, Expr, ExprKind, Ident, PrimType, Stmt, StmtKind, UnOp, VarDecl};
 use ecl_syntax::diag::DiagSink;
 use ecl_syntax::source::Span;
@@ -89,8 +86,8 @@ struct Unsupported;
 
 type Lower<T> = Result<T, Unsupported>;
 
-/// Hard cap on the register file (deep expressions beyond this fall
-/// back to the walker instead of growing without bound).
+/// Hard cap on the register file (a hook with deeper expressions is
+/// outside the subset instead of growing it without bound).
 const MAX_REGS: u16 = 4096;
 
 /// What an identifier means at the point of lowering.
@@ -168,8 +165,7 @@ struct Place {
 }
 
 /// The bytecode compiler. One instance lowers all hooks of a runtime;
-/// internal state is reset per program, except the pool of fallback
-/// statements, which all programs index.
+/// internal state is reset per program.
 pub struct Lowering<'a> {
     m: &'a mut Machine,
     sigs: &'a dyn SignalLayout,
@@ -185,15 +181,11 @@ pub struct Lowering<'a> {
     max_reg: u16,
     /// Lexical scopes of register locals (block declarations).
     scopes: Vec<Vec<(String, u16, TypeId)>>,
-    /// Total register locals currently in scope (fallback guard).
-    locals_count: u32,
     /// `(break target, continue target)` per enclosing loop.
     loops: Vec<(u32, u32)>,
     /// End label of the current top-level statement (`return` target;
     /// actions ignore flows between top-level statements).
     stmt_end: u32,
-    /// Fallback statement subtrees of every program lowered so far.
-    stmts: Vec<Stmt>,
 }
 
 impl<'a> Lowering<'a> {
@@ -211,116 +203,85 @@ impl<'a> Lowering<'a> {
             next_reg: 0,
             max_reg: 0,
             scopes: Vec::new(),
-            locals_count: 0,
             loops: Vec::new(),
             stmt_end: 0,
-            stmts: Vec::new(),
         }
-    }
-
-    /// The fallback statement pool: [`Op::FallbackStmt::stmt`] of every
-    /// program this lowering produced indexes it.
-    pub fn into_stmts(self) -> Vec<Stmt> {
-        self.stmts
     }
 
     /// Compile a predicate expression to a compare-and-branch program
-    /// (exits: `len` false, `len + 1` true — see [`Program`]).
-    pub fn pred(&mut self, e: &Expr) -> Compiled {
+    /// (exits: `len` false, `len + 1` true — see [`Program`]); `None`
+    /// outside the subset.
+    pub fn pred(&mut self, e: &Expr) -> Option<Program> {
         self.reset();
         let l_false = self.label();
         let l_true = self.label();
-        match self.cond(e) {
-            Ok(c) => {
-                self.branch(c, l_true, true);
-                self.finish(Some((l_false, l_true)))
-            }
-            Err(Unsupported) => Compiled::Walker,
-        }
+        let c = self.cond(e).ok()?;
+        self.branch(c, l_true, true);
+        Some(self.finish(Some((l_false, l_true))))
     }
 
-    /// Compile an action (a statement list run at root scope).
-    pub fn action(&mut self, stmts: &[Stmt]) -> Compiled {
+    /// Compile an action (a statement list run at root scope); `None`
+    /// when any of its statements is outside the subset.
+    pub fn action(&mut self, stmts: &[Stmt]) -> Option<Program> {
         // A top-level `Decl` would create a *persistent* root binding
-        // (visible to every other hook) — exactly what the walker must
-        // keep doing.
+        // (visible to every other hook) — only the walker does that.
         if stmts.iter().any(|s| matches!(s.kind, StmtKind::Decl(_))) {
-            return Compiled::Walker;
+            return None;
         }
         self.reset();
-        let pool = self.stmts.len();
         for s in stmts {
             let end = self.label();
             self.stmt_end = end;
-            if self.stmt_or_fallback(s).is_err() {
-                // Unreachable in practice (top level has no register
-                // locals and no bare decls), but falling back keeps
-                // semantics exact regardless.
-                self.fallback(s);
-            }
+            self.stmt(s).ok()?;
             self.bind(end);
         }
-        // Nothing actually compiled — leave the hook to the walker.
-        if self
-            .ops
-            .iter()
-            .all(|op| matches!(op, Op::FallbackStmt { .. }))
-        {
-            self.stmts.truncate(pool);
-            return Compiled::Walker;
-        }
-        self.finish(None)
+        Some(self.finish(None))
     }
 
     /// Compile a valued-emit expression for signal `sig` (value type
     /// `sig_ty`; `None` marks a pure signal — evaluate and discard,
-    /// like the walker).
-    pub fn emit(&mut self, e: &Expr, sig: usize, sig_ty: Option<TypeId>) -> Compiled {
+    /// like the walker); `None` outside the subset.
+    pub fn emit(&mut self, e: &Expr, sig: usize, sig_ty: Option<TypeId>) -> Option<Program> {
         self.reset();
         let Some(ty) = sig_ty else {
             // Pure target: the walker evaluates the expression (burns,
             // errors) and stores nothing.
-            return match self.expr(e) {
-                Ok(_) => self.finish(None),
-                Err(Unsupported) => Compiled::Walker,
-            };
+            self.expr(e).ok()?;
+            return Some(self.finish(None));
         };
         if let Some(sx) = self.ext_of(ty) {
             // Integer-valued signal: evaluate, truncate into the value
             // buffer in place (the walker's convert-and-replace, minus
             // the allocations).
-            return match self.expr(e).and_then(|(v, _)| {
-                self.flush();
-                self.reg(v)
-            }) {
-                Ok(src) => {
-                    self.ops.push(Op::StoreSig {
-                        sig: sig as u32,
-                        src,
-                        ext: sx,
-                    });
-                    self.finish(None)
-                }
-                Err(Unsupported) => Compiled::Walker,
-            };
+            let (v, _) = self.expr(e).ok()?;
+            self.flush();
+            let src = self.reg(v).ok()?;
+            self.ops.push(Op::StoreSig {
+                sig: sig as u32,
+                src,
+                ext: sx,
+            });
+            return Some(self.finish(None));
         }
-        // Aggregate signal: the whole-variable copy fast path
+        // Aggregate signal: only the whole-variable copy
         // (`emit_v (outpkt, buffer)`) — same TypeId, so the walker's
         // convert is a byte-identical clone.
-        if let ExprKind::Ident(id) = &e.kind {
-            if let Some(Res::Var(slot, vt)) = self.resolve(&id.name) {
-                if vt == ty {
-                    self.burn(e.span);
-                    self.flush();
-                    self.ops.push(Op::EmitCopy {
-                        sig: sig as u32,
-                        slot: slot as u32,
-                    });
-                    return self.finish(None);
-                }
-            }
+        let ExprKind::Ident(id) = &e.kind else {
+            return None;
+        };
+        let Some(Res::Var(slot, vt)) = self.resolve(&id.name) else {
+            return None;
+        };
+        if vt != ty {
+            return None;
         }
-        Compiled::Walker
+        self.burn(e.span);
+        self.flush();
+        self.ops.push(Op::EmitCopy {
+            sig: sig as u32,
+            slot: slot as u32,
+        });
+        Some(self.finish(None))
     }
 
     // -- builder plumbing -------------------------------------------------
@@ -333,14 +294,13 @@ impl<'a> Lowering<'a> {
         self.next_reg = 0;
         self.max_reg = 0;
         self.scopes.clear();
-        self.locals_count = 0;
         self.loops.clear();
         self.stmt_end = 0;
     }
 
     /// Flush, bind a predicate's exit labels one past the end, resolve
     /// every label and hand out the program.
-    fn finish(&mut self, exits: Option<(u32, u32)>) -> Compiled {
+    fn finish(&mut self, exits: Option<(u32, u32)>) -> Program {
         self.flush();
         let len = self.ops.len() as u32;
         if let Some((l_false, l_true)) = exits {
@@ -354,11 +314,11 @@ impl<'a> Lowering<'a> {
                 labels[l as usize]
             });
         }
-        Compiled::Vm(Program {
+        Program {
             ops: std::mem::take(&mut self.ops),
             regs: self.max_reg,
             spans: std::mem::take(&mut self.spans),
-        })
+        }
     }
 
     /// Record one walker-equivalent interpreter step.
@@ -370,8 +330,8 @@ impl<'a> Lowering<'a> {
     }
 
     /// Emit the coalesced burns. Called before every label bind, jump,
-    /// store, fallible op and fallback, so fuel totals match the
-    /// walker on every control path.
+    /// store and fallible op, so fuel totals match the walker on every
+    /// control path.
     fn flush(&mut self) {
         if self.pending > 0 {
             let span = self.pending_span;
@@ -458,23 +418,6 @@ impl<'a> Lowering<'a> {
                 dst,
                 v: ext.norm(v),
             },
-        });
-    }
-
-    fn fallback(&mut self, s: &Stmt) {
-        self.flush();
-        let idx = self.stmts.len() as u32;
-        self.stmts.push(s.clone());
-        let (brk, cont) = self
-            .loops
-            .last()
-            .copied()
-            .unwrap_or((self.stmt_end, self.stmt_end));
-        self.ops.push(Op::FallbackStmt {
-            stmt: idx,
-            brk,
-            cont,
-            ret: self.stmt_end,
         });
     }
 
@@ -777,8 +720,8 @@ impl<'a> Lowering<'a> {
                         ext,
                     })
                 }
-                // Signals/enums are not lvalues; the walker reports
-                // "cannot assign to" — the fallback reproduces it.
+                // Signals/enums are not lvalues; the walker, which runs
+                // such a task, reports "cannot assign to".
                 _ => Err(Unsupported),
             };
         }
@@ -1184,44 +1127,6 @@ impl<'a> Lowering<'a> {
 
     // -- statements -------------------------------------------------------
 
-    /// Lower a statement, or roll back and emit a walker fallback.
-    /// Propagates instead of falling back when the statement is a bare
-    /// declaration (scope placement would diverge) or register locals
-    /// are in scope (a walker-executed subtree cannot see them) — the
-    /// nearest scope-owning construct falls back wholesale.
-    fn stmt_or_fallback(&mut self, s: &Stmt) -> Lower<()> {
-        let snap = (
-            self.ops.len(),
-            self.pending,
-            self.pending_span,
-            self.next_reg,
-            self.stmts.len(),
-            self.scopes.last().map_or(0, Vec::len),
-            self.spans.len(),
-        );
-        match self.stmt(s) {
-            Ok(()) => Ok(()),
-            Err(Unsupported) => {
-                self.ops.truncate(snap.0);
-                self.pending = snap.1;
-                self.pending_span = snap.2;
-                self.next_reg = snap.3;
-                self.stmts.truncate(snap.4);
-                self.spans.truncate(snap.6);
-                if let Some(scope) = self.scopes.last_mut() {
-                    let removed = scope.len() - snap.5;
-                    scope.truncate(snap.5);
-                    self.locals_count -= removed as u32;
-                }
-                if matches!(s.kind, StmtKind::Decl(_)) || self.locals_count > 0 {
-                    return Err(Unsupported);
-                }
-                self.fallback(s);
-                Ok(())
-            }
-        }
-    }
-
     /// Lower one statement. Burn accounting mirrors `Machine::exec`:
     /// one burn per statement entry plus one per loop iteration.
     fn stmt(&mut self, s: &Stmt) -> Lower<()> {
@@ -1238,19 +1143,12 @@ impl<'a> Lowering<'a> {
             StmtKind::Block(b) => {
                 self.scopes.push(Vec::new());
                 let reg_save = self.next_reg;
-                let mut r = Ok(());
                 for st in &b.stmts {
-                    if let e @ Err(_) = self.stmt_or_fallback(st) {
-                        r = e;
-                        break;
-                    }
+                    self.stmt(st)?;
                 }
-                let popped = self.scopes.pop().expect("pushed above");
-                self.locals_count -= popped.len() as u32;
-                if r.is_ok() {
-                    self.next_reg = reg_save;
-                }
-                r
+                self.scopes.pop();
+                self.next_reg = reg_save;
+                Ok(())
             }
             StmtKind::If { cond, then, els } => {
                 let save = self.next_reg;
@@ -1260,15 +1158,15 @@ impl<'a> Lowering<'a> {
                 match els {
                     None => {
                         self.branch(c, l_end, false);
-                        self.stmt_or_fallback(then)?;
+                        self.stmt(then)?;
                     }
                     Some(e) => {
                         let l_else = self.label();
                         self.branch(c, l_else, false);
-                        self.stmt_or_fallback(then)?;
+                        self.stmt(then)?;
                         self.jmp(l_end);
                         self.bind(l_else);
-                        self.stmt_or_fallback(e)?;
+                        self.stmt(e)?;
                     }
                 }
                 self.bind(l_end);
@@ -1284,9 +1182,8 @@ impl<'a> Lowering<'a> {
                 self.next_reg = save;
                 self.branch(c, l_end, false);
                 self.loops.push((l_end, l_head));
-                let r = self.stmt_or_fallback(body);
+                self.stmt(body)?;
                 self.loops.pop();
-                r?;
                 self.jmp(l_head);
                 self.bind(l_end);
                 Ok(())
@@ -1298,9 +1195,8 @@ impl<'a> Lowering<'a> {
                 self.bind(l_head);
                 self.burn(s.span);
                 self.loops.push((l_end, l_cont));
-                let r = self.stmt_or_fallback(body);
+                self.stmt(body)?;
                 self.loops.pop();
-                r?;
                 self.bind(l_cont);
                 let save = self.next_reg;
                 let c = self.cond(cond)?;
@@ -1317,13 +1213,10 @@ impl<'a> Lowering<'a> {
             } => {
                 self.scopes.push(Vec::new());
                 let reg_save = self.next_reg;
-                let r = self.for_loop(s, init.as_deref(), cond.as_ref(), step.as_ref(), body);
-                let popped = self.scopes.pop().expect("pushed above");
-                self.locals_count -= popped.len() as u32;
-                if r.is_ok() {
-                    self.next_reg = reg_save;
-                }
-                r
+                self.for_loop(s, init.as_deref(), cond.as_ref(), step.as_ref(), body)?;
+                self.scopes.pop();
+                self.next_reg = reg_save;
+                Ok(())
             }
             StmtKind::Break => {
                 let t = self.loops.last().map_or(self.stmt_end, |l| l.0);
@@ -1344,9 +1237,9 @@ impl<'a> Lowering<'a> {
                 self.jmp(self.stmt_end);
                 Ok(())
             }
-            // Switch and the reactive statements fall back (the walker
-            // handles switch scoping itself and reports the splitter
-            // bug for reactive statements verbatim).
+            // Switch and the reactive statements are outside the subset
+            // (the walker handles switch scoping itself and reports the
+            // splitter bug for reactive statements verbatim).
             _ => Err(Unsupported),
         }
     }
@@ -1360,7 +1253,7 @@ impl<'a> Lowering<'a> {
         body: &Stmt,
     ) -> Lower<()> {
         if let Some(i) = init {
-            self.stmt_or_fallback(i)?;
+            self.stmt(i)?;
         }
         let l_head = self.label();
         let l_step = self.label();
@@ -1374,9 +1267,8 @@ impl<'a> Lowering<'a> {
             self.branch(c, l_end, false);
         }
         self.loops.push((l_end, l_step));
-        let r = self.stmt_or_fallback(body);
+        self.stmt(body)?;
         self.loops.pop();
-        r?;
         self.bind(l_step);
         if let Some(st) = step {
             // The walker evaluates the step expression directly (no
@@ -1415,7 +1307,6 @@ impl<'a> Lowering<'a> {
                 .last_mut()
                 .ok_or(Unsupported)?
                 .push((decl.name.name.clone(), reg, ty));
-            self.locals_count += 1;
         }
         Ok(())
     }

@@ -13,7 +13,7 @@
 //! ever resolves at runtime.
 //!
 //! Hook programs are not run one by one: `ecl_core`'s fused reaction
-//! translates each row program of a compiled EFSM into one op stream
+//! translates a task's control layout into one op stream
 //! with the hooks' bytecode inlined between reaction control ops
 //! ([`Op::PredHead`] and friends), and steps that stream in a single
 //! dispatch loop. This module defines the shared op set.
@@ -32,11 +32,10 @@
 //!   steps the walker would burn on the same control path, so the
 //!   kernel's cycle charges (`ops × cyc_per_op`) stay bit-identical.
 //!
-//! Constructs outside the bytecode subset compile to
-//! [`Op::FallbackStmt`] — the statement subtree is executed by the
-//! tree-walker in place, with the resulting `Flow` mapped back onto
-//! compiled jump targets — so coverage can grow incrementally while
-//! semantics stay exact.
+//! A hook outside the bytecode subset has no program (its lowering is
+//! `None`), and a runtime with such a hook gets no fused reaction: its
+//! task runs on the tree-walking reference whole. Nothing in this op
+//! set calls the walker.
 
 use crate::interp::{EvalError, SignalReader};
 use crate::value::Value;
@@ -529,61 +528,33 @@ pub enum Op {
         /// Right operand, normalized to the common type.
         imm: i64,
     },
-    /// Execute a statement subtree through the tree-walker, then map
-    /// its control-flow result onto compiled jump targets. The walker
-    /// does its own fuel burning, error reporting and (scoped)
-    /// declarations, so semantics are exact by construction.
-    FallbackStmt {
-        /// Index into the lowering's statement pool
-        /// ([`crate::Lowering::into_stmts`]).
-        stmt: u32,
-        /// Jump target for `Flow::Break`.
-        brk: u32,
-        /// Jump target for `Flow::Continue`.
-        cont: u32,
-        /// Jump target for `Flow::Return` (the end of the enclosing
-        /// top-level statement — actions ignore flows between
-        /// top-level statements).
-        ret: u32,
-    },
     /// Reaction control: a predicate test. Charges one node.
     /// After an earlier data error it reads false uncounted (jump to
-    /// `else_`); with `walk` set, or once the root frame has grown
-    /// past what the inlined code was resolved against, the predicate
-    /// is evaluated on the tree-walker and branches here; otherwise
-    /// the inlined predicate follows and branches itself.
+    /// `else_`); otherwise the inlined predicate follows and branches
+    /// to the test's two successors itself.
     PredHead {
         /// Predicate id.
         pred: u32,
-        /// Target when the predicate holds.
-        then_: u32,
-        /// Target when it does not (and after a data error).
+        /// Target after a data error (the successor when the predicate
+        /// does not hold).
         else_: u32,
-        /// The predicate is not inlined: always walk it.
-        walk: bool,
     },
     /// Reaction control: an action. Charges one node; skipped
-    /// after a data error; walked like [`Op::PredHead`]; otherwise the
-    /// inlined action follows.
+    /// after a data error; otherwise the inlined action follows.
     ActHead {
         /// Action id.
         action: u32,
         /// Target after the action (and after a data error).
         next: u32,
-        /// The action is not inlined: always walk it.
-        walk: bool,
     },
     /// Reaction control: the value of a valued emission. Charges one
-    /// node; skipped after a data error; walked like [`Op::PredHead`];
-    /// otherwise the inlined value program follows, ending in the
-    /// emission's [`Op::Push`].
+    /// node; skipped after a data error; otherwise the inlined value
+    /// program follows, ending in the emission's [`Op::Push`].
     EmitHead {
         /// Emit-expression id.
         expr: u32,
         /// The emission's [`Op::Push`] (reached after a data error).
         push: u32,
-        /// The value is not inlined: always walk it.
-        walk: bool,
     },
     /// Reaction control: append `sig` to the emissions (a valued
     /// emission, whose node [`Op::EmitHead`] charged).
@@ -656,7 +627,6 @@ impl Op {
             Op::JmpIf { .. } => 18,
             Op::JmpCmp { .. } => 19,
             Op::JmpCmpImm { .. } => 20,
-            Op::FallbackStmt { .. } => 21,
             Op::PredHead { .. }
             | Op::ActHead { .. }
             | Op::EmitHead { .. }
@@ -693,15 +663,11 @@ impl Op {
             | Op::JmpCmp { target, .. }
             | Op::JmpCmpImm { target, .. }
             | Op::Goto { target } => *target = f(*target),
-            Op::FallbackStmt { brk, cont, ret, .. } => {
-                *brk = f(*brk);
-                *cont = f(*cont);
-                *ret = f(*ret);
-            }
-            Op::PredHead { then_, else_, .. } | Op::Test { then_, else_, .. } => {
+            Op::Test { then_, else_, .. } => {
                 *then_ = f(*then_);
                 *else_ = f(*else_);
             }
+            Op::PredHead { else_, .. } => *else_ = f(*else_),
             Op::ActHead { next, .. } => *next = f(*next),
             Op::EmitHead { push, .. } => *push = f(*push),
             _ => {}
@@ -760,30 +726,9 @@ pub fn zero_divisor_error(op: BinKind, span: Span) -> EvalError {
     }
 }
 
-/// Compilation outcome for one hook: a bytecode program, or a marker
-/// that the hook runs entirely through the tree-walker.
-#[derive(Debug, Clone)]
-pub enum Compiled {
-    /// Inlined into fused reactions.
-    Vm(Program),
-    /// Outside the subset — the runtime walks the original AST.
-    Walker,
-}
-
-impl Compiled {
-    /// The bytecode program, if compiled.
-    pub fn program(&self) -> Option<&Program> {
-        match self {
-            Compiled::Vm(p) => Some(p),
-            Compiled::Walker => None,
-        }
-    }
-}
-
-/// [`SignalReader`] over the runtime's signal-value table — the one
-/// borrow-splitting helper shared by fallback ops and the runtime's
-/// walker paths (predicates, actions and emissions all read signal
-/// values through this view).
+/// [`SignalReader`] over the runtime's signal-value table — the
+/// borrow-splitting view through which the runtime's walker hooks
+/// (predicates, actions and emissions) read signal values.
 pub struct ValuesReader<'a> {
     /// Signal index → current value (`None` for pure signals).
     pub values: &'a [Option<Value>],
@@ -920,12 +865,6 @@ mod tests {
                 a: 0,
                 target: 0,
                 imm: 0,
-            },
-            Op::FallbackStmt {
-                stmt: 0,
-                brk: 0,
-                cont: 0,
-                ret: 0,
             },
         ];
         assert_eq!(ops.len(), ecl_telemetry::metrics::VM_OP_NAMES.len());

@@ -7,9 +7,24 @@
 use std::fmt;
 
 /// A set of small non-negative integers backed by `u64` words.
-#[derive(Clone, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
+#[derive(PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct BitSet {
     words: Vec<u64>,
+}
+
+impl Clone for BitSet {
+    fn clone(&self) -> Self {
+        BitSet {
+            words: self.words.clone(),
+        }
+    }
+
+    /// Copy `source` into this set's own words: no allocation when they
+    /// already hold as many (a checkpoint restore into a kernel of the
+    /// same shape).
+    fn clone_from(&mut self, source: &Self) {
+        self.words.clone_from(&source.words);
+    }
 }
 
 impl BitSet {

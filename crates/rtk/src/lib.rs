@@ -96,12 +96,28 @@ impl TaskTable {
 }
 
 /// One task's mailbox: the session half of a task.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Mailbox {
     /// Pending events (1-place per signal: a presence set).
     pending: BitSet,
     /// Events overwritten in this mailbox before consumption.
     lost: u64,
+}
+
+impl Clone for Mailbox {
+    fn clone(&self) -> Self {
+        Mailbox {
+            pending: self.pending.clone(),
+            lost: self.lost,
+        }
+    }
+
+    /// Copy into this mailbox's own presence set, so that
+    /// [`Kernel::restore`] allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        self.pending.clone_from(&source.pending);
+        self.lost = source.lost;
+    }
 }
 
 /// The kernel: tasks, mailboxes, scheduler and cycle accounting. The

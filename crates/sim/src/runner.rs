@@ -291,9 +291,11 @@ pub struct TaskCoverage {
     /// Control states in the task's EFSM.
     pub states: u32,
     /// Control ops of the compiled reactions: one per live s-graph
-    /// node.
+    /// node; 0 for a task without a fused backend.
     pub fused_rows: u32,
-    /// Data hooks compiled to bytecode (inlined into fused reactions).
+    /// Data hooks compiled to bytecode. The task fuses only when this
+    /// equals `vm_total`; otherwise it runs on the walker reference
+    /// under either backend, and these programs go unused.
     pub vm_compiled: u32,
     /// Total data hooks (predicates + actions + valued emits).
     pub vm_total: u32,
@@ -330,9 +332,9 @@ impl CoverageReport {
         self.tasks.iter().map(|t| t.vm_total).sum()
     }
 
-    /// Does every data hook execute compiled — i.e. under
+    /// Does every task have a fused backend — i.e. under
     /// [`Backend::Compiled`] no walker step can occur inside an instant?
-    /// Control always compiles.
+    /// A task fuses exactly when every one of its data hooks compiles.
     pub fn fully_fused(&self) -> bool {
         self.vm_compiled() == self.vm_total()
     }
@@ -619,8 +621,9 @@ pub struct TaskProgram {
     efsm: Efsm,
     /// Fused compiled backend of `efsm`: every state's s-graph laid out
     /// as one op stream, with the prototype runtime's data bytecode
-    /// inlined.
-    fused: Fused,
+    /// inlined. `None` when a data hook is outside the bytecode subset:
+    /// the task then runs on the walker under either backend.
+    fused: Option<Fused>,
     /// Prototype runtime, cloned per session (its compiled data
     /// programs are themselves `Arc`-shared inside [`Rt`]).
     proto_rt: Rt,
@@ -743,8 +746,9 @@ pub struct AsyncRunner {
     cost: CostParams,
     table: Arc<SigTable>,
     /// Execution backend: [`Backend::Compiled`] (default) drives every
-    /// state through its fused program (the s-graph's control ops and
-    /// the inlined data bytecode in one dispatch loop);
+    /// state of a fused task through its fused program (the s-graph's
+    /// control ops and the inlined data bytecode in one dispatch loop)
+    /// and any other task on the walker;
     /// [`Backend::Walker`] forces the s-graph walker and the
     /// tree-walking data interpreter everywhere — the two are
     /// observationally identical (differential-tested), the toggle
@@ -899,7 +903,9 @@ impl AsyncRunner {
 
     /// Choose the execution backend for every task — control dispatch
     /// and data switch together: [`Backend::Compiled`] (the default)
-    /// runs each reaction as one fused dispatch loop,
+    /// runs each reaction of a task with a fused backend as one fused
+    /// dispatch loop (a task with a data hook outside the bytecode
+    /// subset has none and walks),
     /// [`Backend::Walker`] forces the reference s-graph walker and
     /// tree-walking data hooks. The two are observationally identical
     /// (differential-tested); the switch exists for measurement,
@@ -924,7 +930,7 @@ impl AsyncRunner {
                     TaskCoverage {
                         task: t.prog.design.entry.clone(),
                         states: t.prog.efsm.states.len() as u32,
-                        fused_rows: t.prog.fused.control_ops(),
+                        fused_rows: t.prog.fused.as_ref().map_or(0, Fused::control_ops),
                         vm_compiled,
                         vm_total,
                     }
@@ -1055,18 +1061,18 @@ impl AsyncRunner {
             self.kernel.post_external(e as u32);
         }
         // Phase 1: periodic tick — every task is dispatched and reacts
-        // once. A compiled task with an empty mailbox in a quiet state
-        // reacts by its precomputed outcome: charged the cycles
-        // `react_task` bills a reaction of no ops and no emissions, and
-        // moved to its next state, without projecting inputs or
-        // entering the dispatch loop.
+        // once. A fused task on the compiled backend with an empty
+        // mailbox in a quiet state reacts by its precomputed outcome:
+        // charged the cycles `react_task` bills a reaction of no ops
+        // and no emissions, and moved to its next state, without
+        // projecting inputs or entering the dispatch loop.
         for ti in 0..self.tasks.len() {
             let had_events = self
                 .kernel
                 .dispatch_into(TaskId(ti), &mut self.evset_scratch);
             if !had_events && self.backend == Backend::Compiled {
                 let t = &mut self.tasks[ti];
-                if let Some((next, nodes)) = t.prog.fused.quiet(t.state) {
+                if let Some((next, nodes)) = t.prog.fused.as_ref().and_then(|f| f.quiet(t.state)) {
                     t.state = next;
                     self.kernel.charge_task(
                         self.cost.cyc_reaction_base + u64::from(nodes) * self.cost.cyc_test,
@@ -1136,20 +1142,19 @@ impl AsyncRunner {
         debug_assert_eq!(emit_base, 0);
         let r = {
             let t = &mut self.tasks[ti];
-            let r = if self.backend == Backend::Compiled {
-                t.prog.fused.step(
+            let r = match &t.prog.fused {
+                Some(fused) if self.backend == Backend::Compiled => fused.step(
                     t.state,
                     &self.local_scratch,
                     &mut t.rt,
                     &mut self.emit_scratch,
-                )
-            } else {
-                t.prog.efsm.step_bits(
+                ),
+                _ => t.prog.efsm.step_bits(
                     t.state,
                     &self.local_scratch,
                     &mut t.rt,
                     &mut self.emit_scratch,
-                )
+                ),
             };
             t.state = r.next;
             if let Some(e) = t.rt.take_error() {
@@ -1321,10 +1326,10 @@ impl Snapshot for AsyncRunner {
         self.instant = snap.instant;
         self.backend = snap.backend;
         self.kernel.restore(&snap.kernel);
-        self.counts = snap.counts.clone();
+        self.counts.clone_from(&snap.counts);
         self.recorder = snap.recorder.clone();
         self.watchdog = snap.watchdog;
-        self.delayed = snap.delayed.clone();
+        self.delayed.clone_from(&snap.delayed);
         self.session = snap.session;
         for (t, s) in self.tasks.iter_mut().zip(&snap.tasks) {
             t.state = s.state;

@@ -59,18 +59,16 @@ pub static TABLE_FUSED_OPS: Counter = Counter::new("table.fused_ops");
 /// Inlined hook runs (one per predicate/action/valued-emit hook a
 /// fused reaction executes as bytecode).
 pub static VM_HOOK_RUNS: Counter = Counter::new("vm.hook_runs");
-/// `FallbackStmt` executions (statement subtrees the walker ran
-/// inside a compiled program).
-pub static VM_FALLBACK_STMTS: Counter = Counter::new("vm.fallback_stmts");
-/// Hooks evaluated on the tree-walker (a hook outside the bytecode
-/// subset, a grown root frame, or `Backend::Walker` forced).
+/// Hooks evaluated on the tree-walker (the hooks of a task without a
+/// fused backend — one with a hook outside the bytecode subset — or
+/// `Backend::Walker` forced).
 pub static VM_WALKER_HOOKS: Counter = Counter::new("vm.walker_hooks");
 
 /// Data-opcode mnemonics, in the declaration order of `ecl_types::vm::Op`.
 /// `ecl_types::vm::Op::telemetry_index` indexes [`VM_OPS`] with this
 /// ordering; a unit test over there keeps the two in sync. Reaction
 /// control ops are not data ops and have no counter here.
-pub const VM_OP_NAMES: [&str; 22] = [
+pub const VM_OP_NAMES: [&str; 21] = [
     "burn",
     "const",
     "conv",
@@ -92,12 +90,11 @@ pub const VM_OP_NAMES: [&str; 22] = [
     "jmp_if",
     "jmp_cmp",
     "jmp_cmp_imm",
-    "fallback_stmt",
 ];
 
 /// Per-opcode execution counters, indexed by
 /// `Op::telemetry_index` (same order as [`VM_OP_NAMES`]).
-pub static VM_OPS: [Counter; 22] = [
+pub static VM_OPS: [Counter; 21] = [
     Counter::new("vm.op.burn"),
     Counter::new("vm.op.const"),
     Counter::new("vm.op.conv"),
@@ -119,7 +116,6 @@ pub static VM_OPS: [Counter; 22] = [
     Counter::new("vm.op.jmp_if"),
     Counter::new("vm.op.jmp_cmp"),
     Counter::new("vm.op.jmp_cmp_imm"),
-    Counter::new("vm.op.fallback_stmt"),
 ];
 
 // ---- ecl-observe: monitors ----------------------------------------------
@@ -175,7 +171,6 @@ pub fn counters() -> Vec<&'static Counter> {
         &TABLE_QUIET_STEPS,
         &TABLE_FUSED_OPS,
         &VM_HOOK_RUNS,
-        &VM_FALLBACK_STMTS,
         &VM_WALKER_HOOKS,
         &MON_STEPS,
         &MON_WALKER_STEPS,

@@ -27,7 +27,8 @@
 //! bound, a trace ring — a snapshot, a restore and the instants after
 //! a snapshot stay within a small fixed allocation budget on both
 //! backends, whatever the ring's capacity, and traced instants are
-//! allocation-free in steady state.
+//! allocation-free in steady state. The kernel's share of a restore
+//! allocates nothing: it copies into the mailboxes it already has.
 //!
 //! The telemetry master switch is process-global, so the tests
 //! serialize on a mutex and each pins the switch to the state it
@@ -176,9 +177,9 @@ fn vm_data_path_is_allocation_free_in_steady_state() {
             KernelParams::default(),
         )
         .unwrap();
-        // The whole reaction must be on the compiled backend — a walker
-        // fallback would clone `Value`s per signal read and void the
-        // guarantee.
+        // The whole reaction must be on the compiled backend — a task
+        // on the walker would clone `Value`s per signal read and void
+        // the guarantee.
         let cov = runner.coverage();
         assert!(
             cov.fully_fused() && cov.vm_total() > 0,
@@ -434,6 +435,35 @@ fn checkpoints_copy_only_session_state() {
             "{backend:?}: a 4,096-instant ring changes the counts"
         );
     }
+}
+
+/// Restoring a kernel snapshot into a kernel over the same task table
+/// copies into the kernel's own buffers — every mailbox's presence set
+/// and the ready set — so it allocates nothing, and the restored
+/// kernel schedules as the snapshot does.
+#[test]
+fn kernel_restore_allocates_nothing() {
+    let _g = locked();
+    ecl_telemetry::set_enabled(false);
+    let mut table = rtk::TaskTable::new();
+    for (i, watches) in [[0, 1], [1, 2], [2, 3]].into_iter().enumerate() {
+        table.add_task(format!("t{i}"), 3 - i as u8, watches.into_iter().collect());
+    }
+    let mut kernel = rtk::Kernel::with_tasks(KernelParams::default(), Arc::new(table));
+    for sig in 0..4 {
+        kernel.post_external(sig);
+    }
+    let snap = kernel.clone();
+    let drain = |k: &mut rtk::Kernel| {
+        let mut events = BitSet::new();
+        std::iter::from_fn(|| k.schedule_into(&mut events).map(|t| (t, events.clone())))
+            .collect::<Vec<_>>()
+    };
+    drain(&mut kernel);
+    kernel.post_external(3);
+    let n = allocs_of(|| kernel.restore(&snap));
+    assert_eq!(n, 0, "restoring a kernel allocated {n} times");
+    assert_eq!(drain(&mut kernel), drain(&mut snap.clone()));
 }
 
 #[test]

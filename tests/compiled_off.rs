@@ -13,8 +13,14 @@
 //! instant on both backends, and only the compiled backend counts
 //! `table.quiet_steps`.
 //!
+//! A task fuses whole or runs on the walker: one whose data hook is
+//! outside the bytecode subset (here, an action calling a C function)
+//! has no fused backend and walks under `Backend::Compiled` too, while
+//! its sibling task runs fused, and the run still matches the
+//! walker-forced one.
+//!
 //! The suite also pins the fusion acceptance criterion: on both
-//! shipped designs every data hook compiles (`coverage().fully_fused()`),
+//! shipped designs every task fuses (`coverage().fully_fused()`),
 //! and a telemetry-counted compiled run of each — monolithic and as
 //! three tasks, with the shipped observers attached — takes *zero*
 //! walker steps: no tree-walked data hook and no walked observer inside
@@ -106,15 +112,7 @@ fn walker_matches_compiled(designs: Vec<Design>, events: &[InstantEvents]) -> Co
         Backend::Compiled,
         "compiled is the default backend"
     );
-    // The fusion acceptance criterion: every data hook compiles to
-    // bytecode — nothing is left for the walker.
     let cov = compiled.coverage();
-    assert!(
-        cov.fully_fused(),
-        "`{entry}` should fuse completely: {}/{} hooks",
-        cov.vm_compiled(),
-        cov.vm_total()
-    );
     let mut walker = runner(designs);
     walker.set_backend(Backend::Walker);
     assert_eq!(walker.backend(), Backend::Walker);
@@ -202,13 +200,24 @@ fn walker_matches_compiled(designs: Vec<Design>, events: &[InstantEvents]) -> Co
     cov
 }
 
+/// The fusion acceptance criterion on a shipped design: every task of
+/// `cov` fuses — every data hook compiles to bytecode, nothing is left
+/// for the walker.
+fn assert_fully_fused(cov: &CoverageReport) {
+    assert!(
+        cov.fully_fused() && cov.states() > 0 && cov.vm_total() > 0,
+        "every task should fuse: {}/{} hooks",
+        cov.vm_compiled(),
+        cov.vm_total()
+    );
+}
+
 #[test]
 fn stack_walker_matches_compiled() {
     let _g = locked();
     let mono = design_of(PROTOCOL_STACK, "toplevel");
     for designs in [vec![mono], parts_of(PROTOCOL_STACK, "toplevel")] {
-        let cov = walker_matches_compiled(designs, &stack_events());
-        assert!(cov.states() > 0 && cov.vm_total() > 0);
+        assert_fully_fused(&walker_matches_compiled(designs, &stack_events()));
     }
 }
 
@@ -217,9 +226,72 @@ fn pager_walker_matches_compiled() {
     let _g = locked();
     let mono = design_of(VOICE_PAGER, "pager");
     for designs in [vec![mono], parts_of(VOICE_PAGER, "pager")] {
-        let cov = walker_matches_compiled(designs, &pager_events());
-        assert!(cov.states() > 0 && cov.vm_total() > 0);
+        assert_fully_fused(&walker_matches_compiled(designs, &pager_events()));
     }
+}
+
+/// Two tasks over one valued signal: `caller` computes it through a C
+/// function, which is outside the bytecode subset, and every hook of
+/// `summer` lowers.
+const MIXED: &str = "
+    int helper(int z) { return z * 3 - 1; }
+    module caller(input pure go, output int v) {
+      int n;
+      while (1) { await (go); n = helper(n & 15); emit_v (v, n); }
+    }
+    module summer(input int v, output pure full) {
+      int k;
+      while (1) { await (v); k = k + v; if (k > 40) { emit (full); k = 0; } }
+    }
+    module top(input pure go, output pure full) {
+      signal int v;
+      par { caller(go, v); summer(v, full); }
+    }";
+
+/// A task with a hook outside the bytecode subset has no fused backend
+/// and runs on the walker under `Backend::Compiled` too, while its
+/// sibling runs fused; the run equals the walker-forced one on every
+/// observable.
+#[test]
+fn a_task_that_calls_c_walks_while_its_sibling_fuses() {
+    let _g = locked();
+    let designs = Source::new(MIXED)
+        .parse()
+        .and_then(|p| p.partition("top"))
+        .expect("design partitions");
+    let events: Vec<InstantEvents> = (0..300)
+        .map(|i| InstantEvents {
+            pure: if i % 3 == 2 {
+                vec![]
+            } else {
+                vec!["go".into()]
+            },
+            valued: Vec::new(),
+        })
+        .collect();
+    let cov = runner(designs.clone()).coverage();
+    let [caller, summer] = &cov.tasks[..] else {
+        panic!("two tasks: {cov:?}")
+    };
+    assert_eq!((caller.task.as_str(), caller.fused_rows), ("caller", 0));
+    assert!(caller.vm_compiled < caller.vm_total, "{cov:?}");
+    assert_eq!(summer.task, "summer");
+    assert!(summer.fused_rows > 0, "{cov:?}");
+    assert_eq!(summer.vm_compiled, summer.vm_total);
+    assert!(!cov.fully_fused());
+
+    let was = ecl_telemetry::enabled();
+    ecl_telemetry::set_enabled(true);
+    ecl_telemetry::metrics::reset_all();
+    let mut r = runner(designs.clone());
+    r.run_events(&events, |_, _| {}).expect("run succeeds");
+    let (walked, steps) = (counter("vm.walker_hooks"), counter("table.steps"));
+    ecl_telemetry::set_enabled(was);
+    assert!(walked > 0, "the caller's hooks were not walked");
+    assert!(steps > 0, "the summer took no fused step");
+    assert!(r.count_of("full") > 0, "the summer never filled");
+
+    walker_matches_compiled(designs, &events);
 }
 
 /// A `max_nodes` watchdog budget on the 3-task pager trips at the

@@ -190,8 +190,10 @@ fn check_equiv(src: &str, strategy: SplitStrategy, seeds: u64) -> Result<(), Tes
 /// valued signals read in predicates/actions/projections (including
 /// signal-rooted chains through the aggregate output `q`), valued and
 /// aggregate emits, inc/dec and compound assignments, for/do-while
-/// loops, casts/sizeof/comma, a helper C function (exercising the
-/// statement-level walker fallback), *deliberate* runtime errors
+/// loops, casts/sizeof/comma, calls of a helper C function when the
+/// seed is a multiple of four (a call is outside the bytecode subset,
+/// so such a module's runtime has no fused backend; other seeds draw
+/// the helper's body inline in its place), *deliberate* runtime errors
 /// (divisions whose divisor is input-dependent, occasionally
 /// out-of-bounds indices), and an arm for every fold lowering makes:
 /// constant operands and conditions, constants that wrap at the C
@@ -203,7 +205,7 @@ fn gen_data_module(seed: u64) -> String {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let mut body = String::new();
     let mut stmts = 0;
-    gen_data_block(&mut rng, &mut body, 2, &mut stmts);
+    gen_data_block(&mut rng, &mut body, 2, &mut stmts, seed.is_multiple_of(4));
     format!(
         "typedef unsigned char byte;\n\
          typedef struct {{ byte d[4]; int w; }} rec_t;\n\
@@ -264,7 +266,10 @@ fn gen_data_expr(rng: &mut impl Rng, depth: u32) -> String {
     }
 }
 
-fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut u32) {
+/// Append two to four random data statements; with `calls`, the three
+/// call arms call `helper`, and without, they compute its body inline
+/// (drawing the same random numbers either way).
+fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut u32, calls: bool) {
     let n = rng.gen_range(2..=4);
     for _ in 0..n {
         if *stmts > 14 {
@@ -294,18 +299,22 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
             4 if depth > 0 => {
                 let c = gen_data_expr(rng, 1);
                 out.push_str(&format!("if ({c}) {{ "));
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} else { ");
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} ");
             }
             5 if depth > 0 => {
                 out.push_str("u = u & 15; while (u > 0) { u = u - 1; ");
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} ");
             }
-            // Outside the bytecode subset → statement-level fallback.
-            6 => out.push_str("v = helper(v & 63); "),
+            // Calls: outside the bytecode subset.
+            6 => out.push_str(if calls {
+                "v = helper(v & 63); "
+            } else {
+                "v = (v & 63) * 3 - 1; "
+            }),
             7 => {
                 let e = gen_data_expr(rng, 2);
                 out.push_str(&format!("emit_v (x, {e}); "));
@@ -326,12 +335,12 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
             // For / do-while with per-iteration burn placement.
             14 if depth > 0 => {
                 out.push_str("for (u = 0; u < (a & 7); u++) { ");
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} ");
             }
             15 if depth > 0 => {
                 out.push_str("v = v & 7; do { v--; ");
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} while (v > 0); ");
             }
             // Aggregate emit (EmitCopy) feeding the `q.*` signal reads.
@@ -342,9 +351,9 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
             19 if depth > 0 => {
                 let c = ["1", "0", "(2 > 3)", "(1 + 1 == 2)", "!(4 & 4)"][rng.gen_range(0..5)];
                 out.push_str(&format!("if ({c}) {{ "));
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} else { ");
-                gen_data_block(rng, out, depth - 1, stmts);
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} ");
             }
             20 => out.push_str(if rng.gen_bool(0.5) {
@@ -374,13 +383,19 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
             24 => out.push_str(
                 "u = 7 / (a & 1); if (u > 3) { v = v + 1; } v = v * 2; emit_v (x, v + 1); emit (y); ",
             ),
-            // Hooks outside the bytecode subset (a call in a valued
-            // emit or a predicate) run on the tree-walker inside the
-            // fused reaction.
-            25 => out.push_str("emit_v (x, helper(u & 7)); "),
+            // A call in a valued emit and in a predicate.
+            25 => out.push_str(if calls {
+                "emit_v (x, helper(u & 7)); "
+            } else {
+                "emit_v (x, (u & 7) * 3 - 1); "
+            }),
             26 if depth > 0 => {
-                out.push_str("if (helper(v & 3) > 4) { ");
-                gen_data_block(rng, out, depth - 1, stmts);
+                out.push_str(if calls {
+                    "if (helper(v & 3) > 4) { "
+                } else {
+                    "if ((v & 3) * 3 - 1 > 4) { "
+                });
+                gen_data_block(rng, out, depth - 1, stmts, calls);
                 out.push_str("} ");
             }
             _ => out.push_str("v = v + r.d[u & 3] - q.d[v & 3]; "),
@@ -389,7 +404,10 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
 }
 
 /// The shipped path ≡ the reference path, step for step, on module `m`
-/// of `src` split under `strategy`. One runtime steps through
+/// of `src` split under `strategy`. The runtime has a fused backend
+/// exactly when every data hook compiles (`vm_coverage`); a module
+/// without one runs on the walker under either backend, and has
+/// nothing more to check here. One runtime steps through
 /// [`Fused::step`] — the state's s-graph layout and the inlined data
 /// bytecode in one dispatch loop (`Backend::Compiled`);
 /// the other walks the s-graph with `step_bits` and evaluates data on
@@ -411,7 +429,22 @@ fn check_compiled_vs_walker(
         return Ok(());
     };
     let proto = design.new_rt().unwrap();
-    let compiled = Fused::compile(&machine, &proto);
+    let (lowered, hooks) = proto.vm_coverage();
+    let Some(compiled) = Fused::compile(&machine, &proto) else {
+        prop_assert!(
+            lowered < hooks,
+            "all {} hooks lower, yet no fused backend in\n{}",
+            hooks,
+            src
+        );
+        return Ok(());
+    };
+    prop_assert_eq!(
+        lowered,
+        hooks,
+        "a fused backend with a hook left out in\n{}",
+        src
+    );
     check_quiet_states(&machine, &compiled, &proto)
         .map_err(|e| TestCaseError::fail(format!("{e} in\n{src}")))?;
     let a = design.signal("a").unwrap();
@@ -688,9 +721,11 @@ fn check_observer_equiv(src: &str, seeds: u64) -> Result<(), TestCaseError> {
     Ok(())
 }
 
-/// Every fold arm of the data generator turns up within the first few
-/// hundred modules, so the differential's default and 512-case runs
-/// check each fold against the walker.
+/// Every fold arm and every call arm of the data generator turns up
+/// within the first few hundred modules, and at least 85% of the first
+/// 512 modules have a fused backend under both strategies, so the
+/// differential's default and 512-case runs check each fold against
+/// the walker on the fused loop.
 #[test]
 fn data_generator_reaches_every_fold_arm() {
     let arms = [
@@ -709,12 +744,29 @@ fn data_generator_reaches_every_fold_arm() {
         "v = r.d[3 + 1]",
         "r.d[0] = 250 + 10",
         "u = 7 / (a & 1); if (u > 3)",
+        "v = helper(v & 63)",
+        "emit_v (x, helper(u & 7))",
+        "if (helper(v & 3) > 4)",
     ];
-    let modules: Vec<String> = (0..300).map(gen_data_module).collect();
+    let modules: Vec<String> = (0..512).map(gen_data_module).collect();
     for arm in arms {
-        let first = modules.iter().position(|m| m.contains(arm));
+        let first = modules[..300].iter().position(|m| m.contains(arm));
         assert!(first.is_some(), "no module among the first 300 has `{arm}`");
     }
+    let fuses = |src: &str, strategy| {
+        design(src, strategy).is_some_and(|d| {
+            let rt = d.new_rt().expect("runtime builds");
+            (d.to_efsm(&Default::default()).ok()).is_some_and(|m| Fused::compile(&m, &rt).is_some())
+        })
+    };
+    let both = modules
+        .iter()
+        .filter(|m| fuses(m, SplitStrategy::MaxEsterel) && fuses(m, SplitStrategy::MinEsterel))
+        .count();
+    assert!(
+        both * 100 >= 512 * 85,
+        "only {both} of 512 data modules fuse under both strategies"
+    );
 }
 
 /// Every control arm of the reactive generator turns up within the
@@ -879,9 +931,10 @@ fn efsm_construction_is_pinned() {
     assert_eq!(actual, pinned, "EFSM construction changed");
 }
 
-/// The quiet table is exact on the 8 shipped configurations too, and
-/// the partitioned pager — the design whose tasks mostly wait — has
-/// quiet states in every task.
+/// Every task runtime of the 8 shipped configurations — 16 in all —
+/// has a fused backend, its quiet table is exact, and the partitioned
+/// pager — the design whose tasks mostly wait — has quiet states in
+/// every task.
 #[test]
 fn quiet_states_are_exact_on_shipped_designs() {
     for (src, entry) in [
@@ -893,7 +946,8 @@ fn quiet_states_are_exact_on_shipped_designs() {
                 for d in config_designs(src, entry, partition, strategy) {
                     let machine = d.to_efsm(&Default::default()).expect("design compiles");
                     let proto = d.new_rt().expect("runtime builds");
-                    let fused = Fused::compile(&machine, &proto);
+                    let fused = Fused::compile(&machine, &proto)
+                        .unwrap_or_else(|| panic!("{entry} ({}) has no fused backend", d.entry));
                     check_quiet_states(&machine, &fused, &proto)
                         .unwrap_or_else(|e| panic!("{entry} ({}): {e}", d.entry));
                     let quiet = (0..machine.states.len())
@@ -949,8 +1003,9 @@ proptest! {
     }
 
     /// On the data-heavy grammar (ints, aggregates, signal reads and
-    /// projections, valued emits, function-call fallbacks, deliberate
-    /// runtime errors) under MaxEsterel: data `if`s become EFSM
+    /// projections, valued emits, deliberate runtime errors; a module
+    /// that calls a C function runs on the walker whole) under
+    /// MaxEsterel: data `if`s become EFSM
     /// predicates, so the fused programs interleave predicates, actions
     /// and valued emits with presence tests.
     #[test]
@@ -960,7 +1015,7 @@ proptest! {
 
     /// The same grammar under MinEsterel: halting-free regions batch
     /// into single actions, so the inlined bytecode runs whole branches
-    /// and loops (jumps, coalesced burns, fallbacks) inside one hook.
+    /// and loops (jumps, coalesced burns) inside one hook.
     #[test]
     fn vm_matches_walker(seed in 0u64..10_000) {
         check_compiled_vs_walker(&gen_data_module(seed), SplitStrategy::MinEsterel, 3)?;
