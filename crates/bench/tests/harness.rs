@@ -2,7 +2,8 @@
 //! config of the committed `BENCH_reaction.json`, the coverage and
 //! speedup blocks, the ablation and monitor rows, and a profile per
 //! design configuration. A short debug-build run; `--check` stays out,
-//! since a debug build's ratios differ from a release build's.
+//! since a debug build's ratios differ from a release build's, but the
+//! exact work count of the stack's data path is bounded.
 
 use ecl_telemetry::schema::{self, Json};
 use std::process::{Command, Output};
@@ -33,6 +34,12 @@ fn num(json: &Json, path: &[&str]) -> f64 {
         .and_then(Json::as_f64)
         .unwrap_or_else(|| panic!("no number at {path:?}"))
 }
+
+/// `stack_mono`'s executed data ops per instant in this test's
+/// 200-instant run before the fused loop held scalar variables in
+/// registers and charged fuel once per block: 5,676 ops, every one of
+/// its frame loads and stores and burns dispatched.
+const STACK_MONO_OPS_PER_INSTANT_BEFORE: f64 = 28.38;
 
 #[test]
 fn a_short_run_writes_every_gated_config_and_block() {
@@ -91,6 +98,17 @@ fn a_short_run_writes_every_gated_config_and_block() {
             assert!(quiet > 0.0, "{config} took no quiet tick");
         }
     }
+    // A work count that code placement cannot move: the stack's data
+    // path runs at most two thirds of the ops it ran before.
+    let stack = json
+        .get("profile")
+        .and_then(|p| p.get("stack_mono"))
+        .unwrap();
+    let per_instant = num(stack, &["vm", "ops_total"]) / num(stack, &["instants"]);
+    assert!(
+        per_instant <= STACK_MONO_OPS_PER_INSTANT_BEFORE * 2.0 / 3.0,
+        "stack_mono ran {per_instant:.2} data ops per instant"
+    );
 }
 
 #[test]

@@ -79,7 +79,7 @@ pub(crate) struct Fixed {
 /// behind one `Arc`, so cloning (fleet sessions, checkpoints) copies
 /// only the session half — the frame's values, the signal values and
 /// the counters.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Rt {
     pub(crate) fixed: Arc<Fixed>,
     pub(crate) machine: Machine,
@@ -95,6 +95,34 @@ pub struct Rt {
     pub action_runs: u64,
     /// Count of predicate evaluations.
     pub pred_evals: u64,
+}
+
+impl Clone for Rt {
+    fn clone(&self) -> Rt {
+        Rt {
+            fixed: Arc::clone(&self.fixed),
+            machine: self.machine.clone(),
+            values: self.values.clone(),
+            error: self.error.clone(),
+            vm_regs: self.vm_regs.clone(),
+            action_runs: self.action_runs,
+            pred_evals: self.pred_evals,
+        }
+    }
+
+    /// Copies the session half into this runtime's own buffers: a
+    /// restore of a checkpoint of the same design allocates nothing.
+    fn clone_from(&mut self, source: &Rt) {
+        if !Arc::ptr_eq(&self.fixed, &source.fixed) {
+            self.fixed = Arc::clone(&source.fixed);
+        }
+        self.machine.clone_from(&source.machine);
+        self.values.clone_from(&source.values);
+        self.error.clone_from(&source.error);
+        self.vm_regs.clone_from(&source.vm_regs);
+        self.action_runs = source.action_runs;
+        self.pred_evals = source.pred_evals;
+    }
 }
 
 /// Compile-time signal resolution for the lowerer.

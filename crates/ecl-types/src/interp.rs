@@ -138,7 +138,7 @@ struct Scope {
 /// binding from a walker-executed top-level declaration; finding an
 /// existing type or overwriting a binding never copies. Append-only
 /// interning keeps externally created [`TypeId`]s valid.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Machine {
     table: Arc<TypeTable>,
     funcs: Arc<FxHashMap<String, Arc<Function>>>,
@@ -163,6 +163,44 @@ pub struct Machine {
     /// validity fence of [`Machine::ident_cache`].
     decl_epoch: u64,
     fuel: u64,
+}
+
+impl Clone for Machine {
+    fn clone(&self) -> Machine {
+        Machine {
+            table: Arc::clone(&self.table),
+            funcs: Arc::clone(&self.funcs),
+            root_names: Arc::clone(&self.root_names),
+            root: self.root.clone(),
+            scopes: self.scopes.clone(),
+            frame: self.frame,
+            ident_cache: self.ident_cache.clone(),
+            decl_epoch: self.decl_epoch,
+            fuel: self.fuel,
+        }
+    }
+
+    /// Copies the session half into this machine's own buffers (a
+    /// restore of the same design allocates nothing); a shared part is
+    /// re-pointed only when it differs.
+    fn clone_from(&mut self, source: &Machine) {
+        repoint(&mut self.table, &source.table);
+        repoint(&mut self.funcs, &source.funcs);
+        repoint(&mut self.root_names, &source.root_names);
+        self.root.clone_from(&source.root);
+        self.scopes.clone_from(&source.scopes);
+        self.frame = source.frame;
+        self.ident_cache.clone_from(&source.ident_cache);
+        self.decl_epoch = source.decl_epoch;
+        self.fuel = source.fuel;
+    }
+}
+
+/// Point `this` at `source`'s allocation unless it already does.
+fn repoint<T: ?Sized>(this: &mut Arc<T>, source: &Arc<T>) {
+    if !Arc::ptr_eq(this, source) {
+        *this = Arc::clone(source);
+    }
 }
 
 /// Default execution fuel: generous for real designs, finite for tests.

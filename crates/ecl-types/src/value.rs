@@ -19,7 +19,6 @@ const INLINE: usize = 16;
 /// case — every C scalar), larger aggregates (packets, frames) spill
 /// to the heap. Dereferences to `[u8]`, so indexing, slicing and
 /// iteration work as on a `Vec<u8>`.
-#[derive(Clone)]
 pub enum Bytes {
     /// Inline storage: `data[..len]` is the value.
     Inline {
@@ -68,8 +67,29 @@ impl Bytes {
     }
 }
 
+impl Clone for Bytes {
+    fn clone(&self) -> Bytes {
+        match self {
+            Bytes::Inline { len, data } => Bytes::Inline {
+                len: *len,
+                data: *data,
+            },
+            Bytes::Heap(v) => Bytes::Heap(v.clone()),
+        }
+    }
+
+    /// Copies into this buffer: a heap buffer keeps its allocation.
+    fn clone_from(&mut self, source: &Bytes) {
+        match (self, source) {
+            (Bytes::Heap(v), Bytes::Heap(s)) => v.clone_from(s),
+            (this, source) => *this = source.clone(),
+        }
+    }
+}
+
 impl Deref for Bytes {
     type Target = [u8];
+    #[inline]
     fn deref(&self) -> &[u8] {
         match self {
             Bytes::Inline { len, data } => &data[..*len as usize],
@@ -79,6 +99,7 @@ impl Deref for Bytes {
 }
 
 impl DerefMut for Bytes {
+    #[inline]
     fn deref_mut(&mut self) -> &mut [u8] {
         match self {
             Bytes::Inline { len, data } => &mut data[..*len as usize],
@@ -197,12 +218,27 @@ fn fixed<const N: usize>(bytes: &mut [u8]) -> &mut [u8; N] {
 }
 
 /// A typed runtime value: `bytes.len() == table.size_of(ty)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Value {
     /// The value's type.
     pub ty: TypeId,
     /// Little-endian object representation.
     pub bytes: Bytes,
+}
+
+impl Clone for Value {
+    fn clone(&self) -> Value {
+        Value {
+            ty: self.ty,
+            bytes: self.bytes.clone(),
+        }
+    }
+
+    /// Copies into this value's own buffer.
+    fn clone_from(&mut self, source: &Value) {
+        self.ty = source.ty;
+        self.bytes.clone_from(&source.bytes);
+    }
 }
 
 impl Value {

@@ -301,6 +301,15 @@ pub enum Op {
         /// Steps to charge.
         n: u32,
     },
+    /// Charge the `n` walker-equivalent steps of a whole straight-line
+    /// block at its head, in a fused reaction's fast stream: taken only
+    /// when no data error is pending; when the fuel cannot cover the
+    /// block, the reaction deoptimizes to the exact stream, whose
+    /// [`Op::Burn`]s find the exhaustion point (never fallible itself).
+    Charge {
+        /// Steps the block burns on its one normal path.
+        n: u32,
+    },
     /// `dst = v` (already normalized at compile time).
     Const {
         /// Destination register.
@@ -607,26 +616,27 @@ impl Op {
     pub fn telemetry_index(&self) -> Option<usize> {
         Some(match self {
             Op::Burn { .. } => 0,
-            Op::Const { .. } => 1,
-            Op::Conv { .. } => 2,
-            Op::LoadVar { .. } => 3,
-            Op::StoreVar { .. } => 4,
-            Op::LoadVarOff { .. } => 5,
-            Op::StoreVarOff { .. } => 6,
-            Op::LoadVarIdx { .. } => 7,
-            Op::StoreVarIdx { .. } => 8,
-            Op::LoadSig { .. } => 9,
-            Op::LoadSigOff { .. } => 10,
-            Op::LoadSigIdx { .. } => 11,
-            Op::StoreSig { .. } => 12,
-            Op::EmitCopy { .. } => 13,
-            Op::Bin { .. } => 14,
-            Op::BinImm { .. } => 15,
-            Op::Un { .. } => 16,
-            Op::Jmp { .. } => 17,
-            Op::JmpIf { .. } => 18,
-            Op::JmpCmp { .. } => 19,
-            Op::JmpCmpImm { .. } => 20,
+            Op::Charge { .. } => 1,
+            Op::Const { .. } => 2,
+            Op::Conv { .. } => 3,
+            Op::LoadVar { .. } => 4,
+            Op::StoreVar { .. } => 5,
+            Op::LoadVarOff { .. } => 6,
+            Op::StoreVarOff { .. } => 7,
+            Op::LoadVarIdx { .. } => 8,
+            Op::StoreVarIdx { .. } => 9,
+            Op::LoadSig { .. } => 10,
+            Op::LoadSigOff { .. } => 11,
+            Op::LoadSigIdx { .. } => 12,
+            Op::StoreSig { .. } => 13,
+            Op::EmitCopy { .. } => 14,
+            Op::Bin { .. } => 15,
+            Op::BinImm { .. } => 16,
+            Op::Un { .. } => 17,
+            Op::Jmp { .. } => 18,
+            Op::JmpIf { .. } => 19,
+            Op::JmpCmp { .. } => 20,
+            Op::JmpCmpImm { .. } => 21,
             Op::PredHead { .. }
             | Op::ActHead { .. }
             | Op::EmitHead { .. }
@@ -756,6 +766,7 @@ mod tests {
         // One instance of every data variant, in declaration order.
         let ops = [
             Op::Burn { n: 0 },
+            Op::Charge { n: 0 },
             Op::Const { dst: 0, v: 0 },
             Op::Conv {
                 dst: 0,

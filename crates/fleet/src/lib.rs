@@ -588,13 +588,11 @@ fn drive_session(
             }
             Ok(Ok(Step::More)) => {
                 // Quantum boundary: the runner is quiescent, so the
-                // snapshot cannot be torn.
-                if let Ok(snap) = runner.snapshot() {
-                    ckpt = SessionCkpt {
-                        snap,
-                        monitors: monitors.clone(),
-                        cursor,
-                    };
+                // snapshot cannot be torn. The checkpoint is refreshed
+                // in place, into the buffers it already holds.
+                if runner.snapshot_into(&mut ckpt.snap).is_ok() {
+                    ckpt.monitors.clone_from(&monitors);
+                    ckpt.cursor = cursor;
                     tm::FLEET_CHECKPOINTS.incr();
                 }
             }
@@ -709,7 +707,7 @@ fn restart(
     runner
         .restore(&ckpt.snap)
         .expect("restore into the runner the snapshot came from");
-    *monitors = ckpt.monitors.clone();
+    monitors.clone_from(&ckpt.monitors);
     *cursor = ckpt.cursor;
     *restarts += 1;
     tm::FLEET_RESTARTS.incr();

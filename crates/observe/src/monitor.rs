@@ -121,7 +121,7 @@ struct Lane {
 }
 
 /// A running instance of a [`MonitorSpec`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Monitor {
     spec: Arc<MonitorSpec>,
     state: StateId,
@@ -138,6 +138,41 @@ pub struct Monitor {
     /// neither, so they stay unallocated on [`Backend::Compiled`].
     input_scratch: BitSet,
     emit_scratch: Vec<Signal>,
+}
+
+impl Clone for Monitor {
+    fn clone(&self) -> Monitor {
+        Monitor {
+            spec: Arc::clone(&self.spec),
+            state: self.state,
+            verdict: self.verdict.clone(),
+            binding: self.binding.clone(),
+            backend: self.backend,
+            input_scratch: self.input_scratch.clone(),
+            emit_scratch: self.emit_scratch.clone(),
+        }
+    }
+
+    /// Copies into this monitor's own scratch; the spec and the binding
+    /// are re-pointed only when they differ.
+    fn clone_from(&mut self, source: &Monitor) {
+        if !Arc::ptr_eq(&self.spec, &source.spec) {
+            self.spec = Arc::clone(&source.spec);
+        }
+        self.state = source.state;
+        self.verdict.clone_from(&source.verdict);
+        let same = match (&self.binding, &source.binding) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (None, None) => true,
+            _ => false,
+        };
+        if !same {
+            self.binding.clone_from(&source.binding);
+        }
+        self.backend = source.backend;
+        self.input_scratch.clone_from(&source.input_scratch);
+        self.emit_scratch.clone_from(&source.emit_scratch);
+    }
 }
 
 impl Monitor {

@@ -1273,6 +1273,15 @@ pub trait Snapshot {
     /// instead).
     fn snapshot(&self) -> Result<RunnerSnapshot, SimError>;
 
+    /// Capture the state into `snap`, an earlier snapshot of this
+    /// runner, copying into its buffers instead of allocating new
+    /// ones.
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::snapshot`]; `snap` is then left as it was.
+    fn snapshot_into(&self, snap: &mut RunnerSnapshot) -> Result<(), SimError>;
+
     /// Restore a previously captured state, clearing any poisoning —
     /// this is what makes restart-after-panic safe: every byte of
     /// torn state is replaced by the checkpoint's copy.
@@ -1284,13 +1293,21 @@ pub trait Snapshot {
     fn restore(&mut self, snap: &RunnerSnapshot) -> Result<(), SimError>;
 }
 
-impl Snapshot for AsyncRunner {
-    fn snapshot(&self) -> Result<RunnerSnapshot, SimError> {
+impl AsyncRunner {
+    /// `Ok` at an instant boundary, where a snapshot cannot be torn.
+    fn at_boundary(&self) -> Result<(), SimError> {
         if self.in_instant {
             return Err(SimError::poisoned(
                 "cannot snapshot mid-instant (runner state is torn)",
             ));
         }
+        Ok(())
+    }
+}
+
+impl Snapshot for AsyncRunner {
+    fn snapshot(&self) -> Result<RunnerSnapshot, SimError> {
+        self.at_boundary()?;
         // The armed plan is configuration, not state: it stays out.
         let mut kernel = self.kernel.clone();
         kernel.set_faults(None);
@@ -1315,6 +1332,33 @@ impl Snapshot for AsyncRunner {
         })
     }
 
+    /// Copies into `snap`'s kernel, counters, trace ring and task
+    /// runtimes: a periodic checkpoint of the same runner allocates
+    /// nothing once its buffers have grown. A snapshot of another
+    /// topology is replaced whole.
+    fn snapshot_into(&self, snap: &mut RunnerSnapshot) -> Result<(), SimError> {
+        self.at_boundary()?;
+        if snap.tasks.len() != self.tasks.len() {
+            *snap = self.snapshot()?;
+            return Ok(());
+        }
+        snap.instant = self.instant;
+        snap.backend = self.backend;
+        // `restore` keeps the snapshot kernel's own plan: none.
+        snap.kernel.restore(&self.kernel);
+        snap.counts.clone_from(&self.counts);
+        snap.recorder.clone_from(&self.recorder);
+        snap.watchdog = self.watchdog;
+        snap.delayed.clone_from(&self.delayed);
+        snap.session = self.session;
+        for (s, t) in snap.tasks.iter_mut().zip(&self.tasks) {
+            s.state = t.state;
+            s.rt.clone_from(&t.rt);
+            s.fuel_credit = t.fuel_credit;
+        }
+        Ok(())
+    }
+
     fn restore(&mut self, snap: &RunnerSnapshot) -> Result<(), SimError> {
         if snap.tasks.len() != self.tasks.len() {
             return err(format!(
@@ -1327,13 +1371,13 @@ impl Snapshot for AsyncRunner {
         self.backend = snap.backend;
         self.kernel.restore(&snap.kernel);
         self.counts.clone_from(&snap.counts);
-        self.recorder = snap.recorder.clone();
+        self.recorder.clone_from(&snap.recorder);
         self.watchdog = snap.watchdog;
         self.delayed.clone_from(&snap.delayed);
         self.session = snap.session;
         for (t, s) in self.tasks.iter_mut().zip(&snap.tasks) {
             t.state = s.state;
-            t.rt = s.rt.clone();
+            t.rt.clone_from(&s.rt);
             t.fuel_credit = s.fuel_credit;
         }
         // A restore heals a poisoned runner: the torn state (including

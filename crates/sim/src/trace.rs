@@ -78,7 +78,7 @@ impl TraceRecord<'_> {
 /// as the window, one compaction moves the window to the front, so
 /// each instant is moved at most once per capacity's worth of
 /// instants.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Trace {
     capacity: usize,
     events: Vec<TraceEvent>,
@@ -92,6 +92,34 @@ pub struct Trace {
     table: Arc<SigTable>,
     /// Instants evicted from the ring (recorded then dropped).
     pub dropped: u64,
+}
+
+impl Clone for Trace {
+    fn clone(&self) -> Trace {
+        Trace {
+            capacity: self.capacity,
+            events: self.events.clone(),
+            index: self.index.clone(),
+            first: self.first,
+            open: self.open,
+            table: Arc::clone(&self.table),
+            dropped: self.dropped,
+        }
+    }
+
+    /// Copies into this ring's own two buffers: a restore allocates
+    /// nothing once they have grown to the checkpoint's size.
+    fn clone_from(&mut self, source: &Trace) {
+        self.capacity = source.capacity;
+        self.events.clone_from(&source.events);
+        self.index.clone_from(&source.index);
+        self.first = source.first;
+        self.open = source.open;
+        if !Arc::ptr_eq(&self.table, &source.table) {
+            self.table = Arc::clone(&source.table);
+        }
+        self.dropped = source.dropped;
+    }
 }
 
 impl Trace {
@@ -287,11 +315,31 @@ impl Trace {
 /// [`Trace`] plus the last value written per valued input (indexed by
 /// [`SigId`]), so stimulus records carry their values. Every recording
 /// method is a no-op while recording is disabled.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Recorder {
     trace: Option<Trace>,
     table: Arc<SigTable>,
     last_inputs: Vec<Option<i64>>,
+}
+
+impl Clone for Recorder {
+    fn clone(&self) -> Recorder {
+        Recorder {
+            trace: self.trace.clone(),
+            table: Arc::clone(&self.table),
+            last_inputs: self.last_inputs.clone(),
+        }
+    }
+
+    /// Copies into this recorder's own buffers (see
+    /// [`Trace::clone_from`](Clone::clone_from)).
+    fn clone_from(&mut self, source: &Recorder) {
+        self.trace.clone_from(&source.trace);
+        if !Arc::ptr_eq(&self.table, &source.table) {
+            self.table = Arc::clone(&source.table);
+        }
+        self.last_inputs.clone_from(&source.last_inputs);
+    }
 }
 
 impl Recorder {

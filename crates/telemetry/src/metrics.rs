@@ -68,8 +68,9 @@ pub static VM_WALKER_HOOKS: Counter = Counter::new("vm.walker_hooks");
 /// `ecl_types::vm::Op::telemetry_index` indexes [`VM_OPS`] with this
 /// ordering; a unit test over there keeps the two in sync. Reaction
 /// control ops are not data ops and have no counter here.
-pub const VM_OP_NAMES: [&str; 21] = [
+pub const VM_OP_NAMES: [&str; 22] = [
     "burn",
+    "charge",
     "const",
     "conv",
     "load_var",
@@ -94,8 +95,9 @@ pub const VM_OP_NAMES: [&str; 21] = [
 
 /// Per-opcode execution counters, indexed by
 /// `Op::telemetry_index` (same order as [`VM_OP_NAMES`]).
-pub static VM_OPS: [Counter; 21] = [
+pub static VM_OPS: [Counter; 22] = [
     Counter::new("vm.op.burn"),
+    Counter::new("vm.op.charge"),
     Counter::new("vm.op.const"),
     Counter::new("vm.op.conv"),
     Counter::new("vm.op.load_var"),

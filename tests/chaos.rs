@@ -231,6 +231,47 @@ fn switched_off_and_zero_rate_plans_are_inert() {
     );
 }
 
+/// A squeeze that binds runs a reaction out of fuel mid-way, and both
+/// backends fail the run at the same instant with the same error, after
+/// the same emissions and trace. On `Backend::Compiled` the exhaustion
+/// is reached by deoptimization: the fast stream charges a block's fuel
+/// at its head and, when the cap cannot cover the block, finishes the
+/// reaction on the exact stream, whose burns raise the error. (The
+/// other fuel plans here never bind: their caps, 100,000 and 2,000,
+/// exceed what any one reaction of the stack burns, so they never
+/// deoptimize.)
+#[test]
+fn a_binding_fuel_squeeze_fails_alike_on_both_backends() {
+    let plan = FaultPlan {
+        fuel_starve: 0.5,
+        starved_fuel: 400,
+        ..FaultPlan::seeded(31)
+    };
+    let run = |backend| {
+        let mut r = AsyncRunner::new(
+            partitioned(),
+            &Default::default(),
+            Default::default(),
+            Default::default(),
+        )
+        .expect("runner builds");
+        r.set_backend(backend);
+        r.set_faults(Some(plan));
+        r.enable_trace(0);
+        let mut instants = 0;
+        let e = (r.run_events(&events(), |_, _| instants += 1)).expect_err("the squeeze binds");
+        // The span of an exhaustion may sit a few nodes apart (the
+        // coalesced burns), so the message is compared without it.
+        let msg = e.to_string();
+        let msg = msg.split(" (at ").next().unwrap_or_default().to_string();
+        let vcd = r.take_trace().expect("trace recorded").to_vcd("squeeze");
+        (msg, instants, r.counts(), r.injection_stats(), vcd)
+    };
+    let compiled = run(Backend::Compiled);
+    assert!(compiled.0.contains("fuel exhausted"), "{}", compiled.0);
+    assert_eq!(compiled, run(Backend::Walker));
+}
+
 /// A delayed stimulus arrives exactly when due: with every stimulus
 /// held back one instant (`max_delay` 1), a relay answers one instant
 /// later than on time.

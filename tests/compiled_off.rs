@@ -29,9 +29,11 @@
 //! reached the runtime's walker-only `DataHooks`, or an observer
 //! stepped on the s-graph, would fail it. A state with 1,024 paths
 //! through its s-graph compiles like any other: one control op per
-//! node, walker-identical.
+//! node, walker-identical. And no shipped configuration deoptimizes
+//! from the fused loop's fast stream to its exact one at the default
+//! fuel: a compiled run executes no exact-stream burn.
 
-use ecl_core::{Design, Source};
+use ecl_core::{Design, Source, SplitStrategy};
 use ecl_observe::{synthesize_all, Monitor};
 use efsm::{Backend, BitSet};
 use rand::{Rng, SeedableRng};
@@ -401,6 +403,43 @@ fn compiled_run_takes_zero_walker_steps() {
             })
             .expect("run succeeds");
             check_compiled_counts(&format!("{entry} ({tasks} tasks)"));
+        }
+    }
+    ecl_telemetry::set_enabled(was);
+}
+
+/// No shipped configuration deoptimizes at the default fuel: on all 8
+/// ({stack, pager} × {one task, 3-task partition} × {`MaxEsterel`,
+/// `MinEsterel`}), a telemetry-counted compiled run charges fuel only
+/// per block (`vm.op.charge`) and never runs an exact-stream burn
+/// (`vm.op.burn`), which only a reaction that fell back to the exact
+/// stream executes.
+#[test]
+fn shipped_configurations_never_deoptimize() {
+    let _g = locked();
+    let was = ecl_telemetry::enabled();
+    ecl_telemetry::set_enabled(true);
+    for (src, entry, events) in [
+        (PROTOCOL_STACK, "toplevel", stack_events()),
+        (VOICE_PAGER, "pager", pager_events()),
+    ] {
+        let parsed = Source::new(src).parse().expect("design parses");
+        for strategy in [SplitStrategy::MaxEsterel, SplitStrategy::MinEsterel] {
+            let split =
+                |e: ecl_core::pipeline::Elaborated| e.split_with(strategy).unwrap().to_design();
+            let mono = vec![split(parsed.elaborate(entry).unwrap())];
+            let parts: Vec<Design> = (parsed.instantiations(entry).into_iter())
+                .map(|i| split(parsed.elaborate_bound(&i.module, Some(&i.actuals)).unwrap()))
+                .collect();
+            for designs in [mono, parts] {
+                let what = format!("{entry} ({} tasks, {strategy:?})", designs.len());
+                ecl_telemetry::metrics::reset_all();
+                let mut r = runner(designs);
+                assert!(r.coverage().fully_fused(), "{what}");
+                r.run_events(&events, |_, _| {}).expect("run succeeds");
+                assert!(counter("vm.op.charge") > 0, "{what} charged no block");
+                assert_eq!(counter("vm.op.burn"), 0, "{what} deoptimized");
+            }
         }
     }
     ecl_telemetry::set_enabled(was);

@@ -536,6 +536,147 @@ fn check_compiled_vs_walker(
     Ok(())
 }
 
+/// How often [`check_deopt_exact`] saw each way a reaction leaves the
+/// fast stream's normal path: fuel exhaustion (only the exact stream
+/// raises it, so the step deoptimized) and any other data error.
+#[derive(Default)]
+struct DeoptSeen {
+    exhausted: u32,
+    faulted: u32,
+}
+
+/// Deoptimization is exact: [`Fused::step`] — the fast stream, which
+/// holds scalar variables in registers, charges fuel once per block and
+/// continues on the exact stream at the block the fuel cannot cover —
+/// equals [`Fused::step_exact`], the exact stream run whole, on every
+/// observable at every step, exactly: emission order, `StepOut`
+/// (`nodes_visited` included), the error's message *and span*, the
+/// hook counters, the emitted value of `x`, the whole frame and the
+/// fuel, after an error too. A third runtime on the walker is held to
+/// the exact stream as [`check_compiled_vs_walker`] holds it.
+///
+/// Every step starts from its own fuel budget — mostly a few dozen
+/// steps, so exhaustion lands at block heads, inside loops and after an
+/// earlier data error of the same reaction (an index or zero-divisor
+/// fault inside a fast block), sometimes plenty.
+fn check_deopt_exact(
+    src: &str,
+    strategy: SplitStrategy,
+    seeds: u64,
+    seen: &mut DeoptSeen,
+) -> Result<(), TestCaseError> {
+    let Some(design) = design(src, strategy) else {
+        return Ok(());
+    };
+    let Ok(machine) = design.to_efsm(&Default::default()) else {
+        return Ok(());
+    };
+    let proto = design.new_rt().unwrap();
+    let Some(fused) = Fused::compile(&machine, &proto) else {
+        return Ok(());
+    };
+    let a = design.signal("a").unwrap();
+    let b = design.signal("b").unwrap();
+    let a_valued = machine.signal_info(a).valued;
+    for seed in 0..seeds {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let (mut rt_f, mut rt_x) = (proto.clone(), proto.clone());
+        let mut rt_w = design.new_rt().unwrap();
+        let (mut st_f, mut st_x, mut st_w) = (machine.init, machine.init, machine.init);
+        for step in 0..60 {
+            let at = || format!("seed {seed} step {step} in\n{src}");
+            let mut bits = BitSet::new();
+            if rng.gen_bool(0.6) {
+                if a_valued {
+                    let val = rng.gen_range(-4i64..12);
+                    for rt in [&mut rt_f, &mut rt_x, &mut rt_w] {
+                        rt.set_input_i64("a", val).unwrap();
+                    }
+                }
+                bits.insert(a.0 as usize);
+            }
+            if rng.gen_bool(0.3) {
+                bits.insert(b.0 as usize);
+            }
+            let fuel = if rng.gen_bool(0.15) {
+                1_000_000
+            } else {
+                rng.gen_range(0..80)
+            };
+            for rt in [&mut rt_f, &mut rt_x, &mut rt_w] {
+                rt.machine_mut().set_fuel(fuel);
+            }
+            let (mut e_f, mut e_x, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
+            let r_f = fused.step(st_f, &bits, &mut rt_f, &mut e_f);
+            let r_x = fused.step_exact(st_x, &bits, &mut rt_x, &mut e_x);
+            let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
+            (st_f, st_x, st_w) = (r_f.next, r_x.next, r_w.next);
+            prop_assert_eq!(&e_f, &e_x, "emission order diverged at {}", at());
+            prop_assert_eq!(r_f, r_x, "StepOut diverged at {}", at());
+            let (err_f, err_x, err_w) = (rt_f.take_error(), rt_x.take_error(), rt_w.take_error());
+            prop_assert_eq!(&err_f, &err_x, "errors diverged at {}", at());
+            prop_assert_eq!(rt_f.pred_evals, rt_x.pred_evals, "pred_evals at {}", at());
+            prop_assert_eq!(
+                rt_f.action_runs,
+                rt_x.action_runs,
+                "action_runs at {}",
+                at()
+            );
+            prop_assert_eq!(
+                rt_f.signal_value_by_name("x"),
+                rt_x.signal_value_by_name("x"),
+                "value of x diverged at {}",
+                at()
+            );
+            prop_assert!(
+                rt_f.machine()
+                    .root_entries()
+                    .eq(rt_x.machine().root_entries()),
+                "frames diverged at {}",
+                at()
+            );
+            prop_assert_eq!(
+                rt_f.machine().fuel(),
+                rt_x.machine().fuel(),
+                "fuel diverged at {}",
+                at()
+            );
+            // The exact stream against the walker, as the compiled ≡
+            // walker check compares them.
+            prop_assert_eq!(&e_x, &e_w, "walker emissions diverged at {}", at());
+            prop_assert_eq!(r_x, r_w, "walker StepOut diverged at {}", at());
+            let msg = |e: &Option<ecl_types::EvalError>| e.as_ref().map(|e| e.msg.clone());
+            match &err_x {
+                Some(e) if e.msg.contains("fuel") => {
+                    seen.exhausted += 1;
+                    prop_assert_eq!(msg(&err_x), msg(&err_w), "walker error at {}", at());
+                }
+                Some(_) => {
+                    seen.faulted += 1;
+                    prop_assert_eq!(&err_x, &err_w, "walker error at {}", at());
+                }
+                None => {
+                    prop_assert!(err_w.is_none(), "walker error at {}", at());
+                    prop_assert_eq!(
+                        rt_x.machine().fuel(),
+                        rt_w.machine().fuel(),
+                        "walker fuel at {}",
+                        at()
+                    );
+                }
+            }
+            prop_assert!(
+                rt_x.machine()
+                    .root_entries()
+                    .eq(rt_w.machine().root_entries()),
+                "walker frame diverged at {}",
+                at()
+            );
+        }
+    }
+    Ok(())
+}
+
 /// A runtime's observable data state: fuel, hook counters, root frame
 /// and signal values.
 fn data_state(rt: &Rt, signals: usize) -> impl PartialEq + std::fmt::Debug {
@@ -935,6 +1076,48 @@ fn efsm_construction_is_pinned() {
 /// has a fused backend, its quiet table is exact, and the partitioned
 /// pager — the design whose tasks mostly wait — has quiet states in
 /// every task.
+/// The swept fuel budgets of `deopt_matches_exact_stream` reach both
+/// ways out of a fast block: fuel exhaustion, which the fast stream
+/// only reaches by deoptimizing, and index or zero-divisor faults
+/// inside fast blocks.
+#[test]
+fn deopt_property_reaches_exhaustion_and_faults() {
+    let mut seen = DeoptSeen::default();
+    for seed in 0..24 {
+        let src = gen_data_module(seed);
+        check_deopt_exact(&src, SplitStrategy::MinEsterel, 2, &mut seen)
+            .unwrap_or_else(|e| panic!("{e}"));
+    }
+    assert!(seen.exhausted > 0, "no step ran out of fuel");
+    assert!(seen.faulted > 0, "no step faulted");
+}
+
+/// Promoted slots stay exact around faults: `u` and `v` live in
+/// registers in the fast stream, and on most steps an indexed store
+/// (`d[a & 7]`, four of every eight inputs) or a division (`a & 3`
+/// zero) faults between their loads and stores, on both strategies.
+/// The block locals `t` and `w` are hoisted into the frame like every
+/// module variable, so here, as everywhere in lowered ECL, a stored
+/// value is defined right before its store; the fused unit test
+/// `a_store_retargets_its_def_only_across_infallible_ops` pins the rule
+/// for a def that a fallible op separates from its store.
+#[test]
+fn promoted_slots_stay_exact_around_faults() {
+    let src = "typedef unsigned char byte;\n\
+         module m(input int a, input pure b, output int x, output pure y) {\n\
+           int u; int v; byte d[4];\n\
+           while (1) { await (a | b);\n\
+             { int t = v + a * 3; d[a & 7] = (byte) t; u = t; }\n\
+             { int w = u - 1; v = v / (a & 3); u = w; }\n\
+             emit_v (x, u + v); } }";
+    for strategy in [SplitStrategy::MaxEsterel, SplitStrategy::MinEsterel] {
+        let mut seen = DeoptSeen::default();
+        check_deopt_exact(src, strategy, 8, &mut seen).unwrap_or_else(|e| panic!("{e}"));
+        assert!(seen.faulted > 0, "{strategy:?}: no step faulted");
+        check_compiled_vs_walker(src, strategy, 8).unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
 #[test]
 fn quiet_states_are_exact_on_shipped_designs() {
     for (src, entry) in [
@@ -1019,6 +1202,17 @@ proptest! {
     #[test]
     fn vm_matches_walker(seed in 0u64..10_000) {
         check_compiled_vs_walker(&gen_data_module(seed), SplitStrategy::MinEsterel, 3)?;
+    }
+
+    /// Deoptimization is exact (`check_deopt_exact`) on the data-heavy
+    /// grammar under both strategies: under swept small fuel budgets
+    /// the fast stream equals the exact stream on every observable.
+    #[test]
+    fn deopt_matches_exact_stream(seed in 0u64..10_000) {
+        let src = gen_data_module(seed);
+        let mut seen = DeoptSeen::default();
+        check_deopt_exact(&src, SplitStrategy::MaxEsterel, 2, &mut seen)?;
+        check_deopt_exact(&src, SplitStrategy::MinEsterel, 2, &mut seen)?;
     }
 
     /// Both strategies agree with each other on outputs.
