@@ -26,7 +26,11 @@
 //!    One monitored run on `Backend::Compiled` with telemetry on,
 //!    bracketed by a telemetry `Run`, rendered from the whole metric
 //!    registry.
-//! 4. **Ablations** (`ablations`): A1 MaxEsterel vs MinEsterel
+//! 4. **Construction** (`construction`, not gated). The compile
+//!    layers of each design configuration timed one by one: EFSM
+//!    construction without the optimizer, the optimizer alone, the
+//!    fused programs, and per design its observers' synthesis.
+//! 5. **Ablations** (`ablations`): A1 MaxEsterel vs MinEsterel
 //!    splitting (paper §3 vs §6), A2 EFSM optimization on/off (§3), A3
 //!    Verilog for a pure-control machine (§4's hardware partition), A4
 //!    delayed vs immediate `await`; and **monitor stepping**
@@ -497,6 +501,67 @@ fn efsm_row(name: &str, (us, m): (f64, Efsm)) -> Member {
     member(name, inline(&row))
 }
 
+/// The compile layers of each design configuration, each timed on its
+/// own, best of [`ABLATION_REPS`] calls, in µs: EFSM construction
+/// without the optimizer (`to_efsm`), the optimizer alone on those
+/// machines (`optimize`) and the fused programs of the optimized ones
+/// (`fused`), summed over the configuration's tasks; then per design
+/// the synthesis of its observers (`synthesize_all`). Not gated.
+fn construction(configs: &[DesignConfig<'_>]) -> Vec<Member> {
+    let unoptimized = esterel::CompileOptions {
+        optimize: false,
+        ..Default::default()
+    };
+    let mut rows: Vec<Member> = configs
+        .iter()
+        .map(|c| {
+            let (to_efsm, raw) = best_us(|| {
+                (c.designs.iter())
+                    .map(|d| d.to_efsm(&unoptimized).expect("design compiles"))
+                    .collect::<Vec<Efsm>>()
+            });
+            let mut optimize = f64::INFINITY;
+            let mut machines = Vec::new();
+            for _ in 0..ABLATION_REPS {
+                machines = raw.clone();
+                let t = timed(|| {
+                    for m in &mut machines {
+                        efsm::opt::optimize(m);
+                    }
+                });
+                optimize = optimize.min(t.ms * 1000.0);
+            }
+            let rts: Vec<_> = (c.designs.iter())
+                .map(|d| d.new_rt().expect("runtime builds"))
+                .collect();
+            let (fused, _) = best_us(|| {
+                (machines.iter().zip(&rts))
+                    .map(|(m, rt)| ecl_core::Fused::compile(m, rt).expect("every task fuses"))
+                    .collect::<Vec<_>>()
+            });
+            let row = [
+                member("to_efsm_us", format!("{to_efsm:.1}")),
+                member("optimize_us", format!("{optimize:.1}")),
+                member("fused_us", format!("{fused:.1}")),
+            ];
+            member(&c.key, inline(&row))
+        })
+        .collect();
+    for (design, src) in [
+        ("stack", sim::designs::PROTOCOL_STACK),
+        ("pager", sim::designs::VOICE_PAGER),
+    ] {
+        let ast = ecl_syntax::parse_str(src).expect("design parses");
+        let (us, specs) = best_us(|| synthesize_all(&ast).expect("observers synthesize"));
+        let row = [
+            member("synthesize_all_us", format!("{us:.1}")),
+            member("observers", specs.len()),
+        ];
+        rows.push(member(design, inline(&row)));
+    }
+    rows
+}
+
 /// A1–A4, one member each.
 fn ablations() -> Vec<Member> {
     let efsm = |d: &Design, optimize: bool| {
@@ -689,6 +754,7 @@ fn main() {
         .unzip();
     ecl_telemetry::set_enabled(telemetry_on);
     let monitors = monitor_stepping(&configs[0]);
+    let construction = construction(&configs);
     let ablations = ablations();
 
     let rows: Vec<String> = runs.iter().map(|r| format!("    {}", r.render())).collect();
@@ -697,6 +763,7 @@ fn main() {
             member("schema", 1),
             member("instants", args.instants),
             member("compile_ms", object(&compile_ms, 1)),
+            member("construction", object(&construction, 1)),
             member("coverage", object(&coverage, 1)),
             member("runs", format!("[\n{}\n  ]", rows.join(",\n"))),
             member("speedup_compiled_over_walker", inline(&speedups)),

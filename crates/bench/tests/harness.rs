@@ -1,9 +1,10 @@
 //! `gen_bench` still writes what the `--check` gate and CI read: every
 //! config of the committed `BENCH_reaction.json`, the coverage and
-//! speedup blocks, the ablation and monitor rows, and a profile per
-//! design configuration. A short debug-build run; `--check` stays out,
-//! since a debug build's ratios differ from a release build's, but the
-//! exact work count of the stack's data path is bounded.
+//! speedup blocks, the ablation and monitor rows, and a construction
+//! block and a profile per design configuration. A short debug-build
+//! run; `--check` stays out, since a debug build's ratios differ from a
+//! release build's, but the exact work count of the stack's data path
+//! is bounded.
 
 use ecl_telemetry::schema::{self, Json};
 use std::process::{Command, Output};
@@ -79,12 +80,25 @@ fn a_short_run_writes_every_gated_config_and_block() {
             );
         }
     }
+    let covered: Vec<&str> = coverage.iter().map(|(k, _)| k.as_str()).collect();
+    let construction = json.get("construction").expect("construction block");
+    for config in &covered {
+        for layer in ["to_efsm_us", "optimize_us", "fused_us"] {
+            assert!(
+                num(construction, &[config, layer]) > 0.0,
+                "{config}/{layer}"
+            );
+        }
+    }
+    for design in ["stack", "pager"] {
+        assert!(num(construction, &[design, "synthesize_all_us"]) > 0.0);
+        assert!(num(construction, &[design, "observers"]) > 0.0);
+    }
     assert!(num(&json, &["monitor_stepping", "fused_instants_per_sec"]) > 0.0);
     assert!(num(&json, &["monitor_stepping", "walked_instants_per_sec"]) > 0.0);
 
     let profile = members(json.get("profile").expect("profile block"));
     let configs: Vec<&str> = profile.iter().map(|(k, _)| k.as_str()).collect();
-    let covered: Vec<&str> = coverage.iter().map(|(k, _)| k.as_str()).collect();
     assert_eq!(configs, covered);
     for (config, p) in profile {
         let steps = num(p, &["table", "steps"]);

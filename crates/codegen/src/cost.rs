@@ -213,30 +213,36 @@ pub fn task_cost(m: &Efsm, design: &Design, p: &CostParams) -> TaskCost {
     // function per action/predicate/value expression; s-graph nodes are
     // *call sites*). This is what makes the paper's monolithic Stack
     // smaller than the 3-task version: the product machine reuses the
-    // extracted functions across its branches.
-    let mut counted = std::collections::HashSet::new();
-    let mut used_actions = std::collections::HashSet::new();
-    let mut used_preds = std::collections::HashSet::new();
-    let mut used_exprs = std::collections::HashSet::new();
+    // extracted functions across its branches. One seen array serves
+    // every state.
+    let data = &design.split.data;
+    let mut seen = vec![false; m.nodes.len()];
+    let mut used_actions = vec![false; data.actions.len()];
+    let mut used_preds = vec![false; data.preds.len()];
+    let mut used_exprs = vec![false; data.emit_exprs.len()];
+    let mut stack = Vec::new();
     const INSNS_CALL: u64 = 3; // jal + frame pointer arg + delay slot
     for st in &m.states {
-        for id in efsm::sgraph::reachable_nodes(&m.nodes, st.root) {
-            if !counted.insert(id) {
+        stack.push(st.root);
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut seen[id.0 as usize], true) {
                 continue;
             }
-            insns += match &m.nodes[id.0 as usize] {
+            let node = &m.nodes[id.0 as usize];
+            stack.extend(node.successors());
+            insns += match node {
                 Node::Test { .. } => p.insns_test as u64,
                 Node::TestPred { pred, .. } => {
-                    used_preds.insert(*pred);
+                    used_preds[pred.0 as usize] = true;
                     (p.insns_pred_overhead as u64) + INSNS_CALL
                 }
                 Node::Do { action, .. } => {
-                    used_actions.insert(*action);
+                    used_actions[action.0 as usize] = true;
                     INSNS_CALL
                 }
                 Node::Emit { value, .. } => {
                     if let Some(v) = value {
-                        used_exprs.insert(*v);
+                        used_exprs[v.0 as usize] = true;
                         p.insns_emit_valued as u64 + INSNS_CALL
                     } else {
                         p.insns_emit as u64
@@ -247,16 +253,13 @@ pub fn task_cost(m: &Efsm, design: &Design, p: &CostParams) -> TaskCost {
         }
     }
     // Bodies, once each.
-    for a in used_actions {
-        let stmts = &design.split.data.actions[a.0 as usize];
+    for (stmts, _) in data.actions.iter().zip(used_actions).filter(|u| u.1) {
         insns += stmts.iter().map(stmt_insns).sum::<u32>() as u64 + 2; // prologue/ret
     }
-    for pr in used_preds {
-        let e = &design.split.data.preds[pr.0 as usize];
+    for (e, _) in data.preds.iter().zip(used_preds).filter(|u| u.1) {
         insns += expr_insns(e) as u64 + 2;
     }
-    for v in used_exprs {
-        let (e, _) = &design.split.data.emit_exprs[v.0 as usize];
+    for ((e, _), _) in data.emit_exprs.iter().zip(used_exprs).filter(|u| u.1) {
         insns += expr_insns(e) as u64 + 2;
     }
     let code_bytes = (insns as u32) * p.bytes_per_insn;

@@ -143,7 +143,25 @@ impl Fused {
         let layout = table.ops();
         // Layout pc → op pc.
         let mut at = vec![0; layout.len()];
-        let mut f = Stream::default();
+        // Room for every op and span: per layout op, itself, a jump,
+        // and its hook's program and push.
+        let hook = |op: &ResidualOp| match *op {
+            ResidualOp::Pred { pred, .. } => Some(program(&progs.preds, pred.0)),
+            ResidualOp::Action { action, .. } => Some(program(&progs.actions, action.0)),
+            ResidualOp::Emit {
+                value: Some(expr), ..
+            } => Some(program(&progs.emits, expr.0)),
+            _ => None,
+        };
+        let (ops, spans) = layout
+            .iter()
+            .filter_map(hook)
+            .fold((0, 0), |(o, s), p| (o + p.ops.len() + 1, s + p.spans.len()));
+        let mut f = Stream {
+            ops: Vec::with_capacity(2 * layout.len() + ops),
+            spans: Vec::with_capacity(spans),
+            regs: 0,
+        };
         let res = |pc: u32| LAYOUT | pc;
         // Blocks are placed in descending layout pc: a successor
         // usually sits one pc below and so falls through.
@@ -208,7 +226,7 @@ impl Fused {
             spans: f.spans,
             refunds: Vec::new(),
         };
-        let fast = Derive::new(&exact, f.regs).run();
+        let fast = Derive::new(&exact, f.regs, rt.machine().root_len()).run();
         Some(Fused {
             quiet: (exact.entries.iter())
                 .map(|&pc| quiet_outcome(&exact.ops, pc))
@@ -588,7 +606,6 @@ fn program(hooks: &[Option<Program>], id: u32) -> &Program {
 }
 
 /// The op stream under construction.
-#[derive(Default)]
 struct Stream {
     ops: Vec<Op>,
     spans: Vec<(u32, Span)>,
@@ -625,14 +642,24 @@ impl Stream {
     }
 }
 
-/// The slots whose every access in `ops` is a whole-scalar load or
-/// store of one `Ext`, in slot order: the slots the fast stream keeps
-/// in registers. A slot read or written by offset, by index or by an
-/// aggregate copy is not one.
-fn promotable(ops: &[Op]) -> Vec<(u32, Ext)> {
-    // Per slot: unseen, `Some(Some(ext))` so far, or `Some(None)` out.
-    let mut seen: Vec<Option<Option<Ext>>> = Vec::new();
-    for op in ops {
+/// The slots whose every access in a stream is a whole-scalar load or
+/// store of one `Ext`: the slots the fast stream keeps in registers,
+/// found one op at a time. A slot read or written by offset, by index
+/// or by an aggregate copy is not one.
+struct Promotable {
+    /// Per slot: unseen, `Some(Some(ext))` so far, or `Some(None)` out.
+    seen: Vec<Option<Option<Ext>>>,
+}
+
+impl Promotable {
+    /// Ready for a frame of `slots` root slots (more grow it).
+    fn new(slots: usize) -> Promotable {
+        Promotable {
+            seen: vec![None; slots],
+        }
+    }
+
+    fn see(&mut self, op: &Op) {
         let (slot, ext) = match *op {
             Op::LoadVar { slot, ext, .. } | Op::StoreVar { slot, ext, .. } => (slot, Some(ext)),
             Op::LoadVarOff { slot, .. }
@@ -640,83 +667,54 @@ fn promotable(ops: &[Op]) -> Vec<(u32, Ext)> {
             | Op::LoadVarIdx { slot, .. }
             | Op::StoreVarIdx { slot, .. }
             | Op::EmitCopy { slot, .. } => (slot, None),
-            _ => continue,
+            _ => return,
         };
         let s = slot as usize;
-        if seen.len() <= s {
-            seen.resize(s + 1, None);
+        if self.seen.len() <= s {
+            self.seen.resize(s + 1, None);
         }
-        seen[s] = match seen[s] {
+        self.seen[s] = match self.seen[s] {
             None => Some(ext),
             Some(prev) if prev == ext => Some(prev),
             Some(_) => Some(None),
         };
     }
-    (seen.iter().enumerate())
-        .filter_map(|(s, a)| match a {
+
+    /// The promotable slots, ascending.
+    fn slots(&self) -> impl Iterator<Item = (u32, Ext)> + '_ {
+        (self.seen.iter().enumerate()).filter_map(|(s, a)| match a {
             Some(Some(ext)) => Some((s as u32, *ext)),
             _ => None,
         })
-        .collect()
-}
-
-/// The registers `op` reads.
-fn reads(op: &Op) -> [Option<u16>; 2] {
-    let mut out = [None; 2];
-    let mut n = 0;
-    map_reads(&mut { *op }, |r| {
-        out[n] = Some(r);
-        n += 1;
-        r
-    });
-    out
-}
-
-/// Rewrite every register `op` reads through `f`.
-fn map_reads(op: &mut Op, mut f: impl FnMut(u16) -> u16) {
-    match op {
-        Op::Conv { src, .. }
-        | Op::StoreVar { src, .. }
-        | Op::StoreVarOff { src, .. }
-        | Op::StoreSig { src, .. }
-        | Op::Un { src, .. } => *src = f(*src),
-        Op::LoadVarIdx { idx, .. } | Op::LoadSigIdx { idx, .. } => *idx = f(*idx),
-        Op::StoreVarIdx { src, idx, .. } => {
-            *src = f(*src);
-            *idx = f(*idx);
-        }
-        Op::Bin { a, b, .. } | Op::JmpCmp { a, b, .. } => {
-            *a = f(*a);
-            *b = f(*b);
-        }
-        Op::BinImm { a, .. } | Op::JmpCmpImm { a, .. } => *a = f(*a),
-        Op::JmpIf { cond, .. } => *cond = f(*cond),
-        _ => {}
     }
 }
 
-/// The register `op` writes.
-fn def(op: &mut Op) -> Option<&mut u16> {
+/// The registers `op` reads, in operand order, and the one it writes,
+/// as places.
+type Regs<'a> = ([Option<&'a mut u16>; 2], Option<&'a mut u16>);
+
+/// The registers `op` reads and writes.
+fn regs(op: &mut Op) -> Regs<'_> {
     match op {
         Op::Const { dst, .. }
-        | Op::Conv { dst, .. }
         | Op::LoadVar { dst, .. }
         | Op::LoadVarOff { dst, .. }
-        | Op::LoadVarIdx { dst, .. }
         | Op::LoadSig { dst, .. }
-        | Op::LoadSigOff { dst, .. }
-        | Op::LoadSigIdx { dst, .. }
-        | Op::Bin { dst, .. }
-        | Op::BinImm { dst, .. }
-        | Op::Un { dst, .. } => Some(dst),
-        _ => None,
+        | Op::LoadSigOff { dst, .. } => ([None, None], Some(dst)),
+        Op::Conv { dst, src, .. } | Op::Un { dst, src, .. } => ([Some(src), None], Some(dst)),
+        Op::LoadVarIdx { dst, idx, .. } | Op::LoadSigIdx { dst, idx, .. } => {
+            ([Some(idx), None], Some(dst))
+        }
+        Op::Bin { dst, a, b, .. } => ([Some(a), Some(b)], Some(dst)),
+        Op::BinImm { dst, a, .. } => ([Some(a), None], Some(dst)),
+        Op::StoreVar { src, .. } | Op::StoreVarOff { src, .. } | Op::StoreSig { src, .. } => {
+            ([Some(src), None], None)
+        }
+        Op::StoreVarIdx { src, idx, .. } => ([Some(src), Some(idx)], None),
+        Op::JmpCmp { a, b, .. } => ([Some(a), Some(b)], None),
+        Op::JmpCmpImm { a, .. } | Op::JmpIf { cond: a, .. } => ([Some(a), None], None),
+        _ => ([None, None], None),
     }
-}
-
-/// The register `op` writes, by value.
-fn writes(op: &Op) -> Option<u16> {
-    let mut op = *op;
-    def(&mut op).copied()
 }
 
 /// Can `op` raise a data error in the fast stream? (Its burns moved to
@@ -771,87 +769,406 @@ struct Fast {
     regs: u16,
 }
 
-/// The derivation of the fast stream from an exact one.
+/// The derivation of the fast stream from an exact one: two scans of
+/// the stream analyse it, two dataflow fixpoints over its blocks settle
+/// what crosses a block's exit, one pass over the promoted loads and
+/// stores decides each, and one scan emits the fast ops. Every pass
+/// costs per op, per block edge or per promoted access.
+///
+/// The first scan finds the blocks and the promotable slots. The
+/// second summarizes each op ([`Fx`]) and each block (burns, gen and
+/// kill sets, the homes it touches, its successors) and runs the
+/// store-retargeting and load-forwarding analysis forward, with one
+/// table of stamps per register and per home. What depends on the
+/// temporaries live at a block's exit waits for the liveness fixpoint.
 struct Derive<'a> {
     exact: &'a Code,
     /// Temporaries: the registers the exact stream uses.
     temps: u16,
     /// The promoted slots, in slot order (register `temps + k`).
     promoted: Vec<Home>,
-    /// Slot → its home, for promoted slots.
-    home: Vec<Option<Home>>,
     /// Block start pcs, ascending; the last block ends at the stream's
     /// end.
     starts: Vec<u32>,
     /// Pc → the block holding it.
     block_id: Vec<u32>,
-    /// `u64` words per set of temporaries.
+    /// Per block: its burns' total.
+    burns: Vec<u32>,
+    /// Per exact op, what the derivation knows of it.
+    fx: Vec<Fx>,
+    /// The promoted loads and stores in pc order, each with the pc of
+    /// the op its store could retarget ([`NO_POS`]: none).
+    promos: Vec<(u32, u32)>,
+    /// The ops that replace exact ops ([`Fx::edit`]).
+    edits: Vec<Op>,
+    /// Ops that can fault in the fast stream.
+    faults: usize,
+    /// Per block `b`, `succ[succ_at[b][0]..succ_at[b][1]]` are the
+    /// blocks its last op continues to when no data error is pending,
+    /// and `..succ_at[b + 1][0]` add those a hook head in it continues
+    /// to after a data error. Empty without promoted slots.
+    succ: Vec<u32>,
+    succ_at: Vec<[u32; 2]>,
+    /// Some block continues to itself or an earlier block (a loop in a
+    /// hook body): without one, a fixpoint over the blocks in reverse
+    /// order settles in one pass.
+    loops: bool,
+    /// Per block, word sets of temporaries (`words` each): gen, kill,
+    /// live-in and live-out; then of homes (`home_words` each): the
+    /// slots it loads or stores, and those it stores. Empty without
+    /// promoted slots.
+    sets: Vec<u64>,
     words: usize,
+    home_words: usize,
 }
 
-/// Per-block buffers of [`Derive::block_ops`], reused across blocks.
-#[derive(Default)]
-struct Scratch {
-    /// The block's fast ops, position for position (`None`: dropped).
-    out: Vec<Option<Op>>,
-    /// Temporaries holding a promoted slot's value, loaded in the block.
-    alias: Vec<(u16, u32)>,
-    /// Per position, the promoted slots its reads see through `alias`.
-    seen: Vec<[Option<u32>; 2]>,
-    /// Where each home register is written: `(position, slot)`.
-    put: Vec<(usize, u32)>,
-    uses: Vec<usize>,
+/// No register, home or position.
+const NONE: u16 = u16::MAX;
+const NO_POS: u32 = u32::MAX;
+
+/// [`Fx::flags`]: the op can fault in the fast stream.
+const FAULT: u8 = 1;
+/// The op loads a promoted slot.
+const LOAD: u8 = 2;
+/// The op stores a promoted slot.
+const STORE: u8 = 4;
+/// A promoted store: its value is read before it is redefined.
+const LIVE_AFTER: u8 = 8;
+/// A promoted store: its value is neither read nor redefined in the
+/// block, so it is live after the store if live at the block's exit.
+const EXIT_LIVE: u8 = 16;
+/// A promoted load: a later op of its block overwrites its temporary.
+const REDEFINED: u8 = 32;
+/// A promoted load: its home register is written between it and the
+/// last read of its temporary.
+const CLOBBERED: u8 = 64;
+/// The op is dropped from the fast stream (a promoted load: its
+/// readers read the home register).
+const DROPPED: u8 = 128;
+
+/// One exact op as the derivation sees it.
+#[derive(Debug, Clone, Copy)]
+struct Fx {
+    /// The registers it reads, in [`regs`] order ([`NONE`]: none).
+    reads: [u16; 2],
+    /// The register it writes, or [`NONE`].
+    write: u16,
+    /// The promoted slot it loads or stores, by index in `promoted`,
+    /// or [`NONE`].
+    home: u16,
+    flags: u8,
+    /// Per register it reads: the pc of the promoted load whose value
+    /// that is, or [`NO_POS`].
+    from: [u32; 2],
+    /// The op it is replaced by, in `edits`, or [`NO_POS`].
+    edit: u32,
+}
+
+/// `pc + 1`, the stamp of the op at `pc`.
+fn stamp(pc: usize) -> u32 {
+    pc as u32 + 1
 }
 
 impl<'a> Derive<'a> {
-    fn new(exact: &'a Code, temps: u16) -> Derive<'a> {
+    /// Analyse `exact`, whose hooks use registers `0..temps` and whose
+    /// frame has `slots` root slots.
+    fn new(exact: &'a Code, temps: u16, slots: usize) -> Derive<'a> {
         let ops = &exact.ops;
+        // Mark each block head 1 in `block_id`, then number the blocks
+        // in place.
+        let mut block_id = vec![0u32; ops.len()];
+        let (mut heads, mut hook_heads) = (0, 0);
+        let mut mark = |pc: u32| {
+            if let Some(h @ 0) = block_id.get_mut(pc as usize) {
+                *h = 1;
+                heads += 1;
+            }
+        };
+        mark(0);
+        for &e in &exact.entries {
+            mark(e);
+        }
+        let mut promotable = Promotable::new(slots);
+        let mut accesses = 0;
+        for (pc, op) in ops.iter().enumerate() {
+            if ends_block(op) {
+                mark(pc as u32 + 1);
+                for t in normal_succ(op, pc as u32) {
+                    mark(t);
+                }
+            } else if matches!(
+                op,
+                Op::PredHead { .. } | Op::ActHead { .. } | Op::EmitHead { .. }
+            ) {
+                hook_heads += 1;
+            } else {
+                accesses += usize::from(matches!(op, Op::LoadVar { .. } | Op::StoreVar { .. }));
+                promotable.see(op);
+            }
+        }
         let room = usize::from(u16::MAX - temps);
-        let promoted: Vec<Home> = (promotable(ops).into_iter().take(room).enumerate())
+        let promoted: Vec<Home> = (promotable.slots().take(room).enumerate())
             .map(|(k, (slot, ext))| Home {
                 slot,
                 reg: temps + k as u16,
                 ext,
             })
             .collect();
-        let mut home = vec![None; promoted.last().map_or(0, |h| h.slot as usize + 1)];
-        for h in &promoted {
-            home[h.slot as usize] = Some(*h);
+        // Slot → its index in `promoted`.
+        let mut home = vec![NONE; promotable.seen.len()];
+        for (k, h) in promoted.iter().enumerate() {
+            home[h.slot as usize] = k as u16;
         }
-        let mut head = vec![false; ops.len() + 1];
-        head[0] = true;
-        for &e in &exact.entries {
-            head[e as usize] = true;
-        }
-        for (pc, op) in ops.iter().enumerate() {
-            if ends_block(op) {
-                head[pc + 1] = true;
-                for t in normal_succ(op, pc as u32) {
-                    head[t as usize] = true;
-                }
+        let mut starts = Vec::with_capacity(heads);
+        for (pc, id) in block_id.iter_mut().enumerate() {
+            if *id == 1 {
+                starts.push(pc as u32);
             }
+            *id = starts.len() as u32 - 1;
         }
-        let starts: Vec<u32> = (0..ops.len() as u32)
-            .filter(|&pc| head[pc as usize])
-            .collect();
-        let mut block_id = Vec::with_capacity(ops.len());
-        for (b, &h) in starts.iter().enumerate().skip(1) {
-            block_id.resize(h as usize, b as u32 - 1);
-        }
-        block_id.resize(ops.len(), starts.len() as u32 - 1);
-        Derive {
+        let mut d = Derive {
             exact,
             temps,
             promoted,
-            home,
             starts,
             block_id,
+            burns: Vec::with_capacity(heads),
+            fx: Vec::with_capacity(ops.len()),
+            promos: Vec::with_capacity(accesses),
+            edits: Vec::new(),
+            faults: 0,
+            succ: Vec::new(),
+            succ_at: Vec::new(),
+            loops: false,
+            sets: Vec::new(),
             words: usize::from(temps).div_ceil(64).max(1),
-        }
+            home_words: 0,
+        };
+        d.summarize(&home, hook_heads);
+        d
     }
 
-    fn home(&self, slot: u32) -> Option<Home> {
-        self.home.get(slot as usize).copied().flatten()
+    /// The second scan: fill `fx`, `burns` and `promos`, and with
+    /// promoted slots `succ`, `succ_at` and the gen, kill, live-in and
+    /// home sets. `home[slot]` is the index in `promoted` of a promoted
+    /// slot; the stream has `hook_heads` hook heads.
+    ///
+    /// A promoted store can retarget the op that defined its value when
+    /// nothing between them can fault, reads the value, loads or stores
+    /// the slot, or reads a temporary holding the slot's loaded value,
+    /// and the value has the slot's `Ext` (a constant is renormalized):
+    /// that op is its candidate, taken unless the value is live after
+    /// the store. A promoted load is forwarded — dropped, its readers
+    /// reading the home register — unless the home is written before
+    /// its last reader, or its temporary is live at the exit without
+    /// being redefined.
+    ///
+    /// The stamp tables hold `pc + 1` of the op each entry names, so an
+    /// entry an earlier block wrote is stale by comparison with the
+    /// block's head and needs no reset. Per temporary: its last def,
+    /// its last read, the promoted load whose value it holds, and the
+    /// promoted store whose liveness it decides; per home: the last
+    /// load or store of its slot, the last read of a temporary holding
+    /// its loaded value, and the last store.
+    fn summarize(&mut self, home: &[u16], hook_heads: usize) {
+        let ops = &self.exact.ops;
+        let nb = self.starts.len();
+        let with_homes = !self.promoted.is_empty();
+        // Without promoted slots there are no sets: every slice of them
+        // below is empty.
+        let (w, hw) = match with_homes {
+            true => (self.words, self.promoted.len().div_ceil(64)),
+            false => (0, 0),
+        };
+        let stride = 4 * w + 2 * hw;
+        let (mut sets, mut succ) = (Vec::new(), Vec::new());
+        if with_homes {
+            self.home_words = hw;
+            sets = vec![0; nb * stride];
+            succ = Vec::with_capacity(2 * nb + hook_heads);
+            self.succ_at = Vec::with_capacity(nb + 1);
+        }
+        let mut stamps = vec![[0u32; 4]; usize::from(self.temps) + self.promoted.len()];
+        let (temp, touch) = stamps.split_at_mut(usize::from(self.temps));
+        // Locals, so the loop keeps their lengths in registers.
+        let mut all = std::mem::take(&mut self.fx);
+        let mut promos = std::mem::take(&mut self.promos);
+        let mut faulting = 0;
+        const DEF: usize = 0;
+        const READ: usize = 1;
+        const OPEN: usize = 2;
+        const PENDING: usize = 3;
+        const TOUCH: usize = 0;
+        const SEEN: usize = 1;
+        const PUT: usize = 2;
+        for b in 0..nb {
+            let r = self.block(b);
+            let start = r.start;
+            // The pc a stamp names, if this block wrote it.
+            let at = |v: u32| (v as usize > start).then(|| v as usize - 1);
+            // Nothing the stamp names lies after pc `d`.
+            let by = |v: u32, d: usize| at(v).is_none_or(|p| p <= d);
+            if with_homes {
+                let last = r.end - 1;
+                let at = succ.len() as u32;
+                let normal = normal_succ(&ops[last], last as u32)
+                    .filter(|&t| (t as usize) < ops.len())
+                    .map(|t| self.block_id[t as usize]);
+                succ.extend(normal);
+                self.succ_at.push([at, succ.len() as u32]);
+            }
+            let (mut burns, mut fault) = (0, 0);
+            let (g, rest) = sets
+                .get_mut(b * stride..)
+                .unwrap_or_default()
+                .split_at_mut(w);
+            let (kill, rest) = rest.split_at_mut(w);
+            let (live_in, rest) = rest.split_at_mut(w);
+            let (touched, stored) = rest
+                .get_mut(w..w + 2 * hw)
+                .unwrap_or_default()
+                .split_at_mut(hw);
+            for q in r {
+                let op = &ops[q];
+                let mut copy = *op;
+                let (read, write) = regs(&mut copy);
+                let mut fx = Fx {
+                    reads: read.map(|r| r.map_or(NONE, |r| *r)),
+                    write: write.map_or(NONE, |w| *w),
+                    home: NONE,
+                    flags: 0,
+                    from: [NO_POS; 2],
+                    edit: NO_POS,
+                };
+                if faults(op) {
+                    fx.flags = FAULT;
+                    faulting += 1;
+                }
+                match *op {
+                    Op::Burn { n } => burns += n,
+                    Op::LoadVar { slot, .. } | Op::StoreVar { slot, .. }
+                        if home.get(slot as usize).is_some_and(|&k| k != NONE) =>
+                    {
+                        fx.home = home[slot as usize];
+                        fx.flags |= if matches!(op, Op::LoadVar { .. }) {
+                            LOAD
+                        } else {
+                            STORE | EXIT_LIVE
+                        };
+                    }
+                    Op::PredHead { else_: t, .. }
+                    | Op::ActHead { next: t, .. }
+                    | Op::EmitHead { push: t, .. }
+                        if with_homes =>
+                    {
+                        succ.push(self.block_id[t as usize])
+                    }
+                    _ => {}
+                }
+                if !with_homes {
+                    all.push(fx);
+                    continue;
+                }
+                // Gen and kill.
+                for x in fx.reads.into_iter().filter(|&x| x != NONE) {
+                    if !has(kill, x) {
+                        put(g, x);
+                    }
+                }
+                if fx.write != NONE {
+                    put(kill, fx.write);
+                }
+                // Reads of loaded values, and of stored ones.
+                for (i, x) in fx.reads.into_iter().enumerate() {
+                    if x == NONE {
+                        continue;
+                    }
+                    let t = &mut temp[usize::from(x)];
+                    if let Some(s) = at(t[PENDING]) {
+                        let store = &mut all[s].flags;
+                        *store = (*store | LIVE_AFTER) & !EXIT_LIVE;
+                        t[PENDING] = 0;
+                    }
+                    let Some(p) = at(t[OPEN]) else { continue };
+                    fx.from[i] = p as u32;
+                    let k = usize::from(all[p].home);
+                    let load = &mut all[p].flags;
+                    if at(touch[k][PUT]).is_some_and(|w| w > p) {
+                        *load |= CLOBBERED;
+                    } else {
+                        *load &= !CLOBBERED;
+                    }
+                }
+                if fx.flags & STORE != 0 {
+                    let k = usize::from(fx.home);
+                    let Op::StoreVar { src, ext, .. } = *op else {
+                        unreachable!("a promoted store is a StoreVar")
+                    };
+                    let [def, read, ..] = temp[usize::from(src)];
+                    let candidate = at(def).filter(|&d| {
+                        fits(&ops[d], all[d].flags, ext)
+                            && by(fault, d)
+                            && by(read, d)
+                            && by(touch[k][TOUCH], d)
+                            && by(touch[k][SEEN], d)
+                    });
+                    promos.push((q as u32, candidate.map_or(NO_POS, |d| d as u32)));
+                    touch[k][PUT] = stamp(q);
+                    temp[usize::from(src)][PENDING] = stamp(q);
+                }
+                for (i, x) in fx.reads.into_iter().enumerate() {
+                    if x == NONE {
+                        continue;
+                    }
+                    temp[usize::from(x)][READ] = stamp(q);
+                    if fx.from[i] != NO_POS {
+                        let k = usize::from(all[fx.from[i] as usize].home);
+                        touch[k][SEEN] = stamp(q);
+                    }
+                }
+                if fx.flags & FAULT != 0 {
+                    fault = stamp(q);
+                }
+                if fx.home != NONE {
+                    let k = usize::from(fx.home);
+                    touch[k][TOUCH] = stamp(q);
+                    put(touched, fx.home);
+                    if fx.flags & STORE != 0 {
+                        put(stored, fx.home);
+                    }
+                }
+                if fx.write != NONE {
+                    let t = &mut temp[usize::from(fx.write)];
+                    if let Some(p) = at(t[OPEN]) {
+                        all[p].flags |= REDEFINED;
+                    }
+                    if let Some(s) = at(t[PENDING]) {
+                        all[s].flags &= !EXIT_LIVE;
+                    }
+                    t[DEF] = stamp(q);
+                    t[PENDING] = 0;
+                    t[OPEN] = 0;
+                    if fx.flags & LOAD != 0 {
+                        t[OPEN] = stamp(q);
+                        promos.push((q as u32, NO_POS));
+                    }
+                }
+                all.push(fx);
+            }
+            // Live-in starts at gen.
+            live_in.copy_from_slice(g);
+            self.burns.push(burns);
+        }
+        self.fx = all;
+        self.faults = faulting;
+        self.sets = sets;
+        self.succ = succ;
+        self.edits = Vec::with_capacity(promos.len());
+        self.promos = promos;
+        if with_homes {
+            self.succ_at.push([self.succ.len() as u32; 2]);
+            self.loops = (0..nb).any(|b| self.succ(b, true).iter().any(|&s| s as usize <= b));
+        }
     }
 
     /// The pc range of block `b`.
@@ -863,111 +1180,163 @@ impl<'a> Derive<'a> {
         self.starts[b] as usize..end
     }
 
-    /// The block holding `pc`.
-    fn block_of(&self, pc: u32) -> usize {
-        self.block_id[pc as usize] as usize
+    /// The blocks block `b` continues to: over normal edges only, or
+    /// over every edge.
+    fn succ(&self, b: usize, every: bool) -> &[u32] {
+        let [lo, normal] = self.succ_at[b];
+        let hi = if every {
+            self.succ_at[b + 1][0]
+        } else {
+            normal
+        };
+        &self.succ[lo as usize..hi as usize]
     }
 
-    /// The blocks a block's last op continues to when no data error is
-    /// pending.
-    fn normal_succ(&self, b: usize) -> impl Iterator<Item = usize> + '_ {
-        let last = self.block(b).end - 1;
-        normal_succ(&self.exact.ops[last], last as u32)
-            .filter(|&t| (t as usize) < self.exact.ops.len())
-            .map(|t| self.block_of(t))
+    /// Words per block in `sets`.
+    fn stride(&self) -> usize {
+        4 * self.words + 2 * self.home_words
     }
 
-    /// The temporaries live at each block's exit, `words` per block,
-    /// over normal edges only: in error mode no hook body runs, so no
-    /// temporary is read.
-    fn live_out(&self) -> Vec<u64> {
-        let (nb, w) = (self.starts.len(), self.words);
-        let mut gen = vec![0u64; nb * w];
-        let mut kill = vec![0u64; nb * w];
-        for b in 0..nb {
-            let (g, k) = (&mut gen[b * w..][..w], &mut kill[b * w..][..w]);
-            for op in &self.exact.ops[self.block(b)] {
-                for x in reads(op).into_iter().flatten() {
-                    if !has(k, x) {
-                        put(g, x);
-                    }
-                }
-                if let Some(d) = writes(op) {
-                    put(k, d);
-                }
-            }
-        }
-        let succ: Vec<[Option<usize>; 2]> = (0..nb)
-            .map(|b| {
-                let mut s = self.normal_succ(b);
-                [s.next(), s.next()]
-            })
-            .collect();
-        let mut live_in = gen.clone();
-        let mut out = vec![0u64; nb * w];
+    /// Solve the live-out sets: the temporaries live at each block's
+    /// exit, over normal edges only — in error mode no hook body runs,
+    /// so no temporary is read.
+    fn live_out(&mut self) {
+        let (nb, w, stride) = (self.starts.len(), self.words, self.stride());
         let mut changed = true;
-        while changed {
-            changed = false;
+        while std::mem::take(&mut changed) {
             for b in (0..nb).rev() {
+                let at = b * stride;
                 for i in 0..w {
-                    let o = (succ[b].iter().flatten()).fold(0, |o, &s| o | live_in[s * w + i]);
-                    out[b * w + i] = o;
-                    let v = gen[b * w + i] | (o & !kill[b * w + i]);
-                    if v != live_in[b * w + i] {
-                        live_in[b * w + i] = v;
-                        changed = true;
+                    let o = (self.succ(b, false).iter())
+                        .fold(0, |o, &s| o | self.sets[s as usize * stride + 2 * w + i]);
+                    self.sets[at + 3 * w + i] = o;
+                    let v = self.sets[at + i] | (o & !self.sets[at + w + i]);
+                    if v != self.sets[at + 2 * w + i] {
+                        self.sets[at + 2 * w + i] = v;
+                        changed = self.loops;
                     }
                 }
             }
         }
-        out
     }
 
-    fn run(self) -> Fast {
+    /// Decide every promoted load and store, as edits and drops in
+    /// `fx`, now that the temporaries live at each block's exit are
+    /// known: a store retargets its candidate unless its value is live
+    /// after it, else it is a move; a load is a move when its home is
+    /// clobbered before its last reader or its temporary is live at the
+    /// exit without being redefined, else it is dropped.
+    fn decide(&mut self) {
+        self.live_out();
+        let (w, stride) = (self.words, self.stride());
+        for i in 0..self.promos.len() {
+            let (pc, candidate) = self.promos[i];
+            let pc = pc as usize;
+            let fx = self.fx[pc];
+            let exit = &self.sets[self.block_id[pc] as usize * stride + 3 * w..][..w];
+            let h = self.promoted[usize::from(fx.home)];
+            match self.exact.ops[pc] {
+                Op::StoreVar { src, ext, .. } => {
+                    let live =
+                        fx.flags & LIVE_AFTER != 0 || (fx.flags & EXIT_LIVE != 0 && has(exit, src));
+                    if candidate != NO_POS && !live {
+                        let d = candidate as usize;
+                        let mut op = self.exact.ops[d];
+                        *regs(&mut op).1.expect("a def") = h.reg;
+                        if let Op::Const { v, .. } = &mut op {
+                            *v = ext.norm(*v);
+                        }
+                        self.edit(d, op);
+                        self.fx[pc].flags |= DROPPED;
+                    } else {
+                        let op = Op::Conv {
+                            dst: h.reg,
+                            src,
+                            ext,
+                        };
+                        self.edit(pc, op);
+                    }
+                }
+                Op::LoadVar { dst, ext, .. } => {
+                    let kept = fx.flags & REDEFINED == 0 && has(exit, dst);
+                    if fx.flags & CLOBBERED != 0 || kept {
+                        let op = Op::Conv {
+                            dst,
+                            src: h.reg,
+                            ext,
+                        };
+                        self.edit(pc, op);
+                    } else {
+                        self.fx[pc].flags |= DROPPED;
+                    }
+                }
+                _ => unreachable!("a promoted access is a LoadVar or a StoreVar"),
+            }
+        }
+    }
+
+    /// Replace the op at `pc` by `op` in the fast stream.
+    fn edit(&mut self, pc: usize, op: Op) {
+        self.fx[pc].edit = self.edits.len() as u32;
+        self.edits.push(op);
+    }
+
+    fn run(mut self) -> Fast {
+        if !self.promoted.is_empty() {
+            self.decide();
+        }
         let ops = &self.exact.ops;
-        let live_out = self.live_out();
         let mut code = Code {
             ops: Vec::with_capacity(ops.len() + self.starts.len()),
-            spans: Vec::with_capacity(self.exact.spans.len()),
-            ..Code::default()
+            spans: Vec::with_capacity(self.faults),
+            refunds: Vec::with_capacity(self.faults),
+            entries: Vec::new(),
         };
+        // The exact spans, in pc order, as the ops reach them.
+        let mut spans = self.exact.spans.iter().peekable();
         let mut to_exact = Vec::with_capacity(ops.len() + self.starts.len());
         // Exact pc → the fast pc its block or op starts at (a dropped
         // op: the next op kept).
         let mut fast_at = vec![0u32; ops.len()];
-        let mut sc = Scratch::default();
-        for b in 0..self.starts.len() {
+        for (b, &total) in self.burns.iter().enumerate() {
             let r = self.block(b);
-            self.block_ops(
-                &ops[r.clone()],
-                &live_out[b * self.words..][..self.words],
-                &mut sc,
-            );
-            let total: u32 = (ops[r.clone()].iter())
-                .map(|op| match op {
-                    Op::Burn { n } => *n,
-                    _ => 0,
-                })
-                .sum();
             fast_at[r.start] = code.ops.len() as u32;
             if total > 0 {
                 code.ops.push(Op::Charge { n: total });
                 to_exact.push(r.start as u32);
             }
             let mut burned = 0;
-            for (i, op) in sc.out.iter().enumerate() {
-                let pc = r.start + i;
-                if i > 0 {
+            for pc in r.clone() {
+                if pc > r.start {
                     fast_at[pc] = code.ops.len() as u32;
                 }
-                if let Op::Burn { n } = ops[pc] {
-                    burned += n;
+                let fx = self.fx[pc];
+                let mut op = match ops[pc] {
+                    Op::Burn { n } => {
+                        burned += n;
+                        continue;
+                    }
+                    _ if fx.flags & DROPPED != 0 => continue,
+                    _ if fx.edit != NO_POS => self.edits[fx.edit as usize],
+                    op => op,
+                };
+                // Readers of a dropped load read its home register.
+                for (r, p) in fx.reads.into_iter().zip(fx.from) {
+                    if p != NO_POS && self.fx[p as usize].flags & DROPPED != 0 {
+                        let reg = self.temps + self.fx[p as usize].home;
+                        for x in regs(&mut op).0.into_iter().flatten() {
+                            if *x == r {
+                                *x = reg;
+                            }
+                        }
+                    }
                 }
-                let Some(op) = *op else { continue };
                 let at = code.ops.len() as u32;
-                if faults(&op) {
-                    code.spans
-                        .push((at, vm::span_at(&self.exact.spans, pc as u32)));
+                if fx.flags & FAULT != 0 {
+                    let pc = pc as u32;
+                    while spans.next_if(|s| s.0 < pc).is_some() {}
+                    let span = spans.next_if(|s| s.0 == pc);
+                    code.spans.push((at, span.map_or(Span::dummy(), |s| s.1)));
                     if total > burned {
                         code.refunds.push((at, total - burned));
                     }
@@ -982,248 +1351,85 @@ impl<'a> Derive<'a> {
         code.entries = (self.exact.entries.iter())
             .map(|&e| fast_at[e as usize])
             .collect();
+        let regs = self.temps + self.promoted.len() as u16;
         let (homes, state_homes) = self.state_homes();
         Fast {
             code,
             to_exact,
             homes,
             state_homes,
-            regs: self.temps + self.promoted.len() as u16,
+            regs,
         }
-    }
-
-    /// The fast form of one block's ops into `sc.out`: burns dropped,
-    /// and promoted loads and stores turned into register traffic.
-    /// `live` holds the temporaries live at the block's exit.
-    fn block_ops(&self, block: &[Op], live: &[u64], sc: &mut Scratch) {
-        sc.out.clear();
-        sc.out.extend(block.iter().map(|op| match op {
-            Op::Burn { .. } => None,
-            op => Some(*op),
-        }));
-        let promoted = |op: &Op| match *op {
-            Op::LoadVar { slot, .. } | Op::StoreVar { slot, .. } => self.home(slot).is_some(),
-            _ => false,
-        };
-        if !block.iter().any(promoted) {
-            return;
-        }
-        sc.alias.clear();
-        sc.seen.clear();
-        for op in block {
-            let alias = &sc.alias;
-            sc.seen.push(
-                reads(op).map(|r| r.and_then(|r| alias.iter().find(|a| a.0 == r).map(|a| a.1))),
-            );
-            if let Some(d) = writes(op) {
-                sc.alias.retain(|a| a.0 != d);
-            }
-            if let Op::LoadVar { dst, slot, .. } = *op {
-                if self.home(slot).is_some() {
-                    sc.alias.push((dst, slot));
-                }
-            }
-        }
-        // Is temporary `r` read after position `q` before it is
-        // written again (or at the block's exit)?
-        let live_after = |r: u16, q: usize| {
-            for op in &block[q + 1..] {
-                if reads(op).contains(&Some(r)) {
-                    return true;
-                }
-                if writes(op) == Some(r) {
-                    return false;
-                }
-            }
-            has(live, r)
-        };
-        // Stores: retarget the defining op, or move.
-        sc.put.clear();
-        for (q, op) in block.iter().enumerate() {
-            let Op::StoreVar { slot, src, ext } = *op else {
-                continue;
-            };
-            let Some(h) = self.home(slot) else { continue };
-            match self.retarget(block, &sc.seen, q, h, &live_after) {
-                Some(d) => {
-                    let mut op = block[d];
-                    *def(&mut op).expect("a def") = h.reg;
-                    if let Op::Const { v, .. } = &mut op {
-                        *v = ext.norm(*v);
-                    }
-                    sc.out[d] = Some(op);
-                    sc.out[q] = None;
-                    sc.put.push((d, slot));
-                }
-                None => {
-                    sc.out[q] = Some(Op::Conv {
-                        dst: h.reg,
-                        src,
-                        ext,
-                    });
-                    sc.put.push((q, slot));
-                }
-            }
-        }
-        // Loads: readers read the home register while it still holds
-        // the loaded value; otherwise a move.
-        for (p, op) in block.iter().enumerate() {
-            let Op::LoadVar { dst, slot, ext } = *op else {
-                continue;
-            };
-            let Some(h) = self.home(slot) else { continue };
-            sc.uses.clear();
-            let mut redefined = false;
-            for (u, later) in block.iter().enumerate().skip(p + 1) {
-                if reads(later).contains(&Some(dst)) {
-                    sc.uses.push(u);
-                }
-                if writes(later) == Some(dst) {
-                    redefined = true;
-                    break;
-                }
-            }
-            let last = sc.uses.last().copied().unwrap_or(p);
-            let clobbered = (sc.put.iter()).any(|&(w, s)| s == slot && p < w && w < last);
-            if clobbered || (!redefined && has(live, dst)) {
-                sc.out[p] = Some(Op::Conv {
-                    dst,
-                    src: h.reg,
-                    ext,
-                });
-                continue;
-            }
-            sc.out[p] = None;
-            for &u in &sc.uses {
-                if let Some(op) = &mut sc.out[u] {
-                    map_reads(op, |r| if r == dst { h.reg } else { r });
-                }
-            }
-        }
-    }
-
-    /// The position of the op that defines the value the store at `q`
-    /// writes to home `h`, when writing `h` there instead is exact:
-    /// nothing between them can fault, reads the value or the slot, or
-    /// stores the slot; the value has the slot's `Ext` (a constant is
-    /// renormalized) and is dead after the store.
-    fn retarget(
-        &self,
-        block: &[Op],
-        seen: &[[Option<u32>; 2]],
-        q: usize,
-        h: Home,
-        live_after: &impl Fn(u16, usize) -> bool,
-    ) -> Option<usize> {
-        let Op::StoreVar { src, ext, .. } = block[q] else {
-            return None;
-        };
-        for d in (0..q).rev() {
-            let op = &block[d];
-            if writes(op) == Some(src) {
-                let fits = match *op {
-                    Op::Const { .. } => true,
-                    Op::LoadVar { slot, .. } if self.home(slot).is_some() => false,
-                    Op::Conv { ext: e, .. }
-                    | Op::LoadVar { ext: e, .. }
-                    | Op::LoadVarOff { ext: e, .. }
-                    | Op::LoadVarIdx { ext: e, .. }
-                    | Op::LoadSig { ext: e, .. }
-                    | Op::LoadSigOff { ext: e, .. }
-                    | Op::LoadSigIdx { ext: e, .. }
-                    | Op::Bin { ext: e, .. }
-                    | Op::BinImm { ext: e, .. }
-                    | Op::Un { ext: e, .. } => e == ext,
-                    _ => false,
-                };
-                return (fits && !live_after(src, q)).then_some(d);
-            }
-            let touches_slot = match *op {
-                Op::LoadVar { slot, .. } | Op::StoreVar { slot, .. } => slot == h.slot,
-                _ => false,
-            };
-            if faults(op)
-                || touches_slot
-                || reads(op).contains(&Some(src))
-                || seen[d].contains(&Some(h.slot))
-            {
-                return None;
-            }
-        }
-        None
     }
 
     /// The homes each state's reaction can reach, over every edge —
     /// error-mode ones included, each to its target's whole block: per
-    /// state, the slots it only loads, then the ones it can store.
-    fn state_homes(&self) -> (Vec<Home>, Vec<[u32; 3]>) {
-        let ops = &self.exact.ops;
-        let nb = self.starts.len();
-        // Per block: successors over every edge, and the promoted
-        // slots it touches (`true`: stores).
-        let (mut succ, mut succ_at) = (Vec::new(), Vec::with_capacity(nb + 1));
-        let (mut touch, mut touch_at) = (Vec::new(), Vec::with_capacity(nb + 1));
-        for b in 0..nb {
-            succ_at.push(succ.len());
-            touch_at.push(touch.len());
-            for op in &ops[self.block(b)] {
-                match *op {
-                    Op::LoadVar { slot, .. } | Op::StoreVar { slot, .. } => {
-                        if let Some(h) = self.home(slot) {
-                            let k = usize::from(h.reg - self.temps);
-                            touch.push((k, matches!(op, Op::StoreVar { .. })));
+    /// state, the slots it only loads, then the ones it can store. Per
+    /// block, the homes loaded or stored from it on, as a fixpoint over
+    /// the block graph; each state reads its entry block's.
+    fn state_homes(mut self) -> (Vec<Home>, Vec<[u32; 3]>) {
+        let entries = &self.exact.entries;
+        let n = self.promoted.len();
+        if n == 0 {
+            return (Vec::new(), vec![[0; 3]; entries.len()]);
+        }
+        let (nb, hw, stride) = (self.starts.len(), self.home_words, self.stride());
+        let homes_at = |b: usize| b * stride + 4 * self.words;
+        let mut sets = std::mem::take(&mut self.sets);
+        let mut changed = true;
+        while std::mem::take(&mut changed) {
+            for b in (0..nb).rev() {
+                for &s in self.succ(b, true) {
+                    for i in 0..2 * hw {
+                        let v = sets[homes_at(s as usize) + i];
+                        let mine = &mut sets[homes_at(b) + i];
+                        if *mine | v != *mine {
+                            *mine |= v;
+                            changed = self.loops;
                         }
                     }
-                    Op::PredHead { else_: t, .. }
-                    | Op::ActHead { next: t, .. }
-                    | Op::EmitHead { push: t, .. } => succ.push(self.block_of(t)),
-                    _ => {}
                 }
             }
-            succ.extend(self.normal_succ(b));
         }
-        succ_at.push(succ.len());
-        touch_at.push(touch.len());
-        let mut homes = Vec::new();
-        let mut ranges = Vec::with_capacity(self.exact.entries.len());
-        // Stamps: visited blocks and touched homes, per state.
-        let mut visited = vec![0u32; nb];
-        let (mut loaded, mut stored) = (
-            vec![0u32; self.promoted.len()],
-            vec![0u32; self.promoted.len()],
-        );
-        let mut stack = Vec::new();
-        for (i, &entry) in self.exact.entries.iter().enumerate() {
-            let stamp = i as u32 + 1;
-            stack.push(self.block_of(entry));
-            while let Some(b) = stack.pop() {
-                if std::mem::replace(&mut visited[b], stamp) == stamp {
-                    continue;
-                }
-                for &(k, store) in &touch[touch_at[b]..touch_at[b + 1]] {
-                    loaded[k] = stamp;
-                    if store {
-                        stored[k] = stamp;
-                    }
-                }
-                stack.extend_from_slice(&succ[succ_at[b]..succ_at[b + 1]]);
-            }
+        let mut homes = Vec::with_capacity(entries.len() * n);
+        let mut ranges = Vec::with_capacity(entries.len());
+        for &entry in entries {
+            let b = self.block_id[entry as usize] as usize;
+            let (touched, stored) = sets[homes_at(b)..][..2 * hw].split_at(hw);
             let lo = homes.len() as u32;
-            let only_loaded = |k: &usize| loaded[*k] == stamp && stored[*k] != stamp;
-            homes.extend(
-                (0..self.promoted.len())
-                    .filter(only_loaded)
-                    .map(|k| self.promoted[k]),
-            );
+            let only_loaded = |k: &usize| has(touched, *k as u16) && !has(stored, *k as u16);
+            homes.extend((0..n).filter(only_loaded).map(|k| self.promoted[k]));
             let mid = homes.len() as u32;
             homes.extend(
-                (0..self.promoted.len())
-                    .filter(|&k| stored[k] == stamp)
+                (0..n)
+                    .filter(|&k| has(stored, k as u16))
                     .map(|k| self.promoted[k]),
             );
             ranges.push([lo, mid, homes.len() as u32]);
         }
         (homes, ranges)
+    }
+}
+
+/// Can `op` (with [`Fx::flags`] `flags`), the def of a value stored
+/// with `ext`, write the home register instead: it yields a value of
+/// that `Ext` (a constant is renormalized), and is not itself a
+/// promoted load?
+fn fits(op: &Op, flags: u8, ext: Ext) -> bool {
+    match *op {
+        Op::Const { .. } => true,
+        Op::LoadVar { .. } if flags & LOAD != 0 => false,
+        Op::Conv { ext: e, .. }
+        | Op::LoadVar { ext: e, .. }
+        | Op::LoadVarOff { ext: e, .. }
+        | Op::LoadVarIdx { ext: e, .. }
+        | Op::LoadSig { ext: e, .. }
+        | Op::LoadSigOff { ext: e, .. }
+        | Op::LoadSigIdx { ext: e, .. }
+        | Op::Bin { ext: e, .. }
+        | Op::BinImm { ext: e, .. }
+        | Op::Un { ext: e, .. } => e == ext,
+        _ => false,
     }
 }
 
@@ -1358,7 +1564,9 @@ mod tests {
                 ext: byte,
             },
         ];
-        assert_eq!(promotable(&ops), [(0, INT), (5, byte)]);
+        let mut p = Promotable::new(0);
+        ops.iter().for_each(|op| p.see(op));
+        assert_eq!(p.slots().collect::<Vec<_>>(), [(0, INT), (5, byte)]);
     }
 
     /// The fast ops of a one-block stream over temporaries `0..2`
@@ -1378,7 +1586,42 @@ mod tests {
             entries: vec![0],
             ..Code::default()
         };
-        Derive::new(&exact, 2).run().code.ops
+        Derive::new(&exact, 2, 1).run().code.ops
+    }
+
+    /// A store whose value an earlier block defined is a register move:
+    /// the def's block can run on paths that never reach the store.
+    #[test]
+    fn a_store_retargets_no_def_of_an_earlier_block() {
+        let store = Op::StoreVar {
+            slot: 0,
+            src: 0,
+            ext: INT,
+        };
+        let exact = Code {
+            ops: vec![
+                Op::Const { dst: 0, v: 7 },
+                Op::Jmp { target: 2 },
+                store,
+                Op::End { target: 0 },
+            ],
+            entries: vec![0],
+            ..Code::default()
+        };
+        let mov = Op::Conv {
+            dst: 2,
+            src: 0,
+            ext: INT,
+        };
+        assert_eq!(
+            Derive::new(&exact, 2, 1).run().code.ops,
+            [
+                Op::Const { dst: 0, v: 7 },
+                Op::Jmp { target: 2 },
+                mov,
+                Op::End { target: 0 }
+            ]
+        );
     }
 
     #[test]

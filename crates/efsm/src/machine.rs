@@ -228,13 +228,17 @@ impl Efsm {
                 _ => {}
             }
         }
-        // Acyclicity per state graph (iterative DFS with colors).
+        // Acyclicity per state graph (iterative DFS with colors). One
+        // coloring serves every state: a node an earlier state left
+        // black has no cycle below it, so the first state that reaches
+        // a cycle still reports it.
+        let mut color = vec![0u8; self.nodes.len()]; // 0 white, 1 gray, 2 black
+        let mut stack = Vec::new();
         for (si, st) in self.states.iter().enumerate() {
             if st.root.0 as usize >= self.nodes.len() {
                 return Err(format!("state {si} has missing root node"));
             }
-            let mut color = vec![0u8; self.nodes.len()]; // 0 white, 1 gray, 2 black
-            let mut stack = vec![(st.root, false)];
+            stack.push((st.root, false));
             while let Some((id, leaving)) = stack.pop() {
                 let c = &mut color[id.0 as usize];
                 if leaving {
@@ -511,6 +515,46 @@ mod tests {
         });
         m.add_state("s0", NodeId(0));
         assert!(m.validate().is_err());
+    }
+
+    /// One coloring serves every state: a later state that shares a
+    /// node an earlier state left black is still acyclic, and a cycle
+    /// reached past that node is reported for the state that reaches
+    /// it, with the per-state message.
+    #[test]
+    fn validate_reports_a_cycle_past_a_shared_node_for_its_state() {
+        let mut m = Efsm::new("shared");
+        let a = m.add_signal("a", SigKind::Input, false);
+        let g0 = m.add_node(Node::Goto { target: StateId(0) });
+        let shared = m.add_node(Node::Emit {
+            sig: a,
+            value: None,
+            next: g0,
+        });
+        m.add_state("s0", shared);
+        let both = m.add_node(Node::Test {
+            sig: a,
+            then_: shared,
+            else_: shared,
+        });
+        m.add_state("s1", both);
+        assert_eq!(m.validate(), Ok(()));
+        // Node 3 loops to itself when `a` is present, else enters the
+        // shared node.
+        m.nodes.push(Node::Test {
+            sig: a,
+            then_: NodeId(3),
+            else_: shared,
+        });
+        let cyclic = m.add_state("s2", NodeId(3));
+        assert_eq!(m.validate(), Err("cycle in s-graph of state 2".to_string()));
+        // Rooted at the shared node's parent, state 1 now reaches it.
+        m.nodes[both.0 as usize] = Node::Test {
+            sig: a,
+            then_: shared,
+            else_: m.states[cyclic.0 as usize].root,
+        };
+        assert_eq!(m.validate(), Err("cycle in s-graph of state 1".to_string()));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! observable behavior: the sequence of emissions/actions for every
 //! input sequence.
 
-use crate::machine::{Efsm, State, StateId};
+use crate::machine::{Efsm, StateId};
 use crate::sgraph::{Node, NodeId};
 use ecl_syntax::fxmap::FxHashMap;
 
@@ -28,15 +28,21 @@ pub struct OptReport {
     pub states_after: u32,
 }
 
+/// Marks an unset entry of a node or class table.
+const UNSET: u32 = u32::MAX;
+
 /// Run the full pipeline: reduce, prune, minimize, reduce again. The
 /// report counts live nodes: the first `reduce` reads every live node
 /// once, and after the last the arena holds exactly the live nodes.
+/// The passes share one set of buffers, so the pipeline allocates per
+/// pass, never per state or node.
 pub fn optimize(m: &mut Efsm) -> OptReport {
     let states_before = m.states.len() as u32;
-    let nodes_before = reduce(m);
-    prune_unreachable(m);
-    minimize_states(m);
-    reduce(m);
+    let mut sc = Scratch::default();
+    let nodes_before = sc.reduce(m);
+    sc.prune_unreachable(m);
+    sc.minimize_states(m);
+    sc.reduce(m);
     OptReport {
         nodes_before,
         nodes_after: m.nodes.len() as u32,
@@ -53,113 +59,13 @@ pub fn optimize(m: &mut Efsm) -> OptReport {
 /// s-graphs). Unreferenced nodes are dropped. Returns the number of
 /// live nodes it read (shared nodes once).
 pub fn reduce(m: &mut Efsm) -> u32 {
-    let mut new_nodes: Vec<Node> = Vec::new();
-    let mut intern: FxHashMap<Node, NodeId> = FxHashMap::default();
-    let mut memo: FxHashMap<NodeId, NodeId> = FxHashMap::default();
-
-    // Iterative post-order rebuild (avoids recursion depth limits).
-    fn rebuild(
-        old: &[Node],
-        root: NodeId,
-        new_nodes: &mut Vec<Node>,
-        intern: &mut FxHashMap<Node, NodeId>,
-        memo: &mut FxHashMap<NodeId, NodeId>,
-    ) -> NodeId {
-        let mut stack = vec![(root, false)];
-        while let Some((id, children_done)) = stack.pop() {
-            if memo.contains_key(&id) {
-                continue;
-            }
-            if !children_done {
-                stack.push((id, true));
-                for s in old[id.0 as usize].successors() {
-                    if !memo.contains_key(&s) {
-                        stack.push((s, false));
-                    }
-                }
-                continue;
-            }
-            let mapped = old[id.0 as usize].map_successors(|s| memo[&s]);
-            // Dead-test elimination: both branches identical.
-            let mapped = match mapped {
-                Node::Test { then_, else_, .. } if then_ == else_ => {
-                    memo.insert(id, then_);
-                    continue;
-                }
-                Node::TestPred { then_, else_, .. } if then_ == else_ => {
-                    memo.insert(id, then_);
-                    continue;
-                }
-                other => other,
-            };
-            let nid = *intern.entry(mapped).or_insert_with(|| {
-                new_nodes.push(mapped);
-                NodeId(new_nodes.len() as u32 - 1)
-            });
-            memo.insert(id, nid);
-        }
-        memo[&root]
-    }
-
-    let mut new_states = Vec::with_capacity(m.states.len());
-    for st in &m.states {
-        let root = rebuild(&m.nodes, st.root, &mut new_nodes, &mut intern, &mut memo);
-        new_states.push(State {
-            name: st.name.clone(),
-            root,
-        });
-    }
-    m.nodes = new_nodes;
-    m.states = new_states;
-    memo.len() as u32
+    Scratch::default().reduce(m)
 }
 
 /// Remove control states unreachable from the initial state, renumbering
 /// the survivors (and their `Goto` targets).
 pub fn prune_unreachable(m: &mut Efsm) {
-    let n = m.states.len();
-    let mut seen = vec![false; n];
-    let mut stack = vec![m.init];
-    seen[m.init.0 as usize] = true;
-    while let Some(s) = stack.pop() {
-        for id in crate::sgraph::reachable_nodes(&m.nodes, m.states[s.0 as usize].root) {
-            if let Node::Goto { target } = m.nodes[id.0 as usize] {
-                if !seen[target.0 as usize] {
-                    seen[target.0 as usize] = true;
-                    stack.push(target);
-                }
-            }
-        }
-    }
-    if seen.iter().all(|x| *x) {
-        return;
-    }
-    // Renumber.
-    let mut remap = vec![StateId(u32::MAX); n];
-    let mut kept = Vec::new();
-    for (i, s) in m.states.iter().enumerate() {
-        if seen[i] {
-            remap[i] = StateId(kept.len() as u32);
-            kept.push(s.clone());
-        }
-    }
-    // Only rewrite nodes that are live in kept states — nodes of pruned
-    // states keep stale targets and are garbage-collected right after.
-    let mut live = vec![false; m.nodes.len()];
-    for st in &kept {
-        for id in crate::sgraph::reachable_nodes(&m.nodes, st.root) {
-            live[id.0 as usize] = true;
-        }
-    }
-    for (i, node) in m.nodes.iter_mut().enumerate() {
-        if live[i] {
-            *node = node.map_target(|t| remap[t.0 as usize]);
-        }
-    }
-    m.init = remap[m.init.0 as usize];
-    m.states = kept;
-    // Drop the dead nodes (they may reference pruned states).
-    reduce(m);
+    Scratch::default().prune_unreachable(m);
 }
 
 /// Observational state minimization by worklist partition refinement.
@@ -177,50 +83,176 @@ pub fn prune_unreachable(m: &mut Efsm) {
 /// partition is unique, so the result is the one Moore refinement
 /// reaches; each class then merges into its lowest-numbered member.
 pub fn minimize_states(m: &mut Efsm) {
-    if m.states.len() <= 1 {
-        return;
-    }
-    let class = Holes::of(m).coarsest_partition();
-    merge_classes(m, &class);
+    Scratch::default().minimize_states(m);
 }
 
-/// Merge each class of `class` (dense ids `0..k`) into its
-/// lowest-numbered member, keeping the survivors in state order.
-fn merge_classes(m: &mut Efsm, class: &[u32]) {
-    let n = m.states.len();
-    let num_classes = class.iter().copied().max().map(|c| c + 1).unwrap_or(0) as usize;
-    if num_classes == n {
-        return; // already minimal
-    }
-    // Representative per class = lowest-numbered member.
-    let mut rep: Vec<Option<StateId>> = vec![None; num_classes];
-    for (i, c) in class.iter().enumerate() {
-        if rep[*c as usize].is_none() {
-            rep[*c as usize] = Some(StateId(i as u32));
+/// Buffers the passes share, sized from the node arena and the state
+/// list once and reused: every pass costs per node or state it
+/// touches, never an allocation per state.
+#[derive(Default)]
+struct Scratch {
+    /// Per old node, its id in the rebuilt arena (`reduce`) or its
+    /// shape id (`Holes`); [`UNSET`] until visited.
+    memo: Vec<u32>,
+    /// Hash-consing table of the node being built.
+    intern: FxHashMap<Node, NodeId>,
+    /// Post-order DFS stack: a node, and whether its children are done.
+    post: Vec<(NodeId, bool)>,
+    /// Pre-order DFS stack.
+    pre: Vec<NodeId>,
+    /// Per state: reached (`prune_unreachable`).
+    seen: Vec<bool>,
+    /// Old state → new state id.
+    remap: Vec<StateId>,
+}
+
+impl Scratch {
+    /// [`reduce`].
+    fn reduce(&mut self, m: &mut Efsm) -> u32 {
+        let old = std::mem::take(&mut m.nodes);
+        self.memo.clear();
+        self.memo.resize(old.len(), UNSET);
+        self.intern.clear();
+        self.intern.reserve(old.len());
+        let mut nodes: Vec<Node> = Vec::new();
+        let mut read = 0;
+        // Iterative post-order rebuild (avoids recursion depth limits).
+        for st in &mut m.states {
+            self.post.push((st.root, false));
+            while let Some((id, children_done)) = self.post.pop() {
+                let i = id.0 as usize;
+                if self.memo[i] != UNSET {
+                    continue;
+                }
+                if !children_done {
+                    self.post.push((id, true));
+                    for s in old[i].successors() {
+                        if self.memo[s.0 as usize] == UNSET {
+                            self.post.push((s, false));
+                        }
+                    }
+                    continue;
+                }
+                read += 1;
+                let memo = &self.memo;
+                let mapped = old[i].map_successors(|s| NodeId(memo[s.0 as usize]));
+                let nid = match mapped {
+                    // Dead-test elimination: both branches identical.
+                    Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. }
+                        if then_ == else_ =>
+                    {
+                        then_
+                    }
+                    other => *self.intern.entry(other).or_insert_with(|| {
+                        nodes.push(other);
+                        NodeId(nodes.len() as u32 - 1)
+                    }),
+                };
+                self.memo[i] = nid.0;
+            }
+            st.root = NodeId(self.memo[st.root.0 as usize]);
         }
+        m.nodes = nodes;
+        read
     }
-    // New state list: one per class, ordered by representative.
-    let mut reps: Vec<StateId> = rep.iter().map(|r| r.expect("class has a member")).collect();
-    reps.sort();
-    let mut class_of_rep: FxHashMap<StateId, u32> = FxHashMap::default();
-    for (new_idx, r) in reps.iter().enumerate() {
-        class_of_rep.insert(*r, new_idx as u32);
+
+    /// [`prune_unreachable`]: one node-seen array for all states, so
+    /// each live node is read once.
+    fn prune_unreachable(&mut self, m: &mut Efsm) {
+        let n = m.states.len();
+        self.seen.clear();
+        self.seen.resize(n, false);
+        // Node seen: `memo[i] != UNSET`.
+        self.memo.clear();
+        self.memo.resize(m.nodes.len(), UNSET);
+        let mut states = vec![m.init];
+        self.seen[m.init.0 as usize] = true;
+        while let Some(s) = states.pop() {
+            self.pre.push(m.states[s.0 as usize].root);
+            while let Some(id) = self.pre.pop() {
+                if std::mem::replace(&mut self.memo[id.0 as usize], 0) != UNSET {
+                    continue;
+                }
+                match m.nodes[id.0 as usize] {
+                    Node::Goto { target } => {
+                        if !std::mem::replace(&mut self.seen[target.0 as usize], true) {
+                            states.push(target);
+                        }
+                    }
+                    node => self.pre.extend(node.successors()),
+                }
+            }
+        }
+        if self.seen.iter().all(|x| *x) {
+            return;
+        }
+        // Renumber the kept states, in order.
+        self.remap.clear();
+        let mut kept = 0;
+        for &seen in &self.seen {
+            self.remap.push(StateId(kept));
+            kept += u32::from(seen);
+        }
+        // Only rewrite the live nodes of kept states — nodes of pruned
+        // states keep stale targets and are garbage-collected right
+        // after.
+        for (node, &live) in m.nodes.iter_mut().zip(&self.memo) {
+            if live != UNSET {
+                *node = node.map_target(|t| self.remap[t.0 as usize]);
+            }
+        }
+        m.init = self.remap[m.init.0 as usize];
+        let mut i = 0;
+        m.states.retain(|_| {
+            i += 1;
+            self.seen[i - 1]
+        });
+        // Drop the dead nodes (they may reference pruned states).
+        self.reduce(m);
     }
-    // old state -> new id (via its class representative).
-    let remap: Vec<StateId> = (0..n)
-        .map(|i| {
-            let r = rep[class[i] as usize].expect("class has a member");
-            StateId(class_of_rep[&r])
-        })
-        .collect();
-    for node in &mut m.nodes {
-        *node = node.map_target(|t| remap[t.0 as usize]);
+
+    /// [`minimize_states`].
+    fn minimize_states(&mut self, m: &mut Efsm) {
+        if m.states.len() <= 1 {
+            return;
+        }
+        let class = Holes::of(m, self).coarsest_partition();
+        self.merge_classes(m, &class);
     }
-    m.init = remap[m.init.0 as usize];
-    m.states = reps
-        .iter()
-        .map(|r| m.states[r.0 as usize].clone())
-        .collect();
+
+    /// Merge each class of `class` (dense ids `0..k`) into its
+    /// lowest-numbered member, keeping the survivors in state order.
+    fn merge_classes(&mut self, m: &mut Efsm, class: &[u32]) {
+        let n = m.states.len();
+        let num_classes = class.iter().copied().max().map_or(0, |c| c + 1) as usize;
+        if num_classes == n {
+            return; // already minimal
+        }
+        // A class's new id is its rank by lowest-numbered member, the
+        // member it merges into.
+        let mut new_id = vec![UNSET; num_classes];
+        let mut next = 0;
+        self.seen.clear();
+        self.remap.clear();
+        for &c in class {
+            let rep = new_id[c as usize] == UNSET;
+            if rep {
+                new_id[c as usize] = next;
+                next += 1;
+            }
+            self.seen.push(rep);
+            self.remap.push(StateId(new_id[c as usize]));
+        }
+        for node in &mut m.nodes {
+            *node = node.map_target(|t| self.remap[t.0 as usize]);
+        }
+        m.init = self.remap[m.init.0 as usize];
+        let mut i = 0;
+        m.states.retain(|_| {
+            i += 1;
+            self.seen[i - 1]
+        });
+    }
 }
 
 /// What refinement needs of a machine: each state's shape class and
@@ -232,38 +264,44 @@ struct Holes {
     /// expansion order.
     start: Vec<usize>,
     targets: Vec<u32>,
-    /// `preds[t]`: the states with a hole targeting `t`, each once.
-    preds: Vec<Vec<u32>>,
+    /// `preds[pred_start[t]..pred_start[t + 1]]`: the states with a
+    /// hole targeting `t`, each once, ascending.
+    pred_start: Vec<u32>,
+    preds: Vec<u32>,
 }
 
 impl Holes {
-    fn of(m: &Efsm) -> Holes {
-        const UNSET: u32 = u32::MAX;
+    fn of(m: &Efsm, sc: &mut Scratch) -> Holes {
         let n = m.states.len();
         let nodes = &m.nodes;
-        let mut shape = vec![UNSET; nodes.len()];
-        let mut intern: FxHashMap<Node, u32> = FxHashMap::default();
-        let mut shape_class_of: FxHashMap<u32, u32> = FxHashMap::default();
+        // Per node its shape id; per shape id the class of the states
+        // rooted at that shape.
+        let shape = &mut sc.memo;
+        shape.clear();
+        shape.resize(nodes.len(), UNSET);
+        let mut class_of_shape = vec![UNSET; nodes.len()];
+        sc.intern.clear();
         let mut shape_class = Vec::with_capacity(n);
+        let mut classes = 0;
         let mut start = Vec::with_capacity(n + 1);
         let mut targets = Vec::new();
-        let mut post: Vec<(NodeId, bool)> = Vec::new();
-        let mut pre: Vec<NodeId> = Vec::new();
         for st in &m.states {
             // Shape: hash-cons bottom-up, every `Goto` the same hole.
-            post.push((st.root, false));
-            while let Some((id, children_done)) = post.pop() {
+            sc.post.push((st.root, false));
+            while let Some((id, children_done)) = sc.post.pop() {
                 let node = nodes[id.0 as usize];
                 if shape[id.0 as usize] != UNSET {
                     continue;
                 }
                 if !children_done {
-                    post.push((id, true));
+                    sc.post.push((id, true));
                     match node {
                         Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
-                            post.extend([(then_, false), (else_, false)]);
+                            sc.post.extend([(then_, false), (else_, false)]);
                         }
-                        Node::Do { next, .. } | Node::Emit { next, .. } => post.push((next, false)),
+                        Node::Do { next, .. } | Node::Emit { next, .. } => {
+                            sc.post.push((next, false))
+                        }
                         Node::Goto { .. } => {}
                     }
                     continue;
@@ -271,35 +309,52 @@ impl Holes {
                 let key = node
                     .map_successors(|s| NodeId(shape[s.0 as usize]))
                     .map_target(|_| StateId(0));
-                let next = intern.len() as u32;
-                shape[id.0 as usize] = *intern.entry(key).or_insert(next);
+                let next = NodeId(sc.intern.len() as u32);
+                shape[id.0 as usize] = sc.intern.entry(key).or_insert(next).0;
             }
-            let next = shape_class_of.len() as u32;
-            shape_class.push(
-                *shape_class_of
-                    .entry(shape[st.root.0 as usize])
-                    .or_insert(next),
-            );
+            let c = &mut class_of_shape[shape[st.root.0 as usize] as usize];
+            if *c == UNSET {
+                *c = classes;
+                classes += 1;
+            }
+            shape_class.push(*c);
             // Hole targets in expansion order.
             start.push(targets.len());
-            pre.push(st.root);
-            while let Some(id) = pre.pop() {
+            sc.pre.push(st.root);
+            while let Some(id) = sc.pre.pop() {
                 match nodes[id.0 as usize] {
                     Node::Test { then_, else_, .. } | Node::TestPred { then_, else_, .. } => {
-                        pre.push(else_);
-                        pre.push(then_);
+                        sc.pre.push(else_);
+                        sc.pre.push(then_);
                     }
-                    Node::Do { next, .. } | Node::Emit { next, .. } => pre.push(next),
+                    Node::Do { next, .. } | Node::Emit { next, .. } => sc.pre.push(next),
                     Node::Goto { target } => targets.push(target.0),
                 }
             }
         }
         start.push(targets.len());
-        let mut preds = vec![Vec::new(); n];
-        for p in 0..n as u32 {
-            for &t in &targets[start[p as usize]..start[p as usize + 1]] {
-                if preds[t as usize].last() != Some(&p) {
-                    preds[t as usize].push(p);
+        // Predecessor lists, compressed: count, then fill, each
+        // predecessor once per target (`last` stamps `p + 1`).
+        let mut last = vec![0u32; n];
+        let mut pred_start = vec![0u32; n + 1];
+        for p in 0..n {
+            for &t in &targets[start[p]..start[p + 1]] {
+                if std::mem::replace(&mut last[t as usize], p as u32 + 1) != p as u32 + 1 {
+                    pred_start[t as usize + 1] += 1;
+                }
+            }
+        }
+        for t in 0..n {
+            pred_start[t + 1] += pred_start[t];
+        }
+        let mut preds = vec![0u32; pred_start[n] as usize];
+        let mut fill: Vec<u32> = pred_start[..n].to_vec();
+        last.fill(0);
+        for p in 0..n {
+            for &t in &targets[start[p]..start[p + 1]] {
+                if std::mem::replace(&mut last[t as usize], p as u32 + 1) != p as u32 + 1 {
+                    preds[fill[t as usize] as usize] = p as u32;
+                    fill[t as usize] += 1;
                 }
             }
         }
@@ -307,6 +362,7 @@ impl Holes {
             shape_class,
             start,
             targets,
+            pred_start,
             preds,
         }
     }
@@ -315,25 +371,25 @@ impl Holes {
         &self.targets[self.start[s as usize]..self.start[s as usize + 1]]
     }
 
+    fn preds(&self, t: u32) -> &[u32] {
+        let t = t as usize;
+        &self.preds[self.pred_start[t] as usize..self.pred_start[t + 1] as usize]
+    }
+
     /// The coarsest partition refining the shape partition in which
     /// every class is stable: members' hole targets lie pairwise in the
     /// same classes. Returns dense class ids.
     fn coarsest_partition(&self) -> Vec<u32> {
         let n = self.shape_class.len();
         let mut class = self.shape_class.clone();
-        let num_shapes = class.iter().copied().max().map_or(0, |c| c + 1) as usize;
-        let mut members: Vec<Vec<u32>> = vec![Vec::new(); num_shapes];
-        let mut pos = vec![0u32; n];
-        for (s, &c) in class.iter().enumerate() {
-            pos[s] = members[c as usize].len() as u32;
-            members[c as usize].push(s as u32);
-        }
+        let mut classes = Partition::of(&class);
         // `rested[s]`: `s` is not re-keyed this round.
         let mut rested = vec![true; n];
         // Round one keys every state.
         let mut dirty: Vec<u32> = (0..n as u32).collect();
         let mut keys: Vec<u32> = Vec::new();
         let mut order: Vec<usize> = Vec::new();
+        let mut parts: Vec<(usize, usize)> = Vec::new();
         let mut moves: Vec<(u32, u32)> = Vec::new();
         loop {
             dirty.sort_unstable_by_key(|&s| (class[s as usize], s));
@@ -343,7 +399,7 @@ impl Holes {
             }
             for group in dirty.chunk_by(|a, b| class[*a as usize] == class[*b as usize]) {
                 let block = class[group[0] as usize] as usize;
-                let size = members[block].len();
+                let size = classes.range[block].1 as usize;
                 if size == 1 {
                     continue;
                 }
@@ -359,8 +415,14 @@ impl Holes {
                 order.clear();
                 order.extend(0..group.len());
                 order.sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)));
-                let parts: Vec<&[usize]> =
-                    order.chunk_by(|&a, &b| key_of(a) == key_of(b)).collect();
+                parts.clear();
+                let mut lo = 0;
+                for hi in 1..=order.len() {
+                    if hi == order.len() || key_of(order[hi]) != key_of(order[lo]) {
+                        parts.push((lo, hi));
+                        lo = hi;
+                    }
+                }
                 // The members not re-keyed form one more part: their keys
                 // did not change, so they still agree, and no re-keyed
                 // key matches them — a re-keyed state has a hole into a
@@ -371,22 +433,34 @@ impl Holes {
                 }
                 // The largest part keeps the id (the rest wins ties);
                 // every other part moves to a fresh one.
-                let largest = parts.iter().map(|part| part.len()).max().unwrap_or(0);
+                let largest = parts.iter().map(|&(lo, hi)| hi - lo).max().unwrap_or(0);
                 let keeper = parts
                     .iter()
-                    .position(|part| part.len() == largest && largest > rest);
-                for (i, part) in parts.iter().enumerate() {
+                    .position(|&(lo, hi)| hi - lo == largest && largest > rest);
+                for (i, &(lo, hi)) in parts.iter().enumerate() {
                     if keeper != Some(i) {
-                        let fresh = members.len() as u32;
-                        members.push(Vec::new());
-                        moves.extend(part.iter().map(|&i| (group[i], fresh)));
+                        let fresh = classes.range.len() as u32;
+                        for &k in &order[lo..hi] {
+                            classes.carve(group[k], block);
+                            moves.push((group[k], fresh));
+                        }
+                        classes.split_off(block, hi - lo);
                     }
                 }
                 if keeper.is_some() && rest > 0 {
-                    let fresh = members.len() as u32;
-                    members.push(Vec::new());
-                    let resting = members[block].iter().filter(|&&s| rested[s as usize]);
-                    moves.extend(resting.map(|&s| (s, fresh)));
+                    let fresh = classes.range.len() as u32;
+                    let (first, _) = classes.range[block];
+                    let mut at = first;
+                    while at < first + classes.range[block].1 {
+                        let s = classes.elems[at as usize];
+                        if rested[s as usize] {
+                            classes.carve(s, block);
+                            moves.push((s, fresh));
+                        } else {
+                            at += 1;
+                        }
+                    }
+                    classes.split_off(block, rest);
                 }
             }
             for &s in &dirty {
@@ -399,19 +473,70 @@ impl Holes {
             // whose id changed are re-keyed next round.
             dirty.clear();
             for &(s, fresh) in &moves {
-                let old = class[s as usize] as usize;
-                let p = pos[s as usize] as usize;
-                members[old].swap_remove(p);
-                if let Some(&moved) = members[old].get(p) {
-                    pos[moved as usize] = p as u32;
-                }
-                pos[s as usize] = members[fresh as usize].len() as u32;
-                members[fresh as usize].push(s);
                 class[s as usize] = fresh;
-                dirty.extend_from_slice(&self.preds[s as usize]);
+                dirty.extend_from_slice(self.preds(s));
             }
             moves.clear();
         }
+    }
+}
+
+/// States partitioned into classes, each class's members one range of
+/// `elems`: a split moves each departing part to the end of its class's
+/// range, which then becomes the range of the part's fresh class.
+struct Partition {
+    /// Per class id: the first index and the length of its range.
+    range: Vec<(u32, u32)>,
+    /// States, grouped by class.
+    elems: Vec<u32>,
+    /// State → its index in `elems`.
+    pos: Vec<u32>,
+}
+
+impl Partition {
+    /// The partition by `class` (dense ids), with room for a class per
+    /// state.
+    fn of(class: &[u32]) -> Partition {
+        let n = class.len();
+        let classes = class.iter().copied().max().map_or(0, |c| c + 1) as usize;
+        let mut range = Vec::with_capacity(n);
+        range.resize(classes, (0, 0));
+        for &c in class {
+            range[c as usize].1 += 1;
+        }
+        let mut first = 0;
+        for r in &mut range {
+            r.0 = first;
+            first += r.1;
+        }
+        let mut fill: Vec<u32> = range.iter().map(|r| r.0).collect();
+        let (mut elems, mut pos) = (vec![0; n], vec![0; n]);
+        for (s, &c) in class.iter().enumerate() {
+            let at = &mut fill[c as usize];
+            elems[*at as usize] = s as u32;
+            pos[s] = *at;
+            *at += 1;
+        }
+        Partition { range, elems, pos }
+    }
+
+    /// Move state `s` to the end of class `c`'s range and shrink the
+    /// range past it.
+    fn carve(&mut self, s: u32, c: usize) {
+        let (first, len) = &mut self.range[c];
+        let end = *first + *len - 1;
+        *len -= 1;
+        let at = self.pos[s as usize];
+        let other = self.elems[end as usize];
+        self.elems.swap(at as usize, end as usize);
+        self.pos[other as usize] = at;
+        self.pos[s as usize] = end;
+    }
+
+    /// Make the `len` states carved last from class `c` a fresh class.
+    fn split_off(&mut self, c: usize, len: usize) {
+        let (first, kept) = self.range[c];
+        self.range.push((first + kept, len as u32));
     }
 }
 
@@ -484,6 +609,59 @@ mod tests {
         // The test now has both branches equal and is itself eliminated.
         assert_eq!(m.stats().tests, 0);
         m.validate().unwrap();
+    }
+
+    /// `reduce` reads each live node once, shared ones included, and
+    /// reports that count: the live nodes `Efsm::stats` counts.
+    #[test]
+    fn reduce_reads_each_live_node_once() {
+        let mut b = EfsmBuilder::new("shared");
+        let a = b.input("a");
+        let o = b.output("o");
+        let g0 = b.goto(StateId(0));
+        let shared = b.emit(o, g0);
+        let g1 = b.goto(StateId(1));
+        let r0 = b.test(a, shared, g1);
+        b.state("s0", r0);
+        let r1 = b.test(a, g0, shared);
+        b.state("s1", r1);
+        // A dead node.
+        b.goto(StateId(1));
+        let mut m = b.build();
+        let live = m.stats().nodes;
+        assert_eq!(live, 5);
+        assert_eq!(reduce(&mut m), live);
+        assert_eq!(m.nodes.len() as u32, live);
+    }
+
+    /// Pruning renumbers the targets of every kept state, not only the
+    /// initial one's.
+    #[test]
+    fn prune_renumbers_every_kept_state() {
+        let mut b = EfsmBuilder::new("renumber");
+        let a = b.input("a");
+        let g2 = b.goto(StateId(2));
+        b.state("s0", g2);
+        let g1 = b.goto(StateId(1));
+        b.state("island", g1);
+        let stay = b.goto(StateId(2));
+        let back = b.goto(StateId(0));
+        let r2 = b.test(a, back, stay);
+        b.state("s2", r2);
+        let mut m = b.build();
+        prune_unreachable(&mut m);
+        assert_eq!(m.states.len(), 2);
+        m.validate().unwrap();
+        let on: BitSet = [a.0 as usize].into_iter().collect();
+        let mut emitted = Vec::new();
+        let s = m.step_bits(m.init, &on, &mut NoHooks, &mut emitted).next;
+        assert_eq!(s, StateId(1));
+        assert_eq!(
+            m.step_bits(s, &BitSet::new(), &mut NoHooks, &mut emitted)
+                .next,
+            s
+        );
+        assert_eq!(m.step_bits(s, &on, &mut NoHooks, &mut emitted).next, m.init);
     }
 
     #[test]
@@ -792,7 +970,7 @@ mod proptests {
                 break;
             }
         }
-        merge_classes(m, &class);
+        Scratch::default().merge_classes(m, &class);
     }
 
     /// Canonical string signature of an s-graph with state classes

@@ -166,21 +166,6 @@ pub fn enumerate_paths(nodes: &[Node], root: NodeId, cap: usize) -> Option<Vec<P
     Some(out)
 }
 
-/// Count the nodes reachable from `root` (shared nodes counted once).
-pub fn reachable_nodes(nodes: &[Node], root: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; nodes.len()];
-    let mut order = Vec::new();
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        if std::mem::replace(&mut seen[id.0 as usize], true) {
-            continue;
-        }
-        order.push(id);
-        stack.extend(nodes[id.0 as usize].successors());
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,18 +247,5 @@ mod tests {
             root = id;
         }
         assert!(enumerate_paths(&nodes, root, 1000).is_none());
-    }
-
-    #[test]
-    fn reachable_counts_shared_once() {
-        let nodes = vec![
-            Node::Test {
-                sig: Signal(0),
-                then_: NodeId(1),
-                else_: NodeId(1),
-            },
-            goto(0),
-        ];
-        assert_eq!(reachable_nodes(&nodes, NodeId(0)).len(), 2);
     }
 }

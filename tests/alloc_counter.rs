@@ -597,3 +597,79 @@ fn control_layout_allocates_a_fixed_handful() {
     assert_eq!(layout.entries().len(), machine.states.len());
     assert!(n <= 16, "{n} allocations to lay out the pager's control");
 }
+
+/// The unoptimized machine of an observer with one `eventually_within
+/// n` property: a window of `n + 2` states.
+fn unoptimized_window(n: u32) -> efsm::Efsm {
+    let src = format!("observer w(input pure e) {{ eventually_within {n} (e); }}");
+    let ast = ecl_syntax::parse_str(&src).expect("observer parses");
+    let spec = ecl_observe::synthesize(ast.observer("w").expect("declared")).expect("synthesizes");
+    let opts = esterel::CompileOptions {
+        optimize: false,
+        ..Default::default()
+    };
+    esterel::compile::compile(&spec.program, &opts).expect("observer compiles")
+}
+
+/// Allocations of `efsm::opt::optimize` on the 82-state unoptimized
+/// window of an `eventually_within 80` observer (the protocol stack's
+/// `liveness_watch`) before its passes shared one set of buffers: a
+/// memo map, a DFS stack and a state clone per state per pass.
+const WINDOW_80_OPTIMIZE_ALLOCS_BEFORE: u64 = 1_152;
+
+/// The EFSM optimizer allocates a fixed handful of buffers, not per
+/// state or node: the windows of 80 and 320 instants (82 and 322
+/// states) optimize within the same bound of 64 allocator calls, a
+/// twentieth of what the 82-state one took before. Optimizing touches
+/// no telemetry state, so the test takes no lock.
+#[test]
+fn optimize_allocates_a_fixed_handful() {
+    for n in [80, 320] {
+        let mut m = unoptimized_window(n);
+        assert_eq!(m.states.len(), n as usize + 2);
+        let mut report = None;
+        let calls = allocs_of(|| report = Some(efsm::opt::optimize(&mut m)));
+        assert!(report.unwrap().nodes_after <= report.unwrap().nodes_before);
+        assert!(
+            calls <= 64,
+            "{calls} allocations to optimize the {n}-instant window"
+        );
+        assert!(calls * 16 <= WINDOW_80_OPTIMIZE_ALLOCS_BEFORE);
+    }
+}
+
+/// Allocations of `Fused::compile` of the monolithic protocol stack
+/// (under `MaxEsterel`) before the fast stream was derived from the
+/// exact one. The derivation, before its passes were made linear,
+/// brought them to 86.
+const STACK_MONO_FUSED_ALLOCS_WITHOUT_DERIVATION: u64 = 24;
+
+/// Compiling a monolithic task's fused program allocates per pass, not
+/// per block, op or promoted access: at most 40 allocator calls on both
+/// designs, translation and derivation together, where the translation
+/// alone took 24.
+#[test]
+fn fused_compile_allocates_per_pass() {
+    for (src, entry) in [
+        (sim::designs::PROTOCOL_STACK, "toplevel"),
+        (sim::designs::VOICE_PAGER, "pager"),
+    ] {
+        let design = Source::new(src)
+            .parse()
+            .unwrap()
+            .elaborate(entry)
+            .unwrap()
+            .split_with(ecl_core::SplitStrategy::MaxEsterel)
+            .unwrap()
+            .to_design();
+        let machine = design.to_efsm(&Default::default()).unwrap();
+        let rt = design.new_rt().unwrap();
+        let mut fused = None;
+        let calls = allocs_of(|| fused = ecl_core::Fused::compile(&machine, &rt));
+        assert!(fused.is_some(), "{entry} fuses");
+        assert!(
+            calls <= STACK_MONO_FUSED_ALLOCS_WITHOUT_DERIVATION + 16,
+            "{calls} allocations to compile {entry}'s fused program"
+        );
+    }
+}

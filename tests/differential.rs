@@ -1072,10 +1072,116 @@ fn efsm_construction_is_pinned() {
     assert_eq!(actual, pinned, "EFSM construction changed");
 }
 
-/// Every task runtime of the 8 shipped configurations — 16 in all —
-/// has a fused backend, its quiet table is exact, and the partitioned
-/// pager — the design whose tasks mostly wait — has quiet states in
-/// every task.
+/// The 8 shipped configurations, each with its designs (one per task)
+/// and its key in the pinning tests.
+fn shipped_configs() -> Vec<(String, Vec<Design>)> {
+    let mut out = Vec::new();
+    for (name, src, entry) in [
+        ("stack", sim::designs::PROTOCOL_STACK, "toplevel"),
+        ("pager", sim::designs::VOICE_PAGER, "pager"),
+    ] {
+        for (shape, partition) in [("mono", false), ("parts", true)] {
+            for (sname, strategy) in [
+                ("max", SplitStrategy::MaxEsterel),
+                ("min", SplitStrategy::MinEsterel),
+            ] {
+                let designs = config_designs(src, entry, partition, strategy);
+                out.push((format!("{name}/{shape}/{sname}"), designs));
+            }
+        }
+    }
+    out
+}
+
+/// The fused programs of the 16 shipped task runtimes are pinned, op
+/// for op: the `{:?}` of each task's `Fused` (exact stream, fast
+/// stream, promoted homes and quiet table), digested per
+/// configuration. Every `vm.op.*` count of a compiled run follows from
+/// these streams.
+#[test]
+fn fused_programs_are_pinned() {
+    let digests: Vec<(String, u64)> = shipped_configs()
+        .into_iter()
+        .map(|(key, designs)| {
+            let h = designs.iter().fold(FNV_OFFSET, |h, d| {
+                let machine = d.to_efsm(&Default::default()).expect("design compiles");
+                let rt = d.new_rt().expect("runtime builds");
+                let fused = Fused::compile(&machine, &rt).expect("every shipped task fuses");
+                fnv1a(h, format!("{fused:?}").as_bytes())
+            });
+            (key, h)
+        })
+        .collect();
+    let pinned: [(&str, u64); 8] = [
+        ("stack/mono/max", 0xB5D3_7278_128A_9972),
+        ("stack/mono/min", 0xC499_4A5F_2F01_113A),
+        ("stack/parts/max", 0x3B13_9E81_F93A_95E3),
+        ("stack/parts/min", 0xF9D7_03B9_3766_AB5F),
+        ("pager/mono/max", 0x21BB_E6DB_C9AD_309C),
+        ("pager/mono/min", 0x5AAD_5E6B_EE29_47C9),
+        ("pager/parts/max", 0x60A3_8848_4B08_5428),
+        ("pager/parts/min", 0x4B47_AFA4_A2BB_EC94),
+    ];
+    let actual: Vec<(&str, u64)> = digests.iter().map(|(k, h)| (k.as_str(), *h)).collect();
+    if actual != pinned {
+        for (k, h) in &actual {
+            eprintln!("(\"{k}\", 0x{h:016X}),");
+        }
+    }
+    assert_eq!(actual, pinned, "fused programs changed");
+}
+
+/// Table 1's size columns are pinned for the 8 shipped configurations:
+/// `task_cost` code and data bytes summed over the tasks, and
+/// `rtos_cost` code and data bytes with the RTOS sized the way
+/// `sim::measure` sizes it (one mailbox per task input, 64 buffer
+/// bytes when it carries a value). Their sum over all 8 is the cost
+/// model's total over one cycle of the `compile` workload.
+#[test]
+fn cost_model_is_pinned() {
+    use codegen::cost::{rtos_cost, task_cost, CostParams, TaskCost};
+    let p = CostParams::default();
+    let rows: Vec<(String, [u32; 4])> = shipped_configs()
+        .into_iter()
+        .map(|(key, designs)| {
+            let mut task = TaskCost::default();
+            let (mut mailboxes, mut buffers) = (0, 0);
+            for d in &designs {
+                let machine = d.to_efsm(&Default::default()).expect("design compiles");
+                task = task + task_cost(&machine, d, &p);
+                for s in d.program().signals() {
+                    if s.kind == efsm::SigKind::Input {
+                        mailboxes += 1;
+                        buffers += if s.valued { 64 } else { 0 };
+                    }
+                }
+            }
+            let rtos = rtos_cost(designs.len() as u32, mailboxes, buffers, &p);
+            let bytes = [task.code_bytes, task.data_bytes];
+            (key, [bytes[0], bytes[1], rtos.code_bytes, rtos.data_bytes])
+        })
+        .collect();
+    let pinned: [(&str, [u32; 4]); 8] = [
+        ("stack/mono/max", [2052, 165, 5584, 1600]),
+        ("stack/mono/min", [1976, 165, 5584, 1600]),
+        ("stack/parts/max", [2192, 309, 5872, 2080]),
+        ("stack/parts/min", [2112, 309, 5872, 2080]),
+        ("pager/mono/max", [3652, 103, 5584, 1680]),
+        ("pager/mono/min", [3548, 103, 5584, 1680]),
+        ("pager/parts/max", [2192, 120, 5872, 2080]),
+        ("pager/parts/min", [2120, 120, 5872, 2080]),
+    ];
+    let actual: Vec<(&str, [u32; 4])> = rows.iter().map(|(k, b)| (k.as_str(), *b)).collect();
+    if actual != pinned {
+        for (k, b) in &actual {
+            eprintln!("(\"{k}\", {b:?}),");
+        }
+    }
+    assert_eq!(actual, pinned, "cost model figures changed");
+    let total: u32 = rows.iter().flat_map(|(_, b)| b).sum();
+    assert_eq!(total, 81_942);
+}
+
 /// The swept fuel budgets of `deopt_matches_exact_stream` reach both
 /// ways out of a fast block: fuel exhaustion, which the fast stream
 /// only reaches by deoptimizing, and index or zero-divisor faults
@@ -1118,6 +1224,10 @@ fn promoted_slots_stay_exact_around_faults() {
     }
 }
 
+/// Every task runtime of the 8 shipped configurations — 16 in all —
+/// has a fused backend, its quiet table is exact, and the partitioned
+/// pager — the design whose tasks mostly wait — has quiet states in
+/// every task.
 #[test]
 fn quiet_states_are_exact_on_shipped_designs() {
     for (src, entry) in [
