@@ -196,8 +196,8 @@ pub fn stmt_insns(s: &Stmt) -> u32 {
 /// Estimate one task's footprint from its EFSM and design tables.
 ///
 /// `m` is the compiled machine; `design` provides the extracted action
-/// code and the variable frame (sizes resolved via the design's own
-/// runtime type table).
+/// code and the sizes of the variable frame and the valued signals
+/// ([`Design::data_bytes`], from the resolved types).
 pub fn task_cost(m: &Efsm, design: &Design, p: &CostParams) -> TaskCost {
     let mut insns: u64 = p.insns_task_base as u64;
     insns += (m.states.len() as u64) * p.insns_state_dispatch as u64;
@@ -265,28 +265,9 @@ pub fn task_cost(m: &Efsm, design: &Design, p: &CostParams) -> TaskCost {
     let code_bytes = (insns as u32) * p.bytes_per_insn;
     // Data: frame variables + valued-signal buffers + 4B state word +
     // one status byte per signal (rounded up to 4).
-    let mut data_bytes = 4u32;
-    if let Ok(rt) = design.new_rt() {
-        let table = rt.machine().table();
-        for v in &design.elab.vars {
-            if let Some(val) = rt.machine().get(&v.name) {
-                let _ = val;
-            }
-            // Resolve through the runtime's frame (already built).
-            if let Some(val) = rt.machine().get(&v.name) {
-                data_bytes += val.bytes.len() as u32;
-            }
-        }
-        for (i, s) in design.elab.signals.iter().enumerate() {
-            if !s.pure {
-                if let Some(v) = rt.signal_value(i) {
-                    data_bytes += v.bytes.len() as u32;
-                }
-            }
-        }
-        let _ = table;
-    }
-    data_bytes += (design.elab.signals.len() as u32).div_ceil(4) * 4;
+    let data_bytes = 4
+        + design.data_bytes().unwrap_or_default()
+        + (design.elab.signals.len() as u32).div_ceil(4) * 4;
     TaskCost {
         code_bytes,
         data_bytes,

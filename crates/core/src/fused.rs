@@ -26,10 +26,11 @@
 //!
 //! * **Promoted slots.** A root variable whose every access in the
 //!   stream is a whole-scalar [`Op::LoadVar`]/[`Op::StoreVar`] of one
-//!   [`vm::Ext`] lives in a register of its own for the whole reaction,
-//!   loaded from the frame before the state's entry op and written back
-//!   at its `End`. Its loads vanish (their readers read the register),
-//!   and a store retargets the op that defined the value when nothing
+//!   [`vm::Ext`] lives in a register of its own for the whole session:
+//!   the first fast reaction loads every promoted slot from the frame,
+//!   later ones find them in the registers, and no `End` writes them
+//!   back. Its loads vanish (their readers read the register), and a
+//!   store retargets the op that defined the value when nothing
 //!   fallible and no read of the slot lies between them and the value
 //!   has the slot's `Ext`; otherwise the store is a register move.
 //! * **One charge per block.** A straight-line block runs from a head
@@ -41,15 +42,30 @@
 //!   refunds every burn after the faulting op (a cold per-op table), so
 //!   the fuel is the walker's.
 //! * **Deoptimization.** When the fuel cannot cover a block, the loop
-//!   writes the registers back and continues at the same block of the
-//!   exact stream, before any op of the block ran: its temporaries hold
-//!   what the exact stream's would (promotion only drops a temporary
-//!   that is dead at the block's exit), so the exact stream finishes the
+//!   writes every promoted register back (they may hold stores of
+//!   earlier reactions) and continues at the same block of the exact
+//!   stream, before any op of the block ran: its temporaries hold what
+//!   the exact stream's would (promotion only drops a temporary that is
+//!   dead at the block's exit), so the exact stream finishes the
 //!   reaction as if it had run from the entry.
 //!
+//! # Registers are session state
+//!
+//! The runtime ([`Rt`]) records whether the promoted registers are
+//! live. While they are, they and not the frame hold the promoted
+//! variables, so the frame is synced — every register written back and
+//! the flag cleared — wherever something reads it: at a
+//! deoptimization, before [`Fused::step_exact`], and through
+//! [`Fused::sync_frame`], which a caller runs before the walker
+//! reference steps the task or before it inspects the frame. The next
+//! fast reaction reloads. The walker's [`efsm::DataHooks`] assert (in
+//! debug builds) that no register is live. A clone or a restore of the
+//! runtime carries the registers and the flag with the frame.
+//!
 //! So at every fault point the registers hold exactly the stores the
-//! walker has made, and fuel, frames, errors, emissions and node counts
-//! never depend on which stream ran; only the executed op counts do.
+//! walker has made, and fuel, frames at every sync point, errors,
+//! emissions and node counts never depend on which stream ran; only the
+//! executed op counts do.
 //!
 //! A task fuses whole or not at all: [`Fused::compile`] returns `None`
 //! for a runtime with any data hook outside the bytecode subset, and
@@ -85,7 +101,7 @@ const LAYOUT: u32 = 1 << 31;
 /// Holds no reference to the machine or the runtime; callers pass a
 /// runtime of the same design (a clone of the one it was compiled
 /// against) to [`Fused::step`].
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Fused {
     /// The exact stream: every hook's bytecode as lowered.
     exact: Code,
@@ -94,17 +110,30 @@ pub struct Fused {
     /// Fast pc → the exact pc it was derived from (a charge: its
     /// block's head) — read only when a reaction deoptimizes.
     to_exact: Vec<u32>,
-    /// The promoted slots each state's reaction can reach, grouped per
-    /// state, the ones it can store last.
-    homes: Vec<Home>,
-    /// Per state, `[first, first stored, end]` into `homes`.
-    state_homes: Vec<[u32; 3]>,
     /// Per state, the outcome of its no-input reaction when the state
     /// is quiet (see [`Fused::quiet`]).
     quiet: Vec<Option<(StateId, u32)>>,
     /// Register-file size: the widest inlined hook, then one register
     /// per promoted slot.
     regs: u16,
+    /// The promoted slots, in slot order, each with its register.
+    promoted: Vec<Home>,
+}
+
+/// Shows the streams, the deoptimization map, the quiet table and the
+/// register count. The promoted slots are left out: they are the slots
+/// the exact stream only loads and stores whole with one `Ext`, in slot
+/// order after the temporaries, so the exact stream shows them.
+impl std::fmt::Debug for Fused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Fused")
+            .field("exact", &self.exact)
+            .field("fast", &self.fast)
+            .field("to_exact", &self.to_exact)
+            .field("quiet", &self.quiet)
+            .field("regs", &self.regs)
+            .finish()
+    }
 }
 
 /// One op stream and the side tables only its error paths read.
@@ -121,7 +150,7 @@ struct Code {
 }
 
 /// A promoted slot: the root variable `slot`, held in register `reg`
-/// while a fast reaction runs.
+/// while the runtime's registers are live.
 #[derive(Debug, Clone, Copy)]
 struct Home {
     slot: u32,
@@ -226,7 +255,7 @@ impl Fused {
             spans: f.spans,
             refunds: Vec::new(),
         };
-        let fast = Derive::new(&exact, f.regs, rt.machine().root_len()).run();
+        let fast = Derive::new(&exact, f.regs).run();
         Some(Fused {
             quiet: (exact.entries.iter())
                 .map(|&pc| quiet_outcome(&exact.ops, pc))
@@ -234,9 +263,8 @@ impl Fused {
             exact,
             fast: fast.code,
             to_exact: fast.to_exact,
-            homes: fast.homes,
-            state_homes: fast.state_homes,
             regs: fast.regs,
+            promoted: fast.promoted,
         })
     }
 
@@ -265,7 +293,9 @@ impl Fused {
     /// the fast stream from the state's entry op to its `End` against
     /// `rt`, branching on the presence of the local signals in
     /// `inputs`, and finishes on the exact stream if the fuel runs
-    /// short. Allocation-free.
+    /// short. The promoted variables stay in `rt`'s registers
+    /// afterwards; [`Fused::sync_frame`] writes them to the frame.
+    /// Allocation-free once the registers are live.
     ///
     /// # Panics
     ///
@@ -278,22 +308,16 @@ impl Fused {
         rt: &mut Rt,
         emitted: &mut Vec<Signal>,
     ) -> StepOut {
-        let [lo, mid, hi] = self.state_homes[state.0 as usize].map(|i| i as usize);
-        let homes = &self.homes[lo..hi];
-        self.run(
-            &self.fast,
-            homes,
-            &homes[mid - lo..],
-            state,
-            inputs,
-            rt,
-            emitted,
-        )
+        if !rt.regs_live {
+            self.load(rt);
+        }
+        self.run(&self.fast, state, inputs, rt, emitted)
     }
 
     /// The same reaction on the exact stream alone, which every
     /// observable of [`Fused::step`] equals — the reference its
-    /// deoptimization continues on, run whole.
+    /// deoptimization continues on, run whole. Syncs the frame first;
+    /// the registers are not live afterwards.
     ///
     /// # Panics
     ///
@@ -305,18 +329,47 @@ impl Fused {
         rt: &mut Rt,
         emitted: &mut Vec<Signal>,
     ) -> StepOut {
-        self.run(&self.exact, &[], &[], state, inputs, rt, emitted)
+        self.sync_frame(rt);
+        self.size_regs(rt);
+        self.run(&self.exact, state, inputs, rt, emitted)
     }
 
-    /// The dispatch loop over `code` from `state`'s entry, with `homes`
-    /// loaded into their registers first and `back` written back at
-    /// the `End`.
-    #[allow(clippy::too_many_arguments)]
+    /// Make `rt`'s frame exact: when its promoted registers are live,
+    /// write every one back to its slot and mark them not live, so the
+    /// next fast reaction reloads them. Run it before anything else —
+    /// the walker reference, a test — reads or writes the frame of a
+    /// runtime [`Fused::step`] has stepped.
+    pub fn sync_frame(&self, rt: &mut Rt) {
+        if std::mem::take(&mut rt.regs_live) {
+            write_back(&mut rt.machine, &rt.vm_regs, &self.promoted);
+        }
+    }
+
+    /// Load every promoted slot from the frame into its register: the
+    /// registers are live from now on.
+    #[cold]
+    fn load(&self, rt: &mut Rt) {
+        self.size_regs(rt);
+        for h in &self.promoted {
+            let v = h.ext.read(&rt.machine.root_value(h.slot as usize).bytes, 0);
+            rt.vm_regs[usize::from(h.reg)] = v;
+        }
+        rt.regs_live = true;
+    }
+
+    /// Grow `rt`'s register file to this program's.
+    fn size_regs(&self, rt: &mut Rt) {
+        if rt.vm_regs.len() < usize::from(self.regs) {
+            rt.vm_regs.resize(usize::from(self.regs), 0);
+        }
+    }
+
+    /// The dispatch loop over `code` from `state`'s entry, on a sized
+    /// register file; a fast stream's reaction finds its promoted
+    /// registers live.
     fn run<'a>(
         &'a self,
         mut code: &'a Code,
-        homes: &[Home],
-        mut back: &'a [Home],
         state: StateId,
         inputs: &BitSet,
         rt: &mut Rt,
@@ -328,17 +381,12 @@ impl Fused {
             values,
             error,
             vm_regs,
+            regs_live,
             action_runs,
             pred_evals,
             ..
         } = rt;
-        if vm_regs.len() < usize::from(self.regs) {
-            vm_regs.resize(usize::from(self.regs), 0);
-        }
         let regs = &mut vm_regs[..];
-        for h in homes {
-            regs[h.reg as usize] = h.ext.read(&m.root_value(h.slot as usize).bytes, 0);
-        }
         let mut ops = &code.ops[..];
         let mut pc = code.entries[state.0 as usize] as usize;
         let mut nodes = 0u32;
@@ -364,11 +412,12 @@ impl Fused {
                         let fuel = m.fuel();
                         if error.is_none() {
                             if fuel < u64::from(n) {
-                                // Deoptimize: the frame takes the
-                                // registers, and the exact stream runs
-                                // this block and the rest.
-                                write_back(m, regs, back);
-                                back = &[];
+                                // Deoptimize: the frame takes every
+                                // register (they may hold stores of
+                                // earlier reactions), and the exact
+                                // stream runs this block and the rest.
+                                write_back(m, regs, &self.promoted);
+                                *regs_live = false;
                                 code = &self.exact;
                                 ops = &code.ops[..];
                                 skip = self.to_exact[skip] as usize;
@@ -566,7 +615,6 @@ impl Fused {
                     }
                     Op::End { target } => {
                         nodes += 1;
-                        write_back(m, regs, back);
                         if tel {
                             tm::TABLE_STEPS.raw_add(1);
                             tm::TABLE_FUSED_OPS.raw_add(fused_ops);
@@ -588,7 +636,7 @@ impl Fused {
 }
 
 /// Store the promoted registers `homes` into their frame slots.
-#[inline]
+#[cold]
 fn write_back(m: &mut Machine, regs: &[i64], homes: &[Home]) {
     for h in homes {
         let v = regs[h.reg as usize];
@@ -646,19 +694,14 @@ impl Stream {
 /// store of one `Ext`: the slots the fast stream keeps in registers,
 /// found one op at a time. A slot read or written by offset, by index
 /// or by an aggregate copy is not one.
+#[derive(Default)]
 struct Promotable {
-    /// Per slot: unseen, `Some(Some(ext))` so far, or `Some(None)` out.
+    /// Per slot up to the highest one seen: unseen, `Some(Some(ext))`
+    /// so far, or `Some(None)` out.
     seen: Vec<Option<Option<Ext>>>,
 }
 
 impl Promotable {
-    /// Ready for a frame of `slots` root slots (more grow it).
-    fn new(slots: usize) -> Promotable {
-        Promotable {
-            seen: vec![None; slots],
-        }
-    }
-
     fn see(&mut self, op: &Op) {
         let (slot, ext) = match *op {
             Op::LoadVar { slot, ext, .. } | Op::StoreVar { slot, ext, .. } => (slot, Some(ext)),
@@ -764,23 +807,22 @@ fn normal_succ(op: &Op, pc: u32) -> impl Iterator<Item = u32> {
 struct Fast {
     code: Code,
     to_exact: Vec<u32>,
-    homes: Vec<Home>,
-    state_homes: Vec<[u32; 3]>,
+    promoted: Vec<Home>,
     regs: u16,
 }
 
 /// The derivation of the fast stream from an exact one: two scans of
-/// the stream analyse it, two dataflow fixpoints over its blocks settle
+/// the stream analyse it, a liveness fixpoint over its blocks settles
 /// what crosses a block's exit, one pass over the promoted loads and
 /// stores decides each, and one scan emits the fast ops. Every pass
 /// costs per op, per block edge or per promoted access.
 ///
 /// The first scan finds the blocks and the promotable slots. The
 /// second summarizes each op ([`Fx`]) and each block (burns, gen and
-/// kill sets, the homes it touches, its successors) and runs the
-/// store-retargeting and load-forwarding analysis forward, with one
-/// table of stamps per register and per home. What depends on the
-/// temporaries live at a block's exit waits for the liveness fixpoint.
+/// kill sets, its successors) and runs the store-retargeting and
+/// load-forwarding analysis forward, with one table of stamps per
+/// register and per home. What depends on the temporaries live at a
+/// block's exit waits for the liveness fixpoint.
 struct Derive<'a> {
     exact: &'a Code,
     /// Temporaries: the registers the exact stream uses.
@@ -803,23 +845,19 @@ struct Derive<'a> {
     edits: Vec<Op>,
     /// Ops that can fault in the fast stream.
     faults: usize,
-    /// Per block `b`, `succ[succ_at[b][0]..succ_at[b][1]]` are the
-    /// blocks its last op continues to when no data error is pending,
-    /// and `..succ_at[b + 1][0]` add those a hook head in it continues
-    /// to after a data error. Empty without promoted slots.
+    /// Per block `b`, `succ[succ_at[b]..succ_at[b + 1]]` are the blocks
+    /// its last op continues to when no data error is pending. Empty
+    /// without promoted slots.
     succ: Vec<u32>,
-    succ_at: Vec<[u32; 2]>,
+    succ_at: Vec<u32>,
     /// Some block continues to itself or an earlier block (a loop in a
     /// hook body): without one, a fixpoint over the blocks in reverse
     /// order settles in one pass.
     loops: bool,
     /// Per block, word sets of temporaries (`words` each): gen, kill,
-    /// live-in and live-out; then of homes (`home_words` each): the
-    /// slots it loads or stores, and those it stores. Empty without
-    /// promoted slots.
+    /// live-in and live-out. Empty without promoted slots.
     sets: Vec<u64>,
     words: usize,
-    home_words: usize,
 }
 
 /// No register, home or position.
@@ -870,14 +908,13 @@ fn stamp(pc: usize) -> u32 {
 }
 
 impl<'a> Derive<'a> {
-    /// Analyse `exact`, whose hooks use registers `0..temps` and whose
-    /// frame has `slots` root slots.
-    fn new(exact: &'a Code, temps: u16, slots: usize) -> Derive<'a> {
+    /// Analyse `exact`, whose hooks use registers `0..temps`.
+    fn new(exact: &'a Code, temps: u16) -> Derive<'a> {
         let ops = &exact.ops;
         // Mark each block head 1 in `block_id`, then number the blocks
         // in place.
         let mut block_id = vec![0u32; ops.len()];
-        let (mut heads, mut hook_heads) = (0, 0);
+        let mut heads = 0;
         let mut mark = |pc: u32| {
             if let Some(h @ 0) = block_id.get_mut(pc as usize) {
                 *h = 1;
@@ -888,7 +925,7 @@ impl<'a> Derive<'a> {
         for &e in &exact.entries {
             mark(e);
         }
-        let mut promotable = Promotable::new(slots);
+        let mut promotable = Promotable::default();
         let mut accesses = 0;
         for (pc, op) in ops.iter().enumerate() {
             if ends_block(op) {
@@ -896,11 +933,6 @@ impl<'a> Derive<'a> {
                 for t in normal_succ(op, pc as u32) {
                     mark(t);
                 }
-            } else if matches!(
-                op,
-                Op::PredHead { .. } | Op::ActHead { .. } | Op::EmitHead { .. }
-            ) {
-                hook_heads += 1;
             } else {
                 accesses += usize::from(matches!(op, Op::LoadVar { .. } | Op::StoreVar { .. }));
                 promotable.see(op);
@@ -914,7 +946,8 @@ impl<'a> Derive<'a> {
                 ext,
             })
             .collect();
-        // Slot → its index in `promoted`.
+        // Slot → its index in `promoted`, up to the highest slot the
+        // stream names.
         let mut home = vec![NONE; promotable.seen.len()];
         for (k, h) in promoted.iter().enumerate() {
             home[h.slot as usize] = k as u16;
@@ -942,16 +975,15 @@ impl<'a> Derive<'a> {
             loops: false,
             sets: Vec::new(),
             words: usize::from(temps).div_ceil(64).max(1),
-            home_words: 0,
         };
-        d.summarize(&home, hook_heads);
+        d.summarize(&home);
         d
     }
 
     /// The second scan: fill `fx`, `burns` and `promos`, and with
-    /// promoted slots `succ`, `succ_at` and the gen, kill, live-in and
-    /// home sets. `home[slot]` is the index in `promoted` of a promoted
-    /// slot; the stream has `hook_heads` hook heads.
+    /// promoted slots `succ`, `succ_at` and the gen, kill and live-in
+    /// sets. `home[slot]` is the index in `promoted` of a promoted
+    /// slot.
     ///
     /// A promoted store can retarget the op that defined its value when
     /// nothing between them can fault, reads the value, loads or stores
@@ -970,22 +1002,18 @@ impl<'a> Derive<'a> {
     /// promoted store whose liveness it decides; per home: the last
     /// load or store of its slot, the last read of a temporary holding
     /// its loaded value, and the last store.
-    fn summarize(&mut self, home: &[u16], hook_heads: usize) {
+    fn summarize(&mut self, home: &[u16]) {
         let ops = &self.exact.ops;
         let nb = self.starts.len();
         let with_homes = !self.promoted.is_empty();
         // Without promoted slots there are no sets: every slice of them
         // below is empty.
-        let (w, hw) = match with_homes {
-            true => (self.words, self.promoted.len().div_ceil(64)),
-            false => (0, 0),
-        };
-        let stride = 4 * w + 2 * hw;
+        let w = if with_homes { self.words } else { 0 };
+        let stride = 4 * w;
         let (mut sets, mut succ) = (Vec::new(), Vec::new());
         if with_homes {
-            self.home_words = hw;
             sets = vec![0; nb * stride];
-            succ = Vec::with_capacity(2 * nb + hook_heads);
+            succ = Vec::with_capacity(2 * nb);
             self.succ_at = Vec::with_capacity(nb + 1);
         }
         let mut stamps = vec![[0u32; 4]; usize::from(self.temps) + self.promoted.len()];
@@ -1010,12 +1038,11 @@ impl<'a> Derive<'a> {
             let by = |v: u32, d: usize| at(v).is_none_or(|p| p <= d);
             if with_homes {
                 let last = r.end - 1;
-                let at = succ.len() as u32;
+                self.succ_at.push(succ.len() as u32);
                 let normal = normal_succ(&ops[last], last as u32)
                     .filter(|&t| (t as usize) < ops.len())
                     .map(|t| self.block_id[t as usize]);
                 succ.extend(normal);
-                self.succ_at.push([at, succ.len() as u32]);
             }
             let (mut burns, mut fault) = (0, 0);
             let (g, rest) = sets
@@ -1023,11 +1050,7 @@ impl<'a> Derive<'a> {
                 .unwrap_or_default()
                 .split_at_mut(w);
             let (kill, rest) = rest.split_at_mut(w);
-            let (live_in, rest) = rest.split_at_mut(w);
-            let (touched, stored) = rest
-                .get_mut(w..w + 2 * hw)
-                .unwrap_or_default()
-                .split_at_mut(hw);
+            let live_in = rest.get_mut(..w).unwrap_or_default();
             for q in r {
                 let op = &ops[q];
                 let mut copy = *op;
@@ -1055,13 +1078,6 @@ impl<'a> Derive<'a> {
                         } else {
                             STORE | EXIT_LIVE
                         };
-                    }
-                    Op::PredHead { else_: t, .. }
-                    | Op::ActHead { next: t, .. }
-                    | Op::EmitHead { push: t, .. }
-                        if with_homes =>
-                    {
-                        succ.push(self.block_id[t as usize])
                     }
                     _ => {}
                 }
@@ -1130,12 +1146,7 @@ impl<'a> Derive<'a> {
                     fault = stamp(q);
                 }
                 if fx.home != NONE {
-                    let k = usize::from(fx.home);
-                    touch[k][TOUCH] = stamp(q);
-                    put(touched, fx.home);
-                    if fx.flags & STORE != 0 {
-                        put(stored, fx.home);
-                    }
+                    touch[usize::from(fx.home)][TOUCH] = stamp(q);
                 }
                 if fx.write != NONE {
                     let t = &mut temp[usize::from(fx.write)];
@@ -1166,8 +1177,8 @@ impl<'a> Derive<'a> {
         self.edits = Vec::with_capacity(promos.len());
         self.promos = promos;
         if with_homes {
-            self.succ_at.push([self.succ.len() as u32; 2]);
-            self.loops = (0..nb).any(|b| self.succ(b, true).iter().any(|&s| s as usize <= b));
+            self.succ_at.push(self.succ.len() as u32);
+            self.loops = (0..nb).any(|b| self.succ(b).iter().any(|&s| s as usize <= b));
         }
     }
 
@@ -1180,34 +1191,24 @@ impl<'a> Derive<'a> {
         self.starts[b] as usize..end
     }
 
-    /// The blocks block `b` continues to: over normal edges only, or
-    /// over every edge.
-    fn succ(&self, b: usize, every: bool) -> &[u32] {
-        let [lo, normal] = self.succ_at[b];
-        let hi = if every {
-            self.succ_at[b + 1][0]
-        } else {
-            normal
-        };
-        &self.succ[lo as usize..hi as usize]
-    }
-
-    /// Words per block in `sets`.
-    fn stride(&self) -> usize {
-        4 * self.words + 2 * self.home_words
+    /// The blocks block `b` continues to when no data error is
+    /// pending.
+    fn succ(&self, b: usize) -> &[u32] {
+        &self.succ[self.succ_at[b] as usize..self.succ_at[b + 1] as usize]
     }
 
     /// Solve the live-out sets: the temporaries live at each block's
     /// exit, over normal edges only — in error mode no hook body runs,
     /// so no temporary is read.
     fn live_out(&mut self) {
-        let (nb, w, stride) = (self.starts.len(), self.words, self.stride());
+        let (nb, w) = (self.starts.len(), self.words);
+        let stride = 4 * w;
         let mut changed = true;
         while std::mem::take(&mut changed) {
             for b in (0..nb).rev() {
                 let at = b * stride;
                 for i in 0..w {
-                    let o = (self.succ(b, false).iter())
+                    let o = (self.succ(b).iter())
                         .fold(0, |o, &s| o | self.sets[s as usize * stride + 2 * w + i]);
                     self.sets[at + 3 * w + i] = o;
                     let v = self.sets[at + i] | (o & !self.sets[at + w + i]);
@@ -1228,7 +1229,7 @@ impl<'a> Derive<'a> {
     /// exit without being redefined, else it is dropped.
     fn decide(&mut self) {
         self.live_out();
-        let (w, stride) = (self.words, self.stride());
+        let (w, stride) = (self.words, 4 * self.words);
         for i in 0..self.promos.len() {
             let (pc, candidate) = self.promos[i];
             let pc = pc as usize;
@@ -1351,63 +1352,12 @@ impl<'a> Derive<'a> {
         code.entries = (self.exact.entries.iter())
             .map(|&e| fast_at[e as usize])
             .collect();
-        let regs = self.temps + self.promoted.len() as u16;
-        let (homes, state_homes) = self.state_homes();
         Fast {
             code,
             to_exact,
-            homes,
-            state_homes,
-            regs,
+            regs: self.temps + self.promoted.len() as u16,
+            promoted: self.promoted,
         }
-    }
-
-    /// The homes each state's reaction can reach, over every edge —
-    /// error-mode ones included, each to its target's whole block: per
-    /// state, the slots it only loads, then the ones it can store. Per
-    /// block, the homes loaded or stored from it on, as a fixpoint over
-    /// the block graph; each state reads its entry block's.
-    fn state_homes(mut self) -> (Vec<Home>, Vec<[u32; 3]>) {
-        let entries = &self.exact.entries;
-        let n = self.promoted.len();
-        if n == 0 {
-            return (Vec::new(), vec![[0; 3]; entries.len()]);
-        }
-        let (nb, hw, stride) = (self.starts.len(), self.home_words, self.stride());
-        let homes_at = |b: usize| b * stride + 4 * self.words;
-        let mut sets = std::mem::take(&mut self.sets);
-        let mut changed = true;
-        while std::mem::take(&mut changed) {
-            for b in (0..nb).rev() {
-                for &s in self.succ(b, true) {
-                    for i in 0..2 * hw {
-                        let v = sets[homes_at(s as usize) + i];
-                        let mine = &mut sets[homes_at(b) + i];
-                        if *mine | v != *mine {
-                            *mine |= v;
-                            changed = self.loops;
-                        }
-                    }
-                }
-            }
-        }
-        let mut homes = Vec::with_capacity(entries.len() * n);
-        let mut ranges = Vec::with_capacity(entries.len());
-        for &entry in entries {
-            let b = self.block_id[entry as usize] as usize;
-            let (touched, stored) = sets[homes_at(b)..][..2 * hw].split_at(hw);
-            let lo = homes.len() as u32;
-            let only_loaded = |k: &usize| has(touched, *k as u16) && !has(stored, *k as u16);
-            homes.extend((0..n).filter(only_loaded).map(|k| self.promoted[k]));
-            let mid = homes.len() as u32;
-            homes.extend(
-                (0..n)
-                    .filter(|&k| has(stored, k as u16))
-                    .map(|k| self.promoted[k]),
-            );
-            ranges.push([lo, mid, homes.len() as u32]);
-        }
-        (homes, ranges)
     }
 }
 
@@ -1564,7 +1514,7 @@ mod tests {
                 ext: byte,
             },
         ];
-        let mut p = Promotable::new(0);
+        let mut p = Promotable::default();
         ops.iter().for_each(|op| p.see(op));
         assert_eq!(p.slots().collect::<Vec<_>>(), [(0, INT), (5, byte)]);
     }
@@ -1586,7 +1536,7 @@ mod tests {
             entries: vec![0],
             ..Code::default()
         };
-        Derive::new(&exact, 2, 1).run().code.ops
+        Derive::new(&exact, 2).run().code.ops
     }
 
     /// A store whose value an earlier block defined is a register move:
@@ -1614,7 +1564,7 @@ mod tests {
             ext: INT,
         };
         assert_eq!(
-            Derive::new(&exact, 2, 1).run().code.ops,
+            Derive::new(&exact, 2).run().code.ops,
             [
                 Op::Const { dst: 0, v: 7 },
                 Op::Jmp { target: 2 },

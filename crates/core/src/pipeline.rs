@@ -544,6 +544,16 @@ impl Design {
         Rt::new(&self.ast, &self.elab, &self.split.data).map_err(EclError::from)
     }
 
+    /// The bytes a runtime of this design holds for its variable frame
+    /// and its valued signals' values, sized from the resolved types
+    /// without building one; `None` when a type does not resolve (and
+    /// [`Design::new_rt`] fails).
+    pub fn data_bytes(&self) -> Option<u32> {
+        let types = crate::rt::Types::resolve(&self.ast, &self.elab).ok()?;
+        let tys = types.vars.iter().chain(types.sigs.iter().flatten());
+        Some(tys.map(|&ty| types.table.size_of(ty)).sum())
+    }
+
     /// Signal handle by global name (valid for both the interpreter and
     /// compiled EFSMs — the tables share indices).
     pub fn signal(&self, name: &str) -> Option<efsm::Signal> {

@@ -91,6 +91,10 @@ pub struct Rt {
     /// Register file of the fused reaction loop, reused across
     /// reactions (no steady-state allocation).
     pub(crate) vm_regs: Vec<i64>,
+    /// Whether the promoted registers of the task's fused program are
+    /// live in `vm_regs`: then they, not the frame, hold those
+    /// variables (see [`crate::Fused::sync_frame`]).
+    pub(crate) regs_live: bool,
     /// Count of executed actions/predicates/emissions (cost metrics).
     pub action_runs: u64,
     /// Count of predicate evaluations.
@@ -105,6 +109,7 @@ impl Clone for Rt {
             values: self.values.clone(),
             error: self.error.clone(),
             vm_regs: self.vm_regs.clone(),
+            regs_live: self.regs_live,
             action_runs: self.action_runs,
             pred_evals: self.pred_evals,
         }
@@ -120,6 +125,7 @@ impl Clone for Rt {
         self.values.clone_from(&source.values);
         self.error.clone_from(&source.error);
         self.vm_regs.clone_from(&source.vm_regs);
+        self.regs_live = source.regs_live;
         self.action_runs = source.action_runs;
         self.pred_evals = source.pred_evals;
     }
@@ -137,6 +143,61 @@ impl SignalLayout for SigLayout<'_> {
     }
 }
 
+/// The types a runtime of a design resolves: its type table, each
+/// frame variable's type (in `elab.vars` order) and each signal's
+/// value type (`None`: pure).
+pub(crate) struct Types {
+    pub(crate) table: TypeTable,
+    pub(crate) vars: Vec<TypeId>,
+    pub(crate) sigs: Vec<Option<TypeId>>,
+}
+
+impl Types {
+    /// Build the type table of `ast` and resolve the variable and
+    /// signal types of `elab` in it.
+    ///
+    /// # Errors
+    ///
+    /// Fails when a variable or signal type cannot be resolved.
+    pub(crate) fn resolve(ast: &Program, elab: &Elab) -> Result<Types, RtError> {
+        let mut sink = DiagSink::new();
+        let mut table = TypeTable::build(ast, &mut sink);
+        if sink.has_errors() {
+            return Err(RtError {
+                msg: format!("type errors:\n{sink}"),
+            });
+        }
+        let mut vars = Vec::with_capacity(elab.vars.len());
+        for v in &elab.vars {
+            let mut sink = DiagSink::new();
+            let Some(ty) = table.resolve(&v.ty, &mut sink) else {
+                return Err(RtError {
+                    msg: format!("cannot resolve type of variable `{}`", v.name),
+                });
+            };
+            vars.push(ty);
+        }
+        let mut sigs = Vec::with_capacity(elab.signals.len());
+        for s in &elab.signals {
+            if s.pure {
+                sigs.push(None);
+                continue;
+            }
+            let Some(t) = &s.ty else {
+                return Err(RtError {
+                    msg: format!("valued signal `{}` lacks a type", s.name),
+                });
+            };
+            let mut sink = DiagSink::new();
+            let ty = table.resolve(t, &mut sink).ok_or_else(|| RtError {
+                msg: format!("cannot resolve type of signal `{}`", s.name),
+            })?;
+            sigs.push(Some(ty));
+        }
+        Ok(Types { table, vars, sigs })
+    }
+}
+
 impl Rt {
     /// Build the runtime for an elaborated + split design.
     ///
@@ -144,58 +205,26 @@ impl Rt {
     ///
     /// Fails when a variable or signal type cannot be resolved.
     pub fn new(ast: &Program, elab: &Elab, data: &DataTable) -> Result<Rt, RtError> {
-        let mut sink = DiagSink::new();
-        let table = TypeTable::build(ast, &mut sink);
-        if sink.has_errors() {
-            return Err(RtError {
-                msg: format!("type errors:\n{sink}"),
-            });
-        }
+        let Types {
+            table,
+            vars,
+            sigs: sig_types,
+        } = Types::resolve(ast, elab)?;
         let mut machine = Machine::new(table);
         for f in ast.functions() {
             machine.add_function(f);
         }
         // Allocate the flat frame.
-        for v in &elab.vars {
-            let mut sink = DiagSink::new();
-            let Some(ty) = machine.table_mut().resolve(&v.ty, &mut sink) else {
-                return Err(RtError {
-                    msg: format!("cannot resolve type of variable `{}`", v.name),
-                });
-            };
+        for (v, &ty) in elab.vars.iter().zip(&vars) {
             let zero = Value::zero(machine.table(), ty);
             machine.declare(&v.name, zero);
         }
-        // Resolve signal value types.
-        let mut values = Vec::new();
-        let mut sig_types = Vec::new();
-        let mut by_name = FxHashMap::default();
-        for (i, s) in elab.signals.iter().enumerate() {
-            by_name.insert(s.name.clone(), i);
-            if s.pure {
-                values.push(None);
-                sig_types.push(None);
-            } else {
-                let ty = match &s.ty {
-                    Some(t) => {
-                        let mut sink = DiagSink::new();
-                        machine
-                            .table_mut()
-                            .resolve(t, &mut sink)
-                            .ok_or_else(|| RtError {
-                                msg: format!("cannot resolve type of signal `{}`", s.name),
-                            })?
-                    }
-                    None => {
-                        return Err(RtError {
-                            msg: format!("valued signal `{}` lacks a type", s.name),
-                        })
-                    }
-                };
-                values.push(Some(Value::zero(machine.table(), ty)));
-                sig_types.push(Some(ty));
-            }
-        }
+        let values = (sig_types.iter())
+            .map(|ty| ty.map(|ty| Value::zero(machine.table(), ty)))
+            .collect();
+        let by_name = (elab.signals.iter().enumerate())
+            .map(|(i, s)| (s.name.clone(), i))
+            .collect();
         // Lower every data hook to bytecode once, now that the frame
         // and signal layout are final.
         let layout = SigLayout {
@@ -224,6 +253,7 @@ impl Rt {
             values,
             error: None,
             vm_regs: Vec::new(),
+            regs_live: false,
             action_runs: 0,
             pred_evals: 0,
         })
@@ -251,6 +281,16 @@ impl Rt {
             .filter(|c| c.is_some())
             .count();
         (vm as u32, total as u32)
+    }
+
+    /// The walker reads and writes the frame: a fused program's live
+    /// registers must have been written back first.
+    fn assert_synced(&self) {
+        debug_assert!(
+            !self.regs_live,
+            "a walker step on a runtime whose promoted registers are live \
+             (`Fused::sync_frame` first)"
+        );
     }
 
     /// Take the first pending evaluation error, if any.
@@ -377,9 +417,11 @@ impl Rt {
 
 /// The tree-walking reference: every hook evaluates its AST. Fused
 /// reactions never call these (they inline the bytecode); the s-graph
-/// walker and the constructive interpreter do.
+/// walker and the constructive interpreter do, on a synced frame
+/// (debug-asserted).
 impl DataHooks for Rt {
     fn eval_pred(&mut self, pred: PredId) -> bool {
+        self.assert_synced();
         if self.error.is_some() {
             return false;
         }
@@ -402,6 +444,7 @@ impl DataHooks for Rt {
     }
 
     fn run_action(&mut self, action: ActionId) {
+        self.assert_synced();
         if self.error.is_some() {
             return;
         }
@@ -422,6 +465,7 @@ impl DataHooks for Rt {
     /// Compute the emit expression and store it as its signal's value
     /// (a pure signal's is evaluated and dropped).
     fn emit_value(&mut self, sig: Signal, expr: ExprId) {
+        self.assert_synced();
         if self.error.is_some() {
             return;
         }
@@ -558,6 +602,8 @@ mod tests {
                 assert!(rt.take_error().is_none());
             }
         }
+        // The fused run's counter lives in a register until synced.
+        fused.sync_frame(&mut runs[0].0);
         let seen = |i: usize| (runs[i].2, runs[i].3.clone(), frame(&runs[i].0));
         assert_eq!(seen(0), seen(1), "bytecode and walker agree");
         assert_ne!(runs[0].3, runs[2].3, "`LIMIT` is shadowed once grown");

@@ -40,16 +40,19 @@ impl BitSet {
         }
     }
 
+    /// Add zero words up to the one holding `bit`: rare once a set
+    /// has its working size, so out of line.
+    #[cold]
     fn grow(&mut self, bit: usize) {
-        let need = bit / 64 + 1;
-        if self.words.len() < need {
-            self.words.resize(need, 0);
-        }
+        self.words.resize(bit / 64 + 1, 0);
     }
 
     /// Insert `bit`; returns whether it was newly inserted.
+    #[inline]
     pub fn insert(&mut self, bit: usize) -> bool {
-        self.grow(bit);
+        if bit / 64 >= self.words.len() {
+            self.grow(bit);
+        }
         let w = &mut self.words[bit / 64];
         let mask = 1u64 << (bit % 64);
         let was = *w & mask != 0;

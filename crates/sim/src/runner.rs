@@ -909,7 +909,9 @@ impl AsyncRunner {
     /// [`Backend::Walker`] forces the reference s-graph walker and
     /// tree-walking data hooks. The two are observationally identical
     /// (differential-tested); the switch exists for measurement,
-    /// bisection and differential gating.
+    /// bisection and differential gating. It may change between any
+    /// two instants of a session: a fused task's registers go back to
+    /// its frame before its first walked reaction.
     pub fn set_backend(&mut self, backend: Backend) {
         self.backend = backend;
     }
@@ -1149,12 +1151,19 @@ impl AsyncRunner {
                     &mut t.rt,
                     &mut self.emit_scratch,
                 ),
-                _ => t.prog.efsm.step_bits(
-                    t.state,
-                    &self.local_scratch,
-                    &mut t.rt,
-                    &mut self.emit_scratch,
-                ),
+                fused => {
+                    // The walker reads the frame: a fused task's
+                    // registers go back to it first.
+                    if let Some(fused) = fused {
+                        fused.sync_frame(&mut t.rt);
+                    }
+                    t.prog.efsm.step_bits(
+                        t.state,
+                        &self.local_scratch,
+                        &mut t.rt,
+                        &mut self.emit_scratch,
+                    )
+                }
             };
             t.state = r.next;
             if let Some(e) = t.rt.take_error() {

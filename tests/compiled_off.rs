@@ -13,6 +13,14 @@
 //! instant on both backends, and only the compiled backend counts
 //! `table.quiet_steps`.
 //!
+//! A session may switch backends between instants. The fused loop
+//! keeps promoted variables in registers across reactions, so a fused
+//! task's registers go back to its frame before its first walked
+//! reaction, and its next compiled reaction reloads them: a run that
+//! switches to the walker and back equals a walker-only run, traced
+//! values included. (Under debug assertions a walked reaction on live
+//! registers also panics in the runtime's `DataHooks`.)
+//!
 //! A task fuses whole or runs on the walker: one whose data hook is
 //! outside the bytecode subset (here, an action calling a C function)
 //! has no fused backend and walks under `Backend::Compiled` too, while
@@ -38,7 +46,7 @@ use ecl_observe::{synthesize_all, Monitor};
 use efsm::{Backend, BitSet};
 use rand::{Rng, SeedableRng};
 use sim::designs::{PROTOCOL_STACK, VOICE_PAGER};
-use sim::runner::{AsyncRunner, CoverageReport, Runner, SimErrorKind, WatchdogBudget};
+use sim::runner::{AsyncRunner, CoverageReport, Runner, SimErrorKind, Stimuli, WatchdogBudget};
 use sim::tb::{InstantEvents, PacketTb, PagerTb};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -294,6 +302,66 @@ fn a_task_that_calls_c_walks_while_its_sibling_fuses() {
     assert!(r.count_of("full") > 0, "the summer never filled");
 
     walker_matches_compiled(designs, &events);
+}
+
+/// Registers are session state: a runner that switches from
+/// `Backend::Compiled` to `Backend::Walker` at one instant and back at
+/// a later one matches a walker-only runner on the trace (every event,
+/// values included), the emission counts and every kernel total — on
+/// the monolithic stack and the 3-task pager. The walker steps a fused
+/// task only after its live registers are written back to the frame,
+/// and the next compiled reaction reloads them; a walked reaction that
+/// read a stale frame, or a compiled one that kept stale registers,
+/// would diverge.
+#[test]
+fn a_backend_switch_mid_session_matches_the_walker() {
+    let _g = locked();
+    for (designs, events, [off, on]) in [
+        (
+            vec![design_of(PROTOCOL_STACK, "toplevel")],
+            stack_events(),
+            [617, 1234],
+        ),
+        (parts_of(VOICE_PAGER, "pager"), pager_events(), [401, 977]),
+    ] {
+        let entry = designs[0].entry.clone();
+        let run = |switch: bool| {
+            let mut r = runner(designs.clone());
+            r.enable_trace(0);
+            if !switch {
+                r.set_backend(Backend::Walker);
+            }
+            let mut stimuli = Stimuli::new(r.sig_table());
+            let mut out = BitSet::new();
+            for (i, ev) in events.iter().enumerate() {
+                if switch && i == off {
+                    r.set_backend(Backend::Walker);
+                } else if switch && i == on {
+                    r.set_backend(Backend::Compiled);
+                }
+                let bits = stimuli.post(&mut r, ev).expect("stimuli post");
+                r.instant_ids(bits, &mut out).expect("instant");
+            }
+            let trace = r.take_trace().expect("trace recorded");
+            let records: Vec<_> = (trace.records())
+                .map(|rec| (rec.instant, rec.events.to_vec()))
+                .collect();
+            let k = r.kernel();
+            let totals = (
+                k.task_cycles,
+                k.rtos_cycles,
+                k.dispatches,
+                k.deliveries,
+                k.events_lost,
+            );
+            (records, r.counts(), totals)
+        };
+        let (switched, walked) = (run(true), run(false));
+        assert_eq!(switched.0.len(), events.len(), "`{entry}`: trace length");
+        assert_eq!(switched.0, walked.0, "`{entry}`: traces diverged");
+        assert_eq!(switched.1, walked.1, "`{entry}`: counts diverged");
+        assert_eq!(switched.2, walked.2, "`{entry}`: kernel totals diverged");
+    }
 }
 
 /// A `max_nodes` watchdog budget on the 3-task pager trips at the

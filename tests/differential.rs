@@ -417,6 +417,11 @@ fn gen_data_block(rng: &mut impl Rng, out: &mut String, depth: u32, stmts: &mut 
 /// span), the `pred_evals`/`action_runs` hook counters, the emitted
 /// value of `x`, every root-frame variable, and — on error-free steps
 /// — the exact fuel consumed (the kernel's cycle-charge source).
+///
+/// The fused runtime's promoted variables stay in its registers for
+/// the whole run, as in a session: its frame is read from a synced
+/// clone ([`Fused::sync_frame`]) at every step, and the stepped runtime
+/// itself is never synced.
 fn check_compiled_vs_walker(
     src: &str,
     strategy: SplitStrategy,
@@ -509,7 +514,8 @@ fn check_compiled_vs_walker(
                 at()
             );
             // Whole-frame comparison: every variable slot byte-equal.
-            for ((n1, v1), (n2, v2)) in rt_c
+            let synced = synced(&compiled, &rt_c);
+            for ((n1, v1), (n2, v2)) in synced
                 .machine()
                 .root_entries()
                 .zip(rt_w.machine().root_entries())
@@ -552,8 +558,13 @@ struct DeoptSeen {
 /// observable at every step, exactly: emission order, `StepOut`
 /// (`nodes_visited` included), the error's message *and span*, the
 /// hook counters, the emitted value of `x`, the whole frame and the
-/// fuel, after an error too. A third runtime on the walker is held to
-/// the exact stream as [`check_compiled_vs_walker`] holds it.
+/// fuel, after an error too. A second fast runtime interleaves the two
+/// streams — every fourth step runs [`Fused::step_exact`], which syncs
+/// the registers the fast steps left live, and the next fast step
+/// reloads them — and is held to the same. The fast runtimes' frames
+/// are read from synced clones, so their registers stay live from step
+/// to step. A runtime on the walker is held to the exact stream as
+/// [`check_compiled_vs_walker`] holds it.
 ///
 /// Every step starts from its own fuel budget — mostly a few dozen
 /// steps, so exhaustion lands at block heads, inside loops and after an
@@ -580,19 +591,19 @@ fn check_deopt_exact(
     let a_valued = machine.signal_info(a).valued;
     for seed in 0..seeds {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let (mut rt_f, mut rt_x) = (proto.clone(), proto.clone());
+        // The fast stream alone, and the two streams interleaved.
+        let mut fast = [("fast", proto.clone()), ("interleaved", proto.clone())]
+            .map(|(what, rt)| (what, rt, machine.init));
+        let mut rt_x = proto.clone();
         let mut rt_w = design.new_rt().unwrap();
-        let (mut st_f, mut st_x, mut st_w) = (machine.init, machine.init, machine.init);
+        let (mut st_x, mut st_w) = (machine.init, machine.init);
         for step in 0..60 {
             let at = || format!("seed {seed} step {step} in\n{src}");
             let mut bits = BitSet::new();
-            if rng.gen_bool(0.6) {
-                if a_valued {
-                    let val = rng.gen_range(-4i64..12);
-                    for rt in [&mut rt_f, &mut rt_x, &mut rt_w] {
-                        rt.set_input_i64("a", val).unwrap();
-                    }
-                }
+            let input = rng
+                .gen_bool(0.6)
+                .then(|| a_valued.then(|| rng.gen_range(-4i64..12)));
+            if input.is_some() {
                 bits.insert(a.0 as usize);
             }
             if rng.gen_bool(0.3) {
@@ -603,44 +614,59 @@ fn check_deopt_exact(
             } else {
                 rng.gen_range(0..80)
             };
-            for rt in [&mut rt_f, &mut rt_x, &mut rt_w] {
+            let rts = fast.iter_mut().map(|f| &mut f.1);
+            for rt in rts.chain([&mut rt_x, &mut rt_w]) {
+                if let Some(Some(val)) = input {
+                    rt.set_input_i64("a", val).unwrap();
+                }
                 rt.machine_mut().set_fuel(fuel);
             }
-            let (mut e_f, mut e_x, mut e_w) = (Vec::new(), Vec::new(), Vec::new());
-            let r_f = fused.step(st_f, &bits, &mut rt_f, &mut e_f);
+            let (mut e_x, mut e_w) = (Vec::new(), Vec::new());
             let r_x = fused.step_exact(st_x, &bits, &mut rt_x, &mut e_x);
             let r_w = machine.step_bits(st_w, &bits, &mut rt_w, &mut e_w);
-            (st_f, st_x, st_w) = (r_f.next, r_x.next, r_w.next);
-            prop_assert_eq!(&e_f, &e_x, "emission order diverged at {}", at());
-            prop_assert_eq!(r_f, r_x, "StepOut diverged at {}", at());
-            let (err_f, err_x, err_w) = (rt_f.take_error(), rt_x.take_error(), rt_w.take_error());
-            prop_assert_eq!(&err_f, &err_x, "errors diverged at {}", at());
-            prop_assert_eq!(rt_f.pred_evals, rt_x.pred_evals, "pred_evals at {}", at());
-            prop_assert_eq!(
-                rt_f.action_runs,
-                rt_x.action_runs,
-                "action_runs at {}",
-                at()
-            );
-            prop_assert_eq!(
-                rt_f.signal_value_by_name("x"),
-                rt_x.signal_value_by_name("x"),
-                "value of x diverged at {}",
-                at()
-            );
-            prop_assert!(
-                rt_f.machine()
-                    .root_entries()
-                    .eq(rt_x.machine().root_entries()),
-                "frames diverged at {}",
-                at()
-            );
-            prop_assert_eq!(
-                rt_f.machine().fuel(),
-                rt_x.machine().fuel(),
-                "fuel diverged at {}",
-                at()
-            );
+            (st_x, st_w) = (r_x.next, r_w.next);
+            let (err_x, err_w) = (rt_x.take_error(), rt_w.take_error());
+            for (what, rt_f, st_f) in &mut fast {
+                let at = || format!("{what} {}", at());
+                let mut e_f = Vec::new();
+                let r_f = if *what == "interleaved" && step % 4 == 3 {
+                    fused.step_exact(*st_f, &bits, rt_f, &mut e_f)
+                } else {
+                    fused.step(*st_f, &bits, rt_f, &mut e_f)
+                };
+                *st_f = r_f.next;
+                prop_assert_eq!(&e_f, &e_x, "emission order diverged at {}", at());
+                prop_assert_eq!(r_f, r_x, "StepOut diverged at {}", at());
+                let err_f = rt_f.take_error();
+                prop_assert_eq!(&err_f, &err_x, "errors diverged at {}", at());
+                prop_assert_eq!(rt_f.pred_evals, rt_x.pred_evals, "pred_evals at {}", at());
+                prop_assert_eq!(
+                    rt_f.action_runs,
+                    rt_x.action_runs,
+                    "action_runs at {}",
+                    at()
+                );
+                prop_assert_eq!(
+                    rt_f.signal_value_by_name("x"),
+                    rt_x.signal_value_by_name("x"),
+                    "value of x diverged at {}",
+                    at()
+                );
+                prop_assert!(
+                    synced(&fused, rt_f)
+                        .machine()
+                        .root_entries()
+                        .eq(rt_x.machine().root_entries()),
+                    "frames diverged at {}",
+                    at()
+                );
+                prop_assert_eq!(
+                    rt_f.machine().fuel(),
+                    rt_x.machine().fuel(),
+                    "fuel diverged at {}",
+                    at()
+                );
+            }
             // The exact stream against the walker, as the compiled ≡
             // walker check compares them.
             prop_assert_eq!(&e_x, &e_w, "walker emissions diverged at {}", at());
@@ -677,6 +703,14 @@ fn check_deopt_exact(
     Ok(())
 }
 
+/// A copy of `rt` with `fused`'s registers written back to its frame;
+/// `rt` itself keeps them live.
+fn synced(fused: &Fused, rt: &Rt) -> Rt {
+    let mut copy = rt.clone();
+    fused.sync_frame(&mut copy);
+    copy
+}
+
 /// A runtime's observable data state: fuel, hook counters, root frame
 /// and signal values.
 fn data_state(rt: &Rt, signals: usize) -> impl PartialEq + std::fmt::Debug {
@@ -707,6 +741,7 @@ fn check_quiet_states(machine: &Efsm, fused: &Fused, proto: &Rt) -> Result<(), T
         let mut rt = proto.clone();
         let mut emitted = Vec::new();
         let r = fused.step(state, &BitSet::new(), &mut rt, &mut emitted);
+        fused.sync_frame(&mut rt);
         let error = rt.take_error();
         let hooks = (rt.pred_evals, rt.action_runs) != (proto.pred_evals, proto.action_runs);
         let quiet = fused.quiet(state);
@@ -1095,9 +1130,9 @@ fn shipped_configs() -> Vec<(String, Vec<Design>)> {
 
 /// The fused programs of the 16 shipped task runtimes are pinned, op
 /// for op: the `{:?}` of each task's `Fused` (exact stream, fast
-/// stream, promoted homes and quiet table), digested per
-/// configuration. Every `vm.op.*` count of a compiled run follows from
-/// these streams.
+/// stream, fast-to-exact pc map, quiet table and register count),
+/// digested per configuration. Every `vm.op.*` count of a compiled run
+/// follows from these streams.
 #[test]
 fn fused_programs_are_pinned() {
     let digests: Vec<(String, u64)> = shipped_configs()
@@ -1113,14 +1148,14 @@ fn fused_programs_are_pinned() {
         })
         .collect();
     let pinned: [(&str, u64); 8] = [
-        ("stack/mono/max", 0xB5D3_7278_128A_9972),
-        ("stack/mono/min", 0xC499_4A5F_2F01_113A),
-        ("stack/parts/max", 0x3B13_9E81_F93A_95E3),
-        ("stack/parts/min", 0xF9D7_03B9_3766_AB5F),
-        ("pager/mono/max", 0x21BB_E6DB_C9AD_309C),
-        ("pager/mono/min", 0x5AAD_5E6B_EE29_47C9),
-        ("pager/parts/max", 0x60A3_8848_4B08_5428),
-        ("pager/parts/min", 0x4B47_AFA4_A2BB_EC94),
+        ("stack/mono/max", 0x2312_95F2_999A_4966),
+        ("stack/mono/min", 0xBEAB_811F_0092_E40E),
+        ("stack/parts/max", 0xFEEB_AAC9_DF9F_9886),
+        ("stack/parts/min", 0x689A_83A8_16D1_CADA),
+        ("pager/mono/max", 0xE75B_1E0D_EE01_09DF),
+        ("pager/mono/min", 0xDB39_4FC4_154D_2EEC),
+        ("pager/parts/max", 0xAC58_31B7_19BD_0FB1),
+        ("pager/parts/min", 0x0DD4_86DF_06DD_4021),
     ];
     let actual: Vec<(&str, u64)> = digests.iter().map(|(k, h)| (k.as_str(), *h)).collect();
     if actual != pinned {
