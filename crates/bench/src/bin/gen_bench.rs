@@ -10,10 +10,13 @@
 //!    (ring-buffer recording on) and `monitored` (observers stepped per
 //!    instant), both with `Backend::Walker` forced end to end, and
 //!    `compiled`, the same monitored run on the default
-//!    `Backend::Compiled`. Every config is normalized against its own
-//!    design's walker-forced `*/mono/monitored` run, measured in the
-//!    same process; `speedup_compiled_over_walker` is compiled over
-//!    monitored per design configuration.
+//!    `Backend::Compiled`. Each row times its instants only: the
+//!    runner (EFSM construction, tables, fused programs) and its
+//!    monitors are built before the timer starts. Every config is
+//!    normalized against its own design's walker-forced
+//!    `*/mono/monitored` run, measured in the same process;
+//!    `speedup_compiled_over_walker` is compiled over monitored per
+//!    design configuration.
 //! 2. **Fleet rows** (`runs`, gated). `--sessions` supervised
 //!    voice-pager sessions of 691 instants each, one shard per hardware
 //!    thread, without (`pager/fleet/nockpt`) and with
@@ -138,10 +141,12 @@ fn timed<T>(f: impl FnOnce() -> T) -> Timed<T> {
     }
 }
 
-/// A labelled measurement; each call returns how many instants it ran.
-type Job<'a> = (String, Box<dyn FnMut() -> usize + 'a>);
+/// A labelled measurement; each call sets up its run untimed, then
+/// returns the run [`timed`]: how many instants it ran, and how long
+/// they took.
+type Job<'a> = (String, Box<dyn FnMut() -> Timed<usize> + 'a>);
 
-fn job<'a>(label: String, f: impl FnMut() -> usize + 'a) -> Job<'a> {
+fn job<'a>(label: String, f: impl FnMut() -> Timed<usize> + 'a) -> Job<'a> {
     (label, Box::new(f))
 }
 
@@ -150,7 +155,7 @@ fn measure_all(mut jobs: Vec<Job<'_>>) -> Vec<(String, f64)> {
     let mut best = vec![0.0f64; jobs.len()];
     for _ in 0..ROUNDS {
         for (j, (_, f)) in jobs.iter_mut().enumerate() {
-            let t = timed(&mut *f);
+            let t = f();
             best[j] = best[j].max(t.value as f64 / (t.ms / 1000.0));
         }
     }
@@ -247,19 +252,13 @@ fn walked(designs: Vec<Design>) -> AsyncRunner {
     r
 }
 
-fn run_ids(mut r: AsyncRunner, events: &[InstantEvents], monitors: &mut [Monitor]) -> usize {
+fn run_ids(r: &mut AsyncRunner, events: &[InstantEvents], monitors: &mut [Monitor]) -> usize {
     r.run_events(events, |instant, present| {
         for m in monitors.iter_mut() {
             m.step_present(instant, present);
         }
     })
     .expect("run succeeds");
-    events.len()
-}
-
-fn run_traced(mut r: AsyncRunner, events: &[InstantEvents]) -> usize {
-    r.enable_trace(256);
-    r.run_events(events, |_, _| {}).expect("run succeeds");
     events.len()
 }
 
@@ -279,23 +278,26 @@ fn monitors_for(specs: &[Arc<MonitorSpec>], table: &SigTable, backend: Backend) 
 }
 
 /// The 12 runner configs: traced, monitored and compiled per design
-/// configuration, measured in interleaved rounds.
+/// configuration, measured in interleaved rounds. Each times its
+/// instants only, on a runner and monitors built before the timer.
 fn runner_rows(configs: &[DesignConfig<'_>]) -> Vec<RunRow> {
     let mut jobs = Vec::new();
     for c in configs {
         jobs.push(job(format!("{}/traced", c.label), move || {
-            run_traced(walked(c.designs.clone()), c.events)
+            let mut r = walked(c.designs.clone());
+            r.enable_trace(256);
+            timed(|| run_ids(&mut r, c.events, &mut []))
         }));
         jobs.push(job(format!("{}/monitored", c.label), move || {
-            let r = walked(c.designs.clone());
+            let mut r = walked(c.designs.clone());
             let mut mons = monitors_for(c.specs, r.sig_table(), Backend::Walker);
-            run_ids(r, c.events, &mut mons)
+            timed(|| run_ids(&mut r, c.events, &mut mons))
         }));
         jobs.push(job(format!("{}/compiled", c.label), move || {
-            let r = runner(c.designs.clone());
+            let mut r = runner(c.designs.clone());
             assert_eq!(r.backend(), Backend::Compiled);
             let mut mons = monitors_for(c.specs, r.sig_table(), Backend::Compiled);
-            run_ids(r, c.events, &mut mons)
+            timed(|| run_ids(&mut r, c.events, &mut mons))
         }));
     }
     let runs = measure_all(jobs);
@@ -413,7 +415,7 @@ fn fleet_rows(sessions: usize, faults: Option<FaultPlan>) -> Vec<RunRow> {
 /// (100% fused means no walker step inside an instant).
 fn profile(c: &DesignConfig<'_>) -> (String, String) {
     tm::reset_all();
-    let r = runner(c.designs.clone());
+    let mut r = runner(c.designs.clone());
     assert_eq!(r.backend(), Backend::Compiled);
     let cov = r.coverage();
     let pure: u32 = r.machines().map(|m| m.stats().pure_states).sum();
@@ -426,7 +428,7 @@ fn profile(c: &DesignConfig<'_>) -> (String, String) {
     ]);
     let mut mons = monitors_for(c.specs, r.sig_table(), Backend::Compiled);
     let run = Run::start(c.design, c.label);
-    let t = timed(|| run_ids(r, c.events, &mut mons));
+    let t = timed(|| run_ids(&mut r, c.events, &mut mons));
     // The run_end event carries the coverage breakdown, so the JSONL
     // stream says which backend actually ran.
     run.end_with_coverage(t.value as u64, Some(&cov.telemetry()));
@@ -620,17 +622,20 @@ fn monitor_stepping(c: &DesignConfig<'_>) -> Vec<Member> {
         .expect("run succeeds");
     let drive = |backend| {
         let mut mons = monitors_for(c.specs, &table, backend);
-        for (i, p) in present.iter().enumerate() {
-            for m in &mut mons {
-                m.step_ids(i as u64, p, &table);
+        let t = timed(|| {
+            for (i, p) in present.iter().enumerate() {
+                for m in &mut mons {
+                    m.step_ids(i as u64, p, &table);
+                }
             }
-        }
+            present.len()
+        });
         assert!(
             mons.iter()
                 .all(|m| !matches!(m.verdict(), Verdict::Fail(_))),
             "stepped monitors must stay live"
         );
-        present.len()
+        t
     };
     let rates = measure_all(vec![
         job("fused".to_string(), || drive(Backend::Compiled)),

@@ -122,25 +122,6 @@ impl BitSet {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
-    /// Intersection restricted to the half-open range `[lo, hi)`:
-    /// does the set contain any element in the range? Masks the two end
-    /// words and tests whole words in between.
-    pub fn any_in_range(&self, lo: usize, hi: usize) -> bool {
-        if lo >= hi {
-            return false;
-        }
-        let (first, last) = (lo / 64, (hi - 1) / 64);
-        let lo_mask = !0u64 << (lo % 64);
-        let hi_mask = !0u64 >> (63 - (hi - 1) % 64);
-        if first == last {
-            return self.word(first) & lo_mask & hi_mask != 0;
-        }
-        let inner = self.words.get(first + 1..last.min(self.words.len()));
-        self.word(first) & lo_mask != 0
-            || inner.is_some_and(|ws| ws.iter().any(|w| *w != 0))
-            || self.word(last) & hi_mask != 0
-    }
-
     /// Iterate over members in increasing order. A walk costs one step
     /// per member plus one per word, not one per bit.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
@@ -286,39 +267,6 @@ mod tests {
         assert!(e.is_empty());
         e.insert(5);
         assert_eq!(members(&e), vec![5]);
-    }
-
-    #[test]
-    fn range_queries() {
-        let s: BitSet = [2, 9].into_iter().collect();
-        assert!(s.any_in_range(0, 3));
-        assert!(!s.any_in_range(3, 9));
-        assert!(s.any_in_range(9, 10));
-    }
-
-    #[test]
-    fn any_in_range_matches_bitwise_definition() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        for _ in 0..2000 {
-            let words = rng.gen_range(0..5);
-            let density = f64::from(rng.gen_range(0..5u32)) / 20.0;
-            let s: BitSet = (0..words * 64).filter(|_| rng.gen_bool(density)).collect();
-            // Ends drawn near word boundaries, and past the last word.
-            let mut end = || {
-                let w: usize = rng.gen_range(0..7);
-                (w * 64 + rng.gen_range(0..3)).saturating_sub(rng.gen_range(0..2))
-            };
-            let (lo, hi) = (end(), end());
-            let bitwise = (lo..hi).any(|b| s.contains(b));
-            assert_eq!(s.any_in_range(lo, hi), bitwise, "{s:?} [{lo}, {hi})");
-        }
-        let s: BitSet = [63, 64, 200].into_iter().collect();
-        assert!(!s.any_in_range(64, 64), "empty range");
-        assert!(!s.any_in_range(70, 10), "reversed range");
-        assert!(s.any_in_range(0, 64) && s.any_in_range(64, 128));
-        assert!(!s.any_in_range(65, 200) && s.any_in_range(65, 201));
-        assert!(!s.any_in_range(201, 10_000), "past the last word");
     }
 
     #[test]

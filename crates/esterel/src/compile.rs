@@ -19,7 +19,7 @@
 //! reading a variable written earlier in the same instant sits *below*
 //! the corresponding `Do` node).
 
-use crate::engine::{Engine, ExecOut, Occurrences, Sem};
+use crate::engine::{Engine, ExecOut, Occurrences, Selection, Sem};
 use crate::ir::{Node, Program, StmtId, Tri};
 use ecl_syntax::fxmap::FxHashMap;
 use efsm::sgraph::{Node as ENode, NodeId};
@@ -101,8 +101,11 @@ impl std::error::Error for CompileError {}
 pub struct CompileReport {
     /// Reachable control states (including the dead state, if any).
     pub states: u32,
-    /// Total symbolic runs executed.
+    /// Total symbolic runs executed: one per leaf and one per decision
+    /// node of every state's decision tree.
     pub runs: u64,
+    /// Total engine passes over the program, summed over the runs.
+    pub passes: u64,
     /// Internal-signal choices where both statuses were coherent and
     /// the absence-minimal one was picked.
     pub ambiguous_choices: u64,
@@ -147,6 +150,9 @@ struct Compiler<'p> {
     /// States to expand; `work[i]` is the key of `StateId(i)`.
     work: Vec<StateKey>,
     report: CompileReport,
+    /// The selection of the state being expanded, filled once per state
+    /// and read by every pass of its runs.
+    sel: Selection,
     /// Visit counters and pause set, reused by every pass of every run.
     occ: Occurrences,
     /// What a run knows, reused by every run.
@@ -337,6 +343,7 @@ impl<'p> Compiler<'p> {
             ids: FxHashMap::default(),
             work: Vec::new(),
             report: CompileReport::default(),
+            sel: Selection::new(prog),
             occ: Occurrences::default(),
             run: RunScratch::default(),
             prefixes: Vec::new(),
@@ -399,13 +406,9 @@ impl<'p> Compiler<'p> {
     /// left in the run scratch.
     fn sym_run(&mut self, key: &StateKey, oracle: &Oracle) -> Result<RunOut, CompileError> {
         self.report.runs += 1;
-        let boot = BitSet::new();
-        let (start, sel) = match key {
-            None => (true, &boot),
-            Some(sel) => (false, sel),
-        };
+        let start = key.is_none();
         self.run.reset(self.prog, oracle);
-        if !start && sel.is_empty() {
+        if key.as_ref().is_some_and(BitSet::is_empty) {
             // Dead state: stays dead, no behavior.
             return Ok(RunOut::Done {
                 code: 0,
@@ -414,13 +417,14 @@ impl<'p> Compiler<'p> {
         }
         let mut last_known = usize::MAX;
         loop {
+            self.report.passes += 1;
             self.run.needs.clear();
             let sem = SymSem {
                 prog: self.prog,
                 oracle,
                 run: &mut self.run,
             };
-            match Engine::new(self.prog, sel, &mut self.occ, sem).run(start) {
+            match Engine::new(self.prog, &self.sel, &mut self.occ, sem).run(start) {
                 ExecOut::Failed(_) => {
                     return Ok(RunOut::Done {
                         code: 0,
@@ -471,6 +475,9 @@ impl<'p> Compiler<'p> {
 
     /// Build the s-graph for one control state.
     fn expand(&mut self, key: &StateKey) -> Result<NodeId, CompileError> {
+        if let Some(sel) = key {
+            self.sel.fill(self.prog, sel);
+        }
         let mut runs = 0usize;
         let mut oracle = Oracle::default();
         let out = self.build(key, &mut oracle, 0, &mut runs)?;

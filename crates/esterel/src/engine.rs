@@ -14,6 +14,10 @@
 //! across re-runs by keying on `(node, occurrence)` — the traversal is
 //! deterministic, so the k-th visit of a node is the same logical visit
 //! in every pass.
+//!
+//! A pass reads the previous instant's pauses through a [`Selection`],
+//! which the compiler fills once per state and the interpreter once
+//! per reaction, and which every pass shares.
 
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, ExprId, PredId, Signal};
@@ -116,11 +120,88 @@ impl Occurrences {
     }
 }
 
+/// The selected pauses of one state, with each node marked when its
+/// subtree holds one of them.
+///
+/// [`Selection::fill`] walks up from each selected pause towards the
+/// root and stops where an earlier walk joined, so a fill costs the
+/// selected pauses times their depth, and a resume-mode visit reads one
+/// mark. Pauses are walked in increasing order, and DFS numbering gives
+/// siblings increasing pause ranges, so the first walk into a node
+/// arrives through its first holding child: the mark records that
+/// child, which is where a `Seq` resumes. The compiler and the
+/// interpreter each size one selection for their program and refill it
+/// for every state or reaction.
+#[derive(Debug)]
+pub struct Selection {
+    /// The selected pauses.
+    pauses: BitSet,
+    /// Per node: [`UNMARKED`] when its subtree holds no selected pause,
+    /// else the index of the child the first walk arrived through (0
+    /// for a pause itself).
+    marks: Vec<u32>,
+    /// The marked nodes, unmarked by the next fill.
+    marked: Vec<StmtId>,
+}
+
+/// The mark of a node whose subtree holds no selected pause.
+const UNMARKED: u32 = u32::MAX;
+
+impl Selection {
+    /// An empty selection with room for every pause and node of `prog`.
+    pub fn new(prog: &Program) -> Self {
+        Selection {
+            pauses: BitSet::with_capacity(prog.n_pauses() as usize),
+            marks: vec![UNMARKED; prog.size()],
+            marked: Vec::with_capacity(prog.size()),
+        }
+    }
+
+    /// Select `pauses` (pause indices of `prog`, the program this
+    /// selection was sized for), replacing the previous selection.
+    pub fn fill(&mut self, prog: &Program, pauses: &BitSet) {
+        for id in self.marked.drain(..) {
+            self.marks[id.0 as usize] = UNMARKED;
+        }
+        self.pauses.clone_from(pauses);
+        for p in pauses.iter() {
+            let (mut id, mut from) = (prog.pause_node(p), 0);
+            while self.marks[id.0 as usize] == UNMARKED {
+                self.marks[id.0 as usize] = from;
+                self.marked.push(id);
+                let Some((parent, index)) = prog.parent(id) else {
+                    break;
+                };
+                (id, from) = (parent, index);
+            }
+        }
+    }
+
+    /// The selected pauses.
+    pub fn pauses(&self) -> &BitSet {
+        &self.pauses
+    }
+
+    /// Does the subtree of `id` hold a selected pause?
+    #[inline]
+    pub fn holds(&self, id: StmtId) -> bool {
+        self.marks[id.0 as usize] != UNMARKED
+    }
+
+    /// The index of the first child of `id` whose subtree holds a
+    /// selected pause, if `id`'s does.
+    #[inline]
+    pub fn first_child(&self, id: StmtId) -> Option<usize> {
+        let m = self.marks[id.0 as usize];
+        (m != UNMARKED).then_some(m as usize)
+    }
+}
+
 /// One execution pass over the program.
 pub struct Engine<'p, S: Sem> {
     prog: &'p Program,
     /// Selection (active pauses) from the previous instant.
-    sel: &'p BitSet,
+    sel: &'p Selection,
     /// Per-node visit counters and the pause set of this pass.
     occ: &'p mut Occurrences,
     /// The driver's resolution strategy.
@@ -130,7 +211,7 @@ pub struct Engine<'p, S: Sem> {
 impl<'p, S: Sem> Engine<'p, S> {
     /// Create an engine for one pass, counting visits and collecting
     /// pauses in `occ`.
-    pub fn new(prog: &'p Program, sel: &'p BitSet, occ: &'p mut Occurrences, sem: S) -> Self {
+    pub fn new(prog: &'p Program, sel: &'p Selection, occ: &'p mut Occurrences, sem: S) -> Self {
         occ.reset(prog.size());
         Engine {
             prog,
@@ -208,7 +289,7 @@ impl<'p, S: Sem> Engine<'p, S> {
                 } else {
                     // Resume the branch holding the selection; the test
                     // is not re-evaluated.
-                    if prog.selected(*t, self.sel) {
+                    if self.sel.holds(*t) {
                         self.exec(*t, false)
                     } else {
                         self.exec(*e, false)
@@ -223,7 +304,7 @@ impl<'p, S: Sem> Engine<'p, S> {
                         Some(false) => self.exec(*e, true),
                         None => Blocked,
                     }
-                } else if prog.selected(*t, self.sel) {
+                } else if self.sel.holds(*t) {
                     self.exec(*t, false)
                 } else {
                     self.exec(*e, false)
@@ -237,9 +318,9 @@ impl<'p, S: Sem> Engine<'p, S> {
             Node::Seq(children) => {
                 let mut idx = 0;
                 if !start {
-                    // Find the child holding the selection; none means
-                    // the selection vanished (should not happen).
-                    match prog.selected_child(children, self.sel) {
+                    // Resume the child holding the selection; none
+                    // means the selection vanished (should not happen).
+                    match self.sel.first_child(id) {
                         Some(i) => idx = i,
                         None => return Done(0),
                     }
@@ -270,7 +351,7 @@ impl<'p, S: Sem> Engine<'p, S> {
                 for &c in children {
                     let child = if start {
                         self.exec(c, true)
-                    } else if prog.selected(c, self.sel) {
+                    } else if self.sel.holds(c) {
                         self.exec(c, false)
                     } else {
                         // Terminated in an earlier instant.
@@ -324,7 +405,8 @@ impl<'p, S: Sem> Engine<'p, S> {
                             // Frozen: keep the body's current selection.
                             let m = prog.meta(*body);
                             let range = m.pause_lo as usize..m.pause_hi as usize;
-                            for b in self.sel.iter().filter(|b| range.contains(b)) {
+                            let sel = self.sel.pauses().iter();
+                            for b in sel.filter(|b| range.contains(b)) {
                                 self.occ.pauses.insert(b);
                             }
                             Done(1)
@@ -399,8 +481,9 @@ mod tests {
         sel: Option<&[usize]>,
         s: Tri,
     ) -> Option<(u32, Vec<usize>)> {
-        let bits: BitSet = sel.unwrap_or(&[]).iter().copied().collect();
-        match Engine::new(prog, &bits, occ, Fixed(vec![s])).run(sel.is_none()) {
+        let mut marks = Selection::new(prog);
+        marks.fill(prog, &sel.unwrap_or(&[]).iter().copied().collect());
+        match Engine::new(prog, &marks, occ, Fixed(vec![s])).run(sel.is_none()) {
             ExecOut::Done { code, pauses } => Some((code, pauses.iter().collect())),
             _ => None,
         }
@@ -479,6 +562,112 @@ mod tests {
             pass(&prog, &mut occ, Some(sel), Tri::False),
             Some((1, vec![0, 2, 4]))
         );
+    }
+
+    /// A random kernel statement tree over signal 0, with exits bound
+    /// by the `traps` enclosing traps and every loop body pausing.
+    fn gen_stmt(rng: &mut impl rand::Rng, depth: u32, traps: u32) -> Stmt {
+        let arms = if depth == 0 { 5 } else { 12 };
+        match rng.gen_range(0..arms) {
+            0 => Stmt::Nothing,
+            1 | 2 => Stmt::Pause,
+            3 => Stmt::emit(Signal(0)),
+            4 if traps > 0 => Stmt::Exit(rng.gen_range(0..traps)),
+            4 => Stmt::Action(ActionId(0)),
+            5 => Stmt::present(
+                Signal(0).into(),
+                gen_stmt(rng, depth - 1, traps),
+                gen_stmt(rng, depth - 1, traps),
+            ),
+            6 => Stmt::if_data(
+                PredId(0),
+                gen_stmt(rng, depth - 1, traps),
+                gen_stmt(rng, depth - 1, traps),
+            ),
+            7 | 8 => {
+                let n = rng.gen_range(1..5);
+                Stmt::Seq((0..n).map(|_| gen_stmt(rng, depth - 1, traps)).collect())
+            }
+            9 => {
+                let n = rng.gen_range(1..4);
+                Stmt::Par((0..n).map(|_| gen_stmt(rng, depth - 1, traps)).collect())
+            }
+            10 => Stmt::trap(gen_stmt(rng, depth - 1, traps + 1)),
+            _ if rng.gen_bool(0.5) => Stmt::loop_(Stmt::Seq(vec![
+                gen_stmt(rng, depth - 1, traps),
+                Stmt::Pause,
+            ])),
+            _ => Stmt::suspend(Signal(0).into(), gen_stmt(rng, depth - 1, traps)),
+        }
+    }
+
+    /// The children of `id` in order.
+    fn children(prog: &Program, id: StmtId) -> Vec<StmtId> {
+        match prog.node(id) {
+            Node::Present(_, t, e) | Node::IfData(_, t, e) => vec![*t, *e],
+            Node::Seq(v) | Node::Par(v) => v.clone(),
+            Node::Loop(b) | Node::Trap(b) | Node::Suspend(_, b) => vec![*b],
+            _ => Vec::new(),
+        }
+    }
+
+    /// On random programs and random pause subsets, refilled into one
+    /// selection per program: a node is marked exactly when a selected
+    /// pause lies in its range `[pause_lo, pause_hi)`, and a marked
+    /// node's first child is its first child whose range holds one
+    /// (where a `Seq` resumes).
+    #[test]
+    fn selection_marks_exactly_the_holding_subtrees() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(34);
+        let mut deep = 0;
+        for _ in 0..400 {
+            let depth = rng.gen_range(1..6);
+            // One program in four is a wide sequence or parallel, so
+            // selections span more than one bitset word.
+            let body = if rng.gen_bool(0.25) {
+                let n = rng.gen_range(16..64);
+                let wide: Vec<Stmt> = (0..n).map(|_| gen_stmt(&mut rng, depth, 0)).collect();
+                match rng.gen_bool(0.5) {
+                    true => Stmt::Seq(wide),
+                    false => Stmt::Par(wide),
+                }
+            } else {
+                gen_stmt(&mut rng, depth, 0)
+            };
+            let prog = program(body);
+            let n = prog.n_pauses() as usize;
+            deep += usize::from(n > 64);
+            let mut sel = Selection::new(&prog);
+            for _ in 0..8 {
+                let density = f64::from(rng.gen_range(0..5u32)) / 4.0;
+                let pauses: BitSet = (0..n).filter(|_| rng.gen_bool(density)).collect();
+                sel.fill(&prog, &pauses);
+                assert_eq!(sel.pauses(), &pauses);
+                let in_range = |id: StmtId| {
+                    let m = prog.meta(id);
+                    (m.pause_lo as usize..m.pause_hi as usize).any(|b| pauses.contains(b))
+                };
+                for i in 0..prog.size() {
+                    let id = StmtId(i as u32);
+                    assert_eq!(
+                        sel.holds(id),
+                        in_range(id),
+                        "{id:?} of {prog:?} at {pauses:?}"
+                    );
+                    let kids = children(&prog, id);
+                    if !kids.is_empty() {
+                        let first = kids.iter().position(|c| in_range(*c));
+                        assert_eq!(
+                            sel.first_child(id),
+                            first,
+                            "{id:?} of {prog:?} at {pauses:?}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(deep > 0, "no program spans two bitset words");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! reactions are differential-tested against — one journal entry per
 //! hook call.
 
-use crate::engine::{Engine, ExecFailure, ExecOut, Occurrences, Sem};
+use crate::engine::{Engine, ExecFailure, ExecOut, Occurrences, Selection, Sem};
 use crate::ir::{Node, Program, SigExpr, StmtId, Tri};
 use efsm::{ActionId, BitSet, DataHooks, ExprId, PredId, SigKind, Signal};
 use std::collections::HashMap;
@@ -84,7 +84,10 @@ enum Journal {
 #[derive(Debug)]
 pub struct Machine<'p> {
     prog: &'p Program,
-    sel: BitSet,
+    /// The pauses the next reaction resumes, marked on the tree: filled
+    /// once per reaction, read by the next one's passes and Can
+    /// analyses.
+    sel: Selection,
     started: bool,
     dead: bool,
     /// Count of constructive fixpoint passes over the lifetime (metric).
@@ -156,7 +159,7 @@ impl<'p> Machine<'p> {
     pub fn new(prog: &'p Program) -> Self {
         Machine {
             prog,
-            sel: BitSet::new(),
+            sel: Selection::new(prog),
             started: false,
             dead: false,
             passes: 0,
@@ -172,7 +175,7 @@ impl<'p> Machine<'p> {
 
     /// The current selection (active pause points).
     pub fn selection(&self) -> &BitSet {
-        &self.sel
+        self.sel.pauses()
     }
 
     /// Run one instant with the signals of `inputs` (a presence set
@@ -227,8 +230,9 @@ impl<'p> Machine<'p> {
             match Engine::new(self.prog, &self.sel, &mut self.occ, sem).run(start) {
                 ExecOut::Done { code, pauses } => {
                     self.started = true;
-                    self.sel = pauses.normalized();
-                    self.dead = code == 0 || self.sel.is_empty();
+                    let next = pauses.normalized();
+                    self.sel.fill(self.prog, &next);
+                    self.dead = code == 0 || next.is_empty();
                     return Ok(Reaction {
                         emitted: order,
                         terminated: self.dead,
@@ -307,7 +311,7 @@ impl Can {
 
 struct CanCtx<'a> {
     prog: &'a Program,
-    sel: &'a BitSet,
+    sel: &'a Selection,
     status: &'a [Tri],
     // Journal is used for already-decided predicates at occurrence 0;
     // deeper occurrences conservatively fork both ways.
@@ -323,16 +327,15 @@ impl<'a> CanCtx<'a> {
         let prog = self.prog;
         match prog.node(id) {
             Node::Nothing => Can::terminated(),
-            Node::Pause(p) => {
+            Node::Pause(_) => {
                 if start {
                     Can {
                         emits: BitSet::new(),
                         codes: 1 << 1,
                     }
-                } else if self.sel.contains(*p as usize) {
-                    Can::terminated()
                 } else {
-                    // Not selected: no behavior; callers avoid this.
+                    // Resumed ⇒ selected ⇒ terminates (callers resume
+                    // only selected subtrees).
                     Can::terminated()
                 }
             }
@@ -348,7 +351,7 @@ impl<'a> CanCtx<'a> {
                         Tri::False => self.can(*e, true),
                         Tri::Unknown => union(self.can(*t, true), self.can(*e, true)),
                     }
-                } else if prog.selected(*t, self.sel) {
+                } else if self.sel.holds(*t) {
                     self.can(*t, false)
                 } else {
                     self.can(*e, false)
@@ -362,7 +365,7 @@ impl<'a> CanCtx<'a> {
                         return self.can(if *v { *t } else { *e }, true);
                     }
                     union(self.can(*t, true), self.can(*e, true))
-                } else if prog.selected(*t, self.sel) {
+                } else if self.sel.holds(*t) {
                     self.can(*t, false)
                 } else {
                     self.can(*e, false)
@@ -373,7 +376,7 @@ impl<'a> CanCtx<'a> {
                 let mut idx = 0;
                 let mut mode_start = start;
                 if !start {
-                    match prog.selected_child(children, self.sel) {
+                    match self.sel.first_child(id) {
                         Some(i) => idx = i,
                         None => return Can::terminated(),
                     }
@@ -419,7 +422,7 @@ impl<'a> CanCtx<'a> {
                 for &c in children {
                     let child = if start {
                         self.can(c, true)
-                    } else if prog.selected(c, self.sel) {
+                    } else if self.sel.holds(c) {
                         self.can(c, false)
                     } else {
                         Can::terminated()

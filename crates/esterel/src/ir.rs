@@ -5,9 +5,10 @@
 //! needs (`halt`, `await`, `abort`, `weak_abort`, handlers, immediate
 //! variants). [`ProgramBuilder::finish`] then freezes the tree into a
 //! [`Program`]: an arena with DFS-numbered pause points, per-node pause
-//! ranges (needed to resume selected subtrees), and the static checks a
-//! real Esterel compiler performs (trap/exit discipline, no potentially
-//! instantaneous loop bodies).
+//! ranges, each node's parent and each pause's node (needed to resume
+//! selected subtrees), and the static checks a real Esterel compiler
+//! performs (trap/exit discipline, no potentially instantaneous loop
+//! bodies).
 //!
 //! Traps use de Bruijn indices: `Exit(d)` exits the `d`-th enclosing
 //! [`Stmt::Trap`] (0 = innermost). The derived-form constructors shift
@@ -447,8 +448,12 @@ pub struct Program {
     signals: Vec<SignalInfo>,
     nodes: Vec<Node>,
     meta: Vec<Meta>,
+    /// Per node: its parent and its index among the parent's children
+    /// (`None` for the root).
+    parents: Vec<Option<(StmtId, u32)>>,
+    /// Per pause index: the `Pause` node.
+    pause_nodes: Vec<StmtId>,
     root: StmtId,
-    n_pauses: u32,
 }
 
 impl Program {
@@ -472,7 +477,7 @@ impl Program {
 
     /// Number of pause points.
     pub fn n_pauses(&self) -> u32 {
-        self.n_pauses
+        self.pause_nodes.len() as u32
     }
 
     /// Root node id.
@@ -490,21 +495,16 @@ impl Program {
         self.meta[id.0 as usize]
     }
 
-    /// Does the subtree at `id` contain any pause selected in `sel`?
-    pub fn selected(&self, id: StmtId, sel: &efsm::BitSet) -> bool {
-        let m = self.meta(id);
-        sel.any_in_range(m.pause_lo as usize, m.pause_hi as usize)
+    /// The parent of `id` and its index among the parent's children
+    /// (a `Present`'s or `IfData`'s then-branch is child 0, its else
+    /// branch child 1); `None` for the root.
+    pub(crate) fn parent(&self, id: StmtId) -> Option<(StmtId, u32)> {
+        self.parents[id.0 as usize]
     }
 
-    /// Index of the first of a `Seq`'s `children` whose subtree holds a
-    /// pause selected in `sel`. DFS numbering gives siblings adjacent,
-    /// increasing pause ranges, so this is a binary search over their
-    /// upper ends.
-    pub fn selected_child(&self, children: &[StmtId], sel: &efsm::BitSet) -> Option<usize> {
-        let lo = self.meta(*children.first()?).pause_lo as usize;
-        let i =
-            children.partition_point(|c| !sel.any_in_range(lo, self.meta(*c).pause_hi as usize));
-        (i < children.len()).then_some(i)
+    /// The `Pause` node of pause index `p`.
+    pub(crate) fn pause_node(&self, p: usize) -> StmtId {
+        self.pause_nodes[p]
     }
 
     /// Number of arena nodes (program size metric).
@@ -566,17 +566,16 @@ impl ProgramBuilder {
         check_signals(&body, self.signals.len() as u32)?;
         check_loops(&body)?;
         // Freeze into the arena with DFS pause numbering.
-        let mut nodes = Vec::new();
-        let mut meta = Vec::new();
-        let mut n_pauses = 0u32;
-        let root = freeze(&body, &mut nodes, &mut meta, &mut n_pauses);
+        let mut arena = Arena::default();
+        let root = arena.freeze(&body);
         Ok(Program {
             name: self.name,
             signals: self.signals,
-            nodes,
-            meta,
+            nodes: arena.nodes,
+            meta: arena.meta,
+            parents: arena.parents,
+            pause_nodes: arena.pause_nodes,
             root,
-            n_pauses,
         })
     }
 }
@@ -788,40 +787,60 @@ fn check_loops(s: &Stmt) -> Result<(), IrError> {
     }
 }
 
-fn freeze(s: &Stmt, nodes: &mut Vec<Node>, meta: &mut Vec<Meta>, n_pauses: &mut u32) -> StmtId {
-    let lo = *n_pauses;
-    let node = match s {
-        Stmt::Nothing => Node::Nothing,
-        Stmt::Pause => {
-            let p = *n_pauses;
-            *n_pauses += 1;
-            Node::Pause(p)
+/// A program's arena while it is frozen: the parts of [`Program`]
+/// that follow from the tree.
+#[derive(Default)]
+struct Arena {
+    nodes: Vec<Node>,
+    meta: Vec<Meta>,
+    parents: Vec<Option<(StmtId, u32)>>,
+    pause_nodes: Vec<StmtId>,
+}
+
+impl Arena {
+    /// Freeze `s` after its children, so a node's id follows theirs and
+    /// its pause range `[pause_lo, pause_hi)` covers exactly theirs.
+    fn freeze(&mut self, s: &Stmt) -> StmtId {
+        let lo = self.pause_nodes.len() as u32;
+        let node = match s {
+            Stmt::Nothing => Node::Nothing,
+            Stmt::Pause => {
+                let p = self.pause_nodes.len() as u32;
+                self.pause_nodes.push(StmtId(self.nodes.len() as u32));
+                Node::Pause(p)
+            }
+            Stmt::Emit(sig, e) => Node::Emit(*sig, *e),
+            Stmt::Present(c, t, e) => Node::Present(c.clone(), self.freeze(t), self.freeze(e)),
+            Stmt::IfData(p, t, e) => Node::IfData(*p, self.freeze(t), self.freeze(e)),
+            Stmt::Action(a) => Node::Action(*a),
+            Stmt::Seq(v) => Node::Seq(v.iter().map(|x| self.freeze(x)).collect()),
+            Stmt::Loop(b) => Node::Loop(self.freeze(b)),
+            Stmt::Par(v) => Node::Par(v.iter().map(|x| self.freeze(x)).collect()),
+            Stmt::Trap(b) => Node::Trap(self.freeze(b)),
+            Stmt::Exit(d) => Node::Exit(*d),
+            Stmt::Suspend(c, b) => Node::Suspend(c.clone(), self.freeze(b)),
+        };
+        let id = StmtId(self.nodes.len() as u32);
+        let mut link = |child: StmtId, index: usize| {
+            self.parents[child.0 as usize] = Some((id, index as u32));
+        };
+        match &node {
+            Node::Present(_, t, e) | Node::IfData(_, t, e) => {
+                link(*t, 0);
+                link(*e, 1);
+            }
+            Node::Seq(v) | Node::Par(v) => v.iter().enumerate().for_each(|(i, c)| link(*c, i)),
+            Node::Loop(b) | Node::Trap(b) | Node::Suspend(_, b) => link(*b, 0),
+            Node::Nothing | Node::Pause(_) | Node::Emit(..) | Node::Action(_) | Node::Exit(_) => {}
         }
-        Stmt::Emit(sig, e) => Node::Emit(*sig, *e),
-        Stmt::Present(c, t, e) => {
-            let t = freeze(t, nodes, meta, n_pauses);
-            let e = freeze(e, nodes, meta, n_pauses);
-            Node::Present(c.clone(), t, e)
-        }
-        Stmt::IfData(p, t, e) => {
-            let t = freeze(t, nodes, meta, n_pauses);
-            let e = freeze(e, nodes, meta, n_pauses);
-            Node::IfData(*p, t, e)
-        }
-        Stmt::Action(a) => Node::Action(*a),
-        Stmt::Seq(v) => Node::Seq(v.iter().map(|x| freeze(x, nodes, meta, n_pauses)).collect()),
-        Stmt::Loop(b) => Node::Loop(freeze(b, nodes, meta, n_pauses)),
-        Stmt::Par(v) => Node::Par(v.iter().map(|x| freeze(x, nodes, meta, n_pauses)).collect()),
-        Stmt::Trap(b) => Node::Trap(freeze(b, nodes, meta, n_pauses)),
-        Stmt::Exit(d) => Node::Exit(*d),
-        Stmt::Suspend(c, b) => Node::Suspend(c.clone(), freeze(b, nodes, meta, n_pauses)),
-    };
-    nodes.push(node);
-    meta.push(Meta {
-        pause_lo: lo,
-        pause_hi: *n_pauses,
-    });
-    StmtId(nodes.len() as u32 - 1)
+        self.nodes.push(node);
+        self.meta.push(Meta {
+            pause_lo: lo,
+            pause_hi: self.pause_nodes.len() as u32,
+        });
+        self.parents.push(None);
+        id
+    }
 }
 
 impl From<IrError> for ecl_syntax::EclError {
@@ -942,6 +961,42 @@ mod tests {
         assert_eq!(p.n_pauses(), 2);
         let m = p.meta(p.root());
         assert_eq!((m.pause_lo, m.pause_hi), (0, 2));
+    }
+
+    #[test]
+    fn parents_link_every_child_and_pauses_their_nodes() {
+        let mut b = ProgramBuilder::new("t");
+        let a = b.input("a");
+        // par { present a { pause₀ } else { pause₁; pause₂ } } { loop pause₃ }
+        let p = b
+            .finish(Stmt::par(vec![
+                Stmt::present(
+                    a.into(),
+                    Stmt::pause(),
+                    Stmt::seq(vec![Stmt::pause(), Stmt::pause()]),
+                ),
+                Stmt::loop_(Stmt::pause()),
+            ]))
+            .unwrap();
+        assert_eq!(p.parent(p.root()), None);
+        let mut linked = 0;
+        for i in 0..p.size() {
+            let id = StmtId(i as u32);
+            let children: Vec<StmtId> = match p.node(id) {
+                Node::Present(_, t, e) | Node::IfData(_, t, e) => vec![*t, *e],
+                Node::Seq(v) | Node::Par(v) => v.clone(),
+                Node::Loop(b) | Node::Trap(b) | Node::Suspend(_, b) => vec![*b],
+                _ => vec![],
+            };
+            for (k, c) in children.into_iter().enumerate() {
+                assert_eq!(p.parent(c), Some((id, k as u32)));
+                linked += 1;
+            }
+        }
+        assert_eq!(linked, p.size() - 1, "every node but the root has a parent");
+        for q in 0..p.n_pauses() as usize {
+            assert_eq!(*p.node(p.pause_node(q)), Node::Pause(q as u32));
+        }
     }
 
     #[test]

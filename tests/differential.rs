@@ -1166,6 +1166,46 @@ fn fused_programs_are_pinned() {
     assert_eq!(actual, pinned, "fused programs changed");
 }
 
+/// The work of EFSM construction is pinned for the 8 shipped
+/// configurations: symbolic runs (one per leaf and one per decision
+/// node of every state's decision tree) and engine passes, summed over
+/// the tasks. A change to how a pass resumes the selection may change
+/// what a pass costs, never how many there are.
+#[test]
+fn construction_work_is_pinned() {
+    let rows: Vec<(String, [u64; 2])> = shipped_configs()
+        .into_iter()
+        .map(|(key, designs)| {
+            let mut work = [0, 0];
+            for d in &designs {
+                let (_, r) =
+                    esterel::compile::compile_with_report(d.program(), &Default::default())
+                        .expect("design compiles");
+                work[0] += r.runs;
+                work[1] += r.passes;
+            }
+            (key, work)
+        })
+        .collect();
+    let pinned: [(&str, [u64; 2]); 8] = [
+        ("stack/mono/max", [175, 277]),
+        ("stack/mono/min", [127, 205]),
+        ("stack/parts/max", [91, 134]),
+        ("stack/parts/min", [67, 98]),
+        ("pager/mono/max", [996, 1691]),
+        ("pager/mono/min", [946, 1611]),
+        ("pager/parts/max", [100, 144]),
+        ("pager/parts/min", [76, 108]),
+    ];
+    let actual: Vec<(&str, [u64; 2])> = rows.iter().map(|(k, w)| (k.as_str(), *w)).collect();
+    if actual != pinned {
+        for (k, w) in &actual {
+            eprintln!("(\"{k}\", {w:?}),");
+        }
+    }
+    assert_eq!(actual, pinned, "construction work changed");
+}
+
 /// Table 1's size columns are pinned for the 8 shipped configurations:
 /// `task_cost` code and data bytes summed over the tasks, and
 /// `rtos_cost` code and data bytes with the RTOS sized the way
